@@ -190,7 +190,7 @@ def cmd_run(args) -> int:
         return 1
     report, _ = execute_run(cfg, spec, Path(cfg.output_dir), not args.no_timing)
     if not report.reached:
-        print("run failed: goal not reached", file=sys.stderr)
+        print(f"run failed: {report.stop_cause}", file=sys.stderr)
         return 2
     return 0
 

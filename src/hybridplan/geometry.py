@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +26,11 @@ def normalize_angle(theta: float) -> float:
     """Reduce an angle to the half-open interval [-pi, pi)."""
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
+    return (theta + math.pi) % TWO_PI - math.pi
+
+
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """Element-wise normalize_angle; bit-identical to the scalar form."""
     return (theta + math.pi) % TWO_PI - math.pi
 
 
@@ -84,6 +91,46 @@ def segment_curvature(segment: RSSegment, turn_radius: float) -> float:
     return -1.0 / turn_radius
 
 
+class SegmentSamples(NamedTuple):
+    xs: np.ndarray       # (n,) positions after each step
+    ys: np.ndarray
+    yaws: np.ndarray     # (n,) unnormalized headings
+    kappa: float
+    direction: int
+
+
+def iter_segment_samples(path: RSPath, start: Pose2D, step: float) -> Iterator[SegmentSamples]:
+    """Sample each non-empty segment of `path` as arrays, one segment at a time.
+
+    Segment i is split into n = max(1, ceil(length / step)) equal steps and
+    yields the n poses after each step; the segment's first pose is the
+    previous segment's last one (or `start`).  The prefix sums add the same
+    terms in the same order as chaining `move_along_arc`, so every value is
+    bit-identical to that scalar recurrence.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    x, y, yaw = start.x, start.y, start.yaw
+    for seg in path.segments:
+        if seg.length <= 0.0:
+            continue
+        kappa = segment_curvature(seg, path.turn_radius)
+        n = max(1, math.ceil(seg.length / step))
+        ds = seg.length / n * seg.direction
+        if kappa == 0.0:
+            yaws = np.full(n, yaw)
+            xs = np.cumsum(np.concatenate(([x], np.full(n, ds * math.cos(yaw)))))[1:]
+            ys = np.cumsum(np.concatenate(([y], np.full(n, ds * math.sin(yaw)))))[1:]
+        else:
+            chain = np.cumsum(np.concatenate(([yaw], np.full(n, ds * kappa))))
+            sin, cos = np.sin(chain), np.cos(chain)
+            yaws = chain[1:]
+            xs = np.cumsum(np.concatenate(([x], (sin[1:] - sin[:-1]) / kappa)))[1:]
+            ys = np.cumsum(np.concatenate(([y], -(cos[1:] - cos[:-1]) / kappa)))[1:]
+        yield SegmentSamples(xs, ys, yaws, kappa, seg.direction)
+        x, y, yaw = float(xs[-1]), float(ys[-1]), float(yaws[-1])
+
+
 def sample_path(path: RSPath, start: Pose2D, step: float) -> List[Tuple[Pose2D, float, int]]:
     """Sample (pose, curvature, direction) along `path` starting at `start`.
 
@@ -91,19 +138,10 @@ def sample_path(path: RSPath, start: Pose2D, step: float) -> List[Tuple[Pose2D, 
     are always emitted, and the final sample lands on the path's end pose.
     A zero-length path yields the single sample (start, 0.0, FORWARD).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x, y, yaw = start.x, start.y, start.yaw
     samples: List[Tuple[Pose2D, float, int]] = [(start, 0.0, FORWARD)]
-    for seg in path.segments:
-        if seg.length <= 0.0:
-            continue
-        kappa = segment_curvature(seg, path.turn_radius)
-        n = max(1, math.ceil(seg.length / step))
-        ds = seg.length / n * seg.direction
-        for _ in range(n):
-            x, y, yaw = move_along_arc(x, y, yaw, kappa, ds)
-            samples.append((Pose2D(x, y, yaw), kappa, seg.direction))
+    for seg in iter_segment_samples(path, start, step):
+        samples.extend((Pose2D(x, y, yaw), seg.kappa, seg.direction)
+                       for x, y, yaw in zip(seg.xs.tolist(), seg.ys.tolist(), seg.yaws.tolist()))
     return samples
 
 

@@ -53,7 +53,8 @@ class MissionState:
     last_replan_odometer: float = -math.inf
     distance_to_goal: float = math.inf    # 2D route distance from the vehicle
     path_to_goal: bool = False            # current path ends at the final goal
-    _dmap_cache: Optional[Tuple[int, DistanceMap]] = None
+    # (belief object, belief version, map) of the last built distance map
+    _dmap_cache: Optional[Tuple[OccupancyGrid, int, DistanceMap]] = None
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,13 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         return TickResult(status="goal_reached")
 
     try:
-        if state._dmap_cache is not None and state._dmap_cache[0] == belief.version:
-            dmap = state._dmap_cache[1]
+        cache = state._dmap_cache
+        if cache is not None and cache[0] is belief and cache[1] == belief.version:
+            dmap = cache[2]
         else:
             dmap = build_distance_map(belief, state.goal, planner_cfg.xy_resolution,
                                       planner_cfg.inflation_radius)
-            state._dmap_cache = (belief.version, dmap)
+            state._dmap_cache = (belief, belief.version, dmap)
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:

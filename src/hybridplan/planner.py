@@ -13,11 +13,12 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .geometry import Pose2D, move_along_arc, normalize_angle, sample_path
+from .geometry import (Pose2D, iter_segment_samples, move_along_arc, normalize_angle,
+                       normalize_angles, sample_path)
 from .grid import OccupancyGrid
 from .heuristic import DistanceMap, build_distance_map
 from .reeds_shepp import rs_all_paths, rs_path_length
@@ -481,10 +482,8 @@ class _CollisionChecker:
         dist[inside] = self.field[iy[inside], ix[inside]]
         return (dist < self.threshold).any(axis=1)
 
-    def path_samples_blocked(self, samples: Sequence[Tuple[Pose2D, float, int]]) -> bool:
-        xs = np.array([p.x for p, _, _ in samples])
-        ys = np.array([p.y for p, _, _ in samples])
-        yaws = np.array([p.yaw for p, _, _ in samples])
+    def poses_blocked(self, xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray) -> bool:
+        """True when any pose of the arrays is blocked."""
         return bool(self.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any())
 
 
@@ -717,14 +716,16 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: _CollisionChecker,
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
 
+    # every candidate starts at pose, so a blocked start rules them all out
+    start_free = not checker.poses_blocked(np.array([pose.x]), np.array([pose.y]),
+                                           np.array([pose.yaw]))
     for cand in rs_all_paths(pose, goal, turn_radius):
-        if cand.total_length >= 1e6:
+        if cand.total_length >= 1e6 or not start_free:
             break
-        samples = sample_path(cand, pose, config.collision_step)
-        if not checker.path_samples_blocked(samples):
+        if _rs_free(cand, pose, checker, config.collision_step):
             best_cost = rs_candidate_cost(cand, config, max_steer,
                                           parent_direction, parent_steer)
-            best_path = _rs_suffix_path(cand, pose, samples)
+            best_path = _rs_suffix_path(pose, sample_path(cand, pose, config.collision_step))
             break
 
     if mode == EXTENDED:
@@ -739,7 +740,15 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: _CollisionChecker,
     return best_path
 
 
-def _rs_suffix_path(cand, pose: Pose2D, samples) -> PlannedPath:
+def _rs_free(cand, pose: Pose2D, checker: _CollisionChecker, step: float) -> bool:
+    """Collision test of a candidate's samples, stopping at the first blocked segment."""
+    for seg in iter_segment_samples(cand, pose, step):
+        if checker.poses_blocked(seg.xs, seg.ys, normalize_angles(seg.yaws)):
+            return False
+    return True
+
+
+def _rs_suffix_path(pose: Pose2D, samples) -> PlannedPath:
     builder = PathBuilder(pose)
     for p, kappa, direction in samples[1:]:
         builder.add_drive_sample(p.x, p.y, p.yaw, kappa, direction)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .geometry import LEFT, RIGHT, STRAIGHT, Pose2D, RSPath, RSSegment, normalize_angle
 
 HALF_PI = 0.5 * math.pi
@@ -311,14 +309,3 @@ def rs_path_length(start: Pose2D, goal: Pose2D, turn_radius: float) -> float:
             best = total
     return best * turn_radius
 
-
-def rs_length_batch(xs, ys, yaws, goal: Pose2D, turn_radius: float) -> np.ndarray:
-    """Shortest-path lengths from many poses to one goal."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    yaws = np.atleast_1d(np.asarray(yaws, dtype=float))
-    out = np.empty(xs.shape)
-    flat = out.reshape(-1)
-    for i, (x, y, yaw) in enumerate(zip(xs.reshape(-1), ys.reshape(-1), yaws.reshape(-1))):
-        flat[i] = rs_path_length(Pose2D(float(x), float(y), float(yaw)), goal, turn_radius)
-    return out

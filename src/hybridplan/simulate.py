@@ -65,6 +65,7 @@ class MetricsReport:
     n_direction_switches: int = 0
     n_rotations: int = 0
     reached: bool = False
+    stop_cause: str = ""   # reached / planner failure / route lost / step limit
 
     COLUMNS = ("kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length",
                "n_planner_calls", "t_max", "t_cum", "t_avg", "cumulative_nodes",
@@ -149,8 +150,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     events: List[EventRecord] = []
     builder = PathBuilder(spec.start)
     cursor: Optional[_PathCursor] = None
-    reached = False
-    fail_reason: Optional[str] = None
+    stop_cause: Optional[str] = None
     call_times: List[float] = []
     cumulative_nodes = 0
 
@@ -162,10 +162,12 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
         result = mission_tick(state, belief, mission_cfg, planner_cfg,
                               planner_mode, vehicle)
         if result.status == "goal_reached":
-            reached = True
+            stop_cause = "reached"
             break
         if result.status == "failed":
-            fail_reason = result.reason
+            # a planner failure happens inside a replan, which has a cause
+            kind = "planner failure" if result.cause is not None else "route lost"
+            stop_cause = f"{kind}: {result.reason}"
             if result.stats is not None:
                 call_times.append(result.stats.wall_time_s)
                 cumulative_nodes += result.stats.nodes_expanded
@@ -197,9 +199,8 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
 
     driven = builder.finish()
     report = score_run(driven, truth, vehicle, call_times, cumulative_nodes,
-                       reached=reached)
-    if fail_reason is not None:
-        report.reached = False
+                       reached=stop_cause == "reached")
+    report.stop_cause = stop_cause or f"step limit: {spec.max_sim_steps} steps"
     return driven, report, events
 
 

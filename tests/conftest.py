@@ -25,6 +25,15 @@ def bordered_grid(width_m: float, height_m: float, res: float = GRID_RES,
     return g
 
 
+def clutter_scene(rng) -> OccupancyGrid:
+    """A bordered 26 m x 26 m map with 12 random boxes (the criterion 7 scenes)."""
+    g = bordered_grid(26, 26)
+    for _ in range(12):
+        x, y = rng.uniform(3, 20, 2)
+        g.set_box(x, y, x + rng.uniform(1.0, 3.2), y + rng.uniform(1.0, 3.2), OCCUPIED)
+    return g
+
+
 def angles_close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi) <= tol
 

@@ -3,15 +3,22 @@
 These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
-a plain heap Dijkstra.
+a plain heap Dijkstra.  The path-sampling references keep the scalar
+per-sample recurrence that the array sampler replaced.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+
+from hybridplan.geometry import Pose2D, RSPath
+from hybridplan.planner import (EXTENDED, PathBuilder, PlannedPath, _extension_cost,
+                                _extension_free, _extension_path, geometric_extension,
+                                rs_candidate_cost)
+from hybridplan.reeds_shepp import rs_all_paths
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -290,3 +297,75 @@ def kappa_dot_rms_direct(kappa_runs: List[np.ndarray], ds: float) -> Tuple[float
     if n == 0:
         raise ValueError("need at least one curvature difference")
     return math.sqrt(sq_sum / n), max_abs
+
+
+# ---------------------------------------------------------------------------
+# Path sampling and analytic expansion, one sample at a time
+# ---------------------------------------------------------------------------
+
+def sample_path_scalar(path: RSPath, start: Pose2D, step: float
+                       ) -> List[Tuple[float, float, float, float, float, int]]:
+    """Samples after each step as (x, y, raw yaw, normalized yaw, kappa, direction).
+
+    The scalar exact-arc recurrence: every step advances the previous
+    sample along its arc, and the yaw is normalized only for the output.
+    """
+    x, y, yaw = start.x, start.y, start.yaw
+    out = []
+    for seg in path.segments:
+        if seg.length <= 0.0:
+            continue
+        kappa = {"straight": 0.0, "left": 1.0, "right": -1.0}[seg.kind]
+        if kappa != 0.0:
+            kappa /= path.turn_radius
+        n = max(1, math.ceil(seg.length / step))
+        ds = seg.length / n * seg.direction
+        for _ in range(n):
+            if kappa == 0.0:
+                x, y = x + ds * math.cos(yaw), y + ds * math.sin(yaw)
+            else:
+                yaw2 = yaw + ds * kappa
+                x = x + (math.sin(yaw2) - math.sin(yaw)) / kappa
+                y = y - (math.cos(yaw2) - math.cos(yaw)) / kappa
+                yaw = yaw2
+            out.append((x, y, yaw, (yaw + math.pi) % TWO_PI - math.pi, kappa, seg.direction))
+    return out
+
+
+def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
+                                  turn_radius: float, mode: str, max_steer: float,
+                                  parent_direction: int = 0, parent_steer: float = 0.0
+                                  ) -> Optional[PlannedPath]:
+    """Analytic expansion that samples and checks every candidate as a whole.
+
+    Each candidate is sampled in full by the scalar recurrence, the start
+    pose included, and tested in one disk check; the first free candidate
+    becomes the suffix.  Costs and the drive-rotate-drive connection reuse
+    the planner's own helpers, which the array sampler did not change.
+    """
+    best_path: Optional[PlannedPath] = None
+    best_cost = math.inf
+    for cand in rs_all_paths(pose, goal, turn_radius):
+        if cand.total_length >= 1e6:
+            break
+        samples = sample_path_scalar(cand, pose, config.collision_step)
+        xs = np.array([pose.x] + [s[0] for s in samples])
+        ys = np.array([pose.y] + [s[1] for s in samples])
+        yaws = np.array([pose.yaw] + [s[3] for s in samples])
+        if not checker.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any():
+            best_cost = rs_candidate_cost(cand, config, max_steer,
+                                          parent_direction, parent_steer)
+            builder = PathBuilder(pose)
+            for x, y, _, yaw, kappa, direction in samples:
+                builder.add_drive_sample(x, y, yaw, kappa, direction)
+            best_path = builder.finish()
+            break
+    if mode == EXTENDED:
+        ext = geometric_extension(pose, goal, config.extension_segment_length)
+        if ext is not None:
+            point, pre, delta, post = ext
+            cost = _extension_cost(pre, delta, post, config, parent_direction, parent_steer)
+            if cost < best_cost and _extension_free(pose, goal, point, pre, delta, post,
+                                                    checker, config):
+                best_path = _extension_path(pose, goal, point, pre, delta, post, config)
+    return best_path

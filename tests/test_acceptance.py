@@ -8,6 +8,8 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from hybridplan.scenarios import (known_large, plate_corridor_67, plate_corridor
 from hybridplan.simulate import kappa_dot_rms, run_scenario
 from hybridplan.vehicle import ushift_spec
 
-from conftest import bordered_grid
+from conftest import bordered_grid, clutter_scene
 from oracles import (kappa_dot_rms_direct, rectangle_hits_occupied,
                      rs_oracle_lengths)
 
@@ -208,14 +210,6 @@ def test_c06_rs_oracle_and_free_space_optimality():
 
 # -------------------------------------------------------------- criterion 7
 
-def _random_scene(rng):
-    g = bordered_grid(26, 26)
-    for _ in range(12):
-        x, y = rng.uniform(3, 20, 2)
-        g.set_box(x, y, x + rng.uniform(1.0, 3.2), y + rng.uniform(1.0, 3.2), OCCUPIED)
-    return g
-
-
 def _straight_line_blocked(g, start, goal):
     n = int(start.distance_to(goal) / 0.1) + 1
     xs = np.linspace(start.x, goal.x, n)
@@ -226,11 +220,15 @@ def _straight_line_blocked(g, start, goal):
 
 
 @pytest.mark.xfail(strict=False, reason=(
-    "known spec defect: the 2D cost-to-go is an 8-connected cell-center "
-    "field, which exceeds the length of continuous bounded-curvature paths "
-    "by up to ~1 m (sqrt(2)-metric excess plus corner cutting) on a few "
-    "percent of random scenes; the strict inequality is unattainable with "
-    "the pinned field semantics.  See the decisions ledger."))
+    "two known shortfalls.  Sample: the 2000 seeded attempts check only 87 "
+    "plans, short of the required 150; the rest are filtered (start and goal "
+    "under 8 m apart, or a free straight line) or skipped (goal blocked or "
+    "start off the 2D field, start or goal pose in collision, no path), and "
+    "the printed line gives the count per cause.  Metric: the 2D cost-to-go "
+    "is an 8-connected cell-center field, which exceeds the length of "
+    "continuous bounded-curvature paths by up to ~1 m (sqrt(2)-metric excess "
+    "plus corner cutting) on a few percent of random scenes; the strict "
+    "inequality is unattainable with the pinned field semantics."))
 def test_c07_heuristic_admissibility():
     """Faithful form of the strict criterion: h_d(start) <= driven length.
 
@@ -244,23 +242,30 @@ def test_c07_heuristic_admissibility():
     violations = 0
     worst = math.inf
     attempts = 0
+    skipped = Counter()
     while checked < 200 and attempts < 2000:
         attempts += 1
-        g = _random_scene(rng)
+        g = clutter_scene(rng)
         start = Pose2D(rng.uniform(4, 22), rng.uniform(4, 22),
                        rng.uniform(-math.pi, math.pi))
         goal = Pose2D(rng.uniform(4, 22), rng.uniform(4, 22),
                       rng.uniform(-math.pi, math.pi))
-        if start.distance_to(goal) < 8.0 or not _straight_line_blocked(g, start, goal):
+        if start.distance_to(goal) < 8.0:
+            skipped["start-goal under 8 m"] += 1
+            continue
+        if not _straight_line_blocked(g, start, goal):
+            skipped["straight line free"] += 1
             continue
         try:
             dm = build_distance_map(g, goal, DEFAULT_CFG.xy_resolution,
                                     DEFAULT_CFG.inflation_radius)
             hd = dm.value_at(start.x, start.y)   # the field itself, no snapping
             if not math.isfinite(hd):
+                skipped["start off the field"] += 1
                 continue
             path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, distance_map=dm)
-        except (PlannerFailure, GoalBlockedError, NoRouteError):
+        except (PlannerFailure, GoalBlockedError, NoRouteError) as exc:
+            skipped[str(exc)] += 1
             continue
         checked += 1
         margin = path.total_drive_length - hd
@@ -268,9 +273,12 @@ def test_c07_heuristic_admissibility():
         if margin < -1e-9:
             violations += 1
     ok = checked >= 150 and violations == 0
-    report("7", ok, f"{checked} detour-forcing random-map plans, "
-                    f"violations={violations} (rate {violations / max(checked, 1):.1%}), "
-                    f"worst margin {worst:.3f}m — grid-metric excess, see ledger")
+    causes = ", ".join(f"{cause} {n}" for cause, n in skipped.most_common())
+    report("7", ok, f"sample: {checked} of the required 150 detour-forcing random-map "
+                    f"plans checked in {attempts} attempts (skipped: {causes}); "
+                    f"metric: violations={violations} "
+                    f"(rate {violations / max(checked, 1):.1%}), worst margin "
+                    f"{worst:.3f}m from the grid-metric excess")
 
 
 # -------------------------------------------------------------- criterion 8

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hybridplan
 from hybridplan.cli import main
+from hybridplan.scenarios import bundled_scenario_path
 from hybridplan.simulate import MetricsReport
 
 
@@ -82,11 +87,23 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
-def test_unreachable_goal_exits_2(tmp_path):
+def test_unreachable_goal_exits_2(tmp_path, capsys):
     """Standard mode cannot turn around on the narrow plate."""
     cfg = write_config(tmp_path, scenario="bundled:plate_corridor_67",
                       mode="standard")
     assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "run failed: planner failure: no path\n"
+
+
+def test_step_limit_named_on_exit_2(tmp_path, capsys):
+    bundled = bundled_scenario_path("smoke_small")
+    data = json.loads(bundled.read_text())
+    data["max_sim_steps"] = 3
+    (tmp_path / "short.scenario").write_text(json.dumps(data))
+    shutil.copy(bundled.parent / data["map"], tmp_path / data["map"])
+    cfg = write_config(tmp_path, scenario="short.scenario")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "run failed: step limit: 3 steps\n"
 
 
 def test_compare_two_modes(tmp_path):
@@ -124,6 +141,10 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path)
+    # the child imports the package the tests import, installed or not
+    src = str(Path(hybridplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "hybridplan", "run", str(cfg),
-                           "--no-timing"], capture_output=True, text=True)
+                           "--no-timing"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

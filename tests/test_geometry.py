@@ -3,13 +3,15 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from hybridplan.geometry import (FORWARD, Pose2D, RSPath, RSSegment, move_along_arc,
-                                 normalize_angle, path_end_pose, sample_path)
+from hybridplan.geometry import (FORWARD, Pose2D, RSPath, RSSegment, iter_segment_samples,
+                                 move_along_arc, normalize_angle, normalize_angles,
+                                 path_end_pose, sample_path)
 from hybridplan.reeds_shepp import rs_shortest_path
 
 from conftest import angles_close, pose_close
+from oracles import sample_path_scalar
 
 
 def test_normalize_identity():
@@ -114,3 +116,39 @@ def test_path_end_pose_matches_goal(rng):
         goal = Pose2D(rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-math.pi, math.pi))
         path = rs_shortest_path(Pose2D(0, 0, 0), goal, 2.0)
         assert pose_close(path_end_pose(path, Pose2D(0, 0, 0)), goal)
+
+
+_segments = st.lists(st.tuples(st.sampled_from(["left", "right", "straight"]),
+                               st.sampled_from([1, -1]),
+                               st.one_of(st.just(0.0), st.floats(1e-6, 12.0))),
+                     min_size=0, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segments, st.floats(0.3, 10.0), st.floats(-200.0, 200.0), st.floats(-200.0, 200.0),
+       st.floats(-10.0, 10.0), st.floats(0.02, 2.0))
+def test_array_sampler_bit_identical_to_scalar_recurrence(segs, radius, x, y, yaw, step):
+    path = RSPath(segments=tuple(RSSegment(*seg) for seg in segs), turn_radius=radius,
+                  total_length=sum(seg[2] for seg in segs))
+    start = Pose2D(x, y, yaw)
+    ref = sample_path_scalar(path, start, step)
+    chunks = list(iter_segment_samples(path, start, step))
+    assert len(chunks) == sum(1 for seg in segs if seg[2] > 0.0)
+    xs = [v for c in chunks for v in c.xs.tolist()]
+    ys = [v for c in chunks for v in c.ys.tolist()]
+    yaws = [v for c in chunks for v in c.yaws.tolist()]
+    norm = [v for c in chunks for v in normalize_angles(c.yaws).tolist()]
+    assert xs == [r[0] for r in ref]
+    assert ys == [r[1] for r in ref]
+    assert yaws == [r[2] for r in ref]
+    assert norm == [r[3] for r in ref]
+    assert [(c.kappa, c.direction) for c in chunks for _ in c.xs] == [r[4:] for r in ref]
+    samples = sample_path(path, start, step)
+    assert samples[0] == (start, 0.0, FORWARD)
+    assert [(p.x, p.y, p.yaw, k, d) for p, k, d in samples[1:]] == \
+        [(r[0], r[1], r[3], r[4], r[5]) for r in ref]
+
+
+def test_normalize_angles_matches_scalar(rng):
+    theta = rng.uniform(-50.0, 50.0, 2000)
+    assert normalize_angles(theta).tolist() == [normalize_angle(t) for t in theta.tolist()]

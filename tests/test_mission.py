@@ -108,6 +108,20 @@ def tick(state, belief, nav=NAV_NONE, **kw):
                         STANDARD, VEH)
 
 
+def test_route_map_not_reused_across_grids_at_same_version():
+    """A copied grid restarts at version 0; the route map must follow the grid."""
+    open_map = OccupancyGrid.filled(320, 96, 0.15625)
+    state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(45, 7, 0))
+    tick(state, open_map)
+    assert state.distance_to_goal == pytest.approx(40.0, abs=1.0)
+    walled = OccupancyGrid.filled(320, 96, 0.15625)
+    walled.set_box(24.0, 0.0, 26.0, 12.0, OCCUPIED)   # detour around the wall's top
+    walled = walled.copy()
+    assert walled.version == open_map.version == 0
+    tick(state, walled)
+    assert state.distance_to_goal > 45.0
+
+
 def test_known_static_map_replans_once():
     g = bordered_grid(60, 14)
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(50, 7, 0))

@@ -17,7 +17,8 @@ from hybridplan.planner import (BudgetExceededError, DriveMotion, DriveSegment,
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import make_disk_set, pose_collides, rotation_collides, ushift_spec
 
-from conftest import angles_close, bordered_grid, pose_close
+from conftest import angles_close, bordered_grid, clutter_scene, pose_close
+from oracles import analytic_expansions_reference
 
 VEH = ushift_spec()
 CFG = PlannerConfig()
@@ -269,6 +270,19 @@ def test_analytic_blocked_returns_none():
     assert suffix is None
 
 
+def test_analytic_blocked_start_returns_none():
+    """Every candidate starts at the pose, so a blocked pose admits none, even
+    when the wall only grazes the start and the path drives away from it."""
+    g = open_grid()
+    g.set_box(7.65, 0.5, 7.95, 39.5, OCCUPIED)   # just behind the rear disk
+    checker = _CollisionChecker(g, make_disk_set(VEH))
+    assert checker.pose_blocked(10.0, 20.0, 0.0)
+    assert not checker.pose_blocked(10.0 + CFG.collision_step, 20.0, 0.0)
+    suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 20, 0), checker,
+                                 CFG, VEH.min_turn_radius, STANDARD, VEH.max_steer)
+    assert suffix is None
+
+
 def test_analytic_extension_used_where_arcs_collide():
     """A hairpin junction too tight for the turning circles still admits the
     drive-rotate-drive connection through its rotation-sized bulge."""
@@ -290,6 +304,55 @@ def test_analytic_extension_used_where_arcs_collide():
     assert extended is not None
     assert extended.n_rotations == 1
     assert pose_close(extended.end_pose(), goal)
+
+
+def _same_path(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    if len(a.segments) != len(b.segments):
+        return False
+    for sa, sb in zip(a.segments, b.segments):
+        if type(sa) is not type(sb):
+            return False
+        if isinstance(sa, RotationSegment):
+            if sa != sb:
+                return False
+        elif sa.direction != sb.direction or not all(
+                np.array_equal(getattr(sa, f), getattr(sb, f))
+                for f in ("xs", "ys", "yaws", "kappas", "s")):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mode", [STANDARD, EXTENDED])
+def test_analytic_matches_whole_candidate_reference(mode):
+    """Segment-wise array checks pick the same suffix, sample for sample, as
+    sampling and checking each candidate whole, on criterion 7 scenes.
+
+    Four in five start poses are drawn free, as the search's nodes are."""
+    rng = np.random.default_rng(3107)
+    disks = make_disk_set(VEH)
+    outcomes = {True: 0, False: 0}
+    for _ in range(25):
+        g = clutter_scene(rng)
+        checker = _CollisionChecker(g, disks)
+        for i in range(10):
+            while True:
+                pose = Pose2D(rng.uniform(4, 22), rng.uniform(4, 22),
+                              rng.uniform(-math.pi, math.pi))
+                if i % 5 == 0 or not checker.pose_blocked(pose.x, pose.y, pose.yaw):
+                    break
+            reach = rng.choice([4.0, 9.0])
+            goal = Pose2D(pose.x + rng.uniform(-reach, reach), pose.y + rng.uniform(-reach, reach),
+                          rng.uniform(-math.pi, math.pi))
+            direction = int(rng.choice([-1, 0, 1]))
+            steer = float(rng.uniform(-VEH.max_steer, VEH.max_steer))
+            args = (pose, goal, checker, CFG, VEH.min_turn_radius, mode, VEH.max_steer,
+                    direction, steer)
+            got = analytic_expansions(*args)
+            assert _same_path(got, analytic_expansions_reference(*args))
+            outcomes[got is None] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
 
 
 # ------------------------------------------------ reconstruction and merging

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hybridplan.geometry import Pose2D, path_end_pose
-from hybridplan.reeds_shepp import (rs_all_paths, rs_length_batch, rs_path_length,
-                                    rs_shortest_path)
+from hybridplan.reeds_shepp import rs_all_paths, rs_path_length, rs_shortest_path
 
 from conftest import pose_close
 from oracles import rs_oracle_length, rs_oracle_lengths
@@ -83,16 +82,6 @@ def test_matches_newton_oracle_on_random_pairs(rng):
     for g, r, expect in zip(goals, radii, oracle):
         got = rs_path_length(Pose2D(0, 0, 0), Pose2D(*g), r)
         assert got == pytest.approx(expect, abs=1e-6)
-
-
-def test_batch_lengths_match_single_queries(rng):
-    goal = Pose2D(3.0, -2.0, 1.1)
-    xs = rng.uniform(-6, 6, 20)
-    ys = rng.uniform(-6, 6, 20)
-    yaws = rng.uniform(-math.pi, math.pi, 20)
-    batch = rs_length_batch(xs, ys, yaws, goal, 2.0)
-    for x, y, yaw, expect in zip(xs, ys, yaws, batch):
-        assert rs_path_length(Pose2D(x, y, yaw), goal, 2.0) == pytest.approx(expect)
 
 
 def test_all_paths_sorted_and_contains_optimum(rng):

@@ -160,6 +160,30 @@ def test_zero_budget_returns_unreached():
     assert report.length == 0.0
 
 
+def test_stop_cause_step_limit():
+    driven, report, events = run_scenario(smoke_spec(max_sim_steps=5),
+                                          MissionConfig(nav_mode=NAV_NONE),
+                                          PlannerConfig(), STANDARD, VEH)
+    assert not report.reached
+    assert report.stop_cause == "step limit: 5 steps"
+
+
+def test_stop_cause_planner_failure():
+    g = bordered_grid(30, 16)
+    g.set_box(6.0, 7.5, 6.4, 8.5, OCCUPIED)   # a post under the vehicle's body
+    spec = smoke_spec(truth_map=g, start=Pose2D(4, 8, 0))
+    driven, report, events = run_scenario(spec, MissionConfig(nav_mode=NAV_NONE),
+                                          PlannerConfig(), STANDARD, VEH)
+    assert not report.reached
+    assert report.stop_cause == "planner failure: start in collision"
+
+
+def test_stop_cause_reached():
+    _, report, _ = run_scenario(smoke_spec(), MissionConfig(nav_mode=NAV_NONE),
+                                PlannerConfig(), STANDARD, VEH)
+    assert report.reached and report.stop_cause == "reached"
+
+
 def test_hidden_wall_triggers_replan():
     g = bordered_grid(40, 20)
     g.set_box(20.0, 0.5, 21.0, 13.0, OCCUPIED)
