@@ -15,8 +15,8 @@ from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPat
 from .reeds_shepp import rs_path_length, rs_shortest_path
 from .simulate import (EventRecord, MetricsReport, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
-from .vehicle import (DiskSet, VehicleSpec, bicycle_step, make_disk_set,
-                      pose_collides, rotate_in_place, rotation_collides, ushift_spec)
+from .vehicle import (CollisionChecker, DiskSet, VehicleSpec, bicycle_step,
+                      make_disk_set, rotate_in_place, ushift_spec)
 
 __all__ = [
     "Pose2D", "RSPath", "RSSegment", "normalize_angle", "sample_path",
@@ -32,6 +32,6 @@ __all__ = [
     "rs_path_length", "rs_shortest_path",
     "EventRecord", "MetricsReport", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
-    "DiskSet", "VehicleSpec", "bicycle_step", "make_disk_set", "pose_collides",
-    "rotate_in_place", "rotation_collides", "ushift_spec",
+    "CollisionChecker", "DiskSet", "VehicleSpec", "bicycle_step", "make_disk_set",
+    "rotate_in_place", "ushift_spec",
 ]

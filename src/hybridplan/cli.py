@@ -8,9 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -39,7 +37,6 @@ class RunConfig:
     scenario: str
     mode: str = "guided"
     output_dir: str = "out"
-    seed: int = 0
     planner: PlannerConfig = dataclasses.field(default_factory=PlannerConfig)
     mission: MissionConfig = dataclasses.field(default_factory=MissionConfig)
     vehicle: VehicleSpec = dataclasses.field(default_factory=VehicleSpec)
@@ -67,7 +64,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    known = {"scenario", "mode", "output_dir", "seed", "planner", "mission", "vehicle"}
+    known = {"scenario", "mode", "output_dir", "planner", "mission", "vehicle"}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
@@ -76,14 +73,10 @@ def load_config(path) -> RunConfig:
     mode = data.get("mode", "guided")
     if mode not in MODES:
         raise ConfigError(f"mode: must be one of {sorted(MODES)}, got {mode!r}")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
     return RunConfig(
         scenario=str(data["scenario"]),
         mode=mode,
         output_dir=str(data.get("output_dir", "out")),
-        seed=seed,
         planner=_build_section(PlannerConfig, data.get("planner", {}), "planner"),
         mission=_build_section(MissionConfig, data.get("mission", {}), "mission"),
         vehicle=_build_section(VehicleSpec, data.get("vehicle", {}), "vehicle"),
@@ -210,19 +203,11 @@ def cmd_compare(args) -> int:
         return 1
 
     out_root = Path(args.output_dir or loaded[0][0].output_dir)
-    workers = max(1, int(os.environ.get("PLAN_THREADS", "1")))
-
-    def one(item):
-        idx, (cfg, spec) = item
+    results = []
+    for idx, (cfg, spec) in enumerate(loaded):
         sub = out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
         report, _ = execute_run(cfg, spec, sub, not args.no_timing)
-        return cfg.mode, report
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, enumerate(loaded)))
-    else:
-        results = [one(item) for item in enumerate(loaded)]
+        results.append((cfg.mode, report))
 
     columns = ["mode", "n_planner_calls", "t_max", "t_cum", "t_avg", "cumulative_nodes",
                "kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length"]
@@ -245,7 +230,6 @@ def cmd_print_defaults(_args) -> int:
         "scenario": "bundled:known_large",
         "mode": "guided",
         "output_dir": "out",
-        "seed": 0,
         "planner": dataclasses.asdict(PlannerConfig()),
         "mission": dataclasses.asdict(MissionConfig()),
         "vehicle": dataclasses.asdict(VehicleSpec()),

@@ -7,9 +7,9 @@ format stores rows top-down (row 0 is the maximum-y row).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -24,32 +24,52 @@ _CHAR_TO_CELL = {"?": UNKNOWN, ".": FREE, "#": OCCUPIED}
 _CELL_TO_CHAR = {UNKNOWN: "?", FREE: ".", OCCUPIED: "#"}
 
 
-@dataclass
 class OccupancyGrid:
-    resolution: float
-    cells: np.ndarray                      # uint8, shape (height, width)
-    origin: Pose2D = field(default_factory=lambda: Pose2D(0.0, 0.0, 0.0))
-    version: int = 0                       # bumped on every mutation
+    """A grid that owns its cells and every value derived from them.
 
-    def __post_init__(self) -> None:
-        if self.resolution <= 0.0:
+    The cells are a private read-only copy.  They change only through
+    `set_cells` (which `set_box`, `set_disk` and `raytrace_reveal` use),
+    which bumps `version` and drops every memoized derived value.
+    """
+
+    def __init__(self, resolution: float, cells: np.ndarray,
+                 origin: Optional[Pose2D] = None) -> None:
+        if resolution <= 0.0:
             raise ValueError("resolution must be positive")
-        if self.cells.ndim != 2 or self.cells.size == 0:
+        cells = np.array(cells, dtype=np.uint8, order="C")
+        if cells.ndim != 2 or cells.size == 0:
             raise ValueError("cells must be a non-empty 2D array")
-        self.cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
-        self._df_cache = {}
+        cells.setflags(write=False)
+        self.resolution = resolution
+        self.origin = origin or Pose2D(0.0, 0.0, 0.0)
+        self.version = 0
+        self._cells = cells
+        self._memo: dict = {}
 
-    def mark_dirty(self) -> None:
-        """Invalidate derived-field caches after direct cell edits."""
+    @property
+    def cells(self) -> np.ndarray:
+        """uint8, shape (height, width); read-only."""
+        return self._cells
+
+    def set_cells(self, index, values) -> None:
+        """`cells[index] = values`, then a version bump."""
+        self._cells.setflags(write=True)
+        try:
+            self._cells[index] = values
+        finally:
+            self._cells.setflags(write=False)
         self.version += 1
-        self._df_cache = {}
+        self._memo.clear()
 
-    def distance_field(self, unknown_as_occupied: bool = False) -> np.ndarray:
+    def derived(self, key, build: Callable[[], object]):
+        """`build()`, memoized under `key` until the cells next change."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def distance_field(self) -> np.ndarray:
         """Memoized obstacle distance transform for the current cells."""
-        key = unknown_as_occupied
-        if key not in self._df_cache:
-            self._df_cache[key] = distance_transform(self, unknown_as_occupied)
-        return self._df_cache[key]
+        return self.derived("distance_field", lambda: distance_transform(self))
 
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
@@ -66,7 +86,7 @@ class OccupancyGrid:
         return self.cells.shape[0]
 
     def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.resolution, self.cells.copy(), self.origin)
+        return OccupancyGrid(self.resolution, self.cells, self.origin)
 
     def world_to_cell(self, x: float, y: float) -> Tuple[int, int]:
         ix = int(math.floor((x - self.origin.x) / self.resolution))
@@ -92,8 +112,7 @@ class OccupancyGrid:
         ix1 = min(self.width_cells, int(math.floor((x1 - self.origin.x) / self.resolution - 0.5)) + 1)
         iy1 = min(self.height_cells, int(math.floor((y1 - self.origin.y) / self.resolution - 0.5)) + 1)
         if ix0 < ix1 and iy0 < iy1:
-            self.cells[iy0:iy1, ix0:ix1] = value
-            self.mark_dirty()
+            self.set_cells((slice(iy0, iy1), slice(ix0, ix1)), value)
 
     def set_disk(self, cx: float, cy: float, radius: float, value: int) -> None:
         """Fill the cells whose centers fall inside the world-space disk."""
@@ -101,8 +120,7 @@ class OccupancyGrid:
         xs = self.origin.x + (np.arange(w) + 0.5) * self.resolution
         ys = self.origin.y + (np.arange(h) + 0.5) * self.resolution
         mask = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= radius * radius
-        self.cells[mask] = value
-        self.mark_dirty()
+        self.set_cells(mask, value)
 
 
 def save_map(grid: OccupancyGrid, path) -> None:
@@ -250,8 +268,9 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     t_max_x = np.where(np.abs(dir_x) < 1e-300, np.inf, t_max_x)
     t_max_y = np.where(np.abs(dir_y) < 1e-300, np.inf, t_max_y)
 
-    # reveal the sensor's own cell first
-    belief.cells[iy0, ix0] = truth.cells[iy0, ix0]
+    # reveal into a copy, the sensor's own cell first
+    cells = belief.cells.copy()
+    cells[iy0, ix0] = truth.cells[iy0, ix0]
     active = ~np.full(n_rays, occ[iy0, ix0])
 
     max_steps = int(2.0 * sensor_range / res) + 4
@@ -270,13 +289,11 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
             break
         ay = iy[active]
         ax = ix[active]
-        belief.cells[ay, ax] = truth.cells[ay, ax]
+        cells[ay, ax] = truth.cells[ay, ax]
         hit = np.zeros(n_rays, dtype=bool)
         hit[active] = occ[ay, ax]
         active &= ~hit
 
-    unknown_after = int(np.count_nonzero(belief.cells == UNKNOWN))
-    revealed = unknown_before - unknown_after
-    if revealed:
-        belief.mark_dirty()
-    return revealed
+    if not np.array_equal(cells, belief.cells):
+        belief.set_cells(..., cells)
+    return unknown_before - int(np.count_nonzero(cells == UNKNOWN))

@@ -11,13 +11,11 @@ import numpy as np
 
 from .geometry import Pose2D, normalize_angle
 from .grid import OccupancyGrid
-from .heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
-                        build_distance_map, detect_divergence, extract_astar_path,
-                        waypose_at)
+from .heuristic import (AStarPath, GoalBlockedError, NoRouteError, build_distance_map,
+                        detect_divergence, extract_astar_path, waypose_at)
 from .planner import (PlannedPath, PlannerConfig, PlannerFailure,
-                      RotationSegment, SearchStats, STOP_AT_GOAL, STOP_EARLY,
-                      _CollisionChecker, plan)
-from .vehicle import DiskSet, VehicleSpec, make_disk_set
+                      RotationSegment, SearchStats, STOP_AT_GOAL, STOP_EARLY, plan)
+from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 
 NAV_NONE = "none"
 NAV_WAYPOINT = "waypoint"
@@ -53,8 +51,6 @@ class MissionState:
     last_replan_odometer: float = -math.inf
     distance_to_goal: float = math.inf    # 2D route distance from the vehicle
     path_to_goal: bool = False            # current path ends at the final goal
-    # (belief object, belief version, map) of the last built distance map
-    _dmap_cache: Optional[Tuple[OccupancyGrid, int, DistanceMap]] = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class TickResult:
 def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid,
                          disks: DiskSet) -> Optional[float]:
     """Arc length past from_s of the first colliding sample, None when clear."""
-    checker = _CollisionChecker(belief, disks)
+    checker = CollisionChecker(belief, disks)
     acc = 0.0
     for seg in path.segments:
         if isinstance(seg, RotationSegment):
@@ -143,21 +139,18 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
                  force_replan_cause: Optional[str] = None) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
 
-    The distance map and the coarse route are rebuilt on the current belief
-    every tick; route divergence against the previous tick, an upcoming path
-    collision, missing path, or accumulated progress trigger a replan.
+    The distance map is memoized on the belief until its cells change; the
+    coarse route is extracted every tick.  Route divergence against the
+    previous tick, an upcoming path collision, missing path, or accumulated
+    progress trigger a replan.
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
 
+    res, inflation = planner_cfg.xy_resolution, planner_cfg.inflation_radius
     try:
-        cache = state._dmap_cache
-        if cache is not None and cache[0] is belief and cache[1] == belief.version:
-            dmap = cache[2]
-        else:
-            dmap = build_distance_map(belief, state.goal, planner_cfg.xy_resolution,
-                                      planner_cfg.inflation_radius)
-            state._dmap_cache = (belief, belief.version, dmap)
+        dmap = belief.derived(("route_map", state.goal, res, inflation),
+                              lambda: build_distance_map(belief, state.goal, res, inflation))
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:

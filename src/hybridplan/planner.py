@@ -22,7 +22,7 @@ from .geometry import (Pose2D, iter_segment_samples, move_along_arc, normalize_a
 from .grid import OccupancyGrid
 from .heuristic import DistanceMap, build_distance_map
 from .reeds_shepp import rs_all_paths, rs_path_length
-from .vehicle import DiskSet, VehicleSpec, cell_pad, make_disk_set
+from .vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 STANDARD = "standard"
 EXTENDED = "extended"
@@ -439,54 +439,6 @@ class _PrimitiveTable:
         self.n_sub = n_sub
 
 
-class _CollisionChecker:
-    """Vectorized disk tests against the obstacle distance field."""
-
-    def __init__(self, belief: OccupancyGrid, disks: DiskSet) -> None:
-        self.field = belief.distance_field()
-        self.res = belief.resolution
-        self.ox = belief.origin.x
-        self.oy = belief.origin.y
-        self.h, self.w = self.field.shape
-        self.disks = disks
-        self.threshold = disks.radius + cell_pad(self.res)
-        self.swept_threshold = disks.swept_radius + cell_pad(self.res)
-        self.offsets = np.array(disks.centers)
-
-    def field_at(self, x: float, y: float) -> float:
-        ix = math.floor((x - self.ox) / self.res)
-        iy = math.floor((y - self.oy) / self.res)
-        if not (0 <= ix < self.w and 0 <= iy < self.h):
-            return -math.inf
-        return float(self.field[iy, ix])
-
-    def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
-        c, s = math.cos(yaw), math.sin(yaw)
-        for off in self.disks.centers:
-            if self.field_at(x + off * c, y + off * s) < self.threshold:
-                return True
-        return False
-
-    def rotation_blocked(self, x: float, y: float) -> bool:
-        return self.field_at(x, y) < self.swept_threshold
-
-    def batch_blocked(self, xs: np.ndarray, ys: np.ndarray,
-                      cos_yaw: np.ndarray, sin_yaw: np.ndarray) -> np.ndarray:
-        """Per-pose disk test for flat pose arrays; True where blocked."""
-        cx = xs[:, None] + self.offsets * cos_yaw[:, None]
-        cy = ys[:, None] + self.offsets * sin_yaw[:, None]
-        ix = np.floor((cx - self.ox) / self.res).astype(np.int64)
-        iy = np.floor((cy - self.oy) / self.res).astype(np.int64)
-        inside = (ix >= 0) & (ix < self.w) & (iy >= 0) & (iy < self.h)
-        dist = np.full(ix.shape, -np.inf)
-        dist[inside] = self.field[iy[inside], ix[inside]]
-        return (dist < self.threshold).any(axis=1)
-
-    def poses_blocked(self, xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray) -> bool:
-        """True when any pose of the arrays is blocked."""
-        return bool(self.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any())
-
-
 def _yaw_bins(config: PlannerConfig) -> int:
     return int(math.ceil(2.0 * math.pi / config.yaw_resolution))
 
@@ -519,7 +471,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     t_begin = time.perf_counter()
     stats = SearchStats()
     disks = make_disk_set(vehicle)
-    checker = _CollisionChecker(belief, disks)
+    checker = CollisionChecker(belief, disks)
 
     if checker.pose_blocked(start.x, start.y, start.yaw):
         raise PlannerFailure("start in collision")
@@ -703,7 +655,7 @@ def rs_candidate_cost(path, config: PlannerConfig, max_steer: float,
     return cost
 
 
-def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: _CollisionChecker,
+def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
                         config: PlannerConfig, turn_radius: float, mode: str,
                         max_steer: float, parent_direction: int = 0,
                         parent_steer: float = 0.0) -> Optional[PlannedPath]:
@@ -740,7 +692,7 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: _CollisionChecker,
     return best_path
 
 
-def _rs_free(cand, pose: Pose2D, checker: _CollisionChecker, step: float) -> bool:
+def _rs_free(cand, pose: Pose2D, checker: CollisionChecker, step: float) -> bool:
     """Collision test of a candidate's samples, stopping at the first blocked segment."""
     for seg in iter_segment_samples(cand, pose, step):
         if checker.poses_blocked(seg.xs, seg.ys, normalize_angles(seg.yaws)):
@@ -774,7 +726,7 @@ def _extension_cost(pre: float, delta: float, post: float, config: PlannerConfig
 
 def _extension_free(pose: Pose2D, goal: Pose2D, point: Tuple[float, float],
                     pre: float, delta: float, post: float,
-                    checker: _CollisionChecker, config: PlannerConfig) -> bool:
+                    checker: CollisionChecker, config: PlannerConfig) -> bool:
     if checker.rotation_blocked(point[0], point[1]):
         return False
     for leg_pose, dist in ((pose, pre), (Pose2D(point[0], point[1], goal.yaw), post)):

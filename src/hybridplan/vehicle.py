@@ -1,4 +1,4 @@
-"""Vehicle kinematics, footprint disks and collision checks.
+"""Vehicle kinematics, footprint disks and the collision checker.
 
 The pose reference point is the rear-axle center: the bicycle model pivots
 about it and the in-place rotation of the second system model is a pure yaw
@@ -13,6 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .geometry import Pose2D, move_along_arc, normalize_angle
+from .grid import OccupancyGrid
 
 # Distance-field lookups are quantized to cell centers; pad every disk
 # radius by half a cell diagonal so the checks stay conservative.
@@ -90,33 +91,46 @@ def rotate_in_place(pose: Pose2D, delta_yaw: float) -> Pose2D:
     return Pose2D(pose.x, pose.y, normalize_angle(pose.yaw + delta_yaw))
 
 
-def _field_at(distance_field: np.ndarray, resolution: float, x: float, y: float,
-              origin_x: float = 0.0, origin_y: float = 0.0) -> float:
-    ix = int(math.floor((x - origin_x) / resolution))
-    iy = int(math.floor((y - origin_y) / resolution))
-    h, w = distance_field.shape
-    if not (0 <= ix < w and 0 <= iy < h):
-        return -math.inf  # outside the grid counts as colliding
-    return float(distance_field[iy, ix])
+class CollisionChecker:
+    """Footprint disk tests against a grid's obstacle distance field.
 
+    Cells outside the grid count as colliding.
+    """
 
-def pose_collides(pose: Pose2D, disks: DiskSet, distance_field: np.ndarray,
-                  resolution: float, origin_x: float = 0.0, origin_y: float = 0.0) -> bool:
-    """Disk test against the obstacle distance field (conservative)."""
-    threshold = disks.radius + cell_pad(resolution)
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    for offset in disks.centers:
-        cx = pose.x + offset * c
-        cy = pose.y + offset * s
-        if _field_at(distance_field, resolution, cx, cy, origin_x, origin_y) < threshold:
-            return True
-    return False
+    def __init__(self, grid: OccupancyGrid, disks: DiskSet) -> None:
+        self.field = grid.distance_field()
+        self.res = grid.resolution
+        self.ox = grid.origin.x
+        self.oy = grid.origin.y
+        self.h, self.w = self.field.shape
+        self.threshold = disks.radius + cell_pad(self.res)
+        self.swept_threshold = disks.swept_radius + cell_pad(self.res)
+        self.offsets = np.array(disks.centers)
 
+    def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
+        return bool(self.batch_blocked(np.array([x]), np.array([y]),
+                                       np.array([math.cos(yaw)]), np.array([math.sin(yaw)]))[0])
 
-def rotation_collides(pose: Pose2D, delta_yaw: float, disks: DiskSet,
-                      distance_field: np.ndarray, resolution: float,
-                      origin_x: float = 0.0, origin_y: float = 0.0) -> bool:
-    """Conservative swept check: the circle around the rear-axle point that
-    contains the footprint at every yaw must be obstacle free."""
-    threshold = disks.swept_radius + cell_pad(resolution)
-    return _field_at(distance_field, resolution, pose.x, pose.y, origin_x, origin_y) < threshold
+    def rotation_blocked(self, x: float, y: float) -> bool:
+        """Conservative swept check: the circle around the rear-axle point
+        that contains the footprint at every yaw must be obstacle free."""
+        ix = math.floor((x - self.ox) / self.res)
+        iy = math.floor((y - self.oy) / self.res)
+        return not (0 <= ix < self.w and 0 <= iy < self.h) \
+            or bool(self.field[iy, ix] < self.swept_threshold)
+
+    def batch_blocked(self, xs: np.ndarray, ys: np.ndarray,
+                      cos_yaw: np.ndarray, sin_yaw: np.ndarray) -> np.ndarray:
+        """Per-pose disk test for flat pose arrays; True where blocked."""
+        cx = xs[:, None] + self.offsets * cos_yaw[:, None]
+        cy = ys[:, None] + self.offsets * sin_yaw[:, None]
+        ix = np.floor((cx - self.ox) / self.res).astype(np.int64)
+        iy = np.floor((cy - self.oy) / self.res).astype(np.int64)
+        inside = (ix >= 0) & (ix < self.w) & (iy >= 0) & (iy < self.h)
+        dist = np.full(ix.shape, -np.inf)
+        dist[inside] = self.field[iy[inside], ix[inside]]
+        return (dist < self.threshold).any(axis=1)
+
+    def poses_blocked(self, xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray) -> bool:
+        """True when any pose of the arrays is blocked."""
+        return bool(self.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any())

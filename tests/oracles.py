@@ -283,6 +283,40 @@ def rectangle_hits_occupied(pose: Tuple[float, float, float],
     return bool(inside.any())
 
 
+# ---------------------------------------------------------------------------
+# Scalar footprint disk tests: the per-disk loop the vectorized collision
+# checker replaced.  Lookups are quantized to cells, every radius is padded
+# by half a cell diagonal, and points off the grid count as colliding.
+# ---------------------------------------------------------------------------
+
+def _field_at(field: np.ndarray, resolution: float, x: float, y: float, origin) -> float:
+    ix = int(math.floor((x - origin[0]) / resolution))
+    iy = int(math.floor((y - origin[1]) / resolution))
+    h, w = field.shape
+    if not (0 <= ix < w and 0 <= iy < h):
+        return -math.inf
+    return float(field[iy, ix])
+
+
+def pose_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float,
+                  origin=(0.0, 0.0)) -> bool:
+    """Any footprint disk closer to an obstacle than its padded radius."""
+    threshold = disks.radius + resolution * math.sqrt(2.0) / 2.0
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    for offset in disks.centers:
+        if _field_at(field, resolution, pose.x + offset * c, pose.y + offset * s,
+                     origin) < threshold:
+            return True
+    return False
+
+
+def rotation_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float,
+                      origin=(0.0, 0.0)) -> bool:
+    """The circle holding the footprint at every yaw is not obstacle free."""
+    threshold = disks.swept_radius + resolution * math.sqrt(2.0) / 2.0
+    return _field_at(field, resolution, pose.x, pose.y, origin) < threshold
+
+
 def kappa_dot_rms_direct(kappa_runs: List[np.ndarray], ds: float) -> Tuple[float, float]:
     """Direct summation of the curvature-change RMS, pooled over runs."""
     sq_sum = 0.0

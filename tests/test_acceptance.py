@@ -101,11 +101,20 @@ def test_c02_guided_efficiency(large_runs):
     known_ok = k_g.t_cum < k_s.t_cum and k_g.cumulative_nodes < k_s.cumulative_nodes
     unknown_ok = u_g.t_avg <= 0.5 * u_s.t_avg
     ok = known_ok and unknown_ok and all(r.reached for r in (k_s, k_g, u_s, u_g))
+
+    def per_call_nodes(g, s):
+        # deterministic, unlike the wall-clock ratios: tells a timing flake apart
+        ng = g.cumulative_nodes / max(g.n_planner_calls, 1)
+        ns = s.cumulative_nodes / max(s.n_planner_calls, 1)
+        return f"nodes/call guided {ng:.1f} / std {ns:.1f} = {ng / ns:.3f}"
+
     report("2", ok,
-           f"known: guided t_cum {k_g.t_cum:.2f}s < std {k_s.t_cum:.2f}s, "
-           f"nodes {k_g.cumulative_nodes} < {k_s.cumulative_nodes}; "
+           f"known: guided t_cum {k_g.t_cum:.2f}s < std {k_s.t_cum:.2f}s "
+           f"(ratio {k_g.t_cum / k_s.t_cum:.3f}), "
+           f"nodes {k_g.cumulative_nodes} < {k_s.cumulative_nodes}, "
+           f"{per_call_nodes(k_g, k_s)}; "
            f"unknown: guided t_avg {u_g.t_avg:.4f}s <= 0.5 x std {u_s.t_avg:.4f}s "
-           f"(ratio {u_g.t_avg / u_s.t_avg:.3f})")
+           f"(ratio {u_g.t_avg / u_s.t_avg:.3f}), {per_call_nodes(u_g, u_s)}")
 
 
 # -------------------------------------------------------------- criterion 3

@@ -87,6 +87,14 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
+def test_seed_is_not_a_config_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, seed=0)
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: seed: unknown field\n"
+    assert main(["print-defaults"]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)
+
+
 def test_unreachable_goal_exits_2(tmp_path, capsys):
     """Standard mode cannot turn around on the narrow plate."""
     cfg = write_config(tmp_path, scenario="bundled:plate_corridor_67",

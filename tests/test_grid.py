@@ -17,9 +17,9 @@ from oracles import brute_distance_transform
 
 def test_map_round_trip(tmp_path):
     g = OccupancyGrid.filled(7, 5, 0.25, FREE)
-    g.cells[0, 0] = OCCUPIED
-    g.cells[4, 6] = UNKNOWN
-    g.cells[2, 3] = OCCUPIED
+    g.set_cells((0, 0), OCCUPIED)
+    g.set_cells((4, 6), UNKNOWN)
+    g.set_cells((2, 3), OCCUPIED)
     save_map(g, tmp_path / "m.map")
     loaded = load_map(tmp_path / "m.map")
     assert loaded.resolution == 0.25
@@ -28,7 +28,7 @@ def test_map_round_trip(tmp_path):
 
 def test_map_format_is_row0_top(tmp_path):
     g = OccupancyGrid.filled(3, 2, 0.5, FREE)
-    g.cells[1, 0] = OCCUPIED  # max-y row, first column
+    g.set_cells((1, 0), OCCUPIED)  # max-y row, first column
     save_map(g, tmp_path / "m.map")
     lines = (tmp_path / "m.map").read_text().splitlines()
     assert lines[0] == "3 2 0.5"
@@ -50,18 +50,66 @@ def test_map_rejects_malformed(tmp_path, content):
         load_map(p)
 
 
+# -------------------------------------------------------------- belief state
+
+def test_cells_are_read_only():
+    g = OccupancyGrid.filled(4, 4, 0.5, FREE)
+    with pytest.raises(ValueError):
+        g.cells[0, 0] = OCCUPIED
+    with pytest.raises(AttributeError):
+        g.cells = np.full((4, 4), OCCUPIED, dtype=np.uint8)
+    with pytest.raises(IndexError):
+        g.set_cells((9, 9), OCCUPIED)              # a failed write stays read-only
+    with pytest.raises(ValueError):
+        g.cells[0, 0] = OCCUPIED
+    assert g.version == 0
+    assert np.all(g.cells == FREE)
+
+
+def test_constructor_copies_cells():
+    cells = np.full((6, 6), FREE, dtype=np.uint8)
+    g = OccupancyGrid(0.5, cells)
+    cells[2, 2] = OCCUPIED
+    assert np.all(g.cells == FREE)
+    assert np.all(np.isinf(g.distance_field()))
+
+
+def test_set_box_rebuilds_distance_field():
+    g = OccupancyGrid.filled(20, 20, 0.5, FREE)
+    g.set_cells((0, 0), OCCUPIED)
+    before = g.distance_field()
+    assert g.distance_field() is before          # memoized while unchanged
+    g.set_box(6.0, 6.0, 7.0, 7.0, OCCUPIED)
+    after = g.distance_field()
+    assert before[13, 13] > 0.0 and after[13, 13] == 0.0
+    assert np.array_equal(after, distance_transform(g))
+
+
+def test_reveal_bumps_version_only_when_cells_change():
+    truth = bordered_grid(10, 10, res=0.25)
+    truth.set_box(6.0, 4.0, 7.0, 6.0, OCCUPIED)
+    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
+    before = belief.distance_field()
+    raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
+    assert belief.version == 1
+    assert np.array_equal(belief.distance_field(), distance_transform(belief))
+    assert not np.array_equal(belief.distance_field(), before)
+    raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
+    assert belief.version == 1
+
+
 # ------------------------------------------------------- distance transform
 
 def test_distance_transform_zero_at_obstacle():
     g = OccupancyGrid.filled(9, 9, 0.25, FREE)
-    g.cells[4, 4] = OCCUPIED
+    g.set_cells((4, 4), OCCUPIED)
     d = distance_transform(g)
     assert d[4, 4] == 0.0
 
 
 def test_distance_transform_axis_aligned():
     g = OccupancyGrid.filled(9, 9, 0.25, FREE)
-    g.cells[4, 4] = OCCUPIED
+    g.set_cells((4, 4), OCCUPIED)
     d = distance_transform(g)
     assert d[4, 8] == pytest.approx(1.0)
 
@@ -93,7 +141,7 @@ def test_distance_transform_property_small_grids(seed):
 
 def test_distance_transform_unknown_flag():
     g = OccupancyGrid.filled(5, 5, 1.0, FREE)
-    g.cells[2, 2] = UNKNOWN
+    g.set_cells((2, 2), UNKNOWN)
     assert np.all(np.isinf(distance_transform(g, unknown_as_occupied=False)))
     d = distance_transform(g, unknown_as_occupied=True)
     assert d[2, 2] == 0.0
@@ -110,7 +158,7 @@ def test_voronoi_one_inside_obstacles():
 
 def test_voronoi_zero_beyond_cutoff():
     g = OccupancyGrid.filled(200, 200, 0.25, FREE)
-    g.cells[0, 0] = OCCUPIED
+    g.set_cells((0, 0), OCCUPIED)
     f = voronoi_field(g, alpha=10.0, d_max=10.0)
     assert f.values[150, 150] == 0.0   # far corner, d_O > d_max
 
@@ -118,8 +166,8 @@ def test_voronoi_zero_beyond_cutoff():
 def test_voronoi_zero_on_midline_between_walls():
     res = 0.25
     g = OccupancyGrid.filled(81, 81, res, FREE)
-    g.cells[:, 0] = OCCUPIED
-    g.cells[:, 80] = OCCUPIED
+    g.set_cells((slice(None), 0), OCCUPIED)
+    g.set_cells((slice(None), 80), OCCUPIED)
     f = voronoi_field(g, alpha=10.0, d_max=20.0)
     assert f.values[40, 40] == pytest.approx(0.0, abs=1e-12)
 
@@ -129,7 +177,7 @@ def test_voronoi_single_component_formula():
     term is 1 and the field follows the two remaining factors exactly."""
     res = 0.5
     g = OccupancyGrid.filled(40, 8, res, FREE)
-    g.cells[:, 0] = OCCUPIED
+    g.set_cells((slice(None), 0), OCCUPIED)
     alpha, d_max = 10.0, 10.0
     f = voronoi_field(g, alpha=alpha, d_max=d_max)
     for ix in (1, 5, 10, 19):
@@ -154,7 +202,7 @@ def test_voronoi_no_obstacles_all_zero():
 def test_voronoi_monotone_in_distance_at_fixed_ridge_distance():
     res = 0.5
     g = OccupancyGrid.filled(60, 10, res, FREE)
-    g.cells[:, 0] = OCCUPIED
+    g.set_cells((slice(None), 0), OCCUPIED)
     vals = voronoi_field(g, alpha=10.0, d_max=15.0).values[5, 1:]
     assert np.all(np.diff(vals) <= 1e-12)
 

@@ -122,6 +122,16 @@ def test_route_map_not_reused_across_grids_at_same_version():
     assert state.distance_to_goal > 45.0
 
 
+def test_route_map_rebuilt_after_set_box():
+    g = OccupancyGrid.filled(320, 96, 0.15625)
+    state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(45, 7, 0))
+    tick(state, g)
+    assert state.distance_to_goal == pytest.approx(40.0, abs=1.0)
+    g.set_box(24.0, 0.0, 26.0, 12.0, OCCUPIED)   # same grid, now walled
+    tick(state, g)
+    assert state.distance_to_goal > 45.0
+
+
 def test_known_static_map_replans_once():
     g = bordered_grid(60, 14)
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(50, 7, 0))

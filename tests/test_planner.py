@@ -11,11 +11,10 @@ from hybridplan.heuristic import build_distance_map
 from hybridplan.planner import (BudgetExceededError, DriveMotion, DriveSegment,
                                 EXTENDED, NoPathError, PathBuilder,
                                 PlannerConfig, RotationMotion, RotationSegment,
-                                STANDARD, STOP_EARLY, _CollisionChecker,
-                                analytic_expansions, cost_of, geometric_extension,
-                                plan)
+                                STANDARD, STOP_EARLY, analytic_expansions, cost_of,
+                                geometric_extension, plan)
 from hybridplan.reeds_shepp import rs_path_length
-from hybridplan.vehicle import make_disk_set, pose_collides, rotation_collides, ushift_spec
+from hybridplan.vehicle import CollisionChecker, make_disk_set, ushift_spec
 
 from conftest import angles_close, bordered_grid, clutter_scene, pose_close
 from oracles import analytic_expansions_reference
@@ -148,8 +147,7 @@ def test_planned_path_is_collision_free(rng):
     for _ in range(6):
         g.set_box(rng.uniform(8, 30), rng.uniform(8, 30),
                   rng.uniform(8, 30) + 2.0, rng.uniform(8, 30) + 2.0, OCCUPIED)
-    disks = make_disk_set(VEH)
-    df = g.distance_field()
+    checker = CollisionChecker(g, make_disk_set(VEH))
     start, goal = Pose2D(4, 4, 0), Pose2D(36, 36, math.pi / 2)
     try:
         path, _ = plan(g, start, goal, VEH, CFG)
@@ -158,11 +156,9 @@ def test_planned_path_is_collision_free(rng):
     for seg in path.segments:
         if isinstance(seg, DriveSegment):
             for x, y, yaw in zip(seg.xs, seg.ys, seg.yaws):
-                assert not pose_collides(Pose2D(float(x), float(y), float(yaw)),
-                                         disks, df, g.resolution)
+                assert not checker.pose_blocked(float(x), float(y), float(yaw))
         else:
-            assert not rotation_collides(Pose2D(seg.x, seg.y, seg.from_yaw), seg.delta,
-                                         disks, df, g.resolution)
+            assert not checker.rotation_blocked(seg.x, seg.y)
 
 
 def test_early_stop_first_trigger_semantics():
@@ -251,7 +247,7 @@ def test_determinism():
 
 def test_analytic_free_space_equals_rs():
     g = open_grid()
-    checker = _CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, make_disk_set(VEH))
     pose, goal = Pose2D(10, 20, 0), Pose2D(25, 22, 0.5)
     suffix = analytic_expansions(pose, goal, checker, CFG, VEH.min_turn_radius,
                                  STANDARD, VEH.max_steer)
@@ -264,7 +260,7 @@ def test_analytic_free_space_equals_rs():
 def test_analytic_blocked_returns_none():
     g = open_grid()
     g.set_box(18.0, 0.5, 20.0, 39.5, OCCUPIED)  # full-height wall
-    checker = _CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, make_disk_set(VEH))
     suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(30, 20, 0), checker,
                                  CFG, VEH.min_turn_radius, STANDARD, VEH.max_steer)
     assert suffix is None
@@ -275,7 +271,7 @@ def test_analytic_blocked_start_returns_none():
     when the wall only grazes the start and the path drives away from it."""
     g = open_grid()
     g.set_box(7.65, 0.5, 7.95, 39.5, OCCUPIED)   # just behind the rear disk
-    checker = _CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, make_disk_set(VEH))
     assert checker.pose_blocked(10.0, 20.0, 0.0)
     assert not checker.pose_blocked(10.0 + CFG.collision_step, 20.0, 0.0)
     suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 20, 0), checker,
@@ -293,7 +289,7 @@ def test_analytic_extension_used_where_arcs_collide():
     for t in np.arange(0.0, 12.0, 0.25):
         g.set_disk(26.0 + t * d[0], 20.0 + t * d[1], 2.2, FREE)
     g.set_disk(26.0, 20.0, 3.8, FREE)                    # fits the swept circle
-    checker = _CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, make_disk_set(VEH))
     pose = Pose2D(6.0, 20.0, 0.0)
     goal = Pose2D(26.0 + 8.0 * d[0], 20.0 + 8.0 * d[1], -3 * math.pi / 4)
     rs_only = analytic_expansions(pose, goal, checker, CFG, VEH.min_turn_radius,
@@ -335,7 +331,7 @@ def test_analytic_matches_whole_candidate_reference(mode):
     outcomes = {True: 0, False: 0}
     for _ in range(25):
         g = clutter_scene(rng)
-        checker = _CollisionChecker(g, disks)
+        checker = CollisionChecker(g, disks)
         for i in range(10):
             while True:
                 pose = Pose2D(rng.uniform(4, 22), rng.uniform(4, 22),

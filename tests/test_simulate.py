@@ -97,7 +97,7 @@ def test_rotations_excluded_from_pooling():
 
 def test_proximity_far_from_everything():
     g = OccupancyGrid.filled(400, 400, 0.25, FREE)
-    g.cells[0, 0] = OCCUPIED
+    g.set_cells((0, 0), OCCUPIED)
     field = voronoi_field(g, alpha=10.0, d_max=10.0)
     path = drive_path([0.0] * 20)
     # shift the path to the far corner: d_O > d_max everywhere

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
-from hybridplan.vehicle import (VehicleSpec, bicycle_step, make_disk_set,
-                                pose_collides, rotate_in_place, rotation_collides,
-                                ushift_spec)
+from hybridplan.vehicle import (CollisionChecker, VehicleSpec, bicycle_step,
+                                make_disk_set, rotate_in_place, ushift_spec)
 
 from conftest import pose_close
-from oracles import rectangle_hits_occupied
+from oracles import pose_collides, rectangle_hits_occupied, rotation_collides
 
 MAX_STEER = math.radians(31.51)
 
@@ -133,57 +133,51 @@ def grid_with_wall():
 
 def test_open_space_clear():
     g = OccupancyGrid.filled(256, 256, 0.15625, FREE)
-    g.cells[0, 0] = OCCUPIED  # keep the field finite
-    disks = make_disk_set(ushift_spec())
-    assert not pose_collides(Pose2D(20, 20, 0.3), disks, g.distance_field(), g.resolution)
+    g.set_cells((0, 0), OCCUPIED)  # keep the field finite
+    checker = CollisionChecker(g, make_disk_set(ushift_spec()))
+    assert not checker.pose_blocked(20, 20, 0.3)
 
 
 def test_occupied_under_vehicle_collides():
-    g = grid_with_wall()
-    disks = make_disk_set(ushift_spec())
-    assert pose_collides(Pose2D(20.5, 20.0, 0.0), disks, g.distance_field(), g.resolution)
+    checker = CollisionChecker(grid_with_wall(), make_disk_set(ushift_spec()))
+    assert checker.pose_blocked(20.5, 20.0, 0.0)
 
 
 def test_wall_gap_below_disk_radius_collides():
     """Driving parallel to a wall at 0.2 m lateral gap trips the disk cover."""
-    g = grid_with_wall()
     disks = make_disk_set(VehicleSpec(n_disks=2))
+    checker = CollisionChecker(grid_with_wall(), disks)
     # wall face at x = 20, body half-width 1.0: centerline at 18.8 leaves 0.2 m
-    pose = Pose2D(18.8, 20.0, math.pi / 2)
     assert disks.radius == pytest.approx(math.sqrt(2.0))
-    assert pose_collides(pose, disks, g.distance_field(), g.resolution)
+    assert checker.pose_blocked(18.8, 20.0, math.pi / 2)
 
 
 def test_outside_grid_counts_as_collision():
-    g = grid_with_wall()
-    disks = make_disk_set(ushift_spec())
-    assert pose_collides(Pose2D(-10.0, 20.0, 0.0), disks, g.distance_field(), g.resolution)
+    checker = CollisionChecker(grid_with_wall(), make_disk_set(ushift_spec()))
+    assert checker.pose_blocked(-10.0, 20.0, 0.0)
 
 
 def test_rotation_open_space_clear():
     g = OccupancyGrid.filled(256, 256, 0.15625, FREE)
-    g.cells[0, 0] = OCCUPIED
-    disks = make_disk_set(ushift_spec())
-    assert not rotation_collides(Pose2D(25, 25, 0), 1.0, disks, g.distance_field(), g.resolution)
+    g.set_cells((0, 0), OCCUPIED)
+    checker = CollisionChecker(g, make_disk_set(ushift_spec()))
+    assert not checker.rotation_blocked(25, 25)
 
 
 def test_rotation_near_wall_collides():
-    g = grid_with_wall()
     disks = make_disk_set(ushift_spec())
+    checker = CollisionChecker(grid_with_wall(), disks)
     assert disks.swept_radius == pytest.approx(
         max(abs(c) for c in disks.centers) + disks.radius)
-    assert rotation_collides(Pose2D(19.0, 20.0, 0.0), math.pi, disks,
-                             g.distance_field(), g.resolution)
+    assert checker.rotation_blocked(19.0, 20.0)
 
 
 def test_rotation_never_less_restrictive_than_pose(rng):
-    g = grid_with_wall()
-    disks = make_disk_set(ushift_spec())
-    df = g.distance_field()
+    checker = CollisionChecker(grid_with_wall(), make_disk_set(ushift_spec()))
     for _ in range(300):
-        pose = Pose2D(rng.uniform(2, 38), rng.uniform(2, 38), rng.uniform(-math.pi, math.pi))
-        if not rotation_collides(pose, 0.0, disks, df, g.resolution):
-            assert not pose_collides(pose, disks, df, g.resolution)
+        x, y, yaw = rng.uniform(2, 38), rng.uniform(2, 38), rng.uniform(-math.pi, math.pi)
+        if not checker.rotation_blocked(x, y):
+            assert not checker.pose_blocked(x, y, yaw)
 
 
 def test_disk_check_conservative_against_rectangle_oracle(rng):
@@ -196,7 +190,7 @@ def test_disk_check_conservative_against_rectangle_oracle(rng):
         for _ in range(25):
             x, y = rng.uniform(2, 22, 2)
             g.set_box(x, y, x + rng.uniform(0.2, 1.5), y + rng.uniform(0.2, 1.5), OCCUPIED)
-        df = g.distance_field()
+        checker = CollisionChecker(g, disks)
         occ = g.cells == OCCUPIED
         for _ in range(60):
             pose = Pose2D(rng.uniform(0, 25), rng.uniform(0, 25),
@@ -205,4 +199,38 @@ def test_disk_check_conservative_against_rectangle_oracle(rng):
                 (pose.x, pose.y, pose.yaw), occ, g.resolution,
                 spec.length, spec.width, spec.rear_overhang)
             if exact_hit:
-                assert pose_collides(pose, disks, df, g.resolution)
+                assert checker.pose_blocked(pose.x, pose.y, pose.yaw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_disks=st.integers(1, 4),
+       origin=st.sampled_from([(0.0, 0.0), (-7.3, 4.15), (123.456, -98.7)]))
+def test_checker_matches_scalar_reference(seed, n_disks, origin):
+    """Every checker entry point decides as the scalar per-disk loop does,
+    on grids with and without an offset origin and on poses partly or wholly
+    off the grid."""
+    r = np.random.default_rng(seed)
+    res = 0.15625
+    g = OccupancyGrid.filled(int(r.integers(40, 120)), int(r.integers(40, 120)), res, FREE,
+                             Pose2D(origin[0], origin[1], 0.0))
+    w_m, h_m = g.width_cells * res, g.height_cells * res
+    for _ in range(int(r.integers(0, 8))):
+        x, y = origin[0] + r.uniform(0, w_m), origin[1] + r.uniform(0, h_m)
+        g.set_box(x, y, x + r.uniform(0.2, 3.0), y + r.uniform(0.2, 3.0), OCCUPIED)
+    disks = make_disk_set(VehicleSpec(n_disks=n_disks))
+    checker = CollisionChecker(g, disks)
+    field = g.distance_field()
+    n = 150
+    xs = origin[0] + r.uniform(-4.0, w_m + 4.0, n)
+    ys = origin[1] + r.uniform(-4.0, h_m + 4.0, n)
+    yaws = r.uniform(-math.pi, math.pi, n)
+    cos_yaw = np.array([math.cos(a) for a in yaws])
+    sin_yaw = np.array([math.sin(a) for a in yaws])
+    batch = checker.batch_blocked(xs, ys, cos_yaw, sin_yaw)
+    for i in range(n):
+        pose = Pose2D(float(xs[i]), float(ys[i]), float(yaws[i]))
+        expect = pose_collides(pose, disks, field, res, origin)
+        assert checker.pose_blocked(pose.x, pose.y, pose.yaw) == expect
+        assert bool(batch[i]) == expect
+        assert checker.rotation_blocked(pose.x, pose.y) == \
+            rotation_collides(pose, disks, field, res, origin)
