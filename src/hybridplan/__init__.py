@@ -12,7 +12,7 @@ from .mission import (MissionConfig, MissionState, TickResult, check_path_collis
 from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPath,
                       PlannerConfig, PlannerFailure, RotationSegment, SearchStats,
                       analytic_expansions, cost_of, geometric_extension, plan)
-from .reeds_shepp import rs_path_length, rs_shortest_path
+from .reeds_shepp import rs_all_paths, rs_path_length
 from .simulate import (EventRecord, MetricsReport, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
 from .vehicle import (CollisionChecker, DiskSet, VehicleSpec, bicycle_step,
@@ -29,7 +29,7 @@ __all__ = [
     "BudgetExceededError", "DriveSegment", "NoPathError", "PlannedPath",
     "PlannerConfig", "PlannerFailure", "RotationSegment", "SearchStats",
     "analytic_expansions", "cost_of", "geometric_extension", "plan",
-    "rs_path_length", "rs_shortest_path",
+    "rs_all_paths", "rs_path_length",
     "EventRecord", "MetricsReport", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
     "CollisionChecker", "DiskSet", "VehicleSpec", "bicycle_step", "make_disk_set",

@@ -61,7 +61,6 @@ class PlannerConfig:
     delta_phi: float = math.radians(90.0)    # rotation primitive quantum
     f_ext: int = 5                           # rotations every f_ext-th expansion
     analytic_radius: float = 30.0            # [m] always try analytic below this h
-    analytic_period: int = 0                 # also try every k-th pop when > 0
     rs_heuristic_radius: float = 12.0        # [m] add the RS term to h below this
     extension_segment_length: float = 60.0   # [m] heading-line segment (half = 30)
     node_budget: int = 500_000
@@ -83,8 +82,6 @@ class PlannerConfig:
             raise ValueError("f_ext must be >= 1")
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
-        if self.analytic_period < 0:
-            raise ValueError("analytic_period must be >= 0")
 
     def steer_angles(self, max_steer: float) -> Tuple[float, ...]:
         half = (self.n_steer - 1) // 2
@@ -327,34 +324,32 @@ class PathBuilder:
 
 
 # --------------------------------------------------------------------------
-# Motions and costs
+# Steps and costs
 # --------------------------------------------------------------------------
+# A step is (steer, direction, amount): direction +1/-1 drives `amount`
+# metres forward/in reverse at `steer`, direction 0 rotates in place by
+# `amount` radians and leaves the gear at 0.
 
-@dataclass(frozen=True)
-class DriveMotion:
-    steer: float
-    direction: int       # +1 forward, -1 reverse
-    arc_length: float    # unsigned
-
-
-@dataclass(frozen=True)
-class RotationMotion:
-    delta_yaw: float
-
-
-Motion = Union[DriveMotion, RotationMotion]
-
-
-def cost_of(motion: Motion, config: PlannerConfig,
+def cost_of(steer: float, direction: int, amount: float, config: PlannerConfig,
             parent_direction: int = 0, parent_steer: float = 0.0) -> float:
-    """Movement cost of one primitive given the parent's gear and steering."""
-    if isinstance(motion, RotationMotion):
-        return config.w_rotation_fixed + config.w_rotation_rate * abs(motion.delta_yaw)
-    cost = motion.arc_length * (1.0 + (config.w_reverse if motion.direction < 0 else 0.0))
-    if parent_direction != 0 and motion.direction != parent_direction:
+    """Movement cost of one step given the parent's gear and steering."""
+    if direction == 0:
+        return config.w_rotation_fixed + config.w_rotation_rate * abs(amount)
+    cost = amount * (1.0 + (config.w_reverse if direction < 0 else 0.0))
+    if parent_direction != 0 and direction != parent_direction:
         cost += config.w_switch
-    cost += config.w_steer * abs(motion.steer)
-    cost += config.w_steer_change * abs(motion.steer - parent_steer)
+    cost += config.w_steer * abs(steer)
+    cost += config.w_steer_change * abs(steer - parent_steer)
+    return cost
+
+
+def steps_cost(steps: List[Tuple[float, int, float]], config: PlannerConfig,
+               direction: int = 0, steer: float = 0.0) -> float:
+    """Movement cost of a step sequence, walking gear and steer from the parent's."""
+    cost = 0.0
+    for step_steer, step_direction, amount in steps:
+        cost += cost_of(step_steer, step_direction, amount, config, direction, steer)
+        direction, steer = step_direction, step_steer
     return cost
 
 
@@ -393,9 +388,9 @@ def geometric_extension(current: Pose2D, goal: Pose2D, seg_len: float
 
 class _Node:
     __slots__ = ("x", "y", "yaw", "g", "h", "hd", "direction", "steer",
-                 "parent", "motion", "key")
+                 "parent", "amount", "key")
 
-    def __init__(self, x, y, yaw, g, h, hd, direction, steer, parent, motion, key):
+    def __init__(self, x, y, yaw, g, h, hd, direction, steer, parent, amount, key):
         self.x = x
         self.y = y
         self.yaw = yaw
@@ -405,7 +400,7 @@ class _Node:
         self.direction = direction
         self.steer = steer
         self.parent = parent
-        self.motion = motion
+        self.amount = amount      # the step (steer, direction, amount) that made it
         self.key = key
 
 
@@ -416,26 +411,22 @@ class _PrimitiveTable:
         self.wheelbase = vehicle.wheelbase
         steers = config.steer_angles(vehicle.max_steer)
         n_sub = max(1, math.ceil(config.arc_length / config.collision_step))
-        motions: List[DriveMotion] = []
+        self.steps = [(steer, direction, config.arc_length)
+                      for direction in (1, -1) for steer in steers]
         rel = []
-        for direction in (1, -1):
-            for steer in steers:
-                motions.append(DriveMotion(steer=steer, direction=direction,
-                                           arc_length=config.arc_length))
-                kappa = math.tan(steer) / vehicle.wheelbase
-                rows = []
-                for i in range(1, n_sub + 1):
-                    ds = config.arc_length * i / n_sub * direction
-                    rows.append(move_along_arc(0.0, 0.0, 0.0, kappa, ds))
-                rel.append(rows)
+        for steer, direction, _ in self.steps:
+            kappa = math.tan(steer) / vehicle.wheelbase
+            rows = []
+            for i in range(1, n_sub + 1):
+                ds = config.arc_length * i / n_sub * direction
+                rows.append(move_along_arc(0.0, 0.0, 0.0, kappa, ds))
+            rel.append(rows)
         arr = np.array(rel)                          # (P, K, 3)
-        self.motions = motions
         self.dx = arr[:, :, 0]
         self.dy = arr[:, :, 1]
         self.dyaw = arr[:, :, 2]
         self.cos_dyaw = np.cos(self.dyaw)
         self.sin_dyaw = np.sin(self.dyaw)
-        self.n_primitives = len(motions)
         self.n_sub = n_sub
 
 
@@ -488,7 +479,8 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
 
     turn_radius = vehicle.min_turn_radius
     table = _PrimitiveTable(config, vehicle)
-    rotation_angles = config.rotation_angles() if mode == EXTENDED else ()
+    rotation_steps = [(0.0, 0, delta) for delta in config.rotation_angles()] \
+        if mode == EXTENDED else []
     n_bins = _yaw_bins(config)
     ox, oy = belief.origin.x, belief.origin.y
 
@@ -510,7 +502,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     goal_key = key_of(goal.x, goal.y, goal.yaw)
     h0, hd0 = heuristic(start.x, start.y, start.yaw)
     root = _Node(start.x, start.y, start.yaw, 0.0, h0, hd0,
-                 start_direction, start_steer, None, None, key_of(start.x, start.y, start.yaw))
+                 start_direction, start_steer, None, 0.0, key_of(start.x, start.y, start.yaw))
     stats.nodes_created = 1
 
     best_g = {root.key: 0.0}
@@ -528,31 +520,23 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             continue
         stats.nodes_expanded += 1
         if stats.nodes_expanded > config.node_budget:
-            stats.wall_time_s = time.perf_counter() - t_begin
             raise BudgetExceededError()
 
-        if stop_rule == STOP_EARLY:
-            if node.hd is not None and math.isfinite(node.hd) and hd_start - node.hd > s_w:
-                return finish(_reconstruct(node, table, config))
-            if node.key == goal_key:
-                return finish(_reconstruct(node, table, config))
-        else:
-            if node.key == goal_key:
-                return finish(_reconstruct(node, table, config))
-            periodic = (config.analytic_period > 0
-                        and stats.nodes_expanded % config.analytic_period == 0)
-            attempt = node.h < config.analytic_radius or periodic
-            if attempt and (node.key not in analytic_tried or periodic):
-                analytic_tried.add(node.key)
-                suffix = analytic_expansions(node_pose(node), goal, checker, config,
-                                             turn_radius, mode, vehicle.max_steer,
-                                             parent_direction=node.direction,
-                                             parent_steer=node.steer)
-                if suffix is not None:
-                    prefix = _reconstruct(node, table, config)
-                    return finish(prefix.concat(suffix))
+        if node.key == goal_key or (stop_rule == STOP_EARLY and math.isfinite(node.hd)
+                                    and hd_start - node.hd > s_w):
+            return finish(_reconstruct(node, table))
+        if (stop_rule != STOP_EARLY and node.h < config.analytic_radius
+                and node.key not in analytic_tried):
+            analytic_tried.add(node.key)
+            suffix = analytic_expansions(node_pose(node), goal, checker, config,
+                                         turn_radius, mode, vehicle.max_steer,
+                                         parent_direction=node.direction,
+                                         parent_steer=node.steer)
+            if suffix is not None:
+                return finish(_reconstruct(node, table).concat(suffix))
 
-        # drive expansions, vectorized over the primitive table
+        # children: drive steps vectorized over the primitive table, plus the
+        # rotation steps every f_ext-th expansion, pushed by one loop
         c, s = math.cos(node.yaw), math.sin(node.yaw)
         world_x = node.x + table.dx * c - table.dy * s
         world_y = node.y + table.dx * s + table.dy * c
@@ -562,44 +546,26 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             world_x.reshape(-1), world_y.reshape(-1),
             cos_w.reshape(-1), sin_w.reshape(-1)
         ).reshape(world_x.shape).any(axis=1)
+        children = [(float(world_x[p, -1]), float(world_y[p, -1]),
+                     node.yaw + float(table.dyaw[p, -1]), step)
+                    for p, step in enumerate(table.steps) if not blocked[p]]
+        if (rotation_steps and stats.nodes_expanded % config.f_ext == 0
+                and not checker.rotation_blocked(node.x, node.y)):
+            children += [(node.x, node.y, node.yaw + step[2], step) for step in rotation_steps]
 
-        for p in range(table.n_primitives):
-            if blocked[p]:
-                continue
-            motion = table.motions[p]
-            nx = float(world_x[p, -1])
-            ny = float(world_y[p, -1])
-            nyaw = normalize_angle(node.yaw + float(table.dyaw[p, -1]))
+        for nx, ny, raw_yaw, (steer, direction, amount) in children:
+            nyaw = normalize_angle(raw_yaw)
             nkey = key_of(nx, ny, nyaw)
-            g2 = node.g + cost_of(motion, config, node.direction, node.steer)
+            g2 = node.g + cost_of(steer, direction, amount, config, node.direction, node.steer)
             if g2 >= best_g.get(nkey, math.inf) - 1e-12:
                 continue
             h2, hd2 = heuristic(nx, ny, nyaw)
-            child = _Node(nx, ny, nyaw, g2, h2, hd2, motion.direction,
-                          motion.steer, node, motion, nkey)
+            child = _Node(nx, ny, nyaw, g2, h2, hd2, direction, steer, node, amount, nkey)
             best_g[nkey] = g2
             stats.nodes_created += 1
             counter += 1
             heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
 
-        if rotation_angles and stats.nodes_expanded % config.f_ext == 0:
-            if not checker.rotation_blocked(node.x, node.y):
-                for delta in rotation_angles:
-                    nyaw = normalize_angle(node.yaw + delta)
-                    nkey = key_of(node.x, node.y, nyaw)
-                    motion = RotationMotion(delta_yaw=delta)
-                    g2 = node.g + cost_of(motion, config, node.direction, node.steer)
-                    if g2 >= best_g.get(nkey, math.inf) - 1e-12:
-                        continue
-                    h2, hd2 = heuristic(node.x, node.y, nyaw)
-                    child = _Node(node.x, node.y, nyaw, g2, h2, hd2, 0, 0.0,
-                                  node, motion, nkey)
-                    best_g[nkey] = g2
-                    stats.nodes_created += 1
-                    counter += 1
-                    heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
-
-    stats.wall_time_s = time.perf_counter() - t_begin
     raise NoPathError()
 
 
@@ -607,7 +573,7 @@ def node_pose(node: _Node) -> Pose2D:
     return Pose2D(node.x, node.y, node.yaw)
 
 
-def _reconstruct(node: _Node, table: _PrimitiveTable, config: PlannerConfig) -> PlannedPath:
+def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:
     """Replay the parent chain into a pose-continuous path."""
     chain: List[_Node] = []
     seen = set()
@@ -621,38 +587,17 @@ def _reconstruct(node: _Node, table: _PrimitiveTable, config: PlannerConfig) -> 
 
     builder = PathBuilder(node_pose(chain[0]))
     for nd in chain[1:]:
-        parent = nd.parent
-        if isinstance(nd.motion, RotationMotion):
-            builder.add_rotation(nd.motion.delta_yaw)
+        if nd.direction == 0:
+            builder.add_rotation(nd.amount)
             continue
-        motion = nd.motion
-        kappa = math.tan(motion.steer) / table.wheelbase
+        kappa = math.tan(nd.steer) / table.wheelbase
         n_sub = table.n_sub
-        x, y, yaw = parent.x, parent.y, parent.yaw
-        step = motion.arc_length / n_sub * motion.direction
+        x, y, yaw = nd.parent.x, nd.parent.y, nd.parent.yaw
+        step = nd.amount / n_sub * nd.direction
         for _ in range(n_sub):
             x, y, yaw = move_along_arc(x, y, yaw, kappa, step)
-            builder.add_drive_sample(x, y, normalize_angle(yaw), kappa, motion.direction)
+            builder.add_drive_sample(x, y, normalize_angle(yaw), kappa, nd.direction)
     return builder.finish()
-
-
-def rs_candidate_cost(path, config: PlannerConfig, max_steer: float,
-                      parent_direction: int, parent_steer: float) -> float:
-    """Movement cost of an analytic suffix under the planner cost model."""
-    cost = 0.0
-    direction = parent_direction
-    steer = parent_steer
-    for seg in path.segments:
-        seg_steer = 0.0
-        if seg.kind == "left":
-            seg_steer = max_steer
-        elif seg.kind == "right":
-            seg_steer = -max_steer
-        cost += cost_of(DriveMotion(seg_steer, seg.direction, seg.length),
-                        config, direction, steer)
-        direction = seg.direction
-        steer = seg_steer
-    return cost
 
 
 def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
@@ -675,8 +620,10 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
         if cand.total_length >= 1e6 or not start_free:
             break
         if _rs_free(cand, pose, checker, config.collision_step):
-            best_cost = rs_candidate_cost(cand, config, max_steer,
-                                          parent_direction, parent_steer)
+            steer_of = {"left": max_steer, "right": -max_steer}
+            best_cost = steps_cost([(steer_of.get(seg.kind, 0.0), seg.direction, seg.length)
+                                    for seg in cand.segments],
+                                   config, parent_direction, parent_steer)
             best_path = _rs_suffix_path(pose, sample_path(cand, pose, config.collision_step))
             break
 
@@ -684,10 +631,11 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
         ext = geometric_extension(pose, goal, config.extension_segment_length)
         if ext is not None:
             point, pre, delta, post = ext
-            cost = _extension_cost(pre, delta, post, config, parent_direction, parent_steer)
-            if cost < best_cost and _extension_free(pose, goal, point, pre, delta, post, checker, config):
-                best_path = _extension_path(pose, goal, point, pre, delta, post, config)
-                best_cost = cost
+            steps = _leg_step(pre) + [(0.0, 0, delta)] + _leg_step(post)
+            if steps_cost(steps, config, parent_direction, parent_steer) < best_cost:
+                legs = [(pose.x, pose.y, pose.yaw, pre), (point[0], point[1], goal.yaw, post)]
+                best_path = _extension_path(pose, legs, delta, checker,
+                                            config.collision_step) or best_path
 
     return best_path
 
@@ -707,58 +655,37 @@ def _rs_suffix_path(pose: Pose2D, samples) -> PlannedPath:
     return builder.finish()
 
 
-def _extension_cost(pre: float, delta: float, post: float, config: PlannerConfig,
-                    parent_direction: int, parent_steer: float) -> float:
-    cost = 0.0
-    direction = parent_direction
-    steer = parent_steer
-    if abs(pre) > 1e-12:
-        d = 1 if pre >= 0.0 else -1
-        cost += cost_of(DriveMotion(0.0, d, abs(pre)), config, direction, steer)
-        direction, steer = d, 0.0
-    cost += cost_of(RotationMotion(delta), config, direction, steer)
-    direction, steer = 0, 0.0
-    if abs(post) > 1e-12:
-        d = 1 if post >= 0.0 else -1
-        cost += cost_of(DriveMotion(0.0, d, abs(post)), config, direction, steer)
-    return cost
+def _leg_step(dist: float) -> List[Tuple[float, int, float]]:
+    """The straight drive step of a signed leg length; none for a zero-length leg."""
+    return [(0.0, 1 if dist >= 0.0 else -1, abs(dist))] if abs(dist) > 1e-12 else []
 
 
-def _extension_free(pose: Pose2D, goal: Pose2D, point: Tuple[float, float],
-                    pre: float, delta: float, post: float,
-                    checker: CollisionChecker, config: PlannerConfig) -> bool:
-    if checker.rotation_blocked(point[0], point[1]):
-        return False
-    for leg_pose, dist in ((pose, pre), (Pose2D(point[0], point[1], goal.yaw), post)):
-        n = max(1, math.ceil(abs(dist) / config.collision_step))
-        c, s = math.cos(leg_pose.yaw), math.sin(leg_pose.yaw)
-        ts = np.arange(n + 1) * (dist / n)
-        xs = leg_pose.x + ts * c
-        ys = leg_pose.y + ts * s
-        cos_w = np.full(n + 1, c)
-        sin_w = np.full(n + 1, s)
-        if bool(checker.batch_blocked(xs, ys, cos_w, sin_w).any()):
-            return False
-    return True
+def _extension_path(pose: Pose2D, legs: List[Tuple[float, float, float, float]],
+                    delta: float, checker: CollisionChecker,
+                    step: float) -> Optional[PlannedPath]:
+    """Drive-rotate-drive suffix, None when its rotation or a leg collides.
 
-
-def _extension_path(pose: Pose2D, goal: Pose2D, point: Tuple[float, float],
-                    pre: float, delta: float, post: float,
-                    config: PlannerConfig) -> PlannedPath:
+    Each straight leg (x0, y0, yaw, signed dist) is sampled once, at
+    x0 + (dist * i / n) * cos(yaw) for i = 0..n; the collision check tests
+    these samples and the path is built from the same ones for i >= 1.
+    """
+    x_rot, y_rot = legs[1][:2]               # the second leg starts at the rotation
+    if checker.rotation_blocked(x_rot, y_rot):
+        return None
+    sampled = []
+    for x0, y0, yaw, dist in legs:
+        n = max(1, math.ceil(abs(dist) / step))
+        c, s = math.cos(yaw), math.sin(yaw)
+        t = dist * np.arange(n + 1) / n
+        xs, ys = x0 + t * c, y0 + t * s
+        if checker.batch_blocked(xs, ys, np.full(n + 1, c), np.full(n + 1, s)).any():
+            return None
+        sampled.append((xs, ys, yaw, dist))
     builder = PathBuilder(pose)
-    if abs(pre) > 1e-12:
-        d = 1 if pre >= 0.0 else -1
-        n = max(1, math.ceil(abs(pre) / config.collision_step))
-        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-        for i in range(1, n + 1):
-            t = pre * i / n
-            builder.add_drive_sample(pose.x + t * c, pose.y + t * s, pose.yaw, 0.0, d)
-    builder.add_rotation(delta)
-    if abs(post) > 1e-12:
-        d = 1 if post >= 0.0 else -1
-        n = max(1, math.ceil(abs(post) / config.collision_step))
-        c, s = math.cos(goal.yaw), math.sin(goal.yaw)
-        for i in range(1, n + 1):
-            t = post * i / n
-            builder.add_drive_sample(point[0] + t * c, point[1] + t * s, goal.yaw, 0.0, d)
+    for i, (xs, ys, yaw, dist) in enumerate(sampled):
+        if i == 1:
+            builder.add_rotation(delta)
+        for _, direction, _ in _leg_step(dist):
+            for x, y in zip(xs[1:].tolist(), ys[1:].tolist()):
+                builder.add_drive_sample(x, y, yaw, 0.0, direction)
     return builder.finish()

@@ -9,7 +9,7 @@ heuristic lookups in the graph search.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .geometry import LEFT, RIGHT, STRAIGHT, Pose2D, RSPath, RSSegment, normalize_angle
 
@@ -264,25 +264,6 @@ def _relative_target(start: Pose2D, goal: Pose2D, turn_radius: float) -> Tuple[f
     return ((c * dx + s * dy) / turn_radius,
             (-s * dx + c * dy) / turn_radius,
             normalize_angle(goal.yaw - start.yaw))
-
-
-def rs_shortest_path(start: Pose2D, goal: Pose2D, turn_radius: float) -> RSPath:
-    """Minimum-length path over all 48 canonical word families."""
-    if turn_radius <= 0.0:
-        raise ValueError("turn_radius must be positive")
-    x, y, phi = _relative_target(start, goal, turn_radius)
-    best: Optional[Tuple[float, Tuple, Tuple[float, float, float]]] = None
-    for cand in _enumerate_candidates(x, y, phi):
-        if best is None or cand[0] < best[0] - 1e-15:
-            best = cand
-    assert best is not None  # the identity candidate always applies
-    _, word, (t, u, v) = best
-    segments = tuple(
-        RSSegment(seg.kind, seg.direction, seg.length * turn_radius)
-        for seg in _word_segments(word, t, u, v)
-    )
-    total = sum(seg.length for seg in segments)
-    return RSPath(segments=segments, turn_radius=turn_radius, total_length=total)
 
 
 def rs_all_paths(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[RSPath]:

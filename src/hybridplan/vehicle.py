@@ -29,7 +29,6 @@ class VehicleSpec:
     rear_overhang: float = 1.5       # rear axle to rear bumper
     max_steer: float = math.radians(31.51)
     n_disks: int = 3
-    model_switch_time: float = 5.0   # seconds to change system model
 
     def __post_init__(self) -> None:
         if not (0.0 < self.wheelbase <= self.length):

@@ -15,9 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from hybridplan.geometry import Pose2D, RSPath
-from hybridplan.planner import (EXTENDED, PathBuilder, PlannedPath, _extension_cost,
-                                _extension_free, _extension_path, geometric_extension,
-                                rs_candidate_cost)
+from hybridplan.planner import EXTENDED, PathBuilder, PlannedPath, geometric_extension
 from hybridplan.reeds_shepp import rs_all_paths
 
 TWO_PI = 2.0 * math.pi
@@ -366,6 +364,58 @@ def sample_path_scalar(path: RSPath, start: Pose2D, step: float
     return out
 
 
+def suffix_cost_scalar(steps, config, direction: int, steer: float) -> float:
+    """Movement cost of (steer, direction, amount) steps, written out term by term.
+
+    A drive pays its length (reverse weighted), a gear switch, the steer and
+    the steer change; a rotation (direction 0) pays the model switch plus
+    its angle and resets the gear and steer.
+    """
+    total = 0.0
+    for step_steer, step_direction, amount in steps:
+        if step_direction == 0:
+            total += config.w_rotation_fixed + config.w_rotation_rate * abs(amount)
+        else:
+            cost = amount * (1.0 + (config.w_reverse if step_direction < 0 else 0.0))
+            if direction != 0 and step_direction != direction:
+                cost += config.w_switch
+            cost += config.w_steer * abs(step_steer)
+            cost += config.w_steer_change * abs(step_steer - steer)
+            total += cost
+        direction, steer = step_direction, step_steer
+    return total
+
+
+def extension_reference(pose: Pose2D, goal: Pose2D, ext, checker, step: float
+                        ) -> Optional[PlannedPath]:
+    """Drive-rotate-drive suffix from a scalar loop over each leg's samples."""
+    point, pre, delta, post = ext
+    if checker.rotation_blocked(point[0], point[1]):
+        return None
+    legs = []
+    for x0, y0, yaw, dist in ((pose.x, pose.y, pose.yaw, pre),
+                              (point[0], point[1], goal.yaw, post)):
+        n = max(1, math.ceil(abs(dist) / step))
+        c, s = math.cos(yaw), math.sin(yaw)
+        xs, ys = [], []
+        for i in range(n + 1):
+            t = dist * i / n
+            xs.append(x0 + t * c)
+            ys.append(y0 + t * s)
+        if checker.batch_blocked(np.array(xs), np.array(ys), np.full(n + 1, c),
+                                 np.full(n + 1, s)).any():
+            return None
+        legs.append((xs, ys, yaw, dist))
+    builder = PathBuilder(pose)
+    for leg, (xs, ys, yaw, dist) in enumerate(legs):
+        if leg == 1:
+            builder.add_rotation(delta)
+        if abs(dist) > 1e-12:
+            for x, y in zip(xs[1:], ys[1:]):
+                builder.add_drive_sample(x, y, yaw, 0.0, 1 if dist >= 0.0 else -1)
+    return builder.finish()
+
+
 def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
                                   turn_radius: float, mode: str, max_steer: float,
                                   parent_direction: int = 0, parent_steer: float = 0.0
@@ -374,11 +424,12 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
 
     Each candidate is sampled in full by the scalar recurrence, the start
     pose included, and tested in one disk check; the first free candidate
-    becomes the suffix.  Costs and the drive-rotate-drive connection reuse
-    the planner's own helpers, which the array sampler did not change.
+    becomes the suffix.  The drive-rotate-drive connection replaces it when
+    it is free and cheaper, both costs summed by `suffix_cost_scalar`.
     """
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
+    kind_steer = {"left": max_steer, "right": -max_steer, "straight": 0.0}
     for cand in rs_all_paths(pose, goal, turn_radius):
         if cand.total_length >= 1e6:
             break
@@ -387,8 +438,9 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
         ys = np.array([pose.y] + [s[1] for s in samples])
         yaws = np.array([pose.yaw] + [s[3] for s in samples])
         if not checker.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any():
-            best_cost = rs_candidate_cost(cand, config, max_steer,
-                                          parent_direction, parent_steer)
+            best_cost = suffix_cost_scalar(
+                [(kind_steer[seg.kind], seg.direction, seg.length) for seg in cand.segments],
+                config, parent_direction, parent_steer)
             builder = PathBuilder(pose)
             for x, y, _, yaw, kappa, direction in samples:
                 builder.add_drive_sample(x, y, yaw, kappa, direction)
@@ -397,9 +449,15 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
     if mode == EXTENDED:
         ext = geometric_extension(pose, goal, config.extension_segment_length)
         if ext is not None:
-            point, pre, delta, post = ext
-            cost = _extension_cost(pre, delta, post, config, parent_direction, parent_steer)
-            if cost < best_cost and _extension_free(pose, goal, point, pre, delta, post,
-                                                    checker, config):
-                best_path = _extension_path(pose, goal, point, pre, delta, post, config)
+            _, pre, delta, post = ext
+            steps = []
+            if abs(pre) > 1e-12:
+                steps.append((0.0, 1 if pre >= 0.0 else -1, abs(pre)))
+            steps.append((0.0, 0, delta))
+            if abs(post) > 1e-12:
+                steps.append((0.0, 1 if post >= 0.0 else -1, abs(post)))
+            if suffix_cost_scalar(steps, config, parent_direction, parent_steer) < best_cost:
+                path = extension_reference(pose, goal, ext, checker, config.collision_step)
+                if path is not None:
+                    best_path = path
     return best_path

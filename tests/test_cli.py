@@ -87,12 +87,17 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
-def test_seed_is_not_a_config_field(tmp_path, capsys):
-    cfg = write_config(tmp_path, seed=0)
+@pytest.mark.parametrize("field", ["seed", "vehicle.model_switch_time",
+                                   "planner.analytic_period"])
+def test_seed_is_not_a_config_field(field, tmp_path, capsys):
+    """Deleted fields are rejected by name and left out of the defaults."""
+    section, _, name = field.rpartition(".")
+    cfg = write_config(tmp_path, **({section: {name: 1}} if section else {name: 0}))
     assert main(["run", str(cfg)]) == 1
-    assert capsys.readouterr().err == "error: seed: unknown field\n"
+    assert capsys.readouterr().err == f"error: {field}: unknown field\n"
     assert main(["print-defaults"]) == 0
-    assert "seed" not in json.loads(capsys.readouterr().out)
+    defaults = json.loads(capsys.readouterr().out)
+    assert name not in (defaults[section] if section else defaults)
 
 
 def test_unreachable_goal_exits_2(tmp_path, capsys):

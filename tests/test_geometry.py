@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hybridplan.geometry import (FORWARD, Pose2D, RSPath, RSSegment, iter_segment_samples,
                                  move_along_arc, normalize_angle, normalize_angles,
                                  path_end_pose, sample_path)
-from hybridplan.reeds_shepp import rs_shortest_path
+from hybridplan.reeds_shepp import rs_all_paths
 
 from conftest import angles_close, pose_close
 from oracles import sample_path_scalar
@@ -83,7 +83,7 @@ def test_sample_spacing_and_final_pose(rng):
     for _ in range(30):
         start = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
         goal = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
-        path = rs_shortest_path(start, goal, 1.5)
+        path = rs_all_paths(start, goal, 1.5)[0]
         step = 0.2
         samples = sample_path(path, start, step)
         assert pose_close(samples[-1][0], goal)
@@ -98,7 +98,7 @@ def test_reintegrating_samples_reproduces_goal(rng):
     for _ in range(25):
         start = Pose2D(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
         goal = Pose2D(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
-        path = rs_shortest_path(start, goal, 1.0)
+        path = rs_all_paths(start, goal, 1.0)[0]
         x, y, yaw = start.x, start.y, start.yaw
         pos = start
         for pose, kappa, direction in sample_path(path, start, 0.25)[1:]:
@@ -114,7 +114,7 @@ def test_reintegrating_samples_reproduces_goal(rng):
 def test_path_end_pose_matches_goal(rng):
     for _ in range(20):
         goal = Pose2D(rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-math.pi, math.pi))
-        path = rs_shortest_path(Pose2D(0, 0, 0), goal, 2.0)
+        path = rs_all_paths(Pose2D(0, 0, 0), goal, 2.0)[0]
         assert pose_close(path_end_pose(path, Pose2D(0, 0, 0)), goal)
 
 

@@ -1,0 +1,60 @@
+"""Byte-stable run outputs: sha256 digests of every file `plan run --no-timing`
+writes, for a set of bundled scenarios and modes, against stored values.
+
+A change that is meant to alter these outputs refreshes the stored digests
+on purpose:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+rewrites `tests/golden_outputs.json` from the current code.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from hybridplan.cli import main
+
+GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
+OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
+ALL_MODES = ("standard", "guided", "extended", "guided+extended")
+CASES = ([(sc, mode) for sc in ("smoke_small", "plate_corridor_67", "plate_corridor_84")
+          for mode in ALL_MODES]
+         + [("known_large", "guided"), ("known_large", "guided+extended")])
+
+
+def case_id(scenario: str, mode: str) -> str:
+    return f"{scenario}/{mode}"
+
+
+def run_digests(scenario: str, mode: str, workdir: Path) -> dict:
+    """Exit code and per-file sha256 of one `plan run --no-timing`."""
+    out = workdir / "out"
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": f"bundled:{scenario}", "mode": mode,
+                               "output_dir": str(out)}))
+    code = main(["run", str(cfg), "--no-timing"])
+    files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+             for name in OUTPUT_FILES}
+    return {"exit": code, "sha256": files}
+
+
+@pytest.mark.parametrize("scenario,mode", CASES, ids=[case_id(*c) for c in CASES])
+def test_outputs_match_stored_digests(scenario, mode, tmp_path, capsys):
+    expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))[case_id(scenario, mode)]
+    assert run_digests(scenario, mode, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    golden = {}
+    for scenario, mode in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[case_id(scenario, mode)] = run_digests(scenario, mode, Path(tmp))
+        print(case_id(scenario, mode), golden[case_id(scenario, mode)]["exit"], file=sys.stderr)
+    GOLDEN_FILE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
+                           encoding="utf-8")

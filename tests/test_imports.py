@@ -42,3 +42,20 @@ def test_no_private_cross_module_imports():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         found += private_cross_module_imports(path.read_text(encoding="utf-8"), path.stem)
     assert found == []
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def test_rule_catches_oracle_reusing_planner_helpers():
+    source = ("from hybridplan.planner import (EXTENDED, PathBuilder, _extension_cost,\n"
+              "                                _extension_free, geometric_extension)\n")
+    assert private_cross_module_imports(source, "oracles") == [
+        "oracles.py:1 imports planner._extension_cost",
+        "oracles.py:1 imports planner._extension_free",
+    ]
+
+
+def test_oracles_import_no_private_names():
+    """An oracle that reuses the code under test only compares it with itself."""
+    assert private_cross_module_imports(ORACLES.read_text(encoding="utf-8"), "oracles") == []

@@ -3,12 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hybridplan import mission
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
+from hybridplan.heuristic import waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
-                                NAV_NONE, check_path_collision,
+                                NAV_NONE, NAV_WAYPOINT, check_path_collision,
                                 compute_replan_start, mission_tick)
-from hybridplan.planner import PlannerConfig, STANDARD, plan
+from hybridplan.planner import PlannerConfig, STANDARD, STOP_AT_GOAL, plan
 from hybridplan.vehicle import make_disk_set, ushift_spec
 
 from conftest import bordered_grid, pose_close
@@ -227,3 +229,34 @@ def test_failure_propagates_reason():
     result = tick(state, g)
     assert result.status == "failed"
     assert result.reason in ("no 2D route", "no path", "goal blocked")
+
+
+def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
+    """Beyond s_lim of route distance the plan goes to the route's waypose at
+    s_w, not to the goal; within s_lim it goes to the goal itself."""
+    calls = []
+
+    def recording_plan(belief, start, goal, *args, **kwargs):
+        calls.append((goal, kwargs["stop_rule"]))
+        return plan(belief, start, goal, *args, **kwargs)
+
+    monkeypatch.setattr(mission, "plan", recording_plan)
+    g = bordered_grid(200, 14)
+    goal = Pose2D(193, 7, 0)
+    cfg = MissionConfig(nav_mode=NAV_WAYPOINT)
+    far = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=goal)
+    assert tick(far, g, nav=NAV_WAYPOINT).replanned
+    assert far.distance_to_goal >= cfg.s_lim
+    planned_goal, stop_rule = calls[-1]
+    assert planned_goal == waypose_at(far.prev_astar, cfg.s_w)
+    assert planned_goal.distance_to(goal) > 100.0
+    assert stop_rule == STOP_AT_GOAL
+    assert pose_close(far.current_path.end_pose(), planned_goal, pos_tol=CFG.xy_resolution,
+                      yaw_tol=CFG.yaw_resolution)
+    assert not far.path_to_goal
+
+    near = MissionState(vehicle_pose=Pose2D(140, 7, 0), goal=goal)
+    assert tick(near, g, nav=NAV_WAYPOINT).replanned
+    assert near.distance_to_goal < cfg.s_lim
+    assert calls[-1] == (goal, STOP_AT_GOAL)
+    assert near.path_to_goal

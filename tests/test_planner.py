@@ -8,11 +8,11 @@ import pytest
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
 from hybridplan.heuristic import build_distance_map
-from hybridplan.planner import (BudgetExceededError, DriveMotion, DriveSegment,
+from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 EXTENDED, NoPathError, PathBuilder,
-                                PlannerConfig, RotationMotion, RotationSegment,
+                                PlannerConfig, RotationSegment,
                                 STANDARD, STOP_EARLY, analytic_expansions, cost_of,
-                                geometric_extension, plan)
+                                geometric_extension, plan, steps_cost)
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import CollisionChecker, make_disk_set, ushift_spec
 
@@ -30,24 +30,38 @@ def open_grid(width_m=40.0, height_m=40.0):
 # ------------------------------------------------------------------ cost_of
 
 def test_cost_plain_forward_meter():
-    assert cost_of(DriveMotion(0.0, 1, 1.0), CFG, parent_direction=1) == pytest.approx(1.0)
+    assert cost_of(0.0, 1, 1.0, CFG, parent_direction=1) == pytest.approx(1.0)
 
 
 def test_cost_rotation_quarter_turn():
     expected = CFG.w_rotation_fixed + CFG.w_rotation_rate * math.pi / 2
-    assert cost_of(RotationMotion(math.pi / 2), CFG) == pytest.approx(expected)
+    assert cost_of(0.0, 0, math.pi / 2, CFG) == pytest.approx(expected)
     assert expected == pytest.approx(5.0 + 2.0 * math.pi / 2)
 
 
 def test_cost_zero_length_keeps_switch_penalty():
-    c = cost_of(DriveMotion(0.0, -1, 0.0), CFG, parent_direction=1)
+    c = cost_of(0.0, -1, 0.0, CFG, parent_direction=1)
     assert c == pytest.approx(CFG.w_switch)
 
 
 def test_cost_reverse_and_steer_terms():
-    c = cost_of(DriveMotion(0.3, -1, 2.0), CFG, parent_direction=-1, parent_steer=0.1)
+    c = cost_of(0.3, -1, 2.0, CFG, parent_direction=-1, parent_steer=0.1)
     expected = 2.0 * (1.0 + CFG.w_reverse) + CFG.w_steer * 0.3 + CFG.w_steer_change * 0.2
     assert c == pytest.approx(expected)
+
+
+def test_steps_cost_walks_gear_and_steer():
+    """A rotation resets gear and steer, so the reverse leg after it pays no
+    switch; a reverse leg right after a forward one does."""
+    rot = cost_of(0.0, 0, math.pi / 2, CFG)
+    drive_rotate_drive = steps_cost([(0.0, 1, 2.0), (0.0, 0, math.pi / 2), (0.0, -1, 3.0)],
+                                    CFG, direction=-1, steer=0.2)
+    assert drive_rotate_drive == pytest.approx(
+        2.0 + CFG.w_switch + CFG.w_steer_change * 0.2 + rot + 3.0 * (1.0 + CFG.w_reverse))
+    assert steps_cost([(0.3, 1, 2.0), (0.0, -1, 3.0)], CFG) == pytest.approx(
+        2.0 + 0.3 * (CFG.w_steer + CFG.w_steer_change)
+        + 3.0 * (1.0 + CFG.w_reverse) + CFG.w_switch + CFG.w_steer_change * 0.3)
+    assert steps_cost([], CFG, direction=1, steer=0.5) == 0.0
 
 
 # ------------------------------------------------------- geometric extension

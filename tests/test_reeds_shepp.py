@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridplan.geometry import Pose2D, path_end_pose
-from hybridplan.reeds_shepp import rs_all_paths, rs_path_length, rs_shortest_path
+from hybridplan.reeds_shepp import rs_all_paths, rs_path_length
 
 from conftest import pose_close
 from oracles import rs_oracle_length, rs_oracle_lengths
@@ -17,7 +17,7 @@ SIDE_FLIP_LENGTH = math.pi
 
 
 def test_straight_line_single_segment():
-    path = rs_shortest_path(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 1.0)
+    path = rs_all_paths(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 1.0)[0]
     assert len(path.segments) == 1
     seg = path.segments[0]
     assert seg.kind == "straight"
@@ -27,13 +27,13 @@ def test_straight_line_single_segment():
 
 
 def test_identity_zero_length():
-    path = rs_shortest_path(Pose2D(0, 0, 0), Pose2D(0, 0, 0), 1.0)
+    path = rs_all_paths(Pose2D(0, 0, 0), Pose2D(0, 0, 0), 1.0)[0]
     assert path.total_length == 0.0
 
 
 def test_side_flip_matches_frozen_oracle_value():
     goal = Pose2D(0, 2, math.pi)
-    path = rs_shortest_path(Pose2D(0, 0, 0), goal, 1.0)
+    path = rs_all_paths(Pose2D(0, 0, 0), goal, 1.0)[0]
     assert path.total_length == pytest.approx(SIDE_FLIP_LENGTH, abs=1e-9)
     assert rs_oracle_length((0, 0, 0), (0, 2, math.pi), 1.0) == pytest.approx(
         SIDE_FLIP_LENGTH, abs=1e-6)
@@ -43,7 +43,7 @@ def test_structural_invariants(rng):
     for _ in range(50):
         goal = Pose2D(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-math.pi, math.pi))
         radius = rng.uniform(0.7, 3.5)
-        path = rs_shortest_path(Pose2D(0, 0, 0), goal, radius)
+        path = rs_all_paths(Pose2D(0, 0, 0), goal, radius)[0]
         assert len(path.segments) <= 5
         assert all(s.length >= 0.0 for s in path.segments)
         assert path.total_length == pytest.approx(sum(s.length for s in path.segments))
@@ -87,9 +87,11 @@ def test_matches_newton_oracle_on_random_pairs(rng):
 def test_all_paths_sorted_and_contains_optimum(rng):
     goal = Pose2D(4.0, 3.0, 0.7)
     paths = rs_all_paths(Pose2D(0, 0, 0), goal, 1.5)
-    best = rs_shortest_path(Pose2D(0, 0, 0), goal, 1.5)
     lengths = [p.total_length for p in paths]
     assert lengths == sorted(lengths)
-    assert lengths[0] == pytest.approx(best.total_length)
+    assert paths[0].total_length == pytest.approx(rs_path_length(Pose2D(0, 0, 0), goal, 1.5),
+                                                  abs=1e-12)
+    assert paths[0].total_length == pytest.approx(
+        rs_oracle_length((0, 0, 0), (goal.x, goal.y, goal.yaw), 1.5), abs=1e-6)
     for p in paths[:5]:
         assert pose_close(path_end_pose(p, Pose2D(0, 0, 0)), goal)

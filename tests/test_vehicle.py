@@ -21,7 +21,6 @@ def test_preset_values():
     v = ushift_spec()
     assert v.length == 4.0 and v.width == 2.0
     assert v.max_steer == pytest.approx(MAX_STEER)
-    assert v.model_switch_time == pytest.approx(5.0)
     assert v.min_turn_radius == pytest.approx(2.5 / math.tan(MAX_STEER))
 
 
