@@ -44,6 +44,8 @@ class RunConfig:
 
 
 def _build_section(cls, overrides: dict, section: str):
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{section}: must be an object")
     fields = {f.name for f in dataclasses.fields(cls)}
     for key in overrides:
         if key not in fields:
@@ -124,18 +126,20 @@ def path_to_json(path: PlannedPath) -> dict:
     }
 
 
-def metrics_csv(report: MetricsReport, with_timing: bool, mode: Optional[str] = None) -> str:
-    columns = list(MetricsReport.COLUMNS)
+def _csv_values(report: MetricsReport, columns, with_timing: bool) -> List[str]:
+    """CSV cells of a report: floats by repr, wall-clock columns 0.0 without timing."""
     values = []
     for col in columns:
         v = getattr(report, col)
         if not with_timing and col in ("t_max", "t_cum", "t_avg"):
             v = 0.0
         values.append(repr(v) if isinstance(v, float) else str(v))
-    if mode is not None:
-        columns = ["mode"] + columns
-        values = [mode] + values
-    return ",".join(columns) + "\n" + ",".join(values) + "\n"
+    return values
+
+
+def metrics_csv(report: MetricsReport, with_timing: bool) -> str:
+    columns = MetricsReport.COLUMNS
+    return ",".join(columns) + "\n" + ",".join(_csv_values(report, columns, with_timing)) + "\n"
 
 
 def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[OccupancyGrid]:
@@ -213,13 +217,7 @@ def cmd_compare(args) -> int:
                "kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length"]
     lines = [",".join(columns)]
     for mode, report in results:
-        row = [mode]
-        for col in columns[1:]:
-            v = getattr(report, col)
-            if args.no_timing and col in ("t_max", "t_cum", "t_avg"):
-                v = 0.0
-            row.append(repr(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(row))
+        lines.append(",".join([mode] + _csv_values(report, columns[1:], not args.no_timing)))
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0

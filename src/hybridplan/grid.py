@@ -93,10 +93,6 @@ class OccupancyGrid:
         iy = int(math.floor((y - self.origin.y) / self.resolution))
         return ix, iy
 
-    def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
-        return (self.origin.x + (ix + 0.5) * self.resolution,
-                self.origin.y + (iy + 0.5) * self.resolution)
-
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width_cells and 0 <= iy < self.height_cells
 
@@ -155,12 +151,13 @@ def load_map(path) -> OccupancyGrid:
     return OccupancyGrid(resolution, cells)
 
 
-def distance_transform(grid: OccupancyGrid, unknown_as_occupied: bool = False) -> np.ndarray:
+def distance_transform(grid: OccupancyGrid) -> np.ndarray:
     """Per-cell Euclidean distance in meters to the nearest occupied cell center.
 
-    Occupied cells map to 0; a grid without any occupied cell maps to +inf.
+    Occupied cells map to 0 and unknown cells count as free; a grid without
+    any occupied cell maps to +inf.
     """
-    occupied = grid.occupied_mask(unknown_as_occupied)
+    occupied = grid.occupied_mask()
     if not occupied.any():
         return np.full(grid.cells.shape, np.inf)
     return ndimage.distance_transform_edt(~occupied) * grid.resolution

@@ -72,15 +72,12 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
                          disks: DiskSet) -> Optional[float]:
     """Arc length past from_s of the first colliding sample, None when clear."""
     checker = CollisionChecker(belief, disks)
-    acc = 0.0
-    for seg in path.segments:
+    for acc, seg in path.walk():
         if isinstance(seg, RotationSegment):
             if acc >= from_s - 1e-9 and checker.rotation_blocked(seg.x, seg.y):
                 return max(acc - from_s, 0.0)
             continue
-        seg_end = acc + seg.arc_length
-        if seg_end < from_s:
-            acc = seg_end
+        if acc + seg.arc_length < from_s:
             continue
         keep = (seg.s + acc) >= from_s - 1e-9
         xs = seg.xs[keep]
@@ -92,7 +89,6 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
             if hits.size:
                 s_hit = float(seg.s[keep][hits[0]]) + acc
                 return max(s_hit - from_s, 0.0)
-        acc = seg_end
     return None
 
 
@@ -117,26 +113,9 @@ def _goal_reached(state: MissionState, planner_cfg: PlannerConfig) -> bool:
     return dp <= planner_cfg.xy_resolution and dyaw <= planner_cfg.yaw_resolution
 
 
-def _gear_at(path: PlannedPath, s: float) -> Tuple[int, float]:
-    """Direction and steering proxy at arc length s (for stitch continuity)."""
-    acc = 0.0
-    last: Tuple[int, float] = (0, 0.0)
-    for seg in path.segments:
-        if isinstance(seg, RotationSegment):
-            if acc < s:
-                last = (0, 0.0)
-            continue
-        if acc + seg.arc_length >= s - 1e-9:
-            kappa = seg.kappa_at(min(s - acc, seg.arc_length))
-            return seg.direction, kappa
-        acc += seg.arc_length
-        last = (seg.direction, float(seg.kappas[-1]) if len(seg.kappas) else 0.0)
-    return last
-
-
 def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: MissionConfig,
-                 planner_cfg: PlannerConfig, planner_mode: str, vehicle: VehicleSpec,
-                 force_replan_cause: Optional[str] = None) -> TickResult:
+                 planner_cfg: PlannerConfig, planner_mode: str, vehicle: VehicleSpec
+                 ) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
 
     The distance map is memoized on the belief until its cells change; the
@@ -171,25 +150,22 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         s_coll_found = check_path_collision(state.current_path, state.progress_s,
                                             belief, disks)
 
-    cause: Optional[str] = force_replan_cause
-    if cause is None:
-        if state.current_path is None:
-            cause = "initial"
-        elif s_coll_found is not None and s_coll_found <= mission_cfg.s_coll:
-            cause = "collision"
-        elif s_div_found is not None:
-            cause = "divergence"
-        elif (mission_cfg.nav_mode != NAV_NONE and not state.path_to_goal
-              and state.odometer - state.last_replan_odometer >= mission_cfg.s_t):
-            cause = "refresh"  # navigation refresh: moot once planned to the goal
-        elif (state.current_path.total_drive_length - state.progress_s <= 1e-9
-              and state.rotations_done >= state.current_path.n_rotations):
-            cause = "goal_mode"  # ran off the end of a truncated path
-
-    if cause is None:
+    if state.current_path is None:
+        cause = "initial"
+    elif s_coll_found is not None and s_coll_found <= mission_cfg.s_coll:
+        cause = "collision"
+    elif s_div_found is not None:
+        cause = "divergence"
+    elif (mission_cfg.nav_mode != NAV_NONE and not state.path_to_goal
+          and state.odometer - state.last_replan_odometer >= mission_cfg.s_t):
+        cause = "refresh"  # navigation refresh: moot once planned to the goal
+    elif (state.current_path.total_drive_length - state.progress_s <= 1e-9
+          and state.rotations_done >= state.current_path.n_rotations):
+        cause = "goal_mode"  # ran off the end of a truncated path
+    else:
         return TickResult(status="keep_driving")
 
-    if state.current_path is None or cause in ("initial", "goal_mode"):
+    if cause in ("initial", "goal_mode"):
         # plan afresh from the vehicle itself (no path, or ran off its end)
         start = state.vehicle_pose
         s_plan = 0.0
@@ -199,7 +175,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         start, s_plan = compute_replan_start(state, s_coll_found, s_div_found,
                                              mission_cfg.alpha)
         prefix = state.current_path.slice(state.progress_s, state.progress_s + s_plan)
-        start_dir, start_kappa = _gear_at(state.current_path, state.progress_s + s_plan)
+        start_dir, start_kappa = state.current_path.gear_at(state.progress_s + s_plan)
 
     # stop-rule selection from the planning start pose's route distance
     s_g_start = dmap.route_distance(start.x, start.y)

@@ -13,7 +13,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -193,21 +193,36 @@ class PlannedPath:
             return Pose2D(seg.x, seg.y, seg.to_yaw)
         return None
 
+    def walk(self) -> Iterator[Tuple[float, Segment]]:
+        """(acc, seg) for every segment, acc being the drive arc length before seg."""
+        acc = 0.0
+        for seg in self.segments:
+            yield acc, seg
+            if isinstance(seg, DriveSegment):
+                acc += seg.arc_length
+
     def pose_at(self, s: float) -> Pose2D:
         """Pose at drive arc length s (rotations at exactly s still pending)."""
         remaining = max(s, 0.0)
-        last: Optional[Pose2D] = None
         for seg in self.segments:
+            if isinstance(seg, DriveSegment):
+                if remaining <= seg.arc_length:
+                    return seg.pose_at(remaining)
+                remaining -= seg.arc_length
+        return self.end_pose()
+
+    def gear_at(self, s: float) -> Tuple[int, float]:
+        """Direction and curvature at drive arc length s (for stitch continuity)."""
+        last: Tuple[int, float] = (0, 0.0)
+        for acc, seg in self.walk():
             if isinstance(seg, RotationSegment):
-                if remaining > 0.0:
-                    last = Pose2D(seg.x, seg.y, seg.to_yaw)
+                if acc < s:
+                    last = (0, 0.0)   # a rotation resets the gear
                 continue
-            if remaining <= seg.arc_length:
-                return seg.pose_at(remaining)
-            remaining -= seg.arc_length
-            last = Pose2D(float(seg.xs[-1]), float(seg.ys[-1]), float(seg.yaws[-1]))
-        end = self.end_pose()
-        return last if end is None else end
+            if acc + seg.arc_length >= s - 1e-9:
+                return seg.direction, seg.kappa_at(min(s - acc, seg.arc_length))
+            last = (seg.direction, float(seg.kappas[-1]) if len(seg.kappas) else 0.0)
+        return last
 
     def slice(self, s0: float, s1: float) -> "PlannedPath":
         """Sub-path between drive arc lengths s0 and s1.
@@ -216,8 +231,7 @@ class PlannedPath:
         the boundaries belong to the neighbors (pose_at semantics).
         """
         out = PlannedPath()
-        acc = 0.0
-        for seg in self.segments:
+        for acc, seg in self.walk():
             if isinstance(seg, RotationSegment):
                 if s0 < acc <= s1 and (acc < s1 or math.isclose(s1, self.total_drive_length)):
                     out.segments.append(seg)
@@ -226,7 +240,6 @@ class PlannedPath:
             hi = min(s1 - acc, seg.arc_length)
             if hi - lo > 1e-12:
                 out.segments.append(_clip_drive(seg, lo, hi))
-            acc += seg.arc_length
         return out
 
     def concat(self, other: "PlannedPath") -> "PlannedPath":

@@ -186,6 +186,8 @@ def save_scenario(spec: ScenarioSpec, path, map_filename: str) -> None:
 def load_scenario(path) -> ScenarioSpec:
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level must be an object")
     required = {"map", "start", "goal", "known_env", "sensor_range",
                 "n_rays", "drive_step", "max_sim_steps"}
     missing = required - data.keys()
@@ -194,14 +196,22 @@ def load_scenario(path) -> ScenarioSpec:
     truth = load_map(path.parent / data["map"])
     return ScenarioSpec(
         truth_map=truth,
-        start=Pose2D(*[float(v) for v in data["start"]]),
-        goal=Pose2D(*[float(v) for v in data["goal"]]),
+        start=_pose_field(data, "start", path),
+        goal=_pose_field(data, "goal", path),
         known_env=bool(data["known_env"]),
         sensor_range=float(data["sensor_range"]),
         n_rays=int(data["n_rays"]),
         drive_step=float(data["drive_step"]),
         max_sim_steps=int(data["max_sim_steps"]),
     )
+
+
+def _pose_field(data: dict, key: str, path: Path) -> Pose2D:
+    value = data[key]
+    if not (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, (int, float)) for v in value)):
+        raise ValueError(f"{path}: {key} must be 3 numbers [x, y, yaw]")
+    return Pose2D(*[float(v) for v in value])
 
 
 def bundled_scenario_path(name: str) -> Path:

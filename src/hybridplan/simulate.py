@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,63 +72,33 @@ class MetricsReport:
                "n_direction_switches", "n_rotations", "reached")
 
 
-class _PathCursor:
-    """Sequential traversal of a planned path with step-consuming rotations."""
+Move = Tuple[str, Pose2D, float, int, float, float, int]
 
-    def __init__(self, path: PlannedPath) -> None:
-        self.path = path
-        self.seg_idx = 0
-        self.offset = 0.0
 
-    def _skip_empty(self) -> None:
-        while (self.seg_idx < len(self.path.segments)
-               and isinstance(self.path.segments[self.seg_idx], DriveSegment)
-               and self.path.segments[self.seg_idx].arc_length - self.offset <= 1e-9):
-            self.seg_idx += 1
-            self.offset = 0.0
+def _follow(path: PlannedPath, drive_step: float) -> Iterator[Move]:
+    """Simulation steps along a planned path.
 
-    @property
-    def exhausted(self) -> bool:
-        self._skip_empty()
-        return self.seg_idx >= len(self.path.segments)
-
-    def progress_s(self) -> float:
-        acc = 0.0
-        for i, seg in enumerate(self.path.segments):
-            if i == self.seg_idx:
-                return acc + (self.offset if isinstance(seg, DriveSegment) else 0.0)
-            if isinstance(seg, DriveSegment):
-                acc += seg.arc_length
-        return acc
-
-    def rotations_done(self) -> int:
-        return sum(1 for seg in self.path.segments[:self.seg_idx]
-                   if isinstance(seg, RotationSegment))
-
-    def advance(self, drive_step: float) -> Tuple[str, Pose2D, float, int, float]:
-        """Advance one simulation step.
-
-        Returns (kind, pose, kappa, direction, moved); kind is "rotate",
-        "drive" or "end".  A rotation consumes the whole step without moving.
-        """
-        self._skip_empty()
-        if self.seg_idx >= len(self.path.segments):
-            return "end", self.path.end_pose() or Pose2D(0, 0, 0), 0.0, 0, 0.0
-        seg = self.path.segments[self.seg_idx]
+    Yields (kind, pose, value, direction, moved, progress_s, rotations_done):
+    kind "drive" advances up to drive_step along a drive segment (value is
+    the curvature), kind "rotate" executes one whole rotation in place
+    (value is its signed yaw delta).  progress_s and rotations_done give the
+    vehicle's place on the path after the step.
+    """
+    rotations = 0
+    for acc, seg in path.walk():
         if isinstance(seg, RotationSegment):
-            self.seg_idx += 1
-            self.offset = 0.0
-            delta = _rotation_delta(seg.from_yaw, seg.to_yaw)
-            return "rotate", Pose2D(seg.x, seg.y, seg.to_yaw), delta, 0, 0.0
-        new_offset = min(self.offset + drive_step, seg.arc_length)
-        moved = new_offset - self.offset
-        pose = seg.pose_at(new_offset)
-        kappa = seg.kappa_at(max(new_offset - 1e-9, 0.0))
-        self.offset = new_offset
-        if seg.arc_length - new_offset <= 1e-9:
-            self.seg_idx += 1
-            self.offset = 0.0
-        return "drive", pose, kappa, seg.direction, moved
+            rotations += 1
+            yield ("rotate", Pose2D(seg.x, seg.y, seg.to_yaw),
+                   _rotation_delta(seg.from_yaw, seg.to_yaw), 0, 0.0, acc, rotations)
+            continue
+        arc = seg.arc_length
+        offset = 0.0
+        while arc - offset > 1e-9:
+            new = min(offset + drive_step, arc)
+            done = arc - new <= 1e-9
+            yield ("drive", seg.pose_at(new), seg.kappa_at(max(new - 1e-9, 0.0)),
+                   seg.direction, new - offset, acc + (arc if done else new), rotations)
+            offset = new
 
 
 def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
@@ -149,7 +119,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     state = MissionState(vehicle_pose=spec.start, goal=spec.goal)
     events: List[EventRecord] = []
     builder = PathBuilder(spec.start)
-    cursor: Optional[_PathCursor] = None
+    steps: Iterator[Move] = iter(())
     stop_cause: Optional[str] = None
     call_times: List[float] = []
     cumulative_nodes = 0
@@ -168,9 +138,6 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
             # a planner failure happens inside a replan, which has a cause
             kind = "planner failure" if result.cause is not None else "route lost"
             stop_cause = f"{kind}: {result.reason}"
-            if result.stats is not None:
-                call_times.append(result.stats.wall_time_s)
-                cumulative_nodes += result.stats.nodes_expanded
             break
         if result.replanned:
             assert result.stats is not None
@@ -182,20 +149,18 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
                                       seconds=result.stats.wall_time_s,
                                       s_div=result.s_div_found,
                                       s_coll=result.s_coll_found))
-            cursor = _PathCursor(state.current_path)
+            steps = _follow(state.current_path, spec.drive_step)
 
-        if cursor is None or cursor.exhausted:
+        move = next(steps, None)
+        if move is None:
             continue  # the next tick forces a replan or detects arrival
-
-        kind, pose, value, direction, moved = cursor.advance(spec.drive_step)
+        kind, pose, value, direction, moved, state.progress_s, state.rotations_done = move
         if kind == "rotate":
             builder.add_rotation(value)   # value = signed yaw delta
-        elif kind == "drive":
+        else:
             state.odometer += moved
             builder.add_drive_sample(pose.x, pose.y, pose.yaw, value, direction)
         state.vehicle_pose = pose
-        state.progress_s = cursor.progress_s()
-        state.rotations_done = cursor.rotations_done()
 
     driven = builder.finish()
     report = score_run(driven, truth, vehicle, call_times, cumulative_nodes,

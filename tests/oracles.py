@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
 a plain heap Dijkstra.  The path-sampling references keep the scalar
-per-sample recurrence that the array sampler replaced.
+per-sample recurrence that the array sampler replaced, and the path-walking
+references keep the segment-index cursor and gear lookup that
+`PlannedPath.walk()` replaced.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from hybridplan.geometry import Pose2D, RSPath
-from hybridplan.planner import EXTENDED, PathBuilder, PlannedPath, geometric_extension
+from hybridplan.planner import (EXTENDED, DriveSegment, PathBuilder, PlannedPath,
+                                RotationSegment, geometric_extension)
 from hybridplan.reeds_shepp import rs_all_paths
 
 TWO_PI = 2.0 * math.pi
@@ -461,3 +464,104 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
                 if path is not None:
                     best_path = path
     return best_path
+
+
+# ---------------------------------------------------------------------------
+# Path walking: the segment-index cursor that followed a planned path in the
+# simulator, and the gear lookup used for replan stitching, each with its own
+# arc-length accumulator.
+# ---------------------------------------------------------------------------
+
+def rotation_delta(from_yaw: float, to_yaw: float) -> float:
+    d = to_yaw - from_yaw
+    while d > math.pi:
+        d -= 2.0 * math.pi
+    while d < -math.pi:
+        d += 2.0 * math.pi
+    return d
+
+
+class PathCursor:
+    """Sequential traversal of a planned path with step-consuming rotations."""
+
+    def __init__(self, path: PlannedPath) -> None:
+        self.path = path
+        self.seg_idx = 0
+        self.offset = 0.0
+
+    def _skip_empty(self) -> None:
+        while (self.seg_idx < len(self.path.segments)
+               and isinstance(self.path.segments[self.seg_idx], DriveSegment)
+               and self.path.segments[self.seg_idx].arc_length - self.offset <= 1e-9):
+            self.seg_idx += 1
+            self.offset = 0.0
+
+    @property
+    def exhausted(self) -> bool:
+        self._skip_empty()
+        return self.seg_idx >= len(self.path.segments)
+
+    def progress_s(self) -> float:
+        acc = 0.0
+        for i, seg in enumerate(self.path.segments):
+            if i == self.seg_idx:
+                return acc + (self.offset if isinstance(seg, DriveSegment) else 0.0)
+            if isinstance(seg, DriveSegment):
+                acc += seg.arc_length
+        return acc
+
+    def rotations_done(self) -> int:
+        return sum(1 for seg in self.path.segments[:self.seg_idx]
+                   if isinstance(seg, RotationSegment))
+
+    def advance(self, drive_step: float) -> Tuple[str, Pose2D, float, int, float]:
+        """Advance one simulation step.
+
+        Returns (kind, pose, kappa, direction, moved); kind is "rotate",
+        "drive" or "end".  A rotation consumes the whole step without moving.
+        """
+        self._skip_empty()
+        if self.seg_idx >= len(self.path.segments):
+            return "end", self.path.end_pose() or Pose2D(0, 0, 0), 0.0, 0, 0.0
+        seg = self.path.segments[self.seg_idx]
+        if isinstance(seg, RotationSegment):
+            self.seg_idx += 1
+            self.offset = 0.0
+            delta = rotation_delta(seg.from_yaw, seg.to_yaw)
+            return "rotate", Pose2D(seg.x, seg.y, seg.to_yaw), delta, 0, 0.0
+        new_offset = min(self.offset + drive_step, seg.arc_length)
+        moved = new_offset - self.offset
+        pose = seg.pose_at(new_offset)
+        kappa = seg.kappa_at(max(new_offset - 1e-9, 0.0))
+        self.offset = new_offset
+        if seg.arc_length - new_offset <= 1e-9:
+            self.seg_idx += 1
+            self.offset = 0.0
+        return "drive", pose, kappa, seg.direction, moved
+
+
+def cursor_steps(path: PlannedPath, drive_step: float) -> list:
+    """Every step the cursor takes until exhausted, as the simulator read it:
+    (kind, pose, value, direction, moved, progress_s, rotations_done)."""
+    cursor = PathCursor(path)
+    steps = []
+    while not cursor.exhausted:
+        steps.append(cursor.advance(drive_step) + (cursor.progress_s(), cursor.rotations_done()))
+    return steps
+
+
+def gear_at(path: PlannedPath, s: float) -> Tuple[int, float]:
+    """Direction and steering proxy at arc length s (for stitch continuity)."""
+    acc = 0.0
+    last: Tuple[int, float] = (0, 0.0)
+    for seg in path.segments:
+        if isinstance(seg, RotationSegment):
+            if acc < s:
+                last = (0, 0.0)
+            continue
+        if acc + seg.arc_length >= s - 1e-9:
+            kappa = seg.kappa_at(min(s - acc, seg.arc_length))
+            return seg.direction, kappa
+        acc += seg.arc_length
+        last = (seg.direction, float(seg.kappas[-1]) if len(seg.kappas) else 0.0)
+    return last

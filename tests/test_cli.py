@@ -74,11 +74,35 @@ def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
-def test_malformed_field_named_in_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, mission={"alpha": 1.5})
+@pytest.mark.parametrize("overrides,named", [
+    ({"mission": {"alpha": 1.5}}, ("mission", "alpha")),
+    ({"planner": 5}, ("planner: must be an object",)),
+    ({"vehicle": [1.0]}, ("vehicle: must be an object",)),
+    ({"mission": None}, ("mission: must be an object",)),
+], ids=["bad_value", "planner_number", "vehicle_list", "mission_null"])
+def test_malformed_field_named_in_error(tmp_path, capsys, overrides, named):
+    cfg = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "mission" in err and "alpha" in err
+    assert err.startswith("error: ")
+    assert all(part in err for part in named)
+
+
+@pytest.mark.parametrize("payload,named", [
+    ({"start": [4.0, 8.0]}, "start must be 3 numbers"),
+    ({"goal": [1.0, "east", 0.0]}, "goal must be 3 numbers"),
+    ([1, 2], "top level must be an object"),
+], ids=["start_two_numbers", "goal_not_numeric", "json_list"])
+def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
+    shutil.copy(bundled_scenario_path("smoke_small").with_suffix(".map"), tmp_path)
+    if isinstance(payload, dict):
+        data = json.loads(bundled_scenario_path("smoke_small").read_text())
+        payload = {**data, **payload}
+    (tmp_path / "bad.scenario").write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, scenario="bad.scenario")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: ") and named in err
 
 
 def test_unknown_field_rejected(tmp_path, capsys):

@@ -142,10 +142,7 @@ def test_distance_transform_property_small_grids(seed):
 def test_distance_transform_unknown_flag():
     g = OccupancyGrid.filled(5, 5, 1.0, FREE)
     g.set_cells((2, 2), UNKNOWN)
-    assert np.all(np.isinf(distance_transform(g, unknown_as_occupied=False)))
-    d = distance_transform(g, unknown_as_occupied=True)
-    assert d[2, 2] == 0.0
-    assert d[2, 4] == pytest.approx(2.0)
+    assert np.all(np.isinf(distance_transform(g)))   # unknown counts as free
 
 
 # ------------------------------------------------------------ voronoi field

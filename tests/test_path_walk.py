@@ -1,0 +1,92 @@
+"""Property tests for walking a planned path by drive arc length.
+
+`PlannedPath.walk()` gives every segment's starting drive arc length; the
+simulator's follower, the replan stitch gear and `slice` read it.  Each is
+checked against the implementation it replaced (`oracles.PathCursor`,
+`oracles.gear_at`) or against `pose_at`, on random `PathBuilder` paths with
+empty and sub-nanometre drive runs, leading, trailing and back-to-back
+rotations, and runs that end within a nanometre of a whole number of steps.
+"""
+from __future__ import annotations
+
+import math
+
+from hypothesis import assume, given, settings, strategies as st
+
+from hybridplan.geometry import Pose2D, move_along_arc
+from hybridplan.planner import PathBuilder, PlannedPath, RotationSegment
+from hybridplan.simulate import _follow
+
+from conftest import pose_close
+import oracles
+
+SAMPLE_SPACING = 0.4   # [m] largest distance between builder samples
+
+_rotation = st.tuples(st.just("rotate"), st.floats(-3.1, 3.1))
+
+
+@st.composite
+def paths(draw, drive_step: float = 0.5) -> PlannedPath:
+    """A builder path; run lengths include whole multiples of drive_step."""
+    run_length = st.one_of(
+        st.just(0.0),
+        st.floats(1e-12, 9e-10),
+        st.floats(0.1, 5.0),
+        st.builds(lambda n, eps: n * drive_step + eps, st.integers(1, 4),
+                  st.sampled_from([-5e-10, 0.0, 5e-10, 2e-9])))
+    drive = st.tuples(st.just("drive"), run_length, st.sampled_from([0.0, 0.2, -0.35]),
+                      st.sampled_from([1, -1]))
+    ops = draw(st.lists(st.one_of(_rotation, drive), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        ops = [draw(_rotation)] + ops
+    if draw(st.booleans()):
+        ops = ops + [draw(_rotation)]
+    x, y, yaw = 3.0, -2.0, draw(st.floats(-3.1, 3.1))
+    builder = PathBuilder(Pose2D(x, y, yaw))
+    for op in ops:
+        if op[0] == "rotate":
+            builder.add_rotation(op[1])
+            yaw = Pose2D(x, y, yaw + op[1]).yaw
+            continue
+        _, length, kappa, direction = op
+        n = max(1, math.ceil(length / SAMPLE_SPACING))
+        for _ in range(n):
+            x, y, yaw = move_along_arc(x, y, yaw, kappa, direction * length / n)
+            builder.add_drive_sample(x, y, yaw, kappa, direction)
+    return builder.finish()
+
+
+@st.composite
+def paths_and_steps(draw):
+    drive_step = draw(st.floats(0.05, 2.0))
+    return draw(paths(drive_step)), drive_step
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths_and_steps())
+def test_follow_matches_cursor_reference(case):
+    path, drive_step = case
+    assert list(_follow(path, drive_step)) == oracles.cursor_steps(path, drive_step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths(), st.lists(st.floats(-0.1, 1.1), max_size=5))
+def test_gear_at_matches_reference(path, fractions):
+    total = path.total_drive_length
+    probes = [f * total for f in fractions]
+    for acc, _ in path.walk():   # segment boundaries and their tolerance edges
+        probes += [acc, acc - 2e-9, acc - 1e-9, acc + 1e-9, acc + 2e-9]
+    for s in probes:
+        assert path.gear_at(s) == oracles.gear_at(path, s), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths(), st.floats(0.0, 1.0))
+def test_slice_end_pose_matches_pose_at(path, fraction):
+    total = path.total_drive_length
+    s = fraction * total
+    # a rotation at exactly s is pending in pose_at but may be kept by slice
+    rotation_accs = [acc for acc, seg in path.walk() if isinstance(seg, RotationSegment)]
+    assume(1e-6 < s < total - 1e-6 and all(abs(s - a) > 1e-6 for a in rotation_accs))
+    assert pose_close(path.slice(0.0, s).end_pose(), path.pose_at(s),
+                      pos_tol=1e-9, yaw_tol=1e-9)
