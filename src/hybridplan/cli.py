@@ -151,7 +151,7 @@ def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[Occupancy
     s = 0.0
     total = driven.total_drive_length
     while True:
-        pose = driven.pose_at(s)
+        pose = driven.pose_at(s) or spec.start     # None: the vehicle never moved
         raytrace_reveal(spec.truth_map, belief, pose, spec.sensor_range, spec.n_rays)
         if s >= total:
             break

@@ -223,13 +223,18 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
                     sensor_range: float, n_rays: int = 720) -> int:
     """Reveal belief cells by casting rays on the ground-truth map.
 
-    Rays march cell-by-cell (integer grid traversal) from the sensor along
-    n_rays equally spaced bearings.  Free truth cells are copied to the
-    belief until the first occupied cell, which is also copied, stopping
-    the ray.  Returns the number of cells that left the UNKNOWN state.
+    Rays march cell-by-cell (integer grid traversal, Amanatides & Woo) from
+    the sensor along n_rays equally spaced bearings.  Free truth cells are
+    copied to the belief until the first occupied cell, which is also
+    copied, stopping the ray; a cell entered beyond `sensor_range` or
+    outside the grid stops it unrevealed.  Each step advances only the
+    rays still running.  Returns the number of cells that left the UNKNOWN
+    state.
     """
     if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
         raise ValueError("truth and belief grids must share shape and resolution")
+    if truth.origin != belief.origin:
+        raise ValueError("truth and belief grids must share their origin")
     if sensor_range <= 0.0:
         raise ValueError("sensor_range must be positive")
     if n_rays < 8:
@@ -240,18 +245,21 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     if not truth.in_bounds(ix0, iy0):
         return 0
 
-    unknown_before = int(np.count_nonzero(belief.cells == UNKNOWN))
-    occ = truth.cells == OCCUPIED
-    h, w = occ.shape
+    # ray codes of the truth inside a one-cell border: 0 a cell the ray
+    # crosses, 1 an occupied cell it reveals and stops in, 2 the border it
+    # stops before
+    h, w = truth.cells.shape
+    stride = w + 2
+    codes = np.full((h + 2, stride), 2, dtype=np.uint8)
+    codes[1:-1, 1:-1] = truth.cells == OCCUPIED
+    codes = codes.ravel()
+    start = (iy0 + 1) * stride + ix0 + 1
 
     bearings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
     dir_x = np.cos(bearings)
     dir_y = np.sin(bearings)
-
-    ix = np.full(n_rays, ix0, dtype=np.int64)
-    iy = np.full(n_rays, iy0, dtype=np.int64)
     step_x = np.where(dir_x >= 0.0, 1, -1)
-    step_y = np.where(dir_y >= 0.0, 1, -1)
+    step_y = np.where(dir_y >= 0.0, stride, -stride)
 
     # parametric distance to the first x/y cell boundary, then per-cell deltas
     rel_x = sensor_pose.x - truth.origin.x - ix0 * res
@@ -265,32 +273,38 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     t_max_x = np.where(np.abs(dir_x) < 1e-300, np.inf, t_max_x)
     t_max_y = np.where(np.abs(dir_y) < 1e-300, np.inf, t_max_y)
 
-    # reveal into a copy, the sensor's own cell first
-    cells = belief.cells.copy()
-    cells[iy0, ix0] = truth.cells[iy0, ix0]
-    active = ~np.full(n_rays, occ[iy0, ix0])
+    # each running ray's flat cell in the bordered grid; the arrays above
+    # shrink with it.  The sensor's own cell is seen first.
+    flat = np.full(n_rays, start)
+    if codes[start] != 0:                     # no ray leaves an occupied cell
+        flat = flat[:0]
+    seen = np.zeros(codes.size, dtype=bool)
+    seen[start] = True
 
-    max_steps = int(2.0 * sensor_range / res) + 4
-    for _ in range(max_steps):
-        if not active.any():
+    for _ in range(int(2.0 * sensor_range / res) + 4):
+        if flat.size == 0:
             break
-        go_x = t_max_x <= t_max_y
-        t_entry = np.where(go_x, t_max_x, t_max_y)
-        ix = np.where(active & go_x, ix + step_x, ix)
-        iy = np.where(active & ~go_x, iy + step_y, iy)
-        t_max_x = np.where(active & go_x, t_max_x + t_delta_x, t_max_x)
-        t_max_y = np.where(active & ~go_x, t_max_y + t_delta_y, t_max_y)
-        active &= t_entry <= sensor_range
-        active &= (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-        if not active.any():
-            break
-        ay = iy[active]
-        ax = ix[active]
-        cells[ay, ax] = truth.cells[ay, ax]
-        hit = np.zeros(n_rays, dtype=bool)
-        hit[active] = occ[ay, ax]
-        active &= ~hit
+        go_x = t_max_x <= t_max_y                 # ties step in x
+        t_entry = np.minimum(t_max_x, t_max_y)
+        flat += np.where(go_x, step_x, step_y)
+        t_max_x = np.where(go_x, t_max_x + t_delta_x, t_max_x)
+        t_max_y = np.where(go_x, t_max_y, t_max_y + t_delta_y)
+        # a cell entered beyond range reads as the border at flat index 0
+        cell = flat * (t_entry <= sensor_range)
+        code = codes[cell]
+        seen[cell] = True
+        if np.count_nonzero(code):
+            running = code == 0
+            flat, step_x, step_y = flat[running], step_x[running], step_y[running]
+            t_max_x, t_max_y = t_max_x[running], t_max_y[running]
+            t_delta_x, t_delta_y = t_delta_x[running], t_delta_y[running]
 
-    if not np.array_equal(cells, belief.cells):
-        belief.set_cells(..., cells)
-    return unknown_before - int(np.count_nonzero(cells == UNKNOWN))
+    changed = belief.cells != truth.cells
+    changed &= seen.reshape(h + 2, stride)[1:-1, 1:-1]    # border marks dropped
+    if not changed.any():
+        return 0
+    revealed = truth.cells[changed]
+    left_unknown = (int(np.count_nonzero(belief.cells[changed] == UNKNOWN))
+                    - int(np.count_nonzero(revealed == UNKNOWN)))
+    belief.set_cells(changed, revealed)
+    return left_unknown

@@ -4,9 +4,10 @@ These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
 a plain heap Dijkstra.  The path-sampling references keep the scalar
-per-sample recurrence that the array sampler replaced, and the path-walking
+per-sample recurrence that the array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
-`PlannedPath.walk()` replaced.
+`PlannedPath.walk()` replaced, and the raytrace reference keeps the masked
+all-rays loop that the live-ray march replaced.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from hybridplan.geometry import Pose2D, RSPath
+from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid
 from hybridplan.planner import (EXTENDED, DriveSegment, PathBuilder, PlannedPath,
                                 RotationSegment, geometric_extension)
 from hybridplan.reeds_shepp import rs_all_paths
@@ -226,6 +228,82 @@ def brute_distance_transform(occupied: np.ndarray, resolution: float) -> np.ndar
         d = np.sqrt((iy - oy) ** 2 + (ix - ox) ** 2) * resolution
         np.minimum(out, d, out=out)
     return out
+
+
+def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
+                              sensor_range: float, n_rays: int = 720) -> int:
+    """The masked all-rays DDA loop that the live-ray march replaced.
+
+    Every step advances all n_rays rays under an `active` mask, for up to
+    2 * range / resolution + 4 steps, revealing into a full copy of the
+    belief.  Returns the number of cells that left the UNKNOWN state.
+    """
+    if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
+        raise ValueError("truth and belief grids must share shape and resolution")
+    if sensor_range <= 0.0:
+        raise ValueError("sensor_range must be positive")
+    if n_rays < 8:
+        raise ValueError("n_rays must be at least 8")
+
+    res = truth.resolution
+    ix0, iy0 = truth.world_to_cell(sensor_pose.x, sensor_pose.y)
+    if not truth.in_bounds(ix0, iy0):
+        return 0
+
+    unknown_before = int(np.count_nonzero(belief.cells == UNKNOWN))
+    occ = truth.cells == OCCUPIED
+    h, w = occ.shape
+
+    bearings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
+    dir_x = np.cos(bearings)
+    dir_y = np.sin(bearings)
+
+    ix = np.full(n_rays, ix0, dtype=np.int64)
+    iy = np.full(n_rays, iy0, dtype=np.int64)
+    step_x = np.where(dir_x >= 0.0, 1, -1)
+    step_y = np.where(dir_y >= 0.0, 1, -1)
+
+    # parametric distance to the first x/y cell boundary, then per-cell deltas
+    rel_x = sensor_pose.x - truth.origin.x - ix0 * res
+    rel_y = sensor_pose.y - truth.origin.y - iy0 * res
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max_x = np.where(dir_x >= 0.0, (res - rel_x) / dir_x, rel_x / -dir_x)
+        t_max_y = np.where(dir_y >= 0.0, (res - rel_y) / dir_y, rel_y / -dir_y)
+        t_delta_x = res / np.abs(dir_x)
+        t_delta_y = res / np.abs(dir_y)
+    # axis-parallel rays never cross the other axis' boundaries
+    t_max_x = np.where(np.abs(dir_x) < 1e-300, np.inf, t_max_x)
+    t_max_y = np.where(np.abs(dir_y) < 1e-300, np.inf, t_max_y)
+
+    # reveal into a copy, the sensor's own cell first
+    cells = belief.cells.copy()
+    cells[iy0, ix0] = truth.cells[iy0, ix0]
+    active = ~np.full(n_rays, occ[iy0, ix0])
+
+    max_steps = int(2.0 * sensor_range / res) + 4
+    for _ in range(max_steps):
+        if not active.any():
+            break
+        go_x = t_max_x <= t_max_y
+        t_entry = np.where(go_x, t_max_x, t_max_y)
+        ix = np.where(active & go_x, ix + step_x, ix)
+        iy = np.where(active & ~go_x, iy + step_y, iy)
+        t_max_x = np.where(active & go_x, t_max_x + t_delta_x, t_max_x)
+        t_max_y = np.where(active & ~go_x, t_max_y + t_delta_y, t_max_y)
+        active &= t_entry <= sensor_range
+        active &= (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+        if not active.any():
+            break
+        ay = iy[active]
+        ax = ix[active]
+        cells[ay, ax] = truth.cells[ay, ax]
+        hit = np.zeros(n_rays, dtype=bool)
+        hit[active] = occ[ay, ax]
+        active &= ~hit
+
+    if not np.array_equal(cells, belief.cells):
+        belief.set_cells(..., cells)
+    return unknown_before - int(np.count_nonzero(cells == UNKNOWN))
 
 
 def dijkstra_cost_to_go(blocked: np.ndarray, goal_cell: Tuple[int, int],

@@ -93,6 +93,7 @@ def test_c01_narrow_plate_reachability(plate_runs):
 
 # -------------------------------------------------------------- criterion 2
 
+@pytest.mark.slow
 def test_c02_guided_efficiency(large_runs):
     k_s = large_runs[("known", "std")][1]
     k_g = large_runs[("known", "guided")][1]
@@ -119,6 +120,7 @@ def test_c02_guided_efficiency(large_runs):
 
 # -------------------------------------------------------------- criterion 3
 
+@pytest.mark.slow
 def test_c03_path_quality_parity(large_runs):
     details = []
     ok = True
@@ -184,6 +186,7 @@ def test_c05_early_stop_and_replan_start_semantics():
 
 # -------------------------------------------------------------- criterion 6
 
+@pytest.mark.slow
 def test_c06_rs_oracle_and_free_space_optimality():
     rng = np.random.default_rng(60415)
     n = 1000
@@ -228,6 +231,7 @@ def _straight_line_blocked(g, start, goal):
     return bool((g.cells[iy, ix] == OCCUPIED).any())
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(strict=False, reason=(
     "two known shortfalls.  Sample: the 2000 seeded attempts check only 87 "
     "plans, short of the required 150; the rest are filtered (start and goal "
@@ -310,6 +314,7 @@ def _footprint_violations(driven: PlannedPath, truth: OccupancyGrid) -> int:
     return bad
 
 
+@pytest.mark.slow
 def test_c08_collision_conservatism(plate_runs, large_runs):
     total = 0
     bad = 0

@@ -143,6 +143,21 @@ def test_step_limit_named_on_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "run failed: step limit: 3 steps\n"
 
 
+def test_vehicle_that_never_moves_exits_2(tmp_path, capsys):
+    """An exploration run that never drives still draws its belief from the start pose."""
+    bundled = bundled_scenario_path("smoke_small")
+    data = json.loads(bundled.read_text())
+    data["known_env"] = False
+    data["start"] = [0.3, 0.3, 0.0]         # inside the corner wall
+    (tmp_path / "stuck.scenario").write_text(json.dumps(data))
+    shutil.copy(bundled.parent / data["map"], tmp_path / data["map"])
+    cfg = write_config(tmp_path, scenario="stuck.scenario")
+    assert main(["run", str(cfg), "--no-timing"]) == 2
+    assert capsys.readouterr().err == "run failed: planner failure: start in collision\n"
+    assert json.loads((tmp_path / "out" / "path.json").read_text())["total_drive_length"] == 0.0
+    assert (tmp_path / "out" / "map.svg").read_text().startswith("<svg")
+
+
 def test_compare_two_modes(tmp_path):
     a = write_config(tmp_path, name="a.json", mode="standard",
                      output_dir=str(tmp_path / "cmp"))

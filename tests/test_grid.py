@@ -8,9 +8,10 @@ from hybridplan.geometry import Pose2D
 from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid,
                              distance_transform, load_map, raytrace_reveal,
                              save_map, voronoi_field)
+from hybridplan.scenarios import bundled_scenario_path, load_scenario
 
 from conftest import bordered_grid
-from oracles import brute_distance_transform
+from oracles import brute_distance_transform, raytrace_reveal_reference
 
 
 # ---------------------------------------------------------------- map format
@@ -260,3 +261,81 @@ def test_belief_sound_and_monotone(rng):
         assert known.sum() >= known_before      # knowledge grows monotonically
         known_before = known.sum()
         assert np.array_equal(belief.cells[known], truth.cells[known])
+
+
+def test_reveal_rejects_origin_mismatch():
+    truth = bordered_grid(10, 10, res=0.25)
+    shifted = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN,
+                                   Pose2D(0.25, 0.0, 0.0))
+    with pytest.raises(ValueError, match="origin"):
+        raytrace_reveal(truth, shifted, Pose2D(5, 5, 0), 8.0, 720)
+    assert shifted.version == 0 and np.all(shifted.cells == UNKNOWN)
+
+
+def _assert_reveal_matches_reference(truth, belief, pose, sensor_range, n_rays):
+    expect = belief.copy()                      # at version 0
+    version = belief.version
+    got = raytrace_reveal(truth, belief, pose, sensor_range, n_rays)
+    assert got == raytrace_reveal_reference(truth, expect, pose, sensor_range, n_rays)
+    assert np.array_equal(belief.cells, expect.cells)
+    assert belief.version - version == expect.version
+
+
+def test_reveal_tie_steps_in_x():
+    """From a cell corner, the rays at 225 and 270 degrees meet an x and a y
+    boundary at t = 0 and step in x first, into the occupied cell that
+    stops them, so the diagonal below-left stays unseen."""
+    truth = OccupancyGrid.filled(12, 12, 0.5, FREE)
+    truth.set_cells((6, 5), OCCUPIED)
+    belief = OccupancyGrid.filled(12, 12, 0.5, UNKNOWN)
+    _assert_reveal_matches_reference(truth, belief, Pose2D(3.0, 3.0, 0.0), 10.0, 8)
+    assert belief.cells[6, 5] == OCCUPIED
+    assert np.all(belief.cells[np.arange(6), np.arange(6)] == UNKNOWN)
+
+
+@st.composite
+def reveal_cases(draw):
+    """A random truth, a partly revealed belief, a sensor pose and a range."""
+    w, h = draw(st.integers(5, 60)), draw(st.integers(5, 60))
+    res = draw(st.sampled_from([0.1, 0.15625, 0.25, 0.5]))
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (-2.0, -3.5), (-1.3, 0.7), (3.25, -0.45)]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.where(r.random((h, w)) < draw(st.floats(0.0, 0.3)), OCCUPIED, FREE)
+    if draw(st.booleans()):       # a truth with unknown cells nets them off the count
+        cells[r.random((h, w)) < 0.05] = UNKNOWN
+    truth = OccupancyGrid(res, cells, Pose2D(ox, oy, 0.0))
+    belief_cells = np.where(r.random((h, w)) < draw(st.floats(0.0, 1.0)), cells, UNKNOWN)
+    if draw(st.booleans()):       # stale cells that disagree with the truth
+        stale = r.random((h, w)) < 0.05
+        belief_cells[stale] = r.integers(0, 3, int(stale.sum()))
+    belief = OccupancyGrid(res, belief_cells, Pose2D(ox, oy, 0.0))
+
+    kind = draw(st.sampled_from(["inside", "outside", "x_edge", "y_edge", "corner"]))
+    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if kind == "outside":
+        fx, fy = draw(st.sampled_from([(-0.2, fy), (1.2, fy), (fx, -0.2), (fx, 1.2)]))
+    x, y = ox + fx * w * res, oy + fy * h * res
+    if kind in ("x_edge", "corner"):
+        x = ox + draw(st.integers(0, w)) * res
+    if kind in ("y_edge", "corner"):
+        y = oy + draw(st.integers(0, h)) * res
+    sensor_range = draw(st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 1.5 * max(w, h)))) * res
+    n_rays = draw(st.sampled_from([8, 9, 720, 1440]))
+    return truth, belief, Pose2D(x, y, 0.0), sensor_range, n_rays
+
+
+@settings(max_examples=200, deadline=None)
+@given(reveal_cases())
+def test_reveal_matches_masked_reference(case):
+    """The live-ray march reveals the same cells as the all-rays masked loop."""
+    _assert_reveal_matches_reference(*case)
+
+
+def test_reveal_matches_reference_on_unknown_large():
+    spec = load_scenario(bundled_scenario_path("unknown_large"))
+    truth = spec.truth_map
+    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, truth.resolution,
+                                  UNKNOWN, truth.origin)
+    for x, y in ((40.0, 10.0), (41.3, 11.7), (140.0, 50.0)):
+        _assert_reveal_matches_reference(truth, belief, Pose2D(x, y, 0.0),
+                                         spec.sensor_range, spec.n_rays)
