@@ -1,9 +1,8 @@
 """Kinematic path planning with guided Hybrid A* and in-place rotations."""
 
 from .geometry import Pose2D, RSPath, RSSegment, normalize_angle, sample_path
-from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, VoronoiField,
-                   distance_transform, load_map, raytrace_reveal, save_map,
-                   voronoi_field)
+from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster, distance_transform,
+                   load_map, raytrace_reveal, save_map, voronoi_field)
 from .heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
                         build_distance_map, detect_divergence, extract_astar_path,
                         waypose_at)
@@ -15,12 +14,11 @@ from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPat
 from .reeds_shepp import rs_all_paths, rs_path_length
 from .simulate import (EventRecord, MetricsReport, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
-from .vehicle import (CollisionChecker, DiskSet, VehicleSpec, bicycle_step,
-                      make_disk_set, rotate_in_place, ushift_spec)
+from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 
 __all__ = [
     "Pose2D", "RSPath", "RSSegment", "normalize_angle", "sample_path",
-    "FREE", "OCCUPIED", "UNKNOWN", "OccupancyGrid", "VoronoiField",
+    "FREE", "OCCUPIED", "UNKNOWN", "OccupancyGrid", "Raster",
     "distance_transform", "load_map", "raytrace_reveal", "save_map", "voronoi_field",
     "AStarPath", "DistanceMap", "GoalBlockedError", "NoRouteError",
     "build_distance_map", "detect_divergence", "extract_astar_path", "waypose_at",
@@ -32,6 +30,5 @@ __all__ = [
     "rs_all_paths", "rs_path_length",
     "EventRecord", "MetricsReport", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
-    "CollisionChecker", "DiskSet", "VehicleSpec", "bicycle_step", "make_disk_set",
-    "rotate_in_place", "ushift_spec",
+    "CollisionChecker", "DiskSet", "VehicleSpec", "make_disk_set",
 ]

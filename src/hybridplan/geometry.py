@@ -18,9 +18,6 @@ LEFT = "left"
 RIGHT = "right"
 STRAIGHT = "straight"
 
-FORWARD = 1
-REVERSE = -1
-
 
 def normalize_angle(theta: float) -> float:
     """Reduce an angle to the half-open interval [-pi, pi)."""
@@ -136,9 +133,9 @@ def sample_path(path: RSPath, start: Pose2D, step: float) -> List[Tuple[Pose2D, 
 
     Samples are spaced at most `step` apart in arc length; segment boundaries
     are always emitted, and the final sample lands on the path's end pose.
-    A zero-length path yields the single sample (start, 0.0, FORWARD).
+    A zero-length path yields the single sample (start, 0.0, 1): forward.
     """
-    samples: List[Tuple[Pose2D, float, int]] = [(start, 0.0, FORWARD)]
+    samples: List[Tuple[Pose2D, float, int]] = [(start, 0.0, 1)]
     for seg in iter_segment_samples(path, start, step):
         samples.extend((Pose2D(x, y, yaw), seg.kappa, seg.direction)
                        for x, y, yaw in zip(seg.xs.tolist(), seg.ys.tolist(), seg.yaws.tolist()))

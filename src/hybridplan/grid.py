@@ -24,6 +24,41 @@ _CHAR_TO_CELL = {"?": UNKNOWN, ".": FREE, "#": OCCUPIED}
 _CELL_TO_CHAR = {UNKNOWN: "?", FREE: ".", OCCUPIED: "#"}
 
 
+@dataclass(frozen=True)
+class Raster:
+    """Values on square cells; the one world point to cell convention.
+
+    Point (x, y) lies in cell floor((x - origin.x) / resolution),
+    floor((y - origin.y) / resolution); points off the grid read `outside`.
+    """
+
+    values: np.ndarray
+    resolution: float
+    origin: Pose2D
+    outside: float
+
+    def cell_of(self, x: float, y: float) -> Tuple[int, int]:
+        return (int(math.floor((x - self.origin.x) / self.resolution)),
+                int(math.floor((y - self.origin.y) / self.resolution)))
+
+    def at(self, x: float, y: float) -> float:
+        ix, iy = self.cell_of(x, y)
+        h, w = self.values.shape
+        if 0 <= ix < w and 0 <= iy < h:
+            return float(self.values[iy, ix])
+        return self.outside
+
+    def gather(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """`at` over point arrays of one shape."""
+        ix = np.floor((xs - self.origin.x) / self.resolution).astype(np.int64)
+        iy = np.floor((ys - self.origin.y) / self.resolution).astype(np.int64)
+        h, w = self.values.shape
+        inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+        out = np.full(ix.shape, self.outside)
+        out[inside] = self.values[iy[inside], ix[inside]]
+        return out
+
+
 class OccupancyGrid:
     """A grid that owns its cells and every value derived from them.
 
@@ -34,8 +69,8 @@ class OccupancyGrid:
 
     def __init__(self, resolution: float, cells: np.ndarray,
                  origin: Optional[Pose2D] = None) -> None:
-        if resolution <= 0.0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(resolution) and resolution > 0.0):
+            raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
         cells = np.array(cells, dtype=np.uint8, order="C")
         if cells.ndim != 2 or cells.size == 0:
             raise ValueError("cells must be a non-empty 2D array")
@@ -67,9 +102,10 @@ class OccupancyGrid:
             self._memo[key] = build()
         return self._memo[key]
 
-    def distance_field(self) -> np.ndarray:
-        """Memoized obstacle distance transform for the current cells."""
-        return self.derived("distance_field", lambda: distance_transform(self))
+    def distance_field(self) -> Raster:
+        """Memoized obstacle distance transform; -inf off the grid."""
+        return self.derived("distance_field", lambda: Raster(
+            distance_transform(self), self.resolution, self.origin, -math.inf))
 
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
@@ -87,14 +123,6 @@ class OccupancyGrid:
 
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.resolution, self.cells, self.origin)
-
-    def world_to_cell(self, x: float, y: float) -> Tuple[int, int]:
-        ix = int(math.floor((x - self.origin.x) / self.resolution))
-        iy = int(math.floor((y - self.origin.y) / self.resolution))
-        return ix, iy
-
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        return 0 <= ix < self.width_cells and 0 <= iy < self.height_cells
 
     def occupied_mask(self, unknown_as_occupied: bool = False) -> np.ndarray:
         if unknown_as_occupied:
@@ -163,33 +191,17 @@ def distance_transform(grid: OccupancyGrid) -> np.ndarray:
     return ndimage.distance_transform_edt(~occupied) * grid.resolution
 
 
-@dataclass(frozen=True)
-class VoronoiField:
-    """Normalized obstacle proximity in [0, 1]; 1 inside obstacles."""
-
-    values: np.ndarray
-    resolution: float
-    origin: Pose2D
-
-    def sample(self, x: float, y: float) -> float:
-        ix = int(math.floor((x - self.origin.x) / self.resolution))
-        iy = int(math.floor((y - self.origin.y) / self.resolution))
-        h, w = self.values.shape
-        if not (0 <= ix < w and 0 <= iy < h):
-            return 1.0
-        return float(self.values[iy, ix])
-
-
-def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0) -> VoronoiField:
-    """Obstacle-proximity field falling to 0 both far from obstacles and on
-    the edges equidistant between distinct obstacle components.
+def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0) -> Raster:
+    """Obstacle proximity in [0, 1], falling to 0 both far from obstacles and
+    on the edges equidistant between distinct obstacle components; 1 inside
+    obstacles and off the grid.
     """
     if alpha <= 0.0 or d_max <= 0.0:
         raise ValueError("alpha and d_max must be positive")
     occupied = grid.occupied_mask()
     shape = grid.cells.shape
     if not occupied.any():
-        return VoronoiField(np.zeros(shape), grid.resolution, grid.origin)
+        return Raster(np.zeros(shape), grid.resolution, grid.origin, 1.0)
 
     edt, (ind_y, ind_x) = ndimage.distance_transform_edt(~occupied, return_indices=True)
     d_obs = edt * grid.resolution
@@ -216,7 +228,7 @@ def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0)
     values = (alpha / (alpha + d_obs)) * vor_term * ((d_obs - d_max) ** 2 / d_max ** 2)
     values[d_obs > d_max] = 0.0
     values[occupied] = 1.0
-    return VoronoiField(np.clip(values, 0.0, 1.0), grid.resolution, grid.origin)
+    return Raster(np.clip(values, 0.0, 1.0), grid.resolution, grid.origin, 1.0)
 
 
 def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
@@ -241,14 +253,14 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
         raise ValueError("n_rays must be at least 8")
 
     res = truth.resolution
-    ix0, iy0 = truth.world_to_cell(sensor_pose.x, sensor_pose.y)
-    if not truth.in_bounds(ix0, iy0):
+    h, w = truth.cells.shape
+    ix0, iy0 = Raster(truth.cells, res, truth.origin, OCCUPIED).cell_of(sensor_pose.x, sensor_pose.y)
+    if not (0 <= ix0 < w and 0 <= iy0 < h):
         return 0
 
     # ray codes of the truth inside a one-cell border: 0 a cell the ray
     # crosses, 1 an occupied cell it reveals and stops in, 2 the border it
     # stops before
-    h, w = truth.cells.shape
     stride = w + 2
     codes = np.full((h + 2, stride), 2, dtype=np.uint8)
     codes[1:-1, 1:-1] = truth.cells == OCCUPIED

@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .geometry import Pose2D
-from .grid import OCCUPIED, OccupancyGrid
+from .grid import OCCUPIED, OccupancyGrid, Raster
 
 PLANNING_RESOLUTION = 0.625   # [m] coarse planning grid
 DIVERGENCE_STEP = 0.625       # [m] arc-length resampling for path matching
@@ -29,30 +29,16 @@ class NoRouteError(ValueError):
 
 
 @dataclass(frozen=True)
-class DistanceMap:
-    """2D cost-to-goal in meters on the coarse grid; +inf where unreachable."""
+class DistanceMap(Raster):
+    """2D cost-to-goal in meters on the coarse grid; +inf where unreachable
+    and off the grid."""
 
-    values: np.ndarray
     blocked: np.ndarray
     goal_cell: Tuple[int, int]
-    planning_resolution: float
-    origin: Pose2D
-
-    def cell_of(self, x: float, y: float) -> Tuple[int, int]:
-        ix = int(math.floor((x - self.origin.x) / self.planning_resolution))
-        iy = int(math.floor((y - self.origin.y) / self.planning_resolution))
-        return ix, iy
 
     def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
-        return (self.origin.x + (ix + 0.5) * self.planning_resolution,
-                self.origin.y + (iy + 0.5) * self.planning_resolution)
-
-    def value_at(self, x: float, y: float) -> float:
-        ix, iy = self.cell_of(x, y)
-        h, w = self.values.shape
-        if not (0 <= ix < w and 0 <= iy < h):
-            return math.inf
-        return float(self.values[iy, ix])
+        return (self.origin.x + (ix + 0.5) * self.resolution,
+                self.origin.y + (iy + 0.5) * self.resolution)
 
     def nearest_reachable_cell(self, x: float, y: float,
                                radius_cells: int = 2) -> Optional[Tuple[int, int]]:
@@ -104,20 +90,19 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
 
     fine_occ = belief.cells == OCCUPIED
     if inflation_radius > 0.0 and fine_occ.any():
-        fine_blocked = belief.distance_field() <= inflation_radius
+        fine_blocked = belief.distance_field().values <= inflation_radius
     else:
         fine_blocked = fine_occ
     blocked = _downsample_blocked(fine_blocked, factor)
-    ch, cw = blocked.shape
 
-    gx = int(math.floor((goal.x - belief.origin.x) / planning_resolution))
-    gy = int(math.floor((goal.y - belief.origin.y) / planning_resolution))
-    if not (0 <= gx < cw and 0 <= gy < ch) or blocked[gy, gx]:
+    coarse = Raster(blocked, planning_resolution, belief.origin, True)
+    if coarse.at(goal.x, goal.y):                 # blocked or off the grid
         raise GoalBlockedError("goal blocked")
 
-    values = _flood_from(blocked, (gx, gy), planning_resolution)
-    return DistanceMap(values=values, blocked=blocked, goal_cell=(gx, gy),
-                       planning_resolution=planning_resolution, origin=belief.origin)
+    goal_cell = coarse.cell_of(goal.x, goal.y)
+    values = _flood_from(blocked, goal_cell, planning_resolution)
+    return DistanceMap(values, planning_resolution, belief.origin, math.inf,
+                       blocked=blocked, goal_cell=goal_cell)
 
 
 def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:
@@ -179,7 +164,7 @@ def extract_astar_path(dmap: DistanceMap, start: Pose2D) -> AStarPath:
     if cell is None:
         raise NoRouteError("no 2D route")
     h, w = dmap.values.shape
-    res = dmap.planning_resolution
+    res = dmap.resolution
     diag = res * math.sqrt(2.0)
 
     ix, iy = cell

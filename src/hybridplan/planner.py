@@ -123,21 +123,22 @@ class DriveSegment:
     def arc_length(self) -> float:
         return float(self.s[-1])
 
+    def interval(self, offset):
+        """Curvature interval of a local arc offset (or array): counting interior
+        boundaries equals clip(searchsorted(s, offset, "right") - 1, 0, len(kappas) - 1)."""
+        return self.s[1:-1].searchsorted(offset, side="right")
+
     def pose_at(self, offset: float) -> Pose2D:
         """Exact pose at a local arc offset (re-integrates the sub-arc)."""
         offset = min(max(offset, 0.0), self.arc_length)
-        i = int(np.searchsorted(self.s, offset, side="right")) - 1
-        i = min(max(i, 0), len(self.kappas) - 1) if len(self.kappas) else 0
+        i = self.interval(offset)
         ds = (offset - self.s[i]) * self.direction
         x, y, yaw = move_along_arc(float(self.xs[i]), float(self.ys[i]),
                                    float(self.yaws[i]), float(self.kappas[i]), ds)
         return Pose2D(x, y, yaw)
 
     def kappa_at(self, offset: float) -> float:
-        if len(self.kappas) == 0:
-            return 0.0
-        i = int(np.searchsorted(self.s, offset, side="right")) - 1
-        return float(self.kappas[min(max(i, 0), len(self.kappas) - 1)])
+        return float(self.kappas[self.interval(offset)]) if len(self.kappas) else 0.0
 
 
 @dataclass
@@ -259,9 +260,8 @@ def _clip_drive(seg: DriveSegment, lo: float, hi: float) -> DriveSegment:
     yaws = np.concatenate(([first.yaw], seg.yaws[inner], [last.yaw]))
     s_inner = seg.s[inner]
     s = np.concatenate(([0.0], s_inner - lo, [hi - lo]))
-    idx = np.searchsorted(seg.s, np.concatenate(([lo], s_inner)), side="right") - 1
-    idx = np.clip(idx, 0, max(len(seg.kappas) - 1, 0))
-    kappas = seg.kappas[idx] if len(seg.kappas) else np.zeros(0)
+    kappas = seg.kappas[seg.interval(np.concatenate(([lo], s_inner)))] \
+        if len(seg.kappas) else np.zeros(0)
     return DriveSegment(xs, ys, yaws, kappas, s, seg.direction)
 
 
@@ -502,7 +502,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
                          config.yaw_resolution, n_bins)
 
     def heuristic(x: float, y: float, yaw: float) -> Tuple[float, float]:
-        hd = dmap.value_at(x, y)
+        hd = dmap.at(x, y)
         euclid = math.hypot(goal.x - x, goal.y - y)
         h = hd if math.isfinite(hd) else euclid
         if euclid <= config.rs_heuristic_radius:

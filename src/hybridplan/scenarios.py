@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from .geometry import Pose2D
-from .grid import FREE, OCCUPIED, OccupancyGrid, load_map, save_map
+from .grid import FREE, OCCUPIED, OccupancyGrid, load_map
 from .simulate import ScenarioSpec
 
 GRID_RES = 0.15625   # [m] map resolution
@@ -166,23 +166,6 @@ BUILDERS: Dict[str, Callable[[], ScenarioSpec]] = {
 }
 
 
-def save_scenario(spec: ScenarioSpec, path, map_filename: str) -> None:
-    """Write the scenario JSON next to its referenced map file."""
-    path = Path(path)
-    save_map(spec.truth_map, path.parent / map_filename)
-    payload = {
-        "map": map_filename,
-        "start": [spec.start.x, spec.start.y, spec.start.yaw],
-        "goal": [spec.goal.x, spec.goal.y, spec.goal.yaw],
-        "known_env": spec.known_env,
-        "sensor_range": spec.sensor_range,
-        "n_rays": spec.n_rays,
-        "drive_step": spec.drive_step,
-        "max_sim_steps": spec.max_sim_steps,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def load_scenario(path) -> ScenarioSpec:
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -193,17 +176,29 @@ def load_scenario(path) -> ScenarioSpec:
     missing = required - data.keys()
     if missing:
         raise ValueError(f"{path}: scenario missing fields {sorted(missing)}")
+    if not isinstance(data["known_env"], bool):
+        raise ValueError(f"{path}: known_env must be true or false, got {data['known_env']!r}")
+    max_sim_steps = _number(data, "max_sim_steps", int, path)
+    if max_sim_steps < 1:
+        raise ValueError(f"{path}: max_sim_steps must be at least 1, got {max_sim_steps}")
     truth = load_map(path.parent / data["map"])
     return ScenarioSpec(
         truth_map=truth,
         start=_pose_field(data, "start", path),
         goal=_pose_field(data, "goal", path),
-        known_env=bool(data["known_env"]),
-        sensor_range=float(data["sensor_range"]),
-        n_rays=int(data["n_rays"]),
-        drive_step=float(data["drive_step"]),
-        max_sim_steps=int(data["max_sim_steps"]),
+        known_env=data["known_env"],
+        sensor_range=_number(data, "sensor_range", float, path),
+        n_rays=_number(data, "n_rays", int, path),
+        drive_step=_number(data, "drive_step", float, path),
+        max_sim_steps=max_sim_steps,
     )
+
+
+def _number(data: dict, key: str, cast: Callable, path: Path):
+    try:
+        return cast(data[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {key} must be a number, got {data[key]!r}") from None
 
 
 def _pose_field(data: dict, key: str, path: Path) -> Pose2D:
@@ -222,11 +217,3 @@ def bundled_scenario_path(name: str) -> Path:
         known = sorted(BUILDERS)
         raise FileNotFoundError(f"no bundled scenario {name!r}; available: {known}")
     return candidate
-
-
-def write_bundled_data(out_dir) -> None:
-    """Regenerate the shipped map/scenario files from the builders."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, builder in BUILDERS.items():
-        save_scenario(builder(), out / f"{name}.scenario", f"{name}.map")

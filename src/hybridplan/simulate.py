@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .geometry import Pose2D
-from .grid import OccupancyGrid, UNKNOWN, VoronoiField, raytrace_reveal, voronoi_field
+from .grid import OccupancyGrid, Raster, UNKNOWN, raytrace_reveal, voronoi_field
 from .mission import MissionConfig, MissionState, mission_tick
 from .planner import (DriveSegment, PathBuilder, PlannedPath, PlannerConfig,
                       RotationSegment)
@@ -33,6 +33,14 @@ class ScenarioSpec:
     n_rays: int = 1440
     drive_step: float = 0.5
     max_sim_steps: int = 4000
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.sensor_range) and self.sensor_range > 0.0):
+            raise ValueError(f"sensor_range must be finite and positive, got {self.sensor_range!r}")
+        if self.n_rays < 8:
+            raise ValueError(f"n_rays must be at least 8, got {self.n_rays!r}")
+        if not (math.isfinite(self.drive_step) and self.drive_step > 0.0):
+            raise ValueError(f"drive_step must be finite and positive, got {self.drive_step!r}")
 
 
 @dataclass
@@ -216,9 +224,7 @@ def kappa_dot_rms(driven: PlannedPath, ds: float) -> Tuple[float, float]:
             continue
         n = int(math.floor(seg.arc_length / ds))
         offsets = np.arange(n + 1) * ds
-        idx = np.clip(np.searchsorted(seg.s, offsets, side="right") - 1,
-                      0, max(len(seg.kappas) - 1, 0))
-        kappas = seg.kappas[idx] if len(seg.kappas) else np.zeros(n + 1)
+        kappas = seg.kappas[seg.interval(offsets)] if len(seg.kappas) else np.zeros(n + 1)
         rates = np.diff(kappas) / ds
         if rates.size:
             sq_sum += float(np.sum(rates ** 2))
@@ -229,7 +235,7 @@ def kappa_dot_rms(driven: PlannedPath, ds: float) -> Tuple[float, float]:
     return math.sqrt(sq_sum / count), max_abs
 
 
-def proximity_stats(driven: PlannedPath, field: VoronoiField,
+def proximity_stats(driven: PlannedPath, field: Raster,
                     vehicle: VehicleSpec) -> Tuple[float, float]:
     """Max and mean footprint-corner proximity along the driven path."""
     per_sample: List[float] = []
@@ -237,11 +243,11 @@ def proximity_stats(driven: PlannedPath, field: VoronoiField,
         if isinstance(seg, RotationSegment):
             for yaw in (seg.from_yaw, seg.to_yaw):
                 corners = vehicle.footprint_corners(Pose2D(seg.x, seg.y, yaw))
-                per_sample.append(max(field.sample(cx, cy) for cx, cy in corners))
+                per_sample.append(max(field.at(cx, cy) for cx, cy in corners))
             continue
         for x, y, yaw in zip(seg.xs, seg.ys, seg.yaws):
             corners = vehicle.footprint_corners(Pose2D(float(x), float(y), float(yaw)))
-            per_sample.append(max(field.sample(cx, cy) for cx, cy in corners))
+            per_sample.append(max(field.at(cx, cy) for cx, cy in corners))
     if not per_sample:
         return 0.0, 0.0
     return float(max(per_sample)), float(sum(per_sample) / len(per_sample))

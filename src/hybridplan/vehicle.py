@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import Pose2D, move_along_arc, normalize_angle
+from .geometry import Pose2D
 from .grid import OccupancyGrid
 
 # Distance-field lookups are quantized to cell centers; pad every disk
@@ -53,11 +53,6 @@ class VehicleSpec:
                 for lon in (lon0, lon1) for lat in (-half_w, half_w)]
 
 
-def ushift_spec() -> VehicleSpec:
-    """The U-Shift style preset: 4 m x 2 m, rotation about the rear axle."""
-    return VehicleSpec()
-
-
 @dataclass(frozen=True)
 class DiskSet:
     """Footprint cover by disks centered on the longitudinal axis."""
@@ -79,17 +74,6 @@ def make_disk_set(spec: VehicleSpec) -> DiskSet:
     return DiskSet(centers=centers, radius=radius)
 
 
-def bicycle_step(pose: Pose2D, steer: float, arc_len: float, wheelbase: float) -> Pose2D:
-    """Exact arc integration of the bicycle model; arc_len < 0 reverses."""
-    kappa = math.tan(steer) / wheelbase if steer != 0.0 else 0.0
-    x, y, yaw = move_along_arc(pose.x, pose.y, pose.yaw, kappa, arc_len)
-    return Pose2D(x, y, yaw)
-
-
-def rotate_in_place(pose: Pose2D, delta_yaw: float) -> Pose2D:
-    return Pose2D(pose.x, pose.y, normalize_angle(pose.yaw + delta_yaw))
-
-
 class CollisionChecker:
     """Footprint disk tests against a grid's obstacle distance field.
 
@@ -98,12 +82,8 @@ class CollisionChecker:
 
     def __init__(self, grid: OccupancyGrid, disks: DiskSet) -> None:
         self.field = grid.distance_field()
-        self.res = grid.resolution
-        self.ox = grid.origin.x
-        self.oy = grid.origin.y
-        self.h, self.w = self.field.shape
-        self.threshold = disks.radius + cell_pad(self.res)
-        self.swept_threshold = disks.swept_radius + cell_pad(self.res)
+        self.threshold = disks.radius + cell_pad(grid.resolution)
+        self.swept_threshold = disks.swept_radius + cell_pad(grid.resolution)
         self.offsets = np.array(disks.centers)
 
     def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
@@ -113,22 +93,14 @@ class CollisionChecker:
     def rotation_blocked(self, x: float, y: float) -> bool:
         """Conservative swept check: the circle around the rear-axle point
         that contains the footprint at every yaw must be obstacle free."""
-        ix = math.floor((x - self.ox) / self.res)
-        iy = math.floor((y - self.oy) / self.res)
-        return not (0 <= ix < self.w and 0 <= iy < self.h) \
-            or bool(self.field[iy, ix] < self.swept_threshold)
+        return self.field.at(x, y) < self.swept_threshold
 
     def batch_blocked(self, xs: np.ndarray, ys: np.ndarray,
                       cos_yaw: np.ndarray, sin_yaw: np.ndarray) -> np.ndarray:
         """Per-pose disk test for flat pose arrays; True where blocked."""
         cx = xs[:, None] + self.offsets * cos_yaw[:, None]
         cy = ys[:, None] + self.offsets * sin_yaw[:, None]
-        ix = np.floor((cx - self.ox) / self.res).astype(np.int64)
-        iy = np.floor((cy - self.oy) / self.res).astype(np.int64)
-        inside = (ix >= 0) & (ix < self.w) & (iy >= 0) & (iy < self.h)
-        dist = np.full(ix.shape, -np.inf)
-        dist[inside] = self.field[iy[inside], ix[inside]]
-        return (dist < self.threshold).any(axis=1)
+        return (self.field.gather(cx, cy) < self.threshold).any(axis=1)
 
     def poses_blocked(self, xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray) -> bool:
         """True when any pose of the arrays is blocked."""

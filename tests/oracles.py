@@ -246,13 +246,14 @@ def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, senso
         raise ValueError("n_rays must be at least 8")
 
     res = truth.resolution
-    ix0, iy0 = truth.world_to_cell(sensor_pose.x, sensor_pose.y)
-    if not truth.in_bounds(ix0, iy0):
+    occ = truth.cells == OCCUPIED
+    h, w = occ.shape
+    ix0 = int(math.floor((sensor_pose.x - truth.origin.x) / res))
+    iy0 = int(math.floor((sensor_pose.y - truth.origin.y) / res))
+    if not (0 <= ix0 < w and 0 <= iy0 < h):
         return 0
 
     unknown_before = int(np.count_nonzero(belief.cells == UNKNOWN))
-    occ = truth.cells == OCCUPIED
-    h, w = occ.shape
 
     bearings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
     dir_x = np.cos(bearings)
@@ -368,12 +369,13 @@ def rectangle_hits_occupied(pose: Tuple[float, float, float],
 # by half a cell diagonal, and points off the grid count as colliding.
 # ---------------------------------------------------------------------------
 
-def _field_at(field: np.ndarray, resolution: float, x: float, y: float, origin) -> float:
+def _field_at(field: np.ndarray, resolution: float, x: float, y: float, origin,
+              outside: float = -math.inf) -> float:
     ix = int(math.floor((x - origin[0]) / resolution))
     iy = int(math.floor((y - origin[1]) / resolution))
     h, w = field.shape
     if not (0 <= ix < w and 0 <= iy < h):
-        return -math.inf
+        return outside
     return float(field[iy, ix])
 
 

@@ -26,13 +26,13 @@ from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.scenarios import (known_large, plate_corridor_67, plate_corridor_84,
                                   reveal_divergence, unknown_large)
 from hybridplan.simulate import kappa_dot_rms, run_scenario
-from hybridplan.vehicle import ushift_spec
+from hybridplan.vehicle import VehicleSpec
 
 from conftest import bordered_grid, clutter_scene
 from oracles import (kappa_dot_rms_direct, rectangle_hits_occupied,
                      rs_oracle_lengths)
 
-VEH = ushift_spec()
+VEH = VehicleSpec()
 DEFAULT_CFG = PlannerConfig()
 # the paper's lineage computes the 2D heuristic without footprint inflation;
 # the efficiency comparison runs in that weak-heuristic regime
@@ -169,7 +169,7 @@ def test_c05_early_stop_and_replan_start_semantics():
     path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, stop_rule=STOP_EARLY,
                    s_w=55.0, distance_map=dm)
     end = path.end_pose()
-    drop = hd_s - dm.value_at(end.x, end.y)
+    drop = hd_s - dm.at(end.x, end.y)
     early_ok = hd_s >= 60.0 and drop > 55.0
 
     state = MissionState(vehicle_pose=Pose2D(0, 0, 0), goal=goal)
@@ -272,7 +272,7 @@ def test_c07_heuristic_admissibility():
         try:
             dm = build_distance_map(g, goal, DEFAULT_CFG.xy_resolution,
                                     DEFAULT_CFG.inflation_radius)
-            hd = dm.value_at(start.x, start.y)   # the field itself, no snapping
+            hd = dm.at(start.x, start.y)   # the field itself, no snapping
             if not math.isfinite(hd):
                 skipped["start off the field"] += 1
                 continue

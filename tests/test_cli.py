@@ -105,6 +105,33 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
     assert err.startswith("error: scenario: ") and named in err
 
 
+@pytest.mark.parametrize("payload,named", [
+    ({"known_env": False, "n_rays": 4}, "n_rays must be at least 8"),
+    ({"known_env": False, "sensor_range": 0}, "sensor_range must be finite and positive"),
+    ({"drive_step": 0}, "drive_step must be finite and positive"),
+    ({"drive_step": -0.5}, "drive_step must be finite and positive"),
+    ({"max_sim_steps": 0}, "max_sim_steps must be at least 1"),
+    ({"sensor_range": None}, "sensor_range must be a number"),
+    ({"known_env": "false"}, "known_env must be true or false"),
+    ({"map": "nan.map"}, "resolution must be finite and positive"),
+], ids=["n_rays_4", "sensor_range_0", "drive_step_0", "drive_step_negative",
+        "max_sim_steps_0", "sensor_range_null", "known_env_string", "map_resolution_nan"])
+def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
+    """Values that used to crash, idle to the step limit or (a string known_env)
+    run as a known map are refused up front."""
+    bundled = bundled_scenario_path("smoke_small")
+    lines = bundled.with_suffix(".map").read_text().splitlines(keepends=True)
+    (tmp_path / "smoke_small.map").write_text("".join(lines))
+    (tmp_path / "nan.map").write_text("".join(
+        [lines[0].rsplit(" ", 1)[0] + " nan\n"] + lines[1:]))
+    data = {**json.loads(bundled.read_text()), **payload}
+    (tmp_path / "bad.scenario").write_text(json.dumps(data))
+    cfg = write_config(tmp_path, scenario="bad.scenario")
+    assert main(["run", str(cfg), "--no-timing"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: ") and named in err
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, planner={"warp_drive": 1})
     assert main(["run", str(cfg)]) == 1

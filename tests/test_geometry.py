@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan.geometry import (FORWARD, Pose2D, RSPath, RSSegment, iter_segment_samples,
+from hybridplan.geometry import (Pose2D, RSPath, RSSegment, iter_segment_samples,
                                  move_along_arc, normalize_angle, normalize_angles,
                                  path_end_pose, sample_path)
 from hybridplan.reeds_shepp import rs_all_paths
@@ -65,7 +65,7 @@ def test_sample_zero_length_path():
     assert len(samples) == 1
     assert samples[0][0] == Pose2D(3, 4, 0.5)
     assert samples[0][1] == 0.0
-    assert samples[0][2] == FORWARD
+    assert samples[0][2] == 1      # forward
 
 
 def test_sample_quarter_circle_stays_on_circle():
@@ -144,7 +144,7 @@ def test_array_sampler_bit_identical_to_scalar_recurrence(segs, radius, x, y, ya
     assert norm == [r[3] for r in ref]
     assert [(c.kappa, c.direction) for c in chunks for _ in c.xs] == [r[4:] for r in ref]
     samples = sample_path(path, start, step)
-    assert samples[0] == (start, 0.0, FORWARD)
+    assert samples[0] == (start, 0.0, 1)
     assert [(p.x, p.y, p.yaw, k, d) for p, k, d in samples[1:]] == \
         [(r[0], r[1], r[3], r[4], r[5]) for r in ref]
 

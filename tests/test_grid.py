@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
-from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid,
+from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal,
                              save_map, voronoi_field)
 from hybridplan.scenarios import bundled_scenario_path, load_scenario
 
 from conftest import bordered_grid
-from oracles import brute_distance_transform, raytrace_reveal_reference
+from oracles import _field_at, brute_distance_transform, raytrace_reveal_reference
 
 
 # ---------------------------------------------------------------- map format
@@ -72,7 +74,7 @@ def test_constructor_copies_cells():
     g = OccupancyGrid(0.5, cells)
     cells[2, 2] = OCCUPIED
     assert np.all(g.cells == FREE)
-    assert np.all(np.isinf(g.distance_field()))
+    assert np.all(np.isinf(g.distance_field().values))
 
 
 def test_set_box_rebuilds_distance_field():
@@ -82,8 +84,8 @@ def test_set_box_rebuilds_distance_field():
     assert g.distance_field() is before          # memoized while unchanged
     g.set_box(6.0, 6.0, 7.0, 7.0, OCCUPIED)
     after = g.distance_field()
-    assert before[13, 13] > 0.0 and after[13, 13] == 0.0
-    assert np.array_equal(after, distance_transform(g))
+    assert before.values[13, 13] > 0.0 and after.values[13, 13] == 0.0
+    assert np.array_equal(after.values, distance_transform(g))
 
 
 def test_reveal_bumps_version_only_when_cells_change():
@@ -93,8 +95,8 @@ def test_reveal_bumps_version_only_when_cells_change():
     before = belief.distance_field()
     raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
     assert belief.version == 1
-    assert np.array_equal(belief.distance_field(), distance_transform(belief))
-    assert not np.array_equal(belief.distance_field(), before)
+    assert np.array_equal(belief.distance_field().values, distance_transform(belief))
+    assert not np.array_equal(belief.distance_field().values, before.values)
     raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
     assert belief.version == 1
 
@@ -144,6 +146,45 @@ def test_distance_transform_unknown_flag():
     g = OccupancyGrid.filled(5, 5, 1.0, FREE)
     g.set_cells((2, 2), UNKNOWN)
     assert np.all(np.isinf(distance_transform(g)))   # unknown counts as free
+
+
+# ------------------------------------------------------------------ raster
+
+@st.composite
+def raster_cases(draw):
+    """A raster and query points on cell edges, inside cells and off the grid."""
+    w, h = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    res = draw(st.sampled_from([0.1, 0.15625, 0.25, 0.625, 1.0]))
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (-7.3, 4.15), (123.456, -98.7), (-0.3, -0.7)]))
+    outside = draw(st.sampled_from([-math.inf, math.inf, 1.0]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5.0, 5.0, (h, w))
+    raster = Raster(values, res, Pose2D(ox, oy, 0.0), outside)
+
+    def coordinate(o, n):
+        edge = st.integers(-3, n + 3).map(lambda i: o + i * res)
+        anywhere = st.floats(-3.0, n + 3.0).map(lambda f: o + f * res)
+        return st.one_of(edge, anywhere)
+
+    n = draw(st.integers(1, 40))
+    xs = np.array(draw(st.lists(coordinate(ox, w), min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(coordinate(oy, h), min_size=n, max_size=n)))
+    return raster, xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(raster_cases())
+def test_raster_matches_scalar_reference(case):
+    """`at` and `gather` read the cell the reference floor picks and
+    `outside` off the grid, for any origin, resolution and array shape."""
+    raster, xs, ys = case
+    origin = (raster.origin.x, raster.origin.y)
+    expect = np.array([_field_at(raster.values, raster.resolution, x, y, origin, raster.outside)
+                       for x, y in zip(xs.tolist(), ys.tolist())])
+    assert [raster.at(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == expect.tolist()
+    assert np.array_equal(raster.gather(xs, ys), expect)
+    if xs.size % 2 == 0:
+        assert np.array_equal(raster.gather(xs.reshape(2, -1), ys.reshape(2, -1)),
+                              expect.reshape(2, -1))
 
 
 # ------------------------------------------------------------ voronoi field

@@ -11,11 +11,11 @@ from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
                                 NAV_NONE, NAV_WAYPOINT, check_path_collision,
                                 compute_replan_start, mission_tick)
 from hybridplan.planner import PlannerConfig, STANDARD, STOP_AT_GOAL, plan
-from hybridplan.vehicle import make_disk_set, ushift_spec
+from hybridplan.vehicle import VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, pose_close
 
-VEH = ushift_spec()
+VEH = VehicleSpec()
 CFG = PlannerConfig()
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D, move_along_arc
-from hybridplan.planner import PathBuilder, PlannedPath, RotationSegment
+from hybridplan.planner import DriveSegment, PathBuilder, PlannedPath, RotationSegment
 from hybridplan.simulate import _follow
 
 from conftest import pose_close
@@ -90,3 +91,18 @@ def test_slice_end_pose_matches_pose_at(path, fraction):
     assume(1e-6 < s < total - 1e-6 and all(abs(s - a) > 1e-6 for a in rotation_accs))
     assert pose_close(path.slice(0.0, s).end_pose(), path.pose_at(s),
                       pos_tol=1e-9, yaw_tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1e-12, 0.1, 0.5, 1.3]), min_size=1, max_size=12),
+       st.lists(st.floats(-0.5, 1.5), max_size=8))
+def test_interval_matches_clipped_searchsorted(steps, fractions):
+    """The curvature-interval lookup picks the interval of the clipped
+    searchsorted, before, on and past every boundary, with empty intervals."""
+    s = np.concatenate(([0.0], np.cumsum(steps)))
+    zeros = np.zeros(s.size)
+    seg = DriveSegment(zeros, zeros, zeros, zeros[1:], s, 1)
+    offsets = [f * s[-1] for f in fractions] + s.tolist() + [-1.0, s[-1] + 1.0]
+    expect = np.clip(np.searchsorted(s, offsets, side="right") - 1, 0, len(steps) - 1)
+    assert [int(seg.interval(o)) for o in offsets] == expect.tolist()
+    assert np.array_equal(seg.interval(np.array(offsets)), expect)

@@ -14,12 +14,12 @@ from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 STANDARD, STOP_EARLY, analytic_expansions, cost_of,
                                 geometric_extension, plan, steps_cost)
 from hybridplan.reeds_shepp import rs_path_length
-from hybridplan.vehicle import CollisionChecker, make_disk_set, ushift_spec
+from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import angles_close, bordered_grid, clutter_scene, pose_close
 from oracles import analytic_expansions_reference
 
-VEH = ushift_spec()
+VEH = VehicleSpec()
 CFG = PlannerConfig()
 
 
@@ -184,10 +184,10 @@ def test_early_stop_first_trigger_semantics():
                    distance_map=dm)
     hd_start = dm.route_distance(start.x, start.y)
     end = path.end_pose()
-    assert hd_start - dm.value_at(end.x, end.y) > 55.0
+    assert hd_start - dm.at(end.x, end.y) > 55.0
     # one drive sample earlier the drop must not yet have fired
     before = path.pose_at(max(path.total_drive_length - CFG.arc_length, 0.0))
-    assert hd_start - dm.value_at(before.x, before.y) <= 55.0 + 1e-9
+    assert hd_start - dm.at(before.x, before.y) <= 55.0 + 1e-9
 
 
 def test_early_stop_does_not_snap_to_goal():

@@ -5,7 +5,7 @@ import pytest
 
 from hybridplan.grid import UNKNOWN
 from hybridplan.scenarios import BUILDERS, bundled_scenario_path, load_scenario
-from hybridplan.vehicle import CollisionChecker, make_disk_set, ushift_spec
+from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -26,6 +26,6 @@ def test_scenario_endpoints_are_valid(name):
     spec = BUILDERS[name]()
     truth = spec.truth_map
     assert not (truth.cells == UNKNOWN).any()
-    checker = CollisionChecker(truth, make_disk_set(ushift_spec()))
+    checker = CollisionChecker(truth, make_disk_set(VehicleSpec()))
     assert not checker.pose_blocked(spec.start.x, spec.start.y, spec.start.yaw)
     assert not checker.pose_blocked(spec.goal.x, spec.goal.y, spec.goal.yaw)

@@ -11,12 +11,12 @@ from hybridplan.mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
 from hybridplan.planner import DriveSegment, PathBuilder, PlannerConfig, STANDARD
 from hybridplan.simulate import (ScenarioSpec, kappa_dot_rms,
                                  proximity_stats, run_scenario)
-from hybridplan.vehicle import ushift_spec
+from hybridplan.vehicle import VehicleSpec
 
 from conftest import bordered_grid, pose_close
 from oracles import kappa_dot_rms_direct
 
-VEH = ushift_spec()
+VEH = VehicleSpec()
 
 
 def drive_path(kappas, ds=0.5, direction=1, last_short=False):
@@ -128,7 +128,7 @@ def test_proximity_matches_field_sample_at_known_clearance():
         builder.add_drive_sample(10.0 + i * 0.5, y0, 0.0, 0.0, 1)
     p_max, p_avg = proximity_stats(builder.finish(), field, VEH)
     # every sample's nearest corner sits at the same wall clearance
-    expect = field.sample(15.0, y0 - VEH.width / 2.0)
+    expect = field.at(15.0, y0 - VEH.width / 2.0)
     assert p_max == pytest.approx(expect, abs=1e-9)
     assert p_avg == pytest.approx(expect, abs=1e-9)
 

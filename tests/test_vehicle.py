@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan.geometry import Pose2D
+from hybridplan.geometry import Pose2D, move_along_arc
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
-from hybridplan.vehicle import (CollisionChecker, VehicleSpec, bicycle_step,
-                                make_disk_set, rotate_in_place, ushift_spec)
+from hybridplan.planner import PathBuilder
+from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import pose_close
 from oracles import pose_collides, rectangle_hits_occupied, rotation_collides
@@ -18,7 +18,7 @@ MAX_STEER = math.radians(31.51)
 
 
 def test_preset_values():
-    v = ushift_spec()
+    v = VehicleSpec()
     assert v.length == 4.0 and v.width == 2.0
     assert v.max_steer == pytest.approx(MAX_STEER)
     assert v.min_turn_radius == pytest.approx(2.5 / math.tan(MAX_STEER))
@@ -39,18 +39,23 @@ def test_spec_invariants_rejected(kwargs):
 
 # ------------------------------------------------------------ bicycle model
 
+def bicycle(pose: Pose2D, steer: float, arc: float) -> Pose2D:
+    """Exact arc of the bicycle model with a 2.5 m wheelbase; arc < 0 reverses."""
+    return Pose2D(*move_along_arc(pose.x, pose.y, pose.yaw, math.tan(steer) / 2.5, arc))
+
+
 def test_straight_forward():
-    assert pose_close(bicycle_step(Pose2D(0, 0, 0), 0.0, 1.0, 2.5), Pose2D(1, 0, 0))
+    assert pose_close(bicycle(Pose2D(0, 0, 0), 0.0, 1.0), Pose2D(1, 0, 0))
 
 
 def test_straight_reverse():
-    assert pose_close(bicycle_step(Pose2D(0, 0, 0), 0.0, -1.0, 2.5), Pose2D(-1, 0, 0))
+    assert pose_close(bicycle(Pose2D(0, 0, 0), 0.0, -1.0), Pose2D(-1, 0, 0))
 
 
 def test_quarter_turn_at_max_steer():
     radius = 2.5 / math.tan(MAX_STEER)
     arc = radius * math.pi / 2.0
-    end = bicycle_step(Pose2D(0, 0, 0), MAX_STEER, arc, 2.5)
+    end = bicycle(Pose2D(0, 0, 0), MAX_STEER, arc)
     assert end.x == pytest.approx(radius, abs=1e-9)
     assert end.y == pytest.approx(radius, abs=1e-9)
     assert end.yaw == pytest.approx(math.pi / 2, abs=1e-9)
@@ -61,26 +66,33 @@ def test_substep_composition_is_exact(rng):
     for _ in range(20):
         steer = rng.uniform(-MAX_STEER, MAX_STEER)
         arc = rng.uniform(-3.0, 3.0)
-        single = bicycle_step(Pose2D(0, 0, 0), steer, arc, 2.5)
+        single = bicycle(Pose2D(0, 0, 0), steer, arc)
         for n in (2, 5, 10):
             pose = Pose2D(0, 0, 0)
             for _ in range(n):
-                pose = bicycle_step(pose, steer, arc / n, 2.5)
+                pose = bicycle(pose, steer, arc / n)
             assert pose_close(pose, single, pos_tol=1e-9, yaw_tol=1e-9)
 
 
 # --------------------------------------------------------- in-place rotation
 
+def rotated(pose: Pose2D, delta: float) -> Pose2D:
+    """The pose after an in-place rotation, as a planned path records it."""
+    builder = PathBuilder(pose)
+    builder.add_rotation(delta)
+    return builder.finish().end_pose()
+
+
 def test_rotation_pure_yaw():
-    assert pose_close(rotate_in_place(Pose2D(3, 4, 0), math.pi / 2), Pose2D(3, 4, math.pi / 2))
+    assert pose_close(rotated(Pose2D(3, 4, 0), math.pi / 2), Pose2D(3, 4, math.pi / 2))
 
 
 def test_rotation_full_turn_identity():
-    assert pose_close(rotate_in_place(Pose2D(3, 4, 0), 2 * math.pi), Pose2D(3, 4, 0))
+    assert pose_close(rotated(Pose2D(3, 4, 0), 2 * math.pi), Pose2D(3, 4, 0))
 
 
 def test_rotation_wraps():
-    out = rotate_in_place(Pose2D(0, 0, math.pi - 0.1), 0.2)
+    out = rotated(Pose2D(0, 0, math.pi - 0.1), 0.2)
     assert out.yaw == pytest.approx(-math.pi + 0.1)
 
 
@@ -106,7 +118,7 @@ def test_many_disks_radius_approaches_half_width():
 
 def test_disk_union_covers_footprint(rng):
     """Random interior points at random poses always fall inside some disk."""
-    spec = ushift_spec()
+    spec = VehicleSpec()
     disks = make_disk_set(spec)
     for _ in range(40):
         pose = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
@@ -133,12 +145,12 @@ def grid_with_wall():
 def test_open_space_clear():
     g = OccupancyGrid.filled(256, 256, 0.15625, FREE)
     g.set_cells((0, 0), OCCUPIED)  # keep the field finite
-    checker = CollisionChecker(g, make_disk_set(ushift_spec()))
+    checker = CollisionChecker(g, make_disk_set(VehicleSpec()))
     assert not checker.pose_blocked(20, 20, 0.3)
 
 
 def test_occupied_under_vehicle_collides():
-    checker = CollisionChecker(grid_with_wall(), make_disk_set(ushift_spec()))
+    checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
     assert checker.pose_blocked(20.5, 20.0, 0.0)
 
 
@@ -152,19 +164,19 @@ def test_wall_gap_below_disk_radius_collides():
 
 
 def test_outside_grid_counts_as_collision():
-    checker = CollisionChecker(grid_with_wall(), make_disk_set(ushift_spec()))
+    checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
     assert checker.pose_blocked(-10.0, 20.0, 0.0)
 
 
 def test_rotation_open_space_clear():
     g = OccupancyGrid.filled(256, 256, 0.15625, FREE)
     g.set_cells((0, 0), OCCUPIED)
-    checker = CollisionChecker(g, make_disk_set(ushift_spec()))
+    checker = CollisionChecker(g, make_disk_set(VehicleSpec()))
     assert not checker.rotation_blocked(25, 25)
 
 
 def test_rotation_near_wall_collides():
-    disks = make_disk_set(ushift_spec())
+    disks = make_disk_set(VehicleSpec())
     checker = CollisionChecker(grid_with_wall(), disks)
     assert disks.swept_radius == pytest.approx(
         max(abs(c) for c in disks.centers) + disks.radius)
@@ -172,7 +184,7 @@ def test_rotation_near_wall_collides():
 
 
 def test_rotation_never_less_restrictive_than_pose(rng):
-    checker = CollisionChecker(grid_with_wall(), make_disk_set(ushift_spec()))
+    checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
     for _ in range(300):
         x, y, yaw = rng.uniform(2, 38), rng.uniform(2, 38), rng.uniform(-math.pi, math.pi)
         if not checker.rotation_blocked(x, y):
@@ -182,7 +194,7 @@ def test_rotation_never_less_restrictive_than_pose(rng):
 def test_disk_check_conservative_against_rectangle_oracle(rng):
     """Whenever the exact footprint covers an occupied cell center, the disk
     test must report a collision."""
-    spec = ushift_spec()
+    spec = VehicleSpec()
     disks = make_disk_set(spec)
     for _ in range(20):
         g = OccupancyGrid.filled(160, 160, 0.15625, FREE)
@@ -218,7 +230,7 @@ def test_checker_matches_scalar_reference(seed, n_disks, origin):
         g.set_box(x, y, x + r.uniform(0.2, 3.0), y + r.uniform(0.2, 3.0), OCCUPIED)
     disks = make_disk_set(VehicleSpec(n_disks=n_disks))
     checker = CollisionChecker(g, disks)
-    field = g.distance_field()
+    field = g.distance_field().values
     n = 150
     xs = origin[0] + r.uniform(-4.0, w_m + 4.0, n)
     ys = origin[1] + r.uniform(-4.0, h_m + 4.0, n)
