@@ -48,15 +48,15 @@ class Raster:
             return float(self.values[iy, ix])
         return self.outside
 
-    def gather(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """`at` over point arrays of one shape."""
-        ix = np.floor((xs - self.origin.x) / self.resolution).astype(np.int64)
-        iy = np.floor((ys - self.origin.y) / self.resolution).astype(np.int64)
+    def flat_cells(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-major cell index of points stacked as x and y on a leading axis
+        of 2, flattened, and where they lie off the grid (their index is then
+        meaningless)."""
         h, w = self.values.shape
-        inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-        out = np.full(ix.shape, self.outside)
-        out[inside] = self.values[iy[inside], ix[inside]]
-        return out
+        origin = np.array([[self.origin.x], [self.origin.y]])
+        cells = np.floor((points.reshape(2, -1) - origin) / self.resolution).astype(np.int64)
+        off = cells.view(np.uint64) >= np.array([[w], [h]], dtype=np.uint64)
+        return cells[1] * w + cells[0], off[0] | off[1]
 
 
 class OccupancyGrid:

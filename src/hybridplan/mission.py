@@ -84,7 +84,8 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
         if xs.size:
             ys = seg.ys[keep]
             yaws = seg.yaws[keep]
-            blocked = checker.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws))
+            blocked = checker.batch_blocked(np.array((xs, ys)),
+                                            np.array((np.cos(yaws), np.sin(yaws))))
             hits = np.nonzero(blocked)[0]
             if hits.size:
                 s_hit = float(seg.s[keep][hits[0]]) + acc

@@ -435,24 +435,31 @@ class _PrimitiveTable:
                 rows.append(move_along_arc(0.0, 0.0, 0.0, kappa, ds))
             rel.append(rows)
         arr = np.array(rel)                          # (P, K, 3)
-        self.dx = arr[:, :, 0]
-        self.dy = arr[:, :, 1]
-        self.dyaw = arr[:, :, 2]
-        self.cos_dyaw = np.cos(self.dyaw)
-        self.sin_dyaw = np.sin(self.dyaw)
+        dx, dy, dyaw = arr[:, :, 0], arr[:, :, 1], arr[:, :, 2]
+        # (dx, dy, cos dyaw, sin dyaw) of every sub-sample, (4, P, K)
+        self.samples = np.stack((dx, dy, np.cos(dyaw), np.sin(dyaw)))
+        # (end dx, end dy, end dyaw, step) of every primitive
+        self.ends = [(float(dx[p, -1]), float(dy[p, -1]), float(dyaw[p, -1]), step)
+                     for p, step in enumerate(self.steps)]
         self.n_sub = n_sub
+        # the farthest any footprint disk centre of any sample gets from the node
+        offsets = np.array(make_disk_set(vehicle).centers)
+        cos_dyaw, sin_dyaw = self.samples[2:, ..., None]
+        self.reach = float(np.hypot(dx[..., None] + offsets * cos_dyaw,
+                                    dy[..., None] + offsets * sin_dyaw).max())
 
 
-def _yaw_bins(config: PlannerConfig) -> int:
-    return int(math.ceil(2.0 * math.pi / config.yaw_resolution))
+def _lattice_key(origin: Pose2D, config: PlannerConfig):
+    """The (x cell, y cell, yaw bin) lattice key of a pose, for one map origin."""
+    ox, oy = origin.x, origin.y
+    res, yaw_res = config.xy_resolution, config.yaw_resolution
+    n_bins = math.ceil(2.0 * math.pi / yaw_res)
+    floor, pi = math.floor, math.pi
 
+    def key(x: float, y: float, yaw: float) -> Tuple[int, int, int]:
+        return floor((x - ox) / res), floor((y - oy) / res), floor((yaw + pi) / yaw_res) % n_bins
 
-def _make_key(x: float, y: float, yaw: float, ox: float, oy: float,
-              res: float, yaw_res: float, n_bins: int) -> Tuple[int, int, int]:
-    ix = int(math.floor((x - ox) / res))
-    iy = int(math.floor((y - oy) / res))
-    ib = int(math.floor((yaw + math.pi) / yaw_res)) % n_bins
-    return ix, iy, ib
+    return key
 
 
 # --------------------------------------------------------------------------
@@ -492,14 +499,22 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
 
     turn_radius = vehicle.min_turn_radius
     table = _PrimitiveTable(config, vehicle)
-    rotation_steps = [(0.0, 0, delta) for delta in config.rotation_angles()] \
-        if mode == EXTENDED else []
-    n_bins = _yaw_bins(config)
-    ox, oy = belief.origin.x, belief.origin.y
+    key_of = _lattice_key(belief.origin, config)
+    # every step as (end dx, end dy, end dyaw, step) in the parent's frame: the
+    # drive primitives, then the rotations (zero offset) when they are enabled
+    n_drive = len(table.steps)
+    ends = list(table.ends)
+    if mode == EXTENDED:
+        ends += [(0.0, 0.0, delta, (0.0, 0, delta)) for delta in config.rotation_angles()]
+    step_costs = {}     # (parent direction, parent steer) -> cost of every step
 
-    def key_of(x: float, y: float, yaw: float) -> Tuple[int, int, int]:
-        return _make_key(x, y, yaw, ox, oy, config.xy_resolution,
-                         config.yaw_resolution, n_bins)
+    def costs_after(direction: int, steer: float) -> List[float]:
+        costs = step_costs.get((direction, steer))
+        if costs is None:
+            costs = step_costs[(direction, steer)] = [
+                cost_of(st, d, amount, config, direction, steer)
+                for _, _, _, (st, d, amount) in ends]
+        return costs
 
     def heuristic(x: float, y: float, yaw: float) -> Tuple[float, float]:
         hd = dmap.at(x, y)
@@ -548,30 +563,48 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             if suffix is not None:
                 return finish(_reconstruct(node, table).concat(suffix))
 
-        # children: drive steps vectorized over the primitive table, plus the
-        # rotation steps every f_ext-th expansion, pushed by one loop
-        c, s = math.cos(node.yaw), math.sin(node.yaw)
-        world_x = node.x + table.dx * c - table.dy * s
-        world_y = node.y + table.dx * s + table.dy * c
-        cos_w = c * table.cos_dyaw - s * table.sin_dyaw
-        sin_w = s * table.cos_dyaw + c * table.sin_dyaw
-        blocked = checker.batch_blocked(
-            world_x.reshape(-1), world_y.reshape(-1),
-            cos_w.reshape(-1), sin_w.reshape(-1)
-        ).reshape(world_x.shape).any(axis=1)
-        children = [(float(world_x[p, -1]), float(world_y[p, -1]),
-                     node.yaw + float(table.dyaw[p, -1]), step)
-                    for p, step in enumerate(table.steps) if not blocked[p]]
-        if (rotation_steps and stats.nodes_expanded % config.f_ext == 0
-                and not checker.rotation_blocked(node.x, node.y)):
-            children += [(node.x, node.y, node.yaw + step[2], step) for step in rotation_steps]
-
-        for nx, ny, raw_yaw, (steer, direction, amount) in children:
-            nyaw = normalize_angle(raw_yaw)
+        # children: end pose, lattice key and cost of every step first; only
+        # those that beat best_g get a collision check, in one batch over
+        # their sub-samples unless no disk within reach can be blocked
+        x, y, yaw, g = node.x, node.y, node.yaw, node.g
+        c, s = math.cos(yaw), math.sin(yaw)
+        n_steps = n_drive
+        if (len(ends) > n_drive and stats.nodes_expanded % config.f_ext == 0
+                and not checker.rotation_blocked(x, y)):
+            n_steps = len(ends)
+        costs = costs_after(node.direction, node.steer)
+        fresh = []
+        for i in range(n_steps):
+            dx, dy, dyaw, _ = ends[i]
+            nx = x + dx * c - dy * s
+            ny = y + dx * s + dy * c
+            nyaw = normalize_angle(yaw + dyaw)
             nkey = key_of(nx, ny, nyaw)
-            g2 = node.g + cost_of(steer, direction, amount, config, node.direction, node.steer)
-            if g2 >= best_g.get(nkey, math.inf) - 1e-12:
+            g2 = g + costs[i]
+            if g2 < best_g.get(nkey, math.inf) - 1e-12:
+                fresh.append((i, nx, ny, nyaw, nkey, g2))
+        drives = [f[0] for f in fresh if f[0] < n_drive]
+        blocked = ()
+        if drives and not checker.clear_within(x, y, table.reach):
+            # the survivors' sub-sample poses, bit for bit x + dx*c - dy*s,
+            # y + dx*s + dy*c, c*cos - s*sin and s*cos + c*sin (float
+            # addition commutes and a - b is a + (-b))
+            dx, dy, cos_d, sin_d = table.samples[:, drives]
+            turn, normal = np.array([[[c]], [[s]]]), np.array([[[-s]], [[c]]])
+            xy = dx * turn
+            xy += np.array([[[x]], [[y]]])
+            xy += dy * normal
+            heading = cos_d * turn
+            heading += sin_d * normal
+            hit = checker.batch_blocked(xy, heading).any(axis=1)
+            blocked = {p for p, b in zip(drives, hit.tolist()) if b}
+
+        # best_g only decreases, so re-testing it here settles children of
+        # this expansion that share a key exactly as one sequential pass would
+        for i, nx, ny, nyaw, nkey, g2 in fresh:
+            if i in blocked or g2 >= best_g.get(nkey, math.inf) - 1e-12:
                 continue
+            steer, direction, amount = ends[i][3]
             h2, hd2 = heuristic(nx, ny, nyaw)
             child = _Node(nx, ny, nyaw, g2, h2, hd2, direction, steer, node, amount, nkey)
             best_g[nkey] = g2
@@ -691,7 +724,7 @@ def _extension_path(pose: Pose2D, legs: List[Tuple[float, float, float, float]],
         c, s = math.cos(yaw), math.sin(yaw)
         t = dist * np.arange(n + 1) / n
         xs, ys = x0 + t * c, y0 + t * s
-        if checker.batch_blocked(xs, ys, np.full(n + 1, c), np.full(n + 1, s)).any():
+        if checker.batch_blocked(np.array((xs, ys)), np.array([[c], [s]])).any():
             return None
         sampled.append((xs, ys, yaw, dist))
     builder = PathBuilder(pose)

@@ -41,6 +41,8 @@ class ScenarioSpec:
             raise ValueError(f"n_rays must be at least 8, got {self.n_rays!r}")
         if not (math.isfinite(self.drive_step) and self.drive_step > 0.0):
             raise ValueError(f"drive_step must be finite and positive, got {self.drive_step!r}")
+        if self.max_sim_steps < 0:
+            raise ValueError(f"max_sim_steps must be non-negative, got {self.max_sim_steps!r}")
 
 
 @dataclass

@@ -77,7 +77,8 @@ def make_disk_set(spec: VehicleSpec) -> DiskSet:
 class CollisionChecker:
     """Footprint disk tests against a grid's obstacle distance field.
 
-    Cells outside the grid count as colliding.
+    Cells outside the grid count as colliding.  The disk test reads a
+    boolean blocked-cell mask memoized on the grid next to its field.
     """
 
     def __init__(self, grid: OccupancyGrid, disks: DiskSet) -> None:
@@ -85,23 +86,49 @@ class CollisionChecker:
         self.threshold = disks.radius + cell_pad(grid.resolution)
         self.swept_threshold = disks.swept_radius + cell_pad(grid.resolution)
         self.offsets = np.array(disks.centers)
+        self.blocked = grid.derived(("disk_blocked", self.threshold),
+                                    lambda: self.field.values < self.threshold)
+        # the field's 1-Lipschitz slack between two cells' centres, beyond
+        # the distance of the points in them; 1e-6 m covers float rounding
+        self._clear_pad = self.threshold + 2.0 * cell_pad(grid.resolution) + 1e-6
 
     def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
-        return bool(self.batch_blocked(np.array([x]), np.array([y]),
-                                       np.array([math.cos(yaw)]), np.array([math.sin(yaw)]))[0])
+        return bool(self.batch_blocked(np.array([[x], [y]]),
+                                       np.array([[math.cos(yaw)], [math.sin(yaw)]]))[0])
 
     def rotation_blocked(self, x: float, y: float) -> bool:
         """Conservative swept check: the circle around the rear-axle point
         that contains the footprint at every yaw must be obstacle free."""
         return self.field.at(x, y) < self.swept_threshold
 
-    def batch_blocked(self, xs: np.ndarray, ys: np.ndarray,
-                      cos_yaw: np.ndarray, sin_yaw: np.ndarray) -> np.ndarray:
-        """Per-pose disk test for flat pose arrays; True where blocked."""
-        cx = xs[:, None] + self.offsets * cos_yaw[:, None]
-        cy = ys[:, None] + self.offsets * sin_yaw[:, None]
-        return (self.field.gather(cx, cy) < self.threshold).any(axis=1)
+    def clear_within(self, x: float, y: float, reach: float) -> bool:
+        """True only when no disk centred within `reach` of (x, y) is blocked.
+
+        The field is the distance between cell centres, so it drops by at most
+        the distance of two points plus two half cell diagonals between their
+        cells; the disc of radius `reach` must also lie wholly on the grid.
+        """
+        field = self.field
+        m = reach + 1e-6
+        ix0, iy0 = field.cell_of(x - m, y - m)
+        ix1, iy1 = field.cell_of(x + m, y + m)
+        h, w = field.values.shape
+        return (0 <= ix0 and 0 <= iy0 and ix1 < w and iy1 < h
+                and field.at(x, y) >= self._clear_pad + reach)
+
+    def batch_blocked(self, xy: np.ndarray, heading: np.ndarray) -> np.ndarray:
+        """Per-pose disk test; True where blocked.
+
+        `xy` stacks the poses' x and y, `heading` the cosine and sine of their
+        yaws, on a leading axis of 2; the rest of the two shapes broadcast.
+        """
+        centres = xy[..., None] + self.offsets * heading[..., None]
+        flat, off = self.field.flat_cells(centres)
+        # an off-grid point is blocked, whatever cell its wrapped index reads
+        hit = self.blocked.take(flat, mode="wrap") | off
+        return hit.reshape(centres.shape[1:]).any(axis=-1)
 
     def poses_blocked(self, xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray) -> bool:
         """True when any pose of the arrays is blocked."""
-        return bool(self.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any())
+        return bool(self.batch_blocked(np.array((xs, ys)),
+                                       np.array((np.cos(yaws), np.sin(yaws)))).any())

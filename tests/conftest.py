@@ -25,9 +25,11 @@ def bordered_grid(width_m: float, height_m: float, res: float = GRID_RES,
     return g
 
 
-def clutter_scene(rng) -> OccupancyGrid:
-    """A bordered 26 m x 26 m map with 12 random boxes (the criterion 7 scenes)."""
-    g = bordered_grid(26, 26)
+def clutter_scene(rng, border: bool = True) -> OccupancyGrid:
+    """A bordered 26 m x 26 m map with 12 random boxes (the criterion 7 scenes);
+    without `border` the same boxes stand on an open grid."""
+    g = bordered_grid(26, 26) if border else OccupancyGrid.filled(
+        int(round(26 / GRID_RES)), int(round(26 / GRID_RES)), GRID_RES, FREE)
     for _ in range(12):
         x, y = rng.uniform(3, 20, 2)
         g.set_box(x, y, x + rng.uniform(1.0, 3.2), y + rng.uniform(1.0, 3.2), OCCUPIED)

@@ -6,22 +6,28 @@ segment words, distances by exhaustive scans, and the 2D cost-to-go field by
 a plain heap Dijkstra.  The path-sampling references keep the scalar
 per-sample recurrence that the array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
-`PlannedPath.walk()` replaced, and the raytrace reference keeps the masked
-all-rays loop that the live-ray march replaced.
+`PlannedPath.walk()` replaced, the raytrace reference keeps the masked
+all-rays loop that the live-ray march replaced, and the search reference
+keeps the child loop that costed, keyed and collision-checked every child.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from hybridplan.geometry import Pose2D, RSPath
+from hybridplan.geometry import Pose2D, RSPath, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid
-from hybridplan.planner import (EXTENDED, DriveSegment, PathBuilder, PlannedPath,
-                                RotationSegment, geometric_extension)
-from hybridplan.reeds_shepp import rs_all_paths
+from hybridplan.heuristic import build_distance_map
+from hybridplan.planner import (EXTENDED, STANDARD, STOP_AT_GOAL, STOP_EARLY,
+                                BudgetExceededError, DriveSegment, NoPathError, PathBuilder,
+                                PlannedPath, PlannerConfig, PlannerFailure, RotationSegment,
+                                SearchStats, analytic_expansions, cost_of, geometric_extension)
+from hybridplan.reeds_shepp import rs_all_paths, rs_path_length
+from hybridplan.vehicle import CollisionChecker, make_disk_set
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -485,8 +491,8 @@ def extension_reference(pose: Pose2D, goal: Pose2D, ext, checker, step: float
             t = dist * i / n
             xs.append(x0 + t * c)
             ys.append(y0 + t * s)
-        if checker.batch_blocked(np.array(xs), np.array(ys), np.full(n + 1, c),
-                                 np.full(n + 1, s)).any():
+        if checker.batch_blocked(np.array([xs, ys]),
+                                 np.array([np.full(n + 1, c), np.full(n + 1, s)])).any():
             return None
         legs.append((xs, ys, yaw, dist))
     builder = PathBuilder(pose)
@@ -520,7 +526,7 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
         xs = np.array([pose.x] + [s[0] for s in samples])
         ys = np.array([pose.y] + [s[1] for s in samples])
         yaws = np.array([pose.yaw] + [s[3] for s in samples])
-        if not checker.batch_blocked(xs, ys, np.cos(yaws), np.sin(yaws)).any():
+        if not checker.batch_blocked(np.array([xs, ys]), np.array([np.cos(yaws), np.sin(yaws)])).any():
             best_cost = suffix_cost_scalar(
                 [(kind_steer[seg.kind], seg.direction, seg.length) for seg in cand.segments],
                 config, parent_direction, parent_steer)
@@ -645,3 +651,193 @@ def gear_at(path: PlannedPath, s: float) -> Tuple[int, float]:
         acc += seg.arc_length
         last = (seg.direction, float(seg.kappas[-1]) if len(seg.kappas) else 0.0)
     return last
+
+
+# ---------------------------------------------------------------------------
+# Search: the Hybrid A* loop that built every child's poses with numpy over
+# the whole primitive table, collision-checked them all, and then costed and
+# keyed each child in Python.
+# ---------------------------------------------------------------------------
+
+class _RefNode:
+    __slots__ = ("x", "y", "yaw", "g", "h", "hd", "direction", "steer",
+                 "parent", "amount", "key")
+
+    def __init__(self, x, y, yaw, g, h, hd, direction, steer, parent, amount, key):
+        self.x = x
+        self.y = y
+        self.yaw = yaw
+        self.g = g
+        self.h = h
+        self.hd = hd
+        self.direction = direction
+        self.steer = steer
+        self.parent = parent
+        self.amount = amount
+        self.key = key
+
+
+class _RefPrimitiveTable:
+    def __init__(self, config, vehicle) -> None:
+        self.wheelbase = vehicle.wheelbase
+        steers = config.steer_angles(vehicle.max_steer)
+        n_sub = max(1, math.ceil(config.arc_length / config.collision_step))
+        self.steps = [(steer, direction, config.arc_length)
+                      for direction in (1, -1) for steer in steers]
+        rel = []
+        for steer, direction, _ in self.steps:
+            kappa = math.tan(steer) / vehicle.wheelbase
+            rows = []
+            for i in range(1, n_sub + 1):
+                ds = config.arc_length * i / n_sub * direction
+                rows.append(move_along_arc(0.0, 0.0, 0.0, kappa, ds))
+            rel.append(rows)
+        arr = np.array(rel)
+        self.dx = arr[:, :, 0]
+        self.dy = arr[:, :, 1]
+        self.dyaw = arr[:, :, 2]
+        self.cos_dyaw = np.cos(self.dyaw)
+        self.sin_dyaw = np.sin(self.dyaw)
+        self.n_sub = n_sub
+
+
+def _ref_make_key(x, y, yaw, ox, oy, res, yaw_res, n_bins):
+    ix = int(math.floor((x - ox) / res))
+    iy = int(math.floor((y - oy) / res))
+    ib = int(math.floor((yaw + math.pi) / yaw_res)) % n_bins
+    return ix, iy, ib
+
+
+def _ref_reconstruct(node, table) -> PlannedPath:
+    chain = []
+    cur = node
+    while cur is not None:
+        chain.append(cur)
+        cur = cur.parent
+    chain.reverse()
+    first = chain[0]
+    builder = PathBuilder(Pose2D(first.x, first.y, first.yaw))
+    for nd in chain[1:]:
+        if nd.direction == 0:
+            builder.add_rotation(nd.amount)
+            continue
+        kappa = math.tan(nd.steer) / table.wheelbase
+        x, y, yaw = nd.parent.x, nd.parent.y, nd.parent.yaw
+        step = nd.amount / table.n_sub * nd.direction
+        for _ in range(table.n_sub):
+            x, y, yaw = move_along_arc(x, y, yaw, kappa, step)
+            builder.add_drive_sample(x, y, normalize_angle(yaw), kappa, nd.direction)
+    return builder.finish()
+
+
+def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=STANDARD,
+                   stop_rule=STOP_AT_GOAL, s_w=55.0, distance_map=None,
+                   start_direction=0, start_steer=0.0):
+    """`planner.plan` with its earlier child loop: every child is sub-sampled
+    and disk-checked, then normalised, keyed and costed one at a time."""
+    t_begin = time.perf_counter()
+    stats = SearchStats()
+    disks = make_disk_set(vehicle)
+    checker = CollisionChecker(belief, disks)
+
+    if checker.pose_blocked(start.x, start.y, start.yaw):
+        raise PlannerFailure("start in collision")
+    if stop_rule == STOP_AT_GOAL and checker.pose_blocked(goal.x, goal.y, goal.yaw):
+        raise PlannerFailure("goal in collision")
+
+    dmap = distance_map
+    if dmap is None:
+        dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
+
+    hd_start = dmap.route_distance(start.x, start.y)
+    if not math.isfinite(hd_start):
+        raise NoPathError("no path")
+
+    turn_radius = vehicle.min_turn_radius
+    table = _RefPrimitiveTable(config, vehicle)
+    rotation_steps = [(0.0, 0, delta) for delta in config.rotation_angles()] \
+        if mode == EXTENDED else []
+    n_bins = int(math.ceil(2.0 * math.pi / config.yaw_resolution))
+    ox, oy = belief.origin.x, belief.origin.y
+
+    def key_of(x, y, yaw):
+        return _ref_make_key(x, y, yaw, ox, oy, config.xy_resolution,
+                             config.yaw_resolution, n_bins)
+
+    def heuristic(x, y, yaw):
+        hd = dmap.at(x, y)
+        euclid = math.hypot(goal.x - x, goal.y - y)
+        h = hd if math.isfinite(hd) else euclid
+        if euclid <= config.rs_heuristic_radius:
+            rs = rs_path_length(Pose2D(x, y, yaw), goal, turn_radius)
+            h = max(h, rs)
+        else:
+            h = max(h, euclid)
+        return h, hd
+
+    goal_key = key_of(goal.x, goal.y, goal.yaw)
+    h0, hd0 = heuristic(start.x, start.y, start.yaw)
+    root = _RefNode(start.x, start.y, start.yaw, 0.0, h0, hd0,
+                    start_direction, start_steer, None, 0.0, key_of(start.x, start.y, start.yaw))
+    stats.nodes_created = 1
+
+    best_g = {root.key: 0.0}
+    counter = 0
+    open_heap = [(root.g + root.h, root.h, counter, root)]
+    analytic_tried = set()
+
+    def finish(path):
+        stats.wall_time_s = time.perf_counter() - t_begin
+        return path, stats
+
+    while open_heap:
+        _, _, _, node = heapq.heappop(open_heap)
+        if node.g > best_g.get(node.key, math.inf) + 1e-12:
+            continue
+        stats.nodes_expanded += 1
+        if stats.nodes_expanded > config.node_budget:
+            raise BudgetExceededError()
+
+        if node.key == goal_key or (stop_rule == STOP_EARLY and math.isfinite(node.hd)
+                                    and hd_start - node.hd > s_w):
+            return finish(_ref_reconstruct(node, table))
+        if (stop_rule != STOP_EARLY and node.h < config.analytic_radius
+                and node.key not in analytic_tried):
+            analytic_tried.add(node.key)
+            suffix = analytic_expansions(Pose2D(node.x, node.y, node.yaw), goal, checker,
+                                         config, turn_radius, mode, vehicle.max_steer,
+                                         parent_direction=node.direction,
+                                         parent_steer=node.steer)
+            if suffix is not None:
+                return finish(_ref_reconstruct(node, table).concat(suffix))
+
+        c, s = math.cos(node.yaw), math.sin(node.yaw)
+        world_x = node.x + table.dx * c - table.dy * s
+        world_y = node.y + table.dx * s + table.dy * c
+        cos_w = c * table.cos_dyaw - s * table.sin_dyaw
+        sin_w = s * table.cos_dyaw + c * table.sin_dyaw
+        blocked = checker.batch_blocked(
+            np.array([world_x.reshape(-1), world_y.reshape(-1)]),
+            np.array([cos_w.reshape(-1), sin_w.reshape(-1)])
+        ).reshape(world_x.shape).any(axis=1)
+        children = [(float(world_x[p, -1]), float(world_y[p, -1]),
+                     node.yaw + float(table.dyaw[p, -1]), step)
+                    for p, step in enumerate(table.steps) if not blocked[p]]
+        if (rotation_steps and stats.nodes_expanded % config.f_ext == 0
+                and not checker.rotation_blocked(node.x, node.y)):
+            children += [(node.x, node.y, node.yaw + step[2], step) for step in rotation_steps]
+
+        for nx, ny, raw_yaw, (steer, direction, amount) in children:
+            nyaw = normalize_angle(raw_yaw)
+            nkey = key_of(nx, ny, nyaw)
+            g2 = node.g + cost_of(steer, direction, amount, config, node.direction, node.steer)
+            if g2 >= best_g.get(nkey, math.inf) - 1e-12:
+                continue
+            h2, hd2 = heuristic(nx, ny, nyaw)
+            child = _RefNode(nx, ny, nyaw, g2, h2, hd2, direction, steer, node, amount, nkey)
+            best_g[nkey] = g2
+            stats.nodes_created += 1
+            counter += 1
+            heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
+
+    raise NoPathError()

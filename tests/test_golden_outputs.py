@@ -25,7 +25,8 @@ OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
 ALL_MODES = ("standard", "guided", "extended", "guided+extended")
 CASES = ([(sc, mode) for sc in ("smoke_small", "plate_corridor_67", "plate_corridor_84")
           for mode in ALL_MODES]
-         + [("known_large", "guided"), ("known_large", "guided+extended"),
+         + [("known_large", "standard"), ("known_large", "extended"),
+            ("known_large", "guided"), ("known_large", "guided+extended"),
             ("reveal_divergence", "guided"), ("reveal_divergence", "guided+extended")])
 
 

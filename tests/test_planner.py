@@ -4,20 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
-from hybridplan.heuristic import build_distance_map
+from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 EXTENDED, NoPathError, PathBuilder,
-                                PlannerConfig, RotationSegment,
-                                STANDARD, STOP_EARLY, analytic_expansions, cost_of,
-                                geometric_extension, plan, steps_cost)
+                                PlannerConfig, PlannerFailure, RotationSegment,
+                                STANDARD, STOP_AT_GOAL, STOP_EARLY, analytic_expansions,
+                                cost_of, geometric_extension, plan, steps_cost)
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import angles_close, bordered_grid, clutter_scene, pose_close
-from oracles import analytic_expansions_reference
+from oracles import analytic_expansions_reference, plan_reference
 
 VEH = VehicleSpec()
 CFG = PlannerConfig()
@@ -255,6 +256,60 @@ def test_determinism():
     assert p1.total_drive_length == p2.total_drive_length
     e1, e2 = p1.end_pose(), p2.end_pose()
     assert e1 == e2
+
+
+# A yaw resolution that does not divide the circle leaves a short last yaw
+# bin, so a key taken from an unnormalised yaw lands in another bin.
+SEARCH_CONFIGS = [PlannerConfig(node_budget=1500),
+                  PlannerConfig(yaw_resolution=math.radians(7.0), node_budget=1500),
+                  PlannerConfig(xy_resolution=0.46875, arc_length=1.0, f_ext=2, node_budget=1500)]
+
+
+def _free_pose(rng, checker, near_edge: bool) -> Pose2D:
+    """A free pose inside the scene, or one within 3 m of the grid edge."""
+    for _ in range(200):
+        x, y = rng.uniform(0.3, 25.7, 2) if near_edge else rng.uniform(2.0, 24.0, 2)
+        if near_edge and min(x, y, 26 - x, 26 - y) > 3.0:
+            continue
+        pose = Pose2D(float(x), float(y), float(rng.uniform(-math.pi, math.pi)))
+        if not checker.pose_blocked(pose.x, pose.y, pose.yaw):
+            return pose
+    return pose
+
+
+def _search_outcome(fn, *args, **kwargs):
+    try:
+        path, stats = fn(*args, **kwargs)
+    except (PlannerFailure, GoalBlockedError) as exc:   # the route map rejects a blocked goal
+        return None, (type(exc), str(exc))
+    return path, (stats.nodes_expanded, stats.nodes_created)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), border=st.booleans(),
+       mode=st.sampled_from([STANDARD, EXTENDED]),
+       stop_rule=st.sampled_from([STOP_AT_GOAL, STOP_EARLY]),
+       s_w=st.floats(1.0, 15.0), config=st.sampled_from(SEARCH_CONFIGS),
+       start_direction=st.sampled_from([-1, 0, 1]),
+       start_steer=st.floats(-VEH.max_steer, VEH.max_steer), near_edge=st.booleans())
+def test_search_matches_reference(seed, border, mode, stop_rule, s_w, config,
+                                  start_direction, start_steer, near_edge):
+    """The child loop that keys and costs children first and checks only the
+    survivors finds the same path, sample for sample, after the same number
+    of expansions and children as the loop that checked every child, or
+    fails the same way."""
+    rng = np.random.default_rng(seed)
+    g = clutter_scene(rng, border)
+    checker = CollisionChecker(g, make_disk_set(VEH))
+    start = _free_pose(rng, checker, near_edge)
+    goal = _free_pose(rng, checker, False)
+    args = (g, start, goal, VEH, config)
+    kwargs = dict(mode=mode, stop_rule=stop_rule, s_w=s_w,
+                  start_direction=start_direction, start_steer=start_steer)
+    got_path, got = _search_outcome(plan, *args, **kwargs)
+    ref_path, ref = _search_outcome(plan_reference, *args, **kwargs)
+    assert got == ref
+    assert _same_path(got_path, ref_path)
 
 
 # ------------------------------------------------------- analytic expansions

@@ -160,6 +160,11 @@ def test_zero_budget_returns_unreached():
     assert report.length == 0.0
 
 
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="max_sim_steps"):
+        smoke_spec(max_sim_steps=-3)
+
+
 def test_stop_cause_step_limit():
     driven, report, events = run_scenario(smoke_spec(max_sim_steps=5),
                                           MissionConfig(nav_mode=NAV_NONE),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hybridplan.geometry import Pose2D, move_along_arc
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
 from hybridplan.planner import PathBuilder
-from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 
 from conftest import pose_close
 from oracles import pose_collides, rectangle_hits_occupied, rotation_collides
@@ -237,7 +237,7 @@ def test_checker_matches_scalar_reference(seed, n_disks, origin):
     yaws = r.uniform(-math.pi, math.pi, n)
     cos_yaw = np.array([math.cos(a) for a in yaws])
     sin_yaw = np.array([math.sin(a) for a in yaws])
-    batch = checker.batch_blocked(xs, ys, cos_yaw, sin_yaw)
+    batch = checker.batch_blocked(np.array([xs, ys]), np.array([cos_yaw, sin_yaw]))
     for i in range(n):
         pose = Pose2D(float(xs[i]), float(ys[i]), float(yaws[i]))
         expect = pose_collides(pose, disks, field, res, origin)
@@ -245,3 +245,92 @@ def test_checker_matches_scalar_reference(seed, n_disks, origin):
         assert bool(batch[i]) == expect
         assert checker.rotation_blocked(pose.x, pose.y) == \
             rotation_collides(pose, disks, field, res, origin)
+    for shape in ((2, 75), (3, 5, 10)):
+        xy = np.array([xs, ys]).reshape((2,) + shape)
+        heading = np.array([cos_yaw, sin_yaw]).reshape((2,) + shape)
+        assert np.array_equal(checker.batch_blocked(xy, heading), batch.reshape(shape))
+    # one heading broadcast over a row of positions, as a straight leg is checked
+    same_yaw = checker.batch_blocked(np.array([xs, ys]), np.array([cos_yaw[:1], sin_yaw[:1]]))
+    for i in range(n):
+        expect = pose_collides(Pose2D(float(xs[i]), float(ys[i]), float(yaws[0])),
+                               disks, field, res, origin)
+        assert bool(same_yaw[i]) == expect
+
+
+def test_blocked_mask_follows_set_box():
+    """The blocked-cell mask is memoized on the grid, and a cell write drops it."""
+    g = OccupancyGrid.filled(120, 120, 0.15625, FREE)
+    g.set_cells((0, 0), OCCUPIED)
+    disks = make_disk_set(VehicleSpec())
+    before = CollisionChecker(g, disks)
+    assert CollisionChecker(g, disks).blocked is before.blocked
+    assert not before.pose_blocked(9.0, 9.0, 0.3)
+    g.set_box(8.5, 8.5, 9.5, 9.5, OCCUPIED)
+    after = CollisionChecker(g, disks)
+    assert after.pose_blocked(9.0, 9.0, 0.3)
+    assert np.array_equal(after.blocked, g.distance_field().values < after.threshold)
+    g.set_box(8.5, 8.5, 9.5, 9.5, FREE)
+    assert not CollisionChecker(g, disks).pose_blocked(9.0, 9.0, 0.3)
+
+
+def _cells_within(x: float, y: float, reach: float, res: float, origin):
+    """One point inside every cell (on or off the grid) that the disc of
+    radius reach around (x, y) touches: the cell's nearest point to (x, y),
+    nudged into the cell's interior, kept when it lies within reach."""
+    nudge = res * 1e-7
+    ix0 = math.floor((x - reach - origin[0]) / res) - 1
+    iy0 = math.floor((y - reach - origin[1]) / res) - 1
+    ix1 = math.floor((x + reach - origin[0]) / res) + 1
+    iy1 = math.floor((y + reach - origin[1]) / res) + 1
+    for ix in range(ix0, ix1 + 1):
+        lo_x = origin[0] + ix * res
+        px = min(max(x, lo_x + nudge), lo_x + res - nudge)
+        for iy in range(iy0, iy1 + 1):
+            lo_y = origin[1] + iy * res
+            py = min(max(y, lo_y + nudge), lo_y + res - nudge)
+            if math.hypot(px - x, py - y) <= reach:
+                yield px, py
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), res=st.sampled_from([0.15625, 0.2, 0.25, 0.5]),
+       origin=st.sampled_from([(0.0, 0.0), (-7.3, 4.15), (123.456, -98.7)]),
+       density=st.sampled_from([0.0, 0.002, 0.02, 0.1]), n_disks=st.integers(1, 4))
+def test_clear_within_proves_every_disk_free(seed, res, origin, density, n_disks):
+    """When `clear_within` says clear, every disk centred within reach is free
+    by the scalar reference, the cells next to the grid edge and off it
+    included; an obstacle-free grid (+inf field) is tested too.
+
+    Half of the reaches are drawn just below the field's own margin, where
+    only the half-cell-diagonal terms keep the answer correct."""
+    r = np.random.default_rng(seed)
+    w, h = int(r.integers(16, 60)), int(r.integers(16, 60))
+    g = OccupancyGrid(res, np.where(r.random((h, w)) < density, OCCUPIED, FREE),
+                      Pose2D(origin[0], origin[1], 0.0))
+    radius = float(r.uniform(0.05, 1.0))
+    disks = DiskSet(tuple(sorted(r.uniform(-1.0, 1.5, n_disks).tolist())), radius)
+    one_disk = DiskSet((0.0,), radius)
+    checker = CollisionChecker(g, disks)
+    field = g.distance_field().values
+    w_m, h_m = w * res, h * res
+    for i in range(30):
+        x = origin[0] + float(r.uniform(-1.0, w_m + 1.0))
+        y = origin[1] + float(r.uniform(-1.0, h_m + 1.0))
+        reach = float(r.uniform(0.0, 2.5))
+        if i % 2:
+            margin = checker.field.at(x, y) - checker.threshold
+            reach = margin - float(r.uniform(0.0, 1.0)) * res * math.sqrt(2.0)
+            if not 0.0 <= reach <= 2.5:
+                continue
+        if not checker.clear_within(x, y, reach):
+            continue
+        for px, py in _cells_within(x, y, reach, res, origin):
+            assert not pose_collides(Pose2D(px, py, 0.0), one_disk, field, res, origin)
+        for _ in range(20):
+            yaw = float(r.uniform(-math.pi, math.pi))
+            d = r.uniform(-reach, reach, 2)
+            pose = Pose2D(x + float(d[0]), y + float(d[1]), yaw)
+            if all(math.hypot(pose.x + o * math.cos(pose.yaw) - x,
+                              pose.y + o * math.sin(pose.yaw) - y) <= reach
+                   for o in disks.centers):
+                assert not pose_collides(pose, disks, field, res, origin)
