@@ -65,6 +65,13 @@ class OccupancyGrid:
     The cells are a private read-only copy.  They change only through
     `set_cells` (which `set_box`, `set_disk` and `raytrace_reveal` use),
     which bumps `version` and drops every memoized derived value.
+
+    `carry` keeps, across `set_cells`, what the next rebuild of a derived
+    value may start from: the occupied mask and read-only field of the last
+    distance transform, and the last cost-to-goal flood.  It cannot go
+    stale: each carried value is stored with the inputs it was computed
+    from, and a rebuild reuses it only after comparing those inputs with
+    the current ones.  `copy` starts with an empty carry.
     """
 
     def __init__(self, resolution: float, cells: np.ndarray,
@@ -80,6 +87,7 @@ class OccupancyGrid:
         self.version = 0
         self._cells = cells
         self._memo: dict = {}
+        self.carry: dict = {}
 
     @property
     def cells(self) -> np.ndarray:
@@ -103,9 +111,13 @@ class OccupancyGrid:
         return self._memo[key]
 
     def distance_field(self) -> Raster:
-        """Memoized obstacle distance transform; -inf off the grid."""
-        return self.derived("distance_field", lambda: Raster(
-            distance_transform(self), self.resolution, self.origin, -math.inf))
+        """Memoized obstacle distance transform; -inf off the grid.  Each
+        rebuild passes the previous one's occupied mask and field on."""
+        def build() -> Raster:
+            field = distance_transform(self, previous=self.carry.get("distance_field"))
+            self.carry["distance_field"] = (self.occupied_mask(), field)
+            return Raster(field, self.resolution, self.origin, -math.inf)
+        return self.derived("distance_field", build)
 
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
@@ -179,16 +191,62 @@ def load_map(path) -> OccupancyGrid:
     return OccupancyGrid(resolution, cells)
 
 
-def distance_transform(grid: OccupancyGrid) -> np.ndarray:
-    """Per-cell Euclidean distance in meters to the nearest occupied cell center.
+def distance_transform(grid: OccupancyGrid, *,
+                       previous: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """Per-cell Euclidean distance in meters to the nearest occupied cell
+    center, as a read-only array.
 
     Occupied cells map to 0 and unknown cells count as free; a grid without
     any occupied cell maps to +inf.
+
+    `previous` is the occupied mask of an earlier state of the grid and its
+    field.  If no occupied cell has gone since, that field is returned when
+    the mask is the same, and otherwise lowered to the distance to the
+    added cells over the window they can reach (`_add_obstacles`).  A
+    removed obstacle, or no `previous`, rebuilds the whole field.
     """
     occupied = grid.occupied_mask()
-    if not occupied.any():
-        return np.full(grid.cells.shape, np.inf)
-    return ndimage.distance_transform_edt(~occupied) * grid.resolution
+    if previous is not None:
+        old_occupied, old_field = previous
+        if not (old_occupied > occupied).any():
+            added = occupied > old_occupied
+            if not added.any():
+                return old_field
+            return _add_obstacles(old_field, added, grid.resolution)
+    if occupied.any():
+        field = ndimage.distance_transform_edt(~occupied) * grid.resolution
+    else:
+        field = np.full(occupied.shape, np.inf)
+    field.setflags(write=False)
+    return field
+
+
+def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float) -> np.ndarray:
+    """A new array: `field` lowered to the distance to the `added` cells.
+
+    Every distance is sqrt(integer) * resolution, which is monotone in the
+    integer, so the min of two exact fields is bit-identical to the field of
+    their union.  A cell's distance to the added cells' bounding box,
+    rounded the same way, bounds its distance to the added cells from
+    below; a cell whose old value is within that bound keeps it, so only
+    the window over the other cells is recomputed.
+    """
+    rows = np.flatnonzero(added.any(axis=1))
+    cols = np.flatnonzero(added.any(axis=0))
+    iy = np.arange(added.shape[0], dtype=np.float64)
+    ix = np.arange(added.shape[1], dtype=np.float64)
+    dy = np.maximum(np.maximum(rows[0] - iy, iy - rows[-1]), 0.0)
+    dx = np.maximum(np.maximum(cols[0] - ix, ix - cols[-1]), 0.0)
+    bound = np.sqrt((dy * dy)[:, None] + (dx * dx)[None, :]) * resolution
+    reach = field > bound                    # holds on every added cell
+    rows = np.flatnonzero(reach.any(axis=1))
+    cols = np.flatnonzero(reach.any(axis=0))
+    window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    out = field.copy()
+    np.minimum(out[window], ndimage.distance_transform_edt(~added[window]) * resolution,
+               out=out[window])
+    out.setflags(write=False)
+    return out
 
 
 def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0) -> Raster:

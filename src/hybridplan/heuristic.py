@@ -82,6 +82,9 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     Unknown cells count as free (optimistic planner); occupied cells are
     inflated by `inflation_radius` before max-pool downsampling.  Straight
     moves cost the planning resolution, diagonal moves sqrt(2) times that.
+    The values are those of the belief's last flood (its `carry`) when the
+    coarse blocked grid, goal cell and resolution all equal that flood's,
+    and a new read-only array otherwise.
     """
     factor = planning_resolution / belief.resolution
     if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
@@ -100,9 +103,18 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
         raise GoalBlockedError("goal blocked")
 
     goal_cell = coarse.cell_of(goal.x, goal.y)
-    values = _flood_from(blocked, goal_cell, planning_resolution)
-    return DistanceMap(values, planning_resolution, belief.origin, math.inf,
+    last = belief.carry.get("route_map")
+    if (last is not None and last.resolution == planning_resolution
+            and last.goal_cell == goal_cell and np.array_equal(last.blocked, blocked)):
+        values = last.values
+    else:
+        values = _flood_from(blocked, goal_cell, planning_resolution)
+        values.setflags(write=False)
+    blocked.setflags(write=False)
+    dmap = DistanceMap(values, planning_resolution, belief.origin, math.inf,
                        blocked=blocked, goal_cell=goal_cell)
+    belief.carry["route_map"] = dmap
+    return dmap
 
 
 def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:

@@ -120,9 +120,13 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     """One decision step: refresh the 2D route, test the triggers, replan.
 
     The distance map is memoized on the belief until its cells change; the
-    coarse route is extracted every tick.  Route divergence against the
-    previous tick, an upcoming path collision, missing path, or accumulated
-    progress trigger a replan.
+    coarse route is extracted every tick.  A rebuild after a reveal starts
+    from the belief's `carry`: the obstacle field recomputes only the window
+    that new obstacles can reach (all of it when one was removed), and the
+    flood is reused when its coarse blocked grid, goal cell and resolution
+    are unchanged; both results equal a rebuild from scratch bit for bit.
+    Route divergence against the previous tick, an upcoming path collision,
+    missing path, or accumulated progress trigger a replan.
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")

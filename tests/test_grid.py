@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hybridplan.grid as grid_module
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal,
@@ -81,11 +82,17 @@ def test_set_box_rebuilds_distance_field():
     g = OccupancyGrid.filled(20, 20, 0.5, FREE)
     g.set_cells((0, 0), OCCUPIED)
     before = g.distance_field()
+    kept = before.values.copy()
     assert g.distance_field() is before          # memoized while unchanged
     g.set_box(6.0, 6.0, 7.0, 7.0, OCCUPIED)
     after = g.distance_field()
     assert before.values[13, 13] > 0.0 and after.values[13, 13] == 0.0
     assert np.array_equal(after.values, distance_transform(g))
+    assert np.array_equal(before.values, kept)   # a field read earlier keeps its values
+    for field in (before, after):
+        with pytest.raises(ValueError):
+            field.values[13, 13] = 1.0
+    assert g.copy().carry == {}
 
 
 def test_reveal_bumps_version_only_when_cells_change():
@@ -146,6 +153,114 @@ def test_distance_transform_unknown_flag():
     g = OccupancyGrid.filled(5, 5, 1.0, FREE)
     g.set_cells((2, 2), UNKNOWN)
     assert np.all(np.isinf(distance_transform(g)))   # unknown counts as free
+
+
+EDITS = ("add_box", "add_disk", "add_cells", "remove_box", "remove_disk", "mixed",
+         "unknown_to_free", "noop", "clear")
+
+
+def _apply_edit(g, edit, r):
+    h, w = g.cells.shape
+    res = g.resolution
+    x0, y0 = r.uniform(-1.0, w + 1.0) * res, r.uniform(-1.0, h + 1.0) * res
+    x1, y1 = x0 + r.uniform(0.0, 0.4 * w) * res, y0 + r.uniform(0.0, 0.4 * h) * res
+    radius = r.uniform(0.0, 0.3 * max(w, h)) * res
+    if edit == "add_box":
+        g.set_box(x0, y0, x1, y1, OCCUPIED)
+    elif edit == "add_disk":
+        g.set_disk(x0, y0, radius, OCCUPIED)
+    elif edit == "add_cells":
+        g.set_cells(r.random((h, w)) < 0.03, OCCUPIED)
+    elif edit == "remove_box":
+        g.set_box(x0, y0, x1, y1, FREE)
+    elif edit == "remove_disk":
+        g.set_disk(x0, y0, radius, r.choice([FREE, UNKNOWN]))
+    elif edit == "mixed":
+        mask = r.random((h, w)) < 0.1
+        g.set_cells(mask, r.integers(0, 3, int(mask.sum())).astype(np.uint8))
+    elif edit == "unknown_to_free":
+        g.set_cells((g.cells == UNKNOWN) & (r.random((h, w)) < 0.5), FREE)
+    elif edit == "noop":
+        g.set_cells(slice(None), g.cells.copy())
+    else:
+        g.set_cells(g.cells == OCCUPIED, FREE)
+
+
+def _assert_field_is_full_rebuild(g):
+    got = g.distance_field().values
+    assert np.array_equal(got, distance_transform(g.copy()))
+    if g.cells.size <= 400:
+        assert np.array_equal(got, brute_distance_transform(g.cells == OCCUPIED, g.resolution))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([0.1, 0.15625, 0.25, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.0, 0.02, 0.2]),
+       st.lists(st.sampled_from(EDITS), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_incremental_distance_field_matches_full(w, h, res, fill, edits, seed):
+    """After every edit the carried field is bit-equal to a full transform of
+    a fresh copy, from a start with or without obstacles."""
+    r = np.random.default_rng(seed)
+    cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
+    cells[r.random((h, w)) < fill] = OCCUPIED
+    g = OccupancyGrid(res, cells)
+    _assert_field_is_full_rebuild(g)
+    for edit in edits:
+        _apply_edit(g, edit, r)
+        _assert_field_is_full_rebuild(g)
+
+
+def test_incremental_distance_field_matches_full_over_reveals():
+    r = np.random.default_rng(7)
+    truth = bordered_grid(24, 12, res=0.25)
+    for _ in range(10):
+        x, y = r.uniform(1.0, 20.0), r.uniform(1.0, 9.0)
+        truth.set_box(x, y, x + r.uniform(0.3, 2.5), y + r.uniform(0.3, 2.5), OCCUPIED)
+    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
+    _assert_field_is_full_rebuild(belief)
+    for i in range(16):
+        raytrace_reveal(truth, belief, Pose2D(1.5 + 1.3 * i, 6.0 + 2.0 * math.sin(i), 0.0),
+                        5.0, 360)
+        _assert_field_is_full_rebuild(belief)
+    assert np.array_equal(belief.distance_field().values,
+                          brute_distance_transform(belief.cells == OCCUPIED, 0.25))
+
+
+def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
+    """Every rebuilt field is one module-level `distance_transform` call, also
+    when the occupied cells did not change, with the carried mask and field
+    passed by keyword."""
+    calls = []
+    full = grid_module.distance_transform
+
+    def counting(grid, *args, **kwargs):
+        field = full(grid, *args, **kwargs)
+        calls.append((args, kwargs, field))
+        return field
+
+    monkeypatch.setattr(grid_module, "distance_transform", counting)
+    truth = bordered_grid(20, 12, res=0.25)
+    truth.set_box(9.0, 4.0, 11.0, 8.0, OCCUPIED)
+    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
+    belief.distance_field()
+    rebuilds, same_mask = 1, 0
+    for x in (2.0, 2.0, 3.0, 6.0, 14.0, 17.0, 17.5):
+        version, mask = belief.version, belief.occupied_mask()
+        raytrace_reveal(truth, belief, Pose2D(x, 6.0, 0.0), 4.0, 360)
+        if x == 3.0:
+            belief.set_cells(belief.cells == UNKNOWN, FREE)
+        belief.distance_field()
+        belief.distance_field()
+        rebuilds += belief.version != version
+        same_mask += (belief.version != version
+                      and np.array_equal(mask, belief.occupied_mask()))
+        assert len(calls) == rebuilds
+    assert same_mask >= 1 and rebuilds >= 4
+    assert calls[0][:2] == ((), {"previous": None})
+    for (_, _, before), (args, kwargs, _) in zip(calls, calls[1:]):
+        assert args == () and kwargs["previous"][1] is before
 
 
 # ------------------------------------------------------------------ raster

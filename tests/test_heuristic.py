@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridplan.geometry import Pose2D
-from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
+from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
 from hybridplan.heuristic import (AStarPath, GoalBlockedError, NoRouteError,
                                   build_distance_map, detect_divergence,
                                   extract_astar_path, waypose_at)
@@ -39,6 +39,33 @@ def test_matches_reference_dijkstra_through_wall_gap():
     dm = build_distance_map(g, Pose2D(8.0, 2.0, 0.0), inflation_radius=0.5)
     expect = dijkstra_cost_to_go(dm.blocked, (dm.goal_cell[1], dm.goal_cell[0]), 0.625)
     assert np.allclose(dm.values, expect, atol=1e-9, equal_nan=True)
+
+
+def test_flood_reused_only_for_equal_inputs():
+    """The belief's last flood is reused when the blocked grid, goal cell and
+    resolution are unchanged, and is otherwise rebuilt as on a fresh grid."""
+    g = empty_grid(20, 20)
+    g.set_box(5.0, 0.0, 5.5, 12.0, OCCUPIED)
+    g.set_cells((slice(100, 110), slice(100, 110)), UNKNOWN)   # counts as free
+    goal = Pose2D(15.0, 3.0, 0.0)
+    first = build_distance_map(g, goal)
+    for dm in (first, build_distance_map(g, goal, 1.25)):
+        with pytest.raises(ValueError):
+            dm.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            dm.blocked[0, 0] = True
+    second = build_distance_map(g, goal, 1.25)
+    g.set_cells((slice(100, 110), slice(100, 110)), FREE)      # blocked grid unchanged
+    assert build_distance_map(g, goal, 1.25).values is second.values
+    assert build_distance_map(g, Pose2D(15.2, 3.1, 0.0), 1.25).values is second.values
+    for change in (lambda: None, lambda: g.set_box(9.0, 6.0, 10.0, 14.0, OCCUPIED)):
+        change()
+        for goal_ in (goal, Pose2D(12.0, 3.0, 0.0)):
+            dm = build_distance_map(g, goal_)
+            fresh = build_distance_map(g.copy(), goal_)
+            assert np.array_equal(dm.values, fresh.values)
+            assert np.array_equal(dm.blocked, fresh.blocked)
+            assert dm.goal_cell == fresh.goal_cell
 
 
 def test_goal_blocked_raises():
