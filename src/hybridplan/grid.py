@@ -64,14 +64,12 @@ class OccupancyGrid:
 
     The cells are a private read-only copy.  They change only through
     `set_cells` (which `set_box`, `set_disk` and `raytrace_reveal` use),
-    which bumps `version` and drops every memoized derived value.
+    which bumps `version` and starts a new generation of the memo.
 
-    `carry` keeps, across `set_cells`, what the next rebuild of a derived
-    value may start from: the occupied mask and read-only field of the last
-    distance transform, and the last cost-to-goal flood.  It cannot go
-    stale: each carried value is stored with the inputs it was computed
-    from, and a rebuild reuses it only after comparing those inputs with
-    the current ones.  `copy` starts with an empty carry.
+    One memo rule: a derived value is built once per generation, and its
+    build is handed the value built under the same key in the generation
+    before the last write (None if there is none), to start from.  Only
+    two generations are held; `copy` starts with an empty memo.
     """
 
     def __init__(self, resolution: float, cells: np.ndarray,
@@ -87,7 +85,7 @@ class OccupancyGrid:
         self.version = 0
         self._cells = cells
         self._memo: dict = {}
-        self.carry: dict = {}
+        self._previous: dict = {}
 
     @property
     def cells(self) -> np.ndarray:
@@ -102,20 +100,20 @@ class OccupancyGrid:
         finally:
             self._cells.setflags(write=False)
         self.version += 1
-        self._memo.clear()
+        self._previous, self._memo = self._memo, {}
 
-    def derived(self, key, build: Callable[[], object]):
-        """`build()`, memoized under `key` until the cells next change."""
+    def derived(self, key, build: Callable[[object], object]):
+        """`build(previous)`, memoized under `key` until the cells next
+        change; `previous` is the value of `key` one generation back."""
         if key not in self._memo:
-            self._memo[key] = build()
+            self._memo[key] = build(self._previous.get(key))
         return self._memo[key]
 
     def distance_field(self) -> Raster:
         """Memoized obstacle distance transform; -inf off the grid.  Each
-        rebuild passes the previous one's occupied mask and field on."""
-        def build() -> Raster:
-            field = distance_transform(self, previous=self.carry.get("distance_field"))
-            self.carry["distance_field"] = (self.occupied_mask(), field)
+        rebuild starts from the previous generation's field."""
+        def build(previous: Optional[Raster]) -> Raster:
+            field = distance_transform(self, previous=None if previous is None else previous.values)
             return Raster(field, self.resolution, self.origin, -math.inf)
         return self.derived("distance_field", build)
 
@@ -192,27 +190,28 @@ def load_map(path) -> OccupancyGrid:
 
 
 def distance_transform(grid: OccupancyGrid, *,
-                       previous: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+                       previous: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell Euclidean distance in meters to the nearest occupied cell
     center, as a read-only array.
 
     Occupied cells map to 0 and unknown cells count as free; a grid without
     any occupied cell maps to +inf.
 
-    `previous` is the occupied mask of an earlier state of the grid and its
-    field.  If no occupied cell has gone since, that field is returned when
+    `previous` is the field of an earlier state of the grid; its occupied
+    cells are exactly its zeros, as a free cell is at least one resolution
+    away.  If no occupied cell has gone since, that field is returned when
     the mask is the same, and otherwise lowered to the distance to the
     added cells over the window they can reach (`_add_obstacles`).  A
     removed obstacle, or no `previous`, rebuilds the whole field.
     """
     occupied = grid.occupied_mask()
     if previous is not None:
-        old_occupied, old_field = previous
+        old_occupied = previous == 0.0
         if not (old_occupied > occupied).any():
             added = occupied > old_occupied
             if not added.any():
-                return old_field
-            return _add_obstacles(old_field, added, grid.resolution)
+                return previous
+            return _add_obstacles(previous, added, grid.resolution)
     if occupied.any():
         field = ndimage.distance_transform_edt(~occupied) * grid.resolution
     else:

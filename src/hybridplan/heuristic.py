@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .geometry import Pose2D
-from .grid import OCCUPIED, OccupancyGrid, Raster
+from .grid import OccupancyGrid, Raster
 
 PLANNING_RESOLUTION = 0.625   # [m] coarse planning grid
 DIVERGENCE_STEP = 0.625       # [m] arc-length resampling for path matching
@@ -79,42 +79,37 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
                        inflation_radius: float = 1.0) -> DistanceMap:
     """Flood the cost-to-goal over the 8-connected coarse grid.
 
-    Unknown cells count as free (optimistic planner); occupied cells are
-    inflated by `inflation_radius` before max-pool downsampling.  Straight
-    moves cost the planning resolution, diagonal moves sqrt(2) times that.
-    The values are those of the belief's last flood (its `carry`) when the
-    coarse blocked grid, goal cell and resolution all equal that flood's,
-    and a new read-only array otherwise.
+    Unknown cells count as free (optimistic planner); cells within
+    `inflation_radius` of an occupied cell are blocked before max-pool
+    downsampling.  Straight moves cost the planning resolution, diagonal
+    moves sqrt(2) times that.  The map is memoized on the belief per goal
+    cell, resolution and radius; a rebuild keeps the previous generation's
+    values when its coarse blocked grid is unchanged.
     """
     factor = planning_resolution / belief.resolution
     if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
         raise ValueError("planning_resolution must be an integer multiple of the grid resolution")
+    if not inflation_radius >= 0.0:
+        raise ValueError(f"inflation_radius must be non-negative, got {inflation_radius!r}")
     factor = int(round(factor))
+    # cell_of reads only the origin and resolution of the coarse grid
+    goal_cell = Raster(belief.cells, planning_resolution, belief.origin, True).cell_of(goal.x, goal.y)
 
-    fine_occ = belief.cells == OCCUPIED
-    if inflation_radius > 0.0 and fine_occ.any():
-        fine_blocked = belief.distance_field().values <= inflation_radius
-    else:
-        fine_blocked = fine_occ
-    blocked = _downsample_blocked(fine_blocked, factor)
+    def build(previous: Optional[DistanceMap]) -> DistanceMap:
+        blocked = _downsample_blocked(belief.distance_field().values <= inflation_radius, factor)
+        coarse = Raster(blocked, planning_resolution, belief.origin, True)
+        if coarse.at(goal.x, goal.y):                 # blocked or off the grid
+            raise GoalBlockedError("goal blocked")
+        if previous is not None and np.array_equal(previous.blocked, blocked):
+            values = previous.values
+        else:
+            values = _flood_from(blocked, goal_cell, planning_resolution)
+            values.setflags(write=False)
+        blocked.setflags(write=False)
+        return DistanceMap(values, planning_resolution, belief.origin, math.inf,
+                           blocked=blocked, goal_cell=goal_cell)
 
-    coarse = Raster(blocked, planning_resolution, belief.origin, True)
-    if coarse.at(goal.x, goal.y):                 # blocked or off the grid
-        raise GoalBlockedError("goal blocked")
-
-    goal_cell = coarse.cell_of(goal.x, goal.y)
-    last = belief.carry.get("route_map")
-    if (last is not None and last.resolution == planning_resolution
-            and last.goal_cell == goal_cell and np.array_equal(last.blocked, blocked)):
-        values = last.values
-    else:
-        values = _flood_from(blocked, goal_cell, planning_resolution)
-        values.setflags(write=False)
-    blocked.setflags(write=False)
-    dmap = DistanceMap(values, planning_resolution, belief.origin, math.inf,
-                       blocked=blocked, goal_cell=goal_cell)
-    belief.carry["route_map"] = dmap
-    return dmap
+    return belief.derived(("route_map", goal_cell, planning_resolution, inflation_radius), build)
 
 
 def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:

@@ -119,22 +119,17 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
                  ) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
 
-    The distance map is memoized on the belief until its cells change; the
-    coarse route is extracted every tick.  A rebuild after a reveal starts
-    from the belief's `carry`: the obstacle field recomputes only the window
-    that new obstacles can reach (all of it when one was removed), and the
-    flood is reused when its coarse blocked grid, goal cell and resolution
-    are unchanged; both results equal a rebuild from scratch bit for bit.
-    Route divergence against the previous tick, an upcoming path collision,
-    missing path, or accumulated progress trigger a replan.
+    The distance map is memoized on the belief (see `OccupancyGrid.derived`)
+    and the coarse route is extracted every tick.  Route divergence against
+    the previous tick, an upcoming path collision, missing path, or
+    accumulated progress trigger a replan.
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
 
     res, inflation = planner_cfg.xy_resolution, planner_cfg.inflation_radius
     try:
-        dmap = belief.derived(("route_map", state.goal, res, inflation),
-                              lambda: build_distance_map(belief, state.goal, res, inflation))
+        dmap = build_distance_map(belief, state.goal, res, inflation)
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:
@@ -200,7 +195,6 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     try:
         planned, stats = plan(belief, start, goal, vehicle, planner_cfg,
                               mode=planner_mode, stop_rule=stop_rule, s_w=s_w,
-                              distance_map=dmap if goal is state.goal else None,
                               start_direction=start_dir, start_steer=start_steer)
     except PlannerFailure as exc:
         return TickResult(status="failed", cause=cause, s_plan=s_plan, reason=str(exc))

@@ -1,6 +1,6 @@
 """Hybrid A* search over (x, y, yaw) with drive and in-place rotation primitives.
 
-Nodes carry continuous poses reached by kinematically exact motion
+Nodes hold continuous poses reached by kinematically exact motion
 primitives and are deduplicated on a coarse (x, y, yaw) lattice.  The
 search terminates at the goal lattice cell, through an analytic expansion
 (shortest bounded-curvature path, plus the drive-rotate-drive connection
@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (Pose2D, iter_segment_samples, move_along_arc, normalize_angle,
                        normalize_angles, sample_path)
 from .grid import OccupancyGrid
-from .heuristic import DistanceMap, build_distance_map
+from .heuristic import build_distance_map
 from .reeds_shepp import rs_all_paths, rs_path_length
 from .vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
@@ -469,7 +469,6 @@ def _lattice_key(origin: Pose2D, config: PlannerConfig):
 def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpec,
          config: PlannerConfig = PlannerConfig(), mode: str = STANDARD,
          stop_rule: str = STOP_AT_GOAL, s_w: float = 55.0,
-         distance_map: Optional[DistanceMap] = None,
          start_direction: int = 0, start_steer: float = 0.0,
          ) -> Tuple[PlannedPath, SearchStats]:
     """Search a kinematically feasible path on the belief map.
@@ -489,9 +488,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     if stop_rule == STOP_AT_GOAL and checker.pose_blocked(goal.x, goal.y, goal.yaw):
         raise PlannerFailure("goal in collision")
 
-    dmap = distance_map
-    if dmap is None:
-        dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
+    dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):

@@ -9,7 +9,7 @@ heuristic lookups in the graph search.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 from .geometry import LEFT, RIGHT, STRAIGHT, Pose2D, RSPath, RSSegment, normalize_angle
 
@@ -164,53 +164,41 @@ def _lrslr(x, y, phi):
     return t, u, v
 
 
-# Segment patterns: (kind, role) where role is 't'/'u'/'v'/'-u' for the
-# free parameters, or a float for arcs fixed at +-pi/2.
-_PATTERNS = {
-    "LSL": ((LEFT, "t"), (STRAIGHT, "u"), (LEFT, "v")),
-    "LSR": ((LEFT, "t"), (STRAIGHT, "u"), (RIGHT, "v")),
-    "LRL": ((LEFT, "t"), (RIGHT, "u"), (LEFT, "v")),
-    "SLS": ((STRAIGHT, "t"), (LEFT, "u"), (STRAIGHT, "v")),
-    "LRLRn": ((LEFT, "t"), (RIGHT, "u"), (LEFT, "-u"), (RIGHT, "v")),
-    "LRLRp": ((LEFT, "t"), (RIGHT, "u"), (LEFT, "u"), (RIGHT, "v")),
-    "LRSL": ((LEFT, "t"), (RIGHT, -HALF_PI), (STRAIGHT, "u"), (LEFT, "v")),
-    "LRSR": ((LEFT, "t"), (RIGHT, -HALF_PI), (STRAIGHT, "u"), (RIGHT, "v")),
-    "LRSLR": ((LEFT, "t"), (RIGHT, -HALF_PI), (STRAIGHT, "u"), (LEFT, -HALF_PI), (RIGHT, "v")),
-}
+class _Family(NamedTuple):
+    """A word family: its solver and its segments as (kind, role), role
+    being 't'/'u'/'v'/'-u' for the free parameters or a float for arcs fixed
+    at +-pi/2.  The tied / fixed segments add `extra_u` * |u| +
+    `extra_const` to the length; `backwards` families also need the
+    reversed word order, which reflection alone does not cover."""
 
-_SOLVERS = {
-    "LSL": _lsl,
-    "LSR": _lsr,
-    "LRL": _lrl,
-    "SLS": _sls,
-    "LRLRn": _lrlrn,
-    "LRLRp": _lrlrp,
-    "LRSL": _lrsl,
-    "LRSR": _lrsr,
-    "LRSLR": _lrslr,
-}
-
-# Extra arc length contributed by tied / fixed segments, as a multiple of
-# |u| and a constant, per base family.
-_EXTRA_U = {"LRLRn": 1.0, "LRLRp": 1.0}
-_EXTRA_CONST = {"LRSL": HALF_PI, "LRSR": HALF_PI, "LRSLR": math.pi}
-
-# Bases whose reversed word order is not covered by reflection alone.
-_WITH_BACKWARDS = ("LRL", "LRSL", "LRSR")
+    solve: Callable
+    pattern: Tuple
+    extra_u: float = 0.0
+    extra_const: float = 0.0
+    backwards: bool = False
 
 
-def _build_words() -> List[Tuple[str, bool, bool, bool]]:
-    words = []
-    for base in _PATTERNS:
-        backwards_opts = (False, True) if base in _WITH_BACKWARDS else (False,)
-        for backwards in backwards_opts:
-            for timeflip in (False, True):
-                for reflect in (False, True):
-                    words.append((base, timeflip, reflect, backwards))
-    return words
+_FAMILIES = (
+    _Family(_lsl, ((LEFT, "t"), (STRAIGHT, "u"), (LEFT, "v"))),
+    _Family(_lsr, ((LEFT, "t"), (STRAIGHT, "u"), (RIGHT, "v"))),
+    _Family(_lrl, ((LEFT, "t"), (RIGHT, "u"), (LEFT, "v")), backwards=True),
+    _Family(_sls, ((STRAIGHT, "t"), (LEFT, "u"), (STRAIGHT, "v"))),
+    _Family(_lrlrn, ((LEFT, "t"), (RIGHT, "u"), (LEFT, "-u"), (RIGHT, "v")), extra_u=1.0),
+    _Family(_lrlrp, ((LEFT, "t"), (RIGHT, "u"), (LEFT, "u"), (RIGHT, "v")), extra_u=1.0),
+    _Family(_lrsl, ((LEFT, "t"), (RIGHT, -HALF_PI), (STRAIGHT, "u"), (LEFT, "v")),
+            extra_const=HALF_PI, backwards=True),
+    _Family(_lrsr, ((LEFT, "t"), (RIGHT, -HALF_PI), (STRAIGHT, "u"), (RIGHT, "v")),
+            extra_const=HALF_PI, backwards=True),
+    _Family(_lrslr, ((LEFT, "t"), (RIGHT, -HALF_PI), (STRAIGHT, "u"), (LEFT, -HALF_PI),
+                     (RIGHT, "v")), extra_const=math.pi),
+)
 
-
-_WORDS = _build_words()
+# every (family, timeflip, reflect, backwards) word
+_WORDS = [(family, timeflip, reflect, backwards)
+          for family in _FAMILIES
+          for backwards in ((False, True) if family.backwards else (False,))
+          for timeflip in (False, True)
+          for reflect in (False, True)]
 assert len(_WORDS) == 48
 
 
@@ -221,27 +209,27 @@ def _enumerate_candidates(x: float, y: float, phi: float) -> Iterable[Tuple[floa
     xb = x * cos_phi + y * sin_phi
     yb = x * sin_phi - y * cos_phi
     for word in _WORDS:
-        base, timeflip, reflect, backwards = word
+        family, timeflip, reflect, backwards = word
         wx, wy = (xb, yb) if backwards else (x, y)
         wphi = phi
         if timeflip:
             wx, wphi = -wx, -wphi
         if reflect:
             wy, wphi = -wy, -wphi
-        sol = _SOLVERS[base](wx, wy, wphi)
+        sol = family.solve(wx, wy, wphi)
         if sol is None:
             continue
         t, u, v = sol
         total = (abs(t) + abs(u) + abs(v)
-                 + _EXTRA_U.get(base, 0.0) * abs(u) + _EXTRA_CONST.get(base, 0.0))
+                 + family.extra_u * abs(u) + family.extra_const)
         yield total, word, (t, u, v)
 
 
 def _word_segments(word, t: float, u: float, v: float) -> List[RSSegment]:
-    base, timeflip, reflect, backwards = word
+    family, timeflip, reflect, backwards = word
     params = {"t": t, "u": u, "v": v, "-u": -u}
     segs = []
-    for kind, role in _PATTERNS[base]:
+    for kind, role in family.pattern:
         value = role if isinstance(role, float) else params[role]
         if timeflip:
             value = -value

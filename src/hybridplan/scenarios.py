@@ -181,6 +181,8 @@ def load_scenario(path) -> ScenarioSpec:
     max_sim_steps = _number(data, "max_sim_steps", int, path)
     if max_sim_steps < 1:
         raise ValueError(f"{path}: max_sim_steps must be at least 1, got {max_sim_steps}")
+    if not isinstance(data["map"], str):
+        raise ValueError(f"{path}: map must be a file name, got {data['map']!r}")
     truth = load_map(path.parent / data["map"])
     return ScenarioSpec(
         truth_map=truth,

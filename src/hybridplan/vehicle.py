@@ -87,7 +87,7 @@ class CollisionChecker:
         self.swept_threshold = disks.swept_radius + cell_pad(grid.resolution)
         self.offsets = np.array(disks.centers)
         self.blocked = grid.derived(("disk_blocked", self.threshold),
-                                    lambda: self.field.values < self.threshold)
+                                    lambda _: self.field.values < self.threshold)
         # the field's 1-Lipschitz slack between two cells' centres, beyond
         # the distance of the points in them; 1e-6 m covers float rounding
         self._clear_pad = self.threshold + 2.0 * cell_pad(grid.resolution) + 1e-6

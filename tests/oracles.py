@@ -731,8 +731,7 @@ def _ref_reconstruct(node, table) -> PlannedPath:
 
 
 def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=STANDARD,
-                   stop_rule=STOP_AT_GOAL, s_w=55.0, distance_map=None,
-                   start_direction=0, start_steer=0.0):
+                   stop_rule=STOP_AT_GOAL, s_w=55.0, start_direction=0, start_steer=0.0):
     """`planner.plan` with its earlier child loop: every child is sub-sampled
     and disk-checked, then normalised, keyed and costed one at a time."""
     t_begin = time.perf_counter()
@@ -745,9 +744,7 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
     if stop_rule == STOP_AT_GOAL and checker.pose_blocked(goal.x, goal.y, goal.yaw):
         raise PlannerFailure("goal in collision")
 
-    dmap = distance_map
-    if dmap is None:
-        dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
+    dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):

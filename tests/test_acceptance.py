@@ -166,8 +166,7 @@ def test_c05_early_stop_and_replan_start_semantics():
     dm = build_distance_map(g, goal)
     start = Pose2D(5, 6, 0.0)
     hd_s = dm.route_distance(start.x, start.y)
-    path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, stop_rule=STOP_EARLY,
-                   s_w=55.0, distance_map=dm)
+    path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, stop_rule=STOP_EARLY, s_w=55.0)
     end = path.end_pose()
     drop = hd_s - dm.at(end.x, end.y)
     early_ok = hd_s >= 60.0 and drop > 55.0
@@ -276,7 +275,7 @@ def test_c07_heuristic_admissibility():
             if not math.isfinite(hd):
                 skipped["start off the field"] += 1
                 continue
-            path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, distance_map=dm)
+            path, _ = plan(g, start, goal, VEH, DEFAULT_CFG)
         except (PlannerFailure, GoalBlockedError, NoRouteError) as exc:
             skipped[str(exc)] += 1
             continue

@@ -114,8 +114,11 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
     ({"sensor_range": None}, "sensor_range must be a number"),
     ({"known_env": "false"}, "known_env must be true or false"),
     ({"map": "nan.map"}, "resolution must be finite and positive"),
+    ({"map": 5}, "map must be a file name, got 5"),
+    ({"map": None}, "map must be a file name, got None"),
 ], ids=["n_rays_4", "sensor_range_0", "drive_step_0", "drive_step_negative",
-        "max_sim_steps_0", "sensor_range_null", "known_env_string", "map_resolution_nan"])
+        "max_sim_steps_0", "sensor_range_null", "known_env_string", "map_resolution_nan",
+        "map_number", "map_null"])
 def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
     """Values that used to crash, idle to the step limit or (a string known_env)
     run as a known map are refused up front."""

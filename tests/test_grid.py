@@ -11,7 +11,9 @@ from hybridplan.geometry import Pose2D
 from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal,
                              save_map, voronoi_field)
+from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.scenarios import bundled_scenario_path, load_scenario
+from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import bordered_grid
 from oracles import _field_at, brute_distance_transform, raytrace_reveal_reference
@@ -92,7 +94,7 @@ def test_set_box_rebuilds_distance_field():
     for field in (before, after):
         with pytest.raises(ValueError):
             field.values[13, 13] = 1.0
-    assert g.copy().carry == {}
+    assert g.copy().derived("distance_field", lambda previous: previous) is None
 
 
 def test_reveal_bumps_version_only_when_cells_change():
@@ -193,23 +195,54 @@ def _assert_field_is_full_rebuild(g):
         assert np.array_equal(got, brute_distance_transform(g.cells == OCCUPIED, g.resolution))
 
 
+def _route_map_or_error(g, goal, planning_resolution, inflation):
+    try:
+        return build_distance_map(g, goal, planning_resolution, inflation)
+    except GoalBlockedError as exc:
+        return str(exc)
+
+
+def _assert_fields_are_full_rebuild(g, goals, planning_resolution, inflation):
+    """The memoized distance field, route maps and disk mask of `g` equal
+    those built on a fresh copy."""
+    _assert_field_is_full_rebuild(g)
+    fresh = g.copy()
+    for goal in goals:
+        got = _route_map_or_error(g, goal, planning_resolution, inflation)
+        expect = _route_map_or_error(fresh, goal, planning_resolution, inflation)
+        if isinstance(expect, str):
+            assert got == expect
+            continue
+        assert np.array_equal(got.values, expect.values)
+        assert np.array_equal(got.blocked, expect.blocked)
+        assert got.goal_cell == expect.goal_cell
+    disks = make_disk_set(VehicleSpec())
+    assert np.array_equal(CollisionChecker(g, disks).blocked, CollisionChecker(fresh, disks).blocked)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40),
        st.sampled_from([0.1, 0.15625, 0.25, 0.5, 1.0]),
        st.sampled_from([0.0, 0.0, 0.02, 0.2]),
-       st.lists(st.sampled_from(EDITS), min_size=1, max_size=8),
+       st.lists(st.tuples(st.sampled_from(EDITS), st.booleans()), min_size=1, max_size=8),
+       st.integers(1, 3), st.sampled_from([0.0, 0.3, 1.0]),
        st.integers(0, 2**32 - 1))
-def test_incremental_distance_field_matches_full(w, h, res, fill, edits, seed):
-    """After every edit the carried field is bit-equal to a full transform of
-    a fresh copy, from a start with or without obstacles."""
+def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor, inflation, seed):
+    """Random writes, each followed by a read or not (a skipped read makes
+    the next rebuild follow two writes): after every read the distance
+    field, the route maps of two goals and the disk mask are bit-equal to
+    those of a fresh copy, from a start with or without obstacles."""
     r = np.random.default_rng(seed)
     cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
     cells[r.random((h, w)) < fill] = OCCUPIED
     g = OccupancyGrid(res, cells)
-    _assert_field_is_full_rebuild(g)
-    for edit in edits:
+    goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
+    _assert_fields_are_full_rebuild(g, goals, factor * res, inflation)
+    for edit, read in steps:
         _apply_edit(g, edit, r)
-        _assert_field_is_full_rebuild(g)
+        if read:
+            _assert_fields_are_full_rebuild(g, goals, factor * res, inflation)
+    _assert_fields_are_full_rebuild(g, goals, factor * res, inflation)
 
 
 def test_incremental_distance_field_matches_full_over_reveals():
@@ -230,8 +263,8 @@ def test_incremental_distance_field_matches_full_over_reveals():
 
 def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
     """Every rebuilt field is one module-level `distance_transform` call, also
-    when the occupied cells did not change, with the carried mask and field
-    passed by keyword."""
+    when the occupied cells did not change, with the previous field passed by
+    keyword."""
     calls = []
     full = grid_module.distance_transform
 
@@ -245,22 +278,26 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
     truth.set_box(9.0, 4.0, 11.0, 8.0, OCCUPIED)
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
     belief.distance_field()
-    rebuilds, same_mask = 1, 0
-    for x in (2.0, 2.0, 3.0, 6.0, 14.0, 17.0, 17.5):
+    rebuilt = []                     # (writes, same occupied mask) per later rebuild
+    for x in (2.0, 2.0, 3.0, 6.0, None, 14.0, 17.0, 17.5):
         version, mask = belief.version, belief.occupied_mask()
-        raytrace_reveal(truth, belief, Pose2D(x, 6.0, 0.0), 4.0, 360)
-        if x == 3.0:
+        if x is not None:
+            raytrace_reveal(truth, belief, Pose2D(x, 6.0, 0.0), 4.0, 360)
+        if x in (3.0, None):         # writes that keep the occupied cells
             belief.set_cells(belief.cells == UNKNOWN, FREE)
         belief.distance_field()
         belief.distance_field()
-        rebuilds += belief.version != version
-        same_mask += (belief.version != version
-                      and np.array_equal(mask, belief.occupied_mask()))
-        assert len(calls) == rebuilds
-    assert same_mask >= 1 and rebuilds >= 4
+        if belief.version != version:
+            rebuilt.append((belief.version - version,
+                            np.array_equal(mask, belief.occupied_mask())))
+        assert len(calls) == 1 + len(rebuilt)
+    assert {(1, True), (1, False), (2, True)} <= set(rebuilt)
     assert calls[0][:2] == ((), {"previous": None})
-    for (_, _, before), (args, kwargs, _) in zip(calls, calls[1:]):
-        assert args == () and kwargs["previous"][1] is before
+    for (_, _, before), (args, kwargs, field), (writes, same) in zip(calls, calls[1:], rebuilt):
+        # the field one generation back, none after two writes; an unchanged
+        # mask returns that field itself
+        assert args == () and kwargs["previous"] is (before if writes == 1 else None)
+        assert (field is before) == (writes == 1 and same)
 
 
 # ------------------------------------------------------------------ raster

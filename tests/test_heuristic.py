@@ -42,8 +42,9 @@ def test_matches_reference_dijkstra_through_wall_gap():
 
 
 def test_flood_reused_only_for_equal_inputs():
-    """The belief's last flood is reused when the blocked grid, goal cell and
-    resolution are unchanged, and is otherwise rebuilt as on a fresh grid."""
+    """A flood is reused when its blocked grid equals that of the previous
+    generation's map for the same goal cell, resolution and radius, and is
+    otherwise rebuilt as on a fresh grid."""
     g = empty_grid(20, 20)
     g.set_box(5.0, 0.0, 5.5, 12.0, OCCUPIED)
     g.set_cells((slice(100, 110), slice(100, 110)), UNKNOWN)   # counts as free
@@ -73,6 +74,12 @@ def test_goal_blocked_raises():
     g.set_box(4.0, 4.0, 6.0, 6.0, OCCUPIED)
     with pytest.raises(GoalBlockedError, match="goal blocked"):
         build_distance_map(g, Pose2D(5.0, 5.0, 0.0))
+
+
+@pytest.mark.parametrize("radius", [-0.5, math.nan])
+def test_negative_inflation_radius_raises(radius):
+    with pytest.raises(ValueError, match="inflation_radius must be non-negative"):
+        build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0), inflation_radius=radius)
 
 
 def test_consistency_over_neighbors(rng):

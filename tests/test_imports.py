@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import hybridplan
+from hybridplan.grid import UNKNOWN, OccupancyGrid, distance_transform
 
 PACKAGE_DIR = Path(hybridplan.__file__).resolve().parent
 
@@ -59,3 +63,27 @@ def test_rule_catches_oracle_reusing_planner_helpers():
 def test_oracles_import_no_private_names():
     """An oracle that reuses the code under test only compares it with itself."""
     assert private_cross_module_imports(ORACLES.read_text(encoding="utf-8"), "oracles") == []
+
+
+PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+
+
+def test_perfbench_call_sites_resolve():
+    """perfbench's traced run wraps the module attributes in `probe.SITES` and
+    reads the EDT's second positional argument as `unknown_as_occupied`; a
+    refactor that moves a site or that signature fails here, not only in the
+    benchmark's own test."""
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True          # leave the benchmark's directory as it is
+    try:
+        spec.loader.exec_module(probe)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    for sites in probe.SITES.values():
+        for site in sites:
+            probe.resolve(site)
+    previous = inspect.signature(distance_transform).parameters["previous"]
+    assert previous.kind is inspect.Parameter.KEYWORD_ONLY
+    assert OccupancyGrid.filled(2, 2, 1.0, UNKNOWN).occupied_mask(True).all()

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hybridplan import mission
+from hybridplan import mission, simulate
+from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
 from hybridplan.heuristic import waypose_at
@@ -11,6 +12,7 @@ from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
                                 NAV_NONE, NAV_WAYPOINT, check_path_collision,
                                 compute_replan_start, mission_tick)
 from hybridplan.planner import PlannerConfig, STANDARD, STOP_AT_GOAL, plan
+from hybridplan.scenarios import BUILDERS
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, pose_close
@@ -260,3 +262,41 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     assert near.distance_to_goal < cfg.s_lim
     assert calls[-1] == (goal, STOP_AT_GOAL)
     assert near.path_to_goal
+
+
+@pytest.mark.parametrize("scenario,mode,replans", [
+    ("reveal_divergence", "guided", ["initial", "divergence", "collision"]),
+    ("plate_corridor_84", "extended", ["initial"]),
+])
+def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mode, replans):
+    """At every replan of a closed-loop run the plan starts exactly at the
+    current path's pose at the replan point (the vehicle's own pose for a
+    fresh plan), the planned path starts there too, and the stitched path
+    reaches it at s_plan: the kept prefix ends where the plan begins."""
+    planned_starts = []
+
+    def recording_plan(belief, start, *args, **kwargs):
+        planned, stats = plan(belief, start, *args, **kwargs)
+        planned_starts.append((start, planned.start_pose()))
+        return planned, stats
+
+    causes = []
+
+    def checking_tick(state, *args):
+        path, progress, vehicle_pose = state.current_path, state.progress_s, state.vehicle_pose
+        result = mission_tick(state, *args)
+        if result.replanned:
+            fresh = result.cause in ("initial", "goal_mode")
+            expect = vehicle_pose if fresh else path.pose_at(progress + result.s_plan)
+            assert planned_starts[-1] == (expect, expect)
+            assert state.current_path.pose_at(result.s_plan) == expect
+            causes.append(result.cause)
+        return result
+
+    monkeypatch.setattr(mission, "plan", recording_plan)
+    monkeypatch.setattr(simulate, "mission_tick", checking_tick)
+    planner_mode, nav_mode = MODES[mode]
+    _, report, _ = simulate.run_scenario(BUILDERS[scenario](), MissionConfig(nav_mode=nav_mode),
+                                         CFG, planner_mode, VEH)
+    assert report.reached
+    assert causes == replans and len(planned_starts) == len(replans)

@@ -181,8 +181,7 @@ def test_early_stop_first_trigger_semantics():
     goal = Pose2D(125, 6, 0.0)
     dm = build_distance_map(g, goal)
     start = Pose2D(5, 6, 0.0)
-    path, _ = plan(g, start, goal, VEH, CFG, stop_rule=STOP_EARLY, s_w=55.0,
-                   distance_map=dm)
+    path, _ = plan(g, start, goal, VEH, CFG, stop_rule=STOP_EARLY, s_w=55.0)
     hd_start = dm.route_distance(start.x, start.y)
     end = path.end_pose()
     assert hd_start - dm.at(end.x, end.y) > 55.0
