@@ -1,6 +1,6 @@
 """Kinematic path planning with guided Hybrid A* and in-place rotations."""
 
-from .geometry import Pose2D, RSPath, RSSegment, normalize_angle, sample_path
+from .geometry import Pose2D, normalize_angle
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster, distance_transform,
                    load_map, raytrace_reveal, save_map, voronoi_field)
 from .heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
@@ -11,13 +11,13 @@ from .mission import (MissionConfig, MissionState, TickResult, check_path_collis
 from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPath,
                       PlannerConfig, PlannerFailure, RotationSegment, SearchStats,
                       analytic_expansions, cost_of, geometric_extension, plan)
-from .reeds_shepp import rs_all_paths, rs_path_length
+from .reeds_shepp import RSPath, RSSegment, rs_all_paths, rs_path_length, sample_path
 from .simulate import (EventRecord, MetricsReport, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
 from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 
 __all__ = [
-    "Pose2D", "RSPath", "RSSegment", "normalize_angle", "sample_path",
+    "Pose2D", "normalize_angle",
     "FREE", "OCCUPIED", "UNKNOWN", "OccupancyGrid", "Raster",
     "distance_transform", "load_map", "raytrace_reveal", "save_map", "voronoi_field",
     "AStarPath", "DistanceMap", "GoalBlockedError", "NoRouteError",
@@ -27,7 +27,7 @@ __all__ = [
     "BudgetExceededError", "DriveSegment", "NoPathError", "PlannedPath",
     "PlannerConfig", "PlannerFailure", "RotationSegment", "SearchStats",
     "analytic_expansions", "cost_of", "geometric_extension", "plan",
-    "rs_all_paths", "rs_path_length",
+    "RSPath", "RSSegment", "rs_all_paths", "rs_path_length", "sample_path",
     "EventRecord", "MetricsReport", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
     "CollisionChecker", "DiskSet", "VehicleSpec", "make_disk_set",

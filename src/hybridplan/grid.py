@@ -68,8 +68,9 @@ class OccupancyGrid:
 
     One memo rule: a derived value is built once per generation, and its
     build is handed the value built under the same key in the generation
-    before the last write (None if there is none), to start from.  Only
-    two generations are held; `copy` starts with an empty memo.
+    before the last write (None if there is none), to start from, and
+    dropped once that build returns.  Only two generations are held;
+    `copy` starts with an empty memo.
     """
 
     def __init__(self, resolution: float, cells: np.ndarray,
@@ -107,6 +108,7 @@ class OccupancyGrid:
         change; `previous` is the value of `key` one generation back."""
         if key not in self._memo:
             self._memo[key] = build(self._previous.get(key))
+            self._previous.pop(key, None)   # kept until then, in case the build raises
         return self._memo[key]
 
     def distance_field(self) -> Raster:

@@ -49,7 +49,6 @@ class MissionState:
     rotations_done: int = 0               # executed rotations on current_path
     odometer: float = 0.0                 # total distance driven so far
     last_replan_odometer: float = -math.inf
-    distance_to_goal: float = math.inf    # 2D route distance from the vehicle
     path_to_goal: bool = False            # current path ends at the final goal
 
 
@@ -136,8 +135,6 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         astar = extract_astar_path(dmap, state.vehicle_pose)
     except NoRouteError as exc:
         return TickResult(status="failed", reason=str(exc))
-
-    state.distance_to_goal = dmap.route_distance(state.vehicle_pose.x, state.vehicle_pose.y)
 
     s_div_found = None
     if state.prev_astar is not None and mission_cfg.nav_mode != NAV_NONE:

@@ -17,11 +17,10 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .geometry import (Pose2D, iter_segment_samples, move_along_arc, normalize_angle,
-                       normalize_angles, sample_path)
+from .geometry import Pose2D, move_along_arc, normalize_angle
 from .grid import OccupancyGrid
 from .heuristic import build_distance_map
-from .reeds_shepp import rs_all_paths, rs_path_length
+from .reeds_shepp import LEFT, RIGHT, rs_all_paths, rs_path_length, sample_path
 from .vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 STANDARD = "standard"
@@ -67,15 +66,19 @@ class PlannerConfig:
     inflation_radius: float = 1.0            # [m] 2D heuristic obstacle inflation
 
     def __post_init__(self) -> None:
+        # written as not (v > 0) so that NaN fails too
         for name in ("xy_resolution", "yaw_resolution", "arc_length", "collision_step",
                      "delta_phi", "analytic_radius", "extension_segment_length"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("w_reverse", "w_switch", "w_steer", "w_steer_change",
                      "w_rotation_fixed", "w_rotation_rate", "rs_heuristic_radius",
                      "inflation_radius"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("n_steer", "f_ext", "node_budget"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.n_steer < 3 or self.n_steer % 2 == 0:
             raise ValueError("n_steer must be an odd number >= 3")
         if self.f_ext < 1:
@@ -513,8 +516,12 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
                 for _, _, _, (st, d, amount) in ends]
         return costs
 
-    def heuristic(x: float, y: float, yaw: float) -> Tuple[float, float]:
-        hd = dmap.at(x, y)
+    values = dmap.values    # indexed by a lattice key: same origin and resolution
+    h_cells, w_cells = values.shape
+
+    def heuristic(x: float, y: float, yaw: float, key: Tuple[int, int, int]) -> Tuple[float, float]:
+        ix, iy, _ = key
+        hd = float(values[iy, ix]) if 0 <= ix < w_cells and 0 <= iy < h_cells else math.inf
         euclid = math.hypot(goal.x - x, goal.y - y)
         h = hd if math.isfinite(hd) else euclid
         if euclid <= config.rs_heuristic_radius:
@@ -525,9 +532,10 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         return h, hd
 
     goal_key = key_of(goal.x, goal.y, goal.yaw)
-    h0, hd0 = heuristic(start.x, start.y, start.yaw)
+    start_key = key_of(start.x, start.y, start.yaw)
+    h0, hd0 = heuristic(start.x, start.y, start.yaw, start_key)
     root = _Node(start.x, start.y, start.yaw, 0.0, h0, hd0,
-                 start_direction, start_steer, None, 0.0, key_of(start.x, start.y, start.yaw))
+                 start_direction, start_steer, None, 0.0, start_key)
     stats.nodes_created = 1
 
     best_g = {root.key: 0.0}
@@ -553,8 +561,8 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         if (stop_rule != STOP_EARLY and node.h < config.analytic_radius
                 and node.key not in analytic_tried):
             analytic_tried.add(node.key)
-            suffix = analytic_expansions(node_pose(node), goal, checker, config,
-                                         turn_radius, mode, vehicle.max_steer,
+            suffix = analytic_expansions(Pose2D(node.x, node.y, node.yaw), goal, checker,
+                                         config, turn_radius, mode, vehicle.max_steer,
                                          parent_direction=node.direction,
                                          parent_steer=node.steer)
             if suffix is not None:
@@ -602,7 +610,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             if i in blocked or g2 >= best_g.get(nkey, math.inf) - 1e-12:
                 continue
             steer, direction, amount = ends[i][3]
-            h2, hd2 = heuristic(nx, ny, nyaw)
+            h2, hd2 = heuristic(nx, ny, nyaw, nkey)
             child = _Node(nx, ny, nyaw, g2, h2, hd2, direction, steer, node, amount, nkey)
             best_g[nkey] = g2
             stats.nodes_created += 1
@@ -610,10 +618,6 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
 
     raise NoPathError()
-
-
-def node_pose(node: _Node) -> Pose2D:
-    return Pose2D(node.x, node.y, node.yaw)
 
 
 def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:
@@ -628,7 +632,7 @@ def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:
         cur = cur.parent
     chain.reverse()
 
-    builder = PathBuilder(node_pose(chain[0]))
+    builder = PathBuilder(Pose2D(chain[0].x, chain[0].y, chain[0].yaw))
     for nd in chain[1:]:
         if nd.direction == 0:
             builder.add_rotation(nd.amount)
@@ -656,18 +660,26 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
 
-    # every candidate starts at pose, so a blocked start rules them all out
-    start_free = not checker.poses_blocked(np.array([pose.x]), np.array([pose.y]),
-                                           np.array([pose.yaw]))
+    def blocked(xy: np.ndarray, yaws: np.ndarray) -> bool:
+        return bool(checker.batch_blocked(xy, np.array((np.cos(yaws), np.sin(yaws)))).any())
+
+    # every candidate starts at pose, so a blocked start rules them all out;
+    # each tried candidate is sampled once, for its check and for its path
+    start_free = not blocked(np.array([[pose.x], [pose.y]]), np.array([pose.yaw]))
     for cand in rs_all_paths(pose, goal, turn_radius):
         if cand.total_length >= 1e6 or not start_free:
             break
-        if _rs_free(cand, pose, checker, config.collision_step):
-            steer_of = {"left": max_steer, "right": -max_steer}
+        samples = sample_path(cand, pose, config.collision_step)
+        if not blocked(samples.xy, samples.yaws):
+            steer_of = {LEFT: max_steer, RIGHT: -max_steer}
             best_cost = steps_cost([(steer_of.get(seg.kind, 0.0), seg.direction, seg.length)
                                     for seg in cand.segments],
                                    config, parent_direction, parent_steer)
-            best_path = _rs_suffix_path(pose, sample_path(cand, pose, config.collision_step))
+            builder = PathBuilder(pose)
+            for row in list(zip(*samples.xy.tolist(), samples.yaws.tolist(),
+                                samples.kappas.tolist(), samples.directions.tolist()))[1:]:
+                builder.add_drive_sample(*row)        # (x, y, yaw, kappa, direction)
+            best_path = builder.finish()
             break
 
     if mode == EXTENDED:
@@ -681,21 +693,6 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
                                             config.collision_step) or best_path
 
     return best_path
-
-
-def _rs_free(cand, pose: Pose2D, checker: CollisionChecker, step: float) -> bool:
-    """Collision test of a candidate's samples, stopping at the first blocked segment."""
-    for seg in iter_segment_samples(cand, pose, step):
-        if checker.poses_blocked(seg.xs, seg.ys, normalize_angles(seg.yaws)):
-            return False
-    return True
-
-
-def _rs_suffix_path(pose: Pose2D, samples) -> PlannedPath:
-    builder = PathBuilder(pose)
-    for p, kappa, direction in samples[1:]:
-        builder.add_drive_sample(p.x, p.y, p.yaw, kappa, direction)
-    return builder.finish()
 
 
 def _leg_step(dist: float) -> List[Tuple[float, int, float]]:

@@ -1,5 +1,7 @@
 """Shortest bounded-curvature paths for a forward/reverse-capable vehicle.
 
+The one module that knows the path format: a path is a tuple of
+left / right / straight segments, and `sample_path` is its one sampler.
 The solver enumerates the 48 canonical word families (curve/straight
 patterns combined with the classic timeflip / reflect / backwards
 symmetries) and keeps the minimum-length candidate.  Scalar math keeps a
@@ -9,29 +11,103 @@ heuristic lookups in the graph search.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Tuple
 
-from .geometry import LEFT, RIGHT, STRAIGHT, Pose2D, RSPath, RSSegment, normalize_angle
+import numpy as np
+
+from .geometry import Pose2D, normalize_angle, normalize_angles
+
+LEFT = "left"
+RIGHT = "right"
+STRAIGHT = "straight"
+_TURN = {LEFT: 1.0, RIGHT: -1.0, STRAIGHT: 0.0}   # curvature in units of 1 / turn radius
 
 HALF_PI = 0.5 * math.pi
-TWO_PI = 2.0 * math.pi
 _ZERO = 1e-10          # slack on validity inequalities
 _MIN_SEG = 1e-12       # segments shorter than this are dropped
 
 
-def _wrap(x: float) -> float:
-    return (x + math.pi) % TWO_PI - math.pi
-
-
 def _tau_omega(u: float, v: float, xi: float, eta: float, phi: float) -> Tuple[float, float]:
-    delta = _wrap(u - v)
+    delta = normalize_angle(u - v)
     a = math.sin(u) - math.sin(delta)
     b = math.cos(u) - math.cos(delta) - 1.0
     t1 = math.atan2(eta * a - xi * b, xi * a + eta * b)
     t2 = 2.0 * (math.cos(delta) - math.cos(v) - math.cos(u)) + 3.0
-    tau = _wrap(t1 + math.pi) if t2 < 0.0 else _wrap(t1)
-    omega = _wrap(tau - u + v - phi)
+    tau = normalize_angle(t1 + math.pi) if t2 < 0.0 else normalize_angle(t1)
+    omega = normalize_angle(tau - u + v - phi)
     return tau, omega
+
+
+class RSSegment(NamedTuple):
+    kind: str        # left / right / straight
+    direction: int   # +1 forward, -1 reverse
+    length: float    # arc length in meters, >= 0
+
+
+class RSPath(NamedTuple):
+    """A bounded-curvature path as an ordered list of arc/straight segments."""
+
+    segments: Tuple[RSSegment, ...]
+    turn_radius: float
+    total_length: float
+
+
+@dataclass
+class PathSamples:
+    """A path sampled from its start pose: sample 0 is the start (curvature
+    0, forward), every other sample the pose after one step, with the
+    curvature and direction of that step."""
+
+    xy: np.ndarray           # (2, n) positions, x then y
+    yaws: np.ndarray         # (n,) headings in [-pi, pi)
+    kappas: np.ndarray       # (n,)
+    directions: np.ndarray   # (n,) +1 forward, -1 reverse
+
+    def __len__(self) -> int:
+        return len(self.yaws)
+
+
+def sample_path(path: RSPath, start: Pose2D, step: float) -> PathSamples:
+    """Sample `path` driven from `start`, at most `step` apart in arc length.
+
+    Each non-empty segment is split into n = max(1, ceil(length / step))
+    equal steps, so segment boundaries are samples and the last sample is
+    the path's end pose; a path without segments gives the start alone.
+    One prefix sum per coordinate runs over all steps, adding the same
+    terms in the same order as chaining `move_along_arc` step by step, so
+    every value is bit-identical to that scalar recurrence.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    # per segment, the start first: (step count, curvature, divisor of the arc
+    # increments (1.0 on a straight, whose increments are set below), heading
+    # change per step (a straight's 0.0 leaves the heading as it is), direction)
+    rows, straights = [(1, 0.0, 1.0, start.yaw, 1)], []
+    for seg in path.segments:
+        if seg.length > 0.0:
+            n = max(1, math.ceil(seg.length / step))
+            k = _TURN[seg.kind] / path.turn_radius
+            ds = seg.length / n * seg.direction
+            if k == 0.0:
+                straights.append((sum(row[0] for row in rows), n, ds))
+            rows.append((n, k, k or 1.0, ds * k, seg.direction))
+    counts, kappa, divisor, turn, direction = zip(*rows)
+    kappas, divisors, raw = np.array((kappa, divisor, turn)).repeat(counts, axis=1)
+    raw = raw.cumsum()
+    sin, cos = np.sin(raw), np.cos(raw)
+    xy = np.empty((2, len(raw)))
+    xy[:, 0] = start.x, start.y
+    np.divide(sin[1:] - sin[:-1], divisors[1:], out=xy[0, 1:])
+    np.divide(-(cos[1:] - cos[:-1]), divisors[1:], out=xy[1, 1:])
+    for i, n, ds in straights:                # the scalar form's math.cos / math.sin
+        yaw = float(raw[i - 1])
+        xy[0, i:i + n] = ds * math.cos(yaw)
+        xy[1, i:i + n] = ds * math.sin(yaw)
+    np.cumsum(xy, axis=1, out=xy)
+    yaws = normalize_angles(raw)
+    yaws[0] = start.yaw
+    return PathSamples(xy, yaws, kappas, np.array(direction).repeat(counts))
 
 
 # Family solvers: normalized target (x, y, phi) in units of the turn
@@ -41,7 +117,7 @@ def _lsl(x, y, phi):
     u, t = math.hypot(x - math.sin(phi), y - 1.0 + math.cos(phi)), math.atan2(y - 1.0 + math.cos(phi), x - math.sin(phi))
     if t < -_ZERO:
         return None
-    v = _wrap(phi - t)
+    v = normalize_angle(phi - t)
     if v < -_ZERO:
         return None
     return t, u, v
@@ -55,8 +131,8 @@ def _lsr(x, y, phi):
         return None
     t1 = math.atan2(dy, dx)
     u = math.sqrt(u1sq - 4.0)
-    t = _wrap(t1 + math.atan2(2.0, u))
-    v = _wrap(t - phi)
+    t = normalize_angle(t1 + math.atan2(2.0, u))
+    v = normalize_angle(t - phi)
     if t < -_ZERO or v < -_ZERO:
         return None
     return t, u, v
@@ -70,8 +146,8 @@ def _lrl(x, y, phi):
         return None
     theta = math.atan2(dy, dx)
     u = -2.0 * math.asin(0.25 * u1)
-    t = _wrap(theta + 0.5 * u + math.pi)
-    v = _wrap(phi - t + u)
+    t = normalize_angle(theta + 0.5 * u + math.pi)
+    v = normalize_angle(phi - t + u)
     if t < -_ZERO or u > _ZERO:
         return None
     return t, u, v
@@ -80,7 +156,7 @@ def _lrl(x, y, phi):
 def _sls(x, y, phi):
     # straight / left arc of angle phi / straight, from the composition
     # x = t + sin(phi) + v cos(phi),  y = 1 - cos(phi) + v sin(phi)
-    phi_w = _wrap(phi)
+    phi_w = normalize_angle(phi)
     if not (1e-9 < phi_w < math.pi - 1e-9):
         return None
     v = (y - 1.0 + math.cos(phi_w)) / math.sin(phi_w)
@@ -127,8 +203,8 @@ def _lrsl(x, y, phi):
     theta = math.atan2(eta, xi)
     r = math.sqrt(rho * rho - 4.0)
     u = 2.0 - r
-    t = _wrap(theta + math.atan2(r, -2.0))
-    v = _wrap(phi - HALF_PI - t)
+    t = normalize_angle(theta + math.atan2(r, -2.0))
+    v = normalize_angle(phi - HALF_PI - t)
     if t < -_ZERO or u > _ZERO or v > _ZERO:
         return None
     return t, u, v
@@ -142,7 +218,7 @@ def _lrsr(x, y, phi):
         return None
     t = math.atan2(xi, -eta)
     u = 2.0 - rho
-    v = _wrap(t + HALF_PI - phi)
+    v = normalize_angle(t + HALF_PI - phi)
     if t < -_ZERO or u > _ZERO or v > _ZERO:
         return None
     return t, u, v
@@ -157,8 +233,8 @@ def _lrslr(x, y, phi):
     u = 4.0 - math.sqrt(rho * rho - 4.0)
     if u > _ZERO:
         return None
-    t = _wrap(math.atan2((4.0 - u) * xi - 2.0 * eta, -2.0 * xi + (u - 4.0) * eta))
-    v = _wrap(t - phi)
+    t = normalize_angle(math.atan2((4.0 - u) * xi - 2.0 * eta, -2.0 * xi + (u - 4.0) * eta))
+    v = normalize_angle(t - phi)
     if t < -_ZERO or v < -_ZERO:
         return None
     return t, u, v
@@ -225,27 +301,25 @@ def _enumerate_candidates(x: float, y: float, phi: float) -> Iterable[Tuple[floa
         yield total, word, (t, u, v)
 
 
-def _word_segments(word, t: float, u: float, v: float) -> List[RSSegment]:
+def _word_segments(word, t: float, u: float, v: float, turn_radius: float) -> Tuple[RSSegment, ...]:
+    """The word's segments scaled to `turn_radius`, dropping empty ones."""
     family, timeflip, reflect, backwards = word
     params = {"t": t, "u": u, "v": v, "-u": -u}
-    segs = []
-    for kind, role in family.pattern:
+    segments = []
+    for kind, role in (reversed(family.pattern) if backwards else family.pattern):
         value = role if isinstance(role, float) else params[role]
         if timeflip:
             value = -value
         if reflect and kind != STRAIGHT:
             kind = LEFT if kind == RIGHT else RIGHT
-        segs.append((kind, value))
-    if backwards:
-        segs.reverse()
-    out = []
-    for kind, value in segs:
         if abs(value) > _MIN_SEG:
-            out.append(RSSegment(kind, 1 if value >= 0.0 else -1, abs(value)))
-    return out
+            segments.append(RSSegment(kind, 1 if value >= 0.0 else -1, abs(value) * turn_radius))
+    return tuple(segments)
 
 
 def _relative_target(start: Pose2D, goal: Pose2D, turn_radius: float) -> Tuple[float, float, float]:
+    if not turn_radius > 0.0:
+        raise ValueError("turn_radius must be positive")
     dx = goal.x - start.x
     dy = goal.y - start.y
     c, s = math.cos(start.yaw), math.sin(start.yaw)
@@ -260,10 +334,7 @@ def rs_all_paths(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[RSPath
     cands = sorted(_enumerate_candidates(x, y, phi), key=lambda c: c[0])
     paths = []
     for _, word, (t, u, v) in cands:
-        segments = tuple(
-            RSSegment(seg.kind, seg.direction, seg.length * turn_radius)
-            for seg in _word_segments(word, t, u, v)
-        )
+        segments = _word_segments(word, t, u, v, turn_radius)
         paths.append(RSPath(segments=segments, turn_radius=turn_radius,
                             total_length=sum(seg.length for seg in segments)))
     return paths

@@ -37,8 +37,10 @@ class VehicleSpec:
             raise ValueError("need 0 <= rear_overhang < length")
         if not (0.0 < self.max_steer < math.pi / 2.0):
             raise ValueError("max_steer must be in (0, pi/2)")
-        if self.n_disks < 1:
-            raise ValueError("n_disks must be >= 1")
+        if not self.width > 0.0:
+            raise ValueError("width must be positive")
+        if type(self.n_disks) is not int or self.n_disks < 1:
+            raise ValueError("n_disks must be an integer >= 1")
 
     @property
     def min_turn_radius(self) -> float:
@@ -127,8 +129,3 @@ class CollisionChecker:
         # an off-grid point is blocked, whatever cell its wrapped index reads
         hit = self.blocked.take(flat, mode="wrap") | off
         return hit.reshape(centres.shape[1:]).any(axis=-1)
-
-    def poses_blocked(self, xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray) -> bool:
-        """True when any pose of the arrays is blocked."""
-        return bool(self.batch_blocked(np.array((xs, ys)),
-                                       np.array((np.cos(yaws), np.sin(yaws)))).any())

@@ -19,14 +19,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from hybridplan.geometry import Pose2D, RSPath, move_along_arc, normalize_angle
+from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid
 from hybridplan.heuristic import build_distance_map
 from hybridplan.planner import (EXTENDED, STANDARD, STOP_AT_GOAL, STOP_EARLY,
                                 BudgetExceededError, DriveSegment, NoPathError, PathBuilder,
                                 PlannedPath, PlannerConfig, PlannerFailure, RotationSegment,
                                 SearchStats, analytic_expansions, cost_of, geometric_extension)
-from hybridplan.reeds_shepp import rs_all_paths, rs_path_length
+from hybridplan.reeds_shepp import RSPath, rs_all_paths, rs_path_length
 from hybridplan.vehicle import CollisionChecker, make_disk_set
 
 TWO_PI = 2.0 * math.pi
@@ -423,6 +423,15 @@ def kappa_dot_rms_direct(kappa_runs: List[np.ndarray], ds: float) -> Tuple[float
 # ---------------------------------------------------------------------------
 # Path sampling and analytic expansion, one sample at a time
 # ---------------------------------------------------------------------------
+
+def path_end_pose(path: RSPath, start: Pose2D) -> Pose2D:
+    """End pose of `path` driven from `start`, one exact arc per segment."""
+    x, y, yaw = start.x, start.y, start.yaw
+    for seg in path.segments:
+        kappa = {"straight": 0.0, "left": 1.0, "right": -1.0}[seg.kind] / path.turn_radius
+        x, y, yaw = move_along_arc(x, y, yaw, kappa, seg.length * seg.direction)
+    return Pose2D(x, y, yaw)
+
 
 def sample_path_scalar(path: RSPath, start: Pose2D, step: float
                        ) -> List[Tuple[float, float, float, float, float, int]]:

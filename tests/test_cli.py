@@ -88,6 +88,23 @@ def test_malformed_field_named_in_error(tmp_path, capsys, overrides, named):
     assert all(part in err for part in named)
 
 
+@pytest.mark.parametrize("overrides,named", [
+    ({"planner": {"inflation_radius": float("nan")}}, "planner: inflation_radius must be non-negative"),
+    ({"planner": {"collision_step": float("nan")}}, "planner: collision_step must be positive"),
+    ({"planner": {"n_steer": 5.0}}, "planner: n_steer must be an integer"),
+    ({"planner": {"node_budget": True}}, "planner: node_budget must be an integer"),
+    ({"vehicle": {"n_disks": 2.5}}, "vehicle: n_disks must be an integer"),
+    ({"vehicle": {"width": float("nan")}}, "vehicle: width must be positive"),
+], ids=["inflation_nan", "collision_step_nan", "n_steer_float", "node_budget_bool",
+        "n_disks_fraction", "width_nan"])
+def test_config_value_out_of_range_exits_1(tmp_path, capsys, overrides, named):
+    """Values that used to raise inside the first tick are refused on load."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg), "--no-timing"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 @pytest.mark.parametrize("payload,named", [
     ({"start": [4.0, 8.0]}, "start must be 3 numbers"),
     ({"goal": [1.0, "east", 0.0]}, "goal must be 3 numbers"),

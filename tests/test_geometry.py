@@ -5,13 +5,18 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan.geometry import (Pose2D, RSPath, RSSegment, iter_segment_samples,
-                                 move_along_arc, normalize_angle, normalize_angles,
-                                 path_end_pose, sample_path)
-from hybridplan.reeds_shepp import rs_all_paths
+from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle, normalize_angles
+from hybridplan.reeds_shepp import RSPath, RSSegment, rs_all_paths, sample_path
 
 from conftest import angles_close, pose_close
-from oracles import sample_path_scalar
+from oracles import path_end_pose, sample_path_scalar
+
+
+def sample_rows(samples):
+    """(pose, curvature, direction) of every sample, the start pose first."""
+    return [(Pose2D(x, y, yaw), kappa, direction) for x, y, yaw, kappa, direction in zip(
+        *samples.xy.tolist(), samples.yaws.tolist(), samples.kappas.tolist(),
+        samples.directions.tolist())]
 
 
 def test_normalize_identity():
@@ -52,7 +57,7 @@ def test_pose_rejects_non_finite_position():
 def test_sample_straight_three_samples():
     path = RSPath(segments=(RSSegment("straight", 1, 1.0),), turn_radius=1.0,
                   total_length=1.0)
-    samples = sample_path(path, Pose2D(0, 0, 0), 0.5)
+    samples = sample_rows(sample_path(path, Pose2D(0, 0, 0), 0.5))
     assert len(samples) == 3
     xs = [p.x for p, _, _ in samples]
     assert xs == pytest.approx([0.0, 0.5, 1.0])
@@ -61,7 +66,7 @@ def test_sample_straight_three_samples():
 
 def test_sample_zero_length_path():
     path = RSPath(segments=(), turn_radius=1.0, total_length=0.0)
-    samples = sample_path(path, Pose2D(3, 4, 0.5), 0.1)
+    samples = sample_rows(sample_path(path, Pose2D(3, 4, 0.5), 0.1))
     assert len(samples) == 1
     assert samples[0][0] == Pose2D(3, 4, 0.5)
     assert samples[0][1] == 0.0
@@ -72,7 +77,7 @@ def test_sample_quarter_circle_stays_on_circle():
     radius = 2.0
     path = RSPath(segments=(RSSegment("left", 1, math.pi / 2 * radius),),
                   turn_radius=radius, total_length=math.pi / 2 * radius)
-    samples = sample_path(path, Pose2D(0, 0, 0), 0.1)
+    samples = sample_rows(sample_path(path, Pose2D(0, 0, 0), 0.1))
     for pose, kappa, direction in samples:
         assert math.hypot(pose.x - 0.0, pose.y - radius) == pytest.approx(radius, abs=1e-9)
         assert direction == 1
@@ -85,7 +90,7 @@ def test_sample_spacing_and_final_pose(rng):
         goal = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
         path = rs_all_paths(start, goal, 1.5)[0]
         step = 0.2
-        samples = sample_path(path, start, step)
+        samples = sample_rows(sample_path(path, start, step))
         assert pose_close(samples[-1][0], goal)
         prev = samples[0][0]
         for pose, _, _ in samples[1:]:
@@ -101,7 +106,7 @@ def test_reintegrating_samples_reproduces_goal(rng):
         path = rs_all_paths(start, goal, 1.0)[0]
         x, y, yaw = start.x, start.y, start.yaw
         pos = start
-        for pose, kappa, direction in sample_path(path, start, 0.25)[1:]:
+        for pose, kappa, direction in sample_rows(sample_path(path, start, 0.25))[1:]:
             chord = math.hypot(pose.x - pos.x, pose.y - pos.y)
             if kappa != 0.0:
                 chord = 2.0 / abs(kappa) * math.asin(min(abs(kappa) * chord / 2.0, 1.0))
@@ -132,21 +137,16 @@ def test_array_sampler_bit_identical_to_scalar_recurrence(segs, radius, x, y, ya
                   total_length=sum(seg[2] for seg in segs))
     start = Pose2D(x, y, yaw)
     ref = sample_path_scalar(path, start, step)
-    chunks = list(iter_segment_samples(path, start, step))
-    assert len(chunks) == sum(1 for seg in segs if seg[2] > 0.0)
-    xs = [v for c in chunks for v in c.xs.tolist()]
-    ys = [v for c in chunks for v in c.ys.tolist()]
-    yaws = [v for c in chunks for v in c.yaws.tolist()]
-    norm = [v for c in chunks for v in normalize_angles(c.yaws).tolist()]
-    assert xs == [r[0] for r in ref]
-    assert ys == [r[1] for r in ref]
-    assert yaws == [r[2] for r in ref]
-    assert norm == [r[3] for r in ref]
-    assert [(c.kappa, c.direction) for c in chunks for _ in c.xs] == [r[4:] for r in ref]
     samples = sample_path(path, start, step)
-    assert samples[0] == (start, 0.0, 1)
-    assert [(p.x, p.y, p.yaw, k, d) for p, k, d in samples[1:]] == \
-        [(r[0], r[1], r[3], r[4], r[5]) for r in ref]
+    assert len(samples) == 1 + len(ref)
+    xs, ys = samples.xy.tolist()
+    assert xs[1:] == [r[0] for r in ref]
+    assert ys[1:] == [r[1] for r in ref]
+    assert samples.yaws.tolist()[1:] == [r[3] for r in ref]
+    assert list(zip(samples.kappas.tolist(), samples.directions.tolist()))[1:] == \
+        [r[4:] for r in ref]
+    assert (xs[0], ys[0], samples.yaws[0], samples.kappas[0], samples.directions[0]) == \
+        (start.x, start.y, start.yaw, 0.0, 1)
 
 
 def test_normalize_angles_matches_scalar(rng):

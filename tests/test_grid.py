@@ -97,6 +97,20 @@ def test_set_box_rebuilds_distance_field():
     assert g.copy().derived("distance_field", lambda previous: previous) is None
 
 
+def test_failed_build_keeps_the_previous_value():
+    """A build that raises leaves the previous value for the next call."""
+    g = OccupancyGrid.filled(4, 4, 0.5, FREE)
+    g.derived("k", lambda previous: "first")
+    g.set_cells((0, 0), OCCUPIED)
+
+    def failing(previous):
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError):
+        g.derived("k", failing)
+    assert g.derived("k", lambda previous: previous) == "first"
+
+
 def test_reveal_bumps_version_only_when_cells_change():
     truth = bordered_grid(10, 10, res=0.25)
     truth.set_box(6.0, 4.0, 7.0, 6.0, OCCUPIED)

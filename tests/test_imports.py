@@ -87,3 +87,35 @@ def test_perfbench_call_sites_resolve():
     previous = inspect.signature(distance_transform).parameters["previous"]
     assert previous.kind is inspect.Parameter.KEYWORD_ONLY
     assert OccupancyGrid.filled(2, 2, 1.0, UNKNOWN).occupied_mask(True).all()
+
+
+def uncalled_public_names(sources, exported):
+    """Public module-level functions and classes of `sources` (module name ->
+    source) that no module refers to apart from defining them, and that the
+    package does not export."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in used and name not in exported]
+
+
+def test_rule_catches_uncalled_public_names():
+    sources = {"a": "def used():\n    pass\n\ndef orphan():\n    pass\n\nclass Shown:\n    pass\n",
+               "b": "from .a import used\n\ndef caller():\n    return used()\n"}
+    assert uncalled_public_names(sources, {"caller", "Shown"}) == ["a.orphan"]
+
+
+def test_every_public_name_has_a_caller_or_is_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert uncalled_public_names(sources, set(hybridplan.__all__)) == []

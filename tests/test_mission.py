@@ -117,23 +117,23 @@ def test_route_map_not_reused_across_grids_at_same_version():
     open_map = OccupancyGrid.filled(320, 96, 0.15625)
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(45, 7, 0))
     tick(state, open_map)
-    assert state.distance_to_goal == pytest.approx(40.0, abs=1.0)
+    assert state.prev_astar.length == pytest.approx(40.0, abs=1.0)
     walled = OccupancyGrid.filled(320, 96, 0.15625)
     walled.set_box(24.0, 0.0, 26.0, 12.0, OCCUPIED)   # detour around the wall's top
     walled = walled.copy()
     assert walled.version == open_map.version == 0
     tick(state, walled)
-    assert state.distance_to_goal > 45.0
+    assert state.prev_astar.length > 45.0
 
 
 def test_route_map_rebuilt_after_set_box():
     g = OccupancyGrid.filled(320, 96, 0.15625)
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(45, 7, 0))
     tick(state, g)
-    assert state.distance_to_goal == pytest.approx(40.0, abs=1.0)
+    assert state.prev_astar.length == pytest.approx(40.0, abs=1.0)
     g.set_box(24.0, 0.0, 26.0, 12.0, OCCUPIED)   # same grid, now walled
     tick(state, g)
-    assert state.distance_to_goal > 45.0
+    assert state.prev_astar.length > 45.0
 
 
 def test_known_static_map_replans_once():
@@ -248,7 +248,7 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     cfg = MissionConfig(nav_mode=NAV_WAYPOINT)
     far = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=goal)
     assert tick(far, g, nav=NAV_WAYPOINT).replanned
-    assert far.distance_to_goal >= cfg.s_lim
+    assert far.prev_astar.length >= cfg.s_lim
     planned_goal, stop_rule = calls[-1]
     assert planned_goal == waypose_at(far.prev_astar, cfg.s_w)
     assert planned_goal.distance_to(goal) > 100.0
@@ -259,7 +259,7 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
 
     near = MissionState(vehicle_pose=Pose2D(140, 7, 0), goal=goal)
     assert tick(near, g, nav=NAV_WAYPOINT).replanned
-    assert near.distance_to_goal < cfg.s_lim
+    assert near.prev_astar.length < cfg.s_lim
     assert calls[-1] == (goal, STOP_AT_GOAL)
     assert near.path_to_goal
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import (BudgetExceededError, DriveSegment,
-                                EXTENDED, NoPathError, PathBuilder,
+                                EXTENDED, NoPathError, PathBuilder, PlannedPath,
                                 PlannerConfig, PlannerFailure, RotationSegment,
                                 STANDARD, STOP_AT_GOAL, STOP_EARLY, analytic_expansions,
                                 cost_of, geometric_extension, plan, steps_cost)
@@ -467,6 +468,39 @@ def test_slice_and_concat_continuity():
     rejoined = prefix.concat(suffix)
     assert rejoined.total_drive_length == pytest.approx(total, abs=1e-6)
     assert pose_close(rejoined.end_pose(), path.end_pose(), pos_tol=1e-6)
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_plan(case: int) -> PlannedPath:
+    """Plans with gear switches, a rotation and merged search-plus-suffix
+    drives: standard and extended, on open, narrow and cluttered maps."""
+    if case == 0:
+        return plan(open_grid(), Pose2D(10, 20, 0), Pose2D(14, 22, math.pi), VEH, CFG)[0]
+    if case == 1:
+        return plan(bordered_grid(30, 8), Pose2D(5, 4, 0), Pose2D(20, 4, math.pi), VEH, CFG,
+                    EXTENDED)[0]
+    grid = clutter_scene(np.random.default_rng(case - 1))
+    return plan(grid, Pose2D(3.5, 3.5, 0), Pose2D(22, 21, math.pi / 2), VEH, CFG,
+                (STANDARD, EXTENDED)[case % 2])[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.integers(0, 3), cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                                              unique=True),
+       probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_slice_concat_round_trip(case, cuts, probes):
+    """Cutting a plan at s0 < s1 and concatenating the three slices keeps its
+    drive length, rotations, and pose and gear along the drive arc length."""
+    path = _cut_plan(case)
+    total = path.total_drive_length
+    s0, s1 = sorted(f * total for f in cuts)
+    rejoined = path.slice(0.0, s0).concat(path.slice(s0, s1)).concat(path.slice(s1, total))
+    assert rejoined.total_drive_length == pytest.approx(total, abs=1e-9)
+    assert rejoined.n_rotations == path.n_rotations
+    for s in [s0, s1] + [f * total for f in probes]:
+        assert pose_close(rejoined.pose_at(s), path.pose_at(s), pos_tol=1e-9, yaw_tol=1e-9)
+        direction, kappa = rejoined.gear_at(s)
+        assert (direction, kappa) == pytest.approx(path.gear_at(s), abs=1e-12)
 
 
 def test_pose_at_pending_rotation_semantics():

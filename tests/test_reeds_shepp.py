@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hybridplan.geometry import Pose2D, path_end_pose
+from hybridplan.geometry import Pose2D
 from hybridplan.reeds_shepp import rs_all_paths, rs_path_length
 
 from conftest import pose_close
-from oracles import rs_oracle_length, rs_oracle_lengths
+from oracles import path_end_pose, rs_oracle_length, rs_oracle_lengths
 
 # independently computed with the multistart-Newton word enumeration: the
 # optimum for (0,0,0) -> (0,2,pi) at radius 1 is a single reversed half circle

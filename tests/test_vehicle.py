@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +273,20 @@ def test_blocked_mask_follows_set_box():
     assert np.array_equal(after.blocked, g.distance_field().values < after.threshold)
     g.set_box(8.5, 8.5, 9.5, 9.5, FREE)
     assert not CollisionChecker(g, disks).pose_blocked(9.0, 9.0, 0.3)
+
+
+def test_previous_mask_freed_once_rebuilt():
+    """The memo hands a build its previous value and then lets it go: once a
+    checker is built on the written grid, the old mask is not held."""
+    g = OccupancyGrid.filled(120, 120, 0.15625, FREE)
+    disks = make_disk_set(VehicleSpec())
+    old_mask = weakref.ref(CollisionChecker(g, disks).blocked)
+    g.set_box(8.5, 8.5, 9.5, 9.5, OCCUPIED)
+    gc.collect()
+    assert old_mask() is not None           # still the previous generation's value
+    CollisionChecker(g, disks)
+    gc.collect()
+    assert old_mask() is None
 
 
 def _cells_within(x: float, y: float, reach: float, res: float, origin):
