@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from .heuristic import resolution_factor
 from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
 from .planner import DriveSegment, EXTENDED, PlannedPath, PlannerConfig, STANDARD
 from .scenarios import bundled_scenario_path, load_scenario
@@ -100,6 +101,17 @@ def resolve_scenario(ref: str, config_dir: Path) -> ScenarioSpec:
         raise ConfigError(f"scenario: {exc}") from None
 
 
+def load_run(config_path) -> Tuple[RunConfig, ScenarioSpec]:
+    """A run configuration and its scenario, checked against each other."""
+    cfg = load_config(config_path)
+    spec = resolve_scenario(cfg.scenario, Path(config_path).resolve().parent)
+    try:
+        resolution_factor(cfg.planner.xy_resolution, spec.truth_map.resolution, "xy_resolution")
+    except ValueError as exc:
+        raise ConfigError(f"planner: {exc}") from None
+    return cfg, spec
+
+
 def path_to_json(path: PlannedPath) -> dict:
     segments = []
     for seg in path.segments:
@@ -124,22 +136,6 @@ def path_to_json(path: PlannedPath) -> dict:
         "n_rotations": path.n_rotations,
         "segments": segments,
     }
-
-
-def _csv_values(report: MetricsReport, columns, with_timing: bool) -> List[str]:
-    """CSV cells of a report: floats by repr, wall-clock columns 0.0 without timing."""
-    values = []
-    for col in columns:
-        v = getattr(report, col)
-        if not with_timing and col in ("t_max", "t_cum", "t_avg"):
-            v = 0.0
-        values.append(repr(v) if isinstance(v, float) else str(v))
-    return values
-
-
-def metrics_csv(report: MetricsReport, with_timing: bool) -> str:
-    columns = MetricsReport.COLUMNS
-    return ",".join(columns) + "\n" + ",".join(_csv_values(report, columns, with_timing)) + "\n"
 
 
 def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[OccupancyGrid]:
@@ -170,7 +166,9 @@ def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
     (out_dir / "path.json").write_text(
         json.dumps(path_to_json(driven), sort_keys=True, separators=(",", ":")) + "\n",
         encoding="utf-8")
-    (out_dir / "metrics.csv").write_text(metrics_csv(report, with_timing), encoding="utf-8")
+    (out_dir / "metrics.csv").write_text(
+        ",".join(MetricsReport.COLUMNS) + "\n" + report.format(with_timing) + "\n",
+        encoding="utf-8")
     (out_dir / "events.log").write_text(
         "".join(e.format(with_timing) + "\n" for e in events), encoding="utf-8")
     (out_dir / "map.svg").write_text(
@@ -180,8 +178,7 @@ def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        spec = resolve_scenario(cfg.scenario, Path(args.config).resolve().parent)
+        cfg, spec = load_run(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -197,27 +194,17 @@ def cmd_compare(args) -> int:
         print("error: compare needs at least two configs", file=sys.stderr)
         return 1
     try:
-        loaded = []
-        for c in args.configs:
-            cfg = load_config(c)
-            spec = resolve_scenario(cfg.scenario, Path(c).resolve().parent)
-            loaded.append((cfg, spec))
+        loaded = [load_run(c) for c in args.configs]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     out_root = Path(args.output_dir or loaded[0][0].output_dir)
-    results = []
+    lines = ["mode," + ",".join(MetricsReport.COLUMNS)]
     for idx, (cfg, spec) in enumerate(loaded):
         sub = out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
         report, _ = execute_run(cfg, spec, sub, not args.no_timing)
-        results.append((cfg.mode, report))
-
-    columns = ["mode", "n_planner_calls", "t_max", "t_cum", "t_avg", "cumulative_nodes",
-               "kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length"]
-    lines = [",".join(columns)]
-    for mode, report in results:
-        lines.append(",".join([mode] + _csv_values(report, columns[1:], not args.no_timing)))
+        lines.append(f"{cfg.mode},{report.format(not args.no_timing)}")
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0

@@ -74,6 +74,18 @@ def _downsample_blocked(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
     return padded.reshape(ch, factor, cw, factor).any(axis=(1, 3))
 
 
+def resolution_factor(planning_resolution: float, grid_resolution: float,
+                      name: str = "planning_resolution") -> int:
+    """Grid cells per coarse cell side; the planning resolution must be a
+    whole multiple of the grid resolution."""
+    factor = planning_resolution / grid_resolution
+    whole = round(factor) if math.isfinite(factor) else 0
+    if whole < 1 or abs(factor - whole) > 1e-9:
+        raise ValueError(f"{name} must be an integer multiple of the grid resolution "
+                         f"{grid_resolution!r}, got {planning_resolution!r}")
+    return whole
+
+
 def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
                        planning_resolution: float = PLANNING_RESOLUTION,
                        inflation_radius: float = 1.0) -> DistanceMap:
@@ -86,12 +98,9 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     cell, resolution and radius; a rebuild keeps the previous generation's
     values when its coarse blocked grid is unchanged.
     """
-    factor = planning_resolution / belief.resolution
-    if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
-        raise ValueError("planning_resolution must be an integer multiple of the grid resolution")
+    factor = resolution_factor(planning_resolution, belief.resolution)
     if not inflation_radius >= 0.0:
         raise ValueError(f"inflation_radius must be non-negative, got {inflation_radius!r}")
-    factor = int(round(factor))
     # cell_of reads only the origin and resolution of the coarse grid
     goal_cell = Raster(belief.cells, planning_resolution, belief.origin, True).cell_of(goal.x, goal.y)
 

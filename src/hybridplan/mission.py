@@ -33,6 +33,12 @@ class MissionConfig:
     nav_mode: str = NAV_EARLY_STOP
 
     def __post_init__(self) -> None:
+        # written as not (v > 0) so that NaN fails too
+        if not self.s_w > 0.0:
+            raise ValueError("s_w must be positive")
+        for name in ("s_lim", "s_t", "d_div", "s_coll"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
         if self.nav_mode not in (NAV_NONE, NAV_WAYPOINT, NAV_EARLY_STOP):
@@ -171,7 +177,8 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     else:
         start, s_plan = compute_replan_start(state, s_coll_found, s_div_found,
                                              mission_cfg.alpha)
-        prefix = state.current_path.slice(state.progress_s, state.progress_s + s_plan)
+        prefix = state.current_path.slice(state.progress_s, state.progress_s + s_plan,
+                                          state.rotations_done)
         start_dir, start_kappa = state.current_path.gear_at(state.progress_s + s_plan)
 
     # stop-rule selection from the planning start pose's route distance

@@ -228,16 +228,21 @@ class PlannedPath:
             last = (seg.direction, float(seg.kappas[-1]) if len(seg.kappas) else 0.0)
         return last
 
-    def slice(self, s0: float, s1: float) -> "PlannedPath":
+    def slice(self, s0: float, s1: float, rotations_done: int = 0) -> "PlannedPath":
         """Sub-path between drive arc lengths s0 and s1.
 
-        Rotations strictly inside the window are kept; rotations exactly at
-        the boundaries belong to the neighbors (pose_at semantics).
+        The window is half-open, as pose_at leaves a rotation at s pending: a
+        rotation at s0 is kept and one at s1 is left to the next slice; the
+        last non-empty slice keeps one at the path's end.  The first
+        rotations_done rotations of the path are already executed and left out.
         """
         out = PlannedPath()
+        end = math.inf if s0 < s1 and s1 >= self.total_drive_length else s1
+        rotations = 0
         for acc, seg in self.walk():
             if isinstance(seg, RotationSegment):
-                if s0 < acc <= s1 and (acc < s1 or math.isclose(s1, self.total_drive_length)):
+                rotations += 1
+                if rotations > rotations_done and s0 <= acc < end:
                     out.segments.append(seg)
                 continue
             lo = max(s0 - acc, 0.0)

@@ -43,6 +43,8 @@ class ScenarioSpec:
             raise ValueError(f"drive_step must be finite and positive, got {self.drive_step!r}")
         if self.max_sim_steps < 0:
             raise ValueError(f"max_sim_steps must be non-negative, got {self.max_sim_steps!r}")
+        if (self.truth_map.cells == UNKNOWN).any():
+            raise ValueError("truth_map must not contain unknown cells")
 
 
 @dataclass
@@ -80,6 +82,13 @@ class MetricsReport:
     COLUMNS = ("kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length",
                "n_planner_calls", "t_max", "t_cum", "t_avg", "cumulative_nodes",
                "n_direction_switches", "n_rotations", "reached")
+    TIMED = ("t_max", "t_cum", "t_avg")   # wall-clock columns, 0.0 without timing
+
+    def format(self, with_timing: bool = True) -> str:
+        """The metrics.csv row of COLUMNS: floats by repr."""
+        values = (getattr(self, col) if with_timing or col not in self.TIMED else 0.0
+                  for col in self.COLUMNS)
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 Move = Tuple[str, Pose2D, float, int, float, float, int]
@@ -118,8 +127,6 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     """Drive the scenario to the goal (or failure) and score the driven path."""
     vehicle = vehicle or VehicleSpec()
     truth = spec.truth_map
-    if (truth.cells == UNKNOWN).any():
-        raise ValueError("ground-truth map must not contain unknown cells")
     if spec.known_env:
         belief = truth.copy()
     else:
@@ -131,8 +138,6 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     builder = PathBuilder(spec.start)
     steps: Iterator[Move] = iter(())
     stop_cause: Optional[str] = None
-    call_times: List[float] = []
-    cumulative_nodes = 0
 
     for step in range(spec.max_sim_steps):
         if not spec.known_env:
@@ -150,10 +155,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
             stop_cause = f"{kind}: {result.reason}"
             break
         if result.replanned:
-            assert result.stats is not None
-            call_times.append(result.stats.wall_time_s)
-            cumulative_nodes += result.stats.nodes_expanded
-            events.append(EventRecord(step=step, cause=result.cause or "initial",
+            events.append(EventRecord(step=step, cause=result.cause,
                                       s_plan=result.s_plan,
                                       nodes=result.stats.nodes_expanded,
                                       seconds=result.stats.wall_time_s,
@@ -173,9 +175,8 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
         state.vehicle_pose = pose
 
     driven = builder.finish()
-    report = score_run(driven, truth, vehicle, call_times, cumulative_nodes,
-                       reached=stop_cause == "reached")
-    report.stop_cause = stop_cause or f"step limit: {spec.max_sim_steps} steps"
+    report = score_run(driven, truth, vehicle, events,
+                       stop_cause or f"step limit: {spec.max_sim_steps} steps")
     return driven, report, events
 
 
@@ -189,18 +190,20 @@ def _rotation_delta(from_yaw: float, to_yaw: float) -> float:
 
 
 def score_run(driven: PlannedPath, truth: OccupancyGrid, vehicle: VehicleSpec,
-              call_times: List[float], cumulative_nodes: int, reached: bool,
+              events: List[EventRecord], stop_cause: str,
               metric_ds: float = DEFAULT_METRIC_DS) -> MetricsReport:
-    report = MetricsReport(reached=reached)
+    """Score the driven path; the planner effort is read from the replan events."""
+    report = MetricsReport(reached=stop_cause == "reached", stop_cause=stop_cause)
     report.length = driven.total_drive_length
     report.n_direction_switches = driven.n_direction_switches
     report.n_rotations = driven.n_rotations
-    report.n_planner_calls = len(call_times)
-    report.cumulative_nodes = cumulative_nodes
-    if call_times:
-        report.t_max = max(call_times)
-        report.t_cum = sum(call_times)
-        report.t_avg = report.t_cum / len(call_times)
+    report.n_planner_calls = len(events)
+    report.cumulative_nodes = sum(e.nodes for e in events)
+    if events:
+        seconds = [e.seconds for e in events]
+        report.t_max = max(seconds)
+        report.t_cum = sum(seconds)
+        report.t_avg = report.t_cum / len(seconds)
     try:
         report.kappa_dot_rms, report.kappa_dot_max_abs = kappa_dot_rms(driven, metric_ds)
     except ValueError:

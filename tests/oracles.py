@@ -107,64 +107,83 @@ _ORACLE_KAPPA, _ORACLE_COEFF, _ORACLE_CONST = _build_oracle_words()
 _START_GRID = [-3.0, -1.0, 0.8, 2.6]
 
 
-def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched 3x3 solve by Cramer's rule (a is ridge-regularized)."""
-    a00, a01, a02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
-    a10, a11, a12 = a[..., 1, 0], a[..., 1, 1], a[..., 1, 2]
-    a20, a21, a22 = a[..., 2, 0], a[..., 2, 1], a[..., 2, 2]
+# the nonzero value coefficients: for each parameter k, the (segment j,
+# per-word coefficient A[:, j, k]) pairs.  Every coefficient is 0 or +-1 and
+# no word uses a parameter in more than two segments, so the multiply-adds
+# below are exact and their order does not matter.
+_PARAM_TERMS = [[(j, _ORACLE_COEFF[:, j, k]) for j in range(_ORACLE_COEFF.shape[1])
+                 if _ORACLE_COEFF[:, j, k].any()] for k in range(3)]
+_STRAIGHT = (_ORACLE_KAPPA == 0.0).astype(float)
+# d yaw / d param: a constant per word
+_YAW_JAC = np.einsum("wj,wjk->wk", _ORACLE_KAPPA, _ORACLE_COEFF)
+
+
+def _segment_values(params) -> list:
+    """Signed value of each word segment, from the free parameters (t, u, v)."""
+    values = []
+    for j in range(_ORACLE_COEFF.shape[1]):
+        val = _ORACLE_CONST[:, j]
+        for k in range(3):
+            if _ORACLE_COEFF[:, j, k].any():
+                val = _ORACLE_COEFF[:, j, k] * params[k] + val
+        values.append(val)
+    return values
+
+
+def _solve3(a00, a01, a02, a11, a12, a22, b0, b1, b2):
+    """Batched symmetric 3x3 solve by Cramer's rule (a is ridge-regularized)."""
+    a10, a20, a21 = a01, a02, a12
     c00 = a11 * a22 - a12 * a21
     c01 = a12 * a20 - a10 * a22
     c02 = a10 * a21 - a11 * a20
     det = a00 * c00 + a01 * c01 + a02 * c02
     det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     x0 = (b0 * c00 + b1 * (a02 * a21 - a01 * a22) + b2 * (a01 * a12 - a02 * a11)) / det
     x1 = (b0 * c01 + b1 * (a00 * a22 - a02 * a20) + b2 * (a02 * a10 - a00 * a12)) / det
     x2 = (b0 * c02 + b1 * (a01 * a20 - a00 * a21) + b2 * (a00 * a11 - a01 * a10)) / det
-    return np.stack([x0, x1, x2], axis=-1)
+    return x0, x1, x2
 
 
-def _forward_with_jacobian(params: np.ndarray):
-    """Compose word segments and differentiate the end pose.
+def _forward_with_jacobian(params):
+    """Compose word segments and differentiate the end position.
 
-    params: (..., W, 3).  Returns (pose (..., W, 3), jac (..., W, 3, 3))
-    where jac[..., i, k] = d pose_i / d param_k.  Uses the closed-form
-    derivative  d pos / d v_j = h_j + kappa_j * perp(pos_end - pos_j).
+    params: (t, u, v), each (..., W).  Returns the end pose (x, y, yaw) and
+    the position rows of the Jacobian, jx[k] = d x / d param_k and
+    jy[k] = d y / d param_k (d yaw / d param_k is `_YAW_JAC`).  Uses the
+    closed-form derivative  d pos / d v_j = head_j + kappa_j * perp(pos_end - pos_j),
+    head_j being the heading at the segment's end.
     """
-    values = np.einsum("wsp,...wp->...ws", _ORACLE_COEFF, params) + _ORACLE_CONST
-    batch = values.shape[:-1]
-    n_seg = values.shape[-1]
-    x = np.zeros(batch)
-    y = np.zeros(batch)
-    yaw = np.zeros(batch)
-    seg_end = np.empty(batch + (n_seg, 2))
-    seg_head = np.empty(batch + (n_seg, 2))
-    for i in range(n_seg):
-        val = values[..., i]
-        kappa = _ORACLE_KAPPA[:, i]
-        straight = kappa == 0.0
-        yaw2 = yaw + val * kappa
-        sin1, cos1 = np.sin(yaw), np.cos(yaw)
-        sin2, cos2 = np.sin(yaw2), np.cos(yaw2)
-        inv_k = np.where(straight, 1.0, kappa)
-        x = np.where(straight, x + val * cos1, x + (sin2 - sin1) / inv_k)
-        y = np.where(straight, y + val * sin1, y - (cos2 - cos1) / inv_k)
-        yaw = yaw2
-        seg_end[..., i, 0] = x
-        seg_end[..., i, 1] = y
-        # position derivative wrt this segment's signed value
-        seg_head[..., i, 0] = np.where(straight, cos1, cos2)
-        seg_head[..., i, 1] = np.where(straight, sin1, sin2)
-    pose = np.stack([x, y, yaw], axis=-1)
+    x = y = yaw = 0.0
+    sin1, cos1 = 0.0, 1.0
+    ends, heads = [], []
+    for j, val in enumerate(_segment_values(params)):
+        kappa = _ORACLE_KAPPA[:, j]
+        yaw = yaw + val * kappa
+        sin2, cos2 = np.sin(yaw), np.cos(yaw)
+        # a straight moves val along the heading, an arc of unit radius
+        # (kappa = +-1, so dividing by it is multiplying) moves to its chord end
+        x = x + (_STRAIGHT[:, j] * val * cos1 + kappa * (sin2 - sin1))
+        y = y + (_STRAIGHT[:, j] * val * sin1 - kappa * (cos2 - cos1))
+        ends.append((x, y))
+        heads.append((cos2, sin2))   # a straight keeps its heading
+        sin1, cos1 = sin2, cos2
     # d pos / d v_j = head_j + kappa_j * perp(pos_end - pos_j)
-    rel = pose[..., None, :2] - seg_end
-    dpos = seg_head + _ORACLE_KAPPA[:, :, None] * np.stack([-rel[..., 1], rel[..., 0]], axis=-1)
-    # chain through the value coefficients: jac[i, k] = sum_j dpose_i/dv_j * A[j, k]
-    jac = np.empty(batch + (3, 3))
-    jac[..., 0, :] = np.einsum("...wj,wjk->...wk", dpos[..., 0], _ORACLE_COEFF)
-    jac[..., 1, :] = np.einsum("...wj,wjk->...wk", dpos[..., 1], _ORACLE_COEFF)
-    jac[..., 2, :] = np.einsum("wj,wjk->wk", _ORACLE_KAPPA, _ORACLE_COEFF)
-    return pose, jac
+    dx, dy = [], []
+    for j, ((xj, yj), (cj, sj)) in enumerate(zip(ends, heads)):
+        kappa = _ORACLE_KAPPA[:, j]
+        dx.append(cj - kappa * (y - yj))
+        dy.append(sj + kappa * (x - xj))
+    # chain through the value coefficients: d pos / d p_k = sum_j d pos / d v_j * A[j, k]
+    jx, jy = [], []
+    for terms in _PARAM_TERMS:
+        (j, a), *rest = terms
+        jxk, jyk = a * dx[j], a * dy[j]
+        for j, a in rest:
+            jxk = jxk + a * dx[j]
+            jyk = jyk + a * dy[j]
+        jx.append(jxk)
+        jy.append(jyk)
+    return (x, y, yaw), jx, jy
 
 
 def rs_oracle_lengths(targets: np.ndarray, iters: int = 12, tol: float = 1e-9,
@@ -173,6 +192,8 @@ def rs_oracle_lengths(targets: np.ndarray, iters: int = 12, tol: float = 1e-9,
 
     Multistart Newton over every word structure; invalid/unconverged slots
     are discarded and the minimum achievable length per target returned.
+    The normal equations are written out entry by entry, in the order of
+    the matrix products they stand for.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[0] > chunk:
@@ -184,25 +205,28 @@ def rs_oracle_lengths(targets: np.ndarray, iters: int = 12, tol: float = 1e-9,
     n_words = _ORACLE_KAPPA.shape[0]
     grid = np.array(np.meshgrid(_START_GRID, _START_GRID, _START_GRID)).T.reshape(-1, 3)
     n_starts = grid.shape[0]
-    params = np.broadcast_to(grid[None, :, None, :], (n_pairs, n_starts, n_words, 3)).copy()
-    tgt = targets[:, None, None, :]
+    params = [np.broadcast_to(grid[None, :, None, k], (n_pairs, n_starts, n_words)).copy()
+              for k in range(3)]
+    tgt = [targets[:, None, None, k] for k in range(3)]
+    jz = [_YAW_JAC[:, k] for k in range(3)]
 
     for _ in range(iters):
-        pose, jac = _forward_with_jacobian(params)
-        res = pose - tgt
-        res[..., 2] = _wrap(res[..., 2])
-        jtj = np.einsum("...ij,...ik->...jk", jac, jac) + 1e-12 * np.eye(3)
-        jtr = np.einsum("...ij,...i->...j", jac, res)
-        step = _solve3(jtj, jtr)
-        np.clip(step, -1.5, 1.5, out=step)
-        params -= step
+        (x, y, yaw), jx, jy = _forward_with_jacobian(params)
+        rx, ry, ryaw = x - tgt[0], y - tgt[1], _wrap(yaw - tgt[2])
+        # J^T J + 1e-12 I and J^T r, J's rows being (jx, jy, jz)
+        jtj = {(a, b): jx[a] * jx[b] + jy[a] * jy[b] + jz[a] * jz[b]
+               for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))}
+        for a in range(3):
+            jtj[a, a] = jtj[a, a] + 1e-12
+        jtr = [jx[a] * rx + jy[a] * ry + jz[a] * ryaw for a in range(3)]
+        step = _solve3(jtj[0, 0], jtj[0, 1], jtj[0, 2], jtj[1, 1], jtj[1, 2], jtj[2, 2], *jtr)
+        for p, d in zip(params, step):
+            p -= np.clip(d, -1.5, 1.5)
 
-    pose, _ = _forward_with_jacobian(params)
-    res = pose - tgt
-    res[..., 2] = _wrap(res[..., 2])
+    (x, y, yaw), _, _ = _forward_with_jacobian(params)
+    res = np.stack([x - tgt[0], y - tgt[1], _wrap(yaw - tgt[2])], axis=-1)
     err = np.linalg.norm(res, axis=-1)
-    values = np.einsum("wsp,...wp->...ws", _ORACLE_COEFF, params) + _ORACLE_CONST
-    lengths = np.abs(values).sum(axis=-1)
+    lengths = np.abs(np.stack(_segment_values(params), axis=-1)).sum(axis=-1)
     lengths[err > tol] = np.inf
     return lengths.reshape(n_pairs, -1).min(axis=1)
 

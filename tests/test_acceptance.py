@@ -31,6 +31,7 @@ from hybridplan.vehicle import VehicleSpec
 from conftest import bordered_grid, clutter_scene
 from oracles import (kappa_dot_rms_direct, rectangle_hits_occupied,
                      rs_oracle_lengths)
+from test_golden_outputs import GOLDEN_FILE, large_run_id, path_and_events_digests
 
 VEH = VehicleSpec()
 DEFAULT_CFG = PlannerConfig()
@@ -55,29 +56,33 @@ def plate_runs():
         for mode in (STANDARD, EXTENDED):
             driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=NAV_NONE),
                                                DEFAULT_CFG, mode, VEH)
-            out[(name, mode)] = (driven, rep, spec)
+            out[(name, mode)] = (driven, rep, spec, events)
     out["wall_time"] = time.perf_counter() - t0
     return out
 
 
+def large_run(env: str, label: str):
+    """One closed loop of criteria 2 and 3: (driven, report, spec, events)."""
+    spec = known_large() if env == "known" else unknown_large()
+    nav = NAV_NONE if label == "std" else NAV_EARLY_STOP
+    driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=nav),
+                                       LARGE_MAP_CFG, STANDARD, VEH)
+    return driven, rep, spec, events
+
+
 @pytest.fixture(scope="module")
 def large_runs():
-    out = {}
-    for env, spec in (("known", known_large()), ("unknown", unknown_large())):
-        for label, nav in (("std", NAV_NONE), ("guided", NAV_EARLY_STOP)):
-            driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=nav),
-                                               LARGE_MAP_CFG, STANDARD, VEH)
-            out[(env, label)] = (driven, rep, spec)
-    return out
+    return {(env, label): large_run(env, label)
+            for env in ("known", "unknown") for label in ("std", "guided")}
 
 
 # -------------------------------------------------------------- criterion 1
 
 def test_c01_narrow_plate_reachability(plate_runs):
-    _, rep_s84, _ = plate_runs[("84", STANDARD)]
-    _, rep_e84, _ = plate_runs[("84", EXTENDED)]
-    _, rep_s67, _ = plate_runs[("67", STANDARD)]
-    _, rep_e67, _ = plate_runs[("67", EXTENDED)]
+    rep_s84 = plate_runs[("84", STANDARD)][1]
+    rep_e84 = plate_runs[("84", EXTENDED)][1]
+    rep_s67 = plate_runs[("67", STANDARD)][1]
+    rep_e67 = plate_runs[("67", EXTENDED)][1]
     wall = plate_runs["wall_time"]
     ok = (rep_s84.reached and rep_s84.n_direction_switches >= 3
           and rep_e84.reached and rep_e84.n_rotations <= 1
@@ -116,6 +121,16 @@ def test_c02_guided_efficiency(large_runs):
            f"{per_call_nodes(k_g, k_s)}; "
            f"unknown: guided t_avg {u_g.t_avg:.4f}s <= 0.5 x std {u_s.t_avg:.4f}s "
            f"(ratio {u_g.t_avg / u_s.t_avg:.3f}), {per_call_nodes(u_g, u_s)}")
+
+
+@pytest.mark.slow
+def test_unknown_large_outputs_pinned(large_runs):
+    """The exploration runs of criteria 2 and 3 drive the stored path and
+    replan events: no other digest covers the largest unknown map."""
+    golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    for label in ("std", "guided"):
+        driven, _, _, events = large_runs[("unknown", label)]
+        assert path_and_events_digests(driven, events) == golden[large_run_id("unknown", label)]
 
 
 # -------------------------------------------------------------- criterion 3
@@ -320,7 +335,7 @@ def test_c08_collision_conservatism(plate_runs, large_runs):
     for key, value in list(plate_runs.items()) + list(large_runs.items()):
         if key == "wall_time":
             continue
-        driven, rep, spec = value
+        driven, rep, spec, _ = value
         if driven.total_drive_length == 0.0 and not driven.segments:
             continue  # the 6.7 m standard run never moves
         bad += _footprint_violations(driven, spec.truth_map)

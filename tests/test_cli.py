@@ -95,8 +95,17 @@ def test_malformed_field_named_in_error(tmp_path, capsys, overrides, named):
     ({"planner": {"node_budget": True}}, "planner: node_budget must be an integer"),
     ({"vehicle": {"n_disks": 2.5}}, "vehicle: n_disks must be an integer"),
     ({"vehicle": {"width": float("nan")}}, "vehicle: width must be positive"),
+    ({"planner": {"xy_resolution": 0.3}},
+     "planner: xy_resolution must be an integer multiple of the grid resolution 0.15625"),
+    ({"mission": {"s_w": -5}}, "mission: s_w must be positive"),
+    ({"mission": {"s_w": 0}}, "mission: s_w must be positive"),
+    ({"mission": {"s_lim": float("nan")}}, "mission: s_lim must be non-negative"),
+    ({"mission": {"s_t": -1.0}}, "mission: s_t must be non-negative"),
+    ({"mission": {"d_div": float("nan")}}, "mission: d_div must be non-negative"),
+    ({"mission": {"s_coll": -0.5}}, "mission: s_coll must be non-negative"),
 ], ids=["inflation_nan", "collision_step_nan", "n_steer_float", "node_budget_bool",
-        "n_disks_fraction", "width_nan"])
+        "n_disks_fraction", "width_nan", "xy_resolution_off_grid", "s_w_negative",
+        "s_w_zero", "s_lim_nan", "s_t_negative", "d_div_nan", "s_coll_negative"])
 def test_config_value_out_of_range_exits_1(tmp_path, capsys, overrides, named):
     """Values that used to raise inside the first tick are refused on load."""
     cfg = write_config(tmp_path, **overrides)
@@ -133,9 +142,10 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
     ({"map": "nan.map"}, "resolution must be finite and positive"),
     ({"map": 5}, "map must be a file name, got 5"),
     ({"map": None}, "map must be a file name, got None"),
+    ({"map": "unknown.map"}, "truth_map must not contain unknown cells"),
 ], ids=["n_rays_4", "sensor_range_0", "drive_step_0", "drive_step_negative",
         "max_sim_steps_0", "sensor_range_null", "known_env_string", "map_resolution_nan",
-        "map_number", "map_null"])
+        "map_number", "map_null", "map_unknown_cell"])
 def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
     """Values that used to crash, idle to the step limit or (a string known_env)
     run as a known map are refused up front."""
@@ -144,6 +154,8 @@ def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
     (tmp_path / "smoke_small.map").write_text("".join(lines))
     (tmp_path / "nan.map").write_text("".join(
         [lines[0].rsplit(" ", 1)[0] + " nan\n"] + lines[1:]))
+    (tmp_path / "unknown.map").write_text("".join(
+        lines[:5] + ["?" + lines[5][1:]] + lines[6:]))
     data = {**json.loads(bundled.read_text()), **payload}
     (tmp_path / "bad.scenario").write_text(json.dumps(data))
     cfg = write_config(tmp_path, scenario="bad.scenario")
@@ -213,12 +225,13 @@ def test_compare_two_modes(tmp_path):
     assert main(["compare", str(a), str(b), "--no-timing",
                  "--output-dir", str(tmp_path / "cmp")]) == 0
     lines = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
-    assert lines[0].startswith("mode,n_planner_calls,t_max,t_cum,t_avg,cumulative_nodes")
+    assert lines[0] == "mode," + ",".join(MetricsReport.COLUMNS)
     assert len(lines) == 3
-    assert lines[1].startswith("standard,")
-    assert lines[2].startswith("guided,")
-    assert (tmp_path / "cmp" / "run_00_standard" / "metrics.csv").exists()
-    assert (tmp_path / "cmp" / "run_01_guided" / "metrics.csv").exists()
+    for line, mode, run in zip(lines[1:], ("standard", "guided"),
+                               ("run_00_standard", "run_01_guided")):
+        metrics = (tmp_path / "cmp" / run / "metrics.csv").read_text().splitlines()
+        assert metrics[0] == ",".join(MetricsReport.COLUMNS)
+        assert line == f"{mode},{metrics[1]}"
 
 
 def test_compare_requires_two_configs(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Byte-stable run outputs: sha256 digests of every file `plan run --no-timing`
 writes, for a set of bundled scenarios and modes, against stored values.
 
+The same file pins the driven path and the replan events of the two
+`unknown_large` runs that `test_acceptance.py`'s `large_runs` fixture makes
+(keys `large_runs:...`).
+
 A change that is meant to alter these outputs refreshes the stored digests
 on purpose:
 
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridplan.cli import main
+from hybridplan.cli import main, path_to_json
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
 OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
@@ -46,6 +50,18 @@ def run_digests(scenario: str, mode: str, workdir: Path) -> dict:
     return {"exit": code, "sha256": files}
 
 
+def large_run_id(env: str, label: str) -> str:
+    return f"large_runs:{env}_large/{label}"
+
+
+def path_and_events_digests(driven, events) -> dict:
+    """sha256 of the path.json and events.log text of a run, without timing."""
+    texts = {"path.json": json.dumps(path_to_json(driven), sort_keys=True,
+                                     separators=(",", ":")) + "\n",
+             "events.log": "".join(e.format(with_timing=False) + "\n" for e in events)}
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
 @pytest.mark.parametrize("scenario,mode", CASES, ids=[case_id(*c) for c in CASES])
 def test_outputs_match_stored_digests(scenario, mode, tmp_path, capsys):
     expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))[case_id(scenario, mode)]
@@ -58,5 +74,10 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             golden[case_id(scenario, mode)] = run_digests(scenario, mode, Path(tmp))
         print(case_id(scenario, mode), golden[case_id(scenario, mode)]["exit"], file=sys.stderr)
+    from test_acceptance import large_run
+    for label in ("std", "guided"):
+        driven, _, _, events = large_run("unknown", label)
+        golden[large_run_id("unknown", label)] = path_and_events_digests(driven, events)
+        print(large_run_id("unknown", label), file=sys.stderr)
     GOLDEN_FILE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from hybridplan.heuristic import waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
                                 NAV_NONE, NAV_WAYPOINT, check_path_collision,
                                 compute_replan_start, mission_tick)
-from hybridplan.planner import PlannerConfig, STANDARD, STOP_AT_GOAL, plan
+from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment, STANDARD,
+                                STOP_AT_GOAL, plan)
 from hybridplan.scenarios import BUILDERS
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
@@ -222,6 +225,32 @@ def test_refresh_cadence_in_early_stop_mode():
             state.progress_s = 0.0
             replans += 1
     assert replans == 3  # every s_t = 10 m
+
+
+@pytest.mark.parametrize("rotations_done", [0, 1], ids=["pending", "done"])
+def test_replan_at_a_rotation_keeps_it_only_while_pending(rotations_done):
+    """A replan while the vehicle stands at a rotation of a drive-rotate-drive
+    path: the stitched path starts at the vehicle's pose, with the rotation
+    first while it is pending, and without it once it is done."""
+    builder = PathBuilder(Pose2D(5, 10, 0))
+    for i in range(1, 11):
+        builder.add_drive_sample(5 + i * 0.5, 10, 0.0, 0.0, 1)
+    builder.add_rotation(math.pi / 2)
+    for i in range(1, 9):
+        builder.add_drive_sample(10, 10 + i * 0.5, math.pi / 2, 0.0, 1)
+    path = builder.finish()
+    state = make_state(path, progress=5.0)
+    state.goal = Pose2D(30, 12, 0)
+    state.rotations_done = rotations_done
+    state.vehicle_pose = Pose2D(10, 10, rotations_done * math.pi / 2)
+    result = tick(state, bordered_grid(40, 24), nav=NAV_EARLY_STOP)
+    assert result.cause == "refresh" and result.s_plan == 2.0
+    stitched = state.current_path
+    assert stitched.n_rotations == 1 - rotations_done   # standard mode plans no rotation
+    assert isinstance(stitched.segments[0], RotationSegment) == (rotations_done == 0)
+    assert pose_close(stitched.start_pose(), Pose2D(10, 10, rotations_done * math.pi / 2),
+                      pos_tol=1e-9, yaw_tol=1e-9)
+    assert pose_close(stitched.pose_at(2.0), path.pose_at(7.0), pos_tol=1e-9, yaw_tol=1e-9)
 
 
 def test_failure_propagates_reason():

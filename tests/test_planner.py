@@ -473,7 +473,17 @@ def test_slice_and_concat_continuity():
 @functools.lru_cache(maxsize=None)
 def _cut_plan(case: int) -> PlannedPath:
     """Plans with gear switches, a rotation and merged search-plus-suffix
-    drives: standard and extended, on open, narrow and cluttered maps."""
+    drives: standard and extended, on open, narrow and cluttered maps; and a
+    built path that starts with a rotation and has a second one inside."""
+    if case == 4:
+        builder = PathBuilder(Pose2D(0, 0, 0))
+        builder.add_rotation(math.pi / 2)
+        for i in range(1, 5):
+            builder.add_drive_sample(0.0, i * 0.5, math.pi / 2, 0.0, 1)
+        builder.add_rotation(-math.pi / 2)
+        for i in range(1, 5):
+            builder.add_drive_sample(i * 0.5, 2.0, 0.0, 0.0, 1)
+        return builder.finish()
     if case == 0:
         return plan(open_grid(), Pose2D(10, 20, 0), Pose2D(14, 22, math.pi), VEH, CFG)[0]
     if case == 1:
@@ -485,15 +495,21 @@ def _cut_plan(case: int) -> PlannedPath:
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=st.integers(0, 3), cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+@given(case=st.integers(0, 4), cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
                                               unique=True),
+       on_rotation=st.sampled_from([None, 0, 1]), pick=st.integers(0, 7),
        probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-def test_slice_concat_round_trip(case, cuts, probes):
-    """Cutting a plan at s0 < s1 and concatenating the three slices keeps its
-    drive length, rotations, and pose and gear along the drive arc length."""
+def test_slice_concat_round_trip(case, cuts, on_rotation, pick, probes):
+    """Cutting a plan at s0 <= s1 and concatenating the three slices keeps its
+    drive length, rotations, and pose and gear along the drive arc length;
+    also when a cut lies exactly on a rotation."""
     path = _cut_plan(case)
     total = path.total_drive_length
-    s0, s1 = sorted(f * total for f in cuts)
+    cut_s = [f * total for f in cuts]
+    rotation_s = [acc for acc, seg in path.walk() if isinstance(seg, RotationSegment)]
+    if on_rotation is not None and rotation_s:
+        cut_s[on_rotation] = rotation_s[pick % len(rotation_s)]
+    s0, s1 = sorted(cut_s)
     rejoined = path.slice(0.0, s0).concat(path.slice(s0, s1)).concat(path.slice(s1, total))
     assert rejoined.total_drive_length == pytest.approx(total, abs=1e-9)
     assert rejoined.n_rotations == path.n_rotations
@@ -501,6 +517,28 @@ def test_slice_concat_round_trip(case, cuts, probes):
         assert pose_close(rejoined.pose_at(s), path.pose_at(s), pos_tol=1e-9, yaw_tol=1e-9)
         direction, kappa = rejoined.gear_at(s)
         assert (direction, kappa) == pytest.approx(path.gear_at(s), abs=1e-12)
+
+
+def test_slice_keeps_a_rotation_at_a_cut_once():
+    """A rotation exactly at a cut opens the right-hand slice, one at the
+    start opens the first, and an executed one is left out."""
+    builder = PathBuilder(Pose2D(0, 0, 0))
+    builder.add_drive_sample(1.0, 0.0, 0.0, 0.0, 1)
+    builder.add_rotation(math.pi / 2)
+    builder.add_drive_sample(1.0, 1.0, math.pi / 2, 0.0, 1)
+    path = builder.finish()
+    assert (path.slice(0.0, 1.0).n_rotations, path.slice(1.0, 2.0).n_rotations) == (0, 1)
+    assert path.slice(0.0, 1.0).concat(path.slice(1.0, 2.0)).n_rotations == 1
+    assert path.slice(1.0, 2.0, rotations_done=1).n_rotations == 0
+    assert path.slice(1.0, 1.0).n_rotations == 0          # an empty window keeps nothing
+
+    builder = PathBuilder(Pose2D(0, 0, 0))
+    builder.add_rotation(math.pi / 2)
+    builder.add_drive_sample(0.0, 2.0, math.pi / 2, 0.0, 1)
+    builder.add_rotation(math.pi / 2)
+    starts_and_ends = builder.finish()
+    assert starts_and_ends.slice(0.0, 2.0).n_rotations == 2
+    assert starts_and_ends.slice(0.0, 1.0).n_rotations == 1
 
 
 def test_pose_at_pending_rotation_semantics():

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid, voronoi_field
 from hybridplan.mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
 from hybridplan.planner import DriveSegment, PathBuilder, PlannerConfig, STANDARD
+from hybridplan.scenarios import BUILDERS
 from hybridplan.simulate import (ScenarioSpec, kappa_dot_rms,
                                  proximity_stats, run_scenario)
 from hybridplan.vehicle import VehicleSpec
@@ -236,4 +238,17 @@ def test_metrics_report_consistency():
     assert report.p_avg <= report.p_max + 1e-12
     if report.n_planner_calls:
         assert report.t_avg == pytest.approx(report.t_cum / report.n_planner_calls)
+    assert report.cumulative_nodes == sum(e.nodes for e in events)
+
+
+@pytest.mark.parametrize("scenario,mode", [("reveal_divergence", "guided"),
+                                           ("plate_corridor_84", "extended")])
+def test_planner_accounting_is_the_replan_events(scenario, mode):
+    """Calls, wall-clock figures and nodes of the report are the events' own."""
+    planner_mode, nav_mode = MODES[mode]
+    _, report, events = run_scenario(BUILDERS[scenario](), MissionConfig(nav_mode=nav_mode),
+                                     PlannerConfig(), planner_mode, VEH)
+    assert report.n_planner_calls == len(events)
+    assert report.t_cum == sum(e.seconds for e in events)
+    assert report.t_max == max(e.seconds for e in events)
     assert report.cumulative_nodes == sum(e.nodes for e in events)
