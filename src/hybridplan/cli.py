@@ -44,16 +44,24 @@ class RunConfig:
     nav_mode_explicit: bool = False   # mission.nav_mode given in the file
 
 
+# a field takes a value of its default's type; a float field takes an int too
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
 def _build_section(cls, overrides: dict, section: str):
     if not isinstance(overrides, dict):
         raise ConfigError(f"{section}: must be an object")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for key in overrides:
-        if key not in fields:
+    defaults = dataclasses.asdict(cls())
+    for key, value in overrides.items():
+        if key not in defaults:
             raise ConfigError(f"{section}.{key}: unknown field")
+        expected = type(defaults[key])
+        if not (type(value) is expected or (expected is float and type(value) is int)):
+            raise ConfigError(f"{section}: {key} must be {_TYPE_NAMES[expected]}, "
+                              f"got {value!r}")
     try:
         return cls(**overrides)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
 
 
@@ -88,14 +96,13 @@ def load_config(path) -> RunConfig:
 
 
 def resolve_scenario(ref: str, config_dir: Path) -> ScenarioSpec:
-    if ref.startswith("bundled:"):
-        return load_scenario(bundled_scenario_path(ref.split(":", 1)[1]))
-    path = Path(ref)
-    if not path.is_absolute():
-        path = config_dir / path
-    if not path.exists():
-        raise ConfigError(f"scenario: file not found: {path}")
     try:
+        if ref.startswith("bundled:"):
+            path = bundled_scenario_path(ref.split(":", 1)[1])
+        else:
+            path = config_dir / ref          # an absolute ref replaces config_dir
+            if not path.exists():
+                raise FileNotFoundError(f"file not found: {path}")
         return load_scenario(path)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"scenario: {exc}") from None

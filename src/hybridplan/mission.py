@@ -74,12 +74,19 @@ class TickResult:
 
 
 def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid,
-                         disks: DiskSet) -> Optional[float]:
-    """Arc length past from_s of the first colliding sample, None when clear."""
+                         disks: DiskSet, rotations_done: int = 0) -> Optional[float]:
+    """Arc length past from_s of the first colliding sample, None when clear.
+
+    The first rotations_done rotations of the path are already executed and
+    not checked, as in `PlannedPath.slice`.
+    """
     checker = CollisionChecker(belief, disks)
+    rotations = 0
     for acc, seg in path.walk():
         if isinstance(seg, RotationSegment):
-            if acc >= from_s - 1e-9 and checker.rotation_blocked(seg.x, seg.y):
+            rotations += 1
+            if (rotations > rotations_done and acc >= from_s - 1e-9
+                    and checker.rotation_blocked(seg.x, seg.y)):
                 return max(acc - from_s, 0.0)
             continue
         if acc + seg.arc_length < from_s:
@@ -151,7 +158,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     s_coll_found = None
     if state.current_path is not None:
         s_coll_found = check_path_collision(state.current_path, state.progress_s,
-                                            belief, disks)
+                                            belief, disks, state.rotations_done)
 
     if state.current_path is None:
         cause = "initial"

@@ -66,19 +66,16 @@ class PlannerConfig:
     inflation_radius: float = 1.0            # [m] 2D heuristic obstacle inflation
 
     def __post_init__(self) -> None:
-        # written as not (v > 0) so that NaN fails too
+        # written as not (0 < v < inf) so that NaN fails too
         for name in ("xy_resolution", "yaw_resolution", "arc_length", "collision_step",
                      "delta_phi", "analytic_radius", "extension_segment_length"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("w_reverse", "w_switch", "w_steer", "w_steer_change",
                      "w_rotation_fixed", "w_rotation_rate", "rs_heuristic_radius",
                      "inflation_radius"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("n_steer", "f_ext", "node_budget"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.n_steer < 3 or self.n_steer % 2 == 0:
             raise ValueError("n_steer must be an odd number >= 3")
         if self.f_ext < 1:

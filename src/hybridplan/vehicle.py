@@ -31,16 +31,18 @@ class VehicleSpec:
     n_disks: int = 3
 
     def __post_init__(self) -> None:
+        # written as not (0 < v < inf) so that NaN fails too
+        for name in ("length", "width"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not (0.0 < self.wheelbase <= self.length):
             raise ValueError("need 0 < wheelbase <= length")
         if not (0.0 <= self.rear_overhang < self.length):
             raise ValueError("need 0 <= rear_overhang < length")
         if not (0.0 < self.max_steer < math.pi / 2.0):
             raise ValueError("max_steer must be in (0, pi/2)")
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
-        if type(self.n_disks) is not int or self.n_disks < 1:
-            raise ValueError("n_disks must be an integer >= 1")
+        if self.n_disks < 1:
+            raise ValueError("n_disks must be >= 1")
 
     @property
     def min_turn_radius(self) -> float:

@@ -10,6 +10,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
+from hybridplan.scenarios import bundled_scenario_path, load_scenario
+from hybridplan.simulate import ScenarioSpec
 
 GRID_RES = 0.15625
 
@@ -23,6 +25,11 @@ def bordered_grid(width_m: float, height_m: float, res: float = GRID_RES,
     g.set_box(0, 0, wall, height_m, OCCUPIED)
     g.set_box(width_m - wall, 0, width_m, height_m, OCCUPIED)
     return g
+
+
+def bundled(name: str) -> ScenarioSpec:
+    """The bundled scenario `name`, loaded from its shipped files as the CLI does."""
+    return load_scenario(bundled_scenario_path(name))
 
 
 def clutter_scene(rng, border: bool = True) -> OccupancyGrid:

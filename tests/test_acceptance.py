@@ -23,12 +23,10 @@ from hybridplan.planner import (DriveSegment, EXTENDED, PlannedPath,
                                 PlannerConfig, PlannerFailure,
                                 STANDARD, STOP_EARLY, plan)
 from hybridplan.reeds_shepp import rs_path_length
-from hybridplan.scenarios import (known_large, plate_corridor_67, plate_corridor_84,
-                                  reveal_divergence, unknown_large)
 from hybridplan.simulate import kappa_dot_rms, run_scenario
 from hybridplan.vehicle import VehicleSpec
 
-from conftest import bordered_grid, clutter_scene
+from conftest import bordered_grid, bundled, clutter_scene
 from oracles import (kappa_dot_rms_direct, rectangle_hits_occupied,
                      rs_oracle_lengths)
 from test_golden_outputs import GOLDEN_FILE, large_run_id, path_and_events_digests
@@ -52,7 +50,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def plate_runs():
     out = {"wall_time": 0.0}
     t0 = time.perf_counter()
-    for name, spec in (("84", plate_corridor_84()), ("67", plate_corridor_67())):
+    for name in ("84", "67"):
+        spec = bundled(f"plate_corridor_{name}")
         for mode in (STANDARD, EXTENDED):
             driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=NAV_NONE),
                                                DEFAULT_CFG, mode, VEH)
@@ -63,7 +62,7 @@ def plate_runs():
 
 def large_run(env: str, label: str):
     """One closed loop of criteria 2 and 3: (driven, report, spec, events)."""
-    spec = known_large() if env == "known" else unknown_large()
+    spec = bundled(f"{env}_large")
     nav = NAV_NONE if label == "std" else NAV_EARLY_STOP
     driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=nav),
                                        LARGE_MAP_CFG, STANDARD, VEH)
@@ -348,7 +347,7 @@ def test_c08_collision_conservatism(plate_runs, large_runs):
 # -------------------------------------------------------------- criterion 9
 
 def test_c09_divergence_replan():
-    spec = reveal_divergence()
+    spec = bundled("reveal_divergence")
     driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=NAV_EARLY_STOP),
                                        DEFAULT_CFG, STANDARD, VEH)
     div_events = [e for e in events if e.cause == "divergence"]

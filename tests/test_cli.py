@@ -1,18 +1,27 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hybridplan
 from hybridplan.cli import main
+from hybridplan.mission import MissionConfig
+from hybridplan.planner import PlannerConfig
 from hybridplan.scenarios import bundled_scenario_path
 from hybridplan.simulate import MetricsReport
+from hybridplan.vehicle import VehicleSpec
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -103,11 +112,21 @@ def test_malformed_field_named_in_error(tmp_path, capsys, overrides, named):
     ({"mission": {"s_t": -1.0}}, "mission: s_t must be non-negative"),
     ({"mission": {"d_div": float("nan")}}, "mission: d_div must be non-negative"),
     ({"mission": {"s_coll": -0.5}}, "mission: s_coll must be non-negative"),
+    ({"planner": {"yaw_resolution": float("inf")}},
+     "planner: yaw_resolution must be positive and finite"),
+    ({"planner": {"arc_length": float("inf")}}, "planner: arc_length must be positive and finite"),
+    ({"vehicle": {"length": float("inf")}}, "vehicle: length must be positive and finite"),
+    ({"planner": {"arc_length": "x"}}, "planner: arc_length must be a number, got 'x'"),
+    ({"mission": {"s_w": None}}, "mission: s_w must be a number, got None"),
+    ({"vehicle": {"width": "2"}}, "vehicle: width must be a number, got '2'"),
 ], ids=["inflation_nan", "collision_step_nan", "n_steer_float", "node_budget_bool",
         "n_disks_fraction", "width_nan", "xy_resolution_off_grid", "s_w_negative",
-        "s_w_zero", "s_lim_nan", "s_t_negative", "d_div_nan", "s_coll_negative"])
+        "s_w_zero", "s_lim_nan", "s_t_negative", "d_div_nan", "s_coll_negative",
+        "yaw_resolution_inf", "arc_length_inf", "length_inf", "arc_length_string",
+        "s_w_null", "width_string"])
 def test_config_value_out_of_range_exits_1(tmp_path, capsys, overrides, named):
-    """Values that used to raise inside the first tick are refused on load."""
+    """Values that used to end in a traceback, or (an infinite vehicle length)
+    never end the run, are refused on load with the field named."""
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg), "--no-timing"]) == 1
     err = capsys.readouterr().err
@@ -143,9 +162,13 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
     ({"map": 5}, "map must be a file name, got 5"),
     ({"map": None}, "map must be a file name, got None"),
     ({"map": "unknown.map"}, "truth_map must not contain unknown cells"),
+    ({"map": "missing.map"}, "map file not found"),
+    ({"n_rays": float("inf")}, "n_rays must be a number, got inf"),
+    ({"max_sim_steps": float("inf")}, "max_sim_steps must be a number, got inf"),
 ], ids=["n_rays_4", "sensor_range_0", "drive_step_0", "drive_step_negative",
         "max_sim_steps_0", "sensor_range_null", "known_env_string", "map_resolution_nan",
-        "map_number", "map_null", "map_unknown_cell"])
+        "map_number", "map_null", "map_unknown_cell", "map_missing", "n_rays_inf",
+        "max_sim_steps_inf"])
 def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
     """Values that used to crash, idle to the step limit or (a string known_env)
     run as a known map are refused up front."""
@@ -162,6 +185,54 @@ def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
     assert main(["run", str(cfg), "--no-timing"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: scenario: ") and named in err
+
+
+SMOKE = bundled_scenario_path("smoke_small")
+MUTABLE_FIELDS = ([(section, f.name) for section, cls in (("planner", PlannerConfig),
+                                                         ("mission", MissionConfig),
+                                                         ("vehicle", VehicleSpec))
+                   for f in dataclasses.fields(cls)]
+                  + [("scenario", key) for key in sorted(json.loads(SMOKE.read_text()))])
+# small values only: a huge n_rays, node budget or map size makes a run slow, not malformed
+MUTANTS = (float("nan"), float("inf"), -float("inf"), -1, 0, "x", None, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTANTS))
+def test_one_mutated_field_is_named_or_runs(field, value):
+    """A valid smoke_small run with one config or scenario field replaced ends
+    in exit 1 naming that field, or in a normal exit 0 or 2 (stop cause on
+    stderr), never in an exception."""
+    section, key = field
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scenario = json.loads(SMOKE.read_text())
+        shutil.copy(SMOKE.parent / scenario["map"], tmp)
+        overrides = {}
+        if section == "scenario":
+            scenario[key] = value
+        else:
+            overrides[section] = {key: value}
+        (tmp / "mutant.scenario").write_text(json.dumps(scenario))
+        cfg = write_config(tmp, scenario="mutant.scenario", **overrides)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--no-timing"])
+    err = err.getvalue()
+    if code == 1:
+        assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
+    elif code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("run failed: "), (code, err)
+
+
+def test_unknown_bundled_scenario_lists_the_shipped_ones(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="bundled:nope")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: no bundled scenario 'nope'; available: [")
+    assert "'smoke_small'" in err and "'unknown_large'" in err
 
 
 def test_unknown_field_rejected(tmp_path, capsys):

@@ -12,10 +12,9 @@ from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal,
                              save_map, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
-from hybridplan.scenarios import bundled_scenario_path, load_scenario
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
-from conftest import bordered_grid
+from conftest import bordered_grid, bundled
 from oracles import _field_at, brute_distance_transform, raytrace_reveal_reference
 
 
@@ -543,7 +542,7 @@ def test_reveal_matches_masked_reference(case):
 
 
 def test_reveal_matches_reference_on_unknown_large():
-    spec = load_scenario(bundled_scenario_path("unknown_large"))
+    spec = bundled("unknown_large")
     truth = spec.truth_map
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, truth.resolution,
                                   UNKNOWN, truth.origin)

@@ -15,10 +15,9 @@ from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
                                 compute_replan_start, mission_tick)
 from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment, STANDARD,
                                 STOP_AT_GOAL, plan)
-from hybridplan.scenarios import BUILDERS
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
-from conftest import bordered_grid, pose_close
+from conftest import bordered_grid, bundled, pose_close
 
 VEH = VehicleSpec()
 CFG = PlannerConfig()
@@ -227,18 +226,23 @@ def test_refresh_cadence_in_early_stop_mode():
     assert replans == 3  # every s_t = 10 m
 
 
-@pytest.mark.parametrize("rotations_done", [0, 1], ids=["pending", "done"])
-def test_replan_at_a_rotation_keeps_it_only_while_pending(rotations_done):
-    """A replan while the vehicle stands at a rotation of a drive-rotate-drive
-    path: the stitched path starts at the vehicle's pose, with the rotation
-    first while it is pending, and without it once it is done."""
+def drive_rotate_drive():
+    """5 m east to (10, 10), a quarter turn on the spot, 4 m north."""
     builder = PathBuilder(Pose2D(5, 10, 0))
     for i in range(1, 11):
         builder.add_drive_sample(5 + i * 0.5, 10, 0.0, 0.0, 1)
     builder.add_rotation(math.pi / 2)
     for i in range(1, 9):
         builder.add_drive_sample(10, 10 + i * 0.5, math.pi / 2, 0.0, 1)
-    path = builder.finish()
+    return builder.finish()
+
+
+@pytest.mark.parametrize("rotations_done", [0, 1], ids=["pending", "done"])
+def test_replan_at_a_rotation_keeps_it_only_while_pending(rotations_done):
+    """A replan while the vehicle stands at a rotation of a drive-rotate-drive
+    path: the stitched path starts at the vehicle's pose, with the rotation
+    first while it is pending, and without it once it is done."""
+    path = drive_rotate_drive()
     state = make_state(path, progress=5.0)
     state.goal = Pose2D(30, 12, 0)
     state.rotations_done = rotations_done
@@ -251,6 +255,25 @@ def test_replan_at_a_rotation_keeps_it_only_while_pending(rotations_done):
     assert pose_close(stitched.start_pose(), Pose2D(10, 10, rotations_done * math.pi / 2),
                       pos_tol=1e-9, yaw_tol=1e-9)
     assert pose_close(stitched.pose_at(2.0), path.pose_at(7.0), pos_tol=1e-9, yaw_tol=1e-9)
+
+
+def test_executed_rotation_is_not_checked_again():
+    """A box that only the rotation's sweep at (10, 10) hits blocks the path
+    while the rotation is pending; once it is done the rest is clear and the
+    tick keeps driving instead of replanning from the pre-rotation yaw."""
+    path = drive_rotate_drive()
+    g = bordered_grid(40, 24)
+    g.set_box(12.8, 8.6, 13.1, 8.9, OCCUPIED)
+    disks = make_disk_set(VEH)
+    assert check_path_collision(path, 0.0, g, disks) == pytest.approx(5.0)
+    assert check_path_collision(path, 5.0, g, disks) == 0.0
+    assert check_path_collision(path, 5.0, g, disks, rotations_done=1) is None
+    state = make_state(path, progress=5.0)
+    state.goal = Pose2D(30, 12, 0)
+    state.rotations_done = 1
+    state.vehicle_pose = Pose2D(10, 10, math.pi / 2)
+    assert tick(state, g).status == "keep_driving"
+    assert state.current_path is path
 
 
 def test_failure_propagates_reason():
@@ -325,7 +348,7 @@ def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mo
     monkeypatch.setattr(mission, "plan", recording_plan)
     monkeypatch.setattr(simulate, "mission_tick", checking_tick)
     planner_mode, nav_mode = MODES[mode]
-    _, report, _ = simulate.run_scenario(BUILDERS[scenario](), MissionConfig(nav_mode=nav_mode),
+    _, report, _ = simulate.run_scenario(bundled(scenario), MissionConfig(nav_mode=nav_mode),
                                          CFG, planner_mode, VEH)
     assert report.reached
     assert causes == replans and len(planned_starts) == len(replans)

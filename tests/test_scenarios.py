@@ -1,31 +1,42 @@
+"""The bundled scenarios are the shipped `data/*.scenario` files: each one
+loads, and the golden digests pin what it runs."""
 from __future__ import annotations
 
-import numpy as np
+import json
+from pathlib import Path
+
 import pytest
 
+import hybridplan
 from hybridplan.grid import UNKNOWN
-from hybridplan.scenarios import BUILDERS, bundled_scenario_path, load_scenario
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
+from conftest import bundled
+from test_golden_outputs import CASES, GOLDEN_FILE
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_bundled_files_match_builders(name):
-    built = BUILDERS[name]()
-    shipped = load_scenario(bundled_scenario_path(name))
-    assert np.array_equal(built.truth_map.cells, shipped.truth_map.cells)
-    assert shipped.truth_map.resolution == built.truth_map.resolution
-    assert shipped.start == built.start
-    assert shipped.goal == built.goal
-    assert shipped.known_env == built.known_env
-    assert shipped.sensor_range == built.sensor_range
-    assert shipped.n_rays == built.n_rays
+NAMES = sorted(p.stem for p in (Path(hybridplan.__file__).parent / "data").glob("*.scenario"))
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_data_directory_ships_scenarios():
+    assert NAMES
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_scenario_endpoints_are_valid(name):
-    spec = BUILDERS[name]()
+    spec = bundled(name)
     truth = spec.truth_map
     assert not (truth.cells == UNKNOWN).any()
     checker = CollisionChecker(truth, make_disk_set(VehicleSpec()))
     assert not checker.pose_blocked(spec.start.x, spec.start.y, spec.start.yaw)
     assert not checker.pose_blocked(spec.goal.x, spec.goal.y, spec.goal.yaw)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_bundled_scenario_is_pinned(name):
+    """The files are the only source of a bundled scenario, so some stored
+    digest must cover each one: a golden case or a `large_runs:` key."""
+    golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    pinned = {scenario for scenario, _ in CASES}
+    pinned |= {key.split(":", 1)[1].split("/", 1)[0]
+               for key in golden if key.startswith("large_runs:")}
+    assert name in pinned

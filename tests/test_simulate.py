@@ -10,12 +10,11 @@ from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid, voronoi_field
 from hybridplan.mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
 from hybridplan.planner import DriveSegment, PathBuilder, PlannerConfig, STANDARD
-from hybridplan.scenarios import BUILDERS
 from hybridplan.simulate import (ScenarioSpec, kappa_dot_rms,
                                  proximity_stats, run_scenario)
 from hybridplan.vehicle import VehicleSpec
 
-from conftest import bordered_grid, pose_close
+from conftest import bordered_grid, bundled, pose_close
 from oracles import kappa_dot_rms_direct
 
 VEH = VehicleSpec()
@@ -246,7 +245,7 @@ def test_metrics_report_consistency():
 def test_planner_accounting_is_the_replan_events(scenario, mode):
     """Calls, wall-clock figures and nodes of the report are the events' own."""
     planner_mode, nav_mode = MODES[mode]
-    _, report, events = run_scenario(BUILDERS[scenario](), MissionConfig(nav_mode=nav_mode),
+    _, report, events = run_scenario(bundled(scenario), MissionConfig(nav_mode=nav_mode),
                                      PlannerConfig(), planner_mode, VEH)
     assert report.n_planner_calls == len(events)
     assert report.t_cum == sum(e.seconds for e in events)
