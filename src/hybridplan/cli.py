@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple
 from .heuristic import resolution_factor
 from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
 from .planner import DriveSegment, EXTENDED, PlannedPath, PlannerConfig, STANDARD
-from .scenarios import bundled_scenario_path, load_scenario
+from .scenarios import (bundled_scenario_path, check_fields, field_types, load_scenario,
+                        read_json_object)
 from .simulate import EventRecord, MetricsReport, ScenarioSpec, run_scenario
 from .svg import render_run
 from .vehicle import VehicleSpec
@@ -29,10 +30,6 @@ MODES = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclasses.dataclass
 class RunConfig:
     scenario: str
@@ -44,53 +41,30 @@ class RunConfig:
     nav_mode_explicit: bool = False   # mission.nav_mode given in the file
 
 
-# a field takes a value of its default's type; a float field takes an int too
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+_SECTIONS = {"planner": PlannerConfig, "mission": MissionConfig, "vehicle": VehicleSpec}
+_CONFIG_TYPES = {"scenario": str, "mode": str, "output_dir": str,
+                 **{name: field_types(cls) for name, cls in _SECTIONS.items()}}
 
 
 def _build_section(cls, overrides: dict, section: str):
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{section}: must be an object")
-    defaults = dataclasses.asdict(cls())
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise ConfigError(f"{section}.{key}: unknown field")
-        expected = type(defaults[key])
-        if not (type(value) is expected or (expected is float and type(value) is int)):
-            raise ConfigError(f"{section}: {key} must be {_TYPE_NAMES[expected]}, "
-                              f"got {value!r}")
     try:
         return cls(**overrides)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        raise ValueError(f"{section}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    known = {"scenario", "mode", "output_dir", "planner", "mission", "vehicle"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
+    data = check_fields(read_json_object(Path(path)), _CONFIG_TYPES)
     if "scenario" not in data:
-        raise ConfigError("scenario: required field missing")
+        raise ValueError("scenario: required field missing")
     mode = data.get("mode", "guided")
     if mode not in MODES:
-        raise ConfigError(f"mode: must be one of {sorted(MODES)}, got {mode!r}")
+        raise ValueError(f"mode: must be one of {sorted(MODES)}, got {mode!r}")
     return RunConfig(
-        scenario=str(data["scenario"]),
+        scenario=data["scenario"],
         mode=mode,
-        output_dir=str(data.get("output_dir", "out")),
-        planner=_build_section(PlannerConfig, data.get("planner", {}), "planner"),
-        mission=_build_section(MissionConfig, data.get("mission", {}), "mission"),
-        vehicle=_build_section(VehicleSpec, data.get("vehicle", {}), "vehicle"),
+        output_dir=data.get("output_dir", "out"),
+        **{name: _build_section(cls, data.get(name, {}), name) for name, cls in _SECTIONS.items()},
         nav_mode_explicit="nav_mode" in data.get("mission", {}),
     )
 
@@ -101,11 +75,9 @@ def resolve_scenario(ref: str, config_dir: Path) -> ScenarioSpec:
             path = bundled_scenario_path(ref.split(":", 1)[1])
         else:
             path = config_dir / ref          # an absolute ref replaces config_dir
-            if not path.exists():
-                raise FileNotFoundError(f"file not found: {path}")
         return load_scenario(path)
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"scenario: {exc}") from None
+        raise ValueError(f"scenario: {exc}") from None
 
 
 def load_run(config_path) -> Tuple[RunConfig, ScenarioSpec]:
@@ -115,7 +87,7 @@ def load_run(config_path) -> Tuple[RunConfig, ScenarioSpec]:
     try:
         resolution_factor(cfg.planner.xy_resolution, spec.truth_map.resolution, "xy_resolution")
     except ValueError as exc:
-        raise ConfigError(f"planner: {exc}") from None
+        raise ValueError(f"planner: {exc}") from None
     return cfg, spec
 
 
@@ -186,7 +158,7 @@ def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
 def cmd_run(args) -> int:
     try:
         cfg, spec = load_run(args.config)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report, _ = execute_run(cfg, spec, Path(cfg.output_dir), not args.no_timing)
@@ -202,7 +174,7 @@ def cmd_compare(args) -> int:
         return 1
     try:
         loaded = [load_run(c) for c in args.configs]
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -222,9 +194,7 @@ def cmd_print_defaults(_args) -> int:
         "scenario": "bundled:known_large",
         "mode": "guided",
         "output_dir": "out",
-        "planner": dataclasses.asdict(PlannerConfig()),
-        "mission": dataclasses.asdict(MissionConfig()),
-        "vehicle": dataclasses.asdict(VehicleSpec()),
+        **{name: dataclasses.asdict(cls()) for name, cls in _SECTIONS.items()},
     }
     print(json.dumps(defaults, indent=2, sort_keys=True))
     return 0

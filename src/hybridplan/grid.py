@@ -175,9 +175,12 @@ def load_map(path) -> OccupancyGrid:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"{path}: header must be 'W H RESOLUTION'")
+    for name, value in zip("WH", header):
+        if not (value.isdigit() and int(value) > 0):
+            raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
     w, h = int(header[0]), int(header[1])
     resolution = float(header[2])
-    rows = lines[1:1 + h]
+    rows = lines[1:]
     if len(rows) != h:
         raise ValueError(f"{path}: expected {h} rows, found {len(rows)}")
     cells = np.empty((h, w), dtype=np.uint8)

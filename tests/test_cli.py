@@ -159,12 +159,12 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
     ({"sensor_range": None}, "sensor_range must be a number"),
     ({"known_env": "false"}, "known_env must be true or false"),
     ({"map": "nan.map"}, "resolution must be finite and positive"),
-    ({"map": 5}, "map must be a file name, got 5"),
-    ({"map": None}, "map must be a file name, got None"),
+    ({"map": 5}, "map must be a string, got 5"),
+    ({"map": None}, "map must be a string, got None"),
     ({"map": "unknown.map"}, "truth_map must not contain unknown cells"),
     ({"map": "missing.map"}, "map file not found"),
-    ({"n_rays": float("inf")}, "n_rays must be a number, got inf"),
-    ({"max_sim_steps": float("inf")}, "max_sim_steps must be a number, got inf"),
+    ({"n_rays": float("inf")}, "n_rays must be an integer, got inf"),
+    ({"max_sim_steps": float("inf")}, "max_sim_steps must be an integer, got inf"),
 ], ids=["n_rays_4", "sensor_range_0", "drive_step_0", "drive_step_negative",
         "max_sim_steps_0", "sensor_range_null", "known_env_string", "map_resolution_nan",
         "map_number", "map_null", "map_unknown_cell", "map_missing", "n_rays_inf",
@@ -192,9 +192,12 @@ MUTABLE_FIELDS = ([(section, f.name) for section, cls in (("planner", PlannerCon
                                                          ("mission", MissionConfig),
                                                          ("vehicle", VehicleSpec))
                    for f in dataclasses.fields(cls)]
-                  + [("scenario", key) for key in sorted(json.loads(SMOKE.read_text()))])
+                  + [("scenario", key) for key in sorted(json.loads(SMOKE.read_text()))]
+                  # the run config's top level; a string output_dir would write into
+                  # the working directory
+                  + [("", "scenario"), ("", "mode")])
 # small values only: a huge n_rays, node budget or map size makes a run slow, not malformed
-MUTANTS = (float("nan"), float("inf"), -float("inf"), -1, 0, "x", None, True)
+MUTANTS = (float("nan"), float("inf"), -float("inf"), -1, 0, "x", None, True, [1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,13 +211,15 @@ def test_one_mutated_field_is_named_or_runs(field, value):
         tmp = Path(tmp)
         scenario = json.loads(SMOKE.read_text())
         shutil.copy(SMOKE.parent / scenario["map"], tmp)
-        overrides = {}
+        overrides = {"scenario": "mutant.scenario"}
         if section == "scenario":
             scenario[key] = value
-        else:
+        elif section:
             overrides[section] = {key: value}
+        else:
+            overrides[key] = value
         (tmp / "mutant.scenario").write_text(json.dumps(scenario))
-        cfg = write_config(tmp, scenario="mutant.scenario", **overrides)
+        cfg = write_config(tmp, **overrides)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["run", str(cfg), "--no-timing"])
@@ -225,6 +230,68 @@ def test_one_mutated_field_is_named_or_runs(field, value):
         assert err == ""
     else:
         assert code == 2 and err.startswith("run failed: "), (code, err)
+
+
+def _edit_text(name, change):
+    def edit(tmp):
+        path = tmp / name
+        path.write_text(change(path.read_text()))
+    return edit
+
+
+def _edit_json(name, **fields):
+    return _edit_text(name, lambda text: json.dumps({**json.loads(text), **fields}))
+
+
+def _config_is_directory(tmp):
+    (tmp / "cfg.json").unlink()
+    (tmp / "cfg.json").mkdir()
+
+
+def _config_not_utf8(tmp):
+    (tmp / "cfg.json").write_bytes(b"\xff{}")
+
+
+@pytest.mark.parametrize("command,edit,named", [
+    ("run", _config_not_utf8, "{tmp}/cfg.json: "),
+    ("compare", _config_not_utf8, "{tmp}/cfg.json: "),
+    ("run", _config_is_directory, "{tmp}/cfg.json: "),
+    ("compare", _config_is_directory, "{tmp}/cfg.json: "),
+    ("run", _edit_json("cfg.json", mode=["guided"]), "mode must be a string, got ['guided']"),
+    ("run", _edit_json("cfg.json", output_dir=None), "output_dir must be a string, got None"),
+    ("run", _edit_json("cfg.json", output_dir=5), "output_dir must be a string, got 5"),
+    ("run", _edit_json("s.scenario", max_sim_steps=True),
+     "max_sim_steps must be an integer, got True"),
+    ("run", _edit_json("s.scenario", max_sim_steps=2.9), "max_sim_steps must be an integer, got 2.9"),
+    ("run", _edit_json("s.scenario", n_rays=1440.9), "n_rays must be an integer, got 1440.9"),
+    ("run", _edit_json("s.scenario", sensor_range="30"), "sensor_range must be a number, got '30'"),
+    ("run", _edit_json("s.scenario", start=[True, 8.0, 0.0]), "start must be 3 numbers"),
+    ("run", _edit_json("s.scenario", seed=1), "scenario: seed: unknown field"),
+    ("run", _edit_text("smoke_small.map", lambda text: text.replace("192 ", "192.0 ", 1)),
+     "{tmp}/smoke_small.map: W must be a positive integer, got '192.0'"),
+    ("run", _edit_text("smoke_small.map", lambda text: text.replace("192 ", "-192 ", 1)),
+     "{tmp}/smoke_small.map: W must be a positive integer, got '-192'"),
+    ("run", _edit_text("smoke_small.map", lambda text: text.replace(" 102 ", " 0 ", 1)),
+     "{tmp}/smoke_small.map: H must be a positive integer, got '0'"),
+    ("run", _edit_text("smoke_small.map", lambda text: text + "." * 192 + "\n"),
+     "{tmp}/smoke_small.map: expected 102 rows, found 103"),
+], ids=["config_not_utf8", "compare_config_not_utf8", "config_directory",
+        "compare_config_directory", "mode_list", "output_dir_null", "output_dir_number",
+        "max_sim_steps_true", "max_sim_steps_fraction", "n_rays_fraction",
+        "sensor_range_string", "start_bool", "scenario_unknown_key", "map_width_float",
+        "map_width_negative", "map_height_0", "map_extra_row"])
+def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, named):
+    """Inputs that used to run on a cast or ignored value, or to end in a
+    traceback, exit 1 naming the field or the file."""
+    monkeypatch.chdir(tmp_path)          # keeps a run into output_dir "None" or "5" in tmp_path
+    shutil.copy(SMOKE, tmp_path / "s.scenario")
+    shutil.copy(SMOKE.with_suffix(".map"), tmp_path)
+    cfg = write_config(tmp_path, scenario="s.scenario")
+    edit(tmp_path)
+    argv = [command, str(cfg)] + ([str(cfg)] if command == "compare" else [])
+    assert main(argv + ["--no-timing"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(tmp=tmp_path) in err, err
 
 
 def test_unknown_bundled_scenario_lists_the_shipped_ones(tmp_path, capsys):

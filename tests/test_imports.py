@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 import hybridplan
+from hybridplan import cli
 from hybridplan.grid import UNKNOWN, OccupancyGrid, distance_transform
+from hybridplan.planner import PlannerConfig
+from hybridplan.simulate import ScenarioSpec
 
 PACKAGE_DIR = Path(hybridplan.__file__).resolve().parent
 
@@ -68,11 +71,13 @@ def test_oracles_import_no_private_names():
 PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
 
-def test_perfbench_call_sites_resolve():
+def test_perfbench_call_sites_resolve(monkeypatch):
     """perfbench's traced run wraps the module attributes in `probe.SITES` and
-    reads the EDT's second positional argument as `unknown_as_occupied`; a
-    refactor that moves a site or that signature fails here, not only in the
-    benchmark's own test."""
+    reads the EDT's second positional argument as `unknown_as_occupied`; its
+    setup loads scenarios with `cli.resolve_scenario`, which must call the
+    wrapped `cli.load_scenario`, and builds `cli.RunConfig` from a scenario
+    and a mode.  A refactor that moves a site or one of these signatures fails
+    here, not only in the benchmark's own test."""
     spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
@@ -87,6 +92,13 @@ def test_perfbench_call_sites_resolve():
     previous = inspect.signature(distance_transform).parameters["previous"]
     assert previous.kind is inspect.Parameter.KEYWORD_ONLY
     assert OccupancyGrid.filled(2, 2, 1.0, UNKNOWN).occupied_mask(True).all()
+    loads = []
+    load_scenario = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda path: loads.append(path) or load_scenario(path))
+    assert isinstance(cli.resolve_scenario("bundled:smoke_small", Path(".")), ScenarioSpec)
+    assert len(loads) == 1
+    cfg = cli.RunConfig(scenario="x", mode="standard")
+    assert cfg.output_dir == "out" and cfg.planner == PlannerConfig()
 
 
 def uncalled_public_names(sources, exported):
