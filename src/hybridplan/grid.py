@@ -168,8 +168,11 @@ def save_map(grid: OccupancyGrid, path) -> None:
 
 
 def load_map(path) -> OccupancyGrid:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII: byte {exc.object[exc.start]:#x} "
+                         f"at offset {exc.start}") from None
     if not lines:
         raise ValueError(f"{path}: empty map file")
     header = lines[0].split()
@@ -179,7 +182,6 @@ def load_map(path) -> OccupancyGrid:
         if not (value.isdigit() and int(value) > 0):
             raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
     w, h = int(header[0]), int(header[1])
-    resolution = float(header[2])
     rows = lines[1:]
     if len(rows) != h:
         raise ValueError(f"{path}: expected {h} rows, found {len(rows)}")
@@ -191,7 +193,11 @@ def load_map(path) -> OccupancyGrid:
             cells[h - 1 - file_row] = [_CHAR_TO_CELL[c] for c in line]
         except KeyError as exc:
             raise ValueError(f"{path}: bad cell character {exc} in row {file_row}") from None
-    return OccupancyGrid(resolution, cells)
+    try:
+        return OccupancyGrid(float(header[2]), cells)
+    except ValueError:   # not a number, or not finite and positive
+        raise ValueError(f"{path}: RESOLUTION must be a finite positive number, "
+                         f"got {header[2]!r}") from None
 
 
 def distance_transform(grid: OccupancyGrid, *,

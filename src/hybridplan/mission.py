@@ -78,37 +78,28 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
     """Arc length past from_s of the first colliding sample, None when clear.
 
     The first rotations_done rotations of the path are already executed and
-    not checked, as in `PlannedPath.slice`.
+    not checked (`PlannedPath.walk`).
     """
     checker = CollisionChecker(belief, disks)
-    rotations = 0
-    for acc, seg in path.walk():
+    for acc, seg in path.walk(rotations_done):
         if isinstance(seg, RotationSegment):
-            rotations += 1
-            if (rotations > rotations_done and acc >= from_s - 1e-9
-                    and checker.rotation_blocked(seg.x, seg.y)):
+            if acc >= from_s - 1e-9 and checker.rotation_blocked(seg.x, seg.y):
                 return max(acc - from_s, 0.0)
-            continue
-        if acc + seg.arc_length < from_s:
-            continue
-        keep = (seg.s + acc) >= from_s - 1e-9
-        xs = seg.xs[keep]
-        if xs.size:
-            ys = seg.ys[keep]
+        elif acc + seg.arc_length >= from_s:
+            keep = (seg.s + acc) >= from_s - 1e-9
             yaws = seg.yaws[keep]
-            blocked = checker.batch_blocked(np.array((xs, ys)),
+            blocked = checker.batch_blocked(np.array((seg.xs[keep], seg.ys[keep])),
                                             np.array((np.cos(yaws), np.sin(yaws))))
-            hits = np.nonzero(blocked)[0]
-            if hits.size:
-                s_hit = float(seg.s[keep][hits[0]]) + acc
-                return max(s_hit - from_s, 0.0)
+            if blocked.any():
+                return max(float(seg.s[keep][blocked.argmax()]) + acc - from_s, 0.0)
     return None
 
 
 def compute_replan_start(state: MissionState, s_coll_found: Optional[float],
                          s_div_found: Optional[float], alpha: float
                          ) -> Tuple[Pose2D, float]:
-    """Start pose for the next plan, at alpha * min(remaining, s_coll, s_div)."""
+    """Start pose for the next plan, at alpha * min(remaining, s_coll, s_div);
+    at s_plan 0 nothing of the current path is kept, so it is the vehicle's."""
     if state.current_path is None:
         raise ValueError("nothing to replan from")
     remaining = state.current_path.total_drive_length - state.progress_s
@@ -116,8 +107,9 @@ def compute_replan_start(state: MissionState, s_coll_found: Optional[float],
                 s_coll_found if s_coll_found is not None else math.inf,
                 s_div_found if s_div_found is not None else math.inf)
     s_plan = alpha * max(bound, 0.0)
-    start = state.current_path.pose_at(state.progress_s + s_plan)
-    return start, s_plan
+    if s_plan > 0.0:
+        return state.current_path.pose_at(state.progress_s + s_plan), s_plan
+    return state.vehicle_pose, s_plan
 
 
 def _goal_reached(state: MissionState, planner_cfg: PlannerConfig) -> bool:
@@ -175,18 +167,15 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     else:
         return TickResult(status="keep_driving")
 
-    if cause in ("initial", "goal_mode"):
-        # plan afresh from the vehicle itself (no path, or ran off its end)
-        start = state.vehicle_pose
-        s_plan = 0.0
-        prefix = PlannedPath()
-        start_dir, start_kappa = 0, 0.0
-    else:
+    start, s_plan = state.vehicle_pose, 0.0   # no path, or ran off its end
+    if cause not in ("initial", "goal_mode"):
         start, s_plan = compute_replan_start(state, s_coll_found, s_div_found,
                                              mission_cfg.alpha)
-        prefix = state.current_path.slice(state.progress_s, state.progress_s + s_plan,
-                                          state.rotations_done)
-        start_dir, start_kappa = state.current_path.gear_at(state.progress_s + s_plan)
+    prefix, (start_dir, start_kappa) = PlannedPath(), (0, 0.0)
+    if s_plan > 0.0:   # keep the current path up to the start, in its gear
+        s_start = state.progress_s + s_plan
+        prefix = state.current_path.slice(state.progress_s, s_start, state.rotations_done)
+        start_dir, start_kappa = state.current_path.gear_at(s_start)
 
     # stop-rule selection from the planning start pose's route distance
     s_g_start = dmap.route_distance(start.x, start.y)

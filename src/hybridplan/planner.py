@@ -194,20 +194,26 @@ class PlannedPath:
             return Pose2D(seg.x, seg.y, seg.to_yaw)
         return None
 
-    def walk(self) -> Iterator[Tuple[float, Segment]]:
-        """(acc, seg) for every segment, acc being the drive arc length before seg."""
+    def walk(self, rotations_done: int = 0) -> Iterator[Tuple[float, Segment]]:
+        """(acc, seg) for every segment, acc being the drive arc length before
+        seg; the first rotations_done rotations, already executed, are skipped."""
         acc = 0.0
         for seg in self.segments:
-            yield acc, seg
             if isinstance(seg, DriveSegment):
+                yield acc, seg
                 acc += seg.arc_length
+            elif rotations_done > 0:
+                rotations_done -= 1
+            else:
+                yield acc, seg
 
     def pose_at(self, s: float) -> Pose2D:
-        """Pose at drive arc length s (rotations at exactly s still pending)."""
+        """Pose at drive arc length s on the first drive ending at most 1e-9 before s,
+        as in gear_at: a rotation at s is pending, but one opening the path is done at 0."""
         remaining = max(s, 0.0)
         for seg in self.segments:
             if isinstance(seg, DriveSegment):
-                if remaining <= seg.arc_length:
+                if remaining <= seg.arc_length + 1e-9:
                     return seg.pose_at(remaining)
                 remaining -= seg.arc_length
         return self.end_pose()
@@ -231,15 +237,13 @@ class PlannedPath:
         The window is half-open, as pose_at leaves a rotation at s pending: a
         rotation at s0 is kept and one at s1 is left to the next slice; the
         last non-empty slice keeps one at the path's end.  The first
-        rotations_done rotations of the path are already executed and left out.
+        rotations_done rotations are already executed and left out (`walk`).
         """
         out = PlannedPath()
         end = math.inf if s0 < s1 and s1 >= self.total_drive_length else s1
-        rotations = 0
-        for acc, seg in self.walk():
+        for acc, seg in self.walk(rotations_done):
             if isinstance(seg, RotationSegment):
-                rotations += 1
-                if rotations > rotations_done and s0 <= acc < end:
+                if s0 <= acc < end:
                     out.segments.append(seg)
                 continue
             lo = max(s0 - acc, 0.0)

@@ -158,7 +158,7 @@ def test_malformed_scenario_file_exits_1(tmp_path, capsys, payload, named):
     ({"max_sim_steps": 0}, "max_sim_steps must be at least 1"),
     ({"sensor_range": None}, "sensor_range must be a number"),
     ({"known_env": "false"}, "known_env must be true or false"),
-    ({"map": "nan.map"}, "resolution must be finite and positive"),
+    ({"map": "nan.map"}, "RESOLUTION must be a finite positive number, got 'nan'"),
     ({"map": 5}, "map must be a string, got 5"),
     ({"map": None}, "map must be a string, got None"),
     ({"map": "unknown.map"}, "truth_map must not contain unknown cells"),
@@ -252,6 +252,16 @@ def _config_not_utf8(tmp):
     (tmp / "cfg.json").write_bytes(b"\xff{}")
 
 
+def _map_not_ascii(tmp):
+    path = tmp / "smoke_small.map"
+    header, rows = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + rows.replace(b".", b"\xe9", 1))   # a free cell
+
+
+def _map_resolution(value):
+    return _edit_text("smoke_small.map", lambda text: text.replace(" 0.15625", f" {value}", 1))
+
+
 @pytest.mark.parametrize("command,edit,named", [
     ("run", _config_not_utf8, "{tmp}/cfg.json: "),
     ("compare", _config_not_utf8, "{tmp}/cfg.json: "),
@@ -275,14 +285,23 @@ def _config_not_utf8(tmp):
      "{tmp}/smoke_small.map: H must be a positive integer, got '0'"),
     ("run", _edit_text("smoke_small.map", lambda text: text + "." * 192 + "\n"),
      "{tmp}/smoke_small.map: expected 102 rows, found 103"),
+    ("run", _map_resolution("abc"),
+     "{tmp}/smoke_small.map: RESOLUTION must be a finite positive number, got 'abc'"),
+    ("run", _map_resolution("nan"),
+     "{tmp}/smoke_small.map: RESOLUTION must be a finite positive number, got 'nan'"),
+    ("run", _map_resolution("0.0"),
+     "{tmp}/smoke_small.map: RESOLUTION must be a finite positive number, got '0.0'"),
+    ("run", _map_not_ascii, "{tmp}/smoke_small.map: not ASCII: byte 0xe9 at offset "),
 ], ids=["config_not_utf8", "compare_config_not_utf8", "config_directory",
         "compare_config_directory", "mode_list", "output_dir_null", "output_dir_number",
         "max_sim_steps_true", "max_sim_steps_fraction", "n_rays_fraction",
         "sensor_range_string", "start_bool", "scenario_unknown_key", "map_width_float",
-        "map_width_negative", "map_height_0", "map_extra_row"])
+        "map_width_negative", "map_height_0", "map_extra_row", "map_resolution_word",
+        "map_resolution_nan", "map_resolution_0", "map_not_ascii"])
 def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, named):
-    """Inputs that used to run on a cast or ignored value, or to end in a
-    traceback, exit 1 naming the field or the file."""
+    """Inputs that used to run on a cast or ignored value, to end in a
+    traceback, or to exit 1 without naming the map file, exit 1 naming the
+    field or the file."""
     monkeypatch.chdir(tmp_path)          # keeps a run into output_dir "None" or "5" in tmp_path
     shutil.copy(SMOKE, tmp_path / "s.scenario")
     shutil.copy(SMOKE.with_suffix(".map"), tmp_path)

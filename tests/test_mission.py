@@ -101,6 +101,20 @@ def test_replan_start_never_behind_vehicle():
     assert pose_close(start, path.pose_at(10.0))
 
 
+def test_replan_start_before_a_pending_leading_rotation_is_the_vehicle():
+    """On a path that opens with a rotation still to do, s_coll 0 gives s_plan
+    0 and the vehicle's pre-rotation pose, not the path's pose at 0, which is
+    past the rotation."""
+    builder = PathBuilder(Pose2D(5, 10, 0))
+    builder.add_rotation(math.pi / 2)
+    for i in range(1, 9):
+        builder.add_drive_sample(5, 10 + i * 0.5, math.pi / 2, 0.0, 1)
+    path = builder.finish()
+    state = make_state(path)
+    state.vehicle_pose = Pose2D(5, 10, 0)
+    assert compute_replan_start(state, 0.0, None, 0.5) == (Pose2D(5, 10, 0), 0.0)
+
+
 def test_replan_start_requires_path():
     state = MissionState(vehicle_pose=Pose2D(0, 0, 0), goal=Pose2D(1, 1, 0))
     with pytest.raises(ValueError, match="nothing to replan"):
@@ -276,6 +290,34 @@ def test_executed_rotation_is_not_checked_again():
     assert state.current_path is path
 
 
+def test_refresh_after_an_executed_trailing_rotation_starts_at_the_vehicle(monkeypatch):
+    """The vehicle has driven a path to its end and done the closing quarter
+    turn: the refresh replan has s_plan 0, so it keeps nothing of the path and
+    plans from the vehicle's yaw in gear (0, 0.0), not from the path's
+    pre-rotation pose in forward gear."""
+    calls = []
+
+    def recording_plan(belief, start, goal, *args, **kwargs):
+        calls.append((start, kwargs["start_direction"], kwargs["start_steer"]))
+        return plan(belief, start, goal, *args, **kwargs)
+
+    monkeypatch.setattr(mission, "plan", recording_plan)
+    builder = PathBuilder(Pose2D(5, 10, 0))
+    for i in range(1, 11):
+        builder.add_drive_sample(5 + i * 0.5, 10, 0.0, 0.0, 1)
+    builder.add_rotation(math.pi / 2)
+    vehicle = Pose2D(10, 10, math.pi / 2)
+    state = make_state(builder.finish(), progress=5.0)
+    state.rotations_done = 1
+    state.vehicle_pose = vehicle
+    state.goal = Pose2D(10, 18, math.pi / 2)
+    result = tick(state, bordered_grid(40, 24), nav=NAV_EARLY_STOP)
+    assert result.cause == "refresh" and result.s_plan == 0.0
+    assert calls == [(vehicle, 0, 0.0)]
+    assert state.current_path.start_pose() == vehicle
+    assert state.current_path.n_rotations == 0
+
+
 def test_failure_propagates_reason():
     g = bordered_grid(40, 14)
     g.set_box(18.0, 0.5, 20.0, 13.5, OCCUPIED)   # no way east
@@ -322,8 +364,8 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
 ])
 def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mode, replans):
     """At every replan of a closed-loop run the plan starts exactly at the
-    current path's pose at the replan point (the vehicle's own pose for a
-    fresh plan), the planned path starts there too, and the stitched path
+    current path's pose at the replan point (the vehicle's own pose when
+    s_plan is 0), the planned path starts there too, and the stitched path
     reaches it at s_plan: the kept prefix ends where the plan begins."""
     planned_starts = []
 
@@ -338,7 +380,7 @@ def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mo
         path, progress, vehicle_pose = state.current_path, state.progress_s, state.vehicle_pose
         result = mission_tick(state, *args)
         if result.replanned:
-            fresh = result.cause in ("initial", "goal_mode")
+            fresh = result.s_plan == 0.0
             expect = vehicle_pose if fresh else path.pose_at(progress + result.s_plan)
             assert planned_starts[-1] == (expect, expect)
             assert state.current_path.pose_at(result.s_plan) == expect

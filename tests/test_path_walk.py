@@ -1,22 +1,28 @@
 """Property tests for walking a planned path by drive arc length.
 
 `PlannedPath.walk()` gives every segment's starting drive arc length; the
-simulator's follower, the replan stitch gear and `slice` read it.  Each is
-checked against the implementation it replaced (`oracles.PathCursor`,
-`oracles.gear_at`) or against `pose_at`, on random `PathBuilder` paths with
-empty and sub-nanometre drive runs, leading, trailing and back-to-back
-rotations, and runs that end within a nanometre of a whole number of steps.
+simulator's follower, the replan stitch gear, `slice` and the path
+collision check read it, and `walk(rotations_done)` skips the rotations the
+vehicle has executed.  Each is checked against the implementation it
+replaced (`oracles.PathCursor`, `oracles.gear_at`), against `pose_at` or
+against the follower, on random `PathBuilder` paths with empty and
+sub-nanometre drive runs, leading, trailing and back-to-back rotations, and
+runs that end within a nanometre of a whole number of steps.
 """
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D, move_along_arc
+from hybridplan.grid import OccupancyGrid
+from hybridplan.mission import check_path_collision
 from hybridplan.planner import DriveSegment, PathBuilder, PlannedPath, RotationSegment
 from hybridplan.simulate import _follow
+from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import pose_close
 import oracles
@@ -68,6 +74,47 @@ def paths_and_steps(draw):
 def test_follow_matches_cursor_reference(case):
     path, drive_step = case
     assert list(_follow(path, drive_step)) == oracles.cursor_steps(path, drive_step)
+
+
+def _rotation_poses(segments) -> list:
+    """Each rotation's pose after it, as the follower reports it."""
+    return [Pose2D(seg.x, seg.y, seg.to_yaw) for seg in segments
+            if isinstance(seg, RotationSegment)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(paths_and_steps())
+def test_executed_rotations_are_skipped_by_walk_slice_and_collision_check(case):
+    """At every place the follower puts the vehicle, walk(rotations_done)
+    yields exactly the rotations it has still to execute, the slice from the
+    vehicle to the path's end keeps exactly those, and check_path_collision
+    tests exactly those for a sweep."""
+    path, drive_step = case
+    total = path.total_drive_length
+    steps = list(_follow(path, drive_step))
+    tested = []
+
+    def rotation_blocked(self, x, y):
+        tested.append((x, y))
+        return False
+
+    def batch_blocked(self, xy, heading):
+        return np.zeros(xy.shape[1:], dtype=bool)
+
+    belief = OccupancyGrid.filled(4, 4, 0.5)
+    disks = make_disk_set(VehicleSpec())
+    places = [(0.0, 0)] + [(step[5], step[6]) for step in steps]
+    with mock.patch.object(CollisionChecker, "rotation_blocked", rotation_blocked), \
+            mock.patch.object(CollisionChecker, "batch_blocked", batch_blocked):
+        for k, (progress_s, rotations_done) in enumerate(places):
+            pending = [step[1] for step in steps[k:] if step[0] == "rotate"]
+            assert _rotation_poses(seg for _, seg in path.walk(rotations_done)) == pending
+            if progress_s < total:   # [total, total) is empty; s_plan 0 slices nothing
+                kept = path.slice(progress_s, total, rotations_done)
+                assert _rotation_poses(kept.segments) == pending
+            tested.clear()
+            assert check_path_collision(path, progress_s, belief, disks, rotations_done) is None
+            assert tested == [(pose.x, pose.y) for pose in pending]
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
@@ -499,10 +499,13 @@ def _cut_plan(case: int) -> PlannedPath:
                                               unique=True),
        on_rotation=st.sampled_from([None, 0, 1]), pick=st.integers(0, 7),
        probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(case=1, cuts=[2.220446049250313e-16, 0.0], on_rotation=1, pick=0, probes=[0.0])
 def test_slice_concat_round_trip(case, cuts, on_rotation, pick, probes):
     """Cutting a plan at s0 <= s1 and concatenating the three slices keeps its
     drive length, rotations, and pose and gear along the drive arc length;
-    also when a cut lies exactly on a rotation."""
+    also when a cut lies exactly on a rotation.  In the explicit example the
+    first slice drops a sub-picometre drive, so the rejoined path reaches the
+    rotation just before s1: within 1e-9 the rotation is still pending."""
     path = _cut_plan(case)
     total = path.total_drive_length
     cut_s = [f * total for f in cuts]
@@ -547,7 +550,8 @@ def test_pose_at_pending_rotation_semantics():
     builder.add_rotation(math.pi / 2)
     builder.add_drive_sample(1.0, 1.0, math.pi / 2, 0.0, 1)
     path = builder.finish()
-    # at exactly the rotation's arc length the rotation is still pending
+    # at the rotation's arc length, and within 1e-9 past it, the rotation is still pending
     assert path.pose_at(1.0).yaw == pytest.approx(0.0)
+    assert path.pose_at(1.0 + 5e-10).yaw == pytest.approx(0.0)
     # just past it, the rotation has been executed
     assert path.pose_at(1.0 + 1e-6).yaw == pytest.approx(math.pi / 2)
