@@ -20,7 +20,8 @@ import numpy as np
 from .geometry import Pose2D, move_along_arc, normalize_angle
 from .grid import OccupancyGrid
 from .heuristic import build_distance_map
-from .reeds_shepp import LEFT, RIGHT, rs_all_paths, rs_path_length, sample_path
+from .reeds_shepp import (LEFT, RIGHT, PathSamples, rs_all_paths, rs_path_length, sample_path,
+                          sample_paths)
 from .vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 STANDARD = "standard"
@@ -28,6 +29,8 @@ EXTENDED = "extended"
 
 STOP_AT_GOAL = "goal"
 STOP_EARLY = "early_stop"
+
+_PREFIX = 64    # samples per Reeds-Shepp candidate in the analytic expansion's first check
 
 
 class PlannerFailure(RuntimeError):
@@ -660,23 +663,24 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
     """Collision-free analytic connection from pose to goal.
 
     The bounded-curvature words are tried shortest first, so the feasible
-    suffix is the shortest one; with rotations enabled the drive-rotate-drive
-    geometric extension competes against it under the movement cost model.
+    suffix is the shortest one: the first `_PREFIX` samples of every word
+    are checked in one batch, and only the free ones in full.  With rotations
+    enabled the drive-rotate-drive geometric extension competes against it
+    under the movement cost model.
     """
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
 
-    def blocked(xy: np.ndarray, yaws: np.ndarray) -> bool:
-        return bool(checker.batch_blocked(xy, np.array((np.cos(yaws), np.sin(yaws)))).any())
+    def blocked(samples: PathSamples) -> np.ndarray:    # per path: is any sample blocked
+        heading = np.array((np.cos(samples.yaws), np.sin(samples.yaws)))
+        return checker.batch_blocked(samples.xy, heading).any(axis=-1)
 
-    # every candidate starts at pose, so a blocked start rules them all out;
-    # each tried candidate is sampled once, for its check and for its path
-    start_free = not blocked(np.array([[pose.x], [pose.y]]), np.array([pose.yaw]))
-    for cand in rs_all_paths(pose, goal, turn_radius):
-        if cand.total_length >= 1e6 or not start_free:
-            break
+    cands = [cand for cand in rs_all_paths(pose, goal, turn_radius) if cand.total_length < 1e6]
+    prefix_free = ~blocked(sample_paths(cands, pose, config.collision_step, _PREFIX)) if cands else []
+    for i in np.flatnonzero(prefix_free):
+        cand = cands[i]
         samples = sample_path(cand, pose, config.collision_step)
-        if not blocked(samples.xy, samples.yaws):
+        if not blocked(samples):
             steer_of = {LEFT: max_steer, RIGHT: -max_steer}
             best_cost = steps_cost([(steer_of.get(seg.kind, 0.0), seg.direction, seg.length)
                                     for seg in cand.segments],

@@ -1,7 +1,7 @@
 """Shortest bounded-curvature paths for a forward/reverse-capable vehicle.
 
 The one module that knows the path format: a path is a tuple of
-left / right / straight segments, and `sample_path` is its one sampler.
+left / right / straight segments, and `sample_paths` is its one sampler.
 The solver enumerates the 48 canonical word families (curve/straight
 patterns combined with the classic timeflip / reflect / backwards
 symmetries) and keeps the minimum-length candidate.  Scalar math keeps a
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -55,59 +55,75 @@ class RSPath(NamedTuple):
 
 @dataclass
 class PathSamples:
-    """A path sampled from its start pose: sample 0 is the start (curvature
-    0, forward), every other sample the pose after one step, with the
-    curvature and direction of that step."""
+    """A path sampled from its start pose (a batch adds a path axis before the
+    sample axis): sample 0 is the start (curvature 0, forward), every other
+    sample the pose after one step, with the curvature and direction of that step."""
 
-    xy: np.ndarray           # (2, n) positions, x then y
-    yaws: np.ndarray         # (n,) headings in [-pi, pi)
-    kappas: np.ndarray       # (n,)
-    directions: np.ndarray   # (n,) +1 forward, -1 reverse
+    xy: np.ndarray           # (2, n) or (2, paths, n) positions, x then y
+    yaws: np.ndarray         # (n,) or (paths, n) headings in [-pi, pi)
+    kappas: np.ndarray       # (n,) or (paths, n)
+    directions: np.ndarray   # (n,) or (paths, n) +1 forward, -1 reverse
 
     def __len__(self) -> int:
-        return len(self.yaws)
+        return self.yaws.shape[-1]
 
 
 def sample_path(path: RSPath, start: Pose2D, step: float) -> PathSamples:
-    """Sample `path` driven from `start`, at most `step` apart in arc length.
+    """Every sample of `path` driven from `start`: `sample_paths` of one path."""
+    batch = sample_paths([path], start, step)
+    return PathSamples(batch.xy[:, 0], batch.yaws[0], batch.kappas[0], batch.directions[0])
+
+
+def sample_paths(paths: Sequence[RSPath], start: Pose2D, step: float,
+                 limit: float = math.inf) -> PathSamples:
+    """The first `limit` samples of each path driven from `start`, `step` apart at most.
 
     Each non-empty segment is split into n = max(1, ceil(length / step))
     equal steps, so segment boundaries are samples and the last sample is
-    the path's end pose; a path without segments gives the start alone.
-    One prefix sum per coordinate runs over all steps, adding the same
-    terms in the same order as chaining `move_along_arc` step by step, so
-    every value is bit-identical to that scalar recurrence.
+    the path's end pose; a path without segments gives the start alone, and
+    a row shorter than the longest repeats its end pose.  One prefix sum per
+    coordinate runs along each row, adding the same terms in the same order
+    as chaining `move_along_arc` step by step, so every value is bit-identical
+    to that scalar recurrence and a limited sample is a prefix of the full one.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    # per segment, the start first: (step count, curvature, divisor of the arc
-    # increments (1.0 on a straight, whose increments are set below), heading
+    # per path and segment, the start first: (step count, curvature, divisor of the
+    # arc increments (1.0 on a straight, whose increments are set below), heading
     # change per step (a straight's 0.0 leaves the heading as it is), direction)
-    rows, straights = [(1, 0.0, 1.0, start.yaw, 1)], []
-    for seg in path.segments:
-        if seg.length > 0.0:
-            n = max(1, math.ceil(seg.length / step))
-            k = _TURN[seg.kind] / path.turn_radius
-            ds = seg.length / n * seg.direction
-            if k == 0.0:
-                straights.append((sum(row[0] for row in rows), n, ds))
-            rows.append((n, k, k or 1.0, ds * k, seg.direction))
-    counts, kappa, divisor, turn, direction = zip(*rows)
-    kappas, divisors, raw = np.array((kappa, divisor, turn)).repeat(counts, axis=1)
-    raw = raw.cumsum()
+    per_path, straights = [], []
+    for p, path in enumerate(paths):
+        rows, used = [(1, 0.0, 1.0, start.yaw, 1)], 1
+        for seg in path.segments:
+            if seg.length > 0.0 and used < limit:
+                n = max(1, math.ceil(seg.length / step))
+                k = _TURN[seg.kind] / path.turn_radius
+                ds = seg.length / n * seg.direction
+                n_kept = min(n, limit - used)
+                if k == 0.0:
+                    straights.append((p, used, n_kept, ds))
+                rows.append((n_kept, k, k or 1.0, ds * k, seg.direction))
+                used += n_kept
+        per_path.append((rows, used))
+    width = max(used for _, used in per_path)    # the padding neither turns nor moves
+    counts, kappa, divisor, turn, direction = zip(*(
+        row for rows, used in per_path for row in rows + [(width - used, 0.0, 1.0, 0.0, 1)]))
+    kappas, divisors, raw = (np.array((kappa, divisor, turn)).repeat(counts, axis=1)
+                             .reshape(3, len(paths), -1))
+    raw = raw.cumsum(axis=1)
     sin, cos = np.sin(raw), np.cos(raw)
-    xy = np.empty((2, len(raw)))
-    xy[:, 0] = start.x, start.y
-    np.divide(sin[1:] - sin[:-1], divisors[1:], out=xy[0, 1:])
-    np.divide(-(cos[1:] - cos[:-1]), divisors[1:], out=xy[1, 1:])
-    for i, n, ds in straights:                # the scalar form's math.cos / math.sin
-        yaw = float(raw[i - 1])
-        xy[0, i:i + n] = ds * math.cos(yaw)
-        xy[1, i:i + n] = ds * math.sin(yaw)
-    np.cumsum(xy, axis=1, out=xy)
+    xy = np.empty((2, *raw.shape))
+    xy[0, :, 0], xy[1, :, 0] = start.x, start.y
+    np.divide(sin[:, 1:] - sin[:, :-1], divisors[:, 1:], out=xy[0, :, 1:])
+    np.divide(-(cos[:, 1:] - cos[:, :-1]), divisors[:, 1:], out=xy[1, :, 1:])
+    for p, i, n, ds in straights:             # the scalar form's math.cos / math.sin
+        yaw = float(raw[p, i - 1])
+        xy[0, p, i:i + n] = ds * math.cos(yaw)
+        xy[1, p, i:i + n] = ds * math.sin(yaw)
+    np.cumsum(xy, axis=2, out=xy)
     yaws = normalize_angles(raw)
-    yaws[0] = start.yaw
-    return PathSamples(xy, yaws, kappas, np.array(direction).repeat(counts))
+    yaws[:, 0] = start.yaw
+    return PathSamples(xy, yaws, kappas, np.array(direction).repeat(counts).reshape(raw.shape))
 
 
 # Family solvers: normalized target (x, y, phi) in units of the turn

@@ -3,10 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle, normalize_angles
-from hybridplan.reeds_shepp import RSPath, RSSegment, rs_all_paths, sample_path
+from hybridplan.reeds_shepp import RSPath, RSSegment, rs_all_paths, sample_path, sample_paths
 
 from conftest import angles_close, pose_close
 from oracles import path_end_pose, sample_path_scalar
@@ -147,6 +147,33 @@ def test_array_sampler_bit_identical_to_scalar_recurrence(segs, radius, x, y, ya
         [r[4:] for r in ref]
     assert (xs[0], ys[0], samples.yaws[0], samples.kappas[0], samples.directions[0]) == \
         (start.x, start.y, start.yaw, 0.0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_segments, min_size=1, max_size=4), st.integers(1, 100), st.floats(0.3, 10.0),
+       st.floats(-200.0, 200.0), st.floats(-200.0, 200.0), st.floats(-10.0, 10.0),
+       st.floats(0.02, 2.0))
+@example([[], [("straight", 1, 0.0), ("straight", 1, 3.0), ("left", -1, 2.0)],
+          [("right", 1, 12.0)]], 64, 2.0, 1.0, 2.0, 0.5, 0.1)   # empty, shorter, longer
+def test_batched_prefix_bit_identical_to_single_path_samples(paths, limit, radius, x, y,
+                                                             yaw, step):
+    """Each row of a limited batch is the path's own first min(limit, n)
+    samples, bit for bit, and a shorter row repeats its end pose."""
+    paths = [RSPath(segments=tuple(RSSegment(*seg) for seg in segs), turn_radius=radius,
+                    total_length=sum(seg[2] for seg in segs)) for segs in paths]
+    start = Pose2D(x, y, yaw)
+    batch = sample_paths(paths, start, step, limit)
+    singles = [sample_path(path, start, step) for path in paths]
+    assert batch.xy.shape == (2, len(paths), min(limit, max(len(s) for s in singles)))
+    for row, single in enumerate(singles):
+        n = min(limit, len(single))
+        assert batch.xy[:, row, :n].tolist() == single.xy[:, :n].tolist()
+        for got, want in ((batch.yaws, single.yaws), (batch.kappas, single.kappas),
+                          (batch.directions, single.directions)):
+            assert got[row, :n].tolist() == want[:n].tolist()
+        end = (single.xy[0, n - 1], single.xy[1, n - 1], single.yaws[n - 1])
+        assert all(pad == end for pad in zip(*batch.xy[:, row, n:].tolist(),
+                                             batch.yaws[row, n:].tolist()))
 
 
 def test_normalize_angles_matches_scalar(rng):

@@ -15,6 +15,7 @@ from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 PlannerConfig, PlannerFailure, RotationSegment,
                                 STANDARD, STOP_AT_GOAL, STOP_EARLY, analytic_expansions,
                                 cost_of, geometric_extension, plan, steps_cost)
+from hybridplan import planner as planner_module
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
@@ -391,8 +392,9 @@ def _same_path(a, b) -> bool:
 
 @pytest.mark.parametrize("mode", [STANDARD, EXTENDED])
 def test_analytic_matches_whole_candidate_reference(mode):
-    """Segment-wise array checks pick the same suffix, sample for sample, as
-    sampling and checking each candidate whole, on criterion 7 scenes.
+    """The prefix batch and the full check of its survivors pick the same
+    suffix, sample for sample, as sampling and checking each candidate
+    whole, on criterion 7 scenes.
 
     Four in five start poses are drawn free, as the search's nodes are."""
     rng = np.random.default_rng(3107)
@@ -418,6 +420,63 @@ def test_analytic_matches_whole_candidate_reference(mode):
             assert _same_path(got, analytic_expansions_reference(*args))
             outcomes[got is None] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of `owner.name`, which still runs."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_analytic_late_collision_matches_reference(monkeypatch):
+    """A wall 13-18 m down a straight approach, beyond the 10 m that a word's
+    first 64 samples cover, leaves the shortest words free in the prefix
+    batch; the full check of those survivors must reject them, and the
+    choice still matches the whole-candidate reference."""
+    sampled = _counting(monkeypatch, planner_module, "sample_path")
+    rng = np.random.default_rng(1516)
+    found = 0
+    for _ in range(12):
+        g = open_grid()
+        pose = Pose2D(4.0, 20.0 + rng.uniform(-1.0, 1.0), rng.uniform(-0.1, 0.1))
+        x_wall, half = pose.x + rng.uniform(13.0, 17.0), rng.uniform(1.5, 6.0)
+        g.set_box(x_wall, pose.y - half, x_wall + 1.0, pose.y + half, OCCUPIED)
+        checker = CollisionChecker(g, make_disk_set(VEH))
+        goal = Pose2D(rng.uniform(26.0, 34.0), pose.y + rng.uniform(-4.0, 4.0),
+                      rng.uniform(-0.5, 0.5))
+        args = (pose, goal, checker, CFG, VEH.min_turn_radius, STANDARD, VEH.max_steer)
+        got = analytic_expansions(*args)
+        assert _same_path(got, analytic_expansions_reference(*args))
+        found += got is not None
+    # each found suffix takes one full sample, so the rest were rejected late
+    assert 0 < found < sampled[0]
+
+
+def test_analytic_work_counts(monkeypatch):
+    """An attempt whose words all collide early checks them in one call and
+    samples none in full; a free attempt samples only its winner in full."""
+    g = OccupancyGrid.filled(256, 256, 0.15625, OCCUPIED)
+    g.set_box(17.5, 18.0, 23.5, 22.0, FREE)               # a pocket around the pose
+    pocket = CollisionChecker(g, make_disk_set(VEH))
+    pose = Pose2D(20.0, 20.0, 0.0)
+    assert not pocket.pose_blocked(pose.x, pose.y, pose.yaw)
+    checks = _counting(monkeypatch, CollisionChecker, "batch_blocked")
+    sampled = _counting(monkeypatch, planner_module, "sample_path")
+    assert analytic_expansions(pose, Pose2D(32.0, 28.0, 1.0), pocket, CFG,
+                               VEH.min_turn_radius, STANDARD, VEH.max_steer) is None
+    assert (checks[0], sampled[0]) == (1, 0)
+
+    checks[0] = 0
+    free = CollisionChecker(open_grid(), make_disk_set(VEH))
+    assert analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 22, 0.5), free, CFG,
+                               VEH.min_turn_radius, STANDARD, VEH.max_steer) is not None
+    assert (checks[0], sampled[0]) == (2, 1)
 
 
 # ------------------------------------------------ reconstruction and merging
