@@ -6,7 +6,7 @@ the coarse routes whose divergence between timesteps triggers replanning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,10 +31,32 @@ class NoRouteError(ValueError):
 @dataclass(frozen=True)
 class DistanceMap(Raster):
     """2D cost-to-goal in meters on the coarse grid; +inf where unreachable
-    and off the grid."""
+    and off the grid.
+
+    `successor` holds, per row-major cell, the neighbor minimizing value +
+    edge cost (ties to the lowest row-major index), or -1 when no neighbor
+    is finite.  It is built from `values` alone, so it cannot go stale.
+    """
 
     blocked: np.ndarray
     goal_cell: Tuple[int, int]
+    successor: memoryview = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        h, w = self.values.shape
+        padded = np.full((h + 2, w + 2), np.inf)
+        padded[1:-1, 1:-1] = np.where(np.isfinite(self.values), self.values, np.inf)
+        best = np.full((h, w), np.inf)
+        succ = np.full((h, w), -1, dtype=np.int32)
+        flat = np.arange(h * w, dtype=np.int32).reshape(h, w)
+        for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+            edge = self.resolution * math.sqrt(2.0) if dx and dy else self.resolution
+            key = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] + edge
+            better = key < best               # strict: the first minimum stays
+            np.copyto(best, key, where=better)
+            np.copyto(succ, flat + (dy * w + dx), where=better)
+        succ.setflags(write=False)
+        object.__setattr__(self, "successor", memoryview(succ.reshape(-1)))
 
     def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
         return (self.origin.x + (ix + 0.5) * self.resolution,
@@ -96,7 +118,8 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     downsampling.  Straight moves cost the planning resolution, diagonal
     moves sqrt(2) times that.  The map is memoized on the belief per goal
     cell, resolution and radius; a rebuild keeps the previous generation's
-    values when its coarse blocked grid is unchanged.
+    map, values and successor table, when its coarse blocked grid is
+    unchanged.
     """
     factor = resolution_factor(planning_resolution, belief.resolution)
     if not inflation_radius >= 0.0:
@@ -110,10 +133,9 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
         if coarse.at(goal.x, goal.y):                 # blocked or off the grid
             raise GoalBlockedError("goal blocked")
         if previous is not None and np.array_equal(previous.blocked, blocked):
-            values = previous.values
-        else:
-            values = _flood_from(blocked, goal_cell, planning_resolution)
-            values.setflags(write=False)
+            return previous
+        values = _flood_from(blocked, goal_cell, planning_resolution)
+        values.setflags(write=False)
         blocked.setflags(write=False)
         return DistanceMap(values, planning_resolution, belief.origin, math.inf,
                            blocked=blocked, goal_cell=goal_cell)
@@ -172,46 +194,33 @@ class AStarPath:
 def extract_astar_path(dmap: DistanceMap, start: Pose2D) -> AStarPath:
     """Steepest-descent walk over the cost-to-goal field down to the goal.
 
-    Each step moves along an optimal edge (the neighbor minimizing value +
-    edge cost, ties broken by lowest row-major index), so the chain's length
-    equals the start cell's cost-to-goal.
+    Each step follows `dmap.successor`, an optimal edge (the neighbor
+    minimizing value + edge cost, ties broken by lowest row-major index), so
+    the chain's length equals the start cell's cost-to-goal.
     """
     cell = dmap.nearest_reachable_cell(start.x, start.y)
     if cell is None:
         raise NoRouteError("no 2D route")
     h, w = dmap.values.shape
-    res = dmap.resolution
-    diag = res * math.sqrt(2.0)
-
-    ix, iy = cell
-    points = [dmap.cell_center(ix, iy)]
-    cum = [0.0]
+    gx, gy = dmap.goal_cell
+    goal = gy * w + gx if 0 <= gx < w and 0 <= gy < h else -1
+    successor = dmap.successor
+    c = cell[1] * w + cell[0]
+    chain = [c]
     for _ in range(h * w):
-        if (ix, iy) == dmap.goal_cell:
+        if c == goal:
             break
-        best = None
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                nx, ny = ix + dx, iy + dy
-                if not (0 <= nx < w and 0 <= ny < h):
-                    continue
-                v = dmap.values[ny, nx]
-                if not math.isfinite(v):
-                    continue
-                edge = diag if dx != 0 and dy != 0 else res
-                key = (v + edge, ny * w + nx)
-                if best is None or key < best[0]:
-                    best = (key, nx, ny, edge)
-        if best is None:
+        c = successor[c]
+        if c < 0:
             raise NoRouteError("no 2D route")
-        _, ix, iy, edge = best
-        points.append(dmap.cell_center(ix, iy))
-        cum.append(cum[-1] + edge)
+        chain.append(c)
     else:
         raise NoRouteError("descent did not reach the goal cell")
-    return AStarPath(points=np.array(points), cumulative_s=np.array(cum))
+    iy, ix = np.divmod(np.array(chain), w)
+    res = dmap.resolution
+    points = np.column_stack((dmap.origin.x + (ix + 0.5) * res, dmap.origin.y + (iy + 0.5) * res))
+    edges = np.where((np.diff(ix) != 0) & (np.diff(iy) != 0), res * math.sqrt(2.0), res)
+    return AStarPath(points=points, cumulative_s=np.add.accumulate(np.concatenate(([0.0], edges))))
 
 
 def waypose_at(path: AStarPath, s_w: float) -> Pose2D:

@@ -124,7 +124,8 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     """One decision step: refresh the 2D route, test the triggers, replan.
 
     The distance map is memoized on the belief (see `OccupancyGrid.derived`)
-    and the coarse route is extracted every tick.  Route divergence against
+    and the coarse route is extracted every tick, a walk along the map's
+    successor table (`DistanceMap.successor`).  Route divergence against
     the previous tick, an upcoming path collision, missing path, or
     accumulated progress trigger a replan.
     """

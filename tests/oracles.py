@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
-a plain heap Dijkstra.  The path-sampling references keep the scalar
-per-sample recurrence that the array sampler replaced, the path-walking
+a plain heap Dijkstra.  The coarse-route reference keeps the scalar
+8-neighbour descent loop that the successor table replaced.  The
+path-sampling references keep the scalar per-sample recurrence that the
+array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
 `PlannedPath.walk()` replaced, the raytrace reference keeps the masked
 all-rays loop that the live-ray march replaced, and the search reference
@@ -21,7 +23,7 @@ import numpy as np
 
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid
-from hybridplan.heuristic import build_distance_map
+from hybridplan.heuristic import AStarPath, NoRouteError, build_distance_map
 from hybridplan.planner import (EXTENDED, STANDARD, STOP_AT_GOAL, STOP_EARLY,
                                 BudgetExceededError, DriveSegment, NoPathError, PathBuilder,
                                 PlannedPath, PlannerConfig, PlannerFailure, RotationSegment,
@@ -364,6 +366,50 @@ def dijkstra_cost_to_go(blocked: np.ndarray, goal_cell: Tuple[int, int],
                     dist[ny, nx] = nd
                     heapq.heappush(pq, (nd, ny, nx))
     return dist
+
+
+def extract_astar_path_reference(dmap, start: Pose2D) -> AStarPath:
+    """The scalar neighbour loop that the successor-table walk replaced.
+
+    Each step scans the 8 neighbours of the current cell for the lowest
+    (value + edge cost, row-major index) key, skipping non-finite values.
+    """
+    cell = dmap.nearest_reachable_cell(start.x, start.y)
+    if cell is None:
+        raise NoRouteError("no 2D route")
+    h, w = dmap.values.shape
+    res = dmap.resolution
+    diag = res * math.sqrt(2.0)
+
+    ix, iy = cell
+    points = [dmap.cell_center(ix, iy)]
+    cum = [0.0]
+    for _ in range(h * w):
+        if (ix, iy) == dmap.goal_cell:
+            break
+        best = None
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy == 0 and dx == 0:
+                    continue
+                nx, ny = ix + dx, iy + dy
+                if not (0 <= nx < w and 0 <= ny < h):
+                    continue
+                v = dmap.values[ny, nx]
+                if not math.isfinite(v):
+                    continue
+                edge = diag if dx != 0 and dy != 0 else res
+                key = (v + edge, ny * w + nx)
+                if best is None or key < best[0]:
+                    best = (key, nx, ny, edge)
+        if best is None:
+            raise NoRouteError("no 2D route")
+        _, ix, iy, edge = best
+        points.append(dmap.cell_center(ix, iy))
+        cum.append(cum[-1] + edge)
+    else:
+        raise NoRouteError("descent did not reach the goal cell")
+    return AStarPath(points=np.array(points), cumulative_s=np.array(cum))
 
 
 def rectangle_hits_occupied(pose: Tuple[float, float, float],

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
-from hybridplan.heuristic import (AStarPath, GoalBlockedError, NoRouteError,
+from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
                                   build_distance_map, detect_divergence,
                                   extract_astar_path, waypose_at)
 
-from oracles import dijkstra_cost_to_go
+from oracles import dijkstra_cost_to_go, extract_astar_path_reference
 
 
 def empty_grid(width_m, height_m, res=0.15625):
@@ -42,9 +43,9 @@ def test_matches_reference_dijkstra_through_wall_gap():
 
 
 def test_flood_reused_only_for_equal_inputs():
-    """A flood is reused when its blocked grid equals that of the previous
-    generation's map for the same goal cell, resolution and radius, and is
-    otherwise rebuilt as on a fresh grid."""
+    """A map, flood and successor table, is reused when its blocked grid
+    equals that of the previous generation's map for the same goal cell,
+    resolution and radius, and is otherwise rebuilt as on a fresh grid."""
     g = empty_grid(20, 20)
     g.set_box(5.0, 0.0, 5.5, 12.0, OCCUPIED)
     g.set_cells((slice(100, 110), slice(100, 110)), UNKNOWN)   # counts as free
@@ -57,8 +58,8 @@ def test_flood_reused_only_for_equal_inputs():
             dm.blocked[0, 0] = True
     second = build_distance_map(g, goal, 1.25)
     g.set_cells((slice(100, 110), slice(100, 110)), FREE)      # blocked grid unchanged
-    assert build_distance_map(g, goal, 1.25).values is second.values
-    assert build_distance_map(g, Pose2D(15.2, 3.1, 0.0), 1.25).values is second.values
+    assert build_distance_map(g, goal, 1.25) is second        # successor table kept too
+    assert build_distance_map(g, Pose2D(15.2, 3.1, 0.0), 1.25) is second
     for change in (lambda: None, lambda: g.set_box(9.0, 6.0, 10.0, 14.0, OCCUPIED)):
         change()
         for goal_ in (goal, Pose2D(12.0, 3.0, 0.0)):
@@ -161,6 +162,114 @@ def test_descent_terminates_within_cell_budget(rng):
         except (GoalBlockedError, NoRouteError):
             continue
         assert path.points.shape[0] <= dm.values.size
+
+
+def route_or_error(extract, dmap, start):
+    """The route's bytes, or the type and message of the error it raised."""
+    try:
+        path = extract(dmap, start)
+    except NoRouteError as exc:
+        return type(exc), str(exc)
+    assert path.points.dtype == path.cumulative_s.dtype == np.float64
+    return path.points.shape, path.points.tobytes(), path.cumulative_s.tobytes()
+
+
+def assert_same_route(dmap, start):
+    """The successor walk equals the scalar neighbour loop byte for byte,
+    or both raise the same error; returns that outcome."""
+    outcome = route_or_error(extract_astar_path, dmap, start)
+    assert outcome == route_or_error(extract_astar_path_reference, dmap, start)
+    return outcome
+
+
+@st.composite
+def box_maps(draw):
+    """Small maps of random boxes (none: an open map full of ties), a goal,
+    and a start anywhere from off the grid to the goal cell itself."""
+    width, height = draw(st.integers(3, 14)), draw(st.integers(3, 14))
+    g = empty_grid(width, height)
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = draw(st.floats(0, width)), draw(st.floats(0, height))
+        g.set_box(x, y, x + draw(st.floats(0.2, 6.0)), y + draw(st.floats(0.2, 6.0)), OCCUPIED)
+    goal = Pose2D(draw(st.floats(0, width)), draw(st.floats(0, height)), 0.0)
+    if draw(st.booleans()):
+        start = goal
+    else:
+        start = Pose2D(draw(st.floats(-2.0, width + 2.0)), draw(st.floats(-2.0, height + 2.0)), 0.0)
+    return g, goal, start, draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_maps())
+def test_successor_walk_matches_scalar_descent(case):
+    g, goal, start, inflation = case
+    try:
+        dm = build_distance_map(g, goal, inflation_radius=inflation)
+    except GoalBlockedError:
+        return
+    assert_same_route(dm, start)
+
+
+def hand_map(values, goal_cell, res=0.625):
+    values = np.array(values, dtype=float)
+    return DistanceMap(values, res, Pose2D(0.0, 0.0, 0.0), math.inf,
+                       blocked=~np.isfinite(values), goal_cell=goal_cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_successor_walk_matches_scalar_descent_on_any_values(h, w, data):
+    """Hand-built values from a few levels, so ties, plateaus, cycles,
+    isolated cells, NaN and -inf all occur; the goal may be off the grid."""
+    levels = st.sampled_from([0.0, 0.625, 1.25, 0.625 * math.sqrt(2.0), 3.0,
+                              math.inf, math.nan, -math.inf])
+    values = data.draw(st.lists(st.lists(levels, min_size=w, max_size=w), min_size=h, max_size=h))
+    goal = (data.draw(st.integers(-1, w)), data.draw(st.integers(-1, h)))
+    start = Pose2D(data.draw(st.floats(-1.0, w * 0.625 + 1.0)),
+                   data.draw(st.floats(-1.0, h * 0.625 + 1.0)), 0.0)
+    assert_same_route(hand_map(values, goal), start)
+
+
+@pytest.mark.parametrize("case", ["open_ties", "start_at_goal", "unreachable", "off_grid"])
+def test_successor_walk_named_cases(case):
+    g = empty_grid(20, 20)
+    goal, start = Pose2D(15.3, 12.2, 0.0), Pose2D(3.0, 4.0, 0.0)
+    if case == "start_at_goal":
+        start = goal
+    elif case == "unreachable":
+        g.set_box(8.0, 0.0, 10.0, 20.0, OCCUPIED)
+    elif case == "off_grid":
+        start = Pose2D(-5.0, 4.0, 0.0)
+    outcome = assert_same_route(build_distance_map(g, goal), start)
+    if case in ("unreachable", "off_grid"):
+        assert outcome == (NoRouteError, "no 2D route")
+    else:
+        assert outcome[0][0] == (1 if case == "start_at_goal" else 21)   # 20 diagonal-led steps
+
+
+@pytest.mark.parametrize("extract", [extract_astar_path, extract_astar_path_reference])
+def test_descent_that_cycles_raises(extract):
+    """Cells 0 and 1 are each other's steepest neighbour, so the walk from
+    cell 0 never reaches the goal cell 2 and the step guard ends it."""
+    dm = hand_map([[0.0, 0.0, 5.0]], goal_cell=(2, 0))
+    assert list(dm.successor) == [1, 0, 1]
+    with pytest.raises(NoRouteError, match="^descent did not reach the goal cell$"):
+        extract(dm, Pose2D(0.3, 0.3, 0.0))
+
+
+@pytest.mark.parametrize("extract", [extract_astar_path, extract_astar_path_reference])
+def test_isolated_finite_cell_has_no_route(extract):
+    inf = math.inf
+    dm = hand_map([[inf, inf, inf], [inf, 2.0, inf], [inf, inf, inf]], goal_cell=(0, 0))
+    assert dm.successor[4] == -1
+    with pytest.raises(NoRouteError, match="^no 2D route$"):
+        extract(dm, Pose2D(0.9, 0.9, 0.0))
+
+
+def test_successor_table_is_read_only():
+    dm = build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0))
+    assert dm.successor.readonly and dm.successor.format == "i"
+    assert len(dm.successor) == dm.values.size
 
 
 # ---------------------------------------------------------------- waypose

@@ -9,7 +9,7 @@ from hybridplan import mission, simulate
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
-from hybridplan.heuristic import waypose_at
+from hybridplan.heuristic import extract_astar_path, waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
                                 NAV_NONE, NAV_WAYPOINT, check_path_collision,
                                 compute_replan_start, mission_tick)
@@ -18,6 +18,7 @@ from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment, STA
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled, pose_close
+from oracles import extract_astar_path_reference
 
 VEH = VehicleSpec()
 CFG = PlannerConfig()
@@ -394,3 +395,27 @@ def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mo
                                          CFG, planner_mode, VEH)
     assert report.reached
     assert causes == replans and len(planned_starts) == len(replans)
+
+
+def test_closed_loop_routes_match_the_scalar_descent(monkeypatch):
+    """On an unknown map whose route map changes on many ticks, every route
+    the mission extracts equals the scalar neighbour loop's on the same map
+    and pose, byte for byte: no successor table outlives its values."""
+    calls, maps = [], []
+
+    def checking_extract(dmap, start):
+        path = extract_astar_path(dmap, start)
+        ref = extract_astar_path_reference(dmap, start)
+        assert path.points.tobytes() == ref.points.tobytes()
+        assert path.cumulative_s.tobytes() == ref.cumulative_s.tobytes()
+        calls.append(start)
+        if not maps or maps[-1] is not dmap:
+            maps.append(dmap)
+        return path
+
+    monkeypatch.setattr(mission, "extract_astar_path", checking_extract)
+    planner_mode, nav_mode = MODES["guided"]
+    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"),
+                                         MissionConfig(nav_mode=nav_mode), CFG, planner_mode, VEH)
+    assert report.reached
+    assert len(calls) > 100 and len(maps) > 50   # 126 ticks on 71 route maps
