@@ -47,6 +47,7 @@ class MissionConfig:
 
 @dataclass
 class MissionState:
+    """Kept between ticks; clear_check is the last clear verdict (`carried_path_collision`)."""
     vehicle_pose: Pose2D
     goal: Pose2D
     current_path: Optional[PlannedPath] = None
@@ -56,6 +57,7 @@ class MissionState:
     odometer: float = 0.0                 # total distance driven so far
     last_replan_odometer: float = -math.inf
     path_to_goal: bool = False            # current path ends at the final goal
+    clear_check: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
     """Arc length past from_s of the first colliding sample, None when clear.
 
     The first rotations_done rotations of the path are already executed and
-    not checked (`PlannedPath.walk`).
+    not checked (`PlannedPath.walk`); a larger from_s or rotations_done checks a subset.
     """
     checker = CollisionChecker(belief, disks)
     for acc, seg in path.walk(rotations_done):
@@ -93,6 +95,21 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
             if blocked.any():
                 return max(float(seg.s[keep][blocked.argmax()]) + acc - from_s, 0.0)
     return None
+
+
+def carried_path_collision(state: MissionState, belief: OccupancyGrid,
+                           disks: DiskSet) -> Optional[float]:
+    """`check_path_collision` from the vehicle's place, or None unchecked while the last
+    clear check's path, belief, version and disks hold and neither position is behind."""
+    key = (state.current_path, belief, belief.version, disks)
+    held = state.clear_check or (None, 0.0, 0)   # only a clear verdict is carried
+    if held[0] == key and held[1] <= state.progress_s and held[2] <= state.rotations_done:
+        return None
+    hit = check_path_collision(state.current_path, state.progress_s, belief, disks,
+                               state.rotations_done)
+    if hit is None:
+        state.clear_check = (key, state.progress_s, state.rotations_done)
+    return hit
 
 
 def compute_replan_start(state: MissionState, s_coll_found: Optional[float],
@@ -127,7 +144,8 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     and the coarse route is extracted every tick, a walk along the map's
     successor table (`DistanceMap.successor`).  Route divergence against
     the previous tick, an upcoming path collision, missing path, or
-    accumulated progress trigger a replan.
+    accumulated progress trigger a replan; a path found clear is not checked
+    again until the path, the belief version or the disks change.
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
@@ -147,11 +165,9 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         s_div_found = detect_divergence(state.prev_astar, astar, mission_cfg.d_div)
     state.prev_astar = astar
 
-    disks = make_disk_set(vehicle)
     s_coll_found = None
     if state.current_path is not None:
-        s_coll_found = check_path_collision(state.current_path, state.progress_s,
-                                            belief, disks, state.rotations_done)
+        s_coll_found = carried_path_collision(state, belief, make_disk_set(vehicle))
 
     if state.current_path is None:
         cause = "initial"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -111,9 +111,9 @@ class SearchStats:
 # Path data model
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DriveSegment:
-    """Continuous driving at one gear; per-interval curvature samples."""
+    """Continuous driving at one gear; per-interval curvature samples, read-only."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -121,6 +121,11 @@ class DriveSegment:
     kappas: np.ndarray        # (n-1,) curvature of each sample interval
     s: np.ndarray             # (n,) cumulative arc length within the segment
     direction: int            # +1 forward, -1 reverse
+
+    def __post_init__(self) -> None:   # hold read-only views: a segment never changes
+        for name in ("xs", "ys", "yaws", "kappas", "s"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).view())
+            getattr(self, name).setflags(write=False)
 
     @property
     def arc_length(self) -> float:
@@ -144,7 +149,7 @@ class DriveSegment:
         return float(self.kappas[self.interval(offset)]) if len(self.kappas) else 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RotationSegment:
     """In-place rotation about the rear-axle point; moves no distance."""
 
@@ -158,9 +163,13 @@ class RotationSegment:
 Segment = Union[DriveSegment, RotationSegment]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PlannedPath:
-    segments: List[Segment] = field(default_factory=list)
+    """A value: a tuple of frozen segments (a list is converted); equal only to itself."""
+    segments: Tuple[Segment, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
 
     @property
     def total_drive_length(self) -> float:
@@ -242,24 +251,24 @@ class PlannedPath:
         last non-empty slice keeps one at the path's end.  The first
         rotations_done rotations are already executed and left out (`walk`).
         """
-        out = PlannedPath()
+        out: List[Segment] = []
         end = math.inf if s0 < s1 and s1 >= self.total_drive_length else s1
         for acc, seg in self.walk(rotations_done):
             if isinstance(seg, RotationSegment):
                 if s0 <= acc < end:
-                    out.segments.append(seg)
+                    out.append(seg)
                 continue
             lo = max(s0 - acc, 0.0)
             hi = min(s1 - acc, seg.arc_length)
             if hi - lo > 1e-12:
-                out.segments.append(_clip_drive(seg, lo, hi))
-        return out
+                out.append(_clip_drive(seg, lo, hi))
+        return PlannedPath(out)
 
     def concat(self, other: "PlannedPath") -> "PlannedPath":
-        merged = PlannedPath(list(self.segments))
+        merged = list(self.segments)
         for seg in other.segments:
-            _append_segment(merged.segments, seg)
-        return merged
+            _append_segment(merged, seg)
+        return PlannedPath(merged)
 
 
 def _clip_drive(seg: DriveSegment, lo: float, hi: float) -> DriveSegment:
@@ -299,7 +308,7 @@ class PathBuilder:
 
     def __init__(self, start: Pose2D) -> None:
         self._anchor = start
-        self._path = PlannedPath()
+        self._segments: List[Segment] = []
         self._run: List[Tuple[float, float, float, float]] = []  # x, y, yaw, kappa-in
         self._run_dir = 0
 
@@ -323,7 +332,7 @@ class PathBuilder:
             yaws.append(yaw)
             kappas.append(kappa)
             s.append(s[-1] + ds)
-        _append_segment(self._path.segments, DriveSegment(
+        _append_segment(self._segments, DriveSegment(
             np.array(xs), np.array(ys), np.array(yaws),
             np.array(kappas), np.array(s), self._run_dir))
         self._anchor = Pose2D(xs[-1], ys[-1], yaws[-1])
@@ -340,12 +349,12 @@ class PathBuilder:
         self._flush()
         pose = self._anchor
         to_yaw = normalize_angle(pose.yaw + delta)
-        self._path.segments.append(RotationSegment(pose.x, pose.y, pose.yaw, to_yaw, delta))
+        self._segments.append(RotationSegment(pose.x, pose.y, pose.yaw, to_yaw, delta))
         self._anchor = Pose2D(pose.x, pose.y, to_yaw)
 
     def finish(self) -> PlannedPath:
         self._flush()
-        return self._path
+        return PlannedPath(self._segments)
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,22 @@ def test_consistency_over_neighbors(rng):
                         assert v <= n + edge + 1e-9
 
 
+# A goal on a coarse-cell boundary: `Raster.cell_of` floors it into the
+# higher cell, while `nearest_reachable_cell` breaks the distance tie towards
+# the lower row-major index.  Every bundled goal lies on a boundary, so the
+# fix changes the bundled outputs and waits for a reference refresh.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "cell_of and nearest_reachable_cell disagree on a boundary point: the route "
+    "from a boundary goal starts one cell off goal_cell and reads 0.625 m"))
+def test_route_from_a_boundary_goal_starts_at_the_goal_cell():
+    dm = build_distance_map(OccupancyGrid.filled(128, 128, 0.15625, FREE),
+                            Pose2D(15.0, 12.0, 0.0))
+    assert dm.goal_cell == (24, 19)
+    assert dm.nearest_reachable_cell(15.0, 12.0) == dm.goal_cell
+    assert dm.route_distance(15.0, 12.0) == 0.0
+    assert extract_astar_path(dm, Pose2D(15.0, 12.0, 0.0)).points.shape[0] == 1
+
+
 # ------------------------------------------------------------- extraction
 
 def test_extract_start_at_goal_single_point():

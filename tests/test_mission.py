@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridplan import mission, simulate
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
-from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
+from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
 from hybridplan.heuristic import extract_astar_path, waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
-                                NAV_NONE, NAV_WAYPOINT, check_path_collision,
-                                compute_replan_start, mission_tick)
+                                NAV_NONE, NAV_WAYPOINT, carried_path_collision,
+                                check_path_collision, compute_replan_start, mission_tick)
 from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment, STANDARD,
                                 STOP_AT_GOAL, plan)
 from hybridplan.vehicle import VehicleSpec, make_disk_set
@@ -21,6 +22,7 @@ from conftest import bordered_grid, bundled, pose_close
 from oracles import extract_astar_path_reference
 
 VEH = VehicleSpec()
+WIDE = VehicleSpec(width=3.4)    # disk radius 1.83 m, against VEH's 1.20 m
 CFG = PlannerConfig()
 
 
@@ -241,14 +243,18 @@ def test_refresh_cadence_in_early_stop_mode():
     assert replans == 3  # every s_t = 10 m
 
 
-def drive_rotate_drive():
-    """5 m east to (10, 10), a quarter turn on the spot, 4 m north."""
-    builder = PathBuilder(Pose2D(5, 10, 0))
+def drive_rotate_drive(first=5.0, delta=math.pi / 2, second=4.0, x=5.0, y=10.0):
+    """`first` m east from (x, y), a rotation by `delta` on the spot, then
+    `second` m on; by default 5 m east to (10, 10), a quarter turn, 4 m north."""
+    builder = PathBuilder(Pose2D(x, y, 0))
     for i in range(1, 11):
-        builder.add_drive_sample(5 + i * 0.5, 10, 0.0, 0.0, 1)
-    builder.add_rotation(math.pi / 2)
-    for i in range(1, 9):
-        builder.add_drive_sample(10, 10 + i * 0.5, math.pi / 2, 0.0, 1)
+        builder.add_drive_sample(x + first * i / 10, y, 0.0, 0.0, 1)
+    builder.add_rotation(delta)
+    yaw = Pose2D(0, 0, delta).yaw
+    for i in range(1, 11):
+        t = second * i / 10
+        builder.add_drive_sample(x + first + t * math.cos(yaw), y + t * math.sin(yaw),
+                                 yaw, 0.0, 1)
     return builder.finish()
 
 
@@ -419,3 +425,167 @@ def test_closed_loop_routes_match_the_scalar_descent(monkeypatch):
                                          MissionConfig(nav_mode=nav_mode), CFG, planner_mode, VEH)
     assert report.reached
     assert len(calls) > 100 and len(maps) > 50   # 126 ticks on 71 route maps
+
+
+# ------------------------------------------------- carried collision verdict
+
+_carry_step = st.one_of(
+    st.tuples(st.just("advance"), st.floats(0.0, 3.0)),
+    st.tuples(st.just("back"), st.floats(0.0, 3.0), st.booleans()),
+    st.tuples(st.just("rotate")),
+    st.tuples(st.just("noop_write")),
+    st.tuples(st.just("far_write"), st.floats(30.0, 37.0), st.floats(2.0, 20.0)),
+    st.tuples(st.just("write_ahead"), st.floats(0.0, 8.0), st.floats(-2.5, 2.5),
+              st.sampled_from([OCCUPIED, FREE])),
+    st.tuples(st.just("swap_path")),
+    st.tuples(st.just("replan"), st.floats(2.0, 8.0), st.floats(1.0, 12.0)),
+    st.tuples(st.just("vehicle"), st.sampled_from([VEH, WIDE])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(2.0, 8.0), st.sampled_from([math.pi / 2, -math.pi / 2, math.pi, 0.4]),
+       st.floats(1.0, 7.0), st.lists(_carry_step, max_size=14))
+def test_carried_verdict_equals_a_fresh_check(first, delta, second, steps):
+    """Whatever the vehicle, the belief and the path do, the carried verdict
+    is the one a fresh check of the current path from the vehicle's place
+    gives: progress, executed rotations, no-op, far and blocking writes, an
+    equal-valued but distinct path, a new path and a different vehicle.  The
+    steps back (an undone rotation too) test the rule that a verdict holds
+    only ahead of its check."""
+    belief = bordered_grid(40, 24)
+    path = drive_rotate_drive(first, delta, second, 12.0, 12.0)
+    state = make_state(path)
+    vehicle = VEH
+    for step in [("advance", 0.0)] + steps:
+        kind = step[0]
+        if kind == "advance":
+            state.progress_s = min(state.progress_s + step[1], path.total_drive_length)
+        elif kind == "back":
+            state.progress_s = max(state.progress_s - step[1], 0.0)
+            state.rotations_done = max(state.rotations_done - step[2], 0)
+        elif kind == "rotate" and state.progress_s >= first - 1e-9:
+            state.rotations_done = min(state.rotations_done + 1, path.n_rotations)
+        elif kind == "noop_write":
+            belief.set_cells((0, 0), belief.cells[0, 0])
+        elif kind == "far_write":
+            belief.set_box(step[1], step[2], step[1] + 0.5, step[2] + 0.5, OCCUPIED)
+        elif kind == "write_ahead":
+            pose = path.pose_at(state.progress_s + step[1])
+            x = pose.x - math.sin(pose.yaw) * step[2]
+            y = pose.y + math.cos(pose.yaw) * step[2]
+            belief.set_box(x - 0.2, y - 0.2, x + 0.2, y + 0.2, step[3])
+        elif kind == "swap_path":
+            state.current_path = drive_rotate_drive(first, delta, second, 12.0, 12.0)
+            assert state.current_path is not path
+        elif kind == "replan":     # a new path from the start, up to 12 m on
+            first, second = step[1], step[2]
+            path = state.current_path = drive_rotate_drive(first, delta, second, 12.0, 12.0)
+            state.progress_s, state.rotations_done = 0.0, 0
+        elif kind == "vehicle":
+            vehicle = step[1]
+        disks = make_disk_set(vehicle)
+        fresh = check_path_collision(state.current_path, state.progress_s, belief, disks,
+                                     state.rotations_done)
+        assert carried_path_collision(state, belief, disks) == fresh
+
+
+def test_clear_path_is_checked_once_until_something_changes(monkeypatch):
+    """The work count: one check while nothing changes, one more for each
+    write, step back or other vehicle, and a hit is checked on every tick."""
+    checks = []
+
+    def counting_check(*args):
+        checks.append(args)
+        return check_path_collision(*args)
+
+    monkeypatch.setattr(mission, "check_path_collision", counting_check)
+    g, path = straight_path(30.0)
+    state, disks = make_state(path), make_disk_set(VEH)
+    for progress in (0.0, 0.0, 1.0, 5.0):
+        state.progress_s = progress
+        assert carried_path_collision(state, g, disks) is None
+    assert len(checks) == 1
+    g.set_box(0.6, 0.6, 0.8, 0.8, OCCUPIED)             # any write, even a far one
+    assert carried_path_collision(state, g, disks) is None
+    state.progress_s = 4.0                              # behind that check
+    assert carried_path_collision(state, g, disks) is None
+    assert carried_path_collision(state, g, make_disk_set(WIDE)) is None
+    assert len(checks) == 4
+    g.set_box(20.0, 0.5, 21.0, 11.5, OCCUPIED)          # a wall ahead is seen
+    hit = carried_path_collision(state, g, disks)
+    assert hit is not None and hit == carried_path_collision(state, g, disks)
+    assert len(checks) == 6                             # a hit is not carried
+
+
+def straight_line(y):
+    """A forward drive along the line y from x = 5 to x = 35."""
+    builder = PathBuilder(Pose2D(5, y, 0))
+    for i in range(1, 61):
+        builder.add_drive_sample(5 + i * 0.5, y, 0.0, 0.0, 1)
+    return builder.finish()
+
+
+def test_each_part_of_the_carried_key_can_turn_clear_into_a_hit():
+    """A clear verdict is carried only for the same path, belief version and
+    disks, and only ahead of its check: changing any one of them alone
+    exposes a hit that carrying the verdict would hide."""
+    g = bordered_grid(40, 12)
+    g.set_box(15.0, 7.5, 15.3, 7.8, OCCUPIED)   # 1.5 m beside y = 6: only a wide vehicle hits it
+    g.set_box(25.0, 9.5, 25.3, 9.8, OCCUPIED)   # on the line y = 9.6
+    narrow, wide = make_disk_set(VEH), make_disk_set(WIDE)
+    state = make_state(straight_line(6.0), progress=14.0)
+    assert carried_path_collision(state, g, wide) is None       # past the box
+    state.progress_s = 10.0
+    assert carried_path_collision(state, g, wide) is not None   # behind the clear check
+    state.progress_s = 0.0
+    assert carried_path_collision(state, g, narrow) is None
+    assert carried_path_collision(state, g, wide) is not None   # other disks
+    line = state.current_path
+    state.current_path = straight_line(9.6)
+    assert carried_path_collision(state, g, narrow) is not None  # other path
+    state.current_path = line
+    assert carried_path_collision(state, g, narrow) is None
+    g.set_box(30.0, 0.5, 30.5, 11.5, OCCUPIED)
+    assert carried_path_collision(state, g, narrow) is not None  # other belief version
+
+    g = bordered_grid(40, 24)
+    g.set_box(12.8, 8.6, 13.1, 8.9, OCCUPIED)   # only the rotation's sweep hits it
+    state = make_state(drive_rotate_drive(), progress=5.0)
+    state.rotations_done = 1
+    assert carried_path_collision(state, g, narrow) is None
+    state.rotations_done = 0
+    assert carried_path_collision(state, g, narrow) == 0.0      # the rotation is pending again
+
+
+@pytest.mark.parametrize("scenario,mode", [
+    ("smoke_small", "guided+extended"),
+    ("reveal_divergence", "guided"),
+])
+def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, mode):
+    """In a closed-loop run every tick's collision verdict, carried or not,
+    equals a fresh check; on the known map each (path, belief version) is
+    checked in full at most once."""
+    checked, carried = [], []
+
+    def counting_check(path, from_s, belief, disks, rotations_done=0):
+        checked.append((path, belief.version))
+        return check_path_collision(path, from_s, belief, disks, rotations_done)
+
+    def checking_carry(state, belief, disks):
+        before = len(checked)
+        verdict = carried_path_collision(state, belief, disks)
+        assert verdict == check_path_collision(state.current_path, state.progress_s, belief,
+                                               disks, state.rotations_done)
+        carried.append(len(checked) == before)
+        return verdict
+
+    monkeypatch.setattr(mission, "check_path_collision", counting_check)
+    monkeypatch.setattr(mission, "carried_path_collision", checking_carry)
+    spec = bundled(scenario)
+    planner_mode, nav_mode = MODES[mode]
+    _, report, events = simulate.run_scenario(spec, MissionConfig(nav_mode=nav_mode), CFG,
+                                              planner_mode, VEH)
+    assert report.reached and any(carried)
+    keys = {(id(path), version) for path, version in checked}
+    if spec.known_env:
+        assert len(keys) == len(checked) == len(events)   # one full check per path

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -511,6 +512,47 @@ def test_direction_switch_counting():
     path = builder.finish()
     assert len(path.segments) == 3
     assert path.n_direction_switches == 2
+
+
+def _drive_arrays(path):
+    return [getattr(seg, name) for seg in path.segments if isinstance(seg, DriveSegment)
+            for name in ("xs", "ys", "yaws", "kappas", "s")]
+
+
+def test_planned_path_is_a_value():
+    """A path and its segments cannot be changed after they are built: the
+    segments are a tuple of frozen segments with read-only arrays, a list
+    argument is converted, and slice, concat and a builder that goes on after
+    finish make new paths.  A path equals only itself."""
+    builder = PathBuilder(Pose2D(0, 0, 0))
+    builder.add_drive_sample(1.0, 0.0, 0.0, 0.0, 1)
+    builder.add_rotation(math.pi / 2)
+    path = builder.finish()
+    drive, rotation = path.segments
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.segments = ()
+    with pytest.raises(AttributeError):
+        path.segments.append(drive)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        drive.xs = np.zeros(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rotation.delta = 0.0
+    builder.add_drive_sample(1.0, 1.0, math.pi / 2, 0.0, 1)
+    assert len(builder.finish().segments) == 3 and path.segments == (drive, rotation)
+    listed = PlannedPath([drive, rotation])
+    assert isinstance(listed.segments, tuple) and listed != path and path == path
+    for made in (path, listed, path.slice(0.2, 0.8), path.concat(listed)):
+        assert isinstance(made.segments, tuple)
+        for values in _drive_arrays(made):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+
+def test_drive_segment_leaves_the_callers_arrays_writable():
+    xs = np.array([0.0, 1.0])
+    seg = DriveSegment(xs, np.zeros(2), np.zeros(2), np.zeros(1), np.array([0.0, 1.0]), 1)
+    assert xs.flags.writeable and not seg.xs.flags.writeable
 
 
 # ----------------------------------------------------- path slicing / cursor
