@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .heuristic import resolution_factor
-from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
+from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE, NAV_WAYPOINT
 from .planner import DriveSegment, EXTENDED, PlannedPath, PlannerConfig, STANDARD
 from .scenarios import (bundled_scenario_path, check_fields, field_types, load_scenario,
                         read_json_object)
@@ -22,11 +22,14 @@ from .svg import render_run
 from .vehicle import VehicleSpec
 from .grid import OccupancyGrid, UNKNOWN, raytrace_reveal
 
+# run mode -> (planner mode, navigation), the row run_scenario takes
 MODES = {
     "standard": (STANDARD, NAV_NONE),
     "guided": (STANDARD, NAV_EARLY_STOP),
     "extended": (EXTENDED, NAV_NONE),
     "guided+extended": (EXTENDED, NAV_EARLY_STOP),
+    "waypoint": (STANDARD, NAV_WAYPOINT),
+    "waypoint+extended": (EXTENDED, NAV_WAYPOINT),
 }
 
 
@@ -38,7 +41,10 @@ class RunConfig:
     planner: PlannerConfig = dataclasses.field(default_factory=PlannerConfig)
     mission: MissionConfig = dataclasses.field(default_factory=MissionConfig)
     vehicle: VehicleSpec = dataclasses.field(default_factory=VehicleSpec)
-    nav_mode_explicit: bool = False   # mission.nav_mode given in the file
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode: must be one of {sorted(MODES)}, got {self.mode!r}")
 
 
 _SECTIONS = {"planner": PlannerConfig, "mission": MissionConfig, "vehicle": VehicleSpec}
@@ -57,16 +63,9 @@ def load_config(path) -> RunConfig:
     data = check_fields(read_json_object(Path(path)), _CONFIG_TYPES)
     if "scenario" not in data:
         raise ValueError("scenario: required field missing")
-    mode = data.get("mode", "guided")
-    if mode not in MODES:
-        raise ValueError(f"mode: must be one of {sorted(MODES)}, got {mode!r}")
-    return RunConfig(
-        scenario=data["scenario"],
-        mode=mode,
-        output_dir=data.get("output_dir", "out"),
-        **{name: _build_section(cls, data.get(name, {}), name) for name, cls in _SECTIONS.items()},
-        nav_mode_explicit="nav_mode" in data.get("mission", {}),
-    )
+    # a field left out takes RunConfig's default
+    return RunConfig(**{name: _build_section(_SECTIONS[name], value, name)
+                        if name in _SECTIONS else value for name, value in data.items()})
 
 
 def resolve_scenario(ref: str, config_dir: Path) -> ScenarioSpec:
@@ -136,11 +135,8 @@ def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[Occupancy
 
 def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
                 with_timing: bool) -> Tuple[MetricsReport, List[EventRecord]]:
-    planner_mode, nav_mode = MODES[cfg.mode]
-    mission = cfg.mission if cfg.nav_mode_explicit \
-        else dataclasses.replace(cfg.mission, nav_mode=nav_mode)
-    driven, report, events = run_scenario(spec, mission, cfg.planner,
-                                          planner_mode, cfg.vehicle)
+    driven, report, events = run_scenario(spec, cfg.mission, cfg.planner,
+                                          MODES[cfg.mode], cfg.vehicle)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "path.json").write_text(
         json.dumps(path_to_json(driven), sort_keys=True, separators=(",", ":")) + "\n",
@@ -190,12 +186,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_print_defaults(_args) -> int:
-    defaults = {
-        "scenario": "bundled:known_large",
-        "mode": "guided",
-        "output_dir": "out",
-        **{name: dataclasses.asdict(cls()) for name, cls in _SECTIONS.items()},
-    }
+    defaults = dataclasses.asdict(RunConfig(scenario="bundled:known_large"))
     print(json.dumps(defaults, indent=2, sort_keys=True))
     return 0
 

@@ -30,7 +30,6 @@ class MissionConfig:
     d_div: float = 5.0         # [m] allowed route divergence
     alpha: float = 0.5         # start-pose downscale, in (0, 1)
     s_coll: float = 20.0       # [m] replan when the path collides within this
-    nav_mode: str = NAV_EARLY_STOP
 
     def __post_init__(self) -> None:
         # written as not (v > 0) so that NaN fails too
@@ -41,8 +40,6 @@ class MissionConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
-        if self.nav_mode not in (NAV_NONE, NAV_WAYPOINT, NAV_EARLY_STOP):
-            raise ValueError(f"unknown nav_mode {self.nav_mode!r}")
 
 
 @dataclass
@@ -136,9 +133,11 @@ def _goal_reached(state: MissionState, planner_cfg: PlannerConfig) -> bool:
 
 
 def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: MissionConfig,
-                 planner_cfg: PlannerConfig, planner_mode: str, vehicle: VehicleSpec
+                 planner_cfg: PlannerConfig, mode: Tuple[str, str], vehicle: VehicleSpec
                  ) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
+
+    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*).
 
     The distance map is memoized on the belief (see `OccupancyGrid.derived`)
     and the coarse route is extracted every tick, a walk along the map's
@@ -149,6 +148,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
+    planner_mode, nav_mode = mode
 
     res, inflation = planner_cfg.xy_resolution, planner_cfg.inflation_radius
     try:
@@ -161,7 +161,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         return TickResult(status="failed", reason=str(exc))
 
     s_div_found = None
-    if state.prev_astar is not None and mission_cfg.nav_mode != NAV_NONE:
+    if state.prev_astar is not None and nav_mode != NAV_NONE:
         s_div_found = detect_divergence(state.prev_astar, astar, mission_cfg.d_div)
     state.prev_astar = astar
 
@@ -175,7 +175,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         cause = "collision"
     elif s_div_found is not None:
         cause = "divergence"
-    elif (mission_cfg.nav_mode != NAV_NONE and not state.path_to_goal
+    elif (nav_mode != NAV_NONE and not state.path_to_goal
           and state.odometer - state.last_replan_odometer >= mission_cfg.s_t):
         cause = "refresh"  # navigation refresh: moot once planned to the goal
     elif (state.current_path.total_drive_length - state.progress_s <= 1e-9
@@ -200,9 +200,9 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     s_w = mission_cfg.s_w
     goal = state.goal
     if s_g_start >= mission_cfg.s_lim:
-        if mission_cfg.nav_mode == NAV_EARLY_STOP:
+        if nav_mode == NAV_EARLY_STOP:
             stop_rule = STOP_EARLY
-        elif mission_cfg.nav_mode == NAV_WAYPOINT:
+        elif nav_mode == NAV_WAYPOINT:
             try:
                 goal = waypose_at(astar, mission_cfg.s_w)
             except ValueError:

@@ -121,10 +121,11 @@ def _follow(path: PlannedPath, drive_step: float) -> Iterator[Move]:
 
 
 def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
-                 planner_cfg: PlannerConfig, planner_mode: str,
+                 planner_cfg: PlannerConfig, mode: Tuple[str, str],
                  vehicle: Optional[VehicleSpec] = None
                  ) -> Tuple[PlannedPath, MetricsReport, List[EventRecord]]:
-    """Drive the scenario to the goal (or failure) and score the driven path."""
+    """Drive the scenario to the goal (or failure) and score the driven path;
+    mode is a `cli.MODES` row (planner mode, navigation)."""
     vehicle = vehicle or VehicleSpec()
     truth = spec.truth_map
     if spec.known_env:
@@ -144,8 +145,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
             raytrace_reveal(truth, belief, state.vehicle_pose,
                             spec.sensor_range, spec.n_rays)
 
-        result = mission_tick(state, belief, mission_cfg, planner_cfg,
-                              planner_mode, vehicle)
+        result = mission_tick(state, belief, mission_cfg, planner_cfg, mode, vehicle)
         if result.status == "goal_reached":
             stop_cause = "reached"
             break

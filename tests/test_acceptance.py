@@ -53,8 +53,8 @@ def plate_runs():
     for name in ("84", "67"):
         spec = bundled(f"plate_corridor_{name}")
         for mode in (STANDARD, EXTENDED):
-            driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=NAV_NONE),
-                                               DEFAULT_CFG, mode, VEH)
+            driven, rep, events = run_scenario(spec, MissionConfig(), DEFAULT_CFG,
+                                               (mode, NAV_NONE), VEH)
             out[(name, mode)] = (driven, rep, spec, events)
     out["wall_time"] = time.perf_counter() - t0
     return out
@@ -64,8 +64,8 @@ def large_run(env: str, label: str):
     """One closed loop of criteria 2 and 3: (driven, report, spec, events)."""
     spec = bundled(f"{env}_large")
     nav = NAV_NONE if label == "std" else NAV_EARLY_STOP
-    driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=nav),
-                                       LARGE_MAP_CFG, STANDARD, VEH)
+    driven, rep, events = run_scenario(spec, MissionConfig(), LARGE_MAP_CFG,
+                                       (STANDARD, nav), VEH)
     return driven, rep, spec, events
 
 
@@ -348,8 +348,8 @@ def test_c08_collision_conservatism(plate_runs, large_runs):
 
 def test_c09_divergence_replan():
     spec = bundled("reveal_divergence")
-    driven, rep, events = run_scenario(spec, MissionConfig(nav_mode=NAV_EARLY_STOP),
-                                       DEFAULT_CFG, STANDARD, VEH)
+    driven, rep, events = run_scenario(spec, MissionConfig(), DEFAULT_CFG,
+                                       (STANDARD, NAV_EARLY_STOP), VEH)
     div_events = [e for e in events if e.cause == "divergence"]
     one_event = len(div_events) == 1 and rep.reached
 

@@ -328,7 +328,7 @@ def test_unknown_field_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ["seed", "vehicle.model_switch_time",
-                                   "planner.analytic_period"])
+                                   "planner.analytic_period", "mission.nav_mode"])
 def test_seed_is_not_a_config_field(field, tmp_path, capsys):
     """Deleted fields are rejected by name and left out of the defaults."""
     section, _, name = field.rpartition(".")
@@ -375,17 +375,18 @@ def test_vehicle_that_never_moves_exits_2(tmp_path, capsys):
 
 
 def test_compare_two_modes(tmp_path):
-    a = write_config(tmp_path, name="a.json", mode="standard",
-                     output_dir=str(tmp_path / "cmp"))
-    b = write_config(tmp_path, name="b.json", mode="guided",
-                     output_dir=str(tmp_path / "cmp"))
-    assert main(["compare", str(a), str(b), "--no-timing",
+    """Standard and guided, and the paper's comparison of early-stop navigation
+    with the waypoint baseline: one row per run, equal to its metrics.csv row."""
+    modes = ("standard", "guided", "waypoint")
+    configs = [str(write_config(tmp_path, name=f"{mode}.json", mode=mode,
+                                output_dir=str(tmp_path / "cmp"))) for mode in modes]
+    assert main(["compare", *configs, "--no-timing",
                  "--output-dir", str(tmp_path / "cmp")]) == 0
     lines = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
     assert lines[0] == "mode," + ",".join(MetricsReport.COLUMNS)
-    assert len(lines) == 3
-    for line, mode, run in zip(lines[1:], ("standard", "guided"),
-                               ("run_00_standard", "run_01_guided")):
+    assert len(lines) == 4
+    for line, mode, run in zip(lines[1:], modes,
+                               ("run_00_standard", "run_01_guided", "run_02_waypoint")):
         metrics = (tmp_path / "cmp" / run / "metrics.csv").read_text().splitlines()
         assert metrics[0] == ",".join(MetricsReport.COLUMNS)
         assert line == f"{mode},{metrics[1]}"

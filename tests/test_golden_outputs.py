@@ -32,7 +32,9 @@ CASES = ([(sc, mode) for sc in ("smoke_small", "plate_corridor_67", "plate_corri
          + [("known_large", "standard"), ("known_large", "extended"),
             ("known_large", "guided"), ("known_large", "guided+extended"),
             ("reveal_divergence", "standard"), ("reveal_divergence", "guided"),
-            ("reveal_divergence", "extended"), ("reveal_divergence", "guided+extended")])
+            ("reveal_divergence", "extended"), ("reveal_divergence", "guided+extended")]
+         + [(sc, mode) for sc in ("smoke_small", "reveal_divergence")
+            for mode in ("waypoint", "waypoint+extended")])
 
 
 def case_id(scenario: str, mode: str) -> str:

@@ -11,10 +11,9 @@ from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
 from hybridplan.heuristic import extract_astar_path, waypose_at
-from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP,
-                                NAV_NONE, NAV_WAYPOINT, carried_path_collision,
+from hybridplan.mission import (MissionConfig, MissionState, carried_path_collision,
                                 check_path_collision, compute_replan_start, mission_tick)
-from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment, STANDARD,
+from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment,
                                 STOP_AT_GOAL, plan)
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
@@ -126,9 +125,8 @@ def test_replan_start_requires_path():
 
 # --------------------------------------------------------------- tick logic
 
-def tick(state, belief, nav=NAV_NONE, **kw):
-    return mission_tick(state, belief, MissionConfig(nav_mode=nav, **kw), CFG,
-                        STANDARD, VEH)
+def tick(state, belief, mode="standard", **kw):
+    return mission_tick(state, belief, MissionConfig(**kw), CFG, MODES[mode], VEH)
 
 
 def test_route_map_not_reused_across_grids_at_same_version():
@@ -203,7 +201,7 @@ def test_divergence_trigger_on_reveal():
                                   truth.resolution, UNKNOWN)
     state = MissionState(vehicle_pose=Pose2D(5, 10, 0), goal=Pose2D(55, 10, 0))
     raytrace_reveal(truth, belief, state.vehicle_pose, 28.0, 1440)
-    first = tick(state, belief, nav=NAV_EARLY_STOP)
+    first = tick(state, belief, mode="guided")
     assert first.replanned and first.cause == "initial"
     causes = []
     for step in range(1, 120):
@@ -212,7 +210,7 @@ def test_divergence_trigger_on_reveal():
         state.progress_s += 0.5
         state.odometer += 0.5
         raytrace_reveal(truth, belief, state.vehicle_pose, 28.0, 1440)
-        result = tick(state, belief, nav=NAV_EARLY_STOP)
+        result = tick(state, belief, mode="guided")
         if result.status == "failed":
             pytest.fail(f"mission failed: {result.reason}")
         if result.replanned:
@@ -227,7 +225,7 @@ def test_divergence_trigger_on_reveal():
 def test_refresh_cadence_in_early_stop_mode():
     g = bordered_grid(200, 14)
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(193, 7, 0))
-    assert tick(state, g, nav=NAV_EARLY_STOP).replanned
+    assert tick(state, g, mode="guided").replanned
     replans = 0
     driven = 0.0
     while driven < 30.0:
@@ -235,7 +233,7 @@ def test_refresh_cadence_in_early_stop_mode():
         state.progress_s += 0.5
         state.odometer += 0.5
         driven += 0.5
-        result = tick(state, g, nav=NAV_EARLY_STOP)
+        result = tick(state, g, mode="guided")
         if result.replanned:
             assert result.cause == "refresh"
             state.progress_s = 0.0
@@ -268,7 +266,7 @@ def test_replan_at_a_rotation_keeps_it_only_while_pending(rotations_done):
     state.goal = Pose2D(30, 12, 0)
     state.rotations_done = rotations_done
     state.vehicle_pose = Pose2D(10, 10, rotations_done * math.pi / 2)
-    result = tick(state, bordered_grid(40, 24), nav=NAV_EARLY_STOP)
+    result = tick(state, bordered_grid(40, 24), mode="guided")
     assert result.cause == "refresh" and result.s_plan == 2.0
     stitched = state.current_path
     assert stitched.n_rotations == 1 - rotations_done   # standard mode plans no rotation
@@ -318,7 +316,7 @@ def test_refresh_after_an_executed_trailing_rotation_starts_at_the_vehicle(monke
     state.rotations_done = 1
     state.vehicle_pose = vehicle
     state.goal = Pose2D(10, 18, math.pi / 2)
-    result = tick(state, bordered_grid(40, 24), nav=NAV_EARLY_STOP)
+    result = tick(state, bordered_grid(40, 24), mode="guided")
     assert result.cause == "refresh" and result.s_plan == 0.0
     assert calls == [(vehicle, 0, 0.0)]
     assert state.current_path.start_pose() == vehicle
@@ -346,9 +344,9 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     monkeypatch.setattr(mission, "plan", recording_plan)
     g = bordered_grid(200, 14)
     goal = Pose2D(193, 7, 0)
-    cfg = MissionConfig(nav_mode=NAV_WAYPOINT)
+    cfg = MissionConfig()
     far = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=goal)
-    assert tick(far, g, nav=NAV_WAYPOINT).replanned
+    assert tick(far, g, mode="waypoint").replanned
     assert far.prev_astar.length >= cfg.s_lim
     planned_goal, stop_rule = calls[-1]
     assert planned_goal == waypose_at(far.prev_astar, cfg.s_w)
@@ -359,7 +357,7 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     assert not far.path_to_goal
 
     near = MissionState(vehicle_pose=Pose2D(140, 7, 0), goal=goal)
-    assert tick(near, g, nav=NAV_WAYPOINT).replanned
+    assert tick(near, g, mode="waypoint").replanned
     assert near.prev_astar.length < cfg.s_lim
     assert calls[-1] == (goal, STOP_AT_GOAL)
     assert near.path_to_goal
@@ -396,9 +394,8 @@ def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mo
 
     monkeypatch.setattr(mission, "plan", recording_plan)
     monkeypatch.setattr(simulate, "mission_tick", checking_tick)
-    planner_mode, nav_mode = MODES[mode]
-    _, report, _ = simulate.run_scenario(bundled(scenario), MissionConfig(nav_mode=nav_mode),
-                                         CFG, planner_mode, VEH)
+    _, report, _ = simulate.run_scenario(bundled(scenario), MissionConfig(), CFG,
+                                         MODES[mode], VEH)
     assert report.reached
     assert causes == replans and len(planned_starts) == len(replans)
 
@@ -420,9 +417,8 @@ def test_closed_loop_routes_match_the_scalar_descent(monkeypatch):
         return path
 
     monkeypatch.setattr(mission, "extract_astar_path", checking_extract)
-    planner_mode, nav_mode = MODES["guided"]
-    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"),
-                                         MissionConfig(nav_mode=nav_mode), CFG, planner_mode, VEH)
+    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+                                         MODES["guided"], VEH)
     assert report.reached
     assert len(calls) > 100 and len(maps) > 50   # 126 ticks on 71 route maps
 
@@ -582,9 +578,7 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
     monkeypatch.setattr(mission, "check_path_collision", counting_check)
     monkeypatch.setattr(mission, "carried_path_collision", checking_carry)
     spec = bundled(scenario)
-    planner_mode, nav_mode = MODES[mode]
-    _, report, events = simulate.run_scenario(spec, MissionConfig(nav_mode=nav_mode), CFG,
-                                              planner_mode, VEH)
+    _, report, events = simulate.run_scenario(spec, MissionConfig(), CFG, MODES[mode], VEH)
     assert report.reached and any(carried)
     keys = {(id(path), version) for path, version in checked}
     if spec.known_env:

@@ -8,8 +8,8 @@ import pytest
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid, voronoi_field
-from hybridplan.mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE
-from hybridplan.planner import DriveSegment, PathBuilder, PlannerConfig, STANDARD
+from hybridplan.mission import MissionConfig
+from hybridplan.planner import DriveSegment, PathBuilder, PlannerConfig
 from hybridplan.simulate import (ScenarioSpec, kappa_dot_rms,
                                  proximity_stats, run_scenario)
 from hybridplan.vehicle import VehicleSpec
@@ -145,8 +145,8 @@ def smoke_spec(**kw):
 
 
 def test_known_simple_run():
-    driven, report, events = run_scenario(smoke_spec(), MissionConfig(nav_mode=NAV_NONE),
-                                          PlannerConfig(), STANDARD, VEH)
+    driven, report, events = run_scenario(smoke_spec(), MissionConfig(),
+                                          PlannerConfig(), MODES["standard"], VEH)
     assert report.reached
     assert report.n_planner_calls == 1
     assert report.length == pytest.approx(21.0, abs=1.0)
@@ -155,8 +155,8 @@ def test_known_simple_run():
 
 def test_zero_budget_returns_unreached():
     driven, report, events = run_scenario(smoke_spec(max_sim_steps=0),
-                                          MissionConfig(nav_mode=NAV_NONE),
-                                          PlannerConfig(), STANDARD, VEH)
+                                          MissionConfig(),
+                                          PlannerConfig(), MODES["standard"], VEH)
     assert not report.reached
     assert report.length == 0.0
 
@@ -168,8 +168,8 @@ def test_negative_budget_rejected():
 
 def test_stop_cause_step_limit():
     driven, report, events = run_scenario(smoke_spec(max_sim_steps=5),
-                                          MissionConfig(nav_mode=NAV_NONE),
-                                          PlannerConfig(), STANDARD, VEH)
+                                          MissionConfig(),
+                                          PlannerConfig(), MODES["standard"], VEH)
     assert not report.reached
     assert report.stop_cause == "step limit: 5 steps"
 
@@ -178,15 +178,15 @@ def test_stop_cause_planner_failure():
     g = bordered_grid(30, 16)
     g.set_box(6.0, 7.5, 6.4, 8.5, OCCUPIED)   # a post under the vehicle's body
     spec = smoke_spec(truth_map=g, start=Pose2D(4, 8, 0))
-    driven, report, events = run_scenario(spec, MissionConfig(nav_mode=NAV_NONE),
-                                          PlannerConfig(), STANDARD, VEH)
+    driven, report, events = run_scenario(spec, MissionConfig(),
+                                          PlannerConfig(), MODES["standard"], VEH)
     assert not report.reached
     assert report.stop_cause == "planner failure: start in collision"
 
 
 def test_stop_cause_reached():
-    _, report, _ = run_scenario(smoke_spec(), MissionConfig(nav_mode=NAV_NONE),
-                                PlannerConfig(), STANDARD, VEH)
+    _, report, _ = run_scenario(smoke_spec(), MissionConfig(),
+                                PlannerConfig(), MODES["standard"], VEH)
     assert report.reached and report.stop_cause == "reached"
 
 
@@ -196,8 +196,8 @@ def test_hidden_wall_triggers_replan():
     spec = ScenarioSpec(truth_map=g, start=Pose2D(5, 6, 0), goal=Pose2D(33, 6, 0),
                         known_env=False, sensor_range=12.0, n_rays=720,
                         max_sim_steps=600)
-    driven, report, events = run_scenario(spec, MissionConfig(nav_mode=NAV_EARLY_STOP),
-                                          PlannerConfig(), STANDARD, VEH)
+    driven, report, events = run_scenario(spec, MissionConfig(),
+                                          PlannerConfig(), MODES["guided"], VEH)
     assert report.reached
     causes = {e.cause for e in events}
     assert causes & {"collision", "divergence"}
@@ -207,10 +207,10 @@ def test_determinism_across_runs():
     spec = ScenarioSpec(truth_map=bordered_grid(40, 20), start=Pose2D(5, 6, 0),
                         goal=Pose2D(33, 12, 1.0), known_env=False,
                         sensor_range=15.0, n_rays=720, max_sim_steps=600)
-    out1 = run_scenario(spec, MissionConfig(nav_mode=NAV_EARLY_STOP), PlannerConfig(),
-                        STANDARD, VEH)
-    out2 = run_scenario(spec, MissionConfig(nav_mode=NAV_EARLY_STOP), PlannerConfig(),
-                        STANDARD, VEH)
+    out1 = run_scenario(spec, MissionConfig(), PlannerConfig(),
+                        MODES["guided"], VEH)
+    out2 = run_scenario(spec, MissionConfig(), PlannerConfig(),
+                        MODES["guided"], VEH)
     d1, r1, e1 = out1
     d2, r2, e2 = out2
     assert r1.length == r2.length
@@ -222,8 +222,8 @@ def test_determinism_across_runs():
 
 def test_reached_implies_goal_tolerance():
     spec = smoke_spec()
-    driven, report, _ = run_scenario(spec, MissionConfig(nav_mode=NAV_NONE),
-                                     PlannerConfig(), STANDARD, VEH)
+    driven, report, _ = run_scenario(spec, MissionConfig(),
+                                     PlannerConfig(), MODES["standard"], VEH)
     assert report.reached
     end = driven.end_pose()
     assert end.distance_to(spec.goal) <= PlannerConfig().xy_resolution + 1e-9
@@ -232,8 +232,8 @@ def test_reached_implies_goal_tolerance():
 
 
 def test_metrics_report_consistency():
-    driven, report, events = run_scenario(smoke_spec(), MissionConfig(nav_mode=NAV_NONE),
-                                          PlannerConfig(), STANDARD, VEH)
+    driven, report, events = run_scenario(smoke_spec(), MissionConfig(),
+                                          PlannerConfig(), MODES["standard"], VEH)
     assert report.p_avg <= report.p_max + 1e-12
     if report.n_planner_calls:
         assert report.t_avg == pytest.approx(report.t_cum / report.n_planner_calls)
@@ -244,9 +244,8 @@ def test_metrics_report_consistency():
                                            ("plate_corridor_84", "extended")])
 def test_planner_accounting_is_the_replan_events(scenario, mode):
     """Calls, wall-clock figures and nodes of the report are the events' own."""
-    planner_mode, nav_mode = MODES[mode]
-    _, report, events = run_scenario(bundled(scenario), MissionConfig(nav_mode=nav_mode),
-                                     PlannerConfig(), planner_mode, VEH)
+    _, report, events = run_scenario(bundled(scenario), MissionConfig(), PlannerConfig(),
+                                     MODES[mode], VEH)
     assert report.n_planner_calls == len(events)
     assert report.t_cum == sum(e.seconds for e in events)
     assert report.t_max == max(e.seconds for e in events)
