@@ -6,11 +6,11 @@ the coarse routes whose divergence between timesteps triggers replanning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .geometry import Pose2D
@@ -18,6 +18,8 @@ from .grid import OccupancyGrid, Raster
 
 PLANNING_RESOLUTION = 0.625   # [m] coarse planning grid
 DIVERGENCE_STEP = 0.625       # [m] arc-length resampling for path matching
+# (dy, dx) of the 8 neighbors, in row-major order
+_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 class GoalBlockedError(ValueError):
@@ -35,26 +37,42 @@ class DistanceMap(Raster):
 
     `successor` holds, per row-major cell, the neighbor minimizing value +
     edge cost (ties to the lowest row-major index), or -1 when no neighbor
-    is finite.  It is built from `values` alone, so it cannot go stale.
+    is finite.  It is built from `values` alone, so it cannot go stale;
+    given the `previous` map of the same grid, its table is copied and
+    rebuilt only next to the values that differ.
     """
 
     blocked: np.ndarray
     goal_cell: Tuple[int, int]
+    previous: InitVar[Optional["DistanceMap"]] = None
     successor: memoryview = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, previous: Optional["DistanceMap"]) -> None:
         h, w = self.values.shape
+        y0, y1, x0, x1 = 0, h, 0, w
+        succ = np.full((h, w), -1, dtype=np.int32)
+        if previous is not None:      # a successor reads only its neighbors' values
+            succ = np.array(previous.successor).reshape(h, w)
+            changed = previous.values != self.values
+            rows = np.flatnonzero(changed.any(axis=1))
+            cols = np.flatnonzero(changed.any(axis=0))
+            if rows.size:
+                y0, y1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
+                x0, x1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
+            else:
+                y1 = x1 = 0
         padded = np.full((h + 2, w + 2), np.inf)
         padded[1:-1, 1:-1] = np.where(np.isfinite(self.values), self.values, np.inf)
-        best = np.full((h, w), np.inf)
-        succ = np.full((h, w), -1, dtype=np.int32)
-        flat = np.arange(h * w, dtype=np.int32).reshape(h, w)
-        for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        best = np.full((y1 - y0, x1 - x0), np.inf)
+        window = succ[y0:y1, x0:x1]
+        window[...] = -1
+        flat = np.arange(h * w, dtype=np.int32).reshape(h, w)[y0:y1, x0:x1]
+        for dy, dx in _NEIGHBORS:
             edge = self.resolution * math.sqrt(2.0) if dx and dy else self.resolution
-            key = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] + edge
+            key = padded[1 + dy + y0:1 + dy + y1, 1 + dx + x0:1 + dx + x1] + edge
             better = key < best               # strict: the first minimum stays
             np.copyto(best, key, where=better)
-            np.copyto(succ, flat + (dy * w + dx), where=better)
+            np.copyto(window, flat + (dy * w + dx), where=better)
         succ.setflags(write=False)
         object.__setattr__(self, "successor", memoryview(succ.reshape(-1)))
 
@@ -87,13 +105,21 @@ class DistanceMap(Raster):
 
 
 def _downsample_blocked(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
-    """Max-pool: a coarse cell is blocked if any fine cell inside it is."""
+    """Max-pool: a coarse cell is blocked if any fine cell inside it is.
+
+    An OR of `factor` strided row slices, then of `factor` column slices:
+    several times faster than reducing a (ch, factor, cw, factor) view.
+    """
     h, w = fine_blocked.shape
-    ch = -(-h // factor)
-    cw = -(-w // factor)
-    padded = np.zeros((ch * factor, cw * factor), dtype=bool)
+    padded = np.zeros((-(-h // factor) * factor, -(-w // factor) * factor), dtype=bool)
     padded[:h, :w] = fine_blocked
-    return padded.reshape(ch, factor, cw, factor).any(axis=(1, 3))
+    rows = padded[::factor].copy()
+    for k in range(1, factor):
+        rows |= padded[k::factor]
+    pooled = rows[:, ::factor].copy()
+    for k in range(1, factor):
+        pooled |= rows[:, k::factor]
+    return pooled
 
 
 def resolution_factor(planning_resolution: float, grid_resolution: float,
@@ -117,9 +143,11 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     `inflation_radius` of an occupied cell are blocked before max-pool
     downsampling.  Straight moves cost the planning resolution, diagonal
     moves sqrt(2) times that.  The map is memoized on the belief per goal
-    cell, resolution and radius; a rebuild keeps the previous generation's
-    map, values and successor table, when its coarse blocked grid is
-    unchanged.
+    cell, resolution and radius.  A rebuild starts from the previous
+    generation's map: an unchanged coarse blocked grid keeps the whole map,
+    values and successor table, and a grown one is repaired
+    (`_repair_flood`).  The first build, and one after a cell left the
+    blocked grid, floods in full (`_flood_from`).
     """
     factor = resolution_factor(planning_resolution, belief.resolution)
     if not inflation_radius >= 0.0:
@@ -134,23 +162,27 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
             raise GoalBlockedError("goal blocked")
         if previous is not None and np.array_equal(previous.blocked, blocked):
             return previous
-        values = _flood_from(blocked, goal_cell, planning_resolution)
+        if previous is None or (previous.blocked > blocked).any():
+            values = _flood_from(blocked, goal_cell, planning_resolution)
+        else:
+            values = _repair_flood(previous, blocked)
         values.setflags(write=False)
         blocked.setflags(write=False)
         return DistanceMap(values, planning_resolution, belief.origin, math.inf,
-                           blocked=blocked, goal_cell=goal_cell)
+                           blocked=blocked, goal_cell=goal_cell, previous=previous)
 
     return belief.derived(("route_map", goal_cell, planning_resolution, inflation_radius), build)
 
 
-def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:
-    """Single-source shortest paths over the free cells (sparse Dijkstra)."""
-    h, w = blocked.shape
-    free = ~blocked
-    idx = np.full((h, w), -1, dtype=np.int64)
-    idx[free] = np.arange(int(free.sum()))
+def _free_graph(free: np.ndarray, resolution: float,
+                source: Optional[np.ndarray] = None) -> csr_matrix:
+    """The 8-connected graph of the free cells, numbered in row-major
+    order, plus one last node: with `source`, it has an edge to each free
+    cell where `source` is finite, weighing that value."""
+    h, w = free.shape
     n = int(free.sum())
-
+    idx = np.full((h, w), -1, dtype=np.int64)
+    idx[free] = np.arange(n)
     rows = []
     cols = []
     data = []
@@ -167,15 +199,68 @@ def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: flo
         rows.append(a)
         cols.append(b)
         data.append(np.full(a.shape, cost))
+    if source is not None:
+        cost = source[free]
+        reached = np.flatnonzero(np.isfinite(cost))
+        rows.append(np.full(reached.shape, n))
+        cols.append(reached)
+        data.append(cost[reached])
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     data = np.concatenate(data)
-    graph = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
 
+
+def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:
+    """Single-source shortest paths over the free cells (sparse Dijkstra)."""
+    free = ~blocked
     gx, gy = goal_cell
-    dist = csgraph_dijkstra(graph, directed=False, indices=int(idx[gy, gx]))
-    values = np.full((h, w), np.inf)
-    values[free] = dist
+    goal = int(np.count_nonzero(free.reshape(-1)[:gy * free.shape[1] + gx]))  # the goal's node
+    values = np.full(blocked.shape, np.inf)
+    values[free] = csgraph_dijkstra(_free_graph(free, resolution), directed=False,
+                                    indices=goal)[:-1]
+    return values
+
+
+def _repair_flood(previous: DistanceMap, blocked: np.ndarray) -> np.ndarray:
+    """`_flood_from(blocked, ...)` bit for bit, from the map of a blocked
+    grid that `blocked` contains.
+
+    Each finite value is fl(value of its successor + edge), so a cell whose
+    successor chain avoids the newly blocked cells keeps its value: costs
+    only rise, and that chain still costs it.  The other free cells are
+    flooded again from a source whose edge to each weighs the min of
+    fl(value + edge) over its kept neighbours, the float the full flood
+    computes along the same path.
+    """
+    h, w = blocked.shape
+    gx, gy = previous.goal_cell
+    # pointer doubling over the successor chains: the goal is a root, and
+    # the newly blocked cells and cells without a successor go to a sink
+    sink = h * w
+    succ = np.append(np.asarray(previous.successor, dtype=np.intp), sink)
+    succ[succ < 0] = sink
+    succ[:-1][(blocked > previous.blocked).reshape(-1)] = sink
+    succ[gy * w + gx] = gy * w + gx
+    while True:
+        ahead = succ[succ]
+        if np.array_equal(ahead, succ):
+            break
+        succ = ahead
+    cut = (succ[:-1] == sink).reshape(h, w)
+    values = previous.values.copy()
+    values[cut] = np.inf
+    redo = cut & ~blocked & np.isfinite(previous.values)
+    if not redo.any():
+        return values
+    padded = np.full((h + 2, w + 2), np.inf)
+    padded[1:-1, 1:-1] = values
+    seed = np.full((h, w), np.inf)
+    for dy, dx in _NEIGHBORS:
+        edge = previous.resolution * math.sqrt(2.0) if dx and dy else previous.resolution
+        np.minimum(seed, padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] + edge, out=seed)
+    graph = _free_graph(redo, previous.resolution, seed)
+    values[redo] = csgraph_dijkstra(graph, directed=False, indices=graph.shape[0] - 1)[:-1]
     return values
 
 

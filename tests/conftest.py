@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from hybridplan import heuristic
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
 from hybridplan.scenarios import bundled_scenario_path, load_scenario
 from hybridplan.simulate import ScenarioSpec
@@ -55,3 +56,14 @@ def pose_close(p, q, pos_tol: float = 1e-6, yaw_tol: float = 1e-6) -> bool:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def floods(monkeypatch):
+    """The route-map floods run during the test, in order: "full" for
+    `_flood_from`, "repair" for `_repair_flood`."""
+    kinds = []
+    full, repair = heuristic._flood_from, heuristic._repair_flood
+    monkeypatch.setattr(heuristic, "_flood_from", lambda *a: kinds.append("full") or full(*a))
+    monkeypatch.setattr(heuristic, "_repair_flood", lambda *a: kinds.append("repair") or repair(*a))
+    return kinds

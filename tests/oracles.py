@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
-a plain heap Dijkstra.  The coarse-route reference keeps the scalar
-8-neighbour descent loop that the successor table replaced.  The
+a plain heap Dijkstra.  The route-map reference keeps the build that map
+repair replaced: the reshaped max-pool and the full flood, from scratch on
+every call.  The coarse-route reference keeps the scalar 8-neighbour
+descent loop that the successor table replaced.  The
 path-sampling references keep the scalar per-sample recurrence that the
 array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
@@ -22,8 +24,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
-from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid
-from hybridplan.heuristic import AStarPath, NoRouteError, build_distance_map
+from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
+from hybridplan.heuristic import (PLANNING_RESOLUTION, AStarPath, DistanceMap, GoalBlockedError,
+                                  NoRouteError, build_distance_map, resolution_factor)
 from hybridplan.planner import (EXTENDED, STANDARD, STOP_AT_GOAL, STOP_EARLY,
                                 BudgetExceededError, DriveSegment, NoPathError, PathBuilder,
                                 PlannedPath, PlannerConfig, PlannerFailure, RotationSegment,
@@ -366,6 +369,37 @@ def dijkstra_cost_to_go(blocked: np.ndarray, goal_cell: Tuple[int, int],
                     dist[ny, nx] = nd
                     heapq.heappush(pq, (nd, ny, nx))
     return dist
+
+
+def downsample_blocked_reference(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
+    """The max-pool as one reduction over a (ch, factor, cw, factor) view of
+    the zero-padded fine grid (the form the strided pool replaced)."""
+    h, w = fine_blocked.shape
+    ch = -(-h // factor)
+    cw = -(-w // factor)
+    padded = np.zeros((ch * factor, cw * factor), dtype=bool)
+    padded[:h, :w] = fine_blocked
+    return padded.reshape(ch, factor, cw, factor).any(axis=(1, 3))
+
+
+def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
+                                 planning_resolution: float = PLANNING_RESOLUTION,
+                                 inflation_radius: float = 1.0) -> DistanceMap:
+    """The route map built from scratch, as before map repair: the obstacle
+    field of a copy of the belief (so it is rebuilt in full too), the
+    reshaped max-pool and a full flood by the heap Dijkstra, whose values
+    are the floats of the library's full flood: each is the min over the
+    neighbours of fl(value + edge)."""
+    fine = belief.copy().distance_field().values
+    factor = resolution_factor(planning_resolution, belief.resolution)
+    blocked = downsample_blocked_reference(fine <= inflation_radius, factor)
+    coarse = Raster(blocked, planning_resolution, belief.origin, True)
+    if coarse.at(goal.x, goal.y):
+        raise GoalBlockedError("goal blocked")
+    goal_cell = coarse.cell_of(goal.x, goal.y)
+    values = dijkstra_cost_to_go(blocked, goal_cell[::-1], planning_resolution)
+    return DistanceMap(values, planning_resolution, belief.origin, math.inf,
+                       blocked=blocked, goal_cell=goal_cell)
 
 
 def extract_astar_path_reference(dmap, start: Pose2D) -> AStarPath:

@@ -228,6 +228,7 @@ def _assert_fields_are_full_rebuild(g, goals, planning_resolution, inflation):
             continue
         assert np.array_equal(got.values, expect.values)
         assert np.array_equal(got.blocked, expect.blocked)
+        assert np.array_equal(np.asarray(got.successor), np.asarray(expect.successor))
         assert got.goal_cell == expect.goal_cell
     disks = make_disk_set(VehicleSpec())
     assert np.array_equal(CollisionChecker(g, disks).blocked, CollisionChecker(fresh, disks).blocked)

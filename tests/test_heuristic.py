@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
+                                  _downsample_blocked, _flood_from, _repair_flood,
                                   build_distance_map, detect_divergence,
                                   extract_astar_path, waypose_at)
 
-from oracles import dijkstra_cost_to_go, extract_astar_path_reference
+from oracles import (dijkstra_cost_to_go, downsample_blocked_reference,
+                     extract_astar_path_reference)
 
 
 def empty_grid(width_m, height_m, res=0.15625):
@@ -123,6 +125,119 @@ def test_route_from_a_boundary_goal_starts_at_the_goal_cell():
     assert dm.nearest_reachable_cell(15.0, 12.0) == dm.goal_cell
     assert dm.route_distance(15.0, 12.0) == 0.0
     assert extract_astar_path(dm, Pose2D(15.0, 12.0, 0.0)).points.shape[0] == 1
+
+
+# ------------------------------------------------- flood repair and pooling
+
+def coarse_map(blocked, goal_cell, res=0.625):
+    """The fully flooded route map of `blocked`."""
+    return DistanceMap(_flood_from(blocked, goal_cell, res), res, Pose2D(0.0, 0.0, 0.0), math.inf,
+                       blocked=blocked, goal_cell=goal_cell)
+
+
+def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
+    """Repairing the map of `before` to the grown grid `after` gives a fresh
+    flood's values (and the heap Dijkstra's) and successor table bit for
+    bit; returns the map of `before` and the fresh one."""
+    previous = coarse_map(before, goal_cell, res)
+    repaired = DistanceMap(_repair_flood(previous, after), res, previous.origin, math.inf,
+                           blocked=after, goal_cell=goal_cell, previous=previous)
+    fresh = coarse_map(after, goal_cell, res)
+    assert np.array_equal(repaired.values, fresh.values)
+    assert np.array_equal(repaired.values, dijkstra_cost_to_go(after, goal_cell[::-1], res))
+    assert np.array_equal(np.asarray(repaired.successor), np.asarray(fresh.successor))
+    return previous, fresh
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14), st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+       st.sampled_from([0.0, 0.02, 0.1, 0.3]), st.sampled_from([0.625, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_repair_matches_full_flood(h, w, fill, grow, res, seed):
+    """Random coarse grids, from open (ties everywhere) to mazes, and random
+    newly blocked cells, cut-off pockets included."""
+    r = np.random.default_rng(seed)
+    goal = (int(r.integers(w)), int(r.integers(h)))
+    before = r.random((h, w)) < fill
+    after = before | (r.random((h, w)) < grow)
+    before[goal[1], goal[0]] = after[goal[1], goal[0]] = False
+    assert_repair_is_full_flood(before, after, goal, res)
+
+
+# '.' free, '#' blocked before and after, '+' newly blocked, 'G' the goal
+REPAIR_CASES = {
+    # cell (2, 1) reaches G at the same cost through (1, 0) and (1, 1); its
+    # successor is the first of them, which becomes blocked, or the second
+    "tie_on_the_chain": ("G+.", "...", "..."),
+    "tie_off_the_chain": ("G..", ".+.", "..."),
+    "pocket_cut_off": ("G..#...", "...#...", "...+...", "...#..."),
+    "block_next_to_goal": ("....", ".G+.", "...."),
+    "no_new_block": ("G.#.", "..#.", "...."),
+}
+
+
+@pytest.mark.parametrize("case", list(REPAIR_CASES))
+def test_repair_named_cases(case):
+    art = np.array([list(row) for row in REPAIR_CASES[case]])
+    iy, ix = np.argwhere(art == "G")[0]
+    previous, fresh = assert_repair_is_full_flood(art == "#", np.isin(art, ["#", "+"]),
+                                                  (int(ix), int(iy)))
+    changed = previous.values != fresh.values
+    if case.startswith("tie"):
+        assert previous.values[1, 2] == fresh.values[1, 2]
+        assert (previous.successor[5], fresh.successor[5]) == ((1, 4) if case == "tie_on_the_chain"
+                                                              else (1, 1))
+    elif case == "pocket_cut_off":
+        assert np.isfinite(previous.values[:, 4:]).all() and np.isinf(fresh.values[:, 4:]).all()
+    elif case == "block_next_to_goal":
+        assert np.isinf(fresh.values[1, 2]) and changed[1, 3]
+    else:
+        assert not changed.any()
+
+
+def test_route_maps_repaired_or_flooded_match_fresh_builds(floods):
+    """Through the memo: grown obstacles repair the previous map, a cell
+    that leaves the blocked grid floods in full, and every map equals the
+    one built on a fresh copy (values, blocked grid and successor table)."""
+    g = OccupancyGrid.filled(166, 90, 0.15625, UNKNOWN)      # 166 % 4 == 2
+    goal = Pose2D(24.0, 3.0, 0.0)
+    edits = [(5.0, 0.0, 5.5, 9.0, OCCUPIED), (10.0, 4.0, 12.0, 14.0, OCCUPIED),
+             (25.6, 10.0, 26.0, 14.0, OCCUPIED), (10.0, 4.0, 12.0, 14.0, FREE),
+             (15.0, 0.0, 15.3, 14.0, OCCUPIED)]
+    kinds = []
+    for box in [None] + edits:
+        if box is not None:
+            g.set_box(*box)
+        n = len(floods)
+        dm = build_distance_map(g, goal)
+        kinds += floods[n:]
+        fresh = build_distance_map(g.copy(), goal)
+        assert np.array_equal(dm.values, fresh.values)
+        assert np.array_equal(dm.blocked, fresh.blocked)
+        assert np.array_equal(np.asarray(dm.successor), np.asarray(fresh.successor))
+    assert kinds == ["full", "repair", "repair", "repair", "full", "repair"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 6), st.floats(0.0, 0.3),
+       st.integers(0, 2**32 - 1))
+def test_strided_pool_matches_reshaped_pool(h, w, factor, fill, seed):
+    """Sides that are not a multiple of the factor pool with zero padding."""
+    fine = np.random.default_rng(seed).random((h, w)) < fill
+    assert np.array_equal(_downsample_blocked(fine, factor), downsample_blocked_reference(fine, factor))
+
+
+@pytest.mark.parametrize("box", [(slice(32, 35), slice(165, 166)),    # last partial column
+                                 (slice(36, 37), slice(0, 1)),        # last partial row
+                                 (slice(0, 1), slice(0, 1))])
+def test_pool_at_the_grid_edge(box):
+    """A clutter-sized grid, 166 x 37 fine cells (166 % 4 == 2, 37 % 4 == 1),
+    with one block of blocked fine cells."""
+    fine = np.zeros((37, 166), dtype=bool)
+    fine[box] = True
+    pooled = _downsample_blocked(fine, 4)
+    assert pooled.shape == (10, 42) and pooled.sum() == 1
+    assert np.array_equal(pooled, downsample_blocked_reference(fine, 4))
 
 
 # ------------------------------------------------------------- extraction
@@ -244,6 +359,24 @@ def test_successor_walk_matches_scalar_descent_on_any_values(h, w, data):
     start = Pose2D(data.draw(st.floats(-1.0, w * 0.625 + 1.0)),
                    data.draw(st.floats(-1.0, h * 0.625 + 1.0)), 0.0)
     assert_same_route(hand_map(values, goal), start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_successor_table_from_previous_map_matches_full_build(h, w, data):
+    """A table started from the previous map's, and rebuilt only next to
+    the values that changed, equals the one built from the values alone."""
+    levels = st.sampled_from([0.0, 0.625, 1.25, 0.625 * math.sqrt(2.0), 3.0,
+                              math.inf, math.nan, -math.inf])
+    grids = st.lists(st.lists(levels, min_size=w, max_size=w), min_size=h, max_size=h)
+    before = np.array(data.draw(grids))
+    after = np.where(np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                                                 min_size=h, max_size=h))),
+                     np.array(data.draw(grids)), before)
+    previous = hand_map(before, (0, 0))
+    got = DistanceMap(after, 0.625, previous.origin, math.inf, blocked=~np.isfinite(after),
+                      goal_cell=(0, 0), previous=previous)
+    assert list(got.successor) == list(hand_map(after, (0, 0)).successor)
 
 
 @pytest.mark.parametrize("case", ["open_ties", "start_at_goal", "unreachable", "off_grid"])

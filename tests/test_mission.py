@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan import mission, simulate
+from hybridplan import heuristic, mission, planner, simulate
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
@@ -18,7 +18,7 @@ from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment,
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled, pose_close
-from oracles import extract_astar_path_reference
+from oracles import build_distance_map_reference, extract_astar_path_reference
 
 VEH = VehicleSpec()
 WIDE = VehicleSpec(width=3.4)    # disk radius 1.83 m, against VEH's 1.20 m
@@ -583,3 +583,28 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
     keys = {(id(path), version) for path, version in checked}
     if spec.known_env:
         assert len(keys) == len(checked) == len(events)   # one full check per path
+
+
+def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
+    """On reveal_divergence/guided every route map built equals the one
+    built from scratch (values, blocked grid and successor table), and
+    every flood after the first is a repair of the previous map."""
+    last = {}
+
+    def checked_build(belief, goal, res, inflation):
+        dm = heuristic.build_distance_map(belief, goal, res, inflation)
+        key = (dm.goal_cell, res, inflation)
+        if last.get(key) is not dm:                   # built, not reused
+            expect = build_distance_map_reference(belief, goal, res, inflation)
+            assert np.array_equal(dm.values, expect.values)
+            assert np.array_equal(dm.blocked, expect.blocked)
+            assert np.array_equal(np.asarray(dm.successor), np.asarray(expect.successor))
+            last[key] = dm
+        return dm
+
+    monkeypatch.setattr(mission, "build_distance_map", checked_build)
+    monkeypatch.setattr(planner, "build_distance_map", checked_build)
+    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+                                         MODES["guided"], VEH)
+    assert report.reached
+    assert floods == ["full"] + ["repair"] * 70
