@@ -210,25 +210,21 @@ def distance_transform(grid: OccupancyGrid, *,
 
     `previous` is the field of an earlier state of the grid; its occupied
     cells are exactly its zeros, as a free cell is at least one resolution
-    away.  If no occupied cell has gone since, that field is returned when
-    the mask is the same, and otherwise lowered to the distance to the
-    added cells over the window they can reach (`_add_obstacles`).  A
-    removed obstacle, or no `previous`, rebuilds the whole field.
+    away.  It is returned when the mask is the same, and otherwise lowered
+    to the distance to the added cells over the window they can reach
+    (`_add_obstacles`).  With no `previous`, or once an occupied cell has
+    gone, the update starts from the empty field: all +inf, to which every
+    occupied cell is added.
     """
     occupied = grid.occupied_mask()
-    if previous is not None:
-        old_occupied = previous == 0.0
-        if not (old_occupied > occupied).any():
-            added = occupied > old_occupied
-            if not added.any():
-                return previous
-            return _add_obstacles(previous, added, grid.resolution)
-    if occupied.any():
-        field = ndimage.distance_transform_edt(~occupied) * grid.resolution
-    else:
-        field = np.full(occupied.shape, np.inf)
-    field.setflags(write=False)
-    return field
+    kept = None if previous is None else previous == 0.0
+    if kept is None or (kept > occupied).any():
+        previous, kept = np.full(occupied.shape, np.inf), False
+        previous.setflags(write=False)
+    added = occupied > kept
+    if not added.any():
+        return previous
+    return _add_obstacles(previous, added, grid.resolution)
 
 
 def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float) -> np.ndarray:
@@ -247,14 +243,15 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float) -> n
     ix = np.arange(added.shape[1], dtype=np.float64)
     dy = np.maximum(np.maximum(rows[0] - iy, iy - rows[-1]), 0.0)
     dx = np.maximum(np.maximum(cols[0] - ix, ix - cols[-1]), 0.0)
-    bound = np.sqrt((dy * dy)[:, None] + (dx * dx)[None, :]) * resolution
-    reach = field > bound                    # holds on every added cell
+    # true on every added cell
+    reach = field > np.sqrt((dy * dy)[:, None] + (dx * dx)[None, :]) * resolution
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
     window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    near = ndimage.distance_transform_edt(~added[window])
+    near *= resolution
     out = field.copy()
-    np.minimum(out[window], ndimage.distance_transform_edt(~added[window]) * resolution,
-               out=out[window])
+    np.minimum(out[window], near, out=out[window])
     out.setflags(write=False)
     return out
 

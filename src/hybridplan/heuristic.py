@@ -147,7 +147,7 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     generation's map: an unchanged coarse blocked grid keeps the whole map,
     values and successor table, and a grown one is repaired
     (`_repair_flood`).  The first build, and one after a cell left the
-    blocked grid, floods in full (`_flood_from`).
+    blocked grid, repairs the empty map instead.
     """
     factor = resolution_factor(planning_resolution, belief.resolution)
     if not inflation_radius >= 0.0:
@@ -162,10 +162,9 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
             raise GoalBlockedError("goal blocked")
         if previous is not None and np.array_equal(previous.blocked, blocked):
             return previous
-        if previous is None or (previous.blocked > blocked).any():
-            values = _flood_from(blocked, goal_cell, planning_resolution)
-        else:
-            values = _repair_flood(previous, blocked)
+        grown = previous is not None and not (previous.blocked > blocked).any()
+        values = _repair_flood(previous if grown else None, blocked, goal_cell,
+                               planning_resolution)
         values.setflags(write=False)
         blocked.setflags(write=False)
         return DistanceMap(values, planning_resolution, belief.origin, math.inf,
@@ -174,11 +173,10 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     return belief.derived(("route_map", goal_cell, planning_resolution, inflation_radius), build)
 
 
-def _free_graph(free: np.ndarray, resolution: float,
-                source: Optional[np.ndarray] = None) -> csr_matrix:
+def _free_graph(free: np.ndarray, resolution: float, source: np.ndarray) -> csr_matrix:
     """The 8-connected graph of the free cells, numbered in row-major
-    order, plus one last node: with `source`, it has an edge to each free
-    cell where `source` is finite, weighing that value."""
+    order, plus one last node with an edge to each free cell where
+    `source` is finite, weighing that value."""
     h, w = free.shape
     n = int(free.sum())
     idx = np.full((h, w), -1, dtype=np.int64)
@@ -199,67 +197,64 @@ def _free_graph(free: np.ndarray, resolution: float,
         rows.append(a)
         cols.append(b)
         data.append(np.full(a.shape, cost))
-    if source is not None:
-        cost = source[free]
-        reached = np.flatnonzero(np.isfinite(cost))
-        rows.append(np.full(reached.shape, n))
-        cols.append(reached)
-        data.append(cost[reached])
+    cost = source[free]
+    reached = np.flatnonzero(np.isfinite(cost))
+    rows.append(np.full(reached.shape, n))
+    cols.append(reached)
+    data.append(cost[reached])
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     data = np.concatenate(data)
     return coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
 
 
-def _flood_from(blocked: np.ndarray, goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:
-    """Single-source shortest paths over the free cells (sparse Dijkstra)."""
-    free = ~blocked
-    gx, gy = goal_cell
-    goal = int(np.count_nonzero(free.reshape(-1)[:gy * free.shape[1] + gx]))  # the goal's node
-    values = np.full(blocked.shape, np.inf)
-    values[free] = csgraph_dijkstra(_free_graph(free, resolution), directed=False,
-                                    indices=goal)[:-1]
-    return values
-
-
-def _repair_flood(previous: DistanceMap, blocked: np.ndarray) -> np.ndarray:
-    """`_flood_from(blocked, ...)` bit for bit, from the map of a blocked
-    grid that `blocked` contains.
+def _repair_flood(previous: Optional[DistanceMap], blocked: np.ndarray,
+                  goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:
+    """Shortest paths to the goal over the free cells of `blocked` (sparse
+    Dijkstra), from the map of a blocked grid that `blocked` contains, or
+    from the empty map (the goal at 0.0, every other cell +inf) if
+    `previous` is None.
 
     Each finite value is fl(value of its successor + edge), so a cell whose
     successor chain avoids the newly blocked cells keeps its value: costs
     only rise, and that chain still costs it.  The other free cells are
     flooded again from a source whose edge to each weighs the min of
-    fl(value + edge) over its kept neighbours, the float the full flood
-    computes along the same path.
+    fl(value + edge) over its kept neighbours, the float a flood from the
+    goal computes along the same path.
     """
     h, w = blocked.shape
-    gx, gy = previous.goal_cell
-    # pointer doubling over the successor chains: the goal is a root, and
-    # the newly blocked cells and cells without a successor go to a sink
-    sink = h * w
-    succ = np.append(np.asarray(previous.successor, dtype=np.intp), sink)
-    succ[succ < 0] = sink
-    succ[:-1][(blocked > previous.blocked).reshape(-1)] = sink
-    succ[gy * w + gx] = gy * w + gx
-    while True:
-        ahead = succ[succ]
-        if np.array_equal(ahead, succ):
-            break
-        succ = ahead
-    cut = (succ[:-1] == sink).reshape(h, w)
-    values = previous.values.copy()
-    values[cut] = np.inf
-    redo = cut & ~blocked & np.isfinite(previous.values)
-    if not redo.any():
-        return values
+    gx, gy = goal_cell
+    if previous is None:
+        values = np.full((h, w), np.inf)
+        values[gy, gx] = 0.0
+        redo = ~blocked
+        redo[gy, gx] = False
+    else:
+        # pointer doubling over the successor chains: the goal is a root, and
+        # the newly blocked cells and cells without a successor go to a sink
+        sink = h * w
+        succ = np.append(np.asarray(previous.successor, dtype=np.intp), sink)
+        succ[succ < 0] = sink
+        succ[:-1][(blocked > previous.blocked).reshape(-1)] = sink
+        succ[gy * w + gx] = gy * w + gx
+        while True:
+            ahead = succ[succ]
+            if np.array_equal(ahead, succ):
+                break
+            succ = ahead
+        cut = (succ[:-1] == sink).reshape(h, w)
+        values = previous.values.copy()
+        values[cut] = np.inf
+        redo = cut & ~blocked & np.isfinite(previous.values)
+        if not redo.any():
+            return values
     padded = np.full((h + 2, w + 2), np.inf)
     padded[1:-1, 1:-1] = values
     seed = np.full((h, w), np.inf)
     for dy, dx in _NEIGHBORS:
-        edge = previous.resolution * math.sqrt(2.0) if dx and dy else previous.resolution
+        edge = resolution * math.sqrt(2.0) if dx and dy else resolution
         np.minimum(seed, padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] + edge, out=seed)
-    graph = _free_graph(redo, previous.resolution, seed)
+    graph = _free_graph(redo, resolution, seed)
     values[redo] = csgraph_dijkstra(graph, directed=False, indices=graph.shape[0] - 1)[:-1]
     return values
 
@@ -302,8 +297,8 @@ def extract_astar_path(dmap: DistanceMap, start: Pose2D) -> AStarPath:
     else:
         raise NoRouteError("descent did not reach the goal cell")
     iy, ix = np.divmod(np.array(chain), w)
+    points = np.column_stack(dmap.cell_center(ix, iy))
     res = dmap.resolution
-    points = np.column_stack((dmap.origin.x + (ix + 0.5) * res, dmap.origin.y + (iy + 0.5) * res))
     edges = np.where((np.diff(ix) != 0) & (np.diff(iy) != 0), res * math.sqrt(2.0), res)
     return AStarPath(points=points, cumulative_s=np.add.accumulate(np.concatenate(([0.0], edges))))
 

@@ -60,10 +60,15 @@ def rng():
 
 @pytest.fixture
 def floods(monkeypatch):
-    """The route-map floods run during the test, in order: "full" for
-    `_flood_from`, "repair" for `_repair_flood`."""
+    """The route-map floods run during the test, in order: "full" for a
+    `_repair_flood` from the empty map (`previous` None), "repair" for one
+    from a previous map."""
     kinds = []
-    full, repair = heuristic._flood_from, heuristic._repair_flood
-    monkeypatch.setattr(heuristic, "_flood_from", lambda *a: kinds.append("full") or full(*a))
-    monkeypatch.setattr(heuristic, "_repair_flood", lambda *a: kinds.append("repair") or repair(*a))
+    repair = heuristic._repair_flood
+
+    def counting(previous, *args):
+        kinds.append("full" if previous is None else "repair")
+        return repair(previous, *args)
+
+    monkeypatch.setattr(heuristic, "_repair_flood", counting)
     return kinds

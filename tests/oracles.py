@@ -3,10 +3,11 @@
 These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
-a plain heap Dijkstra.  The route-map reference keeps the build that map
-repair replaced: the reshaped max-pool and the full flood, from scratch on
-every call.  The coarse-route reference keeps the scalar 8-neighbour
-descent loop that the successor table replaced.  The
+a plain heap Dijkstra.  The obstacle-field reference keeps the whole-grid
+EDT that the update from the empty field replaced.  The route-map reference
+keeps the build that map repair replaced: the reshaped max-pool and the full
+flood, from scratch on every call.  The coarse-route reference keeps the
+scalar 8-neighbour descent loop that the successor table replaced.  The
 path-sampling references keep the scalar per-sample recurrence that the
 array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
@@ -19,9 +20,11 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy import ndimage
 
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
@@ -265,6 +268,28 @@ def brute_distance_transform(occupied: np.ndarray, resolution: float) -> np.ndar
     return out
 
 
+def distance_transform_reference(grid: OccupancyGrid) -> np.ndarray:
+    """The obstacle field in one piece: scipy's EDT of the whole occupied
+    mask, in meters; +inf everywhere without obstacles."""
+    occupied = grid.cells == OCCUPIED
+    if not occupied.any():
+        return np.full(occupied.shape, np.inf)
+    return ndimage.distance_transform_edt(~occupied) * grid.resolution
+
+
+@contextmanager
+def reference_stack():
+    """Inside, every grid builds every derived value from empty:
+    `OccupancyGrid.derived` hands each build None in place of the value of
+    the generation before, so no field is updated from an earlier one."""
+    shipped = OccupancyGrid.derived
+    OccupancyGrid.derived = lambda self, key, build: shipped(self, key, lambda _: build(None))
+    try:
+        yield
+    finally:
+        OccupancyGrid.derived = shipped
+
+
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
                               sensor_range: float, n_rays: int = 720) -> int:
     """The masked all-rays DDA loop that the live-ray march replaced.
@@ -385,12 +410,11 @@ def downsample_blocked_reference(fine_blocked: np.ndarray, factor: int) -> np.nd
 def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
                                  planning_resolution: float = PLANNING_RESOLUTION,
                                  inflation_radius: float = 1.0) -> DistanceMap:
-    """The route map built from scratch, as before map repair: the obstacle
-    field of a copy of the belief (so it is rebuilt in full too), the
-    reshaped max-pool and a full flood by the heap Dijkstra, whose values
-    are the floats of the library's full flood: each is the min over the
-    neighbours of fl(value + edge)."""
-    fine = belief.copy().distance_field().values
+    """The route map built from scratch, as before map repair: the
+    whole-grid obstacle field, the reshaped max-pool and a full flood by
+    the heap Dijkstra, whose values are the floats of the library's flood:
+    each is the min over the neighbours of fl(value + edge)."""
+    fine = distance_transform_reference(belief)
     factor = resolution_factor(planning_resolution, belief.resolution)
     blocked = downsample_blocked_reference(fine <= inflation_radius, factor)
     coarse = Raster(blocked, planning_resolution, belief.origin, True)

@@ -5,6 +5,11 @@ The same file pins the driven path and the replan events of the two
 `unknown_large` runs that `test_acceptance.py`'s `large_runs` fixture makes
 (keys `large_runs:...`).
 
+A run inside `oracles.reference_stack()`, where every derived field is built
+from empty, writes the same bytes as the shipped run, where each is updated
+from the one before; that check needs no stored digest, so it also catches a
+regression that lands together with a refresh.
+
 A change that is meant to alter these outputs refreshes the stored digests
 on purpose:
 
@@ -23,6 +28,8 @@ from pathlib import Path
 import pytest
 
 from hybridplan.cli import main, path_to_json
+
+from oracles import reference_stack
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
 OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
@@ -45,6 +52,7 @@ def run_digests(scenario: str, mode: str, workdir: Path) -> dict:
     """Exit code and per-file sha256 of one `plan run --no-timing`."""
     out = workdir / "out"
     cfg = workdir / "cfg.json"
+    workdir.mkdir(parents=True, exist_ok=True)
     cfg.write_text(json.dumps({"scenario": f"bundled:{scenario}", "mode": mode,
                                "output_dir": str(out)}))
     code = main(["run", str(cfg), "--no-timing"])
@@ -69,6 +77,16 @@ def path_and_events_digests(driven, events) -> dict:
 def test_outputs_match_stored_digests(scenario, mode, tmp_path, capsys):
     expected = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))[case_id(scenario, mode)]
     assert run_digests(scenario, mode, tmp_path) == expected
+
+
+@pytest.mark.parametrize("mode", ("guided", "guided+extended"))
+def test_reference_stack_writes_the_shipped_bytes(mode, tmp_path, capsys, floods):
+    shipped = run_digests("reveal_divergence", mode, tmp_path / "shipped")
+    n = len(floods)
+    with reference_stack():
+        reference = run_digests("reveal_divergence", mode, tmp_path / "reference")
+    assert "repair" in floods[:n] and set(floods[n:]) == {"full"}
+    assert reference == shipped
 
 
 if __name__ == "__main__":

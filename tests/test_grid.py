@@ -15,7 +15,8 @@ from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled
-from oracles import _field_at, brute_distance_transform, raytrace_reveal_reference
+from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
+                     distance_transform_reference, raytrace_reveal_reference)
 
 
 # ---------------------------------------------------------------- map format
@@ -88,7 +89,7 @@ def test_set_box_rebuilds_distance_field():
     g.set_box(6.0, 6.0, 7.0, 7.0, OCCUPIED)
     after = g.distance_field()
     assert before.values[13, 13] > 0.0 and after.values[13, 13] == 0.0
-    assert np.array_equal(after.values, distance_transform(g))
+    assert np.array_equal(after.values, distance_transform_reference(g))
     assert np.array_equal(before.values, kept)   # a field read earlier keeps its values
     for field in (before, after):
         with pytest.raises(ValueError):
@@ -117,7 +118,7 @@ def test_reveal_bumps_version_only_when_cells_change():
     before = belief.distance_field()
     raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
     assert belief.version == 1
-    assert np.array_equal(belief.distance_field().values, distance_transform(belief))
+    assert np.array_equal(belief.distance_field().values, distance_transform_reference(belief))
     assert not np.array_equal(belief.distance_field().values, before.values)
     raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
     assert belief.version == 1
@@ -150,6 +151,7 @@ def test_distance_transform_random_grid_matches_brute_force(rng):
     got = distance_transform(g)
     expect = brute_distance_transform(g.cells == OCCUPIED, 0.2)
     assert np.allclose(got, expect, atol=1e-9)
+    assert np.array_equal(got, distance_transform_reference(g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,6 +164,7 @@ def test_distance_transform_property_small_grids(seed):
     got = distance_transform(g)
     expect = brute_distance_transform(cells == OCCUPIED, 0.5)
     assert np.allclose(got, expect, atol=1e-9, equal_nan=False)
+    assert np.array_equal(got, distance_transform_reference(g))
 
 
 def test_distance_transform_unknown_flag():
@@ -203,26 +206,27 @@ def _apply_edit(g, edit, r):
 
 def _assert_field_is_full_rebuild(g):
     got = g.distance_field().values
-    assert np.array_equal(got, distance_transform(g.copy()))
+    assert np.array_equal(got, distance_transform_reference(g))
     if g.cells.size <= 400:
         assert np.array_equal(got, brute_distance_transform(g.cells == OCCUPIED, g.resolution))
 
 
-def _route_map_or_error(g, goal, planning_resolution, inflation):
+def _route_map_or_error(build, g, goal, planning_resolution, inflation):
     try:
-        return build_distance_map(g, goal, planning_resolution, inflation)
+        return build(g, goal, planning_resolution, inflation)
     except GoalBlockedError as exc:
         return str(exc)
 
 
 def _assert_fields_are_full_rebuild(g, goals, planning_resolution, inflation):
-    """The memoized distance field, route maps and disk mask of `g` equal
-    those built on a fresh copy."""
+    """The memoized distance field and route maps of `g` equal the
+    references built from scratch, and its disk mask equals that of a
+    fresh copy."""
     _assert_field_is_full_rebuild(g)
-    fresh = g.copy()
     for goal in goals:
-        got = _route_map_or_error(g, goal, planning_resolution, inflation)
-        expect = _route_map_or_error(fresh, goal, planning_resolution, inflation)
+        got = _route_map_or_error(build_distance_map, g, goal, planning_resolution, inflation)
+        expect = _route_map_or_error(build_distance_map_reference, g, goal,
+                                     planning_resolution, inflation)
         if isinstance(expect, str):
             assert got == expect
             continue
@@ -231,7 +235,8 @@ def _assert_fields_are_full_rebuild(g, goals, planning_resolution, inflation):
         assert np.array_equal(np.asarray(got.successor), np.asarray(expect.successor))
         assert got.goal_cell == expect.goal_cell
     disks = make_disk_set(VehicleSpec())
-    assert np.array_equal(CollisionChecker(g, disks).blocked, CollisionChecker(fresh, disks).blocked)
+    assert np.array_equal(CollisionChecker(g, disks).blocked,
+                          CollisionChecker(g.copy(), disks).blocked)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,8 +249,9 @@ def _assert_fields_are_full_rebuild(g, goals, planning_resolution, inflation):
 def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor, inflation, seed):
     """Random writes, each followed by a read or not (a skipped read makes
     the next rebuild follow two writes): after every read the distance
-    field, the route maps of two goals and the disk mask are bit-equal to
-    those of a fresh copy, from a start with or without obstacles."""
+    field and the route maps of two goals are bit-equal to the references
+    built from scratch, and the disk mask to that of a fresh copy, from a
+    start with or without obstacles."""
     r = np.random.default_rng(seed)
     cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
     cells[r.random((h, w)) < fill] = OCCUPIED

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
-                                  _downsample_blocked, _flood_from, _repair_flood,
+                                  _downsample_blocked, _repair_flood,
                                   build_distance_map, detect_divergence,
                                   extract_astar_path, waypose_at)
 
-from oracles import (dijkstra_cost_to_go, downsample_blocked_reference,
-                     extract_astar_path_reference)
+from oracles import (build_distance_map_reference, dijkstra_cost_to_go,
+                     downsample_blocked_reference, extract_astar_path_reference)
 
 
 def empty_grid(width_m, height_m, res=0.15625):
@@ -130,18 +130,20 @@ def test_route_from_a_boundary_goal_starts_at_the_goal_cell():
 # ------------------------------------------------- flood repair and pooling
 
 def coarse_map(blocked, goal_cell, res=0.625):
-    """The fully flooded route map of `blocked`."""
-    return DistanceMap(_flood_from(blocked, goal_cell, res), res, Pose2D(0.0, 0.0, 0.0), math.inf,
-                       blocked=blocked, goal_cell=goal_cell)
+    """The route map of `blocked`, flooded from the empty map."""
+    return DistanceMap(_repair_flood(None, blocked, goal_cell, res), res, Pose2D(0.0, 0.0, 0.0),
+                       math.inf, blocked=blocked, goal_cell=goal_cell)
 
 
 def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
-    """Repairing the map of `before` to the grown grid `after` gives a fresh
-    flood's values (and the heap Dijkstra's) and successor table bit for
-    bit; returns the map of `before` and the fresh one."""
+    """A fresh flood of `before` gives the heap Dijkstra's values, and
+    repairing its map to the grown grid `after` gives a fresh flood's
+    values (and the heap Dijkstra's) and successor table bit for bit;
+    returns the map of `before` and the fresh one."""
     previous = coarse_map(before, goal_cell, res)
-    repaired = DistanceMap(_repair_flood(previous, after), res, previous.origin, math.inf,
-                           blocked=after, goal_cell=goal_cell, previous=previous)
+    assert np.array_equal(previous.values, dijkstra_cost_to_go(before, goal_cell[::-1], res))
+    repaired = DistanceMap(_repair_flood(previous, after, goal_cell, res), res, previous.origin,
+                           math.inf, blocked=after, goal_cell=goal_cell, previous=previous)
     fresh = coarse_map(after, goal_cell, res)
     assert np.array_equal(repaired.values, fresh.values)
     assert np.array_equal(repaired.values, dijkstra_cost_to_go(after, goal_cell[::-1], res))
@@ -154,8 +156,9 @@ def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
        st.sampled_from([0.0, 0.02, 0.1, 0.3]), st.sampled_from([0.625, 0.3, 1.0]),
        st.integers(0, 2**32 - 1))
 def test_repair_matches_full_flood(h, w, fill, grow, res, seed):
-    """Random coarse grids, from open (ties everywhere) to mazes, and random
-    newly blocked cells, cut-off pockets included."""
+    """Random coarse grids, from open (ties everywhere) to mazes, flooded
+    fresh and then repaired after random newly blocked cells, cut-off
+    pockets included."""
     r = np.random.default_rng(seed)
     goal = (int(r.integers(w)), int(r.integers(h)))
     before = r.random((h, w)) < fill
@@ -197,8 +200,9 @@ def test_repair_named_cases(case):
 
 def test_route_maps_repaired_or_flooded_match_fresh_builds(floods):
     """Through the memo: grown obstacles repair the previous map, a cell
-    that leaves the blocked grid floods in full, and every map equals the
-    one built on a fresh copy (values, blocked grid and successor table)."""
+    that leaves the blocked grid floods from the empty map, and every map
+    equals the one built from scratch (values, blocked grid and successor
+    table)."""
     g = OccupancyGrid.filled(166, 90, 0.15625, UNKNOWN)      # 166 % 4 == 2
     goal = Pose2D(24.0, 3.0, 0.0)
     edits = [(5.0, 0.0, 5.5, 9.0, OCCUPIED), (10.0, 4.0, 12.0, 14.0, OCCUPIED),
@@ -211,7 +215,7 @@ def test_route_maps_repaired_or_flooded_match_fresh_builds(floods):
         n = len(floods)
         dm = build_distance_map(g, goal)
         kinds += floods[n:]
-        fresh = build_distance_map(g.copy(), goal)
+        fresh = build_distance_map_reference(g, goal)
         assert np.array_equal(dm.values, fresh.values)
         assert np.array_equal(dm.blocked, fresh.blocked)
         assert np.array_equal(np.asarray(dm.successor), np.asarray(fresh.successor))

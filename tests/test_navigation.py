@@ -1,0 +1,84 @@
+"""The paper's navigation comparison, pinned: known_large and unknown_large,
+each driven in standard, guided and waypoint mode with the default configs
+that `plan run` uses.
+
+Each run's deterministic counters (planner calls, cumulative nodes, driven
+length, direction switches, rotations and whether the goal was reached) are
+stored in `tests/navigation_comparison.json`.  The test prints the wall-time
+(`t_cum`) and node ratios, guided to standard and waypoint to guided, and
+gates nothing on wall time.  A change that is meant to alter these runs
+refreshes the stored values on purpose:
+
+    PYTHONPATH=src python tests/test_navigation.py
+
+rewrites the file from the current code.
+"""
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hybridplan.cli import MODES
+from hybridplan.mission import MissionConfig
+from hybridplan.planner import PlannerConfig
+from hybridplan.simulate import run_scenario
+from hybridplan.vehicle import VehicleSpec
+
+from conftest import bundled
+
+PINNED_FILE = Path(__file__).resolve().parent / "navigation_comparison.json"
+RUNS = [(scenario, mode) for scenario in ("known_large", "unknown_large")
+        for mode in ("standard", "guided", "waypoint")]
+SLOW = {("known_large", "waypoint")}      # 32-42 s; the others take 1-15 s
+RATIOS = {"guided": "standard", "waypoint": "guided"}
+
+
+def navigation_run(scenario: str, mode: str):
+    """The run's MetricsReport."""
+    _, report, _ = run_scenario(bundled(scenario), MissionConfig(), PlannerConfig(),
+                                MODES[mode], VehicleSpec())
+    return report
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """navigation_run, driven once per run and module."""
+    done = {}
+
+    def report(scenario: str, mode: str):
+        if (scenario, mode) not in done:
+            done[scenario, mode] = navigation_run(scenario, mode)
+        return done[scenario, mode]
+
+    return report
+
+
+def counters(report) -> dict:
+    return {"planner_calls": report.n_planner_calls, "cumulative_nodes": report.cumulative_nodes,
+            "driven_m": report.length, "direction_switches": report.n_direction_switches,
+            "rotations": report.n_rotations, "reached": report.reached}
+
+
+def run_id(scenario: str, mode: str) -> str:
+    return f"{scenario}/{mode}"
+
+
+@pytest.mark.parametrize("scenario,mode", [
+    pytest.param(*run, id=run_id(*run), marks=[pytest.mark.slow] if run in SLOW else [])
+    for run in RUNS])
+def test_navigation_comparison_pinned(scenario, mode, reports):
+    expected = json.loads(PINNED_FILE.read_text(encoding="utf-8"))[run_id(scenario, mode)]
+    report = reports(scenario, mode)
+    assert counters(report) == expected
+    if mode in RATIOS:
+        base = reports(scenario, RATIOS[mode])
+        print(f"{scenario}: {mode}/{RATIOS[mode]} t_cum {report.t_cum:.3f}/{base.t_cum:.3f} s"
+              f" = {report.t_cum / base.t_cum:.3f}, nodes {report.cumulative_nodes}"
+              f"/{base.cumulative_nodes} = {report.cumulative_nodes / base.cumulative_nodes:.3f}")
+
+
+if __name__ == "__main__":
+    pinned = {run_id(*run): counters(navigation_run(*run)) for run in RUNS}
+    PINNED_FILE.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8")
