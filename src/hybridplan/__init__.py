@@ -2,7 +2,7 @@
 
 from .geometry import Pose2D, normalize_angle
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster, distance_transform,
-                   load_map, raytrace_reveal, save_map, voronoi_field)
+                   load_map, raytrace_reveal, voronoi_field)
 from .heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
                         build_distance_map, detect_divergence, extract_astar_path,
                         waypose_at)
@@ -19,7 +19,7 @@ from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 __all__ = [
     "Pose2D", "normalize_angle",
     "FREE", "OCCUPIED", "UNKNOWN", "OccupancyGrid", "Raster",
-    "distance_transform", "load_map", "raytrace_reveal", "save_map", "voronoi_field",
+    "distance_transform", "load_map", "raytrace_reveal", "voronoi_field",
     "AStarPath", "DistanceMap", "GoalBlockedError", "NoRouteError",
     "build_distance_map", "detect_divergence", "extract_astar_path", "waypose_at",
     "MissionConfig", "MissionState", "TickResult", "check_path_collision",

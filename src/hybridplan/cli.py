@@ -121,7 +121,7 @@ def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[Occupancy
     if spec.known_env:
         return None
     belief = OccupancyGrid.filled(spec.truth_map.width_cells, spec.truth_map.height_cells,
-                                  spec.truth_map.resolution, UNKNOWN, spec.truth_map.origin)
+                                  spec.truth_map.resolution, UNKNOWN)
     s = 0.0
     total = driven.total_drive_length
     while True:

@@ -1,8 +1,8 @@
 """Occupancy grids, sensing and derived obstacle fields.
 
 Grid convention: cells[iy, ix] with iy increasing toward +y; cell (0, 0)
-has its center at origin + (resolution/2, resolution/2).  The ASCII map
-format stores rows top-down (row 0 is the maximum-y row).
+has its center at (resolution/2, resolution/2); the grid starts at the world
+origin.  The ASCII map format stores rows top-down (row 0 is the maximum-y row).
 """
 from __future__ import annotations
 
@@ -21,25 +21,23 @@ FREE = 1
 OCCUPIED = 2
 
 _CHAR_TO_CELL = {"?": UNKNOWN, ".": FREE, "#": OCCUPIED}
-_CELL_TO_CHAR = {UNKNOWN: "?", FREE: ".", OCCUPIED: "#"}
 
 
 @dataclass(frozen=True)
 class Raster:
     """Values on square cells; the one world point to cell convention.
 
-    Point (x, y) lies in cell floor((x - origin.x) / resolution),
-    floor((y - origin.y) / resolution); points off the grid read `outside`.
+    Point (x, y) lies in cell floor(x / resolution), floor(y / resolution);
+    points off the grid read `outside`.
     """
 
     values: np.ndarray
     resolution: float
-    origin: Pose2D
     outside: float
 
     def cell_of(self, x: float, y: float) -> Tuple[int, int]:
-        return (int(math.floor((x - self.origin.x) / self.resolution)),
-                int(math.floor((y - self.origin.y) / self.resolution)))
+        return (int(math.floor(x / self.resolution)),
+                int(math.floor(y / self.resolution)))
 
     def at(self, x: float, y: float) -> float:
         ix, iy = self.cell_of(x, y)
@@ -53,8 +51,7 @@ class Raster:
         of 2, flattened, and where they lie off the grid (their index is then
         meaningless)."""
         h, w = self.values.shape
-        origin = np.array([[self.origin.x], [self.origin.y]])
-        cells = np.floor((points.reshape(2, -1) - origin) / self.resolution).astype(np.int64)
+        cells = np.floor(points.reshape(2, -1) / self.resolution).astype(np.int64)
         off = cells.view(np.uint64) >= np.array([[w], [h]], dtype=np.uint64)
         return cells[1] * w + cells[0], off[0] | off[1]
 
@@ -63,7 +60,7 @@ class OccupancyGrid:
     """A grid that owns its cells and every value derived from them.
 
     The cells are a private read-only copy.  They change only through
-    `set_cells` (which `set_box`, `set_disk` and `raytrace_reveal` use),
+    `set_cells` (which `set_box` and `raytrace_reveal` use),
     which bumps `version` and starts a new generation of the memo.
 
     One memo rule: a derived value is built once per generation, and its
@@ -73,8 +70,7 @@ class OccupancyGrid:
     `copy` starts with an empty memo.
     """
 
-    def __init__(self, resolution: float, cells: np.ndarray,
-                 origin: Optional[Pose2D] = None) -> None:
+    def __init__(self, resolution: float, cells: np.ndarray) -> None:
         if not (math.isfinite(resolution) and resolution > 0.0):
             raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
         cells = np.array(cells, dtype=np.uint8, order="C")
@@ -82,7 +78,6 @@ class OccupancyGrid:
             raise ValueError("cells must be a non-empty 2D array")
         cells.setflags(write=False)
         self.resolution = resolution
-        self.origin = origin or Pose2D(0.0, 0.0, 0.0)
         self.version = 0
         self._cells = cells
         self._memo: dict = {}
@@ -116,14 +111,13 @@ class OccupancyGrid:
         rebuild starts from the previous generation's field."""
         def build(previous: Optional[Raster]) -> Raster:
             field = distance_transform(self, previous=None if previous is None else previous.values)
-            return Raster(field, self.resolution, self.origin, -math.inf)
+            return Raster(field, self.resolution, -math.inf)
         return self.derived("distance_field", build)
 
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
-               value: int = FREE, origin: Optional[Pose2D] = None) -> "OccupancyGrid":
-        cells = np.full((height_cells, width_cells), value, dtype=np.uint8)
-        return cls(resolution, cells, origin or Pose2D(0.0, 0.0, 0.0))
+               value: int = FREE) -> "OccupancyGrid":
+        return cls(resolution, np.full((height_cells, width_cells), value, dtype=np.uint8))
 
     @property
     def width_cells(self) -> int:
@@ -134,7 +128,7 @@ class OccupancyGrid:
         return self.cells.shape[0]
 
     def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.resolution, self.cells, self.origin)
+        return OccupancyGrid(self.resolution, self.cells)
 
     def occupied_mask(self, unknown_as_occupied: bool = False) -> np.ndarray:
         if unknown_as_occupied:
@@ -143,28 +137,13 @@ class OccupancyGrid:
 
     def set_box(self, x0: float, y0: float, x1: float, y1: float, value: int) -> None:
         """Fill the cells whose centers fall inside the world-space box."""
-        ix0 = max(0, int(math.ceil((x0 - self.origin.x) / self.resolution - 0.5)))
-        iy0 = max(0, int(math.ceil((y0 - self.origin.y) / self.resolution - 0.5)))
-        ix1 = min(self.width_cells, int(math.floor((x1 - self.origin.x) / self.resolution - 0.5)) + 1)
-        iy1 = min(self.height_cells, int(math.floor((y1 - self.origin.y) / self.resolution - 0.5)) + 1)
+        ix0 = max(0, int(math.ceil(x0 / self.resolution - 0.5)))
+        iy0 = max(0, int(math.ceil(y0 / self.resolution - 0.5)))
+        ix1 = min(self.width_cells, int(math.floor(x1 / self.resolution - 0.5)) + 1)
+        iy1 = min(self.height_cells, int(math.floor(y1 / self.resolution - 0.5)) + 1)
         if ix0 < ix1 and iy0 < iy1:
             self.set_cells((slice(iy0, iy1), slice(ix0, ix1)), value)
 
-    def set_disk(self, cx: float, cy: float, radius: float, value: int) -> None:
-        """Fill the cells whose centers fall inside the world-space disk."""
-        h, w = self.cells.shape
-        xs = self.origin.x + (np.arange(w) + 0.5) * self.resolution
-        ys = self.origin.y + (np.arange(h) + 0.5) * self.resolution
-        mask = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= radius * radius
-        self.set_cells(mask, value)
-
-
-def save_map(grid: OccupancyGrid, path) -> None:
-    """Write the ASCII map format: `W H RESOLUTION` then rows top-down."""
-    lines = [f"{grid.width_cells} {grid.height_cells} {grid.resolution!r}"]
-    for row in grid.cells[::-1]:
-        lines.append("".join(_CELL_TO_CHAR[int(c)] for c in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def load_map(path) -> OccupancyGrid:
@@ -266,7 +245,7 @@ def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0)
     occupied = grid.occupied_mask()
     shape = grid.cells.shape
     if not occupied.any():
-        return Raster(np.zeros(shape), grid.resolution, grid.origin, 1.0)
+        return Raster(np.zeros(shape), grid.resolution, 1.0)
 
     edt, (ind_y, ind_x) = ndimage.distance_transform_edt(~occupied, return_indices=True)
     d_obs = edt * grid.resolution
@@ -293,7 +272,7 @@ def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0)
     values = (alpha / (alpha + d_obs)) * vor_term * ((d_obs - d_max) ** 2 / d_max ** 2)
     values[d_obs > d_max] = 0.0
     values[occupied] = 1.0
-    return Raster(np.clip(values, 0.0, 1.0), grid.resolution, grid.origin, 1.0)
+    return Raster(np.clip(values, 0.0, 1.0), grid.resolution, 1.0)
 
 
 def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
@@ -310,8 +289,6 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     """
     if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
         raise ValueError("truth and belief grids must share shape and resolution")
-    if truth.origin != belief.origin:
-        raise ValueError("truth and belief grids must share their origin")
     if sensor_range <= 0.0:
         raise ValueError("sensor_range must be positive")
     if n_rays < 8:
@@ -319,7 +296,7 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
 
     res = truth.resolution
     h, w = truth.cells.shape
-    ix0, iy0 = Raster(truth.cells, res, truth.origin, OCCUPIED).cell_of(sensor_pose.x, sensor_pose.y)
+    ix0, iy0 = Raster(truth.cells, res, OCCUPIED).cell_of(sensor_pose.x, sensor_pose.y)
     if not (0 <= ix0 < w and 0 <= iy0 < h):
         return 0
 
@@ -339,8 +316,8 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     step_y = np.where(dir_y >= 0.0, stride, -stride)
 
     # parametric distance to the first x/y cell boundary, then per-cell deltas
-    rel_x = sensor_pose.x - truth.origin.x - ix0 * res
-    rel_y = sensor_pose.y - truth.origin.y - iy0 * res
+    rel_x = sensor_pose.x - ix0 * res
+    rel_y = sensor_pose.y - iy0 * res
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max_x = np.where(dir_x >= 0.0, (res - rel_x) / dir_x, rel_x / -dir_x)
         t_max_y = np.where(dir_y >= 0.0, (res - rel_y) / dir_y, rel_y / -dir_y)

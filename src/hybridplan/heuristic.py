@@ -77,8 +77,7 @@ class DistanceMap(Raster):
         object.__setattr__(self, "successor", memoryview(succ.reshape(-1)))
 
     def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
-        return (self.origin.x + (ix + 0.5) * self.resolution,
-                self.origin.y + (iy + 0.5) * self.resolution)
+        return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
 
     def nearest_reachable_cell(self, x: float, y: float,
                                radius_cells: int = 2) -> Optional[Tuple[int, int]]:
@@ -152,12 +151,12 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     factor = resolution_factor(planning_resolution, belief.resolution)
     if not inflation_radius >= 0.0:
         raise ValueError(f"inflation_radius must be non-negative, got {inflation_radius!r}")
-    # cell_of reads only the origin and resolution of the coarse grid
-    goal_cell = Raster(belief.cells, planning_resolution, belief.origin, True).cell_of(goal.x, goal.y)
+    # cell_of reads only the resolution of the coarse grid
+    goal_cell = Raster(belief.cells, planning_resolution, True).cell_of(goal.x, goal.y)
 
     def build(previous: Optional[DistanceMap]) -> DistanceMap:
         blocked = _downsample_blocked(belief.distance_field().values <= inflation_radius, factor)
-        coarse = Raster(blocked, planning_resolution, belief.origin, True)
+        coarse = Raster(blocked, planning_resolution, True)
         if coarse.at(goal.x, goal.y):                 # blocked or off the grid
             raise GoalBlockedError("goal blocked")
         if previous is not None and np.array_equal(previous.blocked, blocked):
@@ -167,7 +166,7 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
                                planning_resolution)
         values.setflags(write=False)
         blocked.setflags(write=False)
-        return DistanceMap(values, planning_resolution, belief.origin, math.inf,
+        return DistanceMap(values, planning_resolution, math.inf,
                            blocked=blocked, goal_cell=goal_cell, previous=previous)
 
     return belief.derived(("route_map", goal_cell, planning_resolution, inflation_radius), build)

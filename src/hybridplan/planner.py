@@ -304,7 +304,9 @@ def _append_segment(segments: List[Segment], seg: Segment) -> None:
 
 
 class PathBuilder:
-    """Accumulates pose samples and rotations into a PlannedPath."""
+    """Accumulates pose samples and rotations into a PlannedPath; a run of
+    drive samples, ended by a gear change, a rotation or `finish`, is one
+    drive segment."""
 
     def __init__(self, start: Pose2D) -> None:
         self._anchor = start
@@ -332,7 +334,7 @@ class PathBuilder:
             yaws.append(yaw)
             kappas.append(kappa)
             s.append(s[-1] + ds)
-        _append_segment(self._segments, DriveSegment(
+        self._segments.append(DriveSegment(
             np.array(xs), np.array(ys), np.array(yaws),
             np.array(kappas), np.array(s), self._run_dir))
         self._anchor = Pose2D(xs[-1], ys[-1], yaws[-1])
@@ -470,15 +472,14 @@ class _PrimitiveTable:
                                     dy[..., None] + offsets * sin_dyaw).max())
 
 
-def _lattice_key(origin: Pose2D, config: PlannerConfig):
-    """The (x cell, y cell, yaw bin) lattice key of a pose, for one map origin."""
-    ox, oy = origin.x, origin.y
+def _lattice_key(config: PlannerConfig):
+    """The (x cell, y cell, yaw bin) lattice key of a pose."""
     res, yaw_res = config.xy_resolution, config.yaw_resolution
     n_bins = math.ceil(2.0 * math.pi / yaw_res)
     floor, pi = math.floor, math.pi
 
     def key(x: float, y: float, yaw: float) -> Tuple[int, int, int]:
-        return floor((x - ox) / res), floor((y - oy) / res), floor((yaw + pi) / yaw_res) % n_bins
+        return floor(x / res), floor(y / res), floor((yaw + pi) / yaw_res) % n_bins
 
     return key
 
@@ -517,7 +518,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
 
     turn_radius = vehicle.min_turn_radius
     table = _PrimitiveTable(config, vehicle)
-    key_of = _lattice_key(belief.origin, config)
+    key_of = _lattice_key(config)
     # every step as (end dx, end dy, end dyaw, step) in the parent's frame: the
     # drive primitives, then the rotations (zero offset) when they are enabled
     n_drive = len(table.steps)
@@ -534,7 +535,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
                 for _, _, _, (st, d, amount) in ends]
         return costs
 
-    values = dmap.values    # indexed by a lattice key: same origin and resolution
+    values = dmap.values    # indexed by a lattice key: same resolution
     h_cells, w_cells = values.shape
 
     def heuristic(x: float, y: float, yaw: float, key: Tuple[int, int, int]) -> Tuple[float, float]:

@@ -132,7 +132,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
         belief = truth.copy()
     else:
         belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells,
-                                      truth.resolution, UNKNOWN, truth.origin)
+                                      truth.resolution, UNKNOWN)
 
     state = MissionState(vehicle_pose=spec.start, goal=spec.goal)
     events: List[EventRecord] = []

@@ -28,6 +28,14 @@ def bordered_grid(width_m: float, height_m: float, res: float = GRID_RES,
     return g
 
 
+def paint_disk(g: OccupancyGrid, cx: float, cy: float, radius: float, value: int) -> None:
+    """Set the cells whose centers fall inside the world-space disk."""
+    h, w = g.cells.shape
+    xs = (np.arange(w) + 0.5) * g.resolution
+    ys = (np.arange(h) + 0.5) * g.resolution
+    g.set_cells((xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= radius * radius, value)
+
+
 def bundled(name: str) -> ScenarioSpec:
     """The bundled scenario `name`, loaded from its shipped files as the CLI does."""
     return load_scenario(bundled_scenario_path(name))

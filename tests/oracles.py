@@ -308,8 +308,8 @@ def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, senso
     res = truth.resolution
     occ = truth.cells == OCCUPIED
     h, w = occ.shape
-    ix0 = int(math.floor((sensor_pose.x - truth.origin.x) / res))
-    iy0 = int(math.floor((sensor_pose.y - truth.origin.y) / res))
+    ix0 = int(math.floor(sensor_pose.x / res))
+    iy0 = int(math.floor(sensor_pose.y / res))
     if not (0 <= ix0 < w and 0 <= iy0 < h):
         return 0
 
@@ -325,8 +325,8 @@ def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, senso
     step_y = np.where(dir_y >= 0.0, 1, -1)
 
     # parametric distance to the first x/y cell boundary, then per-cell deltas
-    rel_x = sensor_pose.x - truth.origin.x - ix0 * res
-    rel_y = sensor_pose.y - truth.origin.y - iy0 * res
+    rel_x = sensor_pose.x - ix0 * res
+    rel_y = sensor_pose.y - iy0 * res
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max_x = np.where(dir_x >= 0.0, (res - rel_x) / dir_x, rel_x / -dir_x)
         t_max_y = np.where(dir_y >= 0.0, (res - rel_y) / dir_y, rel_y / -dir_y)
@@ -417,12 +417,12 @@ def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
     fine = distance_transform_reference(belief)
     factor = resolution_factor(planning_resolution, belief.resolution)
     blocked = downsample_blocked_reference(fine <= inflation_radius, factor)
-    coarse = Raster(blocked, planning_resolution, belief.origin, True)
+    coarse = Raster(blocked, planning_resolution, True)
     if coarse.at(goal.x, goal.y):
         raise GoalBlockedError("goal blocked")
     goal_cell = coarse.cell_of(goal.x, goal.y)
     values = dijkstra_cost_to_go(blocked, goal_cell[::-1], planning_resolution)
-    return DistanceMap(values, planning_resolution, belief.origin, math.inf,
+    return DistanceMap(values, planning_resolution, math.inf,
                        blocked=blocked, goal_cell=goal_cell)
 
 
@@ -472,25 +472,24 @@ def extract_astar_path_reference(dmap, start: Pose2D) -> AStarPath:
 
 def rectangle_hits_occupied(pose: Tuple[float, float, float],
                             occupied: np.ndarray, resolution: float,
-                            length: float, width: float, rear_overhang: float,
-                            origin=(0.0, 0.0)) -> bool:
+                            length: float, width: float, rear_overhang: float) -> bool:
     """True iff any occupied cell center lies inside the exact footprint."""
     x, y, yaw = pose
     c, s = math.cos(yaw), math.sin(yaw)
     h, w = occupied.shape
     half_diag = 0.5 * math.hypot(length, width) + length
-    x0 = max(0, int((x - origin[0] - half_diag) / resolution))
-    x1 = min(w, int((x - origin[0] + half_diag) / resolution) + 2)
-    y0 = max(0, int((y - origin[1] - half_diag) / resolution))
-    y1 = min(h, int((y - origin[1] + half_diag) / resolution) + 2)
+    x0 = max(0, int((x - half_diag) / resolution))
+    x1 = min(w, int((x + half_diag) / resolution) + 2)
+    y0 = max(0, int((y - half_diag) / resolution))
+    y1 = min(h, int((y + half_diag) / resolution) + 2)
     if x0 >= x1 or y0 >= y1:
         return False
     sub = occupied[y0:y1, x0:x1]
     ys, xs = np.nonzero(sub)
     if ys.size == 0:
         return False
-    cx = origin[0] + (xs + x0 + 0.5) * resolution - x
-    cy = origin[1] + (ys + y0 + 0.5) * resolution - y
+    cx = (xs + x0 + 0.5) * resolution - x
+    cy = (ys + y0 + 0.5) * resolution - y
     lon = cx * c + cy * s
     lat = -cx * s + cy * c
     inside = (lon >= -rear_overhang) & (lon <= length - rear_overhang) & (np.abs(lat) <= width / 2.0)
@@ -503,33 +502,30 @@ def rectangle_hits_occupied(pose: Tuple[float, float, float],
 # by half a cell diagonal, and points off the grid count as colliding.
 # ---------------------------------------------------------------------------
 
-def _field_at(field: np.ndarray, resolution: float, x: float, y: float, origin,
+def _field_at(field: np.ndarray, resolution: float, x: float, y: float,
               outside: float = -math.inf) -> float:
-    ix = int(math.floor((x - origin[0]) / resolution))
-    iy = int(math.floor((y - origin[1]) / resolution))
+    ix = int(math.floor(x / resolution))
+    iy = int(math.floor(y / resolution))
     h, w = field.shape
     if not (0 <= ix < w and 0 <= iy < h):
         return outside
     return float(field[iy, ix])
 
 
-def pose_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float,
-                  origin=(0.0, 0.0)) -> bool:
+def pose_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float) -> bool:
     """Any footprint disk closer to an obstacle than its padded radius."""
     threshold = disks.radius + resolution * math.sqrt(2.0) / 2.0
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     for offset in disks.centers:
-        if _field_at(field, resolution, pose.x + offset * c, pose.y + offset * s,
-                     origin) < threshold:
+        if _field_at(field, resolution, pose.x + offset * c, pose.y + offset * s) < threshold:
             return True
     return False
 
 
-def rotation_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float,
-                      origin=(0.0, 0.0)) -> bool:
+def rotation_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float) -> bool:
     """The circle holding the footprint at every yaw is not obstacle free."""
     threshold = disks.swept_radius + resolution * math.sqrt(2.0) / 2.0
-    return _field_at(field, resolution, pose.x, pose.y, origin) < threshold
+    return _field_at(field, resolution, pose.x, pose.y) < threshold
 
 
 def kappa_dot_rms_direct(kappa_runs: List[np.ndarray], ds: float) -> Tuple[float, float]:
@@ -838,9 +834,9 @@ class _RefPrimitiveTable:
         self.n_sub = n_sub
 
 
-def _ref_make_key(x, y, yaw, ox, oy, res, yaw_res, n_bins):
-    ix = int(math.floor((x - ox) / res))
-    iy = int(math.floor((y - oy) / res))
+def _ref_make_key(x, y, yaw, res, yaw_res, n_bins):
+    ix = int(math.floor(x / res))
+    iy = int(math.floor(y / res))
     ib = int(math.floor((yaw + math.pi) / yaw_res)) % n_bins
     return ix, iy, ib
 
@@ -892,10 +888,9 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
     rotation_steps = [(0.0, 0, delta) for delta in config.rotation_angles()] \
         if mode == EXTENDED else []
     n_bins = int(math.ceil(2.0 * math.pi / config.yaw_resolution))
-    ox, oy = belief.origin.x, belief.origin.y
 
     def key_of(x, y, yaw):
-        return _ref_make_key(x, y, yaw, ox, oy, config.xy_resolution,
+        return _ref_make_key(x, y, yaw, config.xy_resolution,
                              config.yaw_resolution, n_bins)
 
     def heuristic(x, y, yaw):

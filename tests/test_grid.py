@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 import hybridplan.grid as grid_module
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
-                             distance_transform, load_map, raytrace_reveal,
-                             save_map, voronoi_field)
+                             distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
-from conftest import bordered_grid, bundled
+from conftest import bordered_grid, bundled, paint_disk
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
                      distance_transform_reference, raytrace_reveal_reference)
 
@@ -22,24 +21,30 @@ from oracles import (_field_at, brute_distance_transform, build_distance_map_ref
 # ---------------------------------------------------------------- map format
 
 def test_map_round_trip(tmp_path):
-    g = OccupancyGrid.filled(7, 5, 0.25, FREE)
-    g.set_cells((0, 0), OCCUPIED)
-    g.set_cells((4, 6), UNKNOWN)
-    g.set_cells((2, 3), OCCUPIED)
-    save_map(g, tmp_path / "m.map")
-    loaded = load_map(tmp_path / "m.map")
+    """Every cell character, read into its cell state."""
+    p = tmp_path / "m.map"
+    p.write_text("7 5 0.25\n"
+                 "......?\n"
+                 ".......\n"
+                 "...#...\n"
+                 ".......\n"
+                 "#......\n")
+    loaded = load_map(p)
+    expect = np.full((5, 7), FREE, dtype=np.uint8)
+    expect[0, 0] = OCCUPIED
+    expect[4, 6] = UNKNOWN
+    expect[2, 3] = OCCUPIED
     assert loaded.resolution == 0.25
-    assert np.array_equal(loaded.cells, g.cells)
+    assert np.array_equal(loaded.cells, expect)
 
 
 def test_map_format_is_row0_top(tmp_path):
-    g = OccupancyGrid.filled(3, 2, 0.5, FREE)
-    g.set_cells((1, 0), OCCUPIED)  # max-y row, first column
-    save_map(g, tmp_path / "m.map")
-    lines = (tmp_path / "m.map").read_text().splitlines()
-    assert lines[0] == "3 2 0.5"
-    assert lines[1] == "#.."   # row 0 of the file is the maximum-y row
-    assert lines[2] == "..."
+    p = tmp_path / "m.map"
+    p.write_text("3 2 0.5\n#..\n...\n")   # row 0 of the file is the maximum-y row
+    loaded = load_map(p)
+    assert loaded.cells.shape == (2, 3)
+    assert loaded.cells[1, 0] == OCCUPIED    # max-y row, first column
+    assert np.count_nonzero(loaded.cells == OCCUPIED) == 1
 
 
 @pytest.mark.parametrize("content", [
@@ -186,13 +191,13 @@ def _apply_edit(g, edit, r):
     if edit == "add_box":
         g.set_box(x0, y0, x1, y1, OCCUPIED)
     elif edit == "add_disk":
-        g.set_disk(x0, y0, radius, OCCUPIED)
+        paint_disk(g, x0, y0, radius, OCCUPIED)
     elif edit == "add_cells":
         g.set_cells(r.random((h, w)) < 0.03, OCCUPIED)
     elif edit == "remove_box":
         g.set_box(x0, y0, x1, y1, FREE)
     elif edit == "remove_disk":
-        g.set_disk(x0, y0, radius, r.choice([FREE, UNKNOWN]))
+        paint_disk(g, x0, y0, radius, r.choice([FREE, UNKNOWN]))
     elif edit == "mixed":
         mask = r.random((h, w)) < 0.1
         g.set_cells(mask, r.integers(0, 3, int(mask.sum())).astype(np.uint8))
@@ -327,19 +332,18 @@ def raster_cases(draw):
     """A raster and query points on cell edges, inside cells and off the grid."""
     w, h = draw(st.integers(1, 30)), draw(st.integers(1, 30))
     res = draw(st.sampled_from([0.1, 0.15625, 0.25, 0.625, 1.0]))
-    ox, oy = draw(st.sampled_from([(0.0, 0.0), (-7.3, 4.15), (123.456, -98.7), (-0.3, -0.7)]))
     outside = draw(st.sampled_from([-math.inf, math.inf, 1.0]))
     values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5.0, 5.0, (h, w))
-    raster = Raster(values, res, Pose2D(ox, oy, 0.0), outside)
+    raster = Raster(values, res, outside)
 
-    def coordinate(o, n):
-        edge = st.integers(-3, n + 3).map(lambda i: o + i * res)
-        anywhere = st.floats(-3.0, n + 3.0).map(lambda f: o + f * res)
+    def coordinate(n):
+        edge = st.integers(-3, n + 3).map(lambda i: i * res)
+        anywhere = st.floats(-3.0, n + 3.0).map(lambda f: f * res)
         return st.one_of(edge, anywhere)
 
     n = draw(st.integers(1, 40))
-    xs = np.array(draw(st.lists(coordinate(ox, w), min_size=n, max_size=n)))
-    ys = np.array(draw(st.lists(coordinate(oy, h), min_size=n, max_size=n)))
+    xs = np.array(draw(st.lists(coordinate(w), min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(coordinate(h), min_size=n, max_size=n)))
     return raster, xs, ys
 
 
@@ -347,10 +351,9 @@ def raster_cases(draw):
 @given(raster_cases())
 def test_raster_matches_scalar_reference(case):
     """`at` and `flat_cells` read the cell the reference floor picks and
-    `outside` off the grid, for any origin, resolution and array shape."""
+    `outside` off the grid, for any resolution and array shape."""
     raster, xs, ys = case
-    origin = (raster.origin.x, raster.origin.y)
-    expect = np.array([_field_at(raster.values, raster.resolution, x, y, origin, raster.outside)
+    expect = np.array([_field_at(raster.values, raster.resolution, x, y, raster.outside)
                        for x, y in zip(xs.tolist(), ys.tolist())])
     assert [raster.at(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == expect.tolist()
 
@@ -480,15 +483,6 @@ def test_belief_sound_and_monotone(rng):
         assert np.array_equal(belief.cells[known], truth.cells[known])
 
 
-def test_reveal_rejects_origin_mismatch():
-    truth = bordered_grid(10, 10, res=0.25)
-    shifted = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN,
-                                   Pose2D(0.25, 0.0, 0.0))
-    with pytest.raises(ValueError, match="origin"):
-        raytrace_reveal(truth, shifted, Pose2D(5, 5, 0), 8.0, 720)
-    assert shifted.version == 0 and np.all(shifted.cells == UNKNOWN)
-
-
 def _assert_reveal_matches_reference(truth, belief, pose, sensor_range, n_rays):
     expect = belief.copy()                      # at version 0
     version = belief.version
@@ -515,27 +509,26 @@ def reveal_cases(draw):
     """A random truth, a partly revealed belief, a sensor pose and a range."""
     w, h = draw(st.integers(5, 60)), draw(st.integers(5, 60))
     res = draw(st.sampled_from([0.1, 0.15625, 0.25, 0.5]))
-    ox, oy = draw(st.sampled_from([(0.0, 0.0), (-2.0, -3.5), (-1.3, 0.7), (3.25, -0.45)]))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = np.where(r.random((h, w)) < draw(st.floats(0.0, 0.3)), OCCUPIED, FREE)
     if draw(st.booleans()):       # a truth with unknown cells nets them off the count
         cells[r.random((h, w)) < 0.05] = UNKNOWN
-    truth = OccupancyGrid(res, cells, Pose2D(ox, oy, 0.0))
+    truth = OccupancyGrid(res, cells)
     belief_cells = np.where(r.random((h, w)) < draw(st.floats(0.0, 1.0)), cells, UNKNOWN)
     if draw(st.booleans()):       # stale cells that disagree with the truth
         stale = r.random((h, w)) < 0.05
         belief_cells[stale] = r.integers(0, 3, int(stale.sum()))
-    belief = OccupancyGrid(res, belief_cells, Pose2D(ox, oy, 0.0))
+    belief = OccupancyGrid(res, belief_cells)
 
     kind = draw(st.sampled_from(["inside", "outside", "x_edge", "y_edge", "corner"]))
     fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     if kind == "outside":
         fx, fy = draw(st.sampled_from([(-0.2, fy), (1.2, fy), (fx, -0.2), (fx, 1.2)]))
-    x, y = ox + fx * w * res, oy + fy * h * res
+    x, y = fx * w * res, fy * h * res
     if kind in ("x_edge", "corner"):
-        x = ox + draw(st.integers(0, w)) * res
+        x = draw(st.integers(0, w)) * res
     if kind in ("y_edge", "corner"):
-        y = oy + draw(st.integers(0, h)) * res
+        y = draw(st.integers(0, h)) * res
     sensor_range = draw(st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 1.5 * max(w, h)))) * res
     n_rays = draw(st.sampled_from([8, 9, 720, 1440]))
     return truth, belief, Pose2D(x, y, 0.0), sensor_range, n_rays
@@ -552,7 +545,7 @@ def test_reveal_matches_reference_on_unknown_large():
     spec = bundled("unknown_large")
     truth = spec.truth_map
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, truth.resolution,
-                                  UNKNOWN, truth.origin)
+                                  UNKNOWN)
     for x, y in ((40.0, 10.0), (41.3, 11.7), (140.0, 50.0)):
         _assert_reveal_matches_reference(truth, belief, Pose2D(x, y, 0.0),
                                          spec.sensor_range, spec.n_rays)

@@ -131,8 +131,8 @@ def test_route_from_a_boundary_goal_starts_at_the_goal_cell():
 
 def coarse_map(blocked, goal_cell, res=0.625):
     """The route map of `blocked`, flooded from the empty map."""
-    return DistanceMap(_repair_flood(None, blocked, goal_cell, res), res, Pose2D(0.0, 0.0, 0.0),
-                       math.inf, blocked=blocked, goal_cell=goal_cell)
+    return DistanceMap(_repair_flood(None, blocked, goal_cell, res), res, math.inf,
+                       blocked=blocked, goal_cell=goal_cell)
 
 
 def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
@@ -142,8 +142,8 @@ def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
     returns the map of `before` and the fresh one."""
     previous = coarse_map(before, goal_cell, res)
     assert np.array_equal(previous.values, dijkstra_cost_to_go(before, goal_cell[::-1], res))
-    repaired = DistanceMap(_repair_flood(previous, after, goal_cell, res), res, previous.origin,
-                           math.inf, blocked=after, goal_cell=goal_cell, previous=previous)
+    repaired = DistanceMap(_repair_flood(previous, after, goal_cell, res), res, math.inf,
+                           blocked=after, goal_cell=goal_cell, previous=previous)
     fresh = coarse_map(after, goal_cell, res)
     assert np.array_equal(repaired.values, fresh.values)
     assert np.array_equal(repaired.values, dijkstra_cost_to_go(after, goal_cell[::-1], res))
@@ -347,7 +347,7 @@ def test_successor_walk_matches_scalar_descent(case):
 
 def hand_map(values, goal_cell, res=0.625):
     values = np.array(values, dtype=float)
-    return DistanceMap(values, res, Pose2D(0.0, 0.0, 0.0), math.inf,
+    return DistanceMap(values, res, math.inf,
                        blocked=~np.isfinite(values), goal_cell=goal_cell)
 
 
@@ -378,7 +378,7 @@ def test_successor_table_from_previous_map_matches_full_build(h, w, data):
                                                  min_size=h, max_size=h))),
                      np.array(data.draw(grids)), before)
     previous = hand_map(before, (0, 0))
-    got = DistanceMap(after, 0.625, previous.origin, math.inf, blocked=~np.isfinite(after),
+    got = DistanceMap(after, 0.625, math.inf, blocked=~np.isfinite(after),
                       goal_cell=(0, 0), previous=previous)
     assert list(got.successor) == list(hand_map(after, (0, 0)).successor)
 

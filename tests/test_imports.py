@@ -51,6 +51,64 @@ def test_no_private_cross_module_imports():
     assert found == []
 
 
+def unused_imports(source: str, module: str):
+    """Names that one package module imports and never uses.  A name counts
+    as used where the code reads it, where an annotation string names it, or
+    where `__all__` lists it."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+    return [f"{module}.py:{line} imports {name} and never uses it"
+            for line, name in imported if name not in used]
+
+
+def test_rule_catches_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import os.path\n"
+              "from typing import Optional, Tuple\n"
+              "from .geometry import Pose2D\n"
+              "from .grid import Raster as R, load_map\n"
+              "__all__ = [\"load_map\"]\n"
+              "def f(x: \"Optional[int]\") -> Tuple[int, int]:\n"
+              "    return math.floor(x), 0\n")
+    assert unused_imports(source, "grid") == [
+        "grid.py:3 imports os and never uses it",
+        "grid.py:5 imports Pose2D and never uses it",
+        "grid.py:6 imports R and never uses it",
+    ]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found += unused_imports(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
+
+
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 

@@ -153,3 +153,13 @@ def test_interval_matches_clipped_searchsorted(steps, fractions):
     expect = np.clip(np.searchsorted(s, offsets, side="right") - 1, 0, len(steps) - 1)
     assert [int(seg.interval(o)) for o in offsets] == expect.tolist()
     assert np.array_equal(seg.interval(np.array(offsets)), expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths())
+def test_builder_never_leaves_adjacent_same_gear_drives(path):
+    """A drive run ends only at a gear change or a rotation, so no two
+    neighbouring segments of a builder path are drives in the same gear."""
+    for a, b in zip(path.segments, path.segments[1:]):
+        assert not (isinstance(a, DriveSegment) and isinstance(b, DriveSegment)
+                    and a.direction == b.direction)

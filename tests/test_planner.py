@@ -20,7 +20,7 @@ from hybridplan import planner as planner_module
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
-from conftest import angles_close, bordered_grid, clutter_scene, pose_close
+from conftest import angles_close, bordered_grid, clutter_scene, paint_disk, pose_close
 from oracles import analytic_expansions_reference, plan_reference
 
 VEH = VehicleSpec()
@@ -358,8 +358,8 @@ def test_analytic_extension_used_where_arcs_collide():
     g.set_box(1.0, 17.8, 26.0, 22.2, FREE)               # approach corridor
     d = (-math.sqrt(0.5), -math.sqrt(0.5))               # 135 degree stub
     for t in np.arange(0.0, 12.0, 0.25):
-        g.set_disk(26.0 + t * d[0], 20.0 + t * d[1], 2.2, FREE)
-    g.set_disk(26.0, 20.0, 3.8, FREE)                    # fits the swept circle
+        paint_disk(g, 26.0 + t * d[0], 20.0 + t * d[1], 2.2, FREE)
+    paint_disk(g, 26.0, 20.0, 3.8, FREE)                 # fits the swept circle
     checker = CollisionChecker(g, make_disk_set(VEH))
     pose = Pose2D(6.0, 20.0, 0.0)
     goal = Pose2D(26.0 + 8.0 * d[0], 20.0 + 8.0 * d[1], -3 * math.pi / 4)

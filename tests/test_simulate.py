@@ -250,3 +250,16 @@ def test_planner_accounting_is_the_replan_events(scenario, mode):
     assert report.t_cum == sum(e.seconds for e in events)
     assert report.t_max == max(e.seconds for e in events)
     assert report.cumulative_nodes == sum(e.nodes for e in events)
+
+
+# A failed planner call returns no stats to `mission_tick`, so it is not an
+# event and the report counts neither it nor its nodes.  Counting it changes
+# the metrics of failing runs, so the fix waits for a reference refresh.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "plate_corridor_67/standard stops with a planner failure inside plan, "
+    "and its report counts 0 planner calls"))
+def test_a_failed_planner_call_is_counted():
+    _, report, _ = run_scenario(bundled("plate_corridor_67"), MissionConfig(), PlannerConfig(),
+                                MODES["standard"], VEH)
+    assert report.stop_cause.startswith("planner failure")
+    assert report.n_planner_calls >= 1

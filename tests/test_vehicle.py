@@ -216,37 +216,34 @@ def test_disk_check_conservative_against_rectangle_oracle(rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_disks=st.integers(1, 4),
-       origin=st.sampled_from([(0.0, 0.0), (-7.3, 4.15), (123.456, -98.7)]))
-def test_checker_matches_scalar_reference(seed, n_disks, origin):
+@given(seed=st.integers(0, 2**32 - 1), n_disks=st.integers(1, 4))
+def test_checker_matches_scalar_reference(seed, n_disks):
     """Every checker entry point decides as the scalar per-disk loop does,
-    on grids with and without an offset origin and on poses partly or wholly
-    off the grid."""
+    on poses on the grid and partly or wholly off it."""
     r = np.random.default_rng(seed)
     res = 0.15625
-    g = OccupancyGrid.filled(int(r.integers(40, 120)), int(r.integers(40, 120)), res, FREE,
-                             Pose2D(origin[0], origin[1], 0.0))
+    g = OccupancyGrid.filled(int(r.integers(40, 120)), int(r.integers(40, 120)), res, FREE)
     w_m, h_m = g.width_cells * res, g.height_cells * res
     for _ in range(int(r.integers(0, 8))):
-        x, y = origin[0] + r.uniform(0, w_m), origin[1] + r.uniform(0, h_m)
+        x, y = r.uniform(0, w_m), r.uniform(0, h_m)
         g.set_box(x, y, x + r.uniform(0.2, 3.0), y + r.uniform(0.2, 3.0), OCCUPIED)
     disks = make_disk_set(VehicleSpec(n_disks=n_disks))
     checker = CollisionChecker(g, disks)
     field = g.distance_field().values
     n = 150
-    xs = origin[0] + r.uniform(-4.0, w_m + 4.0, n)
-    ys = origin[1] + r.uniform(-4.0, h_m + 4.0, n)
+    xs = r.uniform(-4.0, w_m + 4.0, n)
+    ys = r.uniform(-4.0, h_m + 4.0, n)
     yaws = r.uniform(-math.pi, math.pi, n)
     cos_yaw = np.array([math.cos(a) for a in yaws])
     sin_yaw = np.array([math.sin(a) for a in yaws])
     batch = checker.batch_blocked(np.array([xs, ys]), np.array([cos_yaw, sin_yaw]))
     for i in range(n):
         pose = Pose2D(float(xs[i]), float(ys[i]), float(yaws[i]))
-        expect = pose_collides(pose, disks, field, res, origin)
+        expect = pose_collides(pose, disks, field, res)
         assert checker.pose_blocked(pose.x, pose.y, pose.yaw) == expect
         assert bool(batch[i]) == expect
         assert checker.rotation_blocked(pose.x, pose.y) == \
-            rotation_collides(pose, disks, field, res, origin)
+            rotation_collides(pose, disks, field, res)
     for shape in ((2, 75), (3, 5, 10)):
         xy = np.array([xs, ys]).reshape((2,) + shape)
         heading = np.array([cos_yaw, sin_yaw]).reshape((2,) + shape)
@@ -255,7 +252,7 @@ def test_checker_matches_scalar_reference(seed, n_disks, origin):
     same_yaw = checker.batch_blocked(np.array([xs, ys]), np.array([cos_yaw[:1], sin_yaw[:1]]))
     for i in range(n):
         expect = pose_collides(Pose2D(float(xs[i]), float(ys[i]), float(yaws[0])),
-                               disks, field, res, origin)
+                               disks, field, res)
         assert bool(same_yaw[i]) == expect
 
 
@@ -289,20 +286,20 @@ def test_previous_mask_freed_once_rebuilt():
     assert old_mask() is None
 
 
-def _cells_within(x: float, y: float, reach: float, res: float, origin):
+def _cells_within(x: float, y: float, reach: float, res: float):
     """One point inside every cell (on or off the grid) that the disc of
     radius reach around (x, y) touches: the cell's nearest point to (x, y),
     nudged into the cell's interior, kept when it lies within reach."""
     nudge = res * 1e-7
-    ix0 = math.floor((x - reach - origin[0]) / res) - 1
-    iy0 = math.floor((y - reach - origin[1]) / res) - 1
-    ix1 = math.floor((x + reach - origin[0]) / res) + 1
-    iy1 = math.floor((y + reach - origin[1]) / res) + 1
+    ix0 = math.floor((x - reach) / res) - 1
+    iy0 = math.floor((y - reach) / res) - 1
+    ix1 = math.floor((x + reach) / res) + 1
+    iy1 = math.floor((y + reach) / res) + 1
     for ix in range(ix0, ix1 + 1):
-        lo_x = origin[0] + ix * res
+        lo_x = ix * res
         px = min(max(x, lo_x + nudge), lo_x + res - nudge)
         for iy in range(iy0, iy1 + 1):
-            lo_y = origin[1] + iy * res
+            lo_y = iy * res
             py = min(max(y, lo_y + nudge), lo_y + res - nudge)
             if math.hypot(px - x, py - y) <= reach:
                 yield px, py
@@ -310,9 +307,8 @@ def _cells_within(x: float, y: float, reach: float, res: float, origin):
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), res=st.sampled_from([0.15625, 0.2, 0.25, 0.5]),
-       origin=st.sampled_from([(0.0, 0.0), (-7.3, 4.15), (123.456, -98.7)]),
        density=st.sampled_from([0.0, 0.002, 0.02, 0.1]), n_disks=st.integers(1, 4))
-def test_clear_within_proves_every_disk_free(seed, res, origin, density, n_disks):
+def test_clear_within_proves_every_disk_free(seed, res, density, n_disks):
     """When `clear_within` says clear, every disk centred within reach is free
     by the scalar reference, the cells next to the grid edge and off it
     included; an obstacle-free grid (+inf field) is tested too.
@@ -321,8 +317,7 @@ def test_clear_within_proves_every_disk_free(seed, res, origin, density, n_disks
     only the half-cell-diagonal terms keep the answer correct."""
     r = np.random.default_rng(seed)
     w, h = int(r.integers(16, 60)), int(r.integers(16, 60))
-    g = OccupancyGrid(res, np.where(r.random((h, w)) < density, OCCUPIED, FREE),
-                      Pose2D(origin[0], origin[1], 0.0))
+    g = OccupancyGrid(res, np.where(r.random((h, w)) < density, OCCUPIED, FREE))
     radius = float(r.uniform(0.05, 1.0))
     disks = DiskSet(tuple(sorted(r.uniform(-1.0, 1.5, n_disks).tolist())), radius)
     one_disk = DiskSet((0.0,), radius)
@@ -330,8 +325,8 @@ def test_clear_within_proves_every_disk_free(seed, res, origin, density, n_disks
     field = g.distance_field().values
     w_m, h_m = w * res, h * res
     for i in range(30):
-        x = origin[0] + float(r.uniform(-1.0, w_m + 1.0))
-        y = origin[1] + float(r.uniform(-1.0, h_m + 1.0))
+        x = float(r.uniform(-1.0, w_m + 1.0))
+        y = float(r.uniform(-1.0, h_m + 1.0))
         reach = float(r.uniform(0.0, 2.5))
         if i % 2:
             margin = checker.field.at(x, y) - checker.threshold
@@ -340,8 +335,8 @@ def test_clear_within_proves_every_disk_free(seed, res, origin, density, n_disks
                 continue
         if not checker.clear_within(x, y, reach):
             continue
-        for px, py in _cells_within(x, y, reach, res, origin):
-            assert not pose_collides(Pose2D(px, py, 0.0), one_disk, field, res, origin)
+        for px, py in _cells_within(x, y, reach, res):
+            assert not pose_collides(Pose2D(px, py, 0.0), one_disk, field, res)
         for _ in range(20):
             yaw = float(r.uniform(-math.pi, math.pi))
             d = r.uniform(-reach, reach, 2)
@@ -349,4 +344,4 @@ def test_clear_within_proves_every_disk_free(seed, res, origin, density, n_disks
             if all(math.hypot(pose.x + o * math.cos(pose.yaw) - x,
                               pose.y + o * math.sin(pose.yaw) - y) <= reach
                    for o in disks.centers):
-                assert not pose_collides(pose, disks, field, res, origin)
+                assert not pose_collides(pose, disks, field, res)
