@@ -84,7 +84,7 @@ def load_run(config_path) -> Tuple[RunConfig, ScenarioSpec]:
     cfg = load_config(config_path)
     spec = resolve_scenario(cfg.scenario, Path(config_path).resolve().parent)
     try:
-        resolution_factor(cfg.planner.xy_resolution, spec.truth_map.resolution, "xy_resolution")
+        resolution_factor(cfg.planner.xy_resolution, spec.truth_map.resolution)
     except ValueError as exc:
         raise ValueError(f"planner: {exc}") from None
     return cfg, spec
@@ -94,7 +94,7 @@ def path_to_json(path: PlannedPath) -> dict:
     segments = []
     for seg in path.segments:
         if isinstance(seg, DriveSegment):
-            kappas = list(seg.kappas) + ([seg.kappas[-1]] if len(seg.kappas) else [0.0])
+            kappas = list(seg.kappas) + [seg.kappas[-1]]
             segments.append({
                 "type": "drive",
                 "direction": seg.direction,

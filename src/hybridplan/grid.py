@@ -235,13 +235,12 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float) -> n
     return out
 
 
-def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0) -> Raster:
+def voronoi_field(grid: OccupancyGrid) -> Raster:
     """Obstacle proximity in [0, 1], falling to 0 both far from obstacles and
     on the edges equidistant between distinct obstacle components; 1 inside
     obstacles and off the grid.
     """
-    if alpha <= 0.0 or d_max <= 0.0:
-        raise ValueError("alpha and d_max must be positive")
+    alpha, d_max = 10.0, 10.0    # [m] falloff scale, and the range beyond which it is 0
     occupied = grid.occupied_mask()
     shape = grid.cells.shape
     if not occupied.any():
@@ -250,20 +249,18 @@ def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0)
     edt, (ind_y, ind_x) = ndimage.distance_transform_edt(~occupied, return_indices=True)
     d_obs = edt * grid.resolution
 
-    labels, n_labels = ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
+    labels, _ = ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
     nearest = labels[ind_y, ind_x]
 
-    if n_labels >= 2:
-        ridge = np.zeros(shape, dtype=bool)
-        ridge[:-1, :] |= nearest[:-1, :] != nearest[1:, :]
-        ridge[1:, :] |= nearest[1:, :] != nearest[:-1, :]
-        ridge[:, :-1] |= nearest[:, :-1] != nearest[:, 1:]
-        ridge[:, 1:] |= nearest[:, 1:] != nearest[:, :-1]
-        ridge &= ~occupied
-        if ridge.any():
-            d_vor = ndimage.distance_transform_edt(~ridge) * grid.resolution
-        else:
-            d_vor = np.full(shape, np.inf)
+    # cells next to a cell nearest another component; none with one component
+    ridge = np.zeros(shape, dtype=bool)
+    ridge[:-1, :] |= nearest[:-1, :] != nearest[1:, :]
+    ridge[1:, :] |= nearest[1:, :] != nearest[:-1, :]
+    ridge[:, :-1] |= nearest[:, :-1] != nearest[:, 1:]
+    ridge[:, 1:] |= nearest[:, 1:] != nearest[:, :-1]
+    ridge &= ~occupied
+    if ridge.any():
+        d_vor = ndimage.distance_transform_edt(~ridge) * grid.resolution
     else:
         d_vor = np.full(shape, np.inf)
 
@@ -276,7 +273,7 @@ def voronoi_field(grid: OccupancyGrid, alpha: float = 10.0, d_max: float = 10.0)
 
 
 def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
-                    sensor_range: float, n_rays: int = 720) -> int:
+                    sensor_range: float, n_rays: int) -> int:
     """Reveal belief cells by casting rays on the ground-truth map.
 
     Rays march cell-by-cell (integer grid traversal, Amanatides & Woo) from

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -16,7 +16,9 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from .geometry import Pose2D
 from .grid import OccupancyGrid, Raster
 
-PLANNING_RESOLUTION = 0.625   # [m] coarse planning grid
+if TYPE_CHECKING:
+    from .planner import PlannerConfig
+
 DIVERGENCE_STEP = 0.625       # [m] arc-length resampling for path matching
 # (dy, dx) of the 8 neighbors, in row-major order
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -79,14 +81,13 @@ class DistanceMap(Raster):
     def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
         return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
 
-    def nearest_reachable_cell(self, x: float, y: float,
-                               radius_cells: int = 2) -> Optional[Tuple[int, int]]:
-        """The finite-valued cell closest to (x, y) within a small window."""
+    def nearest_reachable_cell(self, x: float, y: float) -> Optional[Tuple[int, int]]:
+        """The finite-valued cell closest to (x, y) within two cells of its own."""
         ix0, iy0 = self.cell_of(x, y)
         h, w = self.values.shape
         best = None
-        for iy in range(max(0, iy0 - radius_cells), min(h, iy0 + radius_cells + 1)):
-            for ix in range(max(0, ix0 - radius_cells), min(w, ix0 + radius_cells + 1)):
+        for iy in range(max(0, iy0 - 2), min(h, iy0 + 3)):
+            for ix in range(max(0, ix0 - 2), min(w, ix0 + 3)):
                 if not math.isfinite(self.values[iy, ix]):
                     continue
                 cx, cy = self.cell_center(ix, iy)
@@ -121,25 +122,23 @@ def _downsample_blocked(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
     return pooled
 
 
-def resolution_factor(planning_resolution: float, grid_resolution: float,
-                      name: str = "planning_resolution") -> int:
-    """Grid cells per coarse cell side; the planning resolution must be a
-    whole multiple of the grid resolution."""
-    factor = planning_resolution / grid_resolution
+def resolution_factor(xy_resolution: float, grid_resolution: float) -> int:
+    """Grid cells per coarse cell side; the planner's `xy_resolution` must be
+    a whole multiple of the grid resolution."""
+    factor = xy_resolution / grid_resolution
     whole = round(factor) if math.isfinite(factor) else 0
     if whole < 1 or abs(factor - whole) > 1e-9:
-        raise ValueError(f"{name} must be an integer multiple of the grid resolution "
-                         f"{grid_resolution!r}, got {planning_resolution!r}")
+        raise ValueError(f"xy_resolution must be an integer multiple of the grid resolution "
+                         f"{grid_resolution!r}, got {xy_resolution!r}")
     return whole
 
 
 def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
-                       planning_resolution: float = PLANNING_RESOLUTION,
-                       inflation_radius: float = 1.0) -> DistanceMap:
-    """Flood the cost-to-goal over the 8-connected coarse grid.
+                       config: PlannerConfig) -> DistanceMap:
+    """Flood the cost-to-goal over the 8-connected grid of the planner's lattice.
 
     Unknown cells count as free (optimistic planner); cells within
-    `inflation_radius` of an occupied cell are blocked before max-pool
+    `config.inflation_radius` of an occupied cell are blocked before max-pool
     downsampling.  Straight moves cost the planning resolution, diagonal
     moves sqrt(2) times that.  The map is memoized on the belief per goal
     cell, resolution and radius.  A rebuild starts from the previous
@@ -148,28 +147,26 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     (`_repair_flood`).  The first build, and one after a cell left the
     blocked grid, repairs the empty map instead.
     """
-    factor = resolution_factor(planning_resolution, belief.resolution)
-    if not inflation_radius >= 0.0:
-        raise ValueError(f"inflation_radius must be non-negative, got {inflation_radius!r}")
+    res, inflation = config.xy_resolution, config.inflation_radius
+    factor = resolution_factor(res, belief.resolution)
     # cell_of reads only the resolution of the coarse grid
-    goal_cell = Raster(belief.cells, planning_resolution, True).cell_of(goal.x, goal.y)
+    goal_cell = Raster(belief.cells, res, True).cell_of(goal.x, goal.y)
 
     def build(previous: Optional[DistanceMap]) -> DistanceMap:
-        blocked = _downsample_blocked(belief.distance_field().values <= inflation_radius, factor)
-        coarse = Raster(blocked, planning_resolution, True)
+        blocked = _downsample_blocked(belief.distance_field().values <= inflation, factor)
+        coarse = Raster(blocked, res, True)
         if coarse.at(goal.x, goal.y):                 # blocked or off the grid
             raise GoalBlockedError("goal blocked")
         if previous is not None and np.array_equal(previous.blocked, blocked):
             return previous
         grown = previous is not None and not (previous.blocked > blocked).any()
-        values = _repair_flood(previous if grown else None, blocked, goal_cell,
-                               planning_resolution)
+        values = _repair_flood(previous if grown else None, blocked, goal_cell, res)
         values.setflags(write=False)
         blocked.setflags(write=False)
-        return DistanceMap(values, planning_resolution, math.inf,
+        return DistanceMap(values, res, math.inf,
                            blocked=blocked, goal_cell=goal_cell, previous=previous)
 
-    return belief.derived(("route_map", goal_cell, planning_resolution, inflation_radius), build)
+    return belief.derived(("route_map", goal_cell, res, inflation), build)
 
 
 def _free_graph(free: np.ndarray, resolution: float, source: np.ndarray) -> csr_matrix:
@@ -324,17 +321,16 @@ def _resample(path: AStarPath, s_values: np.ndarray) -> np.ndarray:
     return np.column_stack([xs, ys])
 
 
-def detect_divergence(prev: AStarPath, curr: AStarPath, d_div: float,
-                      step: float = DIVERGENCE_STEP) -> Optional[float]:
+def detect_divergence(prev: AStarPath, curr: AStarPath, d_div: float) -> Optional[float]:
     """Arc length along `prev` where the two routes first drift apart.
 
-    Both paths are resampled at a fixed arc-length step and compared
+    Both paths are resampled every `DIVERGENCE_STEP` of arc length and compared
     element-wise up to the shorter length; returns the smallest arc length
     whose distance exceeds d_div, or None if they never diverge.
     """
     limit = min(prev.length, curr.length)
-    n = int(math.floor(limit / step))
-    s_values = np.arange(n + 1) * step
+    n = int(math.floor(limit / DIVERGENCE_STEP))
+    s_values = np.arange(n + 1) * DIVERGENCE_STEP
     a = _resample(prev, s_values)
     b = _resample(curr, s_values)
     d = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])

@@ -14,7 +14,7 @@ from .grid import OccupancyGrid
 from .heuristic import (AStarPath, GoalBlockedError, NoRouteError, build_distance_map,
                         detect_divergence, extract_astar_path, waypose_at)
 from .planner import (PlannedPath, PlannerConfig, PlannerFailure,
-                      RotationSegment, SearchStats, STOP_AT_GOAL, STOP_EARLY, plan)
+                      RotationSegment, SearchStats, plan)
 from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 
 NAV_NONE = "none"
@@ -150,9 +150,8 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         return TickResult(status="goal_reached")
     planner_mode, nav_mode = mode
 
-    res, inflation = planner_cfg.xy_resolution, planner_cfg.inflation_radius
     try:
-        dmap = build_distance_map(belief, state.goal, res, inflation)
+        dmap = build_distance_map(belief, state.goal, planner_cfg)
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:
@@ -196,12 +195,11 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
 
     # stop-rule selection from the planning start pose's route distance
     s_g_start = dmap.route_distance(start.x, start.y)
-    stop_rule = STOP_AT_GOAL
-    s_w = mission_cfg.s_w
+    horizon = None
     goal = state.goal
     if s_g_start >= mission_cfg.s_lim:
         if nav_mode == NAV_EARLY_STOP:
-            stop_rule = STOP_EARLY
+            horizon = mission_cfg.s_w
         elif nav_mode == NAV_WAYPOINT:
             try:
                 goal = waypose_at(astar, mission_cfg.s_w)
@@ -211,7 +209,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     start_steer = math.atan(start_kappa * vehicle.wheelbase)
     try:
         planned, stats = plan(belief, start, goal, vehicle, planner_cfg,
-                              mode=planner_mode, stop_rule=stop_rule, s_w=s_w,
+                              mode=planner_mode, horizon=horizon,
                               start_direction=start_dir, start_steer=start_steer)
     except PlannerFailure as exc:
         return TickResult(status="failed", cause=cause, s_plan=s_plan, reason=str(exc))
@@ -220,6 +218,6 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     state.progress_s = 0.0
     state.rotations_done = 0
     state.last_replan_odometer = state.odometer
-    state.path_to_goal = stop_rule == STOP_AT_GOAL and goal is state.goal
+    state.path_to_goal = horizon is None and goal is state.goal
     return TickResult(status="replanned", cause=cause, s_plan=s_plan, stats=stats,
                       s_div_found=s_div_found, s_coll_found=s_coll_found)

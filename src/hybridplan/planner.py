@@ -27,9 +27,6 @@ from .vehicle import CollisionChecker, VehicleSpec, make_disk_set
 STANDARD = "standard"
 EXTENDED = "extended"
 
-STOP_AT_GOAL = "goal"
-STOP_EARLY = "early_stop"
-
 _PREFIX = 64    # samples per Reeds-Shepp candidate in the analytic expansion's first check
 
 
@@ -126,6 +123,10 @@ class DriveSegment:
         for name in ("xs", "ys", "yaws", "kappas", "s"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)).view())
             getattr(self, name).setflags(write=False)
+        n = len(self.s)
+        lengths = [len(self.xs), len(self.ys), len(self.yaws), len(self.kappas)]
+        if n < 2 or lengths != [n, n, n, n - 1]:
+            raise ValueError("a drive segment needs n >= 2 xs, ys, yaws and s, and n - 1 kappas")
 
     @property
     def arc_length(self) -> float:
@@ -146,7 +147,7 @@ class DriveSegment:
         return Pose2D(x, y, yaw)
 
     def kappa_at(self, offset: float) -> float:
-        return float(self.kappas[self.interval(offset)]) if len(self.kappas) else 0.0
+        return float(self.kappas[self.interval(offset)])
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ class PlannedPath:
                 continue
             if acc + seg.arc_length >= s - 1e-9:
                 return seg.direction, seg.kappa_at(min(s - acc, seg.arc_length))
-            last = (seg.direction, float(seg.kappas[-1]) if len(seg.kappas) else 0.0)
+            last = (seg.direction, float(seg.kappas[-1]))
         return last
 
     def slice(self, s0: float, s1: float, rotations_done: int = 0) -> "PlannedPath":
@@ -281,8 +282,7 @@ def _clip_drive(seg: DriveSegment, lo: float, hi: float) -> DriveSegment:
     yaws = np.concatenate(([first.yaw], seg.yaws[inner], [last.yaw]))
     s_inner = seg.s[inner]
     s = np.concatenate(([0.0], s_inner - lo, [hi - lo]))
-    kappas = seg.kappas[seg.interval(np.concatenate(([lo], s_inner)))] \
-        if len(seg.kappas) else np.zeros(0)
+    kappas = seg.kappas[seg.interval(np.concatenate(([lo], s_inner)))]
     return DriveSegment(xs, ys, yaws, kappas, s, seg.direction)
 
 
@@ -398,8 +398,6 @@ def geometric_extension(current: Pose2D, goal: Pose2D, seg_len: float
     the rotation point; returns (point, pre_dist, delta_yaw, post_dist) with
     signed distances along the respective headings, else None.
     """
-    if seg_len <= 0.0:
-        raise ValueError("seg_len must be positive")
     half = seg_len / 2.0
     ca, sa = math.cos(current.yaw), math.sin(current.yaw)
     cb, sb = math.cos(goal.yaw), math.sin(goal.yaw)
@@ -490,15 +488,15 @@ def _lattice_key(config: PlannerConfig):
 
 def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpec,
          config: PlannerConfig = PlannerConfig(), mode: str = STANDARD,
-         stop_rule: str = STOP_AT_GOAL, s_w: float = 55.0,
+         horizon: Optional[float] = None,
          start_direction: int = 0, start_steer: float = 0.0,
          ) -> Tuple[PlannedPath, SearchStats]:
     """Search a kinematically feasible path on the belief map.
 
-    stop_rule "goal" terminates on the goal lattice cell or a collision-free
-    analytic connection; "early_stop" terminates at the first expanded node
-    whose 2D cost-to-goal has dropped more than s_w below the start's.
-    Raises NoPathError / BudgetExceededError on failure.
+    With no `horizon` it plans to the goal: it ends on the goal lattice cell or
+    a collision-free analytic connection.  A horizon ends it on the goal cell or
+    at the first expanded node whose 2D cost-to-goal has dropped more than
+    `horizon` below the start's.  Raises NoPathError / BudgetExceededError.
     """
     t_begin = time.perf_counter()
     stats = SearchStats()
@@ -507,10 +505,10 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
 
     if checker.pose_blocked(start.x, start.y, start.yaw):
         raise PlannerFailure("start in collision")
-    if stop_rule == STOP_AT_GOAL and checker.pose_blocked(goal.x, goal.y, goal.yaw):
+    if horizon is None and checker.pose_blocked(goal.x, goal.y, goal.yaw):
         raise PlannerFailure("goal in collision")
 
-    dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
+    dmap = build_distance_map(belief, goal, config)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):
@@ -574,14 +572,14 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         if stats.nodes_expanded > config.node_budget:
             raise BudgetExceededError()
 
-        if node.key == goal_key or (stop_rule == STOP_EARLY and math.isfinite(node.hd)
-                                    and hd_start - node.hd > s_w):
+        if node.key == goal_key or (horizon is not None and math.isfinite(node.hd)
+                                    and hd_start - node.hd > horizon):
             return finish(_reconstruct(node, table))
-        if (stop_rule != STOP_EARLY and node.h < config.analytic_radius
+        if (horizon is None and node.h < config.analytic_radius
                 and node.key not in analytic_tried):
             analytic_tried.add(node.key)
             suffix = analytic_expansions(Pose2D(node.x, node.y, node.yaw), goal, checker,
-                                         config, turn_radius, mode, vehicle.max_steer,
+                                         config, vehicle, mode,
                                          parent_direction=node.direction,
                                          parent_steer=node.steer)
             if suffix is not None:
@@ -642,11 +640,8 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
 def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:
     """Replay the parent chain into a pose-continuous path."""
     chain: List[_Node] = []
-    seen = set()
     cur = node
-    while cur is not None:
-        assert id(cur) not in seen, "cyclic parent chain"
-        seen.add(id(cur))
+    while cur is not None:       # a parent is created before its child: no cycle
         chain.append(cur)
         cur = cur.parent
     chain.reverse()
@@ -667,16 +662,16 @@ def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:
 
 
 def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
-                        config: PlannerConfig, turn_radius: float, mode: str,
-                        max_steer: float, parent_direction: int = 0,
+                        config: PlannerConfig, vehicle: VehicleSpec, mode: str,
+                        parent_direction: int = 0,
                         parent_steer: float = 0.0) -> Optional[PlannedPath]:
     """Collision-free analytic connection from pose to goal.
 
-    The bounded-curvature words are tried shortest first, so the feasible
-    suffix is the shortest one: the first `_PREFIX` samples of every word
-    are checked in one batch, and only the free ones in full.  With rotations
-    enabled the drive-rotate-drive geometric extension competes against it
-    under the movement cost model.
+    The vehicle's bounded-curvature words are tried shortest first, so the
+    feasible suffix is the shortest one: the first `_PREFIX` samples of every
+    word are checked in one batch, and only the free ones in full.  With
+    rotations enabled the drive-rotate-drive geometric extension competes
+    against it under the movement cost model.
     """
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
@@ -685,13 +680,13 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
         heading = np.array((np.cos(samples.yaws), np.sin(samples.yaws)))
         return checker.batch_blocked(samples.xy, heading).any(axis=-1)
 
-    cands = [cand for cand in rs_all_paths(pose, goal, turn_radius) if cand.total_length < 1e6]
+    cands = [c for c in rs_all_paths(pose, goal, vehicle.min_turn_radius) if c.total_length < 1e6]
     prefix_free = ~blocked(sample_paths(cands, pose, config.collision_step, _PREFIX)) if cands else []
     for i in np.flatnonzero(prefix_free):
         cand = cands[i]
         samples = sample_path(cand, pose, config.collision_step)
         if not blocked(samples):
-            steer_of = {LEFT: max_steer, RIGHT: -max_steer}
+            steer_of = {LEFT: vehicle.max_steer, RIGHT: -vehicle.max_steer}
             best_cost = steps_cost([(steer_of.get(seg.kind, 0.0), seg.direction, seg.length)
                                     for seg in cand.segments],
                                    config, parent_direction, parent_steer)

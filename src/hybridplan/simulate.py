@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .geometry import Pose2D
+from .geometry import Pose2D, normalize_angles
 from .grid import OccupancyGrid, Raster, UNKNOWN, raytrace_reveal, voronoi_field
 from .mission import MissionConfig, MissionState, mission_tick
 from .planner import (DriveSegment, PathBuilder, PlannedPath, PlannerConfig,
@@ -190,8 +190,7 @@ def _rotation_delta(from_yaw: float, to_yaw: float) -> float:
 
 
 def score_run(driven: PlannedPath, truth: OccupancyGrid, vehicle: VehicleSpec,
-              events: List[EventRecord], stop_cause: str,
-              metric_ds: float = DEFAULT_METRIC_DS) -> MetricsReport:
+              events: List[EventRecord], stop_cause: str) -> MetricsReport:
     """Score the driven path; the planner effort is read from the replan events."""
     report = MetricsReport(reached=stop_cause == "reached", stop_cause=stop_cause)
     report.length = driven.total_drive_length
@@ -205,7 +204,7 @@ def score_run(driven: PlannedPath, truth: OccupancyGrid, vehicle: VehicleSpec,
         report.t_cum = sum(seconds)
         report.t_avg = report.t_cum / len(seconds)
     try:
-        report.kappa_dot_rms, report.kappa_dot_max_abs = kappa_dot_rms(driven, metric_ds)
+        report.kappa_dot_rms, report.kappa_dot_max_abs = kappa_dot_rms(driven, DEFAULT_METRIC_DS)
     except ValueError:
         pass  # too short to score, leave zeros
     field = voronoi_field(truth)
@@ -229,12 +228,11 @@ def kappa_dot_rms(driven: PlannedPath, ds: float) -> Tuple[float, float]:
             continue
         n = int(math.floor(seg.arc_length / ds))
         offsets = np.arange(n + 1) * ds
-        kappas = seg.kappas[seg.interval(offsets)] if len(seg.kappas) else np.zeros(n + 1)
-        rates = np.diff(kappas) / ds
-        if rates.size:
-            sq_sum += float(np.sum(rates ** 2))
-            count += rates.size
-            max_abs = max(max_abs, float(np.max(np.abs(rates))))
+        kappas = seg.kappas[seg.interval(offsets)]
+        rates = np.diff(kappas) / ds            # n >= 1 rates: arc_length >= ds
+        sq_sum += float(np.sum(rates ** 2))
+        count += rates.size
+        max_abs = max(max_abs, float(np.max(np.abs(rates))))
     if count == 0:
         raise ValueError("path too short")
     return math.sqrt(sq_sum / count), max_abs
@@ -242,17 +240,16 @@ def kappa_dot_rms(driven: PlannedPath, ds: float) -> Tuple[float, float]:
 
 def proximity_stats(driven: PlannedPath, field: Raster,
                     vehicle: VehicleSpec) -> Tuple[float, float]:
-    """Max and mean footprint-corner proximity along the driven path."""
-    per_sample: List[float] = []
-    for seg in driven.segments:
-        if isinstance(seg, RotationSegment):
-            for yaw in (seg.from_yaw, seg.to_yaw):
-                corners = vehicle.footprint_corners(Pose2D(seg.x, seg.y, yaw))
-                per_sample.append(max(field.at(cx, cy) for cx, cy in corners))
-            continue
-        for x, y, yaw in zip(seg.xs, seg.ys, seg.yaws):
-            corners = vehicle.footprint_corners(Pose2D(float(x), float(y), float(yaw)))
-            per_sample.append(max(field.at(cx, cy) for cx, cy in corners))
-    if not per_sample:
+    """Max and mean footprint-corner proximity over the driven path's poses."""
+    poses = [np.array(((seg.x, seg.x), (seg.y, seg.y), (seg.from_yaw, seg.to_yaw)))
+             if isinstance(seg, RotationSegment) else np.array((seg.xs, seg.ys, seg.yaws))
+             for seg in driven.segments]
+    if not poses:
         return 0.0, 0.0
+    xs, ys, yaws = np.concatenate(poses, axis=1)
+    corners = vehicle.footprint_corners(xs, ys, normalize_angles(yaws))
+    flat, off = field.flat_cells(corners)
+    values = np.where(off, field.outside, field.values.take(flat, mode="wrap"))
+    per_sample = values.reshape(corners.shape[1:]).max(axis=0).tolist()
+    # summed left to right, as a Python loop adds them
     return float(max(per_sample)), float(sum(per_sample) / len(per_sample))

@@ -35,7 +35,7 @@ def _mask_rects(mask: np.ndarray, res: float, height_m: float, fill: str,
 
 
 def render_run(truth: OccupancyGrid, belief: Optional[OccupancyGrid],
-               driven: Optional[PlannedPath]) -> str:
+               driven: PlannedPath) -> str:
     """SVG document showing the truth map, the belief overlay and the path."""
     width_m = truth.width_cells * truth.resolution
     height_m = truth.height_cells * truth.resolution
@@ -48,23 +48,20 @@ def render_run(truth: OccupancyGrid, belief: Optional[OccupancyGrid],
     if belief is not None:
         parts += _mask_rects(belief.cells == UNKNOWN, belief.resolution, height_m,
                              "#7a8dbf", opacity=0.25)
-    if driven is not None:
-        for seg in driven.segments:
-            if isinstance(seg, DriveSegment):
-                pts = " ".join(f"{x:.3f},{height_m - y:.3f}"
-                               for x, y in zip(seg.xs, seg.ys))
-                color = "#1661c4" if seg.direction > 0 else "#c4164b"
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="{color}" stroke-width="0.18"/>')
-            else:
-                parts.append(f'<circle cx="{seg.x:.3f}" cy="{height_m - seg.y:.3f}" '
-                             f'r="0.6" fill="none" stroke="#e08700" stroke-width="0.2"/>')
-        start = driven.start_pose()
-        end = driven.end_pose()
-        for pose, color in ((start, "#0a9c37"), (end, "#9c0a74")):
-            if pose is None:
-                continue
-            parts.append(f'<circle cx="{pose.x:.3f}" cy="{height_m - pose.y:.3f}" '
-                         f'r="0.45" fill="{color}"/>')
+    for seg in driven.segments:
+        if isinstance(seg, DriveSegment):
+            pts = " ".join(f"{x:.3f},{height_m - y:.3f}"
+                           for x, y in zip(seg.xs, seg.ys))
+            color = "#1661c4" if seg.direction > 0 else "#c4164b"
+            parts.append(f'<polyline points="{pts}" fill="none" '
+                         f'stroke="{color}" stroke-width="0.18"/>')
+        else:
+            parts.append(f'<circle cx="{seg.x:.3f}" cy="{height_m - seg.y:.3f}" '
+                         f'r="0.6" fill="none" stroke="#e08700" stroke-width="0.2"/>')
+    for pose, color in ((driven.start_pose(), "#0a9c37"), (driven.end_pose(), "#9c0a74")):
+        if pose is None:
+            continue
+        parts.append(f'<circle cx="{pose.x:.3f}" cy="{height_m - pose.y:.3f}" '
+                     f'r="0.45" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

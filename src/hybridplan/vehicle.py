@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .geometry import Pose2D
 from .grid import OccupancyGrid
 
 # Distance-field lookups are quantized to cell centers; pad every disk
@@ -48,13 +47,14 @@ class VehicleSpec:
     def min_turn_radius(self) -> float:
         return self.wheelbase / math.tan(self.max_steer)
 
-    def footprint_corners(self, pose: Pose2D) -> List[Tuple[float, float]]:
-        """The four rectangle corners, rear-axle anchored."""
-        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-        lon0, lon1 = -self.rear_overhang, self.length - self.rear_overhang
-        half_w = self.width / 2.0
-        return [(pose.x + lon * c - lat * s, pose.y + lon * s + lat * c)
-                for lon in (lon0, lon1) for lat in (-half_w, half_w)]
+    def footprint_corners(self, x: np.ndarray, y: np.ndarray, yaw: np.ndarray) -> np.ndarray:
+        """The four rectangle corners of rear-axle anchored poses, shape
+        (2, 4, n): x and y, then rear right, rear left, front right, front left."""
+        c, s = np.cos(yaw), np.sin(yaw)
+        corners = [(lon, lat) for lon in (-self.rear_overhang, self.length - self.rear_overhang)
+                   for lat in (-self.width / 2.0, self.width / 2.0)]
+        return np.array(([x + lon * c - lat * s for lon, lat in corners],
+                         [y + lon * s + lat * c for lon, lat in corners]))
 
 
 @dataclass(frozen=True)

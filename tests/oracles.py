@@ -12,8 +12,10 @@ path-sampling references keep the scalar per-sample recurrence that the
 array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
 `PlannedPath.walk()` replaced, the raytrace reference keeps the masked
-all-rays loop that the live-ray march replaced, and the search reference
-keeps the child loop that costed, keyed and collision-checked every child.
+all-rays loop that the live-ray march replaced, the search reference
+keeps the child loop that costed, keyed and collision-checked every child,
+and the proximity reference keeps the per-corner lookups that one array
+lookup replaced.
 """
 from __future__ import annotations
 
@@ -28,12 +30,12 @@ from scipy import ndimage
 
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
-from hybridplan.heuristic import (PLANNING_RESOLUTION, AStarPath, DistanceMap, GoalBlockedError,
-                                  NoRouteError, build_distance_map, resolution_factor)
-from hybridplan.planner import (EXTENDED, STANDARD, STOP_AT_GOAL, STOP_EARLY,
-                                BudgetExceededError, DriveSegment, NoPathError, PathBuilder,
-                                PlannedPath, PlannerConfig, PlannerFailure, RotationSegment,
-                                SearchStats, analytic_expansions, cost_of, geometric_extension)
+from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
+                                  build_distance_map, resolution_factor)
+from hybridplan.planner import (EXTENDED, STANDARD, BudgetExceededError, DriveSegment,
+                                NoPathError, PathBuilder, PlannedPath, PlannerConfig,
+                                PlannerFailure, RotationSegment, SearchStats,
+                                analytic_expansions, cost_of, geometric_extension)
 from hybridplan.reeds_shepp import RSPath, rs_all_paths, rs_path_length
 from hybridplan.vehicle import CollisionChecker, make_disk_set
 
@@ -408,12 +410,12 @@ def downsample_blocked_reference(fine_blocked: np.ndarray, factor: int) -> np.nd
 
 
 def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
-                                 planning_resolution: float = PLANNING_RESOLUTION,
-                                 inflation_radius: float = 1.0) -> DistanceMap:
+                                 config: PlannerConfig) -> DistanceMap:
     """The route map built from scratch, as before map repair: the
     whole-grid obstacle field, the reshaped max-pool and a full flood by
     the heap Dijkstra, whose values are the floats of the library's flood:
     each is the min over the neighbours of fl(value + edge)."""
+    planning_resolution, inflation_radius = config.xy_resolution, config.inflation_radius
     fine = distance_transform_reference(belief)
     factor = resolution_factor(planning_resolution, belief.resolution)
     blocked = downsample_blocked_reference(fine <= inflation_radius, factor)
@@ -544,6 +546,31 @@ def kappa_dot_rms_direct(kappa_runs: List[np.ndarray], ds: float) -> Tuple[float
     return math.sqrt(sq_sum / n), max_abs
 
 
+def proximity_stats_reference(driven: PlannedPath, field: Raster, vehicle
+                              ) -> Tuple[float, float]:
+    """The per-sample loop that the array form of `proximity_stats`
+    replaced: each pose's four footprint corners, each looked up alone."""
+    lon0, lon1 = -vehicle.rear_overhang, vehicle.length - vehicle.rear_overhang
+    half_w = vehicle.width / 2.0
+
+    def worst_corner(x, y, yaw) -> float:
+        pose = Pose2D(float(x), float(y), float(yaw))
+        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+        return max(_field_at(field.values, field.resolution, pose.x + lon * c - lat * s,
+                             pose.y + lon * s + lat * c, field.outside)
+                   for lon in (lon0, lon1) for lat in (-half_w, half_w))
+
+    per_sample = []
+    for seg in driven.segments:
+        if isinstance(seg, RotationSegment):
+            per_sample += [worst_corner(seg.x, seg.y, yaw) for yaw in (seg.from_yaw, seg.to_yaw)]
+        else:
+            per_sample += [worst_corner(*pose) for pose in zip(seg.xs, seg.ys, seg.yaws)]
+    if not per_sample:
+        return 0.0, 0.0
+    return float(max(per_sample)), float(sum(per_sample) / len(per_sample))
+
+
 # ---------------------------------------------------------------------------
 # Path sampling and analytic expansion, one sample at a time
 # ---------------------------------------------------------------------------
@@ -638,10 +665,9 @@ def extension_reference(pose: Pose2D, goal: Pose2D, ext, checker, step: float
     return builder.finish()
 
 
-def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
-                                  turn_radius: float, mode: str, max_steer: float,
-                                  parent_direction: int = 0, parent_steer: float = 0.0
-                                  ) -> Optional[PlannedPath]:
+def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config, vehicle,
+                                  mode: str, parent_direction: int = 0,
+                                  parent_steer: float = 0.0) -> Optional[PlannedPath]:
     """Analytic expansion that samples and checks every candidate as a whole.
 
     Each candidate is sampled in full by the scalar recurrence, the start
@@ -651,8 +677,9 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config,
     """
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
+    max_steer = vehicle.max_steer
     kind_steer = {"left": max_steer, "right": -max_steer, "straight": 0.0}
-    for cand in rs_all_paths(pose, goal, turn_radius):
+    for cand in rs_all_paths(pose, goal, vehicle.min_turn_radius):
         if cand.total_length >= 1e6:
             break
         samples = sample_path_scalar(cand, pose, config.collision_step)
@@ -864,7 +891,7 @@ def _ref_reconstruct(node, table) -> PlannedPath:
 
 
 def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=STANDARD,
-                   stop_rule=STOP_AT_GOAL, s_w=55.0, start_direction=0, start_steer=0.0):
+                   horizon=None, start_direction=0, start_steer=0.0):
     """`planner.plan` with its earlier child loop: every child is sub-sampled
     and disk-checked, then normalised, keyed and costed one at a time."""
     t_begin = time.perf_counter()
@@ -874,10 +901,10 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
 
     if checker.pose_blocked(start.x, start.y, start.yaw):
         raise PlannerFailure("start in collision")
-    if stop_rule == STOP_AT_GOAL and checker.pose_blocked(goal.x, goal.y, goal.yaw):
+    if horizon is None and checker.pose_blocked(goal.x, goal.y, goal.yaw):
         raise PlannerFailure("goal in collision")
 
-    dmap = build_distance_map(belief, goal, config.xy_resolution, config.inflation_radius)
+    dmap = build_distance_map(belief, goal, config)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):
@@ -927,14 +954,14 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
         if stats.nodes_expanded > config.node_budget:
             raise BudgetExceededError()
 
-        if node.key == goal_key or (stop_rule == STOP_EARLY and math.isfinite(node.hd)
-                                    and hd_start - node.hd > s_w):
+        if node.key == goal_key or (horizon is not None and math.isfinite(node.hd)
+                                    and hd_start - node.hd > horizon):
             return finish(_ref_reconstruct(node, table))
-        if (stop_rule != STOP_EARLY and node.h < config.analytic_radius
+        if (horizon is None and node.h < config.analytic_radius
                 and node.key not in analytic_tried):
             analytic_tried.add(node.key)
             suffix = analytic_expansions(Pose2D(node.x, node.y, node.yaw), goal, checker,
-                                         config, turn_radius, mode, vehicle.max_steer,
+                                         config, vehicle, mode,
                                          parent_direction=node.direction,
                                          parent_steer=node.steer)
             if suffix is not None:

@@ -21,7 +21,7 @@ from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP, NAV
                                 compute_replan_start)
 from hybridplan.planner import (DriveSegment, EXTENDED, PlannedPath,
                                 PlannerConfig, PlannerFailure,
-                                STANDARD, STOP_EARLY, plan)
+                                STANDARD, plan)
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.simulate import kappa_dot_rms, run_scenario
 from hybridplan.vehicle import VehicleSpec
@@ -177,10 +177,10 @@ def test_c04_curvature_metric_oracle():
 def test_c05_early_stop_and_replan_start_semantics():
     g = bordered_grid(130, 12)
     goal = Pose2D(125, 6, 0.0)
-    dm = build_distance_map(g, goal)
+    dm = build_distance_map(g, goal, DEFAULT_CFG)
     start = Pose2D(5, 6, 0.0)
     hd_s = dm.route_distance(start.x, start.y)
-    path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, stop_rule=STOP_EARLY, s_w=55.0)
+    path, _ = plan(g, start, goal, VEH, DEFAULT_CFG, horizon=55.0)
     end = path.end_pose()
     drop = hd_s - dm.at(end.x, end.y)
     early_ok = hd_s >= 60.0 and drop > 55.0
@@ -283,8 +283,7 @@ def test_c07_heuristic_admissibility():
             skipped["straight line free"] += 1
             continue
         try:
-            dm = build_distance_map(g, goal, DEFAULT_CFG.xy_resolution,
-                                    DEFAULT_CFG.inflation_radius)
+            dm = build_distance_map(g, goal, DEFAULT_CFG)
             hd = dm.at(start.x, start.y)   # the field itself, no snapping
             if not math.isfinite(hd):
                 skipped["start off the field"] += 1
@@ -367,8 +366,7 @@ def test_c09_divergence_replan():
                                       driven.total_drive_length))
             raytrace_reveal(spec.truth_map, belief, pose, spec.sensor_range,
                             spec.n_rays)
-            dm = build_distance_map(belief, spec.goal, DEFAULT_CFG.xy_resolution,
-                                    DEFAULT_CFG.inflation_radius)
+            dm = build_distance_map(belief, spec.goal, DEFAULT_CFG)
             route = extract_astar_path(dm, pose)
             if step == event.step and prev_route is not None:
                 limit = min(prev_route.length, route.length)

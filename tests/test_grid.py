@@ -11,6 +11,7 @@ from hybridplan.geometry import Pose2D
 from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
+from hybridplan.planner import PlannerConfig
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled, paint_disk
@@ -216,22 +217,21 @@ def _assert_field_is_full_rebuild(g):
         assert np.array_equal(got, brute_distance_transform(g.cells == OCCUPIED, g.resolution))
 
 
-def _route_map_or_error(build, g, goal, planning_resolution, inflation):
+def _route_map_or_error(build, g, goal, config):
     try:
-        return build(g, goal, planning_resolution, inflation)
+        return build(g, goal, config)
     except GoalBlockedError as exc:
         return str(exc)
 
 
-def _assert_fields_are_full_rebuild(g, goals, planning_resolution, inflation):
+def _assert_fields_are_full_rebuild(g, goals, config):
     """The memoized distance field and route maps of `g` equal the
     references built from scratch, and its disk mask equals that of a
     fresh copy."""
     _assert_field_is_full_rebuild(g)
     for goal in goals:
-        got = _route_map_or_error(build_distance_map, g, goal, planning_resolution, inflation)
-        expect = _route_map_or_error(build_distance_map_reference, g, goal,
-                                     planning_resolution, inflation)
+        got = _route_map_or_error(build_distance_map, g, goal, config)
+        expect = _route_map_or_error(build_distance_map_reference, g, goal, config)
         if isinstance(expect, str):
             assert got == expect
             continue
@@ -262,12 +262,13 @@ def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor,
     cells[r.random((h, w)) < fill] = OCCUPIED
     g = OccupancyGrid(res, cells)
     goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
-    _assert_fields_are_full_rebuild(g, goals, factor * res, inflation)
+    config = PlannerConfig(xy_resolution=factor * res, inflation_radius=inflation)
+    _assert_fields_are_full_rebuild(g, goals, config)
     for edit, read in steps:
         _apply_edit(g, edit, r)
         if read:
-            _assert_fields_are_full_rebuild(g, goals, factor * res, inflation)
-    _assert_fields_are_full_rebuild(g, goals, factor * res, inflation)
+            _assert_fields_are_full_rebuild(g, goals, config)
+    _assert_fields_are_full_rebuild(g, goals, config)
 
 
 def test_incremental_distance_field_matches_full_over_reveals():
@@ -377,17 +378,20 @@ def test_voronoi_one_inside_obstacles():
 def test_voronoi_zero_beyond_cutoff():
     g = OccupancyGrid.filled(200, 200, 0.25, FREE)
     g.set_cells((0, 0), OCCUPIED)
-    f = voronoi_field(g, alpha=10.0, d_max=10.0)
+    f = voronoi_field(g)
     assert f.values[150, 150] == 0.0   # far corner, d_O > d_max
 
 
 def test_voronoi_zero_on_midline_between_walls():
+    """Walls 10 m apart: the midline lies 5 m from each, inside the 10 m
+    range, so the ridge, not the distance, makes it zero."""
     res = 0.25
-    g = OccupancyGrid.filled(81, 81, res, FREE)
+    g = OccupancyGrid.filled(41, 41, res, FREE)
     g.set_cells((slice(None), 0), OCCUPIED)
-    g.set_cells((slice(None), 80), OCCUPIED)
-    f = voronoi_field(g, alpha=10.0, d_max=20.0)
-    assert f.values[40, 40] == pytest.approx(0.0, abs=1e-12)
+    g.set_cells((slice(None), 40), OCCUPIED)
+    f = voronoi_field(g)
+    assert f.values[20, 20] == pytest.approx(0.0, abs=1e-12)
+    assert f.values[20, 10] > 0.0
 
 
 def test_voronoi_single_component_formula():
@@ -397,7 +401,7 @@ def test_voronoi_single_component_formula():
     g = OccupancyGrid.filled(40, 8, res, FREE)
     g.set_cells((slice(None), 0), OCCUPIED)
     alpha, d_max = 10.0, 10.0
-    f = voronoi_field(g, alpha=alpha, d_max=d_max)
+    f = voronoi_field(g)
     for ix in (1, 5, 10, 19):
         d_o = ix * res
         expect = (alpha / (alpha + d_o)) * ((d_o - d_max) ** 2 / d_max ** 2) \
@@ -421,7 +425,7 @@ def test_voronoi_monotone_in_distance_at_fixed_ridge_distance():
     res = 0.5
     g = OccupancyGrid.filled(60, 10, res, FREE)
     g.set_cells((slice(None), 0), OCCUPIED)
-    vals = voronoi_field(g, alpha=10.0, d_max=15.0).values[5, 1:]
+    vals = voronoi_field(g).values[5, 1:]
     assert np.all(np.diff(vals) <= 1e-12)
 
 

@@ -12,9 +12,12 @@ from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRo
                                   _downsample_blocked, _repair_flood,
                                   build_distance_map, detect_divergence,
                                   extract_astar_path, waypose_at)
+from hybridplan.planner import PlannerConfig
 
 from oracles import (build_distance_map_reference, dijkstra_cost_to_go,
                      downsample_blocked_reference, extract_astar_path_reference)
+
+CFG = PlannerConfig()
 
 
 def empty_grid(width_m, height_m, res=0.15625):
@@ -24,14 +27,14 @@ def empty_grid(width_m, height_m, res=0.15625):
 
 def test_one_straight_step_costs_planning_resolution():
     g = empty_grid(20, 20)
-    dm = build_distance_map(g, Pose2D(10.0, 10.0, 0.0))
+    dm = build_distance_map(g, Pose2D(10.0, 10.0, 0.0), CFG)
     gx, gy = dm.goal_cell
     assert dm.values[gy, gx + 1] == pytest.approx(0.625)
 
 
 def test_goal_cell_is_zero():
     g = empty_grid(20, 20)
-    dm = build_distance_map(g, Pose2D(10.0, 10.0, 0.0))
+    dm = build_distance_map(g, Pose2D(10.0, 10.0, 0.0), CFG)
     gx, gy = dm.goal_cell
     assert dm.values[gy, gx] == 0.0
 
@@ -39,7 +42,7 @@ def test_goal_cell_is_zero():
 def test_matches_reference_dijkstra_through_wall_gap():
     g = empty_grid(10, 10)
     g.set_box(5.0, 0.0, 5.5, 7.0, OCCUPIED)   # wall with a gap at the top
-    dm = build_distance_map(g, Pose2D(8.0, 2.0, 0.0), inflation_radius=0.5)
+    dm = build_distance_map(g, Pose2D(8.0, 2.0, 0.0), PlannerConfig(inflation_radius=0.5))
     expect = dijkstra_cost_to_go(dm.blocked, (dm.goal_cell[1], dm.goal_cell[0]), 0.625)
     assert np.allclose(dm.values, expect, atol=1e-9, equal_nan=True)
 
@@ -52,21 +55,22 @@ def test_flood_reused_only_for_equal_inputs():
     g.set_box(5.0, 0.0, 5.5, 12.0, OCCUPIED)
     g.set_cells((slice(100, 110), slice(100, 110)), UNKNOWN)   # counts as free
     goal = Pose2D(15.0, 3.0, 0.0)
-    first = build_distance_map(g, goal)
-    for dm in (first, build_distance_map(g, goal, 1.25)):
+    coarse = PlannerConfig(xy_resolution=1.25)
+    first = build_distance_map(g, goal, CFG)
+    for dm in (first, build_distance_map(g, goal, coarse)):
         with pytest.raises(ValueError):
             dm.values[0, 0] = 1.0
         with pytest.raises(ValueError):
             dm.blocked[0, 0] = True
-    second = build_distance_map(g, goal, 1.25)
+    second = build_distance_map(g, goal, coarse)
     g.set_cells((slice(100, 110), slice(100, 110)), FREE)      # blocked grid unchanged
-    assert build_distance_map(g, goal, 1.25) is second        # successor table kept too
-    assert build_distance_map(g, Pose2D(15.2, 3.1, 0.0), 1.25) is second
+    assert build_distance_map(g, goal, coarse) is second        # successor table kept too
+    assert build_distance_map(g, Pose2D(15.2, 3.1, 0.0), coarse) is second
     for change in (lambda: None, lambda: g.set_box(9.0, 6.0, 10.0, 14.0, OCCUPIED)):
         change()
         for goal_ in (goal, Pose2D(12.0, 3.0, 0.0)):
-            dm = build_distance_map(g, goal_)
-            fresh = build_distance_map(g.copy(), goal_)
+            dm = build_distance_map(g, goal_, CFG)
+            fresh = build_distance_map(g.copy(), goal_, CFG)
             assert np.array_equal(dm.values, fresh.values)
             assert np.array_equal(dm.blocked, fresh.blocked)
             assert dm.goal_cell == fresh.goal_cell
@@ -76,13 +80,20 @@ def test_goal_blocked_raises():
     g = empty_grid(10, 10)
     g.set_box(4.0, 4.0, 6.0, 6.0, OCCUPIED)
     with pytest.raises(GoalBlockedError, match="goal blocked"):
-        build_distance_map(g, Pose2D(5.0, 5.0, 0.0))
+        build_distance_map(g, Pose2D(5.0, 5.0, 0.0), CFG)
 
 
 @pytest.mark.parametrize("radius", [-0.5, math.nan])
 def test_negative_inflation_radius_raises(radius):
     with pytest.raises(ValueError, match="inflation_radius must be non-negative"):
-        build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0), inflation_radius=radius)
+        build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0),
+                           PlannerConfig(inflation_radius=radius))
+
+
+def test_resolution_off_the_grid_raises_naming_xy_resolution():
+    with pytest.raises(ValueError, match="xy_resolution must be an integer multiple"):
+        build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0),
+                           PlannerConfig(xy_resolution=0.5))
 
 
 def test_consistency_over_neighbors(rng):
@@ -91,7 +102,7 @@ def test_consistency_over_neighbors(rng):
         g.set_box(rng.uniform(2, 16), rng.uniform(2, 16),
                   rng.uniform(2, 16) + 2.0, rng.uniform(2, 16) + 2.0, OCCUPIED)
     try:
-        dm = build_distance_map(g, Pose2D(18.0, 18.0, 0.0))
+        dm = build_distance_map(g, Pose2D(18.0, 18.0, 0.0), CFG)
     except GoalBlockedError:
         pytest.skip("goal landed in an obstacle for this layout")
     h, w = dm.values.shape
@@ -120,7 +131,7 @@ def test_consistency_over_neighbors(rng):
     "from a boundary goal starts one cell off goal_cell and reads 0.625 m"))
 def test_route_from_a_boundary_goal_starts_at_the_goal_cell():
     dm = build_distance_map(OccupancyGrid.filled(128, 128, 0.15625, FREE),
-                            Pose2D(15.0, 12.0, 0.0))
+                            Pose2D(15.0, 12.0, 0.0), CFG)
     assert dm.goal_cell == (24, 19)
     assert dm.nearest_reachable_cell(15.0, 12.0) == dm.goal_cell
     assert dm.route_distance(15.0, 12.0) == 0.0
@@ -213,9 +224,9 @@ def test_route_maps_repaired_or_flooded_match_fresh_builds(floods):
         if box is not None:
             g.set_box(*box)
         n = len(floods)
-        dm = build_distance_map(g, goal)
+        dm = build_distance_map(g, goal, CFG)
         kinds += floods[n:]
-        fresh = build_distance_map_reference(g, goal)
+        fresh = build_distance_map_reference(g, goal, CFG)
         assert np.array_equal(dm.values, fresh.values)
         assert np.array_equal(dm.blocked, fresh.blocked)
         assert np.array_equal(np.asarray(dm.successor), np.asarray(fresh.successor))
@@ -248,7 +259,7 @@ def test_pool_at_the_grid_edge(box):
 
 def test_extract_start_at_goal_single_point():
     g = empty_grid(20, 20)
-    dm = build_distance_map(g, Pose2D(10.0, 10.0, 0.0))
+    dm = build_distance_map(g, Pose2D(10.0, 10.0, 0.0), CFG)
     center = dm.cell_center(*dm.goal_cell)
     path = extract_astar_path(dm, Pose2D(center[0], center[1], 0.0))
     assert path.points.shape[0] == 1
@@ -258,7 +269,7 @@ def test_extract_start_at_goal_single_point():
 def test_extract_descent_length_equals_cost_to_go():
     g = empty_grid(30, 30)
     g.set_box(12.0, 4.0, 14.0, 26.0, OCCUPIED)   # U-ish wall to walk around
-    dm = build_distance_map(g, Pose2D(25.0, 15.0, 0.0))
+    dm = build_distance_map(g, Pose2D(25.0, 15.0, 0.0), CFG)
     start = Pose2D(5.0, 15.0, 0.0)
     path = extract_astar_path(dm, start)
     start_cell = dm.nearest_reachable_cell(start.x, start.y)
@@ -268,7 +279,7 @@ def test_extract_descent_length_equals_cost_to_go():
 
 def test_extract_unobstructed_is_near_straight():
     g = empty_grid(40, 10)
-    dm = build_distance_map(g, Pose2D(35.0, 5.0, 0.0))
+    dm = build_distance_map(g, Pose2D(35.0, 5.0, 0.0), CFG)
     path = extract_astar_path(dm, Pose2D(5.0, 5.0, 0.0))
     direct = math.hypot(*(path.points[-1] - path.points[0]))
     assert path.length <= direct + 2 * 0.625 * math.sqrt(2.0)
@@ -280,7 +291,7 @@ def test_extract_unobstructed_is_near_straight():
 def test_extract_unreachable_raises():
     g = empty_grid(20, 20)
     g.set_box(8.0, 0.0, 10.0, 20.0, OCCUPIED)   # full split
-    dm = build_distance_map(g, Pose2D(15.0, 10.0, 0.0))
+    dm = build_distance_map(g, Pose2D(15.0, 10.0, 0.0), CFG)
     with pytest.raises(NoRouteError, match="no 2D route"):
         extract_astar_path(dm, Pose2D(3.0, 10.0, 0.0))
 
@@ -292,7 +303,7 @@ def test_descent_terminates_within_cell_budget(rng):
             g.set_box(rng.uniform(2, 20), rng.uniform(2, 20),
                       rng.uniform(2, 20) + 1.5, rng.uniform(2, 20) + 1.5, OCCUPIED)
         try:
-            dm = build_distance_map(g, Pose2D(22.0, 22.0, 0.0))
+            dm = build_distance_map(g, Pose2D(22.0, 22.0, 0.0), CFG)
             path = extract_astar_path(dm, Pose2D(2.5, 2.5, 0.0))
         except (GoalBlockedError, NoRouteError):
             continue
@@ -339,7 +350,7 @@ def box_maps(draw):
 def test_successor_walk_matches_scalar_descent(case):
     g, goal, start, inflation = case
     try:
-        dm = build_distance_map(g, goal, inflation_radius=inflation)
+        dm = build_distance_map(g, goal, PlannerConfig(inflation_radius=inflation))
     except GoalBlockedError:
         return
     assert_same_route(dm, start)
@@ -393,7 +404,7 @@ def test_successor_walk_named_cases(case):
         g.set_box(8.0, 0.0, 10.0, 20.0, OCCUPIED)
     elif case == "off_grid":
         start = Pose2D(-5.0, 4.0, 0.0)
-    outcome = assert_same_route(build_distance_map(g, goal), start)
+    outcome = assert_same_route(build_distance_map(g, goal, CFG), start)
     if case in ("unreachable", "off_grid"):
         assert outcome == (NoRouteError, "no 2D route")
     else:
@@ -420,7 +431,7 @@ def test_isolated_finite_cell_has_no_route(extract):
 
 
 def test_successor_table_is_read_only():
-    dm = build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0))
+    dm = build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0), CFG)
     assert dm.successor.readonly and dm.successor.format == "i"
     assert len(dm.successor) == dm.values.size
 
@@ -531,7 +542,7 @@ def test_cost_to_go_lower_bounds_independent_search(rng):
             g.set_box(rng.uniform(2, 16), rng.uniform(2, 16),
                       rng.uniform(2, 16) + 1.5, rng.uniform(2, 16) + 1.5, OCCUPIED)
         try:
-            dm = build_distance_map(g, Pose2D(17.0, 17.0, 0.0))
+            dm = build_distance_map(g, Pose2D(17.0, 17.0, 0.0), CFG)
         except GoalBlockedError:
             continue
         expect = dijkstra_cost_to_go(dm.blocked, (dm.goal_cell[1], dm.goal_cell[0]), 0.625)

@@ -160,18 +160,23 @@ def test_perfbench_call_sites_resolve(monkeypatch):
 
 
 def uncalled_public_names(sources, exported):
-    """Public module-level functions and classes of `sources` (module name ->
-    source) that no module refers to apart from defining them, and that the
-    package does not export."""
+    """Public module-level functions, classes and UPPER_CASE constants of
+    `sources` (module name -> source) that no module refers to apart from
+    defining them, and that the package does not export."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.append((module, node.name))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
+                names = []
+            defined += [(module, name) for name in names if not name.startswith("_")]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -183,6 +188,12 @@ def test_rule_catches_uncalled_public_names():
     sources = {"a": "def used():\n    pass\n\ndef orphan():\n    pass\n\nclass Shown:\n    pass\n",
                "b": "from .a import used\n\ndef caller():\n    return used()\n"}
     assert uncalled_public_names(sources, {"caller", "Shown"}) == ["a.orphan"]
+
+
+def test_rule_catches_unread_public_constants():
+    sources = {"a": "STEP = 0.5\nLEFT_OVER = 0.625\nLIMIT: int = 3\n_PRIVATE = 2\n",
+               "b": "from .a import STEP\n\ndef caller():\n    return STEP\n"}
+    assert uncalled_public_names(sources, {"caller"}) == ["a.LEFT_OVER", "a.LIMIT"]
 
 
 def test_every_public_name_has_a_caller_or_is_exported():

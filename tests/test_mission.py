@@ -13,8 +13,7 @@ from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_rev
 from hybridplan.heuristic import extract_astar_path, waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, carried_path_collision,
                                 check_path_collision, compute_replan_start, mission_tick)
-from hybridplan.planner import (PathBuilder, PlannerConfig, RotationSegment,
-                                STOP_AT_GOAL, plan)
+from hybridplan.planner import PathBuilder, PlannerConfig, RotationSegment, plan
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled, pose_close
@@ -323,6 +322,22 @@ def test_refresh_after_an_executed_trailing_rotation_starts_at_the_vehicle(monke
     assert state.current_path.n_rotations == 0
 
 
+def test_replanning_tick_plans_on_the_route_map_it_built(monkeypatch):
+    """The tick and the planner both pass the planner config, so the planner
+    reads the very map the tick built to pick its stop rule."""
+    built = []
+
+    def recording_build(belief, goal, config):
+        built.append(heuristic.build_distance_map(belief, goal, config))
+        return built[-1]
+
+    monkeypatch.setattr(mission, "build_distance_map", recording_build)
+    monkeypatch.setattr(planner, "build_distance_map", recording_build)
+    state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(35, 7, 0))
+    assert tick(state, bordered_grid(40, 14)).replanned
+    assert len(built) == 2 and built[1] is built[0]
+
+
 def test_failure_propagates_reason():
     g = bordered_grid(40, 14)
     g.set_box(18.0, 0.5, 20.0, 13.5, OCCUPIED)   # no way east
@@ -338,7 +353,7 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     calls = []
 
     def recording_plan(belief, start, goal, *args, **kwargs):
-        calls.append((goal, kwargs["stop_rule"]))
+        calls.append((goal, kwargs["horizon"]))
         return plan(belief, start, goal, *args, **kwargs)
 
     monkeypatch.setattr(mission, "plan", recording_plan)
@@ -348,10 +363,10 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     far = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=goal)
     assert tick(far, g, mode="waypoint").replanned
     assert far.prev_astar.length >= cfg.s_lim
-    planned_goal, stop_rule = calls[-1]
+    planned_goal, horizon = calls[-1]
     assert planned_goal == waypose_at(far.prev_astar, cfg.s_w)
     assert planned_goal.distance_to(goal) > 100.0
-    assert stop_rule == STOP_AT_GOAL
+    assert horizon is None
     assert pose_close(far.current_path.end_pose(), planned_goal, pos_tol=CFG.xy_resolution,
                       yaw_tol=CFG.yaw_resolution)
     assert not far.path_to_goal
@@ -359,7 +374,7 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     near = MissionState(vehicle_pose=Pose2D(140, 7, 0), goal=goal)
     assert tick(near, g, mode="waypoint").replanned
     assert near.prev_astar.length < cfg.s_lim
-    assert calls[-1] == (goal, STOP_AT_GOAL)
+    assert calls[-1] == (goal, None)
     assert near.path_to_goal
 
 
@@ -591,11 +606,11 @@ def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
     every flood after the first is a repair of the previous map."""
     last = {}
 
-    def checked_build(belief, goal, res, inflation):
-        dm = heuristic.build_distance_map(belief, goal, res, inflation)
-        key = (dm.goal_cell, res, inflation)
+    def checked_build(belief, goal, config):
+        dm = heuristic.build_distance_map(belief, goal, config)
+        key = (dm.goal_cell, config.xy_resolution, config.inflation_radius)
         if last.get(key) is not dm:                   # built, not reused
-            expect = build_distance_map_reference(belief, goal, res, inflation)
+            expect = build_distance_map_reference(belief, goal, config)
             assert np.array_equal(dm.values, expect.values)
             assert np.array_equal(dm.blocked, expect.blocked)
             assert np.array_equal(np.asarray(dm.successor), np.asarray(expect.successor))

@@ -14,7 +14,7 @@ from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 EXTENDED, NoPathError, PathBuilder, PlannedPath,
                                 PlannerConfig, PlannerFailure, RotationSegment,
-                                STANDARD, STOP_AT_GOAL, STOP_EARLY, analytic_expansions,
+                                STANDARD, analytic_expansions,
                                 cost_of, geometric_extension, plan, steps_cost)
 from hybridplan import planner as planner_module
 from hybridplan.reeds_shepp import rs_path_length
@@ -182,9 +182,9 @@ def test_planned_path_is_collision_free(rng):
 def test_early_stop_first_trigger_semantics():
     g = bordered_grid(130, 12)
     goal = Pose2D(125, 6, 0.0)
-    dm = build_distance_map(g, goal)
+    dm = build_distance_map(g, goal, CFG)
     start = Pose2D(5, 6, 0.0)
-    path, _ = plan(g, start, goal, VEH, CFG, stop_rule=STOP_EARLY, s_w=55.0)
+    path, _ = plan(g, start, goal, VEH, CFG, horizon=55.0)
     hd_start = dm.route_distance(start.x, start.y)
     end = path.end_pose()
     assert hd_start - dm.at(end.x, end.y) > 55.0
@@ -196,7 +196,7 @@ def test_early_stop_first_trigger_semantics():
 def test_early_stop_does_not_snap_to_goal():
     g = bordered_grid(130, 12)
     goal = Pose2D(125, 6, 0.0)
-    path, _ = plan(g, Pose2D(5, 6, 0), goal, VEH, CFG, stop_rule=STOP_EARLY, s_w=55.0)
+    path, _ = plan(g, Pose2D(5, 6, 0), goal, VEH, CFG, horizon=55.0)
     assert path.end_pose().distance_to(goal) > 10.0
 
 
@@ -290,11 +290,11 @@ def _search_outcome(fn, *args, **kwargs):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), border=st.booleans(),
        mode=st.sampled_from([STANDARD, EXTENDED]),
-       stop_rule=st.sampled_from([STOP_AT_GOAL, STOP_EARLY]),
-       s_w=st.floats(1.0, 15.0), config=st.sampled_from(SEARCH_CONFIGS),
+       horizon=st.one_of(st.none(), st.floats(1.0, 15.0)),
+       config=st.sampled_from(SEARCH_CONFIGS),
        start_direction=st.sampled_from([-1, 0, 1]),
        start_steer=st.floats(-VEH.max_steer, VEH.max_steer), near_edge=st.booleans())
-def test_search_matches_reference(seed, border, mode, stop_rule, s_w, config,
+def test_search_matches_reference(seed, border, mode, horizon, config,
                                   start_direction, start_steer, near_edge):
     """The child loop that keys and costs children first and checks only the
     survivors finds the same path, sample for sample, after the same number
@@ -306,7 +306,7 @@ def test_search_matches_reference(seed, border, mode, stop_rule, s_w, config,
     start = _free_pose(rng, checker, near_edge)
     goal = _free_pose(rng, checker, False)
     args = (g, start, goal, VEH, config)
-    kwargs = dict(mode=mode, stop_rule=stop_rule, s_w=s_w,
+    kwargs = dict(mode=mode, horizon=horizon,
                   start_direction=start_direction, start_steer=start_steer)
     got_path, got = _search_outcome(plan, *args, **kwargs)
     ref_path, ref = _search_outcome(plan_reference, *args, **kwargs)
@@ -320,8 +320,7 @@ def test_analytic_free_space_equals_rs():
     g = open_grid()
     checker = CollisionChecker(g, make_disk_set(VEH))
     pose, goal = Pose2D(10, 20, 0), Pose2D(25, 22, 0.5)
-    suffix = analytic_expansions(pose, goal, checker, CFG, VEH.min_turn_radius,
-                                 STANDARD, VEH.max_steer)
+    suffix = analytic_expansions(pose, goal, checker, CFG, VEH, STANDARD)
     assert suffix is not None
     assert suffix.total_drive_length == pytest.approx(
         rs_path_length(pose, goal, VEH.min_turn_radius), abs=1e-6)
@@ -333,7 +332,7 @@ def test_analytic_blocked_returns_none():
     g.set_box(18.0, 0.5, 20.0, 39.5, OCCUPIED)  # full-height wall
     checker = CollisionChecker(g, make_disk_set(VEH))
     suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(30, 20, 0), checker,
-                                 CFG, VEH.min_turn_radius, STANDARD, VEH.max_steer)
+                                 CFG, VEH, STANDARD)
     assert suffix is None
 
 
@@ -346,7 +345,7 @@ def test_analytic_blocked_start_returns_none():
     assert checker.pose_blocked(10.0, 20.0, 0.0)
     assert not checker.pose_blocked(10.0 + CFG.collision_step, 20.0, 0.0)
     suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 20, 0), checker,
-                                 CFG, VEH.min_turn_radius, STANDARD, VEH.max_steer)
+                                 CFG, VEH, STANDARD)
     assert suffix is None
 
 
@@ -363,10 +362,8 @@ def test_analytic_extension_used_where_arcs_collide():
     checker = CollisionChecker(g, make_disk_set(VEH))
     pose = Pose2D(6.0, 20.0, 0.0)
     goal = Pose2D(26.0 + 8.0 * d[0], 20.0 + 8.0 * d[1], -3 * math.pi / 4)
-    rs_only = analytic_expansions(pose, goal, checker, CFG, VEH.min_turn_radius,
-                                  STANDARD, VEH.max_steer)
-    extended = analytic_expansions(pose, goal, checker, CFG, VEH.min_turn_radius,
-                                   EXTENDED, VEH.max_steer)
+    rs_only = analytic_expansions(pose, goal, checker, CFG, VEH, STANDARD)
+    extended = analytic_expansions(pose, goal, checker, CFG, VEH, EXTENDED)
     assert rs_only is None
     assert extended is not None
     assert extended.n_rotations == 1
@@ -415,8 +412,7 @@ def test_analytic_matches_whole_candidate_reference(mode):
                           rng.uniform(-math.pi, math.pi))
             direction = int(rng.choice([-1, 0, 1]))
             steer = float(rng.uniform(-VEH.max_steer, VEH.max_steer))
-            args = (pose, goal, checker, CFG, VEH.min_turn_radius, mode, VEH.max_steer,
-                    direction, steer)
+            args = (pose, goal, checker, CFG, VEH, mode, direction, steer)
             got = analytic_expansions(*args)
             assert _same_path(got, analytic_expansions_reference(*args))
             outcomes[got is None] += 1
@@ -451,7 +447,7 @@ def test_analytic_late_collision_matches_reference(monkeypatch):
         checker = CollisionChecker(g, make_disk_set(VEH))
         goal = Pose2D(rng.uniform(26.0, 34.0), pose.y + rng.uniform(-4.0, 4.0),
                       rng.uniform(-0.5, 0.5))
-        args = (pose, goal, checker, CFG, VEH.min_turn_radius, STANDARD, VEH.max_steer)
+        args = (pose, goal, checker, CFG, VEH, STANDARD)
         got = analytic_expansions(*args)
         assert _same_path(got, analytic_expansions_reference(*args))
         found += got is not None
@@ -470,13 +466,13 @@ def test_analytic_work_counts(monkeypatch):
     checks = _counting(monkeypatch, CollisionChecker, "batch_blocked")
     sampled = _counting(monkeypatch, planner_module, "sample_path")
     assert analytic_expansions(pose, Pose2D(32.0, 28.0, 1.0), pocket, CFG,
-                               VEH.min_turn_radius, STANDARD, VEH.max_steer) is None
+                               VEH, STANDARD) is None
     assert (checks[0], sampled[0]) == (1, 0)
 
     checks[0] = 0
     free = CollisionChecker(open_grid(), make_disk_set(VEH))
     assert analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 22, 0.5), free, CFG,
-                               VEH.min_turn_radius, STANDARD, VEH.max_steer) is not None
+                               VEH, STANDARD) is not None
     assert (checks[0], sampled[0]) == (2, 1)
 
 
@@ -553,6 +549,22 @@ def test_drive_segment_leaves_the_callers_arrays_writable():
     xs = np.array([0.0, 1.0])
     seg = DriveSegment(xs, np.zeros(2), np.zeros(2), np.zeros(1), np.array([0.0, 1.0]), 1)
     assert xs.flags.writeable and not seg.xs.flags.writeable
+
+
+@pytest.mark.parametrize("lengths", [
+    (1, 1, 1, 0, 1),        # one sample: no interval
+    (3, 3, 3, 3, 3),        # a kappa per sample, not per interval
+    (3, 3, 3, 1, 3),        # too few kappas
+    (3, 2, 3, 2, 3),        # ys one short
+    (3, 3, 4, 2, 3),        # yaws one long
+    (3, 3, 3, 2, 2),        # s one short
+])
+def test_drive_segment_rejects_mismatched_lengths(lengths):
+    """A drive segment has n >= 2 samples of xs, ys, yaws and s, and n - 1
+    interval curvatures; anything else raises."""
+    arrays = [np.arange(k, dtype=float) for k in lengths]
+    with pytest.raises(ValueError, match="drive segment"):
+        DriveSegment(*arrays, 1)
 
 
 # ----------------------------------------------------- path slicing / cursor

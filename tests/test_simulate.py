@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
@@ -15,7 +16,7 @@ from hybridplan.simulate import (ScenarioSpec, kappa_dot_rms,
 from hybridplan.vehicle import VehicleSpec
 
 from conftest import bordered_grid, bundled, pose_close
-from oracles import kappa_dot_rms_direct
+from oracles import kappa_dot_rms_direct, proximity_stats_reference
 
 VEH = VehicleSpec()
 
@@ -99,7 +100,7 @@ def test_rotations_excluded_from_pooling():
 def test_proximity_far_from_everything():
     g = OccupancyGrid.filled(400, 400, 0.25, FREE)
     g.set_cells((0, 0), OCCUPIED)
-    field = voronoi_field(g, alpha=10.0, d_max=10.0)
+    field = voronoi_field(g)
     path = drive_path([0.0] * 20)
     # shift the path to the far corner: d_O > d_max everywhere
     builder = PathBuilder(Pose2D(80.0, 80.0, 0.0))
@@ -122,7 +123,7 @@ def test_proximity_matches_field_sample_at_known_clearance():
     res = 0.25
     g = OccupancyGrid.filled(200, 120, res, FREE)
     g.set_box(0.0, 0.0, 50.0, 0.5, OCCUPIED)          # one wall along y=0
-    field = voronoi_field(g, alpha=10.0, d_max=10.0)
+    field = voronoi_field(g)
     y0 = 6.0
     builder = PathBuilder(Pose2D(10.0, y0, 0.0))
     for i in range(1, 21):
@@ -132,6 +133,28 @@ def test_proximity_matches_field_sample_at_known_clearance():
     expect = field.at(15.0, y0 - VEH.width / 2.0)
     assert p_max == pytest.approx(expect, abs=1e-9)
     assert p_avg == pytest.approx(expect, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_runs=st.integers(0, 5))
+def test_proximity_stats_matches_scalar_reference(seed, n_runs):
+    """The one array lookup of every corner gives the per-corner loop's
+    (p_max, p_avg) bit for bit: drive runs and rotations, unnormalized
+    yaws, and corners off the grid."""
+    rng = np.random.default_rng(seed)
+    g = OccupancyGrid(0.25, np.where(rng.random((48, 64)) < 0.05, OCCUPIED, FREE))
+    field = voronoi_field(g)
+    builder = PathBuilder(Pose2D(*rng.uniform(-2.0, 18.0, 2), rng.uniform(-4.0, 4.0)))
+    for _ in range(n_runs):
+        if rng.random() < 0.3:
+            builder.add_rotation(rng.uniform(-math.pi, math.pi))
+            continue
+        direction = int(rng.choice([-1, 1]))
+        for _ in range(rng.integers(1, 8)):
+            x, y = rng.uniform(-2.0, 18.0, 2)
+            builder.add_drive_sample(x, y, rng.uniform(-10.0, 10.0), 0.0, direction)
+    path = builder.finish()
+    assert proximity_stats(path, field, VEH) == proximity_stats_reference(path, field, VEH)
 
 
 # ------------------------------------------------------------- run_scenario
