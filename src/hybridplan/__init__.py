@@ -10,7 +10,7 @@ from .mission import (MissionConfig, MissionState, TickResult, check_path_collis
                       compute_replan_start, mission_tick)
 from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPath,
                       PlannerConfig, PlannerFailure, RotationSegment, SearchStats,
-                      analytic_expansions, cost_of, geometric_extension, plan)
+                      analytic_expansions, cost_of, field_cap, geometric_extension, plan)
 from .reeds_shepp import RSPath, RSSegment, rs_all_paths, rs_path_length, sample_path
 from .simulate import (EventRecord, MetricsReport, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
@@ -26,7 +26,7 @@ __all__ = [
     "compute_replan_start", "mission_tick",
     "BudgetExceededError", "DriveSegment", "NoPathError", "PlannedPath",
     "PlannerConfig", "PlannerFailure", "RotationSegment", "SearchStats",
-    "analytic_expansions", "cost_of", "geometric_extension", "plan",
+    "analytic_expansions", "cost_of", "field_cap", "geometric_extension", "plan",
     "RSPath", "RSSegment", "rs_all_paths", "rs_path_length", "sample_path",
     "EventRecord", "MetricsReport", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",

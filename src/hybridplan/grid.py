@@ -106,13 +106,19 @@ class OccupancyGrid:
             self._previous.pop(key, None)   # kept until then, in case the build raises
         return self._memo[key]
 
-    def distance_field(self) -> Raster:
-        """Memoized obstacle distance transform; -inf off the grid.  Each
-        rebuild starts from the previous generation's field."""
+    def distance_field(self, cap: float = math.inf, readers=()) -> Raster:
+        """Memoized obstacle distance transform saturated at `cap`; -inf off
+        the grid.  Each rebuild starts from the previous generation's field.
+        Raises ValueError on the first (reader, threshold) of `readers` above
+        `cap`, where the saturated field could decide otherwise."""
+        for reader, threshold in readers:
+            if threshold > cap:
+                raise ValueError(f"{reader} compares the obstacle field with {threshold!r} m, "
+                                 f"above the field's cap {cap!r} m")
         def build(previous: Optional[Raster]) -> Raster:
-            field = distance_transform(self, previous=None if previous is None else previous.values)
+            field = distance_transform(self, previous=previous and previous.values, cap=cap)
             return Raster(field, self.resolution, -math.inf)
-        return self.derived("distance_field", build)
+        return self.derived(("distance_field", cap), build)
 
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
@@ -179,21 +185,22 @@ def load_map(path) -> OccupancyGrid:
                          f"got {header[2]!r}") from None
 
 
-def distance_transform(grid: OccupancyGrid, *,
-                       previous: Optional[np.ndarray] = None) -> np.ndarray:
+def distance_transform(grid: OccupancyGrid, *, previous: Optional[np.ndarray] = None,
+                       cap: float = math.inf) -> np.ndarray:
     """Per-cell Euclidean distance in meters to the nearest occupied cell
-    center, as a read-only array.
+    center, +inf where it exceeds `cap`, as a read-only array.
 
     Occupied cells map to 0 and unknown cells count as free; a grid without
-    any occupied cell maps to +inf.
+    any occupied cell maps to +inf.  A reader comparing with a threshold of
+    at most `cap` decides as on the exact field (`cap` +inf); the planner's
+    cap is the largest threshold of its readers (`planner.field_cap`).
 
-    `previous` is the field of an earlier state of the grid; its occupied
-    cells are exactly its zeros, as a free cell is at least one resolution
-    away.  It is returned when the mask is the same, and otherwise lowered
-    to the distance to the added cells over the window they can reach
-    (`_add_obstacles`).  With no `previous`, or once an occupied cell has
-    gone, the update starts from the empty field: all +inf, to which every
-    occupied cell is added.
+    `previous` is the field of an earlier state of the grid at the same cap;
+    its occupied cells are exactly its zeros, as a free cell is at least one
+    resolution away.  It is returned when the mask is the same, and
+    otherwise lowered to the distance to the added cells (`_add_obstacles`).
+    With no `previous`, or once an occupied cell has gone, the update starts
+    from the empty field: all +inf, to which every occupied cell is added.
     """
     occupied = grid.occupied_mask()
     kept = None if previous is None else previous == 0.0
@@ -203,32 +210,28 @@ def distance_transform(grid: OccupancyGrid, *,
     added = occupied > kept
     if not added.any():
         return previous
-    return _add_obstacles(previous, added, grid.resolution)
+    return _add_obstacles(previous, added, grid.resolution, cap)
 
 
-def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float) -> np.ndarray:
-    """A new array: `field` lowered to the distance to the `added` cells.
+def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
+                   cap: float) -> np.ndarray:
+    """A new array: `field` (saturated at `cap`) lowered to the saturated
+    distance to the `added` cells.
 
-    Every distance is sqrt(integer) * resolution, which is monotone in the
-    integer, so the min of two exact fields is bit-identical to the field of
-    their union.  A cell's distance to the added cells' bounding box,
-    rounded the same way, bounds its distance to the added cells from
-    below; a cell whose old value is within that bound keeps it, so only
-    the window over the other cells is recomputed.
+    Only cells within `cap` of an added cell can fall, so the window is the
+    added cells' bounding box grown by ceil(cap / resolution) + 1 cells.
+    Every distance is sqrt(integer) * resolution, monotone in the integer,
+    and saturation is monotone, so the min of two saturated fields is
+    bit-identical to the saturated field of their union.
     """
     rows = np.flatnonzero(added.any(axis=1))
     cols = np.flatnonzero(added.any(axis=0))
-    iy = np.arange(added.shape[0], dtype=np.float64)
-    ix = np.arange(added.shape[1], dtype=np.float64)
-    dy = np.maximum(np.maximum(rows[0] - iy, iy - rows[-1]), 0.0)
-    dx = np.maximum(np.maximum(cols[0] - ix, ix - cols[-1]), 0.0)
-    # true on every added cell
-    reach = field > np.sqrt((dy * dy)[:, None] + (dx * dx)[None, :]) * resolution
-    rows = np.flatnonzero(reach.any(axis=1))
-    cols = np.flatnonzero(reach.any(axis=0))
-    window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    grow = math.ceil(min(cap / resolution, max(added.shape))) + 1
+    window = (slice(max(rows[0] - grow, 0), rows[-1] + grow + 1),
+              slice(max(cols[0] - grow, 0), cols[-1] + grow + 1))
     near = ndimage.distance_transform_edt(~added[window])
     near *= resolution
+    near[near > cap] = np.inf
     out = field.copy()
     np.minimum(out[window], near, out=out[window])
     out.setflags(write=False)

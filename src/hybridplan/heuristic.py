@@ -134,16 +134,17 @@ def resolution_factor(xy_resolution: float, grid_resolution: float) -> int:
 
 
 def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
-                       config: PlannerConfig) -> DistanceMap:
+                       config: PlannerConfig, cap: float = math.inf) -> DistanceMap:
     """Flood the cost-to-goal over the 8-connected grid of the planner's lattice.
 
     Unknown cells count as free (optimistic planner); cells within
-    `config.inflation_radius` of an occupied cell are blocked before max-pool
-    downsampling.  Straight moves cost the planning resolution, diagonal
-    moves sqrt(2) times that.  The map is memoized on the belief per goal
-    cell, resolution and radius.  A rebuild starts from the previous
-    generation's map: an unchanged coarse blocked grid keeps the whole map,
-    values and successor table, and a grown one is repaired
+    `config.inflation_radius` of an occupied cell, on the obstacle field
+    saturated at `cap` (a build raises ValueError below it), are blocked before
+    max-pool downsampling.  Straight moves cost the planning resolution,
+    diagonal moves sqrt(2) times that.  The map is memoized on the belief
+    per goal cell, resolution and radius.  A rebuild starts from the
+    previous generation's map: an unchanged coarse blocked grid keeps the
+    whole map, values and successor table, and a grown one is repaired
     (`_repair_flood`).  The first build, and one after a cell left the
     blocked grid, repairs the empty map instead.
     """
@@ -153,7 +154,8 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     goal_cell = Raster(belief.cells, res, True).cell_of(goal.x, goal.y)
 
     def build(previous: Optional[DistanceMap]) -> DistanceMap:
-        blocked = _downsample_blocked(belief.distance_field().values <= inflation, factor)
+        field = belief.distance_field(cap, [("the route's inflation_radius", inflation)])
+        blocked = _downsample_blocked(field.values <= inflation, factor)
         coarse = Raster(blocked, res, True)
         if coarse.at(goal.x, goal.y):                 # blocked or off the grid
             raise GoalBlockedError("goal blocked")

@@ -73,13 +73,14 @@ class TickResult:
 
 
 def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid,
-                         disks: DiskSet, rotations_done: int = 0) -> Optional[float]:
+                         disks: DiskSet, rotations_done: int = 0,
+                         cap: float = math.inf) -> Optional[float]:
     """Arc length past from_s of the first colliding sample, None when clear.
 
     The first rotations_done rotations of the path are already executed and
     not checked (`PlannedPath.walk`); a larger from_s or rotations_done checks a subset.
     """
-    checker = CollisionChecker(belief, disks)
+    checker = CollisionChecker(belief, disks, cap=cap)
     for acc, seg in path.walk(rotations_done):
         if isinstance(seg, RotationSegment):
             if acc >= from_s - 1e-9 and checker.rotation_blocked(seg.x, seg.y):
@@ -95,7 +96,7 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
 
 
 def carried_path_collision(state: MissionState, belief: OccupancyGrid,
-                           disks: DiskSet) -> Optional[float]:
+                           disks: DiskSet, cap: float = math.inf) -> Optional[float]:
     """`check_path_collision` from the vehicle's place, or None unchecked while the last
     clear check's path, belief, version and disks hold and neither position is behind."""
     key = (state.current_path, belief, belief.version, disks)
@@ -103,7 +104,7 @@ def carried_path_collision(state: MissionState, belief: OccupancyGrid,
     if held[0] == key and held[1] <= state.progress_s and held[2] <= state.rotations_done:
         return None
     hit = check_path_collision(state.current_path, state.progress_s, belief, disks,
-                               state.rotations_done)
+                               state.rotations_done, cap)
     if hit is None:
         state.clear_check = (key, state.progress_s, state.rotations_done)
     return hit
@@ -133,11 +134,12 @@ def _goal_reached(state: MissionState, planner_cfg: PlannerConfig) -> bool:
 
 
 def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: MissionConfig,
-                 planner_cfg: PlannerConfig, mode: Tuple[str, str], vehicle: VehicleSpec
-                 ) -> TickResult:
+                 planner_cfg: PlannerConfig, mode: Tuple[str, str], vehicle: VehicleSpec,
+                 cap: float) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
 
-    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*).
+    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*);
+    the route and the collision trigger read the field at the run's `cap`.
 
     The distance map is memoized on the belief (see `OccupancyGrid.derived`)
     and the coarse route is extracted every tick, a walk along the map's
@@ -151,7 +153,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     planner_mode, nav_mode = mode
 
     try:
-        dmap = build_distance_map(belief, state.goal, planner_cfg)
+        dmap = build_distance_map(belief, state.goal, planner_cfg, cap)
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:
@@ -166,7 +168,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
 
     s_coll_found = None
     if state.current_path is not None:
-        s_coll_found = carried_path_collision(state, belief, make_disk_set(vehicle))
+        s_coll_found = carried_path_collision(state, belief, make_disk_set(vehicle), cap)
 
     if state.current_path is None:
         cause = "initial"

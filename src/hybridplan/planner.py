@@ -22,7 +22,7 @@ from .grid import OccupancyGrid
 from .heuristic import build_distance_map
 from .reeds_shepp import (LEFT, RIGHT, PathSamples, rs_all_paths, rs_path_length, sample_path,
                           sample_paths)
-from .vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from .vehicle import CollisionChecker, VehicleSpec, checker_thresholds, make_disk_set
 
 STANDARD = "standard"
 EXTENDED = "extended"
@@ -470,6 +470,15 @@ class _PrimitiveTable:
                                     dy[..., None] + offsets * sin_dyaw).max())
 
 
+def field_cap(vehicle: VehicleSpec, config: PlannerConfig, resolution: float,
+              table: Optional[_PrimitiveTable] = None) -> float:
+    """The obstacle field's cap on a grid of `resolution`: the largest threshold of
+    its readers, the route's inflation radius and the checker at the primitives' reach."""
+    reach = (table or _PrimitiveTable(config, vehicle)).reach
+    thresholds = checker_thresholds(make_disk_set(vehicle), resolution, reach)
+    return max(config.inflation_radius, *(threshold for _, threshold in thresholds))
+
+
 def _lattice_key(config: PlannerConfig):
     """The (x cell, y cell, yaw bin) lattice key of a pose."""
     res, yaw_res = config.xy_resolution, config.yaw_resolution
@@ -496,26 +505,27 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     With no `horizon` it plans to the goal: it ends on the goal lattice cell or
     a collision-free analytic connection.  A horizon ends it on the goal cell or
     at the first expanded node whose 2D cost-to-goal has dropped more than
-    `horizon` below the start's.  Raises NoPathError / BudgetExceededError.
+    `horizon` below the start's.  Every reader shares the obstacle field
+    saturated at `field_cap`.  Raises NoPathError / BudgetExceededError.
     """
     t_begin = time.perf_counter()
     stats = SearchStats()
-    disks = make_disk_set(vehicle)
-    checker = CollisionChecker(belief, disks)
+    table = _PrimitiveTable(config, vehicle)
+    cap = field_cap(vehicle, config, belief.resolution, table)
+    checker = CollisionChecker(belief, make_disk_set(vehicle), table.reach, cap)
 
     if checker.pose_blocked(start.x, start.y, start.yaw):
         raise PlannerFailure("start in collision")
     if horizon is None and checker.pose_blocked(goal.x, goal.y, goal.yaw):
         raise PlannerFailure("goal in collision")
 
-    dmap = build_distance_map(belief, goal, config)
+    dmap = build_distance_map(belief, goal, config, cap)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):
         raise NoPathError("no path")
 
     turn_radius = vehicle.min_turn_radius
-    table = _PrimitiveTable(config, vehicle)
     key_of = _lattice_key(config)
     # every step as (end dx, end dy, end dyaw, step) in the parent's frame: the
     # drive primitives, then the rotations (zero offset) when they are enabled
@@ -607,7 +617,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
                 fresh.append((i, nx, ny, nyaw, nkey, g2))
         drives = [f[0] for f in fresh if f[0] < n_drive]
         blocked = ()
-        if drives and not checker.clear_within(x, y, table.reach):
+        if drives and not checker.clear_within(x, y):
             # the survivors' sub-sample poses, bit for bit x + dx*c - dy*s,
             # y + dx*s + dy*c, c*cos - s*sin and s*cos + c*sin (float
             # addition commutes and a - b is a + (-b))

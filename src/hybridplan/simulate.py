@@ -17,7 +17,7 @@ from .geometry import Pose2D, normalize_angles
 from .grid import OccupancyGrid, Raster, UNKNOWN, raytrace_reveal, voronoi_field
 from .mission import MissionConfig, MissionState, mission_tick
 from .planner import (DriveSegment, PathBuilder, PlannedPath, PlannerConfig,
-                      RotationSegment)
+                      RotationSegment, field_cap)
 from .vehicle import VehicleSpec
 
 DEFAULT_METRIC_DS = 0.5   # [m] curvature resampling step for the smoothness metric
@@ -135,6 +135,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
                                       truth.resolution, UNKNOWN)
 
     state = MissionState(vehicle_pose=spec.start, goal=spec.goal)
+    cap = field_cap(vehicle, planner_cfg, truth.resolution)
     events: List[EventRecord] = []
     builder = PathBuilder(spec.start)
     steps: Iterator[Move] = iter(())
@@ -145,7 +146,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
             raytrace_reveal(truth, belief, state.vehicle_pose,
                             spec.sensor_range, spec.n_rays)
 
-        result = mission_tick(state, belief, mission_cfg, planner_cfg, mode, vehicle)
+        result = mission_tick(state, belief, mission_cfg, planner_cfg, mode, vehicle, cap)
         if result.status == "goal_reached":
             stop_cause = "reached"
             break

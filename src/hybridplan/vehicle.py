@@ -78,23 +78,35 @@ def make_disk_set(spec: VehicleSpec) -> DiskSet:
     return DiskSet(centers=centers, radius=radius)
 
 
+def checker_thresholds(disks: DiskSet, resolution: float,
+                       reach: float) -> Tuple[Tuple[str, float], ...]:
+    """(test, threshold) of a `CollisionChecker`'s disk mask (`<`), swept
+    circle (`<`) and `clear_within` at `reach` (`>=`), in field meters."""
+    pad = cell_pad(resolution)
+    disk = disks.radius + pad
+    # clear_within: the field's 1-Lipschitz slack between two cells' centres,
+    # beyond the distance of the points in them; 1e-6 m covers float rounding
+    return (("disk mask", disk), ("rotation_blocked", disks.swept_radius + pad),
+            ("clear_within", disk + 2.0 * pad + 1e-6 + reach))
+
+
 class CollisionChecker:
     """Footprint disk tests against a grid's obstacle distance field.
 
     Cells outside the grid count as colliding.  The disk test reads a
-    boolean blocked-cell mask memoized on the grid next to its field.
+    boolean blocked-cell mask memoized on the grid next to its field, which
+    is saturated at `cap`, at least every test's threshold (`planner.field_cap`).
     """
 
-    def __init__(self, grid: OccupancyGrid, disks: DiskSet) -> None:
-        self.field = grid.distance_field()
-        self.threshold = disks.radius + cell_pad(grid.resolution)
-        self.swept_threshold = disks.swept_radius + cell_pad(grid.resolution)
+    def __init__(self, grid: OccupancyGrid, disks: DiskSet, reach: float = 0.0,
+                 cap: float = math.inf) -> None:
+        thresholds = checker_thresholds(disks, grid.resolution, reach)
+        (_, self.threshold), (_, self.swept_threshold), (_, self._clear_at) = thresholds
+        self.reach = reach
+        self.field = grid.distance_field(cap, thresholds)
         self.offsets = np.array(disks.centers)
         self.blocked = grid.derived(("disk_blocked", self.threshold),
                                     lambda _: self.field.values < self.threshold)
-        # the field's 1-Lipschitz slack between two cells' centres, beyond
-        # the distance of the points in them; 1e-6 m covers float rounding
-        self._clear_pad = self.threshold + 2.0 * cell_pad(grid.resolution) + 1e-6
 
     def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
         return bool(self.batch_blocked(np.array([[x], [y]]),
@@ -105,7 +117,7 @@ class CollisionChecker:
         that contains the footprint at every yaw must be obstacle free."""
         return self.field.at(x, y) < self.swept_threshold
 
-    def clear_within(self, x: float, y: float, reach: float) -> bool:
+    def clear_within(self, x: float, y: float) -> bool:
         """True only when no disk centred within `reach` of (x, y) is blocked.
 
         The field is the distance between cell centres, so it drops by at most
@@ -113,12 +125,12 @@ class CollisionChecker:
         cells; the disc of radius `reach` must also lie wholly on the grid.
         """
         field = self.field
-        m = reach + 1e-6
+        m = self.reach + 1e-6
         ix0, iy0 = field.cell_of(x - m, y - m)
         ix1, iy1 = field.cell_of(x + m, y + m)
         h, w = field.values.shape
         return (0 <= ix0 and 0 <= iy0 and ix1 < w and iy1 < h
-                and field.at(x, y) >= self._clear_pad + reach)
+                and field.at(x, y) >= self._clear_at)
 
     def batch_blocked(self, xy: np.ndarray, heading: np.ndarray) -> np.ndarray:
         """Per-pose disk test; True where blocked.

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
-a plain heap Dijkstra.  The obstacle-field reference keeps the whole-grid
-EDT that the update from the empty field replaced.  The route-map reference
+a plain heap Dijkstra.  The obstacle-field references keep the whole-grid
+EDT that the update from the empty field replaced, and the exact update
+(a window bounded by every cell's old value) that the field saturated at a
+cap replaced.  The route-map reference
 keeps the build that map repair replaced: the reshaped max-pool and the full
 flood, from scratch on every call.  The coarse-route reference keeps the
 scalar 8-neighbour descent loop that the successor table replaced.  The
@@ -28,6 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
+import hybridplan.grid as grid_module
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
@@ -279,17 +282,53 @@ def distance_transform_reference(grid: OccupancyGrid) -> np.ndarray:
     return ndimage.distance_transform_edt(~occupied) * grid.resolution
 
 
+def add_obstacles_reference(field: np.ndarray, added: np.ndarray, resolution: float,
+                            cap: float = math.inf) -> np.ndarray:
+    """The exact update that the saturated window replaced, whatever the cap:
+    `field` lowered to the distance to the `added` cells.
+
+    A cell's distance to the added cells' bounding box, rounded as the EDT
+    rounds, bounds its distance to the added cells from below; a cell whose
+    old value is within that bound keeps it, so only the window over the
+    other cells is recomputed.
+    """
+    rows = np.flatnonzero(added.any(axis=1))
+    cols = np.flatnonzero(added.any(axis=0))
+    iy = np.arange(added.shape[0], dtype=np.float64)
+    ix = np.arange(added.shape[1], dtype=np.float64)
+    dy = np.maximum(np.maximum(rows[0] - iy, iy - rows[-1]), 0.0)
+    dx = np.maximum(np.maximum(cols[0] - ix, ix - cols[-1]), 0.0)
+    # true on every added cell
+    reach = field > np.sqrt((dy * dy)[:, None] + (dx * dx)[None, :]) * resolution
+    rows = np.flatnonzero(reach.any(axis=1))
+    cols = np.flatnonzero(reach.any(axis=0))
+    window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    near = ndimage.distance_transform_edt(~added[window])
+    near *= resolution
+    out = field.copy()
+    np.minimum(out[window], near, out=out[window])
+    out.setflags(write=False)
+    return out
+
+
+def saturated(field: np.ndarray, cap: float) -> np.ndarray:
+    """`field` with every value above `cap` set to +inf."""
+    return np.where(field > cap, np.inf, field)
+
+
 @contextmanager
 def reference_stack():
     """Inside, every grid builds every derived value from empty:
     `OccupancyGrid.derived` hands each build None in place of the value of
-    the generation before, so no field is updated from an earlier one."""
-    shipped = OccupancyGrid.derived
+    the generation before, so no field is updated from an earlier one, and
+    the obstacle field is exact (`add_obstacles_reference`) at any cap."""
+    shipped, shipped_add = OccupancyGrid.derived, grid_module._add_obstacles
     OccupancyGrid.derived = lambda self, key, build: shipped(self, key, lambda _: build(None))
+    grid_module._add_obstacles = add_obstacles_reference
     try:
         yield
     finally:
-        OccupancyGrid.derived = shipped
+        OccupancyGrid.derived, grid_module._add_obstacles = shipped, shipped_add
 
 
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,

@@ -11,12 +11,13 @@ from hybridplan.geometry import Pose2D
 from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
-from hybridplan.planner import PlannerConfig
-from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from hybridplan.planner import PlannerConfig, field_cap
+from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_thresholds,
+                               make_disk_set)
 
 from conftest import bordered_grid, bundled, paint_disk
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
-                     distance_transform_reference, raytrace_reveal_reference)
+                     distance_transform_reference, raytrace_reveal_reference, saturated)
 
 
 # ---------------------------------------------------------------- map format
@@ -100,7 +101,7 @@ def test_set_box_rebuilds_distance_field():
     for field in (before, after):
         with pytest.raises(ValueError):
             field.values[13, 13] = 1.0
-    assert g.copy().derived("distance_field", lambda previous: previous) is None
+    assert g.copy().derived(("distance_field", math.inf), lambda previous: previous) is None
 
 
 def test_failed_build_keeps_the_previous_value():
@@ -224,10 +225,71 @@ def _route_map_or_error(build, g, goal, config):
         return str(exc)
 
 
-def _assert_fields_are_full_rebuild(g, goals, config):
+def _assert_readers_agree(g, goals, config, cap, r):
+    """The field of `g` saturated at `cap` is bit-equal to the saturated
+    reference, and every reader whose threshold is at most `cap` decides on
+    it as on the exact field: the comparisons with each threshold up to the
+    cap, the disk mask, `rotation_blocked` and `clear_within` of two disk
+    sets (reach 0 and the largest the cap allows) and the route's blocked
+    grid; a reader whose threshold is above `cap` raises ValueError.  The
+    saturated readers run on a fresh copy, whose memo holds no exact value."""
+    exact = g.distance_field().values
+    sat = g.distance_field(cap).values
+    assert np.array_equal(sat, saturated(distance_transform_reference(g), cap))
+    values = np.unique(exact[exact <= cap])
+    for t in [cap, *r.choice(values, min(values.size, 6), replace=False).tolist()]:
+        for compare in (np.less, np.less_equal, np.greater_equal):
+            assert np.array_equal(compare(sat, t), compare(exact, t))
+    fresh = g.copy()
+    res = g.resolution
+    h, w = g.cells.shape
+    points = np.column_stack((r.uniform(-1.0, w + 1.0, 48) * res,
+                              r.uniform(-1.0, h + 1.0, 48) * res)).tolist()
+    for disks in (make_disk_set(VehicleSpec()), DiskSet((0.0,), res / 2)):
+        clear_base = checker_thresholds(disks, res, 0.0)[2][1]
+        for reach in {0.0, max(cap - clear_base, 0.0)}:
+            above = [name for name, t in checker_thresholds(disks, res, reach) if t > cap]
+            if above:
+                with pytest.raises(ValueError, match=above[0]):
+                    CollisionChecker(fresh, disks, reach, cap)
+                continue
+            capped, full = CollisionChecker(fresh, disks, reach, cap), CollisionChecker(g, disks, reach)
+            assert np.array_equal(capped.blocked, exact < full.threshold)
+            for x, y in points:
+                assert capped.rotation_blocked(x, y) == full.rotation_blocked(x, y)
+                assert capped.clear_within(x, y) == full.clear_within(x, y)
+    for goal in goals:
+        if config.inflation_radius > cap:
+            with pytest.raises(ValueError, match="inflation_radius"):
+                build_distance_map(fresh, goal, config, cap)
+            continue
+        got = _route_map_or_error(lambda *args: build_distance_map(*args, cap), fresh, goal, config)
+        expect = _route_map_or_error(build_distance_map, g, goal, config)
+        if isinstance(expect, str):
+            assert got == expect
+        else:
+            assert np.array_equal(got.blocked, expect.blocked)
+            assert np.array_equal(got.values, expect.values)
+
+
+def _field_cap(kind, nudge, res, config):
+    """A cap at a reader's threshold, the planner's cap or a field value
+    (sqrt(5) cells), moved by `nudge` ulps; +inf for "inf"."""
+    if kind == "inf":
+        return math.inf
+    (_, disk), (_, swept), _ = checker_thresholds(make_disk_set(VehicleSpec()), res, 0.0)
+    cap = {"inflation": config.inflation_radius, "disk": disk, "swept": swept,
+           "planner": field_cap(VehicleSpec(), config, res), "cell": math.sqrt(5.0) * res}[kind]
+    return max(float(np.nextafter(cap, nudge * math.inf)) if nudge else cap, 0.0)
+
+
+def _assert_fields_are_full_rebuild(g, goals, config, cap=math.inf, r=None):
     """The memoized distance field and route maps of `g` equal the
     references built from scratch, and its disk mask equals that of a
-    fresh copy."""
+    fresh copy; with a finite `cap`, the saturated field and its readers
+    agree with them too (`_assert_readers_agree`)."""
+    if cap < math.inf:
+        _assert_readers_agree(g, goals, config, cap, r)
     _assert_field_is_full_rebuild(g)
     for goal in goals:
         got = _route_map_or_error(build_distance_map, g, goal, config)
@@ -250,25 +312,31 @@ def _assert_fields_are_full_rebuild(g, goals, config):
        st.sampled_from([0.0, 0.0, 0.02, 0.2]),
        st.lists(st.tuples(st.sampled_from(EDITS), st.booleans()), min_size=1, max_size=8),
        st.integers(1, 3), st.sampled_from([0.0, 0.3, 1.0]),
-       st.integers(0, 2**32 - 1))
-def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor, inflation, seed):
+       st.sampled_from(["inf", "inflation", "disk", "swept", "planner", "cell"]),
+       st.sampled_from([-1, 0, 1]), st.integers(0, 2**32 - 1))
+def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor, inflation,
+                                                 cap_kind, nudge, seed):
     """Random writes, each followed by a read or not (a skipped read makes
     the next rebuild follow two writes): after every read the distance
     field and the route maps of two goals are bit-equal to the references
     built from scratch, and the disk mask to that of a fresh copy, from a
-    start with or without obstacles."""
+    start with or without obstacles.  Next to the exact field, a field
+    saturated at a cap near a reader's threshold is updated too, and after
+    every read it equals the saturated reference and its readers decide as
+    on the exact field."""
     r = np.random.default_rng(seed)
     cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
     cells[r.random((h, w)) < fill] = OCCUPIED
     g = OccupancyGrid(res, cells)
     goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
     config = PlannerConfig(xy_resolution=factor * res, inflation_radius=inflation)
-    _assert_fields_are_full_rebuild(g, goals, config)
+    cap = _field_cap(cap_kind, nudge, res, config)
+    _assert_fields_are_full_rebuild(g, goals, config, cap, r)
     for edit, read in steps:
         _apply_edit(g, edit, r)
         if read:
-            _assert_fields_are_full_rebuild(g, goals, config)
-    _assert_fields_are_full_rebuild(g, goals, config)
+            _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+    _assert_fields_are_full_rebuild(g, goals, config, cap, r)
 
 
 def test_incremental_distance_field_matches_full_over_reveals():
@@ -318,7 +386,7 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
                             np.array_equal(mask, belief.occupied_mask())))
         assert len(calls) == 1 + len(rebuilt)
     assert {(1, True), (1, False), (2, True)} <= set(rebuilt)
-    assert calls[0][:2] == ((), {"previous": None})
+    assert calls[0][:2] == ((), {"previous": None, "cap": math.inf})
     for (_, _, before), (args, kwargs, field), (writes, same) in zip(calls, calls[1:], rebuilt):
         # the field one generation back, none after two writes; an unchanged
         # mask returns that field itself

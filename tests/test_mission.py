@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan import heuristic, mission, planner, simulate
+from hybridplan import grid as grid_module, heuristic, mission, planner, simulate
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
 from hybridplan.heuristic import extract_astar_path, waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, carried_path_collision,
                                 check_path_collision, compute_replan_start, mission_tick)
-from hybridplan.planner import PathBuilder, PlannerConfig, RotationSegment, plan
+from hybridplan.planner import PathBuilder, PlannerConfig, RotationSegment, field_cap, plan
 from hybridplan.vehicle import VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled, pose_close
@@ -125,7 +125,8 @@ def test_replan_start_requires_path():
 # --------------------------------------------------------------- tick logic
 
 def tick(state, belief, mode="standard", **kw):
-    return mission_tick(state, belief, MissionConfig(**kw), CFG, MODES[mode], VEH)
+    return mission_tick(state, belief, MissionConfig(**kw), CFG, MODES[mode], VEH,
+                        field_cap(VEH, CFG, belief.resolution))
 
 
 def test_route_map_not_reused_across_grids_at_same_version():
@@ -327,8 +328,8 @@ def test_replanning_tick_plans_on_the_route_map_it_built(monkeypatch):
     reads the very map the tick built to pick its stop rule."""
     built = []
 
-    def recording_build(belief, goal, config):
-        built.append(heuristic.build_distance_map(belief, goal, config))
+    def recording_build(belief, goal, config, cap):
+        built.append(heuristic.build_distance_map(belief, goal, config, cap))
         return built[-1]
 
     monkeypatch.setattr(mission, "build_distance_map", recording_build)
@@ -573,18 +574,18 @@ def test_each_part_of_the_carried_key_can_turn_clear_into_a_hit():
     ("reveal_divergence", "guided"),
 ])
 def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, mode):
-    """In a closed-loop run every tick's collision verdict, carried or not,
-    equals a fresh check; on the known map each (path, belief version) is
-    checked in full at most once."""
+    """In a closed-loop run every tick's collision verdict, carried or not and
+    read on the saturated field, equals a fresh check on the exact field; on
+    the known map each (path, belief version) is checked in full at most once."""
     checked, carried = [], []
 
-    def counting_check(path, from_s, belief, disks, rotations_done=0):
+    def counting_check(path, from_s, belief, disks, rotations_done, cap):
         checked.append((path, belief.version))
-        return check_path_collision(path, from_s, belief, disks, rotations_done)
+        return check_path_collision(path, from_s, belief, disks, rotations_done, cap)
 
-    def checking_carry(state, belief, disks):
+    def checking_carry(state, belief, disks, cap):
         before = len(checked)
-        verdict = carried_path_collision(state, belief, disks)
+        verdict = carried_path_collision(state, belief, disks, cap)
         assert verdict == check_path_collision(state.current_path, state.progress_s, belief,
                                                disks, state.rotations_done)
         carried.append(len(checked) == before)
@@ -600,14 +601,34 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
         assert len(keys) == len(checked) == len(events)   # one full check per path
 
 
+def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
+    """On reveal_divergence/guided the route, the collision trigger and the
+    planner share one obstacle field per belief version: each version read
+    is one `distance_transform` call, all at the run's `field_cap`, so no
+    reader builds a second field under another cap."""
+    calls = []
+    transform = grid_module.distance_transform
+
+    def counting(grid, **kwargs):
+        calls.append((grid, grid.version, kwargs["cap"]))
+        return transform(grid, **kwargs)
+
+    monkeypatch.setattr(grid_module, "distance_transform", counting)
+    spec = bundled("reveal_divergence")
+    _, report, _ = simulate.run_scenario(spec, MissionConfig(), CFG, MODES["guided"], VEH)
+    assert report.reached and len(calls) > 1
+    assert len({(grid, version) for grid, version, _ in calls}) == len(calls)
+    assert {cap for _, _, cap in calls} == {field_cap(VEH, CFG, spec.truth_map.resolution)}
+
+
 def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
     """On reveal_divergence/guided every route map built equals the one
     built from scratch (values, blocked grid and successor table), and
     every flood after the first is a repair of the previous map."""
     last = {}
 
-    def checked_build(belief, goal, config):
-        dm = heuristic.build_distance_map(belief, goal, config)
+    def checked_build(belief, goal, config, cap):
+        dm = heuristic.build_distance_map(belief, goal, config, cap)
         key = (dm.goal_cell, config.xy_resolution, config.inflation_radius)
         if last.get(key) is not dm:                   # built, not reused
             expect = build_distance_map_reference(belief, goal, config)

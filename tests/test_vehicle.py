@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D, move_along_arc
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
-from hybridplan.planner import PathBuilder
-from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
+from hybridplan.heuristic import build_distance_map
+from hybridplan.planner import PathBuilder, PlannerConfig, _PrimitiveTable, field_cap
+from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_thresholds,
+                               make_disk_set)
 
 from conftest import pose_close
 from oracles import pose_collides, rectangle_hits_occupied, rotation_collides
@@ -185,6 +187,25 @@ def test_rotation_near_wall_collides():
     assert checker.rotation_blocked(19.0, 20.0)
 
 
+def test_a_threshold_above_the_field_cap_is_a_named_error():
+    """A reader whose threshold exceeds its field's cap, where the saturated
+    field could decide otherwise, fails at the checker or route build with
+    the reader, its threshold and the cap; at the cap it builds."""
+    g = grid_with_wall()
+    disks, reach = make_disk_set(VehicleSpec()), 3.0
+    for reader, threshold in checker_thresholds(disks, g.resolution, reach):
+        cap = threshold - 0.01
+        with pytest.raises(ValueError, match=rf"^{reader} .* {threshold!r} m, .* {cap!r} m$"):
+            CollisionChecker(g, disks, reach, cap)
+    assert CollisionChecker(g, disks, reach, threshold).field is g.distance_field(threshold)
+    with pytest.raises(ValueError, match=r"^the route's inflation_radius .* 1\.0 m, .* 0\.5 m$"):
+        build_distance_map(g, Pose2D(10.0, 10.0, 0.0), PlannerConfig(inflation_radius=1.0), 0.5)
+    cfg = PlannerConfig()
+    reach = _PrimitiveTable(cfg, VehicleSpec()).reach      # 3.083 m
+    assert field_cap(VehicleSpec(), cfg, g.resolution) == max(
+        [cfg.inflation_radius] + [t for _, t in checker_thresholds(disks, g.resolution, reach)])
+
+
 def test_rotation_never_less_restrictive_than_pose(rng):
     checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
     for _ in range(300):
@@ -314,7 +335,8 @@ def test_clear_within_proves_every_disk_free(seed, res, density, n_disks):
     included; an obstacle-free grid (+inf field) is tested too.
 
     Half of the reaches are drawn just below the field's own margin, where
-    only the half-cell-diagonal terms keep the answer correct."""
+    only the half-cell-diagonal terms keep the answer correct.  Every checker
+    reads the exact field (cap +inf), so no reach is bounded by a cap."""
     r = np.random.default_rng(seed)
     w, h = int(r.integers(16, 60)), int(r.integers(16, 60))
     g = OccupancyGrid(res, np.where(r.random((h, w)) < density, OCCUPIED, FREE))
@@ -333,7 +355,7 @@ def test_clear_within_proves_every_disk_free(seed, res, density, n_disks):
             reach = margin - float(r.uniform(0.0, 1.0)) * res * math.sqrt(2.0)
             if not 0.0 <= reach <= 2.5:
                 continue
-        if not checker.clear_within(x, y, reach):
+        if not CollisionChecker(g, disks, reach).clear_within(x, y):
             continue
         for px, py in _cells_within(x, y, reach, res):
             assert not pose_collides(Pose2D(px, py, 0.0), one_disk, field, res)
