@@ -82,18 +82,21 @@ class DistanceMap(Raster):
         return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
 
     def nearest_reachable_cell(self, x: float, y: float) -> Optional[Tuple[int, int]]:
-        """The finite-valued cell closest to (x, y) within two cells of its own."""
+        """The finite-valued cell closest to (x, y) within two cells of its own, ties
+        to the lowest row-major index.  A finite own cell, within 0.71 cells of the
+        point while every cell two rings out is 1.5 or more, limits the scan to 3 x 3."""
         ix0, iy0 = self.cell_of(x, y)
         h, w = self.values.shape
-        best = None
-        for iy in range(max(0, iy0 - 2), min(h, iy0 + 3)):
-            for ix in range(max(0, ix0 - 2), min(w, ix0 + 3)):
-                if not math.isfinite(self.values[iy, ix]):
-                    continue
-                cx, cy = self.cell_center(ix, iy)
-                key = ((cx - x) ** 2 + (cy - y) ** 2, iy * w + ix)
-                if best is None or key < best[0]:
-                    best = (key, (ix, iy))
+        own = 0 <= ix0 < w and 0 <= iy0 < h and math.isfinite(self.values[iy0, ix0])
+        r, res, best = (1 if own else 2), self.resolution, None
+        x0, y0 = max(0, ix0 - r), max(0, iy0 - r)
+        block = self.values[y0:max(y0, iy0 + r + 1), x0:max(x0, ix0 + r + 1)].tolist()
+        for iy, row in enumerate(block, y0):
+            for ix, v in enumerate(row, x0):
+                if math.isfinite(v):          # centres as `cell_center` computes them
+                    key = (((ix + 0.5) * res - x) ** 2 + ((iy + 0.5) * res - y) ** 2, iy * w + ix)
+                    if best is None or key < best[0]:
+                        best = (key, (ix, iy))
         return None if best is None else best[1]
 
     def route_distance(self, x: float, y: float) -> float:
@@ -259,46 +262,66 @@ def _repair_flood(previous: Optional[DistanceMap], blocked: np.ndarray,
 
 @dataclass(frozen=True)
 class AStarPath:
-    """8-connected chain of coarse cell centers toward the goal."""
+    """8-connected chain of coarse cell centers toward the goal.  A route
+    extracted from a map keeps its row-major `cells`, the `edges` between
+    them and that map (`source`); its arrays are read-only, as suffixes share them."""
 
     points: np.ndarray        # (n, 2) world coordinates
     cumulative_s: np.ndarray  # (n,) arc length from the start
+    cells: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    edges: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    source: Optional[DistanceMap] = field(default=None, repr=False, compare=False)
 
     @property
     def length(self) -> float:
         return float(self.cumulative_s[-1])
 
 
-def extract_astar_path(dmap: DistanceMap, start: Pose2D) -> AStarPath:
+def extract_astar_path(dmap: DistanceMap, start: Pose2D,
+                       previous: Optional[AStarPath] = None) -> AStarPath:
     """Steepest-descent walk over the cost-to-goal field down to the goal.
 
     Each step follows `dmap.successor`, an optimal edge (the neighbor
     minimizing value + edge cost, ties broken by lowest row-major index), so
-    the chain's length equals the start cell's cost-to-goal.
+    the chain's length equals the start cell's cost-to-goal.  The table is a
+    tree toward the goal, so if `previous` came from this map object and holds
+    the start cell, the route is its suffix from there (`previous` itself from
+    its own start cell): the walk's arrays, sliced instead of walked.
     """
     cell = dmap.nearest_reachable_cell(start.x, start.y)
     if cell is None:
         raise NoRouteError("no 2D route")
     h, w = dmap.values.shape
-    gx, gy = dmap.goal_cell
-    goal = gy * w + gx if 0 <= gx < w and 0 <= gy < h else -1
-    successor = dmap.successor
     c = cell[1] * w + cell[0]
-    chain = [c]
-    for _ in range(h * w):
-        if c == goal:
-            break
-        c = successor[c]
-        if c < 0:
-            raise NoRouteError("no 2D route")
-        chain.append(c)
+    reuse = previous is not None and previous.source is dmap
+    on = np.flatnonzero(previous.cells == c) if reuse else ()
+    if len(on) and on[0] == 0:
+        return previous
+    if len(on):
+        cells, points, edges = (a[on[0]:] for a in (previous.cells, previous.points, previous.edges))
     else:
-        raise NoRouteError("descent did not reach the goal cell")
-    iy, ix = np.divmod(np.array(chain), w)
-    points = np.column_stack(dmap.cell_center(ix, iy))
-    res = dmap.resolution
-    edges = np.where((np.diff(ix) != 0) & (np.diff(iy) != 0), res * math.sqrt(2.0), res)
-    return AStarPath(points=points, cumulative_s=np.add.accumulate(np.concatenate(([0.0], edges))))
+        gx, gy = dmap.goal_cell
+        goal = gy * w + gx if 0 <= gx < w and 0 <= gy < h else -1
+        successor = dmap.successor
+        chain = [c]
+        for _ in range(h * w):
+            if c == goal:
+                break
+            c = successor[c]
+            if c < 0:
+                raise NoRouteError("no 2D route")
+            chain.append(c)
+        else:
+            raise NoRouteError("descent did not reach the goal cell")
+        cells = np.array(chain)
+        iy, ix = np.divmod(cells, w)
+        points = np.column_stack(dmap.cell_center(ix, iy))
+        res = dmap.resolution
+        edges = np.where((np.diff(ix) != 0) & (np.diff(iy) != 0), res * math.sqrt(2.0), res)
+    cumulative_s = np.add.accumulate(np.concatenate(([0.0], edges)))
+    for array in (cells, points, edges, cumulative_s):
+        array.setflags(write=False)
+    return AStarPath(points, cumulative_s, cells, edges, dmap)
 
 
 def waypose_at(path: AStarPath, s_w: float) -> Pose2D:

@@ -141,12 +141,14 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*);
     the route and the collision trigger read the field at the run's `cap`.
 
-    The distance map is memoized on the belief (see `OccupancyGrid.derived`)
-    and the coarse route is extracted every tick, a walk along the map's
-    successor table (`DistanceMap.successor`).  Route divergence against
-    the previous tick, an upcoming path collision, missing path, or
-    accumulated progress trigger a replan; a path found clear is not checked
-    again until the path, the belief version or the disks change.
+    The distance map is memoized on the belief (see `OccupancyGrid.derived`).
+    The coarse route is the previous tick's route, or its suffix, while the
+    map object is the same and the vehicle's cell lies on that route, else a
+    walk along the map's successor table (`extract_astar_path`).  Route
+    divergence against the previous tick (never for the same route object),
+    an upcoming path collision, missing path, or accumulated progress trigger
+    a replan; a path found clear is not checked again until the path, the
+    belief version or the disks change.
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
@@ -157,12 +159,12 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:
-        astar = extract_astar_path(dmap, state.vehicle_pose)
+        astar = extract_astar_path(dmap, state.vehicle_pose, state.prev_astar)
     except NoRouteError as exc:
         return TickResult(status="failed", reason=str(exc))
 
     s_div_found = None
-    if state.prev_astar is not None and nav_mode != NAV_NONE:
+    if state.prev_astar is not None and nav_mode != NAV_NONE and astar is not state.prev_astar:
         s_div_found = detect_divergence(state.prev_astar, astar, mission_cfg.d_div)
     state.prev_astar = astar
 

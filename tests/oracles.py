@@ -9,7 +9,10 @@ EDT that the update from the empty field replaced, and the exact update
 cap replaced.  The route-map reference
 keeps the build that map repair replaced: the reshaped max-pool and the full
 flood, from scratch on every call.  The coarse-route reference keeps the
-scalar 8-neighbour descent loop that the successor table replaced.  The
+scalar 8-neighbour descent loop that the successor table replaced, walked
+from scratch on every call (no suffix of the previous route), and the
+nearest-cell reference the 5 x 5 scan that the 3 x 3 scan of a finite own
+cell replaced.  The
 path-sampling references keep the scalar per-sample recurrence that the
 array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
@@ -31,6 +34,7 @@ import numpy as np
 from scipy import ndimage
 
 import hybridplan.grid as grid_module
+import hybridplan.mission as mission_module
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
@@ -321,14 +325,23 @@ def reference_stack():
     """Inside, every grid builds every derived value from empty:
     `OccupancyGrid.derived` hands each build None in place of the value of
     the generation before, so no field is updated from an earlier one, and
-    the obstacle field is exact (`add_obstacles_reference`) at any cap."""
-    shipped, shipped_add = OccupancyGrid.derived, grid_module._add_obstacles
-    OccupancyGrid.derived = lambda self, key, build: shipped(self, key, lambda _: build(None))
+    the obstacle field is exact (`add_obstacles_reference`) at any cap.
+    The mission's route is the scalar descent from scratch on every tick
+    (`extract_astar_path_reference`, which ignores the previous route), and
+    every nearest-cell lookup is the 5 x 5 scan."""
+    saved = (OccupancyGrid.derived, grid_module._add_obstacles,
+             mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell)
+    derived = saved[0]
+    OccupancyGrid.derived = lambda self, key, build: derived(self, key, lambda _: build(None))
     grid_module._add_obstacles = add_obstacles_reference
+    mission_module.extract_astar_path = (
+        lambda dmap, start, previous=None: extract_astar_path_reference(dmap, start))
+    DistanceMap.nearest_reachable_cell = nearest_reachable_cell_reference
     try:
         yield
     finally:
-        OccupancyGrid.derived, grid_module._add_obstacles = shipped, shipped_add
+        (OccupancyGrid.derived, grid_module._add_obstacles,
+         mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell) = saved
 
 
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
@@ -467,13 +480,32 @@ def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
                        blocked=blocked, goal_cell=goal_cell)
 
 
+def nearest_reachable_cell_reference(dmap, x: float, y: float) -> Optional[Tuple[int, int]]:
+    """The 5 x 5 scan that the 3 x 3 scan of a finite own cell replaced: the
+    finite-valued cell within two cells of (x, y)'s own with the lowest
+    (squared distance to its centre, row-major index) key."""
+    ix0, iy0 = dmap.cell_of(x, y)
+    h, w = dmap.values.shape
+    best = None
+    for iy in range(max(0, iy0 - 2), min(h, iy0 + 3)):
+        for ix in range(max(0, ix0 - 2), min(w, ix0 + 3)):
+            if not math.isfinite(dmap.values[iy, ix]):
+                continue
+            cx, cy = dmap.cell_center(ix, iy)
+            key = ((cx - x) ** 2 + (cy - y) ** 2, iy * w + ix)
+            if best is None or key < best[0]:
+                best = (key, (ix, iy))
+    return None if best is None else best[1]
+
+
 def extract_astar_path_reference(dmap, start: Pose2D) -> AStarPath:
-    """The scalar neighbour loop that the successor-table walk replaced.
+    """The scalar neighbour loop that the successor-table walk replaced,
+    from the 5 x 5 nearest-cell scan and from scratch on every call.
 
     Each step scans the 8 neighbours of the current cell for the lowest
     (value + edge cost, row-major index) key, skipping non-finite values.
     """
-    cell = dmap.nearest_reachable_cell(start.x, start.y)
+    cell = nearest_reachable_cell_reference(dmap, start.x, start.y)
     if cell is None:
         raise NoRouteError("no 2D route")
     h, w = dmap.values.shape

@@ -15,7 +15,8 @@ from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRo
 from hybridplan.planner import PlannerConfig
 
 from oracles import (build_distance_map_reference, dijkstra_cost_to_go,
-                     downsample_blocked_reference, extract_astar_path_reference)
+                     downsample_blocked_reference, extract_astar_path_reference,
+                     nearest_reachable_cell_reference)
 
 CFG = PlannerConfig()
 
@@ -434,6 +435,146 @@ def test_successor_table_is_read_only():
     dm = build_distance_map(empty_grid(10, 10), Pose2D(5.0, 5.0, 0.0), CFG)
     assert dm.successor.readonly and dm.successor.format == "i"
     assert len(dm.successor) == dm.values.size
+
+
+# ------------------------------------------------------------ route reuse
+
+def full_route_or_error(dmap, start, previous=None):
+    """The shape and bytes of the route's points, arc lengths, cells and
+    edges, or the type and message of the error it raised."""
+    try:
+        path = extract_astar_path(dmap, start, previous)
+    except NoRouteError as exc:
+        return type(exc), str(exc)
+    arrays = (path.points, path.cumulative_s, path.cells, path.edges)
+    return path.points.shape, tuple(a.tobytes() for a in arrays)
+
+
+def point_in(dmap, cell, jitter):
+    """A point strictly inside `cell`, `jitter` (each in (-0.5, 0.5)) cells off its centre."""
+    cx, cy = dmap.cell_center(*cell)
+    return Pose2D(cx + jitter[0] * dmap.resolution, cy + jitter[1] * dmap.resolution, 0.0)
+
+
+START_KINDS = ["on_route", "route_start", "off_route", "goal", "off_grid"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_maps(), st.sampled_from(START_KINDS), st.data())
+def test_route_given_a_previous_route_equals_a_fresh_walk(case, kind, data):
+    """For starts a and b on one map, the route from b given a's route equals
+    b's route walked from scratch, bytes or raised error, for b on a's route,
+    in a's own start cell, off the route, at the goal cell or off the grid;
+    a b whose cell is on a's route is cut from it, no copy."""
+    g, goal, a, inflation = case
+    try:
+        dm = build_distance_map(g, goal, PlannerConfig(inflation_radius=inflation))
+        previous = extract_astar_path(dm, a)
+    except (GoalBlockedError, NoRouteError):
+        return
+    h, w = dm.values.shape
+    jitter = (data.draw(st.floats(-0.45, 0.45)), data.draw(st.floats(-0.45, 0.45)))
+    on_route = previous.cells.tolist()
+    if kind == "off_grid":
+        along = data.draw(st.floats(-2.0, max(h, w) * dm.resolution + 2.0))
+        out = data.draw(st.sampled_from([-1e-9, -2.0, w * dm.resolution, w * dm.resolution + 2.0]))
+        b = Pose2D(out, along, 0.0) if data.draw(st.booleans()) else Pose2D(along, out * h / w, 0.0)
+    elif kind == "off_route":
+        off = sorted(set(range(h * w)) - set(on_route))
+        if not off:
+            return
+        b = point_in(dm, divmod(data.draw(st.sampled_from(off)), w)[::-1], jitter)
+    else:
+        c = {"on_route": data.draw(st.sampled_from(on_route)), "route_start": on_route[0],
+             "goal": dm.goal_cell[1] * w + dm.goal_cell[0]}[kind]
+        b = point_in(dm, divmod(c, w)[::-1], jitter)
+    outcome = full_route_or_error(dm, b, previous)
+    assert outcome == full_route_or_error(dm, b)
+    if kind in ("on_route", "route_start", "goal"):
+        route = extract_astar_path(dm, b, previous)
+        assert np.shares_memory(route.points, previous.points)
+        assert (route is previous) == (route.cells[0] == on_route[0])
+
+
+def test_route_cut_from_a_staircase_accumulates_its_own_arc_length():
+    """On a staircase of alternating diagonal and straight edges, a suffix's
+    arc lengths differ from the previous route's minus its offset in the
+    last bits; every suffix equals a walk from its first cell, byte for byte."""
+    res, n = 0.625, 120
+    cells, ix, iy = [], 0, 0
+    for k in range(n):                    # steps +(1, 1), +(1, 0), +(1, 1), ...
+        cells.append((ix, iy))
+        ix, iy = ix + 1, iy + (k % 2 == 0)
+    gx, gy = cells[-1]
+    values = np.full((gy + 1, gx + 1), np.inf)
+    values[gy, gx] = 0.0
+    for (ax, ay), (bx, by) in zip(cells[-2::-1], cells[:0:-1]):
+        values[ay, ax] = values[by, bx] + (res * math.sqrt(2.0) if ay != by else res)
+    dm = hand_map(values, (gx, gy))
+    previous = extract_astar_path(dm, Pose2D(*dm.cell_center(*cells[0]), 0.0))
+    assert previous.points.shape[0] == n
+    shifted = 0
+    for k, cell in enumerate(cells):
+        start = point_in(dm, cell, (0.2, -0.3))
+        assert full_route_or_error(dm, start, previous) == full_route_or_error(dm, start)
+        shifted += (previous.cumulative_s[k:] - previous.cumulative_s[k]).tobytes() != \
+            extract_astar_path(dm, start).cumulative_s.tobytes()
+    assert shifted > 0
+
+
+def test_route_from_another_map_object_is_walked():
+    """A previous route from a map object with equal values is not reused."""
+    g = empty_grid(20, 20)
+    g.set_box(8.0, 2.0, 10.0, 18.0, OCCUPIED)
+    dm = build_distance_map(g, Pose2D(15.0, 10.0, 0.0), CFG)
+    twin = DistanceMap(dm.values, dm.resolution, math.inf,
+                       blocked=dm.blocked, goal_cell=dm.goal_cell)
+    previous = extract_astar_path(dm, Pose2D(3.0, 4.0, 0.0))
+    for start in (Pose2D(3.0, 4.0, 0.0), Pose2D(*previous.points[5], 0.0)):
+        assert np.shares_memory(extract_astar_path(dm, start, previous).points, previous.points)
+        route = extract_astar_path(twin, start, previous)
+        assert route.source is twin and not np.shares_memory(route.points, previous.points)
+        assert full_route_or_error(twin, start, previous) == full_route_or_error(dm, start)
+
+
+def test_route_arrays_are_read_only():
+    dm = build_distance_map(empty_grid(20, 20), Pose2D(15.0, 10.0, 0.0), CFG)
+    walked = extract_astar_path(dm, Pose2D(3.0, 4.0, 0.0))
+    cut = extract_astar_path(dm, Pose2D(*walked.points[3], 0.0), walked)
+    for route in (walked, cut):
+        for array in (route.points, route.cumulative_s, route.cells, route.edges):
+            assert not array.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_maps(), st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+def test_a_route_never_diverges_from_itself(case, d_div):
+    g, goal, start, inflation = case
+    try:
+        dm = build_distance_map(g, goal, PlannerConfig(inflation_radius=inflation))
+        route = extract_astar_path(dm, start)
+    except (GoalBlockedError, NoRouteError):
+        return
+    assert detect_divergence(route, route, d_div) is None
+
+
+# ----------------------------------------------------------- nearest cell
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_nearest_reachable_cell_matches_the_full_scan(h, w, data):
+    """The 3 x 3 scan of a finite own cell picks the cell, tie rule included,
+    of the 5 x 5 scan: at every centre, edge midpoint and corner of the grid
+    and its two-cell rim, and at random points from on or off the grid, in
+    finite and non-finite own cells."""
+    levels = st.sampled_from([0.0, 1.0, 2.5, math.inf, math.nan, -math.inf])
+    values = data.draw(st.lists(st.lists(levels, min_size=w, max_size=w), min_size=h, max_size=h))
+    dm = hand_map(values, (0, 0))
+    half = [(i * 0.3125, j * 0.3125) for j in range(-4, 2 * h + 5) for i in range(-4, 2 * w + 5)]
+    anywhere = [(data.draw(st.floats(-1.25, (w + 2) * 0.625)),
+                 data.draw(st.floats(-1.25, (h + 2) * 0.625))) for _ in range(10)]
+    for x, y in half + anywhere:
+        assert dm.nearest_reachable_cell(x, y) == nearest_reachable_cell_reference(dm, x, y)
 
 
 # ---------------------------------------------------------------- waypose

@@ -416,27 +416,51 @@ def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mo
     assert causes == replans and len(planned_starts) == len(replans)
 
 
-def test_closed_loop_routes_match_the_scalar_descent(monkeypatch):
-    """On an unknown map whose route map changes on many ticks, every route
-    the mission extracts equals the scalar neighbour loop's on the same map
-    and pose, byte for byte: no successor table outlives its values."""
-    calls, maps = [], []
+def closed_loop_routes(monkeypatch, scenario):
+    """Run `scenario`/guided, checking that every route the mission extracts,
+    cut from the previous tick's route or walked, equals the scalar neighbour
+    loop's from scratch on the same map and pose, byte for byte.  Returns the
+    extracting calls' start poses, the distinct maps and, for each route
+    taken from the previous one, whether it was that route itself (else a
+    slice of its arrays)."""
+    calls, maps, reused = [], [], []
 
-    def checking_extract(dmap, start):
-        path = extract_astar_path(dmap, start)
+    def checking_extract(dmap, start, previous=None):
+        path = extract_astar_path(dmap, start, previous)
         ref = extract_astar_path_reference(dmap, start)
         assert path.points.tobytes() == ref.points.tobytes()
         assert path.cumulative_s.tobytes() == ref.cumulative_s.tobytes()
         calls.append(start)
         if not maps or maps[-1] is not dmap:
             maps.append(dmap)
+        if previous is not None and np.shares_memory(path.points, previous.points):
+            assert previous.source is dmap
+            reused.append(path is previous)
         return path
 
     monkeypatch.setattr(mission, "extract_astar_path", checking_extract)
-    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+    _, report, _ = simulate.run_scenario(bundled(scenario), MissionConfig(), CFG,
                                          MODES["guided"], VEH)
     assert report.reached
+    return calls, maps, reused
+
+
+def test_closed_loop_routes_match_the_scalar_descent(monkeypatch):
+    """On an unknown map whose route map changes on many ticks no successor
+    table outlives its values and no route outlives its map; the ticks that
+    keep the map still take their route from the previous one."""
+    calls, maps, reused = closed_loop_routes(monkeypatch, "reveal_divergence")
     assert len(calls) > 100 and len(maps) > 50   # 126 ticks on 71 route maps
+    assert True in reused and False in reused    # 9 whole routes, 15 suffixes
+
+
+def test_closed_loop_routes_on_a_known_map_are_cut_from_the_previous(monkeypatch):
+    """On smoke_small's known map one route map serves the whole run, so
+    only the first route is walked and every later one is the previous
+    route or its suffix (the vehicle's cell stays on the route)."""
+    calls, maps, reused = closed_loop_routes(monkeypatch, "smoke_small")
+    assert len(maps) == 1 and len(reused) == len(calls) - 1 > 30   # 41 ticks
+    assert True in reused and False in reused    # 8 whole routes, 32 suffixes
 
 
 # ------------------------------------------------- carried collision verdict
