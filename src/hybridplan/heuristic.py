@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .geometry import Pose2D
-from .grid import OccupancyGrid, Raster
+from .grid import CellWrite, OccupancyGrid, Raster, obstacle_window
 
 if TYPE_CHECKING:
     from .planner import PlannerConfig
@@ -146,19 +146,32 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     max-pool downsampling.  Straight moves cost the planning resolution,
     diagonal moves sqrt(2) times that.  The map is memoized on the belief
     per goal cell, resolution and radius.  A rebuild starts from the
-    previous generation's map: an unchanged coarse blocked grid keeps the
-    whole map, values and successor table, and a grown one is repaired
-    (`_repair_flood`).  The first build, and one after a cell left the
-    blocked grid, repairs the empty map instead.
+    previous generation's map: its blocked grid with the coarse cells over
+    the write's window (`obstacle_window` at the radius) pooled again, or
+    pooled in full when the write freed an occupied cell.  An unchanged
+    blocked grid keeps the whole map, values and successor table, and a
+    grown one is repaired (`_repair_flood`).  The first build, and one
+    after a cell left the blocked grid, repairs the empty map instead.
     """
     res, inflation = config.xy_resolution, config.inflation_radius
     factor = resolution_factor(res, belief.resolution)
     # cell_of reads only the resolution of the coarse grid
     goal_cell = Raster(belief.cells, res, True).cell_of(goal.x, goal.y)
 
-    def build(previous: Optional[DistanceMap]) -> DistanceMap:
-        field = belief.distance_field(cap, [("the route's inflation_radius", inflation)])
-        blocked = _downsample_blocked(field.values <= inflation, factor)
+    def build(previous: Optional[DistanceMap], changes: Optional[CellWrite]) -> DistanceMap:
+        field = belief.distance_field(cap, [("the route's inflation_radius", inflation)]).values
+        window = None if previous is None else obstacle_window(
+            changes, field.shape, belief.resolution, inflation)
+        if window is None:
+            blocked = _downsample_blocked(field <= inflation, factor)
+        else:       # the coarse cells over the window, pooled again
+            (y0, y1), (x0, x1) = ((s.start // factor, -(-s.stop // factor)) for s in window)
+            pooled = _downsample_blocked(
+                field[y0 * factor:y1 * factor, x0 * factor:x1 * factor] <= inflation, factor)
+            if np.array_equal(previous.blocked[y0:y1, x0:x1], pooled):
+                return previous
+            blocked = previous.blocked.copy()
+            blocked[y0:y1, x0:x1] = pooled
         coarse = Raster(blocked, res, True)
         if coarse.at(goal.x, goal.y):                 # blocked or off the grid
             raise GoalBlockedError("goal blocked")
@@ -260,17 +273,18 @@ def _repair_flood(previous: Optional[DistanceMap], blocked: np.ndarray,
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AStarPath:
-    """8-connected chain of coarse cell centers toward the goal.  A route
-    extracted from a map keeps its row-major `cells`, the `edges` between
-    them and that map (`source`); its arrays are read-only, as suffixes share them."""
+    """8-connected chain of coarse cell centers toward the goal, compared by
+    identity.  A route extracted from a map keeps its row-major `cells`, the
+    `edges` between them and that map (`source`); its arrays are read-only,
+    as suffixes share them."""
 
     points: np.ndarray        # (n, 2) world coordinates
     cumulative_s: np.ndarray  # (n,) arc length from the start
-    cells: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    edges: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    source: Optional[DistanceMap] = field(default=None, repr=False, compare=False)
+    cells: Optional[np.ndarray] = field(default=None, repr=False)
+    edges: Optional[np.ndarray] = field(default=None, repr=False)
+    source: Optional[DistanceMap] = field(default=None, repr=False)
 
     @property
     def length(self) -> float:

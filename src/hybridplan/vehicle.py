@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .grid import OccupancyGrid
+from .grid import CellWrite, OccupancyGrid, obstacle_window
 
 # Distance-field lookups are quantized to cell centers; pad every disk
 # radius by half a cell diagonal so the checks stay conservative.
@@ -96,6 +96,8 @@ class CollisionChecker:
     Cells outside the grid count as colliding.  The disk test reads a
     boolean blocked-cell mask memoized on the grid next to its field, which
     is saturated at `cap`, at least every test's threshold (`planner.field_cap`).
+    A rebuilt mask is the previous generation's with the write's window
+    recomputed (`_mask`).
     """
 
     def __init__(self, grid: OccupancyGrid, disks: DiskSet, reach: float = 0.0,
@@ -105,8 +107,23 @@ class CollisionChecker:
         self.reach = reach
         self.field = grid.distance_field(cap, thresholds)
         self.offsets = np.array(disks.centers)
-        self.blocked = grid.derived(("disk_blocked", self.threshold),
-                                    lambda _: self.field.values < self.threshold)
+        self.blocked = grid.derived(("disk_blocked", self.threshold), self._mask)
+
+    def _mask(self, previous: Optional[np.ndarray], changes: Optional[CellWrite]) -> np.ndarray:
+        """`field < threshold`, read-only: the previous generation's mask
+        with the write's window (`obstacle_window` at the threshold) recomputed."""
+        field = self.field
+        window = None if previous is None else obstacle_window(
+            changes, field.values.shape, field.resolution, self.threshold)
+        if window is None:
+            mask = field.values < self.threshold
+        elif not field.values[window].size:
+            return previous
+        else:
+            mask = previous.copy()
+            mask[window] = field.values[window] < self.threshold
+        mask.setflags(write=False)
+        return mask
 
     def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
         return bool(self.batch_blocked(np.array([[x], [y]]),

@@ -4,12 +4,15 @@ These deliberately avoid the library's own algorithms: the bounded-curvature
 shortest path is re-derived by multistart Newton root-finding on generic
 segment words, distances by exhaustive scans, and the 2D cost-to-go field by
 a plain heap Dijkstra.  The obstacle-field references keep the whole-grid
-EDT that the update from the empty field replaced, and the exact update
-(a window bounded by every cell's old value) that the field saturated at a
-cap replaced.  The route-map reference
-keeps the build that map repair replaced: the reshaped max-pool and the full
-flood, from scratch on every call.  The coarse-route reference keeps the
-scalar 8-neighbour descent loop that the successor table replaced, walked
+EDT that the update from the empty field replaced, the exact update (a
+window bounded by every cell's old value) that the field saturated at a
+cap replaced, and the saturated bounding-box EDT that the disc stamps of
+the added cells replaced (`window_add_reference`).  The route-map reference
+keeps the build that map repair replaced: the reshaped max-pool over the
+whole fine field and the full flood, from scratch on every call, as
+`reference_stack()` builds every disk mask and blocked grid from scratch
+instead of recomputing the write's window.  The coarse-route reference
+keeps the scalar 8-neighbour descent loop that the successor table replaced, walked
 from scratch on every call (no suffix of the previous route), and the
 nearest-cell reference the 5 x 5 scan that the 3 x 3 scan of a finite own
 cell replaced.  The
@@ -315,6 +318,32 @@ def add_obstacles_reference(field: np.ndarray, added: np.ndarray, resolution: fl
     return out
 
 
+def window_add_reference(field: np.ndarray, added: np.ndarray, resolution: float,
+                         cap: float) -> np.ndarray:
+    """The saturated update that the disc stamps replaced: `field` lowered
+    to the saturated distance to the `added` cells (a boolean mask) by one
+    EDT over their bounding box grown by ceil(cap / resolution) + 1 cells."""
+    rows = np.flatnonzero(added.any(axis=1))
+    cols = np.flatnonzero(added.any(axis=0))
+    grow = math.ceil(min(cap / resolution, max(added.shape))) + 1
+    window = (slice(max(rows[0] - grow, 0), rows[-1] + grow + 1),
+              slice(max(cols[0] - grow, 0), cols[-1] + grow + 1))
+    near = ndimage.distance_transform_edt(~added[window])
+    near *= resolution
+    near[near > cap] = np.inf
+    out = field.copy()
+    np.minimum(out[window], near, out=out[window])
+    out.setflags(write=False)
+    return out
+
+
+def flat_mask(shape, index: np.ndarray) -> np.ndarray:
+    """The boolean mask of the flat row-major cells `index`."""
+    mask = np.zeros(shape, dtype=bool)
+    mask.reshape(-1)[index] = True
+    return mask
+
+
 def saturated(field: np.ndarray, cap: float) -> np.ndarray:
     """`field` with every value above `cap` set to +inf."""
     return np.where(field > cap, np.inf, field)
@@ -324,24 +353,34 @@ def saturated(field: np.ndarray, cap: float) -> np.ndarray:
 def reference_stack():
     """Inside, every grid builds every derived value from empty:
     `OccupancyGrid.derived` hands each build None in place of the value of
-    the generation before, so no field is updated from an earlier one, and
-    the obstacle field is exact (`add_obstacles_reference`) at any cap.
+    the generation before and of the write's log, so no field, disk mask or
+    blocked grid is updated from an earlier one, and the obstacle field is
+    exact (`add_obstacles_reference`, handed the added cells as a mask) at
+    any cap.
     The mission's route is the scalar descent from scratch on every tick
-    (`extract_astar_path_reference`, which ignores the previous route), and
-    every nearest-cell lookup is the 5 x 5 scan."""
+    (`extract_astar_path_reference`, which ignores the previous route),
+    every nearest-cell lookup is the 5 x 5 scan, and every tick checks the
+    path for collisions in full, with no carried verdict."""
     saved = (OccupancyGrid.derived, grid_module._add_obstacles,
-             mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell)
+             mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
+             mission_module.carried_path_collision)
     derived = saved[0]
-    OccupancyGrid.derived = lambda self, key, build: derived(self, key, lambda _: build(None))
-    grid_module._add_obstacles = add_obstacles_reference
+    OccupancyGrid.derived = lambda self, key, build: derived(
+        self, key, lambda previous, changes: build(None, None))
+    grid_module._add_obstacles = lambda field, added, resolution, cap: add_obstacles_reference(
+        field, flat_mask(field.shape, added), resolution, cap)
     mission_module.extract_astar_path = (
         lambda dmap, start, previous=None: extract_astar_path_reference(dmap, start))
     DistanceMap.nearest_reachable_cell = nearest_reachable_cell_reference
+    mission_module.carried_path_collision = (
+        lambda state, belief, disks, cap=math.inf: mission_module.check_path_collision(
+            state.current_path, state.progress_s, belief, disks, state.rotations_done, cap))
     try:
         yield
     finally:
         (OccupancyGrid.derived, grid_module._add_obstacles,
-         mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell) = saved
+         mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
+         mission_module.carried_path_collision) = saved
 
 
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,

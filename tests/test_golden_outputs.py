@@ -6,10 +6,12 @@ The same file pins the driven path and the replan events of the two
 (keys `large_runs:...`).
 
 A run inside `oracles.reference_stack()`, where every derived field is built
-from empty and every route is walked from scratch, writes the same bytes as
-the shipped run, where each field is updated from the one before and a route
-is cut from the previous tick's; that check needs no stored digest, so it
-also catches a regression that lands together with a refresh.
+from empty, every route is walked from scratch and every tick checks its
+path in full, writes the same bytes as the shipped run, where each field is
+updated from the one before, a route is cut from the previous tick's and a
+clear verdict is carried; that check needs no stored digest, so it also
+catches a regression that lands together with a refresh.  It runs on three
+bundled runs and on random small unknown worlds.
 
 A change that is meant to alter these outputs refreshes the stored digests
 on purpose:
@@ -22,14 +24,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridplan.cli import main, path_to_json
+from hybridplan import simulate
+from hybridplan.cli import MODES, main, path_to_json
+from hybridplan.geometry import Pose2D
+from hybridplan.grid import OCCUPIED
+from hybridplan.mission import MissionConfig
+from hybridplan.planner import PlannerConfig
+from hybridplan.simulate import ScenarioSpec
 
+from conftest import bordered_grid
 from oracles import reference_stack
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
@@ -95,6 +106,48 @@ def test_reference_stack_writes_the_shipped_bytes(scenario, mode, tmp_path, caps
     if scenario == "reveal_divergence":   # smoke_small's map is known: one flood, no repair
         assert "repair" in floods[:n]
     assert reference == shipped
+
+
+@st.composite
+def small_unknown_worlds(draw):
+    """A bordered unknown world 20-30 m square at 0.15625 m with random boxes,
+    none within 4 m of the start or the goal, and a short sensor."""
+    size = draw(st.integers(40, 60)) / 2.0
+    truth = bordered_grid(size, size)
+    start = Pose2D(4.0, draw(st.floats(4.0, size - 4.0)), 0.0)
+    goal = Pose2D(size - 5.0, draw(st.floats(4.0, size - 4.0)), 0.0)
+    for _ in range(draw(st.integers(2, 8))):
+        x0, y0 = draw(st.floats(1.0, size - 2.0)), draw(st.floats(1.0, size - 2.0))
+        x1, y1 = x0 + draw(st.floats(0.3, 4.0)), y0 + draw(st.floats(0.3, 4.0))
+        if all(math.hypot(min(max(p.x, x0), x1) - p.x, min(max(p.y, y0), y1) - p.y) > 4.0
+               for p in (start, goal)):
+            truth.set_box(x0, y0, x1, y1, OCCUPIED)
+    return ScenarioSpec(truth, start, goal, known_env=False,
+                        sensor_range=draw(st.floats(3.0, 6.0)), n_rays=360, max_sim_steps=80)
+
+
+def closed_loop_outputs(spec: ScenarioSpec, mode: str) -> tuple:
+    """The path.json text, events.log lines and metrics.csv row of one run."""
+    driven, report, events = simulate.run_scenario(
+        spec, MissionConfig(s_w=10.0, s_lim=12.0, s_t=5.0, d_div=1.0, s_coll=10.0),
+        PlannerConfig(node_budget=20_000), MODES[mode])
+    return (json.dumps(path_to_json(driven), sort_keys=True),
+            [e.format(with_timing=False) for e in events],
+            report.format(with_timing=False), report.stop_cause)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(small_unknown_worlds())
+def test_reference_stack_matches_shipped_on_random_worlds(spec):
+    """Random closed loops, guided and guided+extended, write the same path,
+    events and metrics row as shipped and inside `reference_stack()`, where
+    every derived value is built from empty: a cache that goes stale in a
+    geometry the bundled runs lack (an obstacle revealed next to the goal or
+    on the path's prefix, a repair that cuts the route) shows here."""
+    for mode in ("guided", "guided+extended"):
+        shipped = closed_loop_outputs(spec, mode)
+        with reference_stack():
+            assert closed_loop_outputs(spec, mode) == shipped
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hybridplan.grid as grid_module
 from hybridplan.geometry import Pose2D
-from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
+from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, CellWrite, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import PlannerConfig, field_cap
@@ -17,7 +17,8 @@ from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_
 
 from conftest import bordered_grid, bundled, paint_disk
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
-                     distance_transform_reference, raytrace_reveal_reference, saturated)
+                     distance_transform_reference, flat_mask, raytrace_reveal_reference,
+                     saturated, window_add_reference)
 
 
 # ---------------------------------------------------------------- map format
@@ -101,21 +102,21 @@ def test_set_box_rebuilds_distance_field():
     for field in (before, after):
         with pytest.raises(ValueError):
             field.values[13, 13] = 1.0
-    assert g.copy().derived(("distance_field", math.inf), lambda previous: previous) is None
+    assert g.copy().derived(("distance_field", math.inf), lambda previous, changes: previous) is None
 
 
 def test_failed_build_keeps_the_previous_value():
     """A build that raises leaves the previous value for the next call."""
     g = OccupancyGrid.filled(4, 4, 0.5, FREE)
-    g.derived("k", lambda previous: "first")
+    g.derived("k", lambda previous, changes: "first")
     g.set_cells((0, 0), OCCUPIED)
 
-    def failing(previous):
+    def failing(previous, changes):
         raise RuntimeError("build failed")
 
     with pytest.raises(RuntimeError):
         g.derived("k", failing)
-    assert g.derived("k", lambda previous: previous) == "first"
+    assert g.derived("k", lambda previous, changes: previous) == "first"
 
 
 def test_reveal_bumps_version_only_when_cells_change():
@@ -272,6 +273,21 @@ def _assert_readers_agree(g, goals, config, cap, r):
             assert np.array_equal(got.values, expect.values)
 
 
+def _assert_route_maps_are_full_rebuild(g, goals, config, cap=math.inf):
+    """The memoized route maps of `g`, read on its field at `cap`, equal the
+    references built from scratch: values, blocked grid, successor table."""
+    for goal in goals:
+        got = _route_map_or_error(lambda *args: build_distance_map(*args, cap), g, goal, config)
+        expect = _route_map_or_error(build_distance_map_reference, g, goal, config)
+        if isinstance(expect, str):
+            assert got == expect
+            continue
+        assert np.array_equal(got.values, expect.values)
+        assert np.array_equal(got.blocked, expect.blocked)
+        assert np.array_equal(np.asarray(got.successor), np.asarray(expect.successor))
+        assert got.goal_cell == expect.goal_cell
+
+
 def _field_cap(kind, nudge, res, config):
     """A cap at a reader's threshold, the planner's cap or a field value
     (sqrt(5) cells), moved by `nudge` ulps; +inf for "inf"."""
@@ -291,16 +307,7 @@ def _assert_fields_are_full_rebuild(g, goals, config, cap=math.inf, r=None):
     if cap < math.inf:
         _assert_readers_agree(g, goals, config, cap, r)
     _assert_field_is_full_rebuild(g)
-    for goal in goals:
-        got = _route_map_or_error(build_distance_map, g, goal, config)
-        expect = _route_map_or_error(build_distance_map_reference, g, goal, config)
-        if isinstance(expect, str):
-            assert got == expect
-            continue
-        assert np.array_equal(got.values, expect.values)
-        assert np.array_equal(got.blocked, expect.blocked)
-        assert np.array_equal(np.asarray(got.successor), np.asarray(expect.successor))
-        assert got.goal_cell == expect.goal_cell
+    _assert_route_maps_are_full_rebuild(g, goals, config)
     disks = make_disk_set(VehicleSpec())
     assert np.array_equal(CollisionChecker(g, disks).blocked,
                           CollisionChecker(g.copy(), disks).blocked)
@@ -339,26 +346,130 @@ def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor,
     _assert_fields_are_full_rebuild(g, goals, config, cap, r)
 
 
-def test_incremental_distance_field_matches_full_over_reveals():
-    r = np.random.default_rng(7)
-    truth = bordered_grid(24, 12, res=0.25)
+def _assert_logged_fields_match(g, goals, config, cap):
+    """The saturated field of `g`, its disk mask and its route maps (values,
+    blocked grid, successor table), each updated from the generation before
+    when it was read there, equal the references built from scratch."""
+    exact = distance_transform_reference(g)
+    assert np.array_equal(g.distance_field(cap).values, saturated(exact, cap))
+    checker = CollisionChecker(g, make_disk_set(VehicleSpec()), cap=cap)
+    assert np.array_equal(checker.blocked, exact < checker.threshold)
+    _assert_route_maps_are_full_rebuild(g, goals, config, cap)
+
+
+REVEAL_STEPS = ("reveal", "reveal", "reveal", "set_box", "free")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(REVEAL_STEPS), st.booleans()), min_size=1, max_size=10),
+       st.sampled_from([0.15625, 0.25]), st.sampled_from(["planner", "swept", "inf"]),
+       st.integers(0, 2**32 - 1))
+def test_incremental_distance_field_matches_full_over_reveals(steps, res, cap_kind, seed):
+    """Logged reveals interleaved with `set_box` writes, writes that free an
+    occupied cell and skipped reads (the next rebuild then follows two
+    writes, from empty): after every read the field, the disk mask and the
+    route maps of two goals equal the references built from scratch."""
+    r = np.random.default_rng(seed)
+    truth = bordered_grid(24, 12, res=res)
     for _ in range(10):
         x, y = r.uniform(1.0, 20.0), r.uniform(1.0, 9.0)
         truth.set_box(x, y, x + r.uniform(0.3, 2.5), y + r.uniform(0.3, 2.5), OCCUPIED)
-    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
-    _assert_field_is_full_rebuild(belief)
-    for i in range(16):
-        raytrace_reveal(truth, belief, Pose2D(1.5 + 1.3 * i, 6.0 + 2.0 * math.sin(i), 0.0),
-                        5.0, 360)
-        _assert_field_is_full_rebuild(belief)
+    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, res, UNKNOWN)
+    config = PlannerConfig(xy_resolution=2 * res, inflation_radius=1.0)
+    cap = _field_cap(cap_kind, 0, res, config)
+    goals = [Pose2D(r.uniform(1.0, 23.0), r.uniform(1.0, 11.0), 0.0) for _ in range(2)]
+    _assert_logged_fields_match(belief, goals, config, cap)
+    for step, read in steps:
+        if step == "reveal":
+            pose = Pose2D(r.uniform(1.0, 23.0), r.uniform(1.0, 11.0), 0.0)
+            raytrace_reveal(truth, belief, pose, r.uniform(2.0, 8.0), 360)
+        elif step == "set_box":
+            x, y = r.uniform(0.0, 22.0), r.uniform(0.0, 10.0)
+            belief.set_box(x, y, x + r.uniform(0.2, 3.0), y + r.uniform(0.2, 3.0),
+                           r.choice([OCCUPIED, FREE, UNKNOWN]))
+        else:
+            occupied = np.flatnonzero(belief.cells == OCCUPIED)
+            if occupied.size:
+                belief.set_cells(np.unravel_index(r.choice(occupied), belief.cells.shape),
+                                 r.choice([FREE, UNKNOWN]))
+        if read:
+            _assert_logged_fields_match(belief, goals, config, cap)
+    _assert_logged_fields_match(belief, goals, config, cap)
     assert np.array_equal(belief.distance_field().values,
-                          brute_distance_transform(belief.cells == OCCUPIED, 0.25))
+                          brute_distance_transform(belief.cells == OCCUPIED, res))
+
+
+@st.composite
+def obstacle_additions(draw):
+    """A saturated field, the cells added to it (single cells, cells on an
+    edge or a corner, far-apart clusters, or a large random set that takes
+    the EDT), a resolution and a cap of every kind the incremental-field
+    test uses."""
+    w, h = draw(st.integers(1, 100)), draw(st.integers(1, 100))
+    res = draw(st.sampled_from([0.1, 0.15625, 0.25, 0.5, 1.0]))
+    config = PlannerConfig(xy_resolution=res, inflation_radius=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    cap = _field_cap(draw(st.sampled_from(["inf", "inflation", "disk", "swept", "planner", "cell"])),
+                     draw(st.sampled_from([-1, 0, 1])), res, config)
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    before = r.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1]))
+    added = np.zeros((h, w), dtype=bool)
+    kind = draw(st.sampled_from(["single", "edge", "corner", "clusters", "large"]))
+    if kind == "single":
+        added[r.integers(h), r.integers(w)] = True
+    elif kind == "edge":
+        side = r.integers(4)
+        iy = r.integers(h, size=3) if side < 2 else [0, h - 1][side - 2]
+        ix = r.integers(w, size=3) if side >= 2 else [0, w - 1][side]
+        added[iy, ix] = True
+    elif kind == "corner":
+        corners = r.permutation(4)[:r.integers(1, 5)]
+        added[np.array([0, 0, h - 1, h - 1])[corners], np.array([0, w - 1, 0, w - 1])[corners]] = True
+    elif kind == "clusters":
+        for _ in range(r.integers(2, 4)):
+            cy, cx = r.integers(h), r.integers(w)
+            added[max(cy - 1, 0):cy + 2, max(cx - 1, 0):cx + 2] = True
+    else:
+        added |= r.random((h, w)) < 0.3
+        added[r.integers(h), r.integers(w)] = True
+    field = saturated(distance_transform_reference(OccupancyGrid(res, before * OCCUPIED)), cap)
+    field.setflags(write=False)
+    return field, added, res, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(obstacle_additions())
+def test_add_obstacles_matches_window_reference(case):
+    """The field lowered by disc stamps or by the window's EDT is bit-equal
+    to the bounding-box EDT update that the stamps replaced."""
+    field, added, res, cap = case
+    kept = field.copy()
+    got = grid_module._add_obstacles(field, np.flatnonzero(added), res, cap)
+    assert np.array_equal(got, window_add_reference(field, added, res, cap))
+    assert not got.flags.writeable and np.array_equal(field, kept)
+
+
+def test_add_obstacles_stamps_few_cells_and_runs_the_edt_on_many(monkeypatch):
+    """Under the cost rule a lone cell at the planner's cap is stamped, while
+    a large addition or an uncapped field runs the window's EDT."""
+    edts = []
+    edt = grid_module.ndimage.distance_transform_edt
+    monkeypatch.setattr(grid_module.ndimage, "distance_transform_edt",
+                        lambda *args: edts.append(1) or edt(*args))
+    res = 0.15625
+    cap = field_cap(VehicleSpec(), PlannerConfig(), res)
+    field = np.full((200, 300), np.inf)
+    lone = np.array([200 * 150 + 100])
+    for added, c, expect in ((lone, cap, 0), (np.arange(0, 60000, 7), cap, 1), (lone, math.inf, 1)):
+        n = len(edts)
+        got = grid_module._add_obstacles(field, added, res, c)
+        assert len(edts) - n == expect
+        assert np.array_equal(got, window_add_reference(field, flat_mask(field.shape, added), res, c))
 
 
 def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
     """Every rebuilt field is one module-level `distance_transform` call, also
-    when the occupied cells did not change, with the previous field passed by
-    keyword."""
+    when the occupied cells did not change, with the previous field and the
+    last write's log passed by keyword."""
     calls = []
     full = grid_module.distance_transform
 
@@ -386,11 +497,12 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
                             np.array_equal(mask, belief.occupied_mask())))
         assert len(calls) == 1 + len(rebuilt)
     assert {(1, True), (1, False), (2, True)} <= set(rebuilt)
-    assert calls[0][:2] == ((), {"previous": None, "cap": math.inf})
+    assert calls[0][:2] == ((), {"previous": None, "changes": None, "cap": math.inf})
     for (_, _, before), (args, kwargs, field), (writes, same) in zip(calls, calls[1:], rebuilt):
         # the field one generation back, none after two writes; an unchanged
         # mask returns that field itself
         assert args == () and kwargs["previous"] is (before if writes == 1 else None)
+        assert isinstance(kwargs["changes"], CellWrite)
         assert (field is before) == (writes == 1 and same)
 
 

@@ -585,6 +585,15 @@ def straight_east_path(length=80.0, step=0.625):
     return AStarPath(points=pts, cumulative_s=np.arange(n + 1) * step)
 
 
+def test_routes_compare_by_identity():
+    """Two routes with equal values are different routes: `==`, `!=` and
+    `in` compare them by identity, without reading their arrays."""
+    a, b = (AStarPath(np.zeros((3, 2)), np.zeros(3)) for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert a in (None, a) and b not in (None, a)
+    assert len({a, b}) == 2
+
+
 def test_waypose_at_55m_east():
     pose = waypose_at(straight_east_path(), 55.0)
     assert pose.x == pytest.approx(55.0)

@@ -645,6 +645,42 @@ def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
     assert {cap for _, _, cap in calls} == {field_cap(VEH, CFG, spec.truth_map.resolution)}
 
 
+def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
+    """On reveal_divergence/guided every obstacle-field rebuild after the
+    first is handed the previous field and the last write's log, and reads
+    neither the cells nor the occupied mask: no whole-grid delta scan.  The
+    field is still one `distance_transform` call per belief version."""
+    calls, scans, inside = [], [], []
+    transform = grid_module.distance_transform
+    cells, occupied_mask = OccupancyGrid.cells, OccupancyGrid.occupied_mask
+
+    def logged(grid, **kwargs):
+        calls.append((grid, grid.version, kwargs["previous"], kwargs["changes"]))
+        inside.append(len(calls))
+        try:
+            return transform(grid, **kwargs)
+        finally:
+            inside.pop()
+
+    def scanned(read):
+        def reader(grid, *args):
+            if inside:
+                scans.append(inside[-1])
+            return read(grid, *args)
+        return reader
+
+    monkeypatch.setattr(grid_module, "distance_transform", logged)
+    monkeypatch.setattr(OccupancyGrid, "cells", property(scanned(cells.fget)))
+    monkeypatch.setattr(OccupancyGrid, "occupied_mask", scanned(occupied_mask))
+    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+                                         MODES["guided"], VEH)
+    assert report.reached and len(calls) > 1
+    assert len({(grid, version) for grid, version, _, _ in calls}) == len(calls)
+    assert calls[0][2] is None and set(scans) == {1}       # the first build, from empty
+    for _, _, previous, changes in calls[1:]:
+        assert previous is not None and isinstance(changes, grid_module.CellWrite)
+
+
 def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
     """On reveal_divergence/guided every route map built equals the one
     built from scratch (values, blocked grid and successor table), and
