@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -56,37 +56,43 @@ class Raster:
         return cells[1] * w + cells[0], off[0] | off[1]
 
 
-@dataclass(frozen=True)
-class CellWrite:
-    """The log of one write: the row-major flat index of each cell written,
-    with its value before and after (read-only arrays)."""
+class CellWrite(NamedTuple):
+    """The log of one write: the cells written, as row-major flat indices
+    or as a box (row slice, column slice) of a grid `width` cells wide, and
+    each one's value before and after, in the same order."""
 
-    index: np.ndarray
+    cells: Union[np.ndarray, Tuple[slice, slice]]
+    width: int
     old: np.ndarray
     new: np.ndarray
 
     def occupied(self) -> Tuple[np.ndarray, np.ndarray]:
         """Flat indices of the cells the write made occupied, and of those it freed."""
+        index = self.cells
+        if isinstance(index, tuple):
+            rows, cols = index
+            index = np.add.outer(np.arange(rows.start, rows.stop) * self.width,
+                                 np.arange(cols.start, cols.stop))
         was, now = self.old == OCCUPIED, self.new == OCCUPIED
-        return self.index[now & ~was], self.index[was & ~now]
+        return index[now & ~was], index[was & ~now]
 
 
 class OccupancyGrid:
     """A grid that owns its cells and every value derived from them.
 
     The cells are a private read-only copy.  They change only through
-    `set_flat` (which `set_cells`, `set_box` and `raytrace_reveal` use),
-    which logs the write, bumps `version` and starts a new generation of
-    the memo.
+    `set_cells`, `set_flat`, `set_box` and `raytrace_reveal`, whose one
+    write path logs the write, bumps `version` and starts a new generation
+    of the memo.
 
     One memo rule: a derived value is built once per generation, and its
     build is handed `(previous, changes)`: the value built under the same
     key in the generation before the last write (None if there is none),
-    to start from, and that write's log (`CellWrite`, None before the first
-    write).  Exactly one write separates a build from its `previous`, so
-    the log is the whole delta.  `previous` is dropped once the build
-    returns.  Only two generations are held; `copy` starts with an empty
-    memo.
+    to start from, and that write's log (`CellWrite`; None when no value was
+    memoized before it).  Exactly one write separates a build from its
+    `previous`, so the log is the whole delta.  `previous` is dropped once
+    the build returns.  Only two generations are held; `copy` starts with
+    an empty memo.
     """
 
     def __init__(self, resolution: float, cells: np.ndarray) -> None:
@@ -114,19 +120,23 @@ class OccupancyGrid:
         self.set_flat(flat.reshape(-1), np.broadcast_to(values, flat.shape).reshape(-1))
 
     def set_flat(self, index: np.ndarray, values) -> None:
-        """`cells.flat[index] = values`, then a version bump and the write's log."""
+        """`cells.flat[index] = values` (`_write`)."""
+        self._write(np.array(index, dtype=np.intp), values)
+
+    def _write(self, cells, values) -> None:
+        """Write `values` to `cells`, flat indices or a box of slices, then
+        bump the version and keep the write's log: None when the memo is
+        empty, as no build then starts from a value one write back."""
+        logged = bool(self._memo)
         self._cells.setflags(write=True)
         try:
-            flat = self._cells.reshape(-1)
-            old = flat[index]
-            flat[index] = values
-            new = flat[index]
+            target = self._cells.reshape(-1) if isinstance(cells, np.ndarray) else self._cells
+            old = np.array(target[cells]) if logged else None
+            target[cells] = values
+            new = np.array(target[cells]) if logged else None
         finally:
             self._cells.setflags(write=False)
-        index = np.array(index, dtype=np.intp)
-        for array in (index, old, new):
-            array.setflags(write=False)
-        self._changes = CellWrite(index, old, new)
+        self._changes = CellWrite(cells, self._cells.shape[1], old, new) if logged else None
         self.version += 1
         self._previous, self._memo = self._memo, {}
 
@@ -182,8 +192,7 @@ class OccupancyGrid:
         ix1 = min(self.width_cells, int(math.floor(x1 / self.resolution - 0.5)) + 1)
         iy1 = min(self.height_cells, int(math.floor(y1 / self.resolution - 0.5)) + 1)
         if ix0 < ix1 and iy0 < iy1:
-            rows = np.arange(iy0, iy1) * self.width_cells
-            self.set_flat(np.add.outer(rows, np.arange(ix0, ix1)).reshape(-1), value)
+            self._write((slice(iy0, iy1), slice(ix0, ix1)), value)
 
 
 

@@ -502,7 +502,7 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
         # the field one generation back, none after two writes; an unchanged
         # mask returns that field itself
         assert args == () and kwargs["previous"] is (before if writes == 1 else None)
-        assert isinstance(kwargs["changes"], CellWrite)
+        assert isinstance(kwargs["changes"], CellWrite) == (writes == 1)
         assert (field is before) == (writes == 1 and same)
 
 
