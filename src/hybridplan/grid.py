@@ -81,8 +81,8 @@ class OccupancyGrid:
     """A grid that owns its cells and every value derived from them.
 
     The cells are a private read-only copy.  They change only through
-    `set_cells`, `set_flat`, `set_box` and `raytrace_reveal`, whose one
-    write path logs the write, bumps `version` and starts a new generation
+    `set_cells`, `set_box` and `raytrace_reveal`, whose one write path
+    (`_write`) logs the write, bumps `version` and starts a new generation
     of the memo.
 
     One memo rule: a derived value is built once per generation, and its
@@ -115,18 +115,14 @@ class OccupancyGrid:
         return self._cells
 
     def set_cells(self, index, values) -> None:
-        """`cells[index] = values`, for any numpy index of the cells (`set_flat`)."""
+        """`cells[index] = values`, for any numpy index of the cells."""
         flat = np.arange(self._cells.size).reshape(self._cells.shape)[index]
-        self.set_flat(flat.reshape(-1), np.broadcast_to(values, flat.shape).reshape(-1))
-
-    def set_flat(self, index: np.ndarray, values) -> None:
-        """`cells.flat[index] = values` (`_write`)."""
-        self._write(np.array(index, dtype=np.intp), values)
+        self._write(flat.reshape(-1), np.broadcast_to(values, flat.shape).reshape(-1))
 
     def _write(self, cells, values) -> None:
-        """Write `values` to `cells`, flat indices or a box of slices, then
-        bump the version and keep the write's log: None when the memo is
-        empty, as no build then starts from a value one write back."""
+        """Write `values` to `cells`, a flat index array or a box of slices,
+        then bump the version and keep the write's log: None when the memo
+        is empty, as no build then starts from a value one write back."""
         logged = bool(self._memo)
         self._cells.setflags(write=True)
         try:
@@ -310,8 +306,8 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
     out = field.copy()
     side = 2 * grow + 1
     # the cost rule, in cells of the window's EDT: a stamp costs 150 of them
-    # plus a 25th of its own cells (5 us + 1.1 ns per stamp cell, against
-    # 27 ns per window cell, timed on the unknown_large reveals)
+    # plus a 25th of its own cells (about 5 us + 1.1 ns per stamp cell
+    # against 27 ns per window cell on a 1024 x 384 grid, 2-vCPU host)
     if math.isfinite(cap) and added.size * (150 + side * side / 25) <= field[window].size:
         offset = np.arange(-grow, grow + 1, dtype=np.float64) ** 2
         stamp = np.sqrt(offset[:, None] + offset[None, :]) * resolution
@@ -455,5 +451,5 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     revealed = truth.cells.reshape(-1)[index]
     left_unknown = (int(np.count_nonzero(belief.cells.reshape(-1)[index] == UNKNOWN))
                     - int(np.count_nonzero(revealed == UNKNOWN)))
-    belief.set_flat(index, revealed)
+    belief._write(index, revealed)
     return left_unknown
