@@ -102,7 +102,8 @@ def test_set_box_rebuilds_distance_field():
     for field in (before, after):
         with pytest.raises(ValueError):
             field.values[13, 13] = 1.0
-    assert g.copy().derived(("distance_field", math.inf), lambda previous, changes: previous) is None
+    fresh = g.copy()
+    assert fresh.derived(("distance_field", math.inf), lambda previous, changes: previous) is None
 
 
 def test_failed_build_keeps_the_previous_value():
@@ -407,9 +408,10 @@ def obstacle_additions(draw):
     test uses."""
     w, h = draw(st.integers(1, 100)), draw(st.integers(1, 100))
     res = draw(st.sampled_from([0.1, 0.15625, 0.25, 0.5, 1.0]))
-    config = PlannerConfig(xy_resolution=res, inflation_radius=draw(st.sampled_from([0.0, 0.3, 1.0])))
-    cap = _field_cap(draw(st.sampled_from(["inf", "inflation", "disk", "swept", "planner", "cell"])),
-                     draw(st.sampled_from([-1, 0, 1])), res, config)
+    inflation = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    config = PlannerConfig(xy_resolution=res, inflation_radius=inflation)
+    cap_kind = draw(st.sampled_from(["inf", "inflation", "disk", "swept", "planner", "cell"]))
+    cap = _field_cap(cap_kind, draw(st.sampled_from([-1, 0, 1])), res, config)
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     before = r.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1]))
     added = np.zeros((h, w), dtype=bool)
@@ -423,7 +425,8 @@ def obstacle_additions(draw):
         added[iy, ix] = True
     elif kind == "corner":
         corners = r.permutation(4)[:r.integers(1, 5)]
-        added[np.array([0, 0, h - 1, h - 1])[corners], np.array([0, w - 1, 0, w - 1])[corners]] = True
+        rows, cols = np.array([0, 0, h - 1, h - 1]), np.array([0, w - 1, 0, w - 1])
+        added[rows[corners], cols[corners]] = True
     elif kind == "clusters":
         for _ in range(r.integers(2, 4)):
             cy, cx = r.integers(h), r.integers(w)
@@ -463,7 +466,8 @@ def test_add_obstacles_stamps_few_cells_and_runs_the_edt_on_many(monkeypatch):
         n = len(edts)
         got = grid_module._add_obstacles(field, added, res, c)
         assert len(edts) - n == expect
-        assert np.array_equal(got, window_add_reference(field, flat_mask(field.shape, added), res, c))
+        mask = flat_mask(field.shape, added)
+        assert np.array_equal(got, window_add_reference(field, mask, res, c))
 
 
 def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
