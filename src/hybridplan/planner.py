@@ -20,8 +20,8 @@ import numpy as np
 from .geometry import Pose2D, move_along_arc, normalize_angle
 from .grid import OccupancyGrid
 from .heuristic import build_distance_map
-from .reeds_shepp import (LEFT, RIGHT, PathSamples, rs_all_paths, rs_path_length, sample_path,
-                          sample_paths)
+from .reeds_shepp import (LEFT, RIGHT, PathSamples, rs_all_paths, rs_path_length, rs_word_rows,
+                          sample_path, sample_paths)
 from .vehicle import CollisionChecker, VehicleSpec, checker_thresholds, make_disk_set
 
 STANDARD = "standard"
@@ -679,9 +679,10 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
 
     The vehicle's bounded-curvature words are tried shortest first, so the
     feasible suffix is the shortest one: the first `_PREFIX` samples of every
-    word are checked in one batch, and only the free ones in full.  With
-    rotations enabled the drive-rotate-drive geometric extension competes
-    against it under the movement cost model.
+    word, from its rows, are checked in one batch; only an attempt with a free
+    one builds the paths, and checks the free ones in full.  With rotations
+    enabled the drive-rotate-drive geometric extension competes against it
+    under the movement cost model.
     """
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
@@ -690,10 +691,16 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
         heading = np.array((np.cos(samples.yaws), np.sin(samples.yaws)))
         return checker.batch_blocked(samples.xy, heading).any(axis=-1)
 
-    cands = [c for c in rs_all_paths(pose, goal, vehicle.min_turn_radius) if c.total_length < 1e6]
-    prefix_free = ~blocked(sample_paths(cands, pose, config.collision_step, _PREFIX)) if cands else []
-    for i in np.flatnonzero(prefix_free):
-        cand = cands[i]
+    radius = vehicle.min_turn_radius
+    words = [w for w in rs_word_rows(pose, goal, radius) if sum(row[2] for row in w[1]) < 1e6]
+    free = ~blocked(sample_paths([rows for _, rows in words], radius, pose,
+                                 config.collision_step, _PREFIX)) if words else np.zeros(0, bool)
+    survivors = []
+    if free.any():      # shortest first: rs_all_paths sorts the same words stably by total
+        order = sorted(range(len(words)), key=lambda i: words[i][0])
+        cands = [c for c in rs_all_paths(pose, goal, radius) if c.total_length < 1e6]
+        survivors = [cand for cand, i in zip(cands, order) if free[i]]
+    for cand in survivors:
         samples = sample_path(cand, pose, config.collision_step)
         if not blocked(samples):
             steer_of = {LEFT: vehicle.max_steer, RIGHT: -vehicle.max_steer}

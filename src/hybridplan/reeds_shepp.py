@@ -1,18 +1,18 @@
 """Shortest bounded-curvature paths for a forward/reverse-capable vehicle.
 
-The one module that knows the path format: a path is a tuple of
-left / right / straight segments, and `sample_paths` is its one sampler.
-The solver enumerates the 48 canonical word families (curve/straight
-patterns combined with the classic timeflip / reflect / backwards
-symmetries) and keeps the minimum-length candidate.  Scalar math keeps a
-single length query around 50 microseconds, cheap enough for per-node
-heuristic lookups in the graph search.
+The one module that knows the path format: a path is a tuple of left /
+right / straight segments, sampled from its (turn, direction, length) rows
+by `sample_paths`, the one sampler.  A word table built at import holds the
+48 words (9 curve/straight families under the timeflip / reflect / backwards
+symmetries): each word's solver, input flip, fixed length terms and segment
+recipe.  One loop solves every word with scalar math-module calls; a length
+query keeps the minimum and builds no segment.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -70,46 +70,53 @@ class PathSamples:
 
 def sample_path(path: RSPath, start: Pose2D, step: float) -> PathSamples:
     """Every sample of `path` driven from `start`: `sample_paths` of one path."""
-    batch = sample_paths([path], start, step)
+    rows = [(_TURN[seg.kind], seg.direction, seg.length) for seg in path.segments]
+    batch = sample_paths([rows], path.turn_radius, start, step)
     return PathSamples(batch.xy[:, 0], batch.yaws[0], batch.kappas[0], batch.directions[0])
 
 
-def sample_paths(paths: Sequence[RSPath], start: Pose2D, step: float,
-                 limit: float = math.inf) -> PathSamples:
+def sample_paths(paths: Sequence[Sequence[Tuple[float, int, float]]], turn_radius: float,
+                 start: Pose2D, step: float, limit: float = math.inf) -> PathSamples:
     """The first `limit` samples of each path driven from `start`, `step` apart at most.
 
-    Each non-empty segment is split into n = max(1, ceil(length / step))
-    equal steps, so segment boundaries are samples and the last sample is
-    the path's end pose; a path without segments gives the start alone, and
-    a row shorter than the longest repeats its end pose.  One prefix sum per
-    coordinate runs along each row, adding the same terms in the same order
-    as chaining `move_along_arc` step by step, so every value is bit-identical
-    to that scalar recurrence and a limited sample is a prefix of the full one.
+    A path is its segments' (turn, direction, length) rows, turn the curvature
+    in units of 1 / `turn_radius` (`_TURN`).  Each non-empty segment is split
+    into n = max(1, ceil(length / step)) equal steps, so segment boundaries are
+    samples and the last sample is the path's end pose; a path without
+    segments gives the start alone, and a row shorter than the longest repeats
+    its end pose.  One prefix sum per coordinate runs along each row, adding
+    the same terms in the same order as chaining `move_along_arc` step by step,
+    so every value is bit-identical to that scalar recurrence and a limited
+    sample is a prefix of the full one.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     # per path and segment, the start first: (step count, curvature, divisor of the
     # arc increments (1.0 on a straight, whose increments are set below), heading
-    # change per step (a straight's 0.0 leaves the heading as it is), direction)
-    per_path, straights = [], []
-    for p, path in enumerate(paths):
-        rows, used = [(1, 0.0, 1.0, start.yaw, 1)], 1
-        for seg in path.segments:
-            if seg.length > 0.0 and used < limit:
-                n = max(1, math.ceil(seg.length / step))
-                k = _TURN[seg.kind] / path.turn_radius
-                ds = seg.length / n * seg.direction
+    # change per step (a straight's 0.0 leaves the heading as it is), direction),
+    # then a padding run that neither turns nor moves, its count set below
+    table, straights, pads = [], [], []
+    for p, rows in enumerate(paths):
+        table.append((1, 0.0, 1.0, start.yaw, 1))
+        used = 1
+        for turn, d, length in rows:
+            if length > 0.0 and used < limit:
+                n = max(1, math.ceil(length / step))
+                k = turn / turn_radius
+                ds = length / n * d
                 n_kept = min(n, limit - used)
                 if k == 0.0:
                     straights.append((p, used, n_kept, ds))
-                rows.append((n_kept, k, k or 1.0, ds * k, seg.direction))
+                table.append((n_kept, k, k or 1.0, ds * k, d))
                 used += n_kept
-        per_path.append((rows, used))
-    width = max(used for _, used in per_path)    # the padding neither turns nor moves
-    counts, kappa, divisor, turn, direction = zip(*(
-        row for rows, used in per_path for row in rows + [(width - used, 0.0, 1.0, 0.0, 1)]))
-    kappas, divisors, raw = (np.array((kappa, divisor, turn)).repeat(counts, axis=1)
-                             .reshape(3, len(paths), -1))
+        pads.append((len(table), used))
+        table.append(None)
+    width = max(used for _, used in pads)
+    for i, used in pads:
+        table[i] = (width - used, 0.0, 1.0, 0.0, 1)
+    columns = np.array(table).T
+    kappas, divisors, raw, directions = (columns[1:].repeat(columns[0].astype(int), axis=1)
+                                         .reshape(4, len(paths), -1))
     raw = raw.cumsum(axis=1)
     sin, cos = np.sin(raw), np.cos(raw)
     xy = np.empty((2, *raw.shape))
@@ -123,7 +130,7 @@ def sample_paths(paths: Sequence[RSPath], start: Pose2D, step: float,
     np.cumsum(xy, axis=2, out=xy)
     yaws = normalize_angles(raw)
     yaws[:, 0] = start.yaw
-    return PathSamples(xy, yaws, kappas, np.array(direction).repeat(counts).reshape(raw.shape))
+    return PathSamples(xy, yaws, kappas, directions.astype(int))
 
 
 # Family solvers: normalized target (x, y, phi) in units of the turn
@@ -285,52 +292,57 @@ _FAMILIES = (
                      (RIGHT, "v")), extra_const=math.pi),
 )
 
-# every (family, timeflip, reflect, backwards) word
-_WORDS = [(family, timeflip, reflect, backwards)
-          for family in _FAMILIES
-          for backwards in ((False, True) if family.backwards else (False,))
-          for timeflip in (False, True)
-          for reflect in (False, True)]
+
+def _word(family: _Family, backwards: bool, timeflip: bool, reflect: bool) -> Tuple:
+    """A word as (solver, flip, extra_u, extra_const, recipe).  `flip`, that is
+    4 * backwards + 2 * timeflip + reflect, picks the solver's input in `_solve`;
+    a recipe entry ((kind, turn), scale, param) is a segment of signed value
+    scale * (t, u, v, 1.0)[param], with the timeflip and the reflection applied."""
+    roles = {"t": (1.0, 0), "u": (1.0, 1), "v": (1.0, 2), "-u": (-1.0, 1)}
+    recipe = []
+    for kind, role in (reversed(family.pattern) if backwards else family.pattern):
+        scale, param = (role, 3) if isinstance(role, float) else roles[role]
+        if reflect and kind != STRAIGHT:
+            kind = LEFT if kind == RIGHT else RIGHT
+        recipe.append(((kind, _TURN[kind]), -scale if timeflip else scale, param))
+    return (family.solve, 4 * backwards + 2 * timeflip + reflect, family.extra_u,
+            family.extra_const, tuple(recipe))
+
+
+# every (family, backwards, timeflip, reflect) word, in the order that ties keep
+_WORDS = tuple(_word(family, backwards, timeflip, reflect) for family in _FAMILIES
+               for backwards in ((False, True) if family.backwards else (False,))
+               for timeflip in (False, True) for reflect in (False, True))
 assert len(_WORDS) == 48
 
 
-def _enumerate_candidates(x: float, y: float, phi: float) -> Iterable[Tuple[float, Tuple, Tuple[float, float, float]]]:
-    """Yield (total_length, word, params) for every applicable word."""
+def _solve(x: float, y: float, phi: float) -> List[Tuple[float, int, float, float, float]]:
+    """(total length, word index, t, u, v) of every applicable word, in word order."""
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
     xb = x * cos_phi + y * sin_phi
     yb = x * sin_phi - y * cos_phi
-    for word in _WORDS:
-        family, timeflip, reflect, backwards = word
-        wx, wy = (xb, yb) if backwards else (x, y)
-        wphi = phi
-        if timeflip:
-            wx, wphi = -wx, -wphi
-        if reflect:
-            wy, wphi = -wy, -wphi
-        sol = family.solve(wx, wy, wphi)
-        if sol is None:
-            continue
-        t, u, v = sol
-        total = (abs(t) + abs(u) + abs(v)
-                 + family.extra_u * abs(u) + family.extra_const)
-        yield total, word, (t, u, v)
+    # the solver input by flip: a timeflip negates x and phi, a reflection y and phi
+    inputs = ((x, y, phi), (x, -y, -phi), (-x, y, -phi), (-x, -y, phi),
+              (xb, yb, phi), (xb, -yb, -phi), (-xb, yb, -phi), (-xb, -yb, phi))
+    found = []
+    for i, (solve, flip, extra_u, extra_const, _) in enumerate(_WORDS):
+        sol = solve(*inputs[flip])
+        if sol is not None:
+            t, u, v = sol
+            found.append((abs(t) + abs(u) + abs(v) + extra_u * abs(u) + extra_const, i, t, u, v))
+    return found
 
 
-def _word_segments(word, t: float, u: float, v: float, turn_radius: float) -> Tuple[RSSegment, ...]:
-    """The word's segments scaled to `turn_radius`, dropping empty ones."""
-    family, timeflip, reflect, backwards = word
-    params = {"t": t, "u": u, "v": v, "-u": -u}
-    segments = []
-    for kind, role in (reversed(family.pattern) if backwards else family.pattern):
-        value = role if isinstance(role, float) else params[role]
-        if timeflip:
-            value = -value
-        if reflect and kind != STRAIGHT:
-            kind = LEFT if kind == RIGHT else RIGHT
+def _rows(i: int, t: float, u: float, v: float, turn_radius: float, label: int) -> List[Tuple]:
+    """Word i's (kind, or turn if `label` is 1; direction; length) rows, empty ones dropped."""
+    params = (t, u, v, 1.0)
+    rows = []
+    for labels, scale, param in _WORDS[i][4]:
+        value = scale * params[param]
         if abs(value) > _MIN_SEG:
-            segments.append(RSSegment(kind, 1 if value >= 0.0 else -1, abs(value) * turn_radius))
-    return tuple(segments)
+            rows.append((labels[label], 1 if value >= 0.0 else -1, abs(value) * turn_radius))
+    return rows
 
 
 def _relative_target(start: Pose2D, goal: Pose2D, turn_radius: float) -> Tuple[float, float, float]:
@@ -346,22 +358,23 @@ def _relative_target(start: Pose2D, goal: Pose2D, turn_radius: float) -> Tuple[f
 
 def rs_all_paths(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[RSPath]:
     """Every applicable word's path, shortest first (for collision fallback)."""
-    x, y, phi = _relative_target(start, goal, turn_radius)
-    cands = sorted(_enumerate_candidates(x, y, phi), key=lambda c: c[0])
     paths = []
-    for _, word, (t, u, v) in cands:
-        segments = _word_segments(word, t, u, v, turn_radius)
+    for _, i, t, u, v in sorted(_solve(*_relative_target(start, goal, turn_radius)),
+                                key=lambda c: c[0]):
+        segments = tuple(RSSegment(*row) for row in _rows(i, t, u, v, turn_radius, 0))
         paths.append(RSPath(segments=segments, turn_radius=turn_radius,
                             total_length=sum(seg.length for seg in segments)))
     return paths
 
 
+def rs_word_rows(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[Tuple[float, List]]:
+    """(total length in turn radii, `sample_paths` rows) of every applicable
+    word in word order: `rs_all_paths` without its sort and its segments."""
+    return [(total, _rows(i, t, u, v, turn_radius, 1))
+            for total, i, t, u, v in _solve(*_relative_target(start, goal, turn_radius))]
+
+
 def rs_path_length(start: Pose2D, goal: Pose2D, turn_radius: float) -> float:
     """Length of the shortest path without building segments."""
-    x, y, phi = _relative_target(start, goal, turn_radius)
-    best = math.inf
-    for total, _, _ in _enumerate_candidates(x, y, phi):
-        if total < best:
-            best = total
-    return best * turn_radius
-
+    return min([math.inf] + [c[0] for c in _solve(*_relative_target(start, goal, turn_radius))]
+               ) * turn_radius

@@ -162,7 +162,9 @@ def test_batched_prefix_bit_identical_to_single_path_samples(paths, limit, radiu
     paths = [RSPath(segments=tuple(RSSegment(*seg) for seg in segs), turn_radius=radius,
                     total_length=sum(seg[2] for seg in segs)) for segs in paths]
     start = Pose2D(x, y, yaw)
-    batch = sample_paths(paths, start, step, limit)
+    turns = {"left": 1.0, "right": -1.0, "straight": 0.0}
+    batch = sample_paths([[(turns[seg.kind], seg.direction, seg.length) for seg in path.segments]
+                          for path in paths], radius, start, step, limit)
     singles = [sample_path(path, start, step) for path in paths]
     assert batch.xy.shape == (2, len(paths), min(limit, max(len(s) for s in singles)))
     for row, single in enumerate(singles):

@@ -8,10 +8,14 @@ import sys
 from pathlib import Path
 
 import hybridplan
-from hybridplan import cli
+from hybridplan import cli, planner
+from hybridplan.geometry import Pose2D
 from hybridplan.grid import UNKNOWN, OccupancyGrid, distance_transform
 from hybridplan.planner import PlannerConfig
 from hybridplan.simulate import ScenarioSpec
+from hybridplan.vehicle import VehicleSpec
+
+from conftest import bordered_grid
 
 PACKAGE_DIR = Path(hybridplan.__file__).resolve().parent
 
@@ -129,13 +133,7 @@ def test_oracles_import_no_private_names():
 PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
 
-def test_perfbench_call_sites_resolve(monkeypatch):
-    """perfbench's traced run wraps the module attributes in `probe.SITES` and
-    reads the EDT's second positional argument as `unknown_as_occupied`; its
-    setup loads scenarios with `cli.resolve_scenario`, which must call the
-    wrapped `cli.load_scenario`, and builds `cli.RunConfig` from a scenario
-    and a mode.  A refactor that moves a site or one of these signatures fails
-    here, not only in the benchmark's own test."""
+def load_probe():
     spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
@@ -144,6 +142,17 @@ def test_perfbench_call_sites_resolve(monkeypatch):
         spec.loader.exec_module(probe)
     finally:
         sys.dont_write_bytecode = dont_write
+    return probe
+
+
+def test_perfbench_call_sites_resolve(monkeypatch):
+    """perfbench's traced run wraps the module attributes in `probe.SITES` and
+    reads the EDT's second positional argument as `unknown_as_occupied`; its
+    setup loads scenarios with `cli.resolve_scenario`, which must call the
+    wrapped `cli.load_scenario`, and builds `cli.RunConfig` from a scenario
+    and a mode.  A refactor that moves a site or one of these signatures fails
+    here, not only in the benchmark's own test."""
+    probe = load_probe()
     for sites in probe.SITES.values():
         for site in sites:
             probe.resolve(site)
@@ -157,6 +166,31 @@ def test_perfbench_call_sites_resolve(monkeypatch):
     assert len(loads) == 1
     cfg = cli.RunConfig(scenario="x", mode="standard")
     assert cfg.output_dir == "out" and cfg.planner == PlannerConfig()
+
+
+def test_perfbench_planner_sites_are_called(monkeypatch):
+    """A site that resolves but is never called trips the traced run's layer
+    guard (`correct: false`): one `plan` whose heuristic takes the
+    Reeds-Shepp term and whose first analytic attempt succeeds must reach
+    every planner-side site through its module attribute."""
+    probe = load_probe()
+    layers = ("planner.analytic_expansions", "reeds_shepp.rs_all_paths",
+              "reeds_shepp.rs_path_length", "geometry.sample_path")
+    calls = {}
+    for site in (site for layer in layers for site in probe.SITES[layer]):
+        module, attr = probe.resolve(site)
+        inner = getattr(module, attr)
+
+        def counted(*args, _site=site, _inner=inner, **kwargs):
+            calls[_site] = calls.get(_site, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+        calls[site] = 0
+    config = PlannerConfig()
+    start, goal = Pose2D(10.0, 20.0, 0.0), Pose2D(20.0, 21.0, 0.3)
+    assert goal.distance_to(start) <= config.rs_heuristic_radius
+    planner.plan(bordered_grid(40.0, 40.0), start, goal, VehicleSpec(), config)
+    assert calls and all(calls.values()), calls
 
 
 def uncalled_public_names(sources, exported):

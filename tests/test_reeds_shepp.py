@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
 from hybridplan.reeds_shepp import rs_all_paths, rs_path_length
 
 from conftest import pose_close
-from oracles import path_end_pose, rs_oracle_length, rs_oracle_lengths
+from oracles import (path_end_pose, rs_all_paths_reference, rs_oracle_length, rs_oracle_lengths,
+                     rs_path_length_reference)
 
 # independently computed with the multistart-Newton word enumeration: the
 # optimum for (0,0,0) -> (0,2,pi) at radius 1 is a single reversed half circle
@@ -95,3 +97,35 @@ def test_all_paths_sorted_and_contains_optimum(rng):
         rs_oracle_length((0, 0, 0), (goal.x, goal.y, goal.yaw), 1.5), abs=1e-6)
     for p in paths[:5]:
         assert pose_close(path_end_pose(p, Pose2D(0, 0, 0)), goal)
+
+
+def _bits(paths):
+    """Every path's segments, total length and place in the list; `repr` tells
+    every float bit pattern (-0.0 included) and an int apart."""
+    return [(tuple((seg.kind, seg.direction, repr(seg.length)) for seg in path.segments),
+             repr(path.turn_radius), repr(path.total_length)) for path in paths]
+
+
+# the largest yaw below pi that normalize_angle keeps (one ulp less rounds to -pi)
+_BELOW_PI = math.nextafter(math.nextafter(math.pi, 0.0), 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-math.pi, math.pi),
+       st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-math.pi, math.pi),
+       st.floats(0.3, 6.0))
+@example(0.0, 0.0, 0.0, 5.0, 2.0, 0.0, 1.0)                  # phi = 0
+@example(1.0, 2.0, 0.0, 4.0, -3.0, _BELOW_PI, 2.0)           # phi just below pi
+@example(1.0, 2.0, 0.0, 4.0, -3.0, -math.pi, 2.0)            # phi = -pi
+@example(1.0, 2.0, 0.0, 4.0, -3.0, math.nextafter(-math.pi, 0.0), 2.0)   # and just above
+@example(0.0, 0.0, 0.0, 10.0, 0.0, 0.0, 1.0)                 # a straight line ahead
+@example(0.0, 0.0, 0.0, -10.0, 0.0, 0.0, 1.0)                # and behind
+@example(3.0, -1.0, 2.0, 3.0, -1.0, 2.0, 4.0)                # the start pose itself
+def test_word_table_matches_reference_bit_for_bit(x, y, yaw, gx, gy, gyaw, radius):
+    """The word table and its one solve loop give every word's path, in the
+    same order, and the same shortest length as the per-word enumeration."""
+    start, goal = Pose2D(x, y, yaw), Pose2D(gx, gy, gyaw)
+    assert _bits(rs_all_paths(start, goal, radius)) == \
+        _bits(rs_all_paths_reference(start, goal, radius))
+    assert repr(rs_path_length(start, goal, radius)) == \
+        repr(rs_path_length_reference(start, goal, radius))

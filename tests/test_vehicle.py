@@ -214,6 +214,24 @@ def test_rotation_never_less_restrictive_than_pose(rng):
             assert not checker.pose_blocked(x, y, yaw)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "rotation_blocked pads swept_radius by one half-cell diagonal, but moving a "
+    "field value from the axle's cell to a disk centre's cell can lose two: at "
+    "this pose the axle reads 3.187 >= 3.1457 while the front disk is blocked"))
+def test_rotation_free_pose_is_free_next_to_a_single_cell():
+    """One occupied cell and the checker `plan` builds: a rotation that
+    `rotation_blocked` admits must leave the footprint free at every yaw."""
+    vehicle, cfg = VehicleSpec(), PlannerConfig()
+    g = OccupancyGrid.filled(128, 128, 0.15625, FREE)
+    g.set_box(10.0, 10.0, 10.15625, 10.15625, OCCUPIED)
+    table = _PrimitiveTable(cfg, vehicle)
+    checker = CollisionChecker(g, make_disk_set(vehicle), table.reach,
+                               field_cap(vehicle, cfg, g.resolution, table))
+    x, y, yaw = 13.174409858110078, 10.666560375387807, -2.8888941189211033
+    assert not checker.rotation_blocked(x, y)
+    assert not checker.pose_blocked(x, y, yaw)
+
+
 def test_disk_check_conservative_against_rectangle_oracle(rng):
     """Whenever the exact footprint covers an occupied cell center, the disk
     test must report a collision."""
