@@ -217,7 +217,7 @@ def test_rotation_never_less_restrictive_than_pose(rng):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "rotation_blocked pads swept_radius by one half-cell diagonal, but moving a "
     "field value from the axle's cell to a disk centre's cell can lose two: at "
-    "this pose the axle reads 3.187 >= 3.1457 while the front disk is blocked"))
+    "this pose the axle reads 3.187 >= 3.1457 while pose_blocked is True"))
 def test_rotation_free_pose_is_free_next_to_a_single_cell():
     """One occupied cell and the checker `plan` builds: a rotation that
     `rotation_blocked` admits must leave the footprint free at every yaw."""
