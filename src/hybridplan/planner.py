@@ -692,7 +692,7 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
         return checker.batch_blocked(samples.xy, heading).any(axis=-1)
 
     radius = vehicle.min_turn_radius
-    words = [w for w in rs_word_rows(pose, goal, radius) if sum(row[2] for row in w[1]) < 1e6]
+    words = [w for w in rs_word_rows(pose, goal, radius) if sum([row[2] for row in w[1]]) < 1e6]
     free = ~blocked(sample_paths([rows for _, rows in words], radius, pose,
                                  config.collision_step, _PREFIX)) if words else np.zeros(0, bool)
     survivors = []

@@ -91,13 +91,13 @@ def sample_paths(paths: Sequence[Sequence[Tuple[float, int, float]]], turn_radiu
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    # per path and segment, the start first: (step count, curvature, divisor of the
-    # arc increments (1.0 on a straight, whose increments are set below), heading
-    # change per step (a straight's 0.0 leaves the heading as it is), direction),
-    # then a padding run that neither turns nor moves, its count set below
+    # five values per path and segment, the start first: step count, curvature,
+    # divisor of the arc increments (1.0 on a straight, whose increments are set
+    # below), heading change per step (a straight's 0.0 leaves the heading as it
+    # is), direction; then a padding run that neither turns nor moves, its count set below
     table, straights, pads = [], [], []
     for p, rows in enumerate(paths):
-        table.append((1, 0.0, 1.0, start.yaw, 1))
+        table += (1, 0.0, 1.0, start.yaw, 1)
         used = 1
         for turn, d, length in rows:
             if length > 0.0 and used < limit:
@@ -107,14 +107,14 @@ def sample_paths(paths: Sequence[Sequence[Tuple[float, int, float]]], turn_radiu
                 n_kept = min(n, limit - used)
                 if k == 0.0:
                     straights.append((p, used, n_kept, ds))
-                table.append((n_kept, k, k or 1.0, ds * k, d))
+                table += (n_kept, k, k or 1.0, ds * k, d)
                 used += n_kept
         pads.append((len(table), used))
-        table.append(None)
+        table += (0, 0.0, 1.0, 0.0, 1)
     width = max(used for _, used in pads)
     for i, used in pads:
-        table[i] = (width - used, 0.0, 1.0, 0.0, 1)
-    columns = np.array(table).T
+        table[i] = width - used
+    columns = np.fromiter(table, float, len(table)).reshape(-1, 5).T
     kappas, divisors, raw, directions = (columns[1:].repeat(columns[0].astype(int), axis=1)
                                          .reshape(4, len(paths), -1))
     raw = raw.cumsum(axis=1)
@@ -294,10 +294,9 @@ _FAMILIES = (
 
 
 def _word(family: _Family, backwards: bool, timeflip: bool, reflect: bool) -> Tuple:
-    """A word as (solver, flip, extra_u, extra_const, recipe).  `flip`, that is
-    4 * backwards + 2 * timeflip + reflect, picks the solver's input in `_solve`;
-    a recipe entry ((kind, turn), scale, param) is a segment of signed value
-    scale * (t, u, v, 1.0)[param], with the timeflip and the reflection applied."""
+    """A word as (solver, flip, extra_u, extra_const, recipe).  `flip` (4 * backwards +
+    2 * timeflip + reflect) picks the solver's input in `_solve`; a recipe entry ((kind,
+    turn), scale, param), reflected and timeflipped, has value scale * (t, u, v, 1.0)[param]."""
     roles = {"t": (1.0, 0), "u": (1.0, 1), "v": (1.0, 2), "-u": (-1.0, 1)}
     recipe = []
     for kind, role in (reversed(family.pattern) if backwards else family.pattern):
@@ -318,8 +317,7 @@ assert len(_WORDS) == 48
 
 def _solve(x: float, y: float, phi: float) -> List[Tuple[float, int, float, float, float]]:
     """(total length, word index, t, u, v) of every applicable word, in word order."""
-    sin_phi = math.sin(phi)
-    cos_phi = math.cos(phi)
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     xb = x * cos_phi + y * sin_phi
     yb = x * sin_phi - y * cos_phi
     # the solver input by flip: a timeflip negates x and phi, a reflection y and phi

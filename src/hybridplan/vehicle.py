@@ -153,10 +153,12 @@ class CollisionChecker:
         """Per-pose disk test; True where blocked.
 
         `xy` stacks the poses' x and y, `heading` the cosine and sine of their
-        yaws, on a leading axis of 2; the rest of the two shapes broadcast.
+        yaws, on a leading axis of 2; the rest of the two shapes, of one rank,
+        broadcast.  The disks take axis 1, so each inner loop runs over poses.
         """
-        centres = xy[..., None] + self.offsets * heading[..., None]
+        offsets = self.offsets.reshape((-1,) + (1,) * (xy.ndim - 1))
+        centres = xy[:, None] + offsets * heading[:, None]
         flat, off = self.field.flat_cells(centres)
         # an off-grid point is blocked, whatever cell its wrapped index reads
         hit = self.blocked.take(flat, mode="wrap") | off
-        return hit.reshape(centres.shape[1:]).any(axis=-1)
+        return hit.reshape(centres.shape[1:]).any(axis=0)
