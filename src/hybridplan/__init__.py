@@ -12,7 +12,7 @@ from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPat
                       PlannerConfig, PlannerFailure, RotationSegment, SearchStats,
                       analytic_expansions, cost_of, field_cap, geometric_extension, plan)
 from .reeds_shepp import RSPath, RSSegment, rs_all_paths, rs_path_length, sample_path
-from .simulate import (EventRecord, MetricsReport, ScenarioSpec, kappa_dot_rms,
+from .simulate import (EventRecord, MetricsReport, Run, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
 from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
 
@@ -28,7 +28,7 @@ __all__ = [
     "PlannerConfig", "PlannerFailure", "RotationSegment", "SearchStats",
     "analytic_expansions", "cost_of", "field_cap", "geometric_extension", "plan",
     "RSPath", "RSSegment", "rs_all_paths", "rs_path_length", "sample_path",
-    "EventRecord", "MetricsReport", "ScenarioSpec", "kappa_dot_rms",
+    "EventRecord", "MetricsReport", "Run", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
     "CollisionChecker", "DiskSet", "VehicleSpec", "make_disk_set",
 ]

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .heuristic import resolution_factor
 from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE, NAV_WAYPOINT
-from .planner import DriveSegment, EXTENDED, PlannedPath, PlannerConfig, STANDARD
+from .planner import EXTENDED, PlannedPath, PlannerConfig, STANDARD
 from .scenarios import (bundled_scenario_path, check_fields, field_types, load_scenario,
                         read_json_object)
 from .simulate import EventRecord, MetricsReport, ScenarioSpec, run_scenario
@@ -90,32 +90,6 @@ def load_run(config_path) -> Tuple[RunConfig, ScenarioSpec]:
     return cfg, spec
 
 
-def path_to_json(path: PlannedPath) -> dict:
-    segments = []
-    for seg in path.segments:
-        if isinstance(seg, DriveSegment):
-            kappas = list(seg.kappas) + [seg.kappas[-1]]
-            segments.append({
-                "type": "drive",
-                "direction": seg.direction,
-                "arc_length": seg.arc_length,
-                "samples": [[float(x), float(y), float(yaw), float(k)]
-                            for x, y, yaw, k in zip(seg.xs, seg.ys, seg.yaws, kappas)],
-            })
-        else:
-            segments.append({
-                "type": "rotation",
-                "x": seg.x, "y": seg.y,
-                "from_yaw": seg.from_yaw, "to_yaw": seg.to_yaw, "delta": seg.delta,
-            })
-    return {
-        "total_drive_length": path.total_drive_length,
-        "n_direction_switches": path.n_direction_switches,
-        "n_rotations": path.n_rotations,
-        "segments": segments,
-    }
-
-
 def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[OccupancyGrid]:
     """Replay the reveals along the driven path for the belief overlay."""
     if spec.known_env:
@@ -135,29 +109,25 @@ def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[Occupancy
 
 def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
                 with_timing: bool) -> Tuple[MetricsReport, List[EventRecord]]:
-    driven, report, events = run_scenario(spec, cfg.mission, cfg.planner,
-                                          MODES[cfg.mode], cfg.vehicle)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "path.json").write_text(
-        json.dumps(path_to_json(driven), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
-    (out_dir / "metrics.csv").write_text(
-        ",".join(MetricsReport.COLUMNS) + "\n" + report.format(with_timing) + "\n",
-        encoding="utf-8")
-    (out_dir / "events.log").write_text(
-        "".join(e.format(with_timing) + "\n" for e in events), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output_dir: {exc}") from None
+    run = run_scenario(spec, cfg.mission, cfg.planner, MODES[cfg.mode], cfg.vehicle)
+    for name, text in run.texts(with_timing).items():
+        (out_dir / name).write_text(text, encoding="utf-8")
     (out_dir / "map.svg").write_text(
-        render_run(spec.truth_map, _final_belief(spec, driven), driven), encoding="utf-8")
-    return report, events
+        render_run(spec.truth_map, _final_belief(spec, run.driven), run.driven), encoding="utf-8")
+    return run.report, run.events
 
 
 def cmd_run(args) -> int:
     try:
         cfg, spec = load_run(args.config)
+        report, _ = execute_run(cfg, spec, Path(cfg.output_dir), not args.no_timing)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report, _ = execute_run(cfg, spec, Path(cfg.output_dir), not args.no_timing)
     if not report.reached:
         print(f"run failed: {report.stop_cause}", file=sys.stderr)
         return 2
@@ -170,16 +140,15 @@ def cmd_compare(args) -> int:
         return 1
     try:
         loaded = [load_run(c) for c in args.configs]
+        out_root = Path(args.output_dir or loaded[0][0].output_dir)
+        lines = ["mode," + ",".join(MetricsReport.COLUMNS)]
+        for idx, (cfg, spec) in enumerate(loaded):
+            sub = out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
+            report, _ = execute_run(cfg, spec, sub, not args.no_timing)
+            lines.append(f"{cfg.mode},{report.format(not args.no_timing)}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    out_root = Path(args.output_dir or loaded[0][0].output_dir)
-    lines = ["mode," + ",".join(MetricsReport.COLUMNS)]
-    for idx, (cfg, spec) in enumerate(loaded):
-        sub = out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
-        report, _ = execute_run(cfg, spec, sub, not args.no_timing)
-        lines.append(f"{cfg.mode},{report.format(not args.no_timing)}")
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0

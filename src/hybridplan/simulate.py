@@ -7,9 +7,10 @@ from wall-clock timing fields.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,39 +92,70 @@ class MetricsReport:
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
-Move = Tuple[str, Pose2D, float, int, float, float, int]
+def path_to_json(path: PlannedPath) -> dict:
+    """The path.json object: the path's totals and each segment's samples."""
+    segments = []
+    for seg in path.segments:
+        if isinstance(seg, DriveSegment):
+            samples = zip(seg.xs, seg.ys, seg.yaws, list(seg.kappas) + [seg.kappas[-1]])
+            segments.append({"type": "drive", "direction": seg.direction,
+                             "arc_length": seg.arc_length,
+                             "samples": [[float(v) for v in sample] for sample in samples]})
+        else:
+            segments.append({"type": "rotation", "x": seg.x, "y": seg.y, "from_yaw": seg.from_yaw,
+                             "to_yaw": seg.to_yaw, "delta": seg.delta})
+    return {"total_drive_length": path.total_drive_length,
+            "n_direction_switches": path.n_direction_switches,
+            "n_rotations": path.n_rotations, "segments": segments}
 
 
-def _follow(path: PlannedPath, drive_step: float) -> Iterator[Move]:
-    """Simulation steps along a planned path.
+@dataclass(frozen=True)
+class Run:
+    """One closed-loop run: the driven path, its score and the replan events."""
+    driven: PlannedPath
+    report: MetricsReport
+    events: List[EventRecord]
 
-    Yields (kind, pose, value, direction, moved, progress_s, rotations_done):
-    kind "drive" advances up to drive_step along a drive segment (value is
-    the curvature), kind "rotate" executes one whole rotation in place
-    (value is its signed yaw delta).  progress_s and rotations_done give the
-    vehicle's place on the path after the step.
-    """
-    rotations = 0
-    for acc, seg in path.walk():
+    def texts(self, with_timing: bool) -> Dict[str, str]:
+        """The text of path.json, metrics.csv and events.log, keyed by file name."""
+        return {
+            "path.json": json.dumps(path_to_json(self.driven), sort_keys=True,
+                                    separators=(",", ":")) + "\n",
+            "metrics.csv": (",".join(MetricsReport.COLUMNS) + "\n"
+                            + self.report.format(with_timing) + "\n"),
+            "events.log": "".join(e.format(with_timing) + "\n" for e in self.events),
+        }
+
+
+def _follow(state: MissionState, builder: PathBuilder, drive_step: float) -> Iterator[None]:
+    """Drive state.current_path one simulation step per resumption: a whole
+    rotation in place, or up to drive_step along a drive segment.  A step moves
+    the vehicle, its place on the path and its odometer, and adds it to builder."""
+    for acc, seg in state.current_path.walk():
         if isinstance(seg, RotationSegment):
-            rotations += 1
-            yield ("rotate", Pose2D(seg.x, seg.y, seg.to_yaw),
-                   _rotation_delta(seg.from_yaw, seg.to_yaw), 0, 0.0, acc, rotations)
+            builder.add_rotation(_rotation_delta(seg.from_yaw, seg.to_yaw))
+            state.vehicle_pose = Pose2D(seg.x, seg.y, seg.to_yaw)
+            state.progress_s = acc
+            state.rotations_done += 1
+            yield
             continue
         arc = seg.arc_length
         offset = 0.0
         while arc - offset > 1e-9:
             new = min(offset + drive_step, arc)
-            done = arc - new <= 1e-9
-            yield ("drive", seg.pose_at(new), seg.kappa_at(max(new - 1e-9, 0.0)),
-                   seg.direction, new - offset, acc + (arc if done else new), rotations)
+            pose = seg.pose_at(new)
+            builder.add_drive_sample(pose.x, pose.y, pose.yaw,
+                                     seg.kappa_at(max(new - 1e-9, 0.0)), seg.direction)
+            state.vehicle_pose = pose
+            state.progress_s = acc + (arc if arc - new <= 1e-9 else new)
+            state.odometer += new - offset
             offset = new
+            yield
 
 
 def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
                  planner_cfg: PlannerConfig, mode: Tuple[str, str],
-                 vehicle: Optional[VehicleSpec] = None
-                 ) -> Tuple[PlannedPath, MetricsReport, List[EventRecord]]:
+                 vehicle: Optional[VehicleSpec] = None) -> Run:
     """Drive the scenario to the goal (or failure) and score the driven path;
     mode is a `cli.MODES` row (planner mode, navigation)."""
     vehicle = vehicle or VehicleSpec()
@@ -138,7 +170,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     cap = field_cap(vehicle, planner_cfg, truth.resolution)
     events: List[EventRecord] = []
     builder = PathBuilder(spec.start)
-    steps: Iterator[Move] = iter(())
+    steps: Iterator[None] = iter(())
     stop_cause: Optional[str] = None
 
     for step in range(spec.max_sim_steps):
@@ -162,23 +194,14 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
                                       seconds=result.stats.wall_time_s,
                                       s_div=result.s_div_found,
                                       s_coll=result.s_coll_found))
-            steps = _follow(state.current_path, spec.drive_step)
-
-        move = next(steps, None)
-        if move is None:
-            continue  # the next tick forces a replan or detects arrival
-        kind, pose, value, direction, moved, state.progress_s, state.rotations_done = move
-        if kind == "rotate":
-            builder.add_rotation(value)   # value = signed yaw delta
-        else:
-            state.odometer += moved
-            builder.add_drive_sample(pose.x, pose.y, pose.yaw, value, direction)
-        state.vehicle_pose = pose
+            steps = _follow(state, builder, spec.drive_step)
+        # at the path's end no step is left: the next tick replans or detects arrival
+        next(steps, None)
 
     driven = builder.finish()
     report = score_run(driven, truth, vehicle, events,
                        stop_cause or f"step limit: {spec.max_sim_steps} steps")
-    return driven, report, events
+    return Run(driven, report, events)
 
 
 def _rotation_delta(from_yaw: float, to_yaw: float) -> float:

@@ -1172,6 +1172,24 @@ def cursor_steps(path: PlannedPath, drive_step: float) -> list:
     return steps
 
 
+def cursor_follow(path: PlannedPath, drive_step: float, start: Pose2D):
+    """The simulator's drive loop over the cursor's steps, dispatching on
+    their kind: the vehicle's (pose, progress_s, rotations_done, odometer)
+    after every step, and the driven path recorded from `start`."""
+    builder = PathBuilder(start)
+    odometer = 0.0
+    places = []
+    for kind, pose, value, direction, moved, progress_s, rotations_done in cursor_steps(
+            path, drive_step):
+        if kind == "rotate":
+            builder.add_rotation(value)   # value = signed yaw delta
+        else:
+            odometer += moved
+            builder.add_drive_sample(pose.x, pose.y, pose.yaw, value, direction)
+        places.append((pose, progress_s, rotations_done, odometer))
+    return places, builder.finish()
+
+
 def gear_at(path: PlannedPath, s: float) -> Tuple[int, float]:
     """Direction and steering proxy at arc length s (for stitch continuity)."""
     acc = 0.0

@@ -53,20 +53,17 @@ def plate_runs():
     for name in ("84", "67"):
         spec = bundled(f"plate_corridor_{name}")
         for mode in (STANDARD, EXTENDED):
-            driven, rep, events = run_scenario(spec, MissionConfig(), DEFAULT_CFG,
-                                               (mode, NAV_NONE), VEH)
-            out[(name, mode)] = (driven, rep, spec, events)
+            out[(name, mode)] = run_scenario(spec, MissionConfig(), DEFAULT_CFG,
+                                             (mode, NAV_NONE), VEH)
     out["wall_time"] = time.perf_counter() - t0
     return out
 
 
 def large_run(env: str, label: str):
-    """One closed loop of criteria 2 and 3: (driven, report, spec, events)."""
-    spec = bundled(f"{env}_large")
+    """One closed loop of criteria 2 and 3 on the scenario `{env}_large`."""
     nav = NAV_NONE if label == "std" else NAV_EARLY_STOP
-    driven, rep, events = run_scenario(spec, MissionConfig(), LARGE_MAP_CFG,
-                                       (STANDARD, nav), VEH)
-    return driven, rep, spec, events
+    return run_scenario(bundled(f"{env}_large"), MissionConfig(), LARGE_MAP_CFG,
+                        (STANDARD, nav), VEH)
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +75,10 @@ def large_runs():
 # -------------------------------------------------------------- criterion 1
 
 def test_c01_narrow_plate_reachability(plate_runs):
-    rep_s84 = plate_runs[("84", STANDARD)][1]
-    rep_e84 = plate_runs[("84", EXTENDED)][1]
-    rep_s67 = plate_runs[("67", STANDARD)][1]
-    rep_e67 = plate_runs[("67", EXTENDED)][1]
+    rep_s84 = plate_runs[("84", STANDARD)].report
+    rep_e84 = plate_runs[("84", EXTENDED)].report
+    rep_s67 = plate_runs[("67", STANDARD)].report
+    rep_e67 = plate_runs[("67", EXTENDED)].report
     wall = plate_runs["wall_time"]
     ok = (rep_s84.reached and rep_s84.n_direction_switches >= 3
           and rep_e84.reached and rep_e84.n_rotations <= 1
@@ -99,10 +96,10 @@ def test_c01_narrow_plate_reachability(plate_runs):
 
 @pytest.mark.slow
 def test_c02_guided_efficiency(large_runs):
-    k_s = large_runs[("known", "std")][1]
-    k_g = large_runs[("known", "guided")][1]
-    u_s = large_runs[("unknown", "std")][1]
-    u_g = large_runs[("unknown", "guided")][1]
+    k_s = large_runs[("known", "std")].report
+    k_g = large_runs[("known", "guided")].report
+    u_s = large_runs[("unknown", "std")].report
+    u_g = large_runs[("unknown", "guided")].report
     known_ok = k_g.t_cum < k_s.t_cum and k_g.cumulative_nodes < k_s.cumulative_nodes
     unknown_ok = u_g.t_avg <= 0.5 * u_s.t_avg
     ok = known_ok and unknown_ok and all(r.reached for r in (k_s, k_g, u_s, u_g))
@@ -128,8 +125,8 @@ def test_unknown_large_outputs_pinned(large_runs):
     replan events: no other digest covers the largest unknown map."""
     golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
     for label in ("std", "guided"):
-        driven, _, _, events = large_runs[("unknown", label)]
-        assert path_and_events_digests(driven, events) == golden[large_run_id("unknown", label)]
+        assert (path_and_events_digests(large_runs[("unknown", label)])
+                == golden[large_run_id("unknown", label)])
 
 
 # -------------------------------------------------------------- criterion 3
@@ -139,8 +136,8 @@ def test_c03_path_quality_parity(large_runs):
     details = []
     ok = True
     for env in ("known", "unknown"):
-        rep_s = large_runs[(env, "std")][1]
-        rep_g = large_runs[(env, "guided")][1]
+        rep_s = large_runs[(env, "std")].report
+        rep_g = large_runs[(env, "guided")].report
         len_dev = abs(rep_g.length - rep_s.length) / rep_s.length
         kdot_ratio = rep_g.kappa_dot_rms / rep_s.kappa_dot_rms
         ok = ok and len_dev <= 0.05 and kdot_ratio <= 1.1
@@ -330,13 +327,14 @@ def _footprint_violations(driven: PlannedPath, truth: OccupancyGrid) -> int:
 def test_c08_collision_conservatism(plate_runs, large_runs):
     total = 0
     bad = 0
-    for key, value in list(plate_runs.items()) + list(large_runs.items()):
-        if key == "wall_time":
-            continue
-        driven, rep, spec, _ = value
+    scenes = ([(f"plate_corridor_{key[0]}", run) for key, run in plate_runs.items()
+               if key != "wall_time"]
+              + [(f"{key[0]}_large", run) for key, run in large_runs.items()])
+    for scenario, run in scenes:
+        driven = run.driven
         if driven.total_drive_length == 0.0 and not driven.segments:
             continue  # the 6.7 m standard run never moves
-        bad += _footprint_violations(driven, spec.truth_map)
+        bad += _footprint_violations(driven, bundled(scenario).truth_map)
         total += 1
     ok = bad == 0 and total >= 7
     report("8", ok, f"{total} driven paths rasterized against ground truth, "
@@ -347,10 +345,9 @@ def test_c08_collision_conservatism(plate_runs, large_runs):
 
 def test_c09_divergence_replan():
     spec = bundled("reveal_divergence")
-    driven, rep, events = run_scenario(spec, MissionConfig(), DEFAULT_CFG,
-                                       (STANDARD, NAV_EARLY_STOP), VEH)
-    div_events = [e for e in events if e.cause == "divergence"]
-    one_event = len(div_events) == 1 and rep.reached
+    run = run_scenario(spec, MissionConfig(), DEFAULT_CFG, (STANDARD, NAV_EARLY_STOP), VEH)
+    div_events = [e for e in run.events if e.cause == "divergence"]
+    one_event = len(div_events) == 1 and run.report.reached
 
     s_div_expected = None
     if one_event:
@@ -362,8 +359,8 @@ def test_c09_divergence_replan():
                                       spec.truth_map.resolution, UNKNOWN)
         prev_route = None
         for step in range(event.step + 1):
-            pose = driven.pose_at(min(step * spec.drive_step,
-                                      driven.total_drive_length))
+            pose = run.driven.pose_at(min(step * spec.drive_step,
+                                          run.driven.total_drive_length))
             raytrace_reveal(spec.truth_map, belief, pose, spec.sensor_range,
                             spec.n_rays)
             dm = build_distance_map(belief, spec.goal, DEFAULT_CFG)

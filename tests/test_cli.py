@@ -258,6 +258,15 @@ def _map_not_ascii(tmp):
     path.write_bytes(header + b"\n" + rows.replace(b".", b"\xe9", 1))   # a free cell
 
 
+def _output_dir_is_file(tmp):
+    (tmp / "out").write_text("")
+
+
+def _output_dir_under_file(tmp):
+    (tmp / "file").write_text("")
+    _edit_json("cfg.json", output_dir=str(tmp / "file" / "out"))(tmp)
+
+
 def _map_resolution(value):
     return _edit_text("smoke_small.map", lambda text: text.replace(" 0.15625", f" {value}", 1))
 
@@ -292,12 +301,18 @@ def _map_resolution(value):
     ("run", _map_resolution("0.0"),
      "{tmp}/smoke_small.map: RESOLUTION must be a finite positive number, got '0.0'"),
     ("run", _map_not_ascii, "{tmp}/smoke_small.map: not ASCII: byte 0xe9 at offset "),
+    ("run", _output_dir_is_file, "output_dir: [Errno 17] File exists: '{tmp}/out'"),
+    ("compare", _output_dir_is_file, "output_dir: [Errno 20] Not a directory: '{tmp}/out/"),
+    ("run", _output_dir_under_file, "output_dir: [Errno 20] Not a directory: '{tmp}/file/out'"),
+    ("compare", _output_dir_under_file,
+     "output_dir: [Errno 20] Not a directory: '{tmp}/file/out/"),
 ], ids=["config_not_utf8", "compare_config_not_utf8", "config_directory",
         "compare_config_directory", "mode_list", "output_dir_null", "output_dir_number",
         "max_sim_steps_true", "max_sim_steps_fraction", "n_rays_fraction",
         "sensor_range_string", "start_bool", "scenario_unknown_key", "map_width_float",
         "map_width_negative", "map_height_0", "map_extra_row", "map_resolution_word",
-        "map_resolution_nan", "map_resolution_0", "map_not_ascii"])
+        "map_resolution_nan", "map_resolution_0", "map_not_ascii", "output_dir_file",
+        "compare_output_dir_file", "output_dir_under_file", "compare_output_dir_under_file"])
 def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, named):
     """Inputs that used to run on a cast or ignored value, to end in a
     traceback, or to exit 1 without naming the map file, exit 1 naming the

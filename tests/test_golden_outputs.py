@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridplan import simulate
-from hybridplan.cli import MODES, main, path_to_json
+from hybridplan.cli import MODES, main
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED
 from hybridplan.mission import MissionConfig
@@ -77,12 +77,11 @@ def large_run_id(env: str, label: str) -> str:
     return f"large_runs:{env}_large/{label}"
 
 
-def path_and_events_digests(driven, events) -> dict:
+def path_and_events_digests(run: simulate.Run) -> dict:
     """sha256 of the path.json and events.log text of a run, without timing."""
-    texts = {"path.json": json.dumps(path_to_json(driven), sort_keys=True,
-                                     separators=(",", ":")) + "\n",
-             "events.log": "".join(e.format(with_timing=False) + "\n" for e in events)}
-    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    texts = run.texts(False)
+    return {name: hashlib.sha256(texts[name].encode()).hexdigest()
+            for name in ("path.json", "events.log")}
 
 
 @pytest.mark.parametrize("scenario,mode", CASES, ids=[case_id(*c) for c in CASES])
@@ -127,13 +126,11 @@ def small_unknown_worlds(draw):
 
 
 def closed_loop_outputs(spec: ScenarioSpec, mode: str) -> tuple:
-    """The path.json text, events.log lines and metrics.csv row of one run."""
-    driven, report, events = simulate.run_scenario(
+    """The path.json, metrics.csv and events.log text and the stop cause of one run."""
+    run = simulate.run_scenario(
         spec, MissionConfig(s_w=10.0, s_lim=12.0, s_t=5.0, d_div=1.0, s_coll=10.0),
         PlannerConfig(node_budget=20_000), MODES[mode])
-    return (json.dumps(path_to_json(driven), sort_keys=True),
-            [e.format(with_timing=False) for e in events],
-            report.format(with_timing=False), report.stop_cause)
+    return run.texts(False), run.report.stop_cause
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -158,8 +155,8 @@ if __name__ == "__main__":
         print(case_id(scenario, mode), golden[case_id(scenario, mode)]["exit"], file=sys.stderr)
     from test_acceptance import large_run
     for label in ("std", "guided"):
-        driven, _, _, events = large_run("unknown", label)
-        golden[large_run_id("unknown", label)] = path_and_events_digests(driven, events)
+        golden[large_run_id("unknown", label)] = path_and_events_digests(
+            large_run("unknown", label))
         print(large_run_id("unknown", label), file=sys.stderr)
     GOLDEN_FILE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import hybridplan
-from hybridplan import cli, planner
+from hybridplan import cli, planner, simulate
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import UNKNOWN, OccupancyGrid, distance_transform
 from hybridplan.planner import PlannerConfig
@@ -55,21 +55,57 @@ def test_no_private_cross_module_imports():
     assert found == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def local_names(func) -> set:
+    """Names a function binds itself: its parameters and the names it
+    assigns, leaving out the bodies of functions nested in it."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def global_reads(node, shadowed=frozenset()):
+    """Names read under node, except reads inside a function that binds
+    the name itself; a function's decorators, defaults and annotations are
+    read in the enclosing scope."""
+    if isinstance(node, FUNCTIONS):
+        for child in [*node.decorator_list, node.args, node.returns]:
+            if child is not None:
+                yield from global_reads(child, shadowed)
+        inner = shadowed | local_names(node)
+        for child in node.body:
+            yield from global_reads(child, inner)
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from global_reads(child, shadowed)
+
+
 def unused_imports(source: str, module: str):
     """Names that one package module imports and never uses.  A name counts
-    as used where the code reads it, where an annotation string names it, or
-    where `__all__` lists it."""
+    as used where the code reads it (not a function's own parameter or
+    variable of that name), where an annotation string names it, or where
+    `__all__` lists it."""
     tree = ast.parse(source)
     imported = []
-    used = set()
+    used = set(global_reads(tree))
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
                 imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
@@ -97,12 +133,21 @@ def test_rule_catches_unused_imports():
               "from .geometry import Pose2D\n"
               "from .grid import Raster as R, load_map\n"
               "__all__ = [\"load_map\"]\n"
+              "from dataclasses import dataclass, field\n"
               "def f(x: \"Optional[int]\") -> Tuple[int, int]:\n"
-              "    return math.floor(x), 0\n")
+              "    return math.floor(x), 0\n"
+              "@dataclass\n"
+              "class Report:\n"
+              "    def score(self, field):\n"
+              "        return field\n"
+              "def stats():\n"
+              "    field = 1.0\n"
+              "    return field\n")
     assert unused_imports(source, "grid") == [
         "grid.py:3 imports os and never uses it",
         "grid.py:5 imports Pose2D and never uses it",
         "grid.py:6 imports R and never uses it",
+        "grid.py:8 imports field and never uses it",
     ]
 
 
@@ -168,6 +213,21 @@ def test_perfbench_call_sites_resolve(monkeypatch):
     assert cfg.output_dir == "out" and cfg.planner == PlannerConfig()
 
 
+def count_calls(monkeypatch, probe, sites) -> dict:
+    """Wrap each `probe.SITES` call site with a counter; site -> calls so far."""
+    calls = {}
+    for site in sites:
+        module, attr = probe.resolve(site)
+        inner = getattr(module, attr)
+
+        def counted(*args, _site=site, _inner=inner, **kwargs):
+            calls[_site] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+        calls[site] = 0
+    return calls
+
+
 def test_perfbench_planner_sites_are_called(monkeypatch):
     """A site that resolves but is never called trips the traced run's layer
     guard (`correct: false`): one `plan` whose heuristic takes the
@@ -176,21 +236,39 @@ def test_perfbench_planner_sites_are_called(monkeypatch):
     probe = load_probe()
     layers = ("planner.analytic_expansions", "reeds_shepp.rs_all_paths",
               "reeds_shepp.rs_path_length", "geometry.sample_path")
-    calls = {}
-    for site in (site for layer in layers for site in probe.SITES[layer]):
-        module, attr = probe.resolve(site)
-        inner = getattr(module, attr)
-
-        def counted(*args, _site=site, _inner=inner, **kwargs):
-            calls[_site] = calls.get(_site, 0) + 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(module, attr, counted)
-        calls[site] = 0
+    calls = count_calls(monkeypatch, probe,
+                        [site for layer in layers for site in probe.SITES[layer]])
     config = PlannerConfig()
     start, goal = Pose2D(10.0, 20.0, 0.0), Pose2D(20.0, 21.0, 0.3)
     assert goal.distance_to(start) <= config.rs_heuristic_radius
     planner.plan(bordered_grid(40.0, 40.0), start, goal, VehicleSpec(), config)
     assert calls and all(calls.values()), calls
+
+
+def test_perfbench_run_sites_are_called(monkeypatch, tmp_path):
+    """perfbench's `drive` runs each mission through `cli.execute_run`,
+    unpacks `report, events` and reads the counters below; its traced run
+    wraps the `cli` sites and every `simulate` site.  One guided run on a
+    small unknown map must call each of those sites, return what `drive`
+    reads, and write the run's own file texts."""
+    probe = load_probe()
+    sites = ["cli.run_scenario", "cli.raytrace_reveal", "cli.render_run"] + [
+        site for layer in probe.SITES.values() for site in layer
+        if site.startswith("simulate.")]
+    calls = count_calls(monkeypatch, probe, sites)
+    spec = ScenarioSpec(bordered_grid(24.0, 12.0), Pose2D(4.0, 6.0, 0.0), Pose2D(19.0, 6.0, 0.0),
+                        known_env=False, sensor_range=6.0, n_rays=360, max_sim_steps=200)
+    cfg = cli.RunConfig(scenario="x", mode="guided")
+    report, events = cli.execute_run(cfg, spec, tmp_path, with_timing=False)
+    assert calls and all(calls.values()), calls
+    assert report.reached and report.n_planner_calls == len(events) > 0
+    for attr in ("cumulative_nodes", "t_cum", "length", "kappa_dot_rms", "p_max"):
+        assert isinstance(getattr(report, attr), (int, float)), attr
+    assert all(isinstance(e.step, int) and isinstance(e.seconds, float) and e.cause
+               for e in events)
+    texts = simulate.run_scenario(spec, cfg.mission, cfg.planner, cli.MODES[cfg.mode],
+                                  cfg.vehicle).texts(False)
+    assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in texts} == texts
 
 
 def uncalled_public_names(sources, exported):

@@ -410,8 +410,8 @@ def test_closed_loop_replans_start_on_the_current_path(monkeypatch, scenario, mo
 
     monkeypatch.setattr(mission, "plan", recording_plan)
     monkeypatch.setattr(simulate, "mission_tick", checking_tick)
-    _, report, _ = simulate.run_scenario(bundled(scenario), MissionConfig(), CFG,
-                                         MODES[mode], VEH)
+    report = simulate.run_scenario(bundled(scenario), MissionConfig(), CFG,
+                                   MODES[mode], VEH).report
     assert report.reached
     assert causes == replans and len(planned_starts) == len(replans)
 
@@ -439,8 +439,8 @@ def closed_loop_routes(monkeypatch, scenario):
         return path
 
     monkeypatch.setattr(mission, "extract_astar_path", checking_extract)
-    _, report, _ = simulate.run_scenario(bundled(scenario), MissionConfig(), CFG,
-                                         MODES["guided"], VEH)
+    report = simulate.run_scenario(bundled(scenario), MissionConfig(), CFG,
+                                   MODES["guided"], VEH).report
     assert report.reached
     return calls, maps, reused
 
@@ -618,11 +618,11 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
     monkeypatch.setattr(mission, "check_path_collision", counting_check)
     monkeypatch.setattr(mission, "carried_path_collision", checking_carry)
     spec = bundled(scenario)
-    _, report, events = simulate.run_scenario(spec, MissionConfig(), CFG, MODES[mode], VEH)
-    assert report.reached and any(carried)
+    run = simulate.run_scenario(spec, MissionConfig(), CFG, MODES[mode], VEH)
+    assert run.report.reached and any(carried)
     keys = {(id(path), version) for path, version in checked}
     if spec.known_env:
-        assert len(keys) == len(checked) == len(events)   # one full check per path
+        assert len(keys) == len(checked) == len(run.events)   # one full check per path
 
 
 def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
@@ -639,7 +639,7 @@ def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
 
     monkeypatch.setattr(grid_module, "distance_transform", counting)
     spec = bundled("reveal_divergence")
-    _, report, _ = simulate.run_scenario(spec, MissionConfig(), CFG, MODES["guided"], VEH)
+    report = simulate.run_scenario(spec, MissionConfig(), CFG, MODES["guided"], VEH).report
     assert report.reached and len(calls) > 1
     assert len({(grid, version) for grid, version, _ in calls}) == len(calls)
     assert {cap for _, _, cap in calls} == {field_cap(VEH, CFG, spec.truth_map.resolution)}
@@ -672,8 +672,8 @@ def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
     monkeypatch.setattr(grid_module, "distance_transform", logged)
     monkeypatch.setattr(OccupancyGrid, "cells", property(scanned(cells.fget)))
     monkeypatch.setattr(OccupancyGrid, "occupied_mask", scanned(occupied_mask))
-    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
-                                         MODES["guided"], VEH)
+    report = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+                                   MODES["guided"], VEH).report
     assert report.reached and len(calls) > 1
     assert len({(grid, version) for grid, version, _, _ in calls}) == len(calls)
     assert calls[0][2] is None and set(scans) == {1}       # the first build, from empty
@@ -700,7 +700,7 @@ def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
 
     monkeypatch.setattr(mission, "build_distance_map", checked_build)
     monkeypatch.setattr(planner, "build_distance_map", checked_build)
-    _, report, _ = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
-                                         MODES["guided"], VEH)
+    report = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+                                   MODES["guided"], VEH).report
     assert report.reached
     assert floods == ["full"] + ["repair"] * 70

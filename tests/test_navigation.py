@@ -3,8 +3,9 @@ each driven in standard, guided and waypoint mode with the default configs
 that `plan run` uses.
 
 Each run's deterministic counters (planner calls, cumulative nodes, driven
-length, direction switches, rotations and whether the goal was reached) are
-stored in `tests/navigation_comparison.json`.  The test prints the wall-time
+length, direction switches, rotations, whether the goal was reached, and the
+calls and nodes of each replan cause) are stored in
+`tests/navigation_comparison.json`.  The test prints the wall-time
 (`t_cum`) and node ratios, guided to standard and waypoint to guided, and
 gates nothing on wall time.  A change that is meant to alter these runs
 refreshes the stored values on purpose:
@@ -36,29 +37,32 @@ RATIOS = {"guided": "standard", "waypoint": "guided"}
 
 
 def navigation_run(scenario: str, mode: str):
-    """The run's MetricsReport."""
-    _, report, _ = run_scenario(bundled(scenario), MissionConfig(), PlannerConfig(),
-                                MODES[mode], VehicleSpec())
-    return report
+    return run_scenario(bundled(scenario), MissionConfig(), PlannerConfig(),
+                        MODES[mode], VehicleSpec())
 
 
 @pytest.fixture(scope="module")
-def reports():
+def runs():
     """navigation_run, driven once per run and module."""
     done = {}
 
-    def report(scenario: str, mode: str):
+    def run(scenario: str, mode: str):
         if (scenario, mode) not in done:
             done[scenario, mode] = navigation_run(scenario, mode)
         return done[scenario, mode]
 
-    return report
+    return run
 
 
-def counters(report) -> dict:
+def counters(run) -> dict:
+    report = run.report
+    replans = {}
+    for e in run.events:
+        calls, nodes = replans.get(e.cause, (0, 0))
+        replans[e.cause] = [calls + 1, nodes + e.nodes]
     return {"planner_calls": report.n_planner_calls, "cumulative_nodes": report.cumulative_nodes,
             "driven_m": report.length, "direction_switches": report.n_direction_switches,
-            "rotations": report.n_rotations, "reached": report.reached}
+            "rotations": report.n_rotations, "reached": report.reached, "replans": replans}
 
 
 def run_id(scenario: str, mode: str) -> str:
@@ -68,12 +72,11 @@ def run_id(scenario: str, mode: str) -> str:
 @pytest.mark.parametrize("scenario,mode", [
     pytest.param(*run, id=run_id(*run), marks=[pytest.mark.slow] if run in SLOW else [])
     for run in RUNS])
-def test_navigation_comparison_pinned(scenario, mode, reports):
+def test_navigation_comparison_pinned(scenario, mode, runs):
     expected = json.loads(PINNED_FILE.read_text(encoding="utf-8"))[run_id(scenario, mode)]
-    report = reports(scenario, mode)
-    assert counters(report) == expected
+    assert counters(runs(scenario, mode)) == expected
     if mode in RATIOS:
-        base = reports(scenario, RATIOS[mode])
+        report, base = runs(scenario, mode).report, runs(scenario, RATIOS[mode]).report
         print(f"{scenario}: {mode}/{RATIOS[mode]} t_cum {report.t_cum:.3f}/{base.t_cum:.3f} s"
               f" = {report.t_cum / base.t_cum:.3f}, nodes {report.cumulative_nodes}"
               f"/{base.cumulative_nodes} = {report.cumulative_nodes / base.cumulative_nodes:.3f}")
@@ -86,9 +89,9 @@ def test_navigation_comparison_pinned(scenario, mode, reports):
     "unknown_large/waypoint with inflation_radius 0.3 stops at the first call "
     "with 'planner failure: goal in collision'"))
 def test_waypoint_goal_is_free_under_tight_inflation():
-    _, report, _ = run_scenario(bundled("unknown_large"), MissionConfig(),
-                                PlannerConfig(inflation_radius=0.3), MODES["waypoint"],
-                                VehicleSpec())
+    report = run_scenario(bundled("unknown_large"), MissionConfig(),
+                          PlannerConfig(inflation_radius=0.3), MODES["waypoint"],
+                          VehicleSpec()).report
     assert report.stop_cause != "planner failure: goal in collision"
 
 

@@ -19,9 +19,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D, move_along_arc
 from hybridplan.grid import OccupancyGrid
-from hybridplan.mission import check_path_collision
+from hybridplan.mission import MissionState, check_path_collision
 from hybridplan.planner import DriveSegment, PathBuilder, PlannedPath, RotationSegment
-from hybridplan.simulate import _follow
+from hybridplan.simulate import _follow, path_to_json
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import pose_close
@@ -73,11 +73,26 @@ def paths_and_steps(draw):
 @given(paths_and_steps())
 def test_follow_matches_cursor_reference(case):
     path, drive_step = case
-    assert list(_follow(path, drive_step)) == oracles.cursor_steps(path, drive_step)
+    places, driven = follow(path, drive_step)
+    ref_places, ref_driven = oracles.cursor_follow(path, drive_step, path.start_pose())
+    assert places == ref_places
+    assert path_to_json(driven) == path_to_json(ref_driven)
+
+
+def follow(path: PlannedPath, drive_step: float):
+    """Drive `path` with the simulator's follower from its start: the
+    vehicle's (pose, progress_s, rotations_done, odometer) after every step,
+    and the driven path the follower records."""
+    start = path.start_pose()
+    state = MissionState(vehicle_pose=start, goal=start, current_path=path)
+    builder = PathBuilder(start)
+    places = [(state.vehicle_pose, state.progress_s, state.rotations_done, state.odometer)
+              for _ in _follow(state, builder, drive_step)]
+    return places, builder.finish()
 
 
 def _rotation_poses(segments) -> list:
-    """Each rotation's pose after it, as the follower reports it."""
+    """Each rotation's pose after it, as the follower puts the vehicle."""
     return [Pose2D(seg.x, seg.y, seg.to_yaw) for seg in segments
             if isinstance(seg, RotationSegment)]
 
@@ -91,7 +106,10 @@ def test_executed_rotations_are_skipped_by_walk_slice_and_collision_check(case):
     tests exactly those for a sweep."""
     path, drive_step = case
     total = path.total_drive_length
-    steps = list(_follow(path, drive_step))
+    places = [(path.start_pose(), 0.0, 0)] + [place[:3] for place in follow(path, drive_step)[0]]
+    # the pose after each step that executed a rotation, by the index of that step's place
+    rotations = {k: pose for k, (pose, _, done) in enumerate(places[1:], 1)
+                 if done > places[k - 1][2]}
     tested = []
 
     def rotation_blocked(self, x, y):
@@ -103,11 +121,10 @@ def test_executed_rotations_are_skipped_by_walk_slice_and_collision_check(case):
 
     belief = OccupancyGrid.filled(4, 4, 0.5)
     disks = make_disk_set(VehicleSpec())
-    places = [(0.0, 0)] + [(step[5], step[6]) for step in steps]
     with mock.patch.object(CollisionChecker, "rotation_blocked", rotation_blocked), \
             mock.patch.object(CollisionChecker, "batch_blocked", batch_blocked):
-        for k, (progress_s, rotations_done) in enumerate(places):
-            pending = [step[1] for step in steps[k:] if step[0] == "rotate"]
+        for k, (_, progress_s, rotations_done) in enumerate(places):
+            pending = [pose for j, pose in rotations.items() if j > k]
             assert _rotation_poses(seg for _, seg in path.walk(rotations_done)) == pending
             if progress_s < total:   # [total, total) is empty; s_plan 0 slices nothing
                 kept = path.slice(progress_s, total, rotations_done)

@@ -168,18 +168,16 @@ def smoke_spec(**kw):
 
 
 def test_known_simple_run():
-    driven, report, events = run_scenario(smoke_spec(), MissionConfig(),
-                                          PlannerConfig(), MODES["standard"], VEH)
-    assert report.reached
-    assert report.n_planner_calls == 1
-    assert report.length == pytest.approx(21.0, abs=1.0)
-    assert events[0].cause == "initial"
+    run = run_scenario(smoke_spec(), MissionConfig(), PlannerConfig(), MODES["standard"], VEH)
+    assert run.report.reached
+    assert run.report.n_planner_calls == 1
+    assert run.report.length == pytest.approx(21.0, abs=1.0)
+    assert run.events[0].cause == "initial"
 
 
 def test_zero_budget_returns_unreached():
-    driven, report, events = run_scenario(smoke_spec(max_sim_steps=0),
-                                          MissionConfig(),
-                                          PlannerConfig(), MODES["standard"], VEH)
+    report = run_scenario(smoke_spec(max_sim_steps=0), MissionConfig(),
+                          PlannerConfig(), MODES["standard"], VEH).report
     assert not report.reached
     assert report.length == 0.0
 
@@ -190,9 +188,8 @@ def test_negative_budget_rejected():
 
 
 def test_stop_cause_step_limit():
-    driven, report, events = run_scenario(smoke_spec(max_sim_steps=5),
-                                          MissionConfig(),
-                                          PlannerConfig(), MODES["standard"], VEH)
+    report = run_scenario(smoke_spec(max_sim_steps=5), MissionConfig(),
+                          PlannerConfig(), MODES["standard"], VEH).report
     assert not report.reached
     assert report.stop_cause == "step limit: 5 steps"
 
@@ -201,15 +198,14 @@ def test_stop_cause_planner_failure():
     g = bordered_grid(30, 16)
     g.set_box(6.0, 7.5, 6.4, 8.5, OCCUPIED)   # a post under the vehicle's body
     spec = smoke_spec(truth_map=g, start=Pose2D(4, 8, 0))
-    driven, report, events = run_scenario(spec, MissionConfig(),
-                                          PlannerConfig(), MODES["standard"], VEH)
+    report = run_scenario(spec, MissionConfig(), PlannerConfig(), MODES["standard"], VEH).report
     assert not report.reached
     assert report.stop_cause == "planner failure: start in collision"
 
 
 def test_stop_cause_reached():
-    _, report, _ = run_scenario(smoke_spec(), MissionConfig(),
-                                PlannerConfig(), MODES["standard"], VEH)
+    report = run_scenario(smoke_spec(), MissionConfig(),
+                          PlannerConfig(), MODES["standard"], VEH).report
     assert report.reached and report.stop_cause == "reached"
 
 
@@ -219,10 +215,9 @@ def test_hidden_wall_triggers_replan():
     spec = ScenarioSpec(truth_map=g, start=Pose2D(5, 6, 0), goal=Pose2D(33, 6, 0),
                         known_env=False, sensor_range=12.0, n_rays=720,
                         max_sim_steps=600)
-    driven, report, events = run_scenario(spec, MissionConfig(),
-                                          PlannerConfig(), MODES["guided"], VEH)
-    assert report.reached
-    causes = {e.cause for e in events}
+    run = run_scenario(spec, MissionConfig(), PlannerConfig(), MODES["guided"], VEH)
+    assert run.report.reached
+    causes = {e.cause for e in run.events}
     assert causes & {"collision", "divergence"}
 
 
@@ -230,45 +225,42 @@ def test_determinism_across_runs():
     spec = ScenarioSpec(truth_map=bordered_grid(40, 20), start=Pose2D(5, 6, 0),
                         goal=Pose2D(33, 12, 1.0), known_env=False,
                         sensor_range=15.0, n_rays=720, max_sim_steps=600)
-    out1 = run_scenario(spec, MissionConfig(), PlannerConfig(),
-                        MODES["guided"], VEH)
-    out2 = run_scenario(spec, MissionConfig(), PlannerConfig(),
-                        MODES["guided"], VEH)
-    d1, r1, e1 = out1
-    d2, r2, e2 = out2
-    assert r1.length == r2.length
-    assert r1.cumulative_nodes == r2.cumulative_nodes
-    assert [(e.step, e.cause, e.nodes, e.s_plan) for e in e1] == \
-           [(e.step, e.cause, e.nodes, e.s_plan) for e in e2]
-    assert pose_close(d1.end_pose(), d2.end_pose(), pos_tol=1e-12, yaw_tol=1e-12)
+    run1 = run_scenario(spec, MissionConfig(), PlannerConfig(), MODES["guided"], VEH)
+    run2 = run_scenario(spec, MissionConfig(), PlannerConfig(), MODES["guided"], VEH)
+    assert run1.report.length == run2.report.length
+    assert run1.report.cumulative_nodes == run2.report.cumulative_nodes
+    assert [(e.step, e.cause, e.nodes, e.s_plan) for e in run1.events] == \
+           [(e.step, e.cause, e.nodes, e.s_plan) for e in run2.events]
+    assert pose_close(run1.driven.end_pose(), run2.driven.end_pose(),
+                      pos_tol=1e-12, yaw_tol=1e-12)
+    assert run1.texts(False) == run2.texts(False)
 
 
 def test_reached_implies_goal_tolerance():
     spec = smoke_spec()
-    driven, report, _ = run_scenario(spec, MissionConfig(),
-                                     PlannerConfig(), MODES["standard"], VEH)
-    assert report.reached
-    end = driven.end_pose()
+    run = run_scenario(spec, MissionConfig(), PlannerConfig(), MODES["standard"], VEH)
+    assert run.report.reached
+    end = run.driven.end_pose()
     assert end.distance_to(spec.goal) <= PlannerConfig().xy_resolution + 1e-9
     assert abs((end.yaw - spec.goal.yaw + math.pi) % (2 * math.pi) - math.pi) \
         <= PlannerConfig().yaw_resolution + 1e-9
 
 
 def test_metrics_report_consistency():
-    driven, report, events = run_scenario(smoke_spec(), MissionConfig(),
-                                          PlannerConfig(), MODES["standard"], VEH)
+    run = run_scenario(smoke_spec(), MissionConfig(), PlannerConfig(), MODES["standard"], VEH)
+    report = run.report
     assert report.p_avg <= report.p_max + 1e-12
     if report.n_planner_calls:
         assert report.t_avg == pytest.approx(report.t_cum / report.n_planner_calls)
-    assert report.cumulative_nodes == sum(e.nodes for e in events)
+    assert report.cumulative_nodes == sum(e.nodes for e in run.events)
 
 
 @pytest.mark.parametrize("scenario,mode", [("reveal_divergence", "guided"),
                                            ("plate_corridor_84", "extended")])
 def test_planner_accounting_is_the_replan_events(scenario, mode):
     """Calls, wall-clock figures and nodes of the report are the events' own."""
-    _, report, events = run_scenario(bundled(scenario), MissionConfig(), PlannerConfig(),
-                                     MODES[mode], VEH)
+    run = run_scenario(bundled(scenario), MissionConfig(), PlannerConfig(), MODES[mode], VEH)
+    report, events = run.report, run.events
     assert report.n_planner_calls == len(events)
     assert report.t_cum == sum(e.seconds for e in events)
     assert report.t_max == max(e.seconds for e in events)
@@ -282,7 +274,7 @@ def test_planner_accounting_is_the_replan_events(scenario, mode):
     "plate_corridor_67/standard stops with a planner failure inside plan, "
     "and its report counts 0 planner calls"))
 def test_a_failed_planner_call_is_counted():
-    _, report, _ = run_scenario(bundled("plate_corridor_67"), MissionConfig(), PlannerConfig(),
-                                MODES["standard"], VEH)
+    report = run_scenario(bundled("plate_corridor_67"), MissionConfig(), PlannerConfig(),
+                          MODES["standard"], VEH).report
     assert report.stop_cause.startswith("planner failure")
     assert report.n_planner_calls >= 1
