@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -56,43 +56,23 @@ class Raster:
         return cells[1] * w + cells[0], off[0] | off[1]
 
 
-class CellWrite(NamedTuple):
-    """The log of one write: the cells written, as row-major flat indices
-    or as a box (row slice, column slice) of a grid `width` cells wide, and
-    each one's value before and after, in the same order."""
-
-    cells: Union[np.ndarray, Tuple[slice, slice]]
-    width: int
-    old: np.ndarray
-    new: np.ndarray
-
-    def occupied(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat indices of the cells the write made occupied, and of those it freed."""
-        index = self.cells
-        if isinstance(index, tuple):
-            rows, cols = index
-            index = np.add.outer(np.arange(rows.start, rows.stop) * self.width,
-                                 np.arange(cols.start, cols.stop))
-        was, now = self.old == OCCUPIED, self.new == OCCUPIED
-        return index[now & ~was], index[was & ~now]
-
-
 class OccupancyGrid:
     """A grid that owns its cells and every value derived from them.
 
     The cells are a private read-only copy.  They change only through
     `set_cells`, `set_box` and `raytrace_reveal`, whose one write path
-    (`_write`) logs the write, bumps `version` and starts a new generation
-    of the memo.
+    (`_write`) bumps `version` and starts a new generation of the memo.
 
-    One memo rule: a derived value is built once per generation, and its
-    build is handed `(previous, changes)`: the value built under the same
-    key in the generation before the last write (None if there is none),
-    to start from, and that write's log (`CellWrite`; None when no value was
-    memoized before it).  Exactly one write separates a build from its
-    `previous`, so the log is the whole delta.  `previous` is dropped once
-    the build returns.  Only two generations are held; `copy` starts with
-    an empty memo.
+    One memo rule: a build only ever adds obstacles.  A derived value is
+    built once per generation, and its build is handed `(previous, added)`:
+    the value built under the same key in the generation before the last
+    write, to start from, and the flat row-major indices of the cells that
+    write made occupied.  Both are None when there is no such value, or
+    when the write freed an occupied cell; the build then starts from
+    empty.  Exactly one write separates a build from its `previous`, so
+    `added` is the whole delta.  `previous` is dropped once the build
+    returns.  Only two generations are held; `copy` starts with an empty
+    memo.
     """
 
     def __init__(self, resolution: float, cells: np.ndarray) -> None:
@@ -105,7 +85,7 @@ class OccupancyGrid:
         self.resolution = resolution
         self.version = 0
         self._cells = cells
-        self._changes: Optional[CellWrite] = None
+        self._added: Optional[np.ndarray] = None
         self._memo: dict = {}
         self._previous: dict = {}
 
@@ -121,27 +101,34 @@ class OccupancyGrid:
 
     def _write(self, cells, values) -> None:
         """Write `values` to `cells`, a flat index array or a box of slices,
-        then bump the version and keep the write's log: None when the memo
-        is empty, as no build then starts from a value one write back."""
+        then bump the version.  When a value is memoized, keep the cells the
+        write made occupied, or drop that generation if it freed one."""
         logged = bool(self._memo)
         self._cells.setflags(write=True)
         try:
             target = self._cells.reshape(-1) if isinstance(cells, np.ndarray) else self._cells
-            old = np.array(target[cells]) if logged else None
+            was = target[cells] == OCCUPIED if logged else None
             target[cells] = values
-            new = np.array(target[cells]) if logged else None
         finally:
             self._cells.setflags(write=False)
-        self._changes = CellWrite(cells, self._cells.shape[1], old, new) if logged else None
         self.version += 1
-        self._previous, self._memo = self._memo, {}
+        self._previous, self._memo, self._added = self._memo, {}, None
+        if logged:
+            now = target[cells] == OCCUPIED
+            if isinstance(cells, tuple):      # a box: its flat indices
+                cells = np.ravel_multi_index(tuple(np.mgrid[cells]), self._cells.shape)
+            self._added = cells[now & ~was]
+            if (was & ~now).any():            # freed: every build starts from empty
+                self._previous = {}
 
-    def derived(self, key, build: Callable[[object, Optional[CellWrite]], object]):
-        """`build(previous, changes)`, memoized under `key` until the cells
-        next change; `previous` is the value of `key` one write back, and
-        `changes` that write's log."""
+    def derived(self, key, build: Callable[[object, Optional[np.ndarray]], object]):
+        """`build(previous, added)`, memoized under `key` until the cells
+        next change; `previous` is the value of `key` one write back and
+        `added` the cells that write made occupied, both None if there is
+        no such value or the write freed an occupied cell."""
         if key not in self._memo:
-            self._memo[key] = build(self._previous.get(key), self._changes)
+            previous = self._previous.get(key)
+            self._memo[key] = build(previous, None if previous is None else self._added)
             self._previous.pop(key, None)   # kept until then, in case the build raises
         return self._memo[key]
 
@@ -154,9 +141,9 @@ class OccupancyGrid:
             if threshold > cap:
                 raise ValueError(f"{reader} compares the obstacle field with {threshold!r} m, "
                                  f"above the field's cap {cap!r} m")
-        def build(previous: Optional[Raster], changes: Optional[CellWrite]) -> Raster:
+        def build(previous: Optional[Raster], added: Optional[np.ndarray]) -> Raster:
             field = distance_transform(self, previous=previous and previous.values,
-                                       changes=changes, cap=cap)
+                                       added=added, cap=cap)
             return Raster(field, self.resolution, -math.inf)
         return self.derived(("distance_field", cap), build)
 
@@ -226,7 +213,7 @@ def load_map(path) -> OccupancyGrid:
 
 
 def distance_transform(grid: OccupancyGrid, *, previous: Optional[np.ndarray] = None,
-                       changes: Optional[CellWrite] = None,
+                       added: Optional[np.ndarray] = None,
                        cap: float = math.inf) -> np.ndarray:
     """Per-cell Euclidean distance in meters to the nearest occupied cell
     center, +inf where it exceeds `cap`, as a read-only array.
@@ -237,16 +224,13 @@ def distance_transform(grid: OccupancyGrid, *, previous: Optional[np.ndarray] = 
     cap is the largest threshold of its readers (`planner.field_cap`).
 
     `previous` is the field at the same cap of the grid one write back, and
-    `changes` that write's log, which names the cells it made occupied and
-    those it freed.  `previous` is returned when the write made no cell
-    occupied, and otherwise lowered to the distance to the cells it did
-    (`_add_obstacles`).  With no `previous`, or once the write freed an
-    occupied cell, the update starts from the empty field: all +inf, to
-    which every occupied cell is added.
+    `added` the flat indices of the cells that write made occupied (it
+    freed none): `previous` itself when there are none, and otherwise
+    lowered to the distance to them (`_add_obstacles`).  With no `previous`
+    the update starts from the empty field: all +inf, to which every
+    occupied cell is added.
     """
-    if previous is not None:
-        added, freed = changes.occupied()
-    if previous is None or freed.size:
+    if previous is None:
         previous = np.full(grid.cells.shape, np.inf)
         previous.setflags(write=False)
         added = np.flatnonzero(grid.cells == OCCUPIED)
@@ -266,18 +250,12 @@ def _window(rows: np.ndarray, cols: np.ndarray, shape, grow: int) -> Tuple[slice
             slice(max(cols.min() - grow, 0), min(cols.max() + grow + 1, shape[1])))
 
 
-def obstacle_window(changes: Optional[CellWrite], shape, resolution: float,
-                    reach: float) -> Optional[Tuple[slice, slice]]:
-    """The window outside which the write `changes` moved no cell's distance
-    to the occupied cells, among distances up to `reach` m: None for
-    anywhere (no log, or the write freed an occupied cell), else the cells
-    it made occupied, boxed and grown by ceil(reach / resolution) + 1 cells
-    (an empty window when there are none)."""
-    if changes is None:
-        return None
-    added, freed = changes.occupied()
-    if freed.size:
-        return None
+def obstacle_window(added: np.ndarray, shape, resolution: float,
+                    reach: float) -> Tuple[slice, slice]:
+    """The window outside which making the cells `added` (flat indices)
+    occupied moved no cell's distance to the occupied cells, among distances
+    up to `reach` m: their box grown by ceil(reach / resolution) + 1 cells,
+    or an empty window when there are none."""
     if not added.size:
         return slice(0, 0), slice(0, 0)
     return _window(*np.divmod(added, shape[1]), shape, _grow(reach, resolution, shape))
@@ -379,8 +357,8 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     """
     if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
         raise ValueError("truth and belief grids must share shape and resolution")
-    if sensor_range <= 0.0:
-        raise ValueError("sensor_range must be positive")
+    if not (math.isfinite(sensor_range) and sensor_range > 0.0):
+        raise ValueError(f"sensor_range must be finite and positive, got {sensor_range!r}")
     if n_rays < 8:
         raise ValueError("n_rays must be at least 8")
 

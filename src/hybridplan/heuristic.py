@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .geometry import Pose2D
-from .grid import CellWrite, OccupancyGrid, Raster, obstacle_window
+from .grid import OccupancyGrid, Raster, obstacle_window
 
 if TYPE_CHECKING:
     from .planner import PlannerConfig
@@ -145,26 +145,25 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     saturated at `cap` (a build raises ValueError below it), are blocked before
     max-pool downsampling.  Straight moves cost the planning resolution,
     diagonal moves sqrt(2) times that.  The map is memoized on the belief
-    per goal cell, resolution and radius.  A rebuild starts from the
-    previous generation's map: its blocked grid with the coarse cells over
-    the write's window (`obstacle_window` at the radius) pooled again, or
-    pooled in full when the write freed an occupied cell.  An unchanged
-    blocked grid keeps the whole map, values and successor table, and a
-    grown one is repaired (`_repair_flood`).  The first build, and one
-    after a cell left the blocked grid, repairs the empty map instead.
+    per goal cell, resolution and radius.  A rebuild from the previous
+    generation's map pools again only the coarse cells over the added
+    cells' window (`obstacle_window` at the radius).  An added obstacle only
+    lowers the field, so the blocked grid only grows: an unchanged one keeps
+    the whole map, values and successor table, and a grown one is repaired
+    (`_repair_flood`).  A build with no previous map pools in full and
+    repairs the empty map.
     """
     res, inflation = config.xy_resolution, config.inflation_radius
     factor = resolution_factor(res, belief.resolution)
     # cell_of reads only the resolution of the coarse grid
     goal_cell = Raster(belief.cells, res, True).cell_of(goal.x, goal.y)
 
-    def build(previous: Optional[DistanceMap], changes: Optional[CellWrite]) -> DistanceMap:
+    def build(previous: Optional[DistanceMap], added: Optional[np.ndarray]) -> DistanceMap:
         field = belief.distance_field(cap, [("the route's inflation_radius", inflation)]).values
-        window = None if previous is None else obstacle_window(
-            changes, field.shape, belief.resolution, inflation)
-        if window is None:
+        if previous is None:
             blocked = _downsample_blocked(field <= inflation, factor)
         else:       # the coarse cells over the window, pooled again
+            window = obstacle_window(added, field.shape, belief.resolution, inflation)
             (y0, y1), (x0, x1) = ((s.start // factor, -(-s.stop // factor)) for s in window)
             pooled = _downsample_blocked(
                 field[y0 * factor:y1 * factor, x0 * factor:x1 * factor] <= inflation, factor)
@@ -175,10 +174,7 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
         coarse = Raster(blocked, res, True)
         if coarse.at(goal.x, goal.y):                 # blocked or off the grid
             raise GoalBlockedError("goal blocked")
-        if previous is not None and np.array_equal(previous.blocked, blocked):
-            return previous
-        grown = previous is not None and not (previous.blocked > blocked).any()
-        values = _repair_flood(previous if grown else None, blocked, goal_cell, res)
+        values = _repair_flood(previous, blocked, goal_cell, res)
         values.setflags(write=False)
         blocked.setflags(write=False)
         return DistanceMap(values, res, math.inf,

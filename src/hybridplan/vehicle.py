@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .grid import CellWrite, OccupancyGrid, obstacle_window
+from .grid import OccupancyGrid, obstacle_window
 
 # Distance-field lookups are quantized to cell centers; pad every disk
 # radius by half a cell diagonal so the checks stay conservative.
@@ -109,19 +109,19 @@ class CollisionChecker:
         self.offsets = np.array(disks.centers)
         self.blocked = grid.derived(("disk_blocked", self.threshold), self._mask)
 
-    def _mask(self, previous: Optional[np.ndarray], changes: Optional[CellWrite]) -> np.ndarray:
-        """`field < threshold`, read-only: the previous generation's mask
-        with the write's window (`obstacle_window` at the threshold) recomputed."""
-        field = self.field
-        window = None if previous is None else obstacle_window(
-            changes, field.values.shape, field.resolution, self.threshold)
-        if window is None:
-            mask = field.values < self.threshold
-        elif not field.values[window].size:
-            return previous
+    def _mask(self, previous: Optional[np.ndarray], added: Optional[np.ndarray]) -> np.ndarray:
+        """`field < threshold`, read-only: built in full, or the previous
+        generation's mask with the window of the added cells (`obstacle_window`
+        at the threshold) recomputed."""
+        values = self.field.values
+        if previous is None:
+            mask = values < self.threshold
         else:
+            window = obstacle_window(added, values.shape, self.field.resolution, self.threshold)
+            if not values[window].size:
+                return previous
             mask = previous.copy()
-            mask[window] = field.values[window] < self.threshold
+            mask[window] = values[window] < self.threshold
         mask.setflags(write=False)
         return mask
 

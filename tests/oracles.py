@@ -619,10 +619,10 @@ def saturated(field: np.ndarray, cap: float) -> np.ndarray:
 def reference_stack():
     """Inside, every grid builds every derived value from empty:
     `OccupancyGrid.derived` hands each build None in place of the value of
-    the generation before and of the write's log, so no field, disk mask or
-    blocked grid is updated from an earlier one, and the obstacle field is
-    exact (`add_obstacles_reference`, handed the added cells as a mask) at
-    any cap.
+    the generation before and of the cells added since, so no field, disk
+    mask or blocked grid is updated from an earlier one, and the obstacle
+    field is exact (`add_obstacles_reference`, handed the added cells as a
+    mask) at any cap.
     The mission's route is the scalar descent from scratch on every tick
     (`extract_astar_path_reference`, which ignores the previous route),
     every nearest-cell lookup is the 5 x 5 scan, and every tick checks the
@@ -632,7 +632,7 @@ def reference_stack():
              mission_module.carried_path_collision)
     derived = saved[0]
     OccupancyGrid.derived = lambda self, key, build: derived(
-        self, key, lambda previous, changes: build(None, None))
+        self, key, lambda previous, added: build(None, None))
     grid_module._add_obstacles = lambda field, added, resolution, cap: add_obstacles_reference(
         field, flat_mask(field.shape, added), resolution, cap)
     mission_module.extract_astar_path = (

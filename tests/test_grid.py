@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import hybridplan.grid as grid_module
 from hybridplan.geometry import Pose2D
-from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, CellWrite, OccupancyGrid, Raster,
+from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import PlannerConfig, field_cap
@@ -103,21 +104,21 @@ def test_set_box_rebuilds_distance_field():
         with pytest.raises(ValueError):
             field.values[13, 13] = 1.0
     fresh = g.copy()
-    assert fresh.derived(("distance_field", math.inf), lambda previous, changes: previous) is None
+    assert fresh.derived(("distance_field", math.inf), lambda previous, added: previous) is None
 
 
 def test_failed_build_keeps_the_previous_value():
     """A build that raises leaves the previous value for the next call."""
     g = OccupancyGrid.filled(4, 4, 0.5, FREE)
-    g.derived("k", lambda previous, changes: "first")
+    g.derived("k", lambda previous, added: "first")
     g.set_cells((0, 0), OCCUPIED)
 
-    def failing(previous, changes):
+    def failing(previous, added):
         raise RuntimeError("build failed")
 
     with pytest.raises(RuntimeError):
         g.derived("k", failing)
-    assert g.derived("k", lambda previous, changes: previous) == "first"
+    assert g.derived("k", lambda previous, added: previous) == "first"
 
 
 def test_reveal_bumps_version_only_when_cells_change():
@@ -314,6 +315,47 @@ def _assert_fields_are_full_rebuild(g, goals, config, cap=math.inf, r=None):
                           CollisionChecker(g.copy(), disks).blocked)
 
 
+@contextmanager
+def recorded_builds(builds):
+    """Inside, every build run through `OccupancyGrid.derived` first appends
+    (grid, version, key kind, previous is None, added) to `builds`."""
+    derived = OccupancyGrid.derived
+
+    def recording(self, key, build):
+        def recorded(previous, added):
+            builds.append((self, self.version, key[0], previous is None, added))
+            return build(previous, added)
+        return derived(self, key, recorded)
+
+    OccupancyGrid.derived = recording
+    try:
+        yield
+    finally:
+        OccupancyGrid.derived = derived
+
+
+def _assert_builds_only_add_obstacles(g, builds, occupied):
+    """Every build is handed `added` exactly when it is handed a previous
+    value, and `added` is the cells that the one write between them made
+    occupied (`occupied` maps each version of `g` to its occupied mask).
+    After a write that freed an occupied cell, the field, the disk mask and
+    the route map builds of `g` all start from empty."""
+    for grid, version, _, fresh, added in builds:
+        assert (added is None) == fresh
+        if added is not None:
+            assert grid is g
+            made = occupied[version] & ~occupied[version - 1]
+            assert np.array_equal(np.sort(added), np.flatnonzero(made))
+    for version in range(1, len(occupied)):
+        if (occupied[version - 1] & ~occupied[version]).any():
+            after = [(kind, fresh) for grid, v, kind, fresh, _ in builds
+                     if grid is g and v == version]
+            assert all(fresh for _, fresh in after)
+            if after:            # read before the next write
+                assert {kind for kind, _ in after} == {"distance_field", "disk_blocked",
+                                                       "route_map"}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40),
        st.sampled_from([0.1, 0.15625, 0.25, 0.5, 1.0]),
@@ -331,7 +373,8 @@ def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor,
     start with or without obstacles.  Next to the exact field, a field
     saturated at a cap near a reader's threshold is updated too, and after
     every read it equals the saturated reference and its readers decide as
-    on the exact field."""
+    on the exact field.  Every build is handed only the obstacles added
+    since its previous value (`_assert_builds_only_add_obstacles`)."""
     r = np.random.default_rng(seed)
     cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
     cells[r.random((h, w)) < fill] = OCCUPIED
@@ -339,12 +382,17 @@ def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor,
     goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
     config = PlannerConfig(xy_resolution=factor * res, inflation_radius=inflation)
     cap = _field_cap(cap_kind, nudge, res, config)
-    _assert_fields_are_full_rebuild(g, goals, config, cap, r)
-    for edit, read in steps:
-        _apply_edit(g, edit, r)
-        if read:
-            _assert_fields_are_full_rebuild(g, goals, config, cap, r)
-    _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+    builds, occupied = [], [g.cells == OCCUPIED]
+    with recorded_builds(builds):
+        _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+        for edit, read in steps:
+            _apply_edit(g, edit, r)
+            occupied[g.version:] = [g.cells == OCCUPIED]    # at most one write per edit
+            assert len(occupied) == g.version + 1
+            if read:
+                _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+        _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+    _assert_builds_only_add_obstacles(g, builds, occupied)
 
 
 def _assert_logged_fields_match(g, goals, config, cap):
@@ -473,7 +521,7 @@ def test_add_obstacles_stamps_few_cells_and_runs_the_edt_on_many(monkeypatch):
 def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
     """Every rebuilt field is one module-level `distance_transform` call, also
     when the occupied cells did not change, with the previous field and the
-    last write's log passed by keyword."""
+    cells the last write made occupied passed by keyword."""
     calls = []
     full = grid_module.distance_transform
 
@@ -487,7 +535,7 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
     truth.set_box(9.0, 4.0, 11.0, 8.0, OCCUPIED)
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
     belief.distance_field()
-    rebuilt = []                     # (writes, same occupied mask) per later rebuild
+    rebuilt = []                     # (writes, occupied before, after) per later rebuild
     for x in (2.0, 2.0, 3.0, 6.0, None, 14.0, 17.0, 17.5):
         version, mask = belief.version, belief.occupied_mask()
         if x is not None:
@@ -497,17 +545,20 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
         belief.distance_field()
         belief.distance_field()
         if belief.version != version:
-            rebuilt.append((belief.version - version,
-                            np.array_equal(mask, belief.occupied_mask())))
+            rebuilt.append((belief.version - version, mask, belief.occupied_mask()))
         assert len(calls) == 1 + len(rebuilt)
-    assert {(1, True), (1, False), (2, True)} <= set(rebuilt)
-    assert calls[0][:2] == ((), {"previous": None, "changes": None, "cap": math.inf})
-    for (_, _, before), (args, kwargs, field), (writes, same) in zip(calls, calls[1:], rebuilt):
-        # the field one generation back, none after two writes; an unchanged
-        # mask returns that field itself
+    kinds = {(writes, np.array_equal(was, now)) for writes, was, now in rebuilt}
+    assert {(1, True), (1, False), (2, True)} <= kinds
+    assert calls[0][:2] == ((), {"previous": None, "added": None, "cap": math.inf})
+    for (_, _, before), (args, kwargs, field), (writes, was, now) in zip(calls, calls[1:], rebuilt):
+        # the field one generation back and the cells the write made
+        # occupied, none after two writes; no added cell returns that field
         assert args == () and kwargs["previous"] is (before if writes == 1 else None)
-        assert isinstance(kwargs["changes"], CellWrite) == (writes == 1)
-        assert (field is before) == (writes == 1 and same)
+        if writes == 1:
+            assert np.array_equal(np.sort(kwargs["added"]), np.flatnonzero(now & ~was))
+        else:
+            assert kwargs["added"] is None
+        assert (field is before) == (writes == 1 and np.array_equal(was, now))
 
 
 # ------------------------------------------------------------------ raster
@@ -669,6 +720,24 @@ def test_belief_sound_and_monotone(rng):
         assert known.sum() >= known_before      # knowledge grows monotonically
         known_before = known.sum()
         assert np.array_equal(belief.cells[known], truth.cells[known])
+
+
+@pytest.mark.parametrize("shape, sensor_range, n_rays, match", [
+    ((41, 40), 8.0, 720, "share shape and resolution"),
+    (None, 0.0, 720, "sensor_range must be finite and positive"),
+    (None, -1.0, 720, "sensor_range must be finite and positive"),
+    (None, math.inf, 720, "sensor_range must be finite and positive"),
+    (None, math.nan, 720, "sensor_range must be finite and positive"),
+    (None, 8.0, 7, "n_rays must be at least 8"),
+])
+def test_reveal_names_bad_input(shape, sensor_range, n_rays, match):
+    """Each input error is a ValueError that names its input, and writes nothing."""
+    truth = bordered_grid(10, 10, res=0.25)
+    h, w = shape or truth.cells.shape
+    belief = OccupancyGrid.filled(w, h, 0.25, UNKNOWN)
+    with pytest.raises(ValueError, match=match):
+        raytrace_reveal(truth, belief, Pose2D(5, 5, 0), sensor_range, n_rays)
+    assert belief.version == 0 and np.all(belief.cells == UNKNOWN)
 
 
 def _assert_reveal_matches_reference(truth, belief, pose, sensor_range, n_rays):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -269,6 +271,19 @@ def test_perfbench_run_sites_are_called(monkeypatch, tmp_path):
     texts = simulate.run_scenario(spec, cfg.mission, cfg.planner, cli.MODES[cfg.mode],
                                   cfg.vehicle).texts(False)
     assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in texts} == texts
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's own test exits 0: its call sites resolve, its probe
+    restores what it wraps, its metric names match BENCHMARK.json, and a
+    traced clutter_short run reproduces the output digests and counters
+    stored in `perfbench/reference.json`.  It writes only under
+    `perfbench/out/`, and no bytecode."""
+    root = PROBE.parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(PROBE.with_name("selftest.py"))], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0 and "selftest: OK" in done.stdout, done.stdout + done.stderr
 
 
 def uncalled_public_names(sources, exported):

@@ -647,15 +647,19 @@ def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
 
 def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
     """On reveal_divergence/guided every obstacle-field rebuild after the
-    first is handed the previous field and the last write's log, and reads
-    neither the cells nor the occupied mask: no whole-grid delta scan.  The
-    field is still one `distance_transform` call per belief version."""
+    first is handed the previous field and exactly the cells that the last
+    write made occupied (a reveal frees none), and reads neither the cells
+    nor the occupied mask: no whole-grid delta scan.  The field is still one
+    `distance_transform` call per belief version."""
     calls, scans, inside = [], [], []
     transform = grid_module.distance_transform
     cells, occupied_mask = OccupancyGrid.cells, OccupancyGrid.occupied_mask
 
     def logged(grid, **kwargs):
-        calls.append((grid, grid.version, kwargs["previous"], kwargs["changes"]))
+        previous = kwargs["previous"]     # 0.0 on the cells occupied one write back
+        made = None if previous is None else np.flatnonzero(
+            (grid.cells == OCCUPIED) & (previous != 0.0))
+        calls.append((grid, grid.version, previous, kwargs["added"], made))
         inside.append(len(calls))
         try:
             return transform(grid, **kwargs)
@@ -675,10 +679,11 @@ def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
     report = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
                                    MODES["guided"], VEH).report
     assert report.reached and len(calls) > 1
-    assert len({(grid, version) for grid, version, _, _ in calls}) == len(calls)
+    assert len({(grid, version) for grid, version, *_ in calls}) == len(calls)
     assert calls[0][2] is None and set(scans) == {1}       # the first build, from empty
-    for _, _, previous, changes in calls[1:]:
-        assert previous is not None and isinstance(changes, grid_module.CellWrite)
+    for _, _, previous, added, made in calls[1:]:
+        assert previous is not None and np.array_equal(np.sort(added), made)
+    assert any(added.size for _, _, _, added, _ in calls[1:])
 
 
 def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
