@@ -11,7 +11,7 @@ from .mission import (MissionConfig, MissionState, TickResult, check_path_collis
 from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPath,
                       PlannerConfig, PlannerFailure, RotationSegment, SearchStats,
                       analytic_expansions, cost_of, field_cap, geometric_extension, plan)
-from .reeds_shepp import RSPath, RSSegment, rs_all_paths, rs_path_length, sample_path
+from .reeds_shepp import rs_all_paths, rs_path_length, sample_path
 from .simulate import (EventRecord, MetricsReport, Run, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
 from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
@@ -27,7 +27,7 @@ __all__ = [
     "BudgetExceededError", "DriveSegment", "NoPathError", "PlannedPath",
     "PlannerConfig", "PlannerFailure", "RotationSegment", "SearchStats",
     "analytic_expansions", "cost_of", "field_cap", "geometric_extension", "plan",
-    "RSPath", "RSSegment", "rs_all_paths", "rs_path_length", "sample_path",
+    "rs_all_paths", "rs_path_length", "sample_path",
     "EventRecord", "MetricsReport", "Run", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
     "CollisionChecker", "DiskSet", "VehicleSpec", "make_disk_set",

@@ -10,7 +10,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .heuristic import resolution_factor
 from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE, NAV_WAYPOINT
@@ -107,17 +107,22 @@ def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[Occupancy
     return belief
 
 
-def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
-                with_timing: bool) -> Tuple[MetricsReport, List[EventRecord]]:
+def _write_outputs(out_dir: Path, texts: Dict[str, str]) -> None:
+    """Create `out_dir` and write each named text into it; an OSError names output_dir."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"output_dir: {exc}") from None
+
+
+def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
+                with_timing: bool) -> Tuple[MetricsReport, List[EventRecord]]:
+    _write_outputs(out_dir, {})          # an unusable directory fails before the mission
     run = run_scenario(spec, cfg.mission, cfg.planner, MODES[cfg.mode], cfg.vehicle)
-    for name, text in run.texts(with_timing).items():
-        (out_dir / name).write_text(text, encoding="utf-8")
-    (out_dir / "map.svg").write_text(
-        render_run(spec.truth_map, _final_belief(spec, run.driven), run.driven), encoding="utf-8")
+    svg = render_run(spec.truth_map, _final_belief(spec, run.driven), run.driven)
+    _write_outputs(out_dir, {**run.texts(with_timing), "map.svg": svg})
     return run.report, run.events
 
 
@@ -146,11 +151,10 @@ def cmd_compare(args) -> int:
             sub = out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
             report, _ = execute_run(cfg, spec, sub, not args.no_timing)
             lines.append(f"{cfg.mode},{report.format(not args.no_timing)}")
+        _write_outputs(out_root, {"comparison.csv": "\n".join(lines) + "\n"})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

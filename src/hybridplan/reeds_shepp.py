@@ -1,12 +1,13 @@
 """Shortest bounded-curvature paths for a forward/reverse-capable vehicle.
 
-The one module that knows the path format: a path is a tuple of left /
-right / straight segments, sampled from its (turn, direction, length) rows
-by `sample_paths`, the one sampler.  A word table built at import holds the
-48 words (9 curve/straight families under the timeflip / reflect / backwards
-symmetries): each word's solver, input flip, fixed length terms and segment
-recipe.  One loop solves every word with scalar math-module calls; a length
-query keeps the minimum and builds no segment.
+The one module that knows the path format: a path is its segments'
+(turn, direction, length) rows, turn the curvature in units of 1 / turn
+radius (LEFT, RIGHT or STRAIGHT), sampled by `sample_paths`, the one
+sampler.  A word table built at import holds the 48 words (9 curve/straight
+families under the timeflip / reflect / backwards symmetries): each word's
+solver, input flip, fixed length terms and segment recipe.  One loop solves
+every word with scalar math-module calls; a length query keeps the minimum
+and builds no row.
 """
 from __future__ import annotations
 
@@ -18,10 +19,8 @@ import numpy as np
 
 from .geometry import Pose2D, normalize_angle, normalize_angles
 
-LEFT = "left"
-RIGHT = "right"
-STRAIGHT = "straight"
-_TURN = {LEFT: 1.0, RIGHT: -1.0, STRAIGHT: 0.0}   # curvature in units of 1 / turn radius
+LEFT, RIGHT, STRAIGHT = 1.0, -1.0, 0.0    # a row's turn: curvature in units of 1 / turn radius
+Row = Tuple[float, int, float]            # (turn, direction +1 / -1, length in meters >= 0)
 
 HALF_PI = 0.5 * math.pi
 _ZERO = 1e-10          # slack on validity inequalities
@@ -39,20 +38,6 @@ def _tau_omega(u: float, v: float, xi: float, eta: float, phi: float) -> Tuple[f
     return tau, omega
 
 
-class RSSegment(NamedTuple):
-    kind: str        # left / right / straight
-    direction: int   # +1 forward, -1 reverse
-    length: float    # arc length in meters, >= 0
-
-
-class RSPath(NamedTuple):
-    """A bounded-curvature path as an ordered list of arc/straight segments."""
-
-    segments: Tuple[RSSegment, ...]
-    turn_radius: float
-    total_length: float
-
-
 @dataclass
 class PathSamples:
     """A path sampled from its start pose (a batch adds a path axis before the
@@ -68,28 +53,26 @@ class PathSamples:
         return self.yaws.shape[-1]
 
 
-def sample_path(path: RSPath, start: Pose2D, step: float) -> PathSamples:
-    """Every sample of `path` driven from `start`: `sample_paths` of one path."""
-    rows = [(_TURN[seg.kind], seg.direction, seg.length) for seg in path.segments]
-    batch = sample_paths([rows], path.turn_radius, start, step)
+def sample_path(rows: Sequence[Row], turn_radius: float, start: Pose2D,
+                step: float) -> PathSamples:
+    """Every sample of one path driven from `start`: `sample_paths` of `[rows]`."""
+    batch = sample_paths([rows], turn_radius, start, step)
     return PathSamples(batch.xy[:, 0], batch.yaws[0], batch.kappas[0], batch.directions[0])
 
 
-def sample_paths(paths: Sequence[Sequence[Tuple[float, int, float]]], turn_radius: float,
+def sample_paths(paths: Sequence[Sequence[Row]], turn_radius: float,
                  start: Pose2D, step: float, limit: float = math.inf) -> PathSamples:
     """The first `limit` samples of each path driven from `start`, `step` apart at most.
 
-    A path is its segments' (turn, direction, length) rows, turn the curvature
-    in units of 1 / `turn_radius` (`_TURN`).  Each non-empty segment is split
-    into n = max(1, ceil(length / step)) equal steps, so segment boundaries are
-    samples and the last sample is the path's end pose; a path without
-    segments gives the start alone, and a row shorter than the longest repeats
-    its end pose.  One prefix sum per coordinate runs along each row, adding
-    the same terms in the same order as chaining `move_along_arc` step by step,
-    so every value is bit-identical to that scalar recurrence and a limited
-    sample is a prefix of the full one.
+    Each non-empty segment is split into n = max(1, ceil(length / step))
+    equal steps, so segment boundaries are samples and the last sample is the
+    path's end pose; a path without segments gives the start alone, and a row
+    shorter than the longest repeats its end pose.  One prefix sum per
+    coordinate runs along each row, adding the same terms in the same order as
+    chaining `move_along_arc` step by step, so every value is bit-identical to
+    that scalar recurrence and a limited sample is a prefix of the full one.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be positive")
     # five values per path and segment, the start first: step count, curvature,
     # divisor of the arc increments (1.0 on a straight, whose increments are set
@@ -264,7 +247,7 @@ def _lrslr(x, y, phi):
 
 
 class _Family(NamedTuple):
-    """A word family: its solver and its segments as (kind, role), role
+    """A word family: its solver and its segments as (turn, role), role
     being 't'/'u'/'v'/'-u' for the free parameters or a float for arcs fixed
     at +-pi/2.  The tied / fixed segments add `extra_u` * |u| +
     `extra_const` to the length; `backwards` families also need the
@@ -295,15 +278,15 @@ _FAMILIES = (
 
 def _word(family: _Family, backwards: bool, timeflip: bool, reflect: bool) -> Tuple:
     """A word as (solver, flip, extra_u, extra_const, recipe).  `flip` (4 * backwards +
-    2 * timeflip + reflect) picks the solver's input in `_solve`; a recipe entry ((kind,
-    turn), scale, param), reflected and timeflipped, has value scale * (t, u, v, 1.0)[param]."""
+    2 * timeflip + reflect) picks the solver's input in `_solve`; a recipe entry (turn,
+    scale, param), reflected and timeflipped, has value scale * (t, u, v, 1.0)[param]."""
     roles = {"t": (1.0, 0), "u": (1.0, 1), "v": (1.0, 2), "-u": (-1.0, 1)}
     recipe = []
-    for kind, role in (reversed(family.pattern) if backwards else family.pattern):
+    for turn, role in (reversed(family.pattern) if backwards else family.pattern):
         scale, param = (role, 3) if isinstance(role, float) else roles[role]
-        if reflect and kind != STRAIGHT:
-            kind = LEFT if kind == RIGHT else RIGHT
-        recipe.append(((kind, _TURN[kind]), -scale if timeflip else scale, param))
+        if reflect and turn != STRAIGHT:      # a straight stays +0.0, never -0.0
+            turn = -turn
+        recipe.append((turn, -scale if timeflip else scale, param))
     return (family.solve, 4 * backwards + 2 * timeflip + reflect, family.extra_u,
             family.extra_const, tuple(recipe))
 
@@ -332,14 +315,14 @@ def _solve(x: float, y: float, phi: float) -> List[Tuple[float, int, float, floa
     return found
 
 
-def _rows(i: int, t: float, u: float, v: float, turn_radius: float, label: int) -> List[Tuple]:
-    """Word i's (kind, or turn if `label` is 1; direction; length) rows, empty ones dropped."""
+def _rows(i: int, t: float, u: float, v: float, turn_radius: float) -> List[Row]:
+    """Word i's rows, empty segments dropped."""
     params = (t, u, v, 1.0)
     rows = []
-    for labels, scale, param in _WORDS[i][4]:
+    for turn, scale, param in _WORDS[i][4]:
         value = scale * params[param]
         if abs(value) > _MIN_SEG:
-            rows.append((labels[label], 1 if value >= 0.0 else -1, abs(value) * turn_radius))
+            rows.append((turn, 1 if value >= 0.0 else -1, abs(value) * turn_radius))
     return rows
 
 
@@ -354,25 +337,14 @@ def _relative_target(start: Pose2D, goal: Pose2D, turn_radius: float) -> Tuple[f
             normalize_angle(goal.yaw - start.yaw))
 
 
-def rs_all_paths(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[RSPath]:
-    """Every applicable word's path, shortest first (for collision fallback)."""
-    paths = []
-    for _, i, t, u, v in sorted(_solve(*_relative_target(start, goal, turn_radius)),
-                                key=lambda c: c[0]):
-        segments = tuple(RSSegment(*row) for row in _rows(i, t, u, v, turn_radius, 0))
-        paths.append(RSPath(segments=segments, turn_radius=turn_radius,
-                            total_length=sum(seg.length for seg in segments)))
-    return paths
-
-
-def rs_word_rows(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[Tuple[float, List]]:
-    """(total length in turn radii, `sample_paths` rows) of every applicable
-    word in word order: `rs_all_paths` without its sort and its segments."""
-    return [(total, _rows(i, t, u, v, turn_radius, 1))
-            for total, i, t, u, v in _solve(*_relative_target(start, goal, turn_radius))]
+def rs_all_paths(start: Pose2D, goal: Pose2D, turn_radius: float) -> List[List[Row]]:
+    """Every applicable word's rows, shortest first (a stable sort of word order)."""
+    return [_rows(i, t, u, v, turn_radius)
+            for _, i, t, u, v in sorted(_solve(*_relative_target(start, goal, turn_radius)),
+                                        key=lambda c: c[0])]
 
 
 def rs_path_length(start: Pose2D, goal: Pose2D, turn_radius: float) -> float:
-    """Length of the shortest path without building segments."""
+    """Length of the shortest path without building rows."""
     return min([math.inf] + [c[0] for c in _solve(*_relative_target(start, goal, turn_radius))]
                ) * turn_radius

@@ -242,7 +242,7 @@ def kappa_dot_rms(driven: PlannedPath, ds: float) -> Tuple[float, float]:
     Each drive segment is resampled independently (rotations contribute no
     distance and are excluded); the squared rates are pooled across segments.
     """
-    if ds <= 0.0:
+    if not ds > 0.0:
         raise ValueError("ds must be positive")
     sq_sum = 0.0
     count = 0

@@ -6,12 +6,14 @@ segment words, distances by exhaustive scans, and the 2D cost-to-go field by
 a plain heap Dijkstra.  The Reeds-Shepp references keep the per-word
 enumeration and segment build (solvers included) that the word table and
 its one solve loop replaced (`rs_all_paths_reference`,
-`rs_path_length_reference`); the analytic-expansion and search references
-solve through them.  The obstacle-field references keep the whole-grid
-EDT that the update from the empty field replaced, the exact update (a
-window bounded by every cell's old value) that the field saturated at a
-cap replaced, and the saturated bounding-box EDT that the disc stamps of
-the added cells replaced (`window_add_reference`).  The route-map reference
+`rs_path_length_reference`), with the segment objects and kind names that
+the shipped (turn, direction, length) rows replaced (`reference_rows`
+converts); the analytic-expansion and search references solve through
+them.  The obstacle-field references keep the whole-grid EDT that the
+update from the empty field replaced, the exact update (a window bounded
+by every cell's old value) that the field saturated at a cap replaced,
+and the saturated bounding-box EDT that the disc stamps of the added cells
+replaced (`window_add_reference`).  The route-map reference
 keeps the build that map repair replaced: the reshaped max-pool over the
 whole fine field and the full flood, from scratch on every call, as
 `reference_stack()` builds every disk mask and blocked grid from scratch
@@ -50,7 +52,6 @@ from hybridplan.planner import (EXTENDED, STANDARD, BudgetExceededError, DriveSe
                                 NoPathError, PathBuilder, PlannedPath, PlannerConfig,
                                 PlannerFailure, RotationSegment, SearchStats,
                                 analytic_expansions, cost_of, geometric_extension)
-from hybridplan.reeds_shepp import LEFT, RIGHT, STRAIGHT, RSPath, RSSegment
 from hybridplan.vehicle import CollisionChecker, make_disk_set
 
 TWO_PI = 2.0 * math.pi
@@ -274,6 +275,30 @@ def rs_oracle_length(start_pose, goal_pose, turn_radius: float) -> float:
 
 _ZERO = 1e-10          # slack on validity inequalities
 _MIN_SEG = 1e-12       # segments shorter than this are dropped
+
+LEFT = "left"
+RIGHT = "right"
+STRAIGHT = "straight"
+_TURN_OF = {LEFT: 1.0, RIGHT: -1.0, STRAIGHT: 0.0}   # curvature in units of 1 / turn radius
+
+
+class RSSegment(NamedTuple):
+    kind: str        # left / right / straight
+    direction: int   # +1 forward, -1 reverse
+    length: float    # arc length in meters, >= 0
+
+
+class RSPath(NamedTuple):
+    """A bounded-curvature path as an ordered list of arc/straight segments."""
+
+    segments: Tuple[RSSegment, ...]
+    turn_radius: float
+    total_length: float
+
+
+def reference_rows(path: RSPath) -> List[Tuple[float, int, float]]:
+    """The path's (turn, direction, length) rows, the shipped path format."""
+    return [(_TURN_OF[seg.kind], seg.direction, seg.length) for seg in path.segments]
 
 
 def _tau_omega(u: float, v: float, xi: float, eta: float, phi: float) -> Tuple[float, float]:
@@ -951,16 +976,16 @@ def proximity_stats_reference(driven: PlannedPath, field: Raster, vehicle
 # Path sampling and analytic expansion, one sample at a time
 # ---------------------------------------------------------------------------
 
-def path_end_pose(path: RSPath, start: Pose2D) -> Pose2D:
-    """End pose of `path` driven from `start`, one exact arc per segment."""
+def path_end_pose(rows, turn_radius: float, start: Pose2D) -> Pose2D:
+    """End pose of the (turn, direction, length) `rows` driven from `start`,
+    one exact arc per segment."""
     x, y, yaw = start.x, start.y, start.yaw
-    for seg in path.segments:
-        kappa = {"straight": 0.0, "left": 1.0, "right": -1.0}[seg.kind] / path.turn_radius
-        x, y, yaw = move_along_arc(x, y, yaw, kappa, seg.length * seg.direction)
+    for turn, direction, length in rows:
+        x, y, yaw = move_along_arc(x, y, yaw, turn / turn_radius, length * direction)
     return Pose2D(x, y, yaw)
 
 
-def sample_path_scalar(path: RSPath, start: Pose2D, step: float
+def sample_path_scalar(rows, turn_radius: float, start: Pose2D, step: float
                        ) -> List[Tuple[float, float, float, float, float, int]]:
     """Samples after each step as (x, y, raw yaw, normalized yaw, kappa, direction).
 
@@ -969,14 +994,13 @@ def sample_path_scalar(path: RSPath, start: Pose2D, step: float
     """
     x, y, yaw = start.x, start.y, start.yaw
     out = []
-    for seg in path.segments:
-        if seg.length <= 0.0:
+    for kappa, direction, length in rows:
+        if length <= 0.0:
             continue
-        kappa = {"straight": 0.0, "left": 1.0, "right": -1.0}[seg.kind]
         if kappa != 0.0:
-            kappa /= path.turn_radius
-        n = max(1, math.ceil(seg.length / step))
-        ds = seg.length / n * seg.direction
+            kappa /= turn_radius
+        n = max(1, math.ceil(length / step))
+        ds = length / n * direction
         for _ in range(n):
             if kappa == 0.0:
                 x, y = x + ds * math.cos(yaw), y + ds * math.sin(yaw)
@@ -985,7 +1009,7 @@ def sample_path_scalar(path: RSPath, start: Pose2D, step: float
                 x = x + (math.sin(yaw2) - math.sin(yaw)) / kappa
                 y = y - (math.cos(yaw2) - math.cos(yaw)) / kappa
                 yaw = yaw2
-            out.append((x, y, yaw, (yaw + math.pi) % TWO_PI - math.pi, kappa, seg.direction))
+            out.append((x, y, yaw, (yaw + math.pi) % TWO_PI - math.pi, kappa, direction))
     return out
 
 
@@ -1058,7 +1082,8 @@ def analytic_expansions_reference(pose: Pose2D, goal: Pose2D, checker, config, v
     for cand in rs_all_paths_reference(pose, goal, vehicle.min_turn_radius):
         if cand.total_length >= 1e6:
             break
-        samples = sample_path_scalar(cand, pose, config.collision_step)
+        samples = sample_path_scalar(reference_rows(cand), vehicle.min_turn_radius, pose,
+                                     config.collision_step)
         xs = np.array([pose.x] + [s[0] for s in samples])
         ys = np.array([pose.y] + [s[1] for s in samples])
         yaws = np.array([pose.yaw] + [s[3] for s in samples])

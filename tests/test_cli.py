@@ -267,6 +267,12 @@ def _output_dir_under_file(tmp):
     _edit_json("cfg.json", output_dir=str(tmp / "file" / "out"))(tmp)
 
 
+def _output_is_directory(name):
+    def edit(tmp):
+        (tmp / "out" / name).mkdir(parents=True)
+    return edit
+
+
 def _map_resolution(value):
     return _edit_text("smoke_small.map", lambda text: text.replace(" 0.15625", f" {value}", 1))
 
@@ -306,13 +312,18 @@ def _map_resolution(value):
     ("run", _output_dir_under_file, "output_dir: [Errno 20] Not a directory: '{tmp}/file/out'"),
     ("compare", _output_dir_under_file,
      "output_dir: [Errno 20] Not a directory: '{tmp}/file/out/"),
+    ("run", _output_is_directory("path.json"),
+     "output_dir: [Errno 21] Is a directory: '{tmp}/out/path.json'"),
+    ("compare", _output_is_directory("comparison.csv"),
+     "output_dir: [Errno 21] Is a directory: '{tmp}/out/comparison.csv'"),
 ], ids=["config_not_utf8", "compare_config_not_utf8", "config_directory",
         "compare_config_directory", "mode_list", "output_dir_null", "output_dir_number",
         "max_sim_steps_true", "max_sim_steps_fraction", "n_rays_fraction",
         "sensor_range_string", "start_bool", "scenario_unknown_key", "map_width_float",
         "map_width_negative", "map_height_0", "map_extra_row", "map_resolution_word",
         "map_resolution_nan", "map_resolution_0", "map_not_ascii", "output_dir_file",
-        "compare_output_dir_file", "output_dir_under_file", "compare_output_dir_under_file"])
+        "compare_output_dir_file", "output_dir_under_file", "compare_output_dir_under_file",
+        "output_file_directory", "compare_output_file_directory"])
 def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, named):
     """Inputs that used to run on a cast or ignored value, to end in a
     traceback, or to exit 1 without naming the map file, exit 1 naming the

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle, normalize_angles
-from hybridplan.reeds_shepp import RSPath, RSSegment, rs_all_paths, sample_path, sample_paths
+from hybridplan.planner import PathBuilder
+from hybridplan.reeds_shepp import LEFT, RIGHT, STRAIGHT, rs_all_paths, sample_path, sample_paths
+from hybridplan.simulate import kappa_dot_rms
 
 from conftest import angles_close, pose_close
 from oracles import path_end_pose, sample_path_scalar
@@ -55,9 +57,7 @@ def test_pose_rejects_non_finite_position():
 
 
 def test_sample_straight_three_samples():
-    path = RSPath(segments=(RSSegment("straight", 1, 1.0),), turn_radius=1.0,
-                  total_length=1.0)
-    samples = sample_rows(sample_path(path, Pose2D(0, 0, 0), 0.5))
+    samples = sample_rows(sample_path([(STRAIGHT, 1, 1.0)], 1.0, Pose2D(0, 0, 0), 0.5))
     assert len(samples) == 3
     xs = [p.x for p, _, _ in samples]
     assert xs == pytest.approx([0.0, 0.5, 1.0])
@@ -65,8 +65,7 @@ def test_sample_straight_three_samples():
 
 
 def test_sample_zero_length_path():
-    path = RSPath(segments=(), turn_radius=1.0, total_length=0.0)
-    samples = sample_rows(sample_path(path, Pose2D(3, 4, 0.5), 0.1))
+    samples = sample_rows(sample_path([], 1.0, Pose2D(3, 4, 0.5), 0.1))
     assert len(samples) == 1
     assert samples[0][0] == Pose2D(3, 4, 0.5)
     assert samples[0][1] == 0.0
@@ -75,22 +74,42 @@ def test_sample_zero_length_path():
 
 def test_sample_quarter_circle_stays_on_circle():
     radius = 2.0
-    path = RSPath(segments=(RSSegment("left", 1, math.pi / 2 * radius),),
-                  turn_radius=radius, total_length=math.pi / 2 * radius)
-    samples = sample_rows(sample_path(path, Pose2D(0, 0, 0), 0.1))
+    rows = [(LEFT, 1, math.pi / 2 * radius)]
+    samples = sample_rows(sample_path(rows, radius, Pose2D(0, 0, 0), 0.1))
     for pose, kappa, direction in samples:
         assert math.hypot(pose.x - 0.0, pose.y - radius) == pytest.approx(radius, abs=1e-9)
         assert direction == 1
     assert samples[-1][1] == pytest.approx(1.0 / radius)
 
 
+def _straight_drive():
+    builder = PathBuilder(Pose2D(0, 0, 0))
+    for x in (0.5, 1.0, 1.5):
+        builder.add_drive_sample(x, 0.0, 0.0, 0.0, 1)
+    return builder.finish()
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0], ids=["nan", "0", "-1"])
+@pytest.mark.parametrize("call,message", [
+    (lambda step: sample_paths([[(STRAIGHT, 1, 1.0)]], 1.0, Pose2D(0, 0, 0), step),
+     "step must be positive"),
+    (lambda step: sample_path([(STRAIGHT, 1, 1.0)], 1.0, Pose2D(0, 0, 0), step),
+     "step must be positive"),
+    (lambda ds: kappa_dot_rms(_straight_drive(), ds), "ds must be positive"),
+], ids=["sample_paths", "sample_path", "kappa_dot_rms"])
+def test_spacing_must_be_positive(call, message, bad):
+    """A NaN spacing is named as 0 and -1 are, not left to fail in an int conversion."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(bad)
+
+
 def test_sample_spacing_and_final_pose(rng):
     for _ in range(30):
         start = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
         goal = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
-        path = rs_all_paths(start, goal, 1.5)[0]
+        rows = rs_all_paths(start, goal, 1.5)[0]
         step = 0.2
-        samples = sample_rows(sample_path(path, start, step))
+        samples = sample_rows(sample_path(rows, 1.5, start, step))
         assert pose_close(samples[-1][0], goal)
         prev = samples[0][0]
         for pose, _, _ in samples[1:]:
@@ -103,10 +122,10 @@ def test_reintegrating_samples_reproduces_goal(rng):
     for _ in range(25):
         start = Pose2D(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
         goal = Pose2D(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
-        path = rs_all_paths(start, goal, 1.0)[0]
+        rows = rs_all_paths(start, goal, 1.0)[0]
         x, y, yaw = start.x, start.y, start.yaw
         pos = start
-        for pose, kappa, direction in sample_rows(sample_path(path, start, 0.25))[1:]:
+        for pose, kappa, direction in sample_rows(sample_path(rows, 1.0, start, 0.25))[1:]:
             chord = math.hypot(pose.x - pos.x, pose.y - pos.y)
             if kappa != 0.0:
                 chord = 2.0 / abs(kappa) * math.asin(min(abs(kappa) * chord / 2.0, 1.0))
@@ -119,25 +138,23 @@ def test_reintegrating_samples_reproduces_goal(rng):
 def test_path_end_pose_matches_goal(rng):
     for _ in range(20):
         goal = Pose2D(rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-math.pi, math.pi))
-        path = rs_all_paths(Pose2D(0, 0, 0), goal, 2.0)[0]
-        assert pose_close(path_end_pose(path, Pose2D(0, 0, 0)), goal)
+        rows = rs_all_paths(Pose2D(0, 0, 0), goal, 2.0)[0]
+        assert pose_close(path_end_pose(rows, 2.0, Pose2D(0, 0, 0)), goal)
 
 
-_segments = st.lists(st.tuples(st.sampled_from(["left", "right", "straight"]),
-                               st.sampled_from([1, -1]),
-                               st.one_of(st.just(0.0), st.floats(1e-6, 12.0))),
-                     min_size=0, max_size=5)
+_rows = st.lists(st.tuples(st.sampled_from([LEFT, RIGHT, STRAIGHT]),
+                           st.sampled_from([1, -1]),
+                           st.one_of(st.just(0.0), st.floats(1e-6, 12.0))),
+                 min_size=0, max_size=5)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_segments, st.floats(0.3, 10.0), st.floats(-200.0, 200.0), st.floats(-200.0, 200.0),
+@given(_rows, st.floats(0.3, 10.0), st.floats(-200.0, 200.0), st.floats(-200.0, 200.0),
        st.floats(-10.0, 10.0), st.floats(0.02, 2.0))
-def test_array_sampler_bit_identical_to_scalar_recurrence(segs, radius, x, y, yaw, step):
-    path = RSPath(segments=tuple(RSSegment(*seg) for seg in segs), turn_radius=radius,
-                  total_length=sum(seg[2] for seg in segs))
+def test_array_sampler_bit_identical_to_scalar_recurrence(rows, radius, x, y, yaw, step):
     start = Pose2D(x, y, yaw)
-    ref = sample_path_scalar(path, start, step)
-    samples = sample_path(path, start, step)
+    ref = sample_path_scalar(rows, radius, start, step)
+    samples = sample_path(rows, radius, start, step)
     assert len(samples) == 1 + len(ref)
     xs, ys = samples.xy.tolist()
     assert xs[1:] == [r[0] for r in ref]
@@ -150,22 +167,18 @@ def test_array_sampler_bit_identical_to_scalar_recurrence(segs, radius, x, y, ya
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_segments, min_size=1, max_size=4), st.integers(1, 100), st.floats(0.3, 10.0),
+@given(st.lists(_rows, min_size=1, max_size=4), st.integers(1, 100), st.floats(0.3, 10.0),
        st.floats(-200.0, 200.0), st.floats(-200.0, 200.0), st.floats(-10.0, 10.0),
        st.floats(0.02, 2.0))
-@example([[], [("straight", 1, 0.0), ("straight", 1, 3.0), ("left", -1, 2.0)],
-          [("right", 1, 12.0)]], 64, 2.0, 1.0, 2.0, 0.5, 0.1)   # empty, shorter, longer
+@example([[], [(STRAIGHT, 1, 0.0), (STRAIGHT, 1, 3.0), (LEFT, -1, 2.0)],
+          [(RIGHT, 1, 12.0)]], 64, 2.0, 1.0, 2.0, 0.5, 0.1)   # empty, shorter, longer
 def test_batched_prefix_bit_identical_to_single_path_samples(paths, limit, radius, x, y,
                                                              yaw, step):
     """Each row of a limited batch is the path's own first min(limit, n)
     samples, bit for bit, and a shorter row repeats its end pose."""
-    paths = [RSPath(segments=tuple(RSSegment(*seg) for seg in segs), turn_radius=radius,
-                    total_length=sum(seg[2] for seg in segs)) for segs in paths]
     start = Pose2D(x, y, yaw)
-    turns = {"left": 1.0, "right": -1.0, "straight": 0.0}
-    batch = sample_paths([[(turns[seg.kind], seg.direction, seg.length) for seg in path.segments]
-                          for path in paths], radius, start, step, limit)
-    singles = [sample_path(path, start, step) for path in paths]
+    batch = sample_paths(paths, radius, start, step, limit)
+    singles = [sample_path(rows, radius, start, step) for rows in paths]
     assert batch.xy.shape == (2, len(paths), min(limit, max(len(s) for s in singles)))
     for row, single in enumerate(singles):
         n = min(limit, len(single))

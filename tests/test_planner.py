@@ -16,7 +16,7 @@ from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 PlannerConfig, PlannerFailure, RotationSegment,
                                 STANDARD, analytic_expansions,
                                 cost_of, geometric_extension, plan, steps_cost)
-from hybridplan import planner as planner_module
+from hybridplan import planner as planner_module, reeds_shepp as reeds_shepp_module
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
@@ -456,9 +456,9 @@ def test_analytic_late_collision_matches_reference(monkeypatch):
 
 
 def test_analytic_work_counts(monkeypatch):
-    """An attempt whose words all collide early checks them in one call,
-    builds no path and samples none in full; a free attempt builds the paths
-    once and samples only its winner in full."""
+    """Each attempt solves the words once.  An attempt whose words all
+    collide early checks them in one call and samples none in full; a free
+    attempt samples only its winner in full."""
     g = OccupancyGrid.filled(256, 256, 0.15625, OCCUPIED)
     g.set_box(17.5, 18.0, 23.5, 22.0, FREE)               # a pocket around the pose
     pocket = CollisionChecker(g, make_disk_set(VEH))
@@ -467,15 +467,16 @@ def test_analytic_work_counts(monkeypatch):
     checks = _counting(monkeypatch, CollisionChecker, "batch_blocked")
     sampled = _counting(monkeypatch, planner_module, "sample_path")
     built = _counting(monkeypatch, planner_module, "rs_all_paths")
+    solved = _counting(monkeypatch, reeds_shepp_module, "_solve")
     assert analytic_expansions(pose, Pose2D(32.0, 28.0, 1.0), pocket, CFG,
                                VEH, STANDARD) is None
-    assert (checks[0], sampled[0], built[0]) == (1, 0, 0)
+    assert (checks[0], sampled[0], built[0], solved[0]) == (1, 0, 1, 1)
 
-    checks[0] = 0
+    checks[0] = built[0] = solved[0] = 0
     free = CollisionChecker(open_grid(), make_disk_set(VEH))
     assert analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 22, 0.5), free, CFG,
                                VEH, STANDARD) is not None
-    assert (checks[0], sampled[0], built[0]) == (2, 1, 1)
+    assert (checks[0], sampled[0], built[0], solved[0]) == (2, 1, 1, 1)
 
 
 # ------------------------------------------------ reconstruction and merging
