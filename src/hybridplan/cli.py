@@ -147,8 +147,12 @@ def cmd_compare(args) -> int:
         loaded = [load_run(c) for c in args.configs]
         out_root = Path(args.output_dir or loaded[0][0].output_dir)
         lines = ["mode," + ",".join(MetricsReport.COLUMNS)]
-        for idx, (cfg, spec) in enumerate(loaded):
-            sub = out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
+        subs = [out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
+                for idx, (cfg, _) in enumerate(loaded)]
+        # an unusable directory, then an unwritable comparison.csv, fail before any mission
+        _write_outputs(subs[0], {})
+        _write_outputs(out_root, {"comparison.csv": lines[0] + "\n"})
+        for (cfg, spec), sub in zip(loaded, subs):
             report, _ = execute_run(cfg, spec, sub, not args.no_timing)
             lines.append(f"{cfg.mode},{report.format(not args.no_timing)}")
         _write_outputs(out_root, {"comparison.csv": "\n".join(lines) + "\n"})

@@ -110,6 +110,19 @@ def carried_path_collision(state: MissionState, belief: OccupancyGrid,
     return hit
 
 
+def free_waypose(route: AStarPath, s_w: float, checker: CollisionChecker) -> Optional[Pose2D]:
+    """The waypose at s_w, or, when `pose_blocked`, the first free pose at a route vertex
+    behind it (`waypose_at` of the vertex's arc length) short of the route's start, the
+    vehicle's own cell; None when none is free."""
+    vertices = route.cumulative_s[1:]
+    behind = vertices[vertices < min(s_w, route.length)][::-1]
+    for s in [s_w, *behind.tolist()]:
+        pose = waypose_at(route, s)
+        if not checker.pose_blocked(pose.x, pose.y, pose.yaw):
+            return pose
+    return None
+
+
 def compute_replan_start(state: MissionState, s_coll_found: Optional[float],
                          s_div_found: Optional[float], alpha: float
                          ) -> Tuple[Pose2D, float]:
@@ -204,11 +217,12 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     if s_g_start >= mission_cfg.s_lim:
         if nav_mode == NAV_EARLY_STOP:
             horizon = mission_cfg.s_w
-        elif nav_mode == NAV_WAYPOINT:
-            try:
-                goal = waypose_at(astar, mission_cfg.s_w)
-            except ValueError:
-                goal = state.goal
+        elif nav_mode == NAV_WAYPOINT and astar.points.shape[0] >= 2:
+            goal = free_waypose(astar, mission_cfg.s_w,
+                                CollisionChecker(belief, make_disk_set(vehicle), cap=cap))
+            if goal is None:
+                return TickResult(status="failed", cause=cause, s_plan=s_plan,
+                                  reason="no free waypose on the route")
 
     start_steer = math.atan(start_kappa * vehicle.wheelbase)
     try:

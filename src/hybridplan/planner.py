@@ -595,9 +595,8 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             if suffix is not None:
                 return finish(_reconstruct(node, table).concat(suffix))
 
-        # children: end pose, lattice key and cost of every step first; only
-        # those that beat best_g get a collision check, in one batch over
-        # their sub-samples unless no disk within reach can be blocked
+        # children: end pose, lattice key and cost of every step first; one
+        # collision check over all drive primitives if a drive beats best_g
         x, y, yaw, g = node.x, node.y, node.yaw, node.g
         c, s = math.cos(yaw), math.sin(yaw)
         n_steps = n_drive
@@ -615,26 +614,14 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             g2 = g + costs[i]
             if g2 < best_g.get(nkey, math.inf) - 1e-12:
                 fresh.append((i, nx, ny, nyaw, nkey, g2))
-        drives = [f[0] for f in fresh if f[0] < n_drive]
-        blocked = ()
-        if drives and not checker.clear_within(x, y):
-            # the survivors' sub-sample poses, bit for bit x + dx*c - dy*s,
-            # y + dx*s + dy*c, c*cos - s*sin and s*cos + c*sin (float
-            # addition commutes and a - b is a + (-b))
-            dx, dy, cos_d, sin_d = table.samples[:, drives]
-            turn, normal = np.array([[[c]], [[s]]]), np.array([[[-s]], [[c]]])
-            xy = dx * turn
-            xy += np.array([[[x]], [[y]]])
-            xy += dy * normal
-            heading = cos_d * turn
-            heading += sin_d * normal
-            hit = checker.batch_blocked(xy, heading).any(axis=1)
-            blocked = {p for p, b in zip(drives, hit.tolist()) if b}
+        blocked = []     # drives precede rotations in `fresh`, as in `ends`
+        if fresh and fresh[0][0] < n_drive:
+            blocked = checker.expansion_blocked(x, y, c, s, table.samples)
 
         # best_g only decreases, so re-testing it here settles children of
         # this expansion that share a key exactly as one sequential pass would
         for i, nx, ny, nyaw, nkey, g2 in fresh:
-            if i in blocked or g2 >= best_g.get(nkey, math.inf) - 1e-12:
+            if (i < len(blocked) and blocked[i]) or g2 >= best_g.get(nkey, math.inf) - 1e-12:
                 continue
             steer, direction, amount = ends[i][3]
             h2, hd2 = heuristic(nx, ny, nyaw, nkey)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -134,6 +134,12 @@ class CollisionChecker:
         that contains the footprint at every yaw must be obstacle free."""
         return self.field.at(x, y) < self.swept_threshold
 
+    def _reach_on_grid(self, x: float, y: float) -> bool:
+        m = self.reach + 1e-6
+        (ix0, iy0), (ix1, iy1) = self.field.cell_of(x - m, y - m), self.field.cell_of(x + m, y + m)
+        h, w = self.field.values.shape
+        return 0 <= ix0 and 0 <= iy0 and ix1 < w and iy1 < h
+
     def clear_within(self, x: float, y: float) -> bool:
         """True only when no disk centred within `reach` of (x, y) is blocked.
 
@@ -141,13 +147,30 @@ class CollisionChecker:
         the distance of two points plus two half cell diagonals between their
         cells; the disc of radius `reach` must also lie wholly on the grid.
         """
-        field = self.field
-        m = self.reach + 1e-6
-        ix0, iy0 = field.cell_of(x - m, y - m)
-        ix1, iy1 = field.cell_of(x + m, y + m)
-        h, w = field.values.shape
-        return (0 <= ix0 and 0 <= iy0 and ix1 < w and iy1 < h
-                and field.at(x, y) >= self._clear_at)
+        return self._reach_on_grid(x, y) and self.field.at(x, y) >= self._clear_at
+
+    def expansion_blocked(self, x: float, y: float, c: float, s: float,
+                          samples: np.ndarray) -> List[bool]:
+        """Per drive primitive of the node (x, y) with yaw cosine c and sine s: is a
+        disk at one of its sub-samples blocked?  [] when `clear_within` holds.
+
+        `samples` is (dx, dy, cos dyaw, sin dyaw) of every sub-sample, (4, P, K), a
+        pose being x + dx*c + dy*(-s) and so on, summed in that order.  `reach` bounds
+        every disk centre, so a reach box on the grid (its 1e-6 m covers rounding)
+        holds them all, and the disk mask is read with no off-grid test."""
+        on_grid = self._reach_on_grid(x, y)
+        if on_grid and self.field.at(x, y) >= self._clear_at:
+            return []
+        turn, normal, at = np.array([c, s, -s, c, x, y]).reshape(3, 2, 1, 1, 1)
+        pose = samples[0::2] * turn         # x and y of (position, heading)
+        pose[:, :1] += at
+        pose += samples[1::2] * normal
+        if not on_grid:                     # an off-grid centre is blocked
+            return self.batch_blocked(pose[:, 0], pose[:, 1]).any(axis=1).tolist()
+        centres = self.offsets[:, None, None] * pose[:, 1:] + pose[:, :1]   # (2, disks, P, K)
+        cells = np.floor(centres / self.field.resolution)
+        index = cells[1] * self.blocked.shape[1] + cells[0]     # row-major, exact in float64
+        return self.blocked.take(index.astype(np.intp)).any(axis=(0, 2)).tolist()
 
     def batch_blocked(self, xy: np.ndarray, heading: np.ndarray) -> np.ndarray:
         """Per-pose disk test; True where blocked.

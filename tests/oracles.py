@@ -28,8 +28,9 @@ references keep the segment-index cursor and gear lookup that
 `PlannedPath.walk()` replaced, the raytrace reference keeps the masked
 all-rays loop that the live-ray march replaced, the search reference
 keeps the child loop that costed, keyed and collision-checked every child,
-and the proximity reference keeps the per-corner lookups that one array
-lookup replaced.
+the expansion reference keeps the batch over the surviving drive
+primitives that one check over all of them replaced, and the proximity
+reference keeps the per-corner lookups that one array lookup replaced.
 """
 from __future__ import annotations
 
@@ -650,11 +651,13 @@ def reference_stack():
     mask) at any cap.
     The mission's route is the scalar descent from scratch on every tick
     (`extract_astar_path_reference`, which ignores the previous route),
-    every nearest-cell lookup is the 5 x 5 scan, and every tick checks the
-    path for collisions in full, with no carried verdict."""
+    every nearest-cell lookup is the 5 x 5 scan, every tick checks the
+    path for collisions in full, with no carried verdict, and every node
+    expansion checks its drive primitives through `batch_blocked`
+    (`expansion_blocked_reference`)."""
     saved = (OccupancyGrid.derived, grid_module._add_obstacles,
              mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
-             mission_module.carried_path_collision)
+             mission_module.carried_path_collision, CollisionChecker.expansion_blocked)
     derived = saved[0]
     OccupancyGrid.derived = lambda self, key, build: derived(
         self, key, lambda previous, added: build(None, None))
@@ -666,12 +669,18 @@ def reference_stack():
     mission_module.carried_path_collision = (
         lambda state, belief, disks, cap=math.inf: mission_module.check_path_collision(
             state.current_path, state.progress_s, belief, disks, state.rotations_done, cap))
+
+    def expansion_blocked(checker, x, y, c, s, samples):
+        drives = list(range(samples.shape[1]))
+        blocked = expansion_blocked_reference(checker, samples, x, y, c, s, drives)
+        return [p in blocked for p in drives]
+    CollisionChecker.expansion_blocked = expansion_blocked
     try:
         yield
     finally:
         (OccupancyGrid.derived, grid_module._add_obstacles,
          mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
-         mission_module.carried_path_collision) = saved
+         mission_module.carried_path_collision, CollisionChecker.expansion_blocked) = saved
 
 
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
@@ -929,6 +938,30 @@ def rotation_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float)
     """The circle holding the footprint at every yaw is not obstacle free."""
     threshold = disks.swept_radius + resolution * math.sqrt(2.0) / 2.0
     return _field_at(field, resolution, pose.x, pose.y) < threshold
+
+
+def expansion_blocked_reference(checker: CollisionChecker, samples: np.ndarray, x: float,
+                                y: float, c: float, s: float, drives: List[int]):
+    """The survivor batch that `CollisionChecker.expansion_blocked` replaced:
+    the primitives among `drives` (indices into `samples`, (4, P, K)) with a
+    blocked sub-sample, empty when `clear_within` holds.  Only the survivors'
+    sub-samples are posed, and `batch_blocked` tests them, off-grid test
+    included."""
+    blocked = ()
+    if drives and not checker.clear_within(x, y):
+        # the survivors' sub-sample poses, bit for bit x + dx*c - dy*s,
+        # y + dx*s + dy*c, c*cos - s*sin and s*cos + c*sin (float
+        # addition commutes and a - b is a + (-b))
+        dx, dy, cos_d, sin_d = samples[:, drives]
+        turn, normal = np.array([[[c]], [[s]]]), np.array([[[-s]], [[c]]])
+        xy = dx * turn
+        xy += np.array([[[x]], [[y]]])
+        xy += dy * normal
+        heading = cos_d * turn
+        heading += sin_d * normal
+        hit = checker.batch_blocked(xy, heading).any(axis=1)
+        blocked = {p for p, b in zip(drives, hit.tolist()) if b}
+    return blocked
 
 
 def kappa_dot_rms_direct(kappa_runs: List[np.ndarray], ds: float) -> Tuple[float, float]:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hybridplan
+from hybridplan import cli
 from hybridplan.cli import main
 from hybridplan.mission import MissionConfig
 from hybridplan.planner import PlannerConfig
@@ -327,8 +328,12 @@ def _map_resolution(value):
 def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, named):
     """Inputs that used to run on a cast or ignored value, to end in a
     traceback, or to exit 1 without naming the map file, exit 1 naming the
-    field or the file."""
+    field or the file.  `compare` finds each of them before its first
+    mission, an unwritable comparison.csv included."""
     monkeypatch.chdir(tmp_path)          # keeps a run into output_dir "None" or "5" in tmp_path
+    missions, run_scenario = [], cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda *args: missions.append(args) or run_scenario(*args))
     shutil.copy(SMOKE, tmp_path / "s.scenario")
     shutil.copy(SMOKE.with_suffix(".map"), tmp_path)
     cfg = write_config(tmp_path, scenario="s.scenario")
@@ -337,6 +342,7 @@ def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, 
     assert main(argv + ["--no-timing"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named.format(tmp=tmp_path) in err, err
+    assert command == "run" or not missions
 
 
 def test_unknown_bundled_scenario_lists_the_shipped_ones(tmp_path, capsys):

@@ -10,11 +10,12 @@ from hybridplan import grid as grid_module, heuristic, mission, planner, simulat
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, raytrace_reveal
-from hybridplan.heuristic import extract_astar_path, waypose_at
+from hybridplan.heuristic import AStarPath, extract_astar_path, waypose_at
 from hybridplan.mission import (MissionConfig, MissionState, carried_path_collision,
-                                check_path_collision, compute_replan_start, mission_tick)
+                                check_path_collision, compute_replan_start, free_waypose,
+                                mission_tick)
 from hybridplan.planner import PathBuilder, PlannerConfig, RotationSegment, field_cap, plan
-from hybridplan.vehicle import VehicleSpec, make_disk_set
+from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
 
 from conftest import bordered_grid, bundled, pose_close
 from oracles import build_distance_map_reference, extract_astar_path_reference
@@ -377,6 +378,52 @@ def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):
     assert near.prev_astar.length < cfg.s_lim
     assert calls[-1] == (goal, None)
     assert near.path_to_goal
+
+
+def test_a_blocked_waypose_moves_back_along_the_route(monkeypatch):
+    """A wall across the corridor leaves a 2.8 m gap.  The route passes it
+    off-centre, on cell centres, where the footprint does not fit, and the
+    waypose at s_w lies in the gap.  The plan goes to the first route vertex
+    behind it whose pose is free, every vertex between the two being blocked."""
+    goals = []
+
+    def recording_plan(belief, start, goal, *args, **kwargs):
+        goals.append(goal)
+        return plan(belief, start, goal, *args, **kwargs)
+
+    monkeypatch.setattr(mission, "plan", recording_plan)
+    g = bordered_grid(200, 14)
+    g.set_box(59.0, 0.0, 61.0, 5.6, OCCUPIED)
+    g.set_box(59.0, 8.4, 61.0, 14.0, OCCUPIED)
+    state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(193, 7, 0))
+    tick(state, g, mode="waypoint")
+    route, s_w = state.prev_astar, MissionConfig().s_w
+    checker = CollisionChecker(g, make_disk_set(VEH), cap=field_cap(VEH, CFG, g.resolution))
+
+    def blocked(pose):
+        return checker.pose_blocked(pose.x, pose.y, pose.yaw)
+    assert blocked(waypose_at(route, s_w))
+    vertices = [s for s in route.cumulative_s.tolist() if 0.0 < s < s_w]
+    poses = [waypose_at(route, s) for s in vertices]
+    free = max(i for i, pose in enumerate(poses) if not blocked(pose))
+    assert all(blocked(pose) for pose in poses[free + 1:])
+    assert goals == [poses[free]] and poses[free].x < 59.0
+
+
+def test_no_free_waypose_on_the_route_is_none():
+    """Past the route's start, the vehicle's own cell, every vertex pose is
+    blocked: there is no free waypose.  With the wall's west face moved to
+    x = 40 m, the waypose is the last free vertex before it."""
+    g = bordered_grid(100, 14)
+    g.set_box(7.0, 0.0, 100.0, 14.0, OCCUPIED)
+    points = np.column_stack([5.0 + np.arange(100) * 0.625, np.full(100, 7.0)])
+    route = AStarPath(points=points, cumulative_s=np.arange(100) * 0.625)
+    assert free_waypose(route, 55.0, CollisionChecker(g, make_disk_set(VEH))) is None
+    g.set_box(7.0, 0.5, 40.0, 13.5, FREE)
+    checker = CollisionChecker(g, make_disk_set(VEH))
+    pose = free_waypose(route, 55.0, checker)
+    assert not checker.pose_blocked(pose.x, pose.y, pose.yaw)
+    assert checker.pose_blocked(pose.x + 0.625, pose.y, pose.yaw) and 30.0 < pose.x < 40.0
 
 
 @pytest.mark.parametrize("scenario,mode,replans", [

@@ -83,11 +83,10 @@ def test_navigation_comparison_pinned(scenario, mode, runs):
 
 
 # With the large maps' tighter inflation (`inflation_radius` 0.3, as the
-# acceptance suite's `LARGE_MAP_CFG`), waypoint navigation hands the planner
-# a waypoint whose pose is in collision at its first call.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "unknown_large/waypoint with inflation_radius 0.3 stops at the first call "
-    "with 'planner failure: goal in collision'"))
+# acceptance suite's `LARGE_MAP_CFG`), the route passes gaps that the
+# footprint does not, and the waypose at its first call lies in collision.
+# The mission moves a blocked waypose back along the route to a free pose
+# (`mission.free_waypose`), so the planner is never handed one.
 def test_waypoint_goal_is_free_under_tight_inflation():
     report = run_scenario(bundled("unknown_large"), MissionConfig(),
                           PlannerConfig(inflation_radius=0.3), MODES["waypoint"],

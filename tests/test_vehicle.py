@@ -16,7 +16,8 @@ from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_
                                make_disk_set)
 
 from conftest import pose_close
-from oracles import pose_collides, rectangle_hits_occupied, rotation_collides
+from oracles import (expansion_blocked_reference, pose_collides, rectangle_hits_occupied,
+                     rotation_collides)
 
 MAX_STEER = math.radians(31.51)
 
@@ -385,3 +386,80 @@ def test_clear_within_proves_every_disk_free(seed, res, density, n_disks):
                               pose.y + o * math.sin(pose.yaw) - y) <= reach
                    for o in disks.centers):
                 assert not pose_collides(pose, disks, field, res)
+
+
+def _expansion_poses(r, checker: CollisionChecker, table, obstacle):
+    """Node poses by kind: next to `obstacle` and anywhere in the interior
+    (reach box on the grid), near or past a grid edge, one ulp off a cell
+    boundary, and one with a disk centre of some sub-sample a few roundings
+    off an x boundary of the disk mask, where the mask changes; the yaws lie
+    on the axes or at random."""
+    res = checker.field.resolution
+    h_m, w_m = (n * res for n in checker.blocked.shape)
+    m = table.reach + 0.01
+    edges = np.argwhere(checker.blocked[:, 1:] != checker.blocked[:, :-1])
+    for i in range(48):
+        kind = "obstacle" if i == 0 else ("interior", "edge", "ulp", "boundary")[i % 4]
+        x, y = obstacle if kind == "obstacle" else (float(r.uniform(m, w_m - m)),
+                                                    float(r.uniform(m, h_m - m)))
+        yaw = float(r.choice([0.0, math.pi / 2, math.pi, -math.pi / 2, r.uniform(-math.pi, math.pi)]))
+        if kind == "edge":
+            side = float(r.uniform(-0.5, m + 0.5))
+            x, y = [(side, y), (w_m - side, y), (x, side), (x, h_m - side)][r.integers(4)]
+        elif kind == "ulp":
+            x, y = (math.nextafter(round(v / res) * res, (-1) ** int(r.integers(2)) * math.inf)
+                    for v in (x, y))
+        elif kind == "boundary" and len(edges):
+            iy, ix = edges[r.integers(len(edges))] + (0, 1)
+            dx, dy, cd, sd = table.samples[:, r.integers(len(table.steps)), r.integers(table.n_sub)]
+            c, s, o = math.cos(yaw), math.sin(yaw), float(r.choice(checker.offsets))
+            x = ix * res - (dx * c + dy * -s + o * (cd * c + sd * -s))
+            y = (iy + 0.5) * res - (dx * s + dy * c + o * (cd * s + sd * c))
+            n = int(r.integers(-3, 4))
+            for _ in range(abs(n)):
+                x = math.nextafter(x, n * math.inf)
+        yield kind, x, y, yaw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), res=st.sampled_from([0.15625, 0.25]),
+       density=st.sampled_from([0.0, 0.005, 0.03, 0.15]), n_disks=st.integers(1, 4),
+       collision_step=st.sampled_from([0.15625, 0.3]))
+def test_expansion_blocked_matches_the_survivor_batch(seed, res, density, n_disks,
+                                                      collision_step):
+    """`expansion_blocked` gives every drive primitive the verdict of the
+    survivor batch it replaced (`expansion_blocked_reference`), at the node
+    poses of `_expansion_poses`.  Both of its paths run: the disk mask read
+    with no off-grid test, and `batch_blocked` where the reach box leaves
+    the grid."""
+    r = np.random.default_rng(seed)
+    vehicle = VehicleSpec(n_disks=n_disks)
+    config = PlannerConfig(collision_step=collision_step)
+    table = _PrimitiveTable(config, vehicle)
+    w, h = int(r.integers(48, 96)), int(r.integers(48, 96))
+    cells = np.where(r.random((h, w)) < density, OCCUPIED, FREE)
+    m = table.reach + 0.01
+    obstacle = (float(r.uniform(m, w * res - m)), float(r.uniform(m, h * res - m)))
+    cells[int(obstacle[1] / res), int(obstacle[0] / res)] = OCCUPIED
+    g = OccupancyGrid(res, cells)
+    checker = CollisionChecker(g, make_disk_set(vehicle), table.reach,
+                               field_cap(vehicle, config, res, table))
+    fallbacks = [0]
+    batch = checker.batch_blocked
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return batch(*args)
+    drives = list(range(len(table.steps)))
+    paths = {"mask": 0, "batch_blocked": 0}
+    for kind, x, y, yaw in _expansion_poses(r, checker, table, obstacle):
+        c, s = math.cos(yaw), math.sin(yaw)
+        expected = expansion_blocked_reference(checker, table.samples, x, y, c, s, drives)
+        checker.batch_blocked, fallbacks[0] = counted, 0
+        got = checker.expansion_blocked(x, y, c, s, table.samples)
+        del checker.batch_blocked
+        assert {p for p in drives if got and got[p]} == set(expected), (kind, x, y, yaw)
+        assert got == [] or len(got) == len(drives)
+        if got:
+            paths["batch_blocked" if fallbacks[0] else "mask"] += 1
+    assert paths["mask"] and paths["batch_blocked"], paths
