@@ -107,6 +107,10 @@ def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[Occupancy
     return belief
 
 
+# the files `execute_run` writes into its directory
+RUN_OUTPUTS = ("path.json", "metrics.csv", "events.log", "map.svg")
+
+
 def _write_outputs(out_dir: Path, texts: Dict[str, str]) -> None:
     """Create `out_dir` and write each named text into it; an OSError names output_dir."""
     try:
@@ -119,7 +123,8 @@ def _write_outputs(out_dir: Path, texts: Dict[str, str]) -> None:
 
 def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
                 with_timing: bool) -> Tuple[MetricsReport, List[EventRecord]]:
-    _write_outputs(out_dir, {})          # an unusable directory fails before the mission
+    # an unusable directory or output file fails before the mission
+    _write_outputs(out_dir, dict.fromkeys(RUN_OUTPUTS, ""))
     run = run_scenario(spec, cfg.mission, cfg.planner, MODES[cfg.mode], cfg.vehicle)
     svg = render_run(spec.truth_map, _final_belief(spec, run.driven), run.driven)
     _write_outputs(out_dir, {**run.texts(with_timing), "map.svg": svg})
@@ -149,8 +154,10 @@ def cmd_compare(args) -> int:
         lines = ["mode," + ",".join(MetricsReport.COLUMNS)]
         subs = [out_root / f"run_{idx:02d}_{cfg.mode.replace('+', '_')}"
                 for idx, (cfg, _) in enumerate(loaded)]
-        # an unusable directory, then an unwritable comparison.csv, fail before any mission
-        _write_outputs(subs[0], {})
+        # an unusable run directory or output file, then an unwritable comparison.csv,
+        # fail before any mission
+        for sub in subs:
+            _write_outputs(sub, dict.fromkeys(RUN_OUTPUTS, ""))
         _write_outputs(out_root, {"comparison.csv": lines[0] + "\n"})
         for (cfg, spec), sub in zip(loaded, subs):
             report, _ = execute_run(cfg, spec, sub, not args.no_timing)

@@ -72,17 +72,21 @@ class OccupancyGrid:
     empty.  Exactly one write separates a build from its `previous`, so
     `added` is the whole delta.  `previous` is dropped once the build
     returns.  Only two generations are held; `copy` starts with an empty
-    memo.
+    memo.  `cap` saturates the grid's one obstacle field (`distance_field`);
+    +inf, the default, keeps it exact.
     """
 
-    def __init__(self, resolution: float, cells: np.ndarray) -> None:
+    def __init__(self, resolution: float, cells: np.ndarray, cap: float = math.inf) -> None:
         if not (math.isfinite(resolution) and resolution > 0.0):
             raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+        if not cap > 0.0:       # written so that NaN fails too
+            raise ValueError(f"cap must be positive, got {cap!r}")
         cells = np.array(cells, dtype=np.uint8, order="C")
         if cells.ndim != 2 or cells.size == 0:
             raise ValueError("cells must be a non-empty 2D array")
         cells.setflags(write=False)
         self.resolution = resolution
+        self.cap = cap
         self.version = 0
         self._cells = cells
         self._added: Optional[np.ndarray] = None
@@ -132,20 +136,19 @@ class OccupancyGrid:
             self._previous.pop(key, None)   # kept until then, in case the build raises
         return self._memo[key]
 
-    def distance_field(self, cap: float = math.inf, readers=()) -> Raster:
-        """Memoized obstacle distance transform saturated at `cap`; -inf off
-        the grid.  Each rebuild starts from the previous generation's field.
-        Raises ValueError on the first (reader, threshold) of `readers` above
-        `cap`, where the saturated field could decide otherwise."""
+    def distance_field(self, readers=()) -> Raster:
+        """Memoized obstacle distance transform saturated at the grid's `cap`;
+        -inf off the grid.  Each rebuild starts from the previous generation's
+        field.  Raises ValueError on the first (reader, threshold) of `readers`
+        above the cap, where the saturated field could decide otherwise."""
         for reader, threshold in readers:
-            if threshold > cap:
+            if threshold > self.cap:
                 raise ValueError(f"{reader} compares the obstacle field with {threshold!r} m, "
-                                 f"above the field's cap {cap!r} m")
+                                 f"above the field's cap {self.cap!r} m")
         def build(previous: Optional[Raster], added: Optional[np.ndarray]) -> Raster:
-            field = distance_transform(self, previous=previous and previous.values,
-                                       added=added, cap=cap)
+            field = distance_transform(self, previous=previous and previous.values, added=added)
             return Raster(field, self.resolution, -math.inf)
-        return self.derived(("distance_field", cap), build)
+        return self.derived(("distance_field",), build)
 
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
@@ -161,7 +164,7 @@ class OccupancyGrid:
         return self.cells.shape[0]
 
     def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.resolution, self.cells)
+        return OccupancyGrid(self.resolution, self.cells, self.cap)
 
     def occupied_mask(self, unknown_as_occupied: bool = False) -> np.ndarray:
         if unknown_as_occupied:
@@ -213,17 +216,15 @@ def load_map(path) -> OccupancyGrid:
 
 
 def distance_transform(grid: OccupancyGrid, *, previous: Optional[np.ndarray] = None,
-                       added: Optional[np.ndarray] = None,
-                       cap: float = math.inf) -> np.ndarray:
+                       added: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell Euclidean distance in meters to the nearest occupied cell
-    center, +inf where it exceeds `cap`, as a read-only array.
+    center, +inf where it exceeds `grid.cap`, as a read-only array.
 
     Occupied cells map to 0 and unknown cells count as free; a grid without
     any occupied cell maps to +inf.  A reader comparing with a threshold of
-    at most `cap` decides as on the exact field (`cap` +inf); the planner's
-    cap is the largest threshold of its readers (`planner.field_cap`).
+    at most the cap decides as on the exact field (cap +inf).
 
-    `previous` is the field at the same cap of the grid one write back, and
+    `previous` is the field of the grid one write back, and
     `added` the flat indices of the cells that write made occupied (it
     freed none): `previous` itself when there are none, and otherwise
     lowered to the distance to them (`_add_obstacles`).  With no `previous`
@@ -236,7 +237,7 @@ def distance_transform(grid: OccupancyGrid, *, previous: Optional[np.ndarray] = 
         added = np.flatnonzero(grid.cells == OCCUPIED)
     if not added.size:
         return previous
-    return _add_obstacles(previous, added, grid.resolution, cap)
+    return _add_obstacles(previous, added, grid.resolution, grid.cap)
 
 
 def _grow(reach: float, resolution: float, shape) -> int:

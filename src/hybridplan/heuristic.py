@@ -137,12 +137,12 @@ def resolution_factor(xy_resolution: float, grid_resolution: float) -> int:
 
 
 def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
-                       config: PlannerConfig, cap: float = math.inf) -> DistanceMap:
+                       config: PlannerConfig) -> DistanceMap:
     """Flood the cost-to-goal over the 8-connected grid of the planner's lattice.
 
     Unknown cells count as free (optimistic planner); cells within
-    `config.inflation_radius` of an occupied cell, on the obstacle field
-    saturated at `cap` (a build raises ValueError below it), are blocked before
+    `config.inflation_radius` of an occupied cell, on the belief's obstacle
+    field (ValueError when the radius exceeds its cap), are blocked before
     max-pool downsampling.  Straight moves cost the planning resolution,
     diagonal moves sqrt(2) times that.  The map is memoized on the belief
     per goal cell, resolution and radius.  A rebuild from the previous
@@ -159,7 +159,7 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     goal_cell = Raster(belief.cells, res, True).cell_of(goal.x, goal.y)
 
     def build(previous: Optional[DistanceMap], added: Optional[np.ndarray]) -> DistanceMap:
-        field = belief.distance_field(cap, [("the route's inflation_radius", inflation)]).values
+        field = belief.distance_field([("the route's inflation_radius", inflation)]).values
         if previous is None:
             blocked = _downsample_blocked(field <= inflation, factor)
         else:       # the coarse cells over the window, pooled again

@@ -73,14 +73,13 @@ class TickResult:
 
 
 def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid,
-                         disks: DiskSet, rotations_done: int = 0,
-                         cap: float = math.inf) -> Optional[float]:
+                         disks: DiskSet, rotations_done: int = 0) -> Optional[float]:
     """Arc length past from_s of the first colliding sample, None when clear.
 
     The first rotations_done rotations of the path are already executed and
     not checked (`PlannedPath.walk`); a larger from_s or rotations_done checks a subset.
     """
-    checker = CollisionChecker(belief, disks, cap=cap)
+    checker = CollisionChecker(belief, disks)
     for acc, seg in path.walk(rotations_done):
         if isinstance(seg, RotationSegment):
             if acc >= from_s - 1e-9 and checker.rotation_blocked(seg.x, seg.y):
@@ -96,7 +95,7 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
 
 
 def carried_path_collision(state: MissionState, belief: OccupancyGrid,
-                           disks: DiskSet, cap: float = math.inf) -> Optional[float]:
+                           disks: DiskSet) -> Optional[float]:
     """`check_path_collision` from the vehicle's place, or None unchecked while the last
     clear check's path, belief, version and disks hold and neither position is behind."""
     key = (state.current_path, belief, belief.version, disks)
@@ -104,7 +103,7 @@ def carried_path_collision(state: MissionState, belief: OccupancyGrid,
     if held[0] == key and held[1] <= state.progress_s and held[2] <= state.rotations_done:
         return None
     hit = check_path_collision(state.current_path, state.progress_s, belief, disks,
-                               state.rotations_done, cap)
+                               state.rotations_done)
     if hit is None:
         state.clear_check = (key, state.progress_s, state.rotations_done)
     return hit
@@ -147,12 +146,11 @@ def _goal_reached(state: MissionState, planner_cfg: PlannerConfig) -> bool:
 
 
 def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: MissionConfig,
-                 planner_cfg: PlannerConfig, mode: Tuple[str, str], vehicle: VehicleSpec,
-                 cap: float) -> TickResult:
+                 planner_cfg: PlannerConfig, mode: Tuple[str, str], vehicle: VehicleSpec
+                 ) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
 
-    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*);
-    the route and the collision trigger read the field at the run's `cap`.
+    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*).
 
     The distance map is memoized on the belief (see `OccupancyGrid.derived`).
     The coarse route is the previous tick's route, or its suffix, while the
@@ -168,7 +166,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     planner_mode, nav_mode = mode
 
     try:
-        dmap = build_distance_map(belief, state.goal, planner_cfg, cap)
+        dmap = build_distance_map(belief, state.goal, planner_cfg)
     except GoalBlockedError as exc:
         return TickResult(status="failed", reason=str(exc))
     try:
@@ -183,7 +181,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
 
     s_coll_found = None
     if state.current_path is not None:
-        s_coll_found = carried_path_collision(state, belief, make_disk_set(vehicle), cap)
+        s_coll_found = carried_path_collision(state, belief, make_disk_set(vehicle))
 
     if state.current_path is None:
         cause = "initial"
@@ -219,7 +217,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
             horizon = mission_cfg.s_w
         elif nav_mode == NAV_WAYPOINT and astar.points.shape[0] >= 2:
             goal = free_waypose(astar, mission_cfg.s_w,
-                                CollisionChecker(belief, make_disk_set(vehicle), cap=cap))
+                                CollisionChecker(belief, make_disk_set(vehicle)))
             if goal is None:
                 return TickResult(status="failed", cause=cause, s_plan=s_plan,
                                   reason="no free waypose on the route")
@@ -229,8 +227,9 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
         planned, stats = plan(belief, start, goal, vehicle, planner_cfg,
                               mode=planner_mode, horizon=horizon,
                               start_direction=start_dir, start_steer=start_steer)
-    except PlannerFailure as exc:
-        return TickResult(status="failed", cause=cause, s_plan=s_plan, reason=str(exc))
+    except PlannerFailure as exc:      # a failed call is counted, with its effort
+        return TickResult(status="failed", cause=cause, s_plan=s_plan, stats=exc.stats,
+                          reason=str(exc), s_div_found=s_div_found, s_coll_found=s_coll_found)
 
     state.current_path = prefix.concat(planned)
     state.progress_s = 0.0

@@ -31,7 +31,7 @@ _PREFIX = 64    # samples per Reeds-Shepp candidate in the analytic expansion's 
 
 
 class PlannerFailure(RuntimeError):
-    pass
+    stats: Optional["SearchStats"] = None     # the failed search's, set by `plan`
 
 
 class NoPathError(PlannerFailure):
@@ -470,11 +470,10 @@ class _PrimitiveTable:
                                     dy[..., None] + offsets * sin_dyaw).max())
 
 
-def field_cap(vehicle: VehicleSpec, config: PlannerConfig, resolution: float,
-              table: Optional[_PrimitiveTable] = None) -> float:
+def field_cap(vehicle: VehicleSpec, config: PlannerConfig, resolution: float) -> float:
     """The obstacle field's cap on a grid of `resolution`: the largest threshold of
     its readers, the route's inflation radius and the checker at the primitives' reach."""
-    reach = (table or _PrimitiveTable(config, vehicle)).reach
+    reach = _PrimitiveTable(config, vehicle).reach
     thresholds = checker_thresholds(make_disk_set(vehicle), resolution, reach)
     return max(config.inflation_radius, *(threshold for _, threshold in thresholds))
 
@@ -505,25 +504,32 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     With no `horizon` it plans to the goal: it ends on the goal lattice cell or
     a collision-free analytic connection.  A horizon ends it on the goal cell or
     at the first expanded node whose 2D cost-to-goal has dropped more than
-    `horizon` below the start's.  Every reader shares the obstacle field
-    saturated at `field_cap`.  Raises NoPathError / BudgetExceededError.
+    `horizon` below the start's.  Every reader shares the belief's obstacle
+    field, whose cap must reach their thresholds (`field_cap`; ValueError
+    otherwise).  Raises PlannerFailure (NoPathError, BudgetExceededError)
+    carrying the failed search's stats.
     """
     t_begin = time.perf_counter()
     stats = SearchStats()
+
+    def failed(exc: PlannerFailure) -> PlannerFailure:
+        stats.wall_time_s = time.perf_counter() - t_begin
+        exc.stats = stats
+        return exc
+
     table = _PrimitiveTable(config, vehicle)
-    cap = field_cap(vehicle, config, belief.resolution, table)
-    checker = CollisionChecker(belief, make_disk_set(vehicle), table.reach, cap)
+    checker = CollisionChecker(belief, make_disk_set(vehicle), table.reach)
 
     if checker.pose_blocked(start.x, start.y, start.yaw):
-        raise PlannerFailure("start in collision")
+        raise failed(PlannerFailure("start in collision"))
     if horizon is None and checker.pose_blocked(goal.x, goal.y, goal.yaw):
-        raise PlannerFailure("goal in collision")
+        raise failed(PlannerFailure("goal in collision"))
 
-    dmap = build_distance_map(belief, goal, config, cap)
+    dmap = build_distance_map(belief, goal, config)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):
-        raise NoPathError("no path")
+        raise failed(NoPathError())
 
     turn_radius = vehicle.min_turn_radius
     key_of = _lattice_key(config)
@@ -580,7 +586,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             continue
         stats.nodes_expanded += 1
         if stats.nodes_expanded > config.node_budget:
-            raise BudgetExceededError()
+            raise failed(BudgetExceededError())
 
         if node.key == goal_key or (horizon is not None and math.isfinite(node.hd)
                                     and hd_start - node.hd > horizon):
@@ -631,7 +637,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
             counter += 1
             heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
 
-    raise NoPathError()
+    raise failed(NoPathError())
 
 
 def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:

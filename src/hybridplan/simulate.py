@@ -160,14 +160,12 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     mode is a `cli.MODES` row (planner mode, navigation)."""
     vehicle = vehicle or VehicleSpec()
     truth = spec.truth_map
-    if spec.known_env:
-        belief = truth.copy()
-    else:
-        belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells,
-                                      truth.resolution, UNKNOWN)
+    # the belief's one obstacle field, saturated above every threshold that reads it
+    cap = field_cap(vehicle, planner_cfg, truth.resolution)
+    cells = truth.cells if spec.known_env else np.full_like(truth.cells, UNKNOWN)
+    belief = OccupancyGrid(truth.resolution, cells, cap)
 
     state = MissionState(vehicle_pose=spec.start, goal=spec.goal)
-    cap = field_cap(vehicle, planner_cfg, truth.resolution)
     events: List[EventRecord] = []
     builder = PathBuilder(spec.start)
     steps: Iterator[None] = iter(())
@@ -178,22 +176,23 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
             raytrace_reveal(truth, belief, state.vehicle_pose,
                             spec.sensor_range, spec.n_rays)
 
-        result = mission_tick(state, belief, mission_cfg, planner_cfg, mode, vehicle, cap)
+        result = mission_tick(state, belief, mission_cfg, planner_cfg, mode, vehicle)
         if result.status == "goal_reached":
             stop_cause = "reached"
             break
-        if result.status == "failed":
-            # a planner failure happens inside a replan, which has a cause
-            kind = "planner failure" if result.cause is not None else "route lost"
-            stop_cause = f"{kind}: {result.reason}"
-            break
-        if result.replanned:
+        if result.stats is not None:        # a planner call, failed or not
             events.append(EventRecord(step=step, cause=result.cause,
                                       s_plan=result.s_plan,
                                       nodes=result.stats.nodes_expanded,
                                       seconds=result.stats.wall_time_s,
                                       s_div=result.s_div_found,
                                       s_coll=result.s_coll_found))
+        if result.status == "failed":
+            # a planner failure happens inside a replan, which has a cause
+            kind = "planner failure" if result.cause is not None else "route lost"
+            stop_cause = f"{kind}: {result.reason}"
+            break
+        if result.replanned:
             steps = _follow(state, builder, spec.drive_step)
         # at the path's end no step is left: the next tick replans or detects arrival
         next(steps, None)

@@ -95,17 +95,17 @@ class CollisionChecker:
 
     Cells outside the grid count as colliding.  The disk test reads a
     boolean blocked-cell mask memoized on the grid next to its field, which
-    is saturated at `cap`, at least every test's threshold (`planner.field_cap`).
+    is saturated at the grid's cap; a test whose threshold lies above it
+    raises ValueError (`OccupancyGrid.distance_field`).
     A rebuilt mask is the previous generation's with the write's window
     recomputed (`_mask`).
     """
 
-    def __init__(self, grid: OccupancyGrid, disks: DiskSet, reach: float = 0.0,
-                 cap: float = math.inf) -> None:
+    def __init__(self, grid: OccupancyGrid, disks: DiskSet, reach: float = 0.0) -> None:
         thresholds = checker_thresholds(disks, grid.resolution, reach)
         (_, self.threshold), (_, self.swept_threshold), (_, self._clear_at) = thresholds
         self.reach = reach
-        self.field = grid.distance_field(cap, thresholds)
+        self.field = grid.distance_field(thresholds)
         self.offsets = np.array(disks.centers)
         self.blocked = grid.derived(("disk_blocked", self.threshold), self._mask)
 

@@ -43,8 +43,10 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
+import hybridplan.cli as cli_module
 import hybridplan.grid as grid_module
 import hybridplan.mission as mission_module
+import hybridplan.simulate as simulate_module
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
@@ -652,12 +654,15 @@ def reference_stack():
     The mission's route is the scalar descent from scratch on every tick
     (`extract_astar_path_reference`, which ignores the previous route),
     every nearest-cell lookup is the 5 x 5 scan, every tick checks the
-    path for collisions in full, with no carried verdict, and every node
+    path for collisions in full, with no carried verdict, every node
     expansion checks its drive primitives through `batch_blocked`
-    (`expansion_blocked_reference`)."""
+    (`expansion_blocked_reference`), and every reveal, the mission's and
+    the `map.svg` replay's, is the masked all-rays loop
+    (`raytrace_reveal_reference`)."""
     saved = (OccupancyGrid.derived, grid_module._add_obstacles,
              mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
-             mission_module.carried_path_collision, CollisionChecker.expansion_blocked)
+             mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
+             simulate_module.raytrace_reveal, cli_module.raytrace_reveal)
     derived = saved[0]
     OccupancyGrid.derived = lambda self, key, build: derived(
         self, key, lambda previous, added: build(None, None))
@@ -667,20 +672,22 @@ def reference_stack():
         lambda dmap, start, previous=None: extract_astar_path_reference(dmap, start))
     DistanceMap.nearest_reachable_cell = nearest_reachable_cell_reference
     mission_module.carried_path_collision = (
-        lambda state, belief, disks, cap=math.inf: mission_module.check_path_collision(
-            state.current_path, state.progress_s, belief, disks, state.rotations_done, cap))
+        lambda state, belief, disks: mission_module.check_path_collision(
+            state.current_path, state.progress_s, belief, disks, state.rotations_done))
 
     def expansion_blocked(checker, x, y, c, s, samples):
         drives = list(range(samples.shape[1]))
         blocked = expansion_blocked_reference(checker, samples, x, y, c, s, drives)
         return [p in blocked for p in drives]
     CollisionChecker.expansion_blocked = expansion_blocked
+    simulate_module.raytrace_reveal = cli_module.raytrace_reveal = raytrace_reveal_reference
     try:
         yield
     finally:
         (OccupancyGrid.derived, grid_module._add_obstacles,
          mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
-         mission_module.carried_path_collision, CollisionChecker.expansion_blocked) = saved
+         mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
+         simulate_module.raytrace_reveal, cli_module.raytrace_reveal) = saved
 
 
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,

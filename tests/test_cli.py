@@ -274,6 +274,11 @@ def _output_is_directory(name):
     return edit
 
 
+def _second_run_dir_is_file(tmp):
+    (tmp / "out").mkdir()
+    (tmp / "out" / "run_01_guided").write_text("")
+
+
 def _map_resolution(value):
     return _edit_text("smoke_small.map", lambda text: text.replace(" 0.15625", f" {value}", 1))
 
@@ -317,6 +322,8 @@ def _map_resolution(value):
      "output_dir: [Errno 21] Is a directory: '{tmp}/out/path.json'"),
     ("compare", _output_is_directory("comparison.csv"),
      "output_dir: [Errno 21] Is a directory: '{tmp}/out/comparison.csv'"),
+    ("compare", _second_run_dir_is_file,
+     "output_dir: [Errno 17] File exists: '{tmp}/out/run_01_guided'"),
 ], ids=["config_not_utf8", "compare_config_not_utf8", "config_directory",
         "compare_config_directory", "mode_list", "output_dir_null", "output_dir_number",
         "max_sim_steps_true", "max_sim_steps_fraction", "n_rays_fraction",
@@ -324,12 +331,14 @@ def _map_resolution(value):
         "map_width_negative", "map_height_0", "map_extra_row", "map_resolution_word",
         "map_resolution_nan", "map_resolution_0", "map_not_ascii", "output_dir_file",
         "compare_output_dir_file", "output_dir_under_file", "compare_output_dir_under_file",
-        "output_file_directory", "compare_output_file_directory"])
+        "output_file_directory", "compare_output_file_directory",
+        "compare_second_run_dir_file"])
 def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, named):
     """Inputs that used to run on a cast or ignored value, to end in a
     traceback, or to exit 1 without naming the map file, exit 1 naming the
-    field or the file.  `compare` finds each of them before its first
-    mission, an unwritable comparison.csv included."""
+    field or the file.  Each is found before the first mission: an output
+    file that is a directory, a run directory of `compare` past the first
+    and an unwritable comparison.csv included."""
     monkeypatch.chdir(tmp_path)          # keeps a run into output_dir "None" or "5" in tmp_path
     missions, run_scenario = [], cli.run_scenario
     monkeypatch.setattr(cli, "run_scenario",
@@ -342,7 +351,7 @@ def test_malformed_input_is_named(tmp_path, capsys, monkeypatch, command, edit, 
     assert main(argv + ["--no-timing"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named.format(tmp=tmp_path) in err, err
-    assert command == "run" or not missions
+    assert not missions
 
 
 def test_unknown_bundled_scenario_lists_the_shipped_ones(tmp_path, capsys):

@@ -6,8 +6,8 @@ The same file pins the driven path and the replan events of the two
 (keys `large_runs:...`).
 
 A run inside `oracles.reference_stack()`, where every derived field is built
-from empty, every route is walked from scratch and every tick checks its
-path in full, writes the same bytes as the shipped run, where each field is
+from empty, every route is walked from scratch, every tick checks its
+path in full and every reveal is the masked all-rays loop, writes the same bytes as the shipped run, where each field is
 updated from the one before, a route is cut from the previous tick's and a
 clear verdict is carried; that check needs no stored digest, so it also
 catches a regression that lands together with a refresh.  It runs on three
@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan import simulate
+from hybridplan import cli, simulate
 from hybridplan.cli import MODES, main
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED
@@ -41,7 +41,7 @@ from hybridplan.planner import PlannerConfig
 from hybridplan.simulate import ScenarioSpec
 
 from conftest import bordered_grid
-from oracles import reference_stack
+from oracles import raytrace_reveal_reference, reference_stack
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
 OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
@@ -100,6 +100,8 @@ def test_reference_stack_writes_the_shipped_bytes(scenario, mode, tmp_path, caps
     shipped = run_digests(scenario, mode, tmp_path / "shipped")
     n = len(floods)
     with reference_stack():
+        # the mission's reveals and the map.svg replay's
+        assert simulate.raytrace_reveal is cli.raytrace_reveal is raytrace_reveal_reference
         reference = run_digests(scenario, mode, tmp_path / "reference")
     assert set(floods[n:]) == {"full"}
     if scenario == "reveal_divergence":   # smoke_small's map is known: one flood, no repair

@@ -216,9 +216,10 @@ def _apply_edit(g, edit, r):
 
 def _assert_field_is_full_rebuild(g):
     got = g.distance_field().values
-    assert np.array_equal(got, distance_transform_reference(g))
+    assert np.array_equal(got, saturated(distance_transform_reference(g), g.cap))
     if g.cells.size <= 400:
-        assert np.array_equal(got, brute_distance_transform(g.cells == OCCUPIED, g.resolution))
+        exact = brute_distance_transform(g.cells == OCCUPIED, g.resolution)
+        assert np.array_equal(got, saturated(exact, g.cap))
 
 
 def _route_map_or_error(build, g, goal, config):
@@ -228,23 +229,30 @@ def _route_map_or_error(build, g, goal, config):
         return str(exc)
 
 
-def _assert_readers_agree(g, goals, config, cap, r):
-    """The field of `g` saturated at `cap` is bit-equal to the saturated
-    reference, and every reader whose threshold is at most `cap` decides on
-    it as on the exact field: the comparisons with each threshold up to the
-    cap, the disk mask, `rotation_blocked` and `clear_within` of two disk
-    sets (reach 0 and the largest the cap allows) and the route's blocked
-    grid; a reader whose threshold is above `cap` raises ValueError.  The
-    saturated readers run on a fresh copy, whose memo holds no exact value."""
-    exact = g.distance_field().values
-    sat = g.distance_field(cap).values
+def _checker_or_error(g, disks, reach=0.0):
+    try:
+        return CollisionChecker(g, disks, reach)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_readers_agree(g, goals, config, r):
+    """The field of `g`, saturated at its cap, is bit-equal to the saturated
+    reference, and every reader of `g` whose threshold is at most the cap
+    decides on it as on the exact field of an uncapped copy: the
+    comparisons with each threshold up to the cap, the disk mask,
+    `rotation_blocked` and `clear_within` of two disk sets (reach 0 and the
+    largest the cap allows) and the route's blocked grid; a reader whose
+    threshold is above the cap raises ValueError."""
+    cap, res = g.cap, g.resolution
+    full = OccupancyGrid(res, g.cells)
+    exact = full.distance_field().values
+    sat = g.distance_field().values
     assert np.array_equal(sat, saturated(distance_transform_reference(g), cap))
     values = np.unique(exact[exact <= cap])
     for t in [cap, *r.choice(values, min(values.size, 6), replace=False).tolist()]:
         for compare in (np.less, np.less_equal, np.greater_equal):
             assert np.array_equal(compare(sat, t), compare(exact, t))
-    fresh = g.copy()
-    res = g.resolution
     h, w = g.cells.shape
     points = np.column_stack((r.uniform(-1.0, w + 1.0, 48) * res,
                               r.uniform(-1.0, h + 1.0, 48) * res)).tolist()
@@ -254,20 +262,21 @@ def _assert_readers_agree(g, goals, config, cap, r):
             above = [name for name, t in checker_thresholds(disks, res, reach) if t > cap]
             if above:
                 with pytest.raises(ValueError, match=above[0]):
-                    CollisionChecker(fresh, disks, reach, cap)
+                    CollisionChecker(g, disks, reach)
                 continue
-            capped, full = CollisionChecker(fresh, disks, reach, cap), CollisionChecker(g, disks, reach)
-            assert np.array_equal(capped.blocked, exact < full.threshold)
+            capped = CollisionChecker(g, disks, reach)
+            uncapped = CollisionChecker(full, disks, reach)
+            assert np.array_equal(capped.blocked, exact < uncapped.threshold)
             for x, y in points:
-                assert capped.rotation_blocked(x, y) == full.rotation_blocked(x, y)
-                assert capped.clear_within(x, y) == full.clear_within(x, y)
+                assert capped.rotation_blocked(x, y) == uncapped.rotation_blocked(x, y)
+                assert capped.clear_within(x, y) == uncapped.clear_within(x, y)
     for goal in goals:
         if config.inflation_radius > cap:
             with pytest.raises(ValueError, match="inflation_radius"):
-                build_distance_map(fresh, goal, config, cap)
+                build_distance_map(g, goal, config)
             continue
-        got = _route_map_or_error(lambda *args: build_distance_map(*args, cap), fresh, goal, config)
-        expect = _route_map_or_error(build_distance_map, g, goal, config)
+        got = _route_map_or_error(build_distance_map, g, goal, config)
+        expect = _route_map_or_error(build_distance_map, full, goal, config)
         if isinstance(expect, str):
             assert got == expect
         else:
@@ -275,11 +284,14 @@ def _assert_readers_agree(g, goals, config, cap, r):
             assert np.array_equal(got.values, expect.values)
 
 
-def _assert_route_maps_are_full_rebuild(g, goals, config, cap=math.inf):
-    """The memoized route maps of `g`, read on its field at `cap`, equal the
-    references built from scratch: values, blocked grid, successor table."""
+def _assert_route_maps_are_full_rebuild(g, goals, config):
+    """The memoized route maps of `g` equal the references built from
+    scratch: values, blocked grid, successor table.  Below the route's
+    radius the grid's cap admits no route map (`_assert_readers_agree`)."""
+    if config.inflation_radius > g.cap:
+        return
     for goal in goals:
-        got = _route_map_or_error(lambda *args: build_distance_map(*args, cap), g, goal, config)
+        got = _route_map_or_error(build_distance_map, g, goal, config)
         expect = _route_map_or_error(build_distance_map_reference, g, goal, config)
         if isinstance(expect, str):
             assert got == expect
@@ -292,27 +304,33 @@ def _assert_route_maps_are_full_rebuild(g, goals, config, cap=math.inf):
 
 def _field_cap(kind, nudge, res, config):
     """A cap at a reader's threshold, the planner's cap or a field value
-    (sqrt(5) cells), moved by `nudge` ulps; +inf for "inf"."""
+    (sqrt(5) cells), moved by `nudge` ulps; +inf for "inf".  A cap at or
+    below 0 becomes the least positive float, which saturates the field
+    alike: every nonzero distance is at least the resolution."""
     if kind == "inf":
         return math.inf
     (_, disk), (_, swept), _ = checker_thresholds(make_disk_set(VehicleSpec()), res, 0.0)
     cap = {"inflation": config.inflation_radius, "disk": disk, "swept": swept,
            "planner": field_cap(VehicleSpec(), config, res), "cell": math.sqrt(5.0) * res}[kind]
-    return max(float(np.nextafter(cap, nudge * math.inf)) if nudge else cap, 0.0)
+    cap = float(np.nextafter(cap, nudge * math.inf)) if nudge else cap
+    return max(cap, float(np.nextafter(0.0, 1.0)))
 
 
-def _assert_fields_are_full_rebuild(g, goals, config, cap=math.inf, r=None):
+def _assert_fields_are_full_rebuild(g, goals, config, r=None):
     """The memoized distance field and route maps of `g` equal the
     references built from scratch, and its disk mask equals that of a
-    fresh copy; with a finite `cap`, the saturated field and its readers
-    agree with them too (`_assert_readers_agree`)."""
-    if cap < math.inf:
-        _assert_readers_agree(g, goals, config, cap, r)
+    fresh copy; with a finite cap, the saturated field and its readers
+    agree with those of an uncapped copy too (`_assert_readers_agree`)."""
+    if g.cap < math.inf:
+        _assert_readers_agree(g, goals, config, r)
     _assert_field_is_full_rebuild(g)
     _assert_route_maps_are_full_rebuild(g, goals, config)
     disks = make_disk_set(VehicleSpec())
-    assert np.array_equal(CollisionChecker(g, disks).blocked,
-                          CollisionChecker(g.copy(), disks).blocked)
+    got, expect = _checker_or_error(g, disks), _checker_or_error(g.copy(), disks)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert np.array_equal(got.blocked, expect.blocked)
 
 
 @contextmanager
@@ -339,7 +357,8 @@ def _assert_builds_only_add_obstacles(g, builds, occupied):
     value, and `added` is the cells that the one write between them made
     occupied (`occupied` maps each version of `g` to its occupied mask).
     After a write that freed an occupied cell, the field, the disk mask and
-    the route map builds of `g` all start from empty."""
+    the route map builds of `g` all start from empty; each is read there on
+    an exact field, and at a finite cap the readers above it build none."""
     for grid, version, _, fresh, added in builds:
         assert (added is None) == fresh
         if added is not None:
@@ -351,9 +370,12 @@ def _assert_builds_only_add_obstacles(g, builds, occupied):
             after = [(kind, fresh) for grid, v, kind, fresh, _ in builds
                      if grid is g and v == version]
             assert all(fresh for _, fresh in after)
-            if after:            # read before the next write
-                assert {kind for kind, _ in after} == {"distance_field", "disk_blocked",
-                                                       "route_map"}
+            kinds = {kind for kind, _ in after}
+            if after and g.cap == math.inf:     # read before the next write
+                assert kinds == {"distance_field", "disk_blocked", "route_map"}
+            elif after:
+                assert "distance_field" in kinds and kinds <= {"distance_field", "disk_blocked",
+                                                               "route_map"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,40 +392,40 @@ def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor,
     the next rebuild follow two writes): after every read the distance
     field and the route maps of two goals are bit-equal to the references
     built from scratch, and the disk mask to that of a fresh copy, from a
-    start with or without obstacles.  Next to the exact field, a field
-    saturated at a cap near a reader's threshold is updated too, and after
-    every read it equals the saturated reference and its readers decide as
-    on the exact field.  Every build is handed only the obstacles added
-    since its previous value (`_assert_builds_only_add_obstacles`)."""
+    start with or without obstacles.  The grid's field is exact or
+    saturated at a cap near a reader's threshold; a saturated one equals
+    the saturated reference after every read, and its readers decide as on
+    the exact field.  Every build is handed only the obstacles added since
+    its previous value (`_assert_builds_only_add_obstacles`)."""
     r = np.random.default_rng(seed)
     cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
     cells[r.random((h, w)) < fill] = OCCUPIED
-    g = OccupancyGrid(res, cells)
-    goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
     config = PlannerConfig(xy_resolution=factor * res, inflation_radius=inflation)
-    cap = _field_cap(cap_kind, nudge, res, config)
+    g = OccupancyGrid(res, cells, _field_cap(cap_kind, nudge, res, config))
+    goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
     builds, occupied = [], [g.cells == OCCUPIED]
     with recorded_builds(builds):
-        _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+        _assert_fields_are_full_rebuild(g, goals, config, r)
         for edit, read in steps:
             _apply_edit(g, edit, r)
             occupied[g.version:] = [g.cells == OCCUPIED]    # at most one write per edit
             assert len(occupied) == g.version + 1
             if read:
-                _assert_fields_are_full_rebuild(g, goals, config, cap, r)
-        _assert_fields_are_full_rebuild(g, goals, config, cap, r)
+                _assert_fields_are_full_rebuild(g, goals, config, r)
+        _assert_fields_are_full_rebuild(g, goals, config, r)
     _assert_builds_only_add_obstacles(g, builds, occupied)
 
 
-def _assert_logged_fields_match(g, goals, config, cap):
-    """The saturated field of `g`, its disk mask and its route maps (values,
-    blocked grid, successor table), each updated from the generation before
-    when it was read there, equal the references built from scratch."""
+def _assert_logged_fields_match(g, goals, config):
+    """The field of `g` (saturated at its cap), its disk mask and its route
+    maps (values, blocked grid, successor table), each updated from the
+    generation before when it was read there, equal the references built
+    from scratch."""
     exact = distance_transform_reference(g)
-    assert np.array_equal(g.distance_field(cap).values, saturated(exact, cap))
-    checker = CollisionChecker(g, make_disk_set(VehicleSpec()), cap=cap)
+    assert np.array_equal(g.distance_field().values, saturated(exact, g.cap))
+    checker = CollisionChecker(g, make_disk_set(VehicleSpec()))
     assert np.array_equal(checker.blocked, exact < checker.threshold)
-    _assert_route_maps_are_full_rebuild(g, goals, config, cap)
+    _assert_route_maps_are_full_rebuild(g, goals, config)
 
 
 REVEAL_STEPS = ("reveal", "reveal", "reveal", "set_box", "free")
@@ -423,11 +445,11 @@ def test_incremental_distance_field_matches_full_over_reveals(steps, res, cap_ki
     for _ in range(10):
         x, y = r.uniform(1.0, 20.0), r.uniform(1.0, 9.0)
         truth.set_box(x, y, x + r.uniform(0.3, 2.5), y + r.uniform(0.3, 2.5), OCCUPIED)
-    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, res, UNKNOWN)
     config = PlannerConfig(xy_resolution=2 * res, inflation_radius=1.0)
-    cap = _field_cap(cap_kind, 0, res, config)
+    belief = OccupancyGrid(res, np.full_like(truth.cells, UNKNOWN),
+                           _field_cap(cap_kind, 0, res, config))
     goals = [Pose2D(r.uniform(1.0, 23.0), r.uniform(1.0, 11.0), 0.0) for _ in range(2)]
-    _assert_logged_fields_match(belief, goals, config, cap)
+    _assert_logged_fields_match(belief, goals, config)
     for step, read in steps:
         if step == "reveal":
             pose = Pose2D(r.uniform(1.0, 23.0), r.uniform(1.0, 11.0), 0.0)
@@ -442,10 +464,10 @@ def test_incremental_distance_field_matches_full_over_reveals(steps, res, cap_ki
                 belief.set_cells(np.unravel_index(r.choice(occupied), belief.cells.shape),
                                  r.choice([FREE, UNKNOWN]))
         if read:
-            _assert_logged_fields_match(belief, goals, config, cap)
-    _assert_logged_fields_match(belief, goals, config, cap)
-    assert np.array_equal(belief.distance_field().values,
-                          brute_distance_transform(belief.cells == OCCUPIED, res))
+            _assert_logged_fields_match(belief, goals, config)
+    _assert_logged_fields_match(belief, goals, config)
+    exact = brute_distance_transform(belief.cells == OCCUPIED, res)
+    assert np.array_equal(belief.distance_field().values, saturated(exact, belief.cap))
 
 
 @st.composite
@@ -549,7 +571,7 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
         assert len(calls) == 1 + len(rebuilt)
     kinds = {(writes, np.array_equal(was, now)) for writes, was, now in rebuilt}
     assert {(1, True), (1, False), (2, True)} <= kinds
-    assert calls[0][:2] == ((), {"previous": None, "added": None, "cap": math.inf})
+    assert calls[0][:2] == ((), {"previous": None, "added": None})
     for (_, _, before), (args, kwargs, field), (writes, was, now) in zip(calls, calls[1:], rebuilt):
         # the field one generation back and the cells the write made
         # occupied, none after two writes; no added cell returns that field

@@ -126,8 +126,7 @@ def test_replan_start_requires_path():
 # --------------------------------------------------------------- tick logic
 
 def tick(state, belief, mode="standard", **kw):
-    return mission_tick(state, belief, MissionConfig(**kw), CFG, MODES[mode], VEH,
-                        field_cap(VEH, CFG, belief.resolution))
+    return mission_tick(state, belief, MissionConfig(**kw), CFG, MODES[mode], VEH)
 
 
 def test_route_map_not_reused_across_grids_at_same_version():
@@ -329,8 +328,8 @@ def test_replanning_tick_plans_on_the_route_map_it_built(monkeypatch):
     reads the very map the tick built to pick its stop rule."""
     built = []
 
-    def recording_build(belief, goal, config, cap):
-        built.append(heuristic.build_distance_map(belief, goal, config, cap))
+    def recording_build(belief, goal, config):
+        built.append(heuristic.build_distance_map(belief, goal, config))
         return built[-1]
 
     monkeypatch.setattr(mission, "build_distance_map", recording_build)
@@ -398,7 +397,7 @@ def test_a_blocked_waypose_moves_back_along_the_route(monkeypatch):
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(193, 7, 0))
     tick(state, g, mode="waypoint")
     route, s_w = state.prev_astar, MissionConfig().s_w
-    checker = CollisionChecker(g, make_disk_set(VEH), cap=field_cap(VEH, CFG, g.resolution))
+    checker = CollisionChecker(g, make_disk_set(VEH))
 
     def blocked(pose):
         return checker.pose_blocked(pose.x, pose.y, pose.yaw)
@@ -650,14 +649,15 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
     the known map each (path, belief version) is checked in full at most once."""
     checked, carried = [], []
 
-    def counting_check(path, from_s, belief, disks, rotations_done, cap):
+    def counting_check(path, from_s, belief, disks, rotations_done):
         checked.append((path, belief.version))
-        return check_path_collision(path, from_s, belief, disks, rotations_done, cap)
+        return check_path_collision(path, from_s, belief, disks, rotations_done)
 
-    def checking_carry(state, belief, disks, cap):
+    def checking_carry(state, belief, disks):
         before = len(checked)
-        verdict = carried_path_collision(state, belief, disks, cap)
-        assert verdict == check_path_collision(state.current_path, state.progress_s, belief,
+        verdict = carried_path_collision(state, belief, disks)
+        exact = OccupancyGrid(belief.resolution, belief.cells)
+        assert verdict == check_path_collision(state.current_path, state.progress_s, exact,
                                                disks, state.rotations_done)
         carried.append(len(checked) == before)
         return verdict
@@ -675,21 +675,23 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
 def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
     """On reveal_divergence/guided the route, the collision trigger and the
     planner share one obstacle field per belief version: each version read
-    is one `distance_transform` call, all at the run's `field_cap`, so no
-    reader builds a second field under another cap."""
+    is one `distance_transform` call on the run's belief, whose cap is the
+    run's `field_cap`."""
     calls = []
     transform = grid_module.distance_transform
 
     def counting(grid, **kwargs):
-        calls.append((grid, grid.version, kwargs["cap"]))
+        calls.append((grid, grid.version))
         return transform(grid, **kwargs)
 
     monkeypatch.setattr(grid_module, "distance_transform", counting)
     spec = bundled("reveal_divergence")
     report = simulate.run_scenario(spec, MissionConfig(), CFG, MODES["guided"], VEH).report
     assert report.reached and len(calls) > 1
-    assert len({(grid, version) for grid, version, _ in calls}) == len(calls)
-    assert {cap for _, _, cap in calls} == {field_cap(VEH, CFG, spec.truth_map.resolution)}
+    assert len(set(calls)) == len(calls)
+    (belief,) = {grid for grid, _ in calls}
+    assert belief is not spec.truth_map
+    assert belief.cap == field_cap(VEH, CFG, spec.truth_map.resolution)
 
 
 def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
@@ -739,8 +741,8 @@ def test_closed_loop_route_maps_are_repaired_and_exact(monkeypatch, floods):
     every flood after the first is a repair of the previous map."""
     last = {}
 
-    def checked_build(belief, goal, config, cap):
-        dm = heuristic.build_distance_map(belief, goal, config, cap)
+    def checked_build(belief, goal, config):
+        dm = heuristic.build_distance_map(belief, goal, config)
         key = (dm.goal_cell, config.xy_resolution, config.inflation_radius)
         if last.get(key) is not dm:                   # built, not reused
             expect = build_distance_map_reference(belief, goal, config)

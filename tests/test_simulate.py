@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridplan import mission
 from hybridplan.cli import MODES
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid, voronoi_field
@@ -267,14 +268,30 @@ def test_planner_accounting_is_the_replan_events(scenario, mode):
     assert report.cumulative_nodes == sum(e.nodes for e in events)
 
 
-# A failed planner call returns no stats to `mission_tick`, so it is not an
-# event and the report counts neither it nor its nodes.  Counting it changes
-# the metrics of failing runs, so the fix waits for a reference refresh.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "plate_corridor_67/standard stops with a planner failure inside plan, "
-    "and its report counts 0 planner calls"))
-def test_a_failed_planner_call_is_counted():
-    report = run_scenario(bundled("plate_corridor_67"), MissionConfig(), PlannerConfig(),
-                          MODES["standard"], VEH).report
-    assert report.stop_cause.startswith("planner failure")
-    assert report.n_planner_calls >= 1
+def _counted_calls(monkeypatch, scenario, mode, config):
+    """The run, and how many times its ticks called the planner."""
+    calls, plan = [], mission.plan
+    monkeypatch.setattr(mission, "plan", lambda *args, **kw: calls.append(1) or plan(*args, **kw))
+    run = run_scenario(bundled(scenario), MissionConfig(), config, MODES[mode], VEH)
+    return run, len(calls)
+
+
+def test_a_failed_planner_call_is_counted(monkeypatch):
+    """A call that fails inside `plan` is a replan event like any other: the
+    report counts it, its nodes and its seconds."""
+    run, calls = _counted_calls(monkeypatch, "plate_corridor_67", "standard", PlannerConfig())
+    report, events = run.report, run.events
+    assert report.stop_cause == "planner failure: no path"
+    assert report.n_planner_calls == len(events) == calls == 1
+    assert report.cumulative_nodes == events[0].nodes > 0
+    assert report.t_cum == events[0].seconds > 0.0
+    assert run.texts(False)["events.log"] == events[0].format(False) + "\n"
+
+
+def test_a_stop_without_a_planner_call_adds_no_event(monkeypatch):
+    """With no free waypose the tick stops before it calls the planner, so
+    the events are the earlier calls alone."""
+    run, calls = _counted_calls(monkeypatch, "unknown_large", "waypoint",
+                                PlannerConfig(inflation_radius=0.3))
+    assert run.report.stop_cause == "planner failure: no free waypose on the route"
+    assert run.report.n_planner_calls == len(run.events) == calls > 0

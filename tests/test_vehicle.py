@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hybridplan.geometry import Pose2D, move_along_arc
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
 from hybridplan.heuristic import build_distance_map
-from hybridplan.planner import PathBuilder, PlannerConfig, _PrimitiveTable, field_cap
+from hybridplan.planner import PathBuilder, PlannerConfig, _PrimitiveTable, field_cap, plan
 from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_thresholds,
                                make_disk_set)
 
@@ -189,22 +189,38 @@ def test_rotation_near_wall_collides():
 
 
 def test_a_threshold_above_the_field_cap_is_a_named_error():
-    """A reader whose threshold exceeds its field's cap, where the saturated
-    field could decide otherwise, fails at the checker or route build with
-    the reader, its threshold and the cap; at the cap it builds."""
+    """A reader whose threshold exceeds its grid's cap, where the saturated
+    field could decide otherwise, fails at the checker, route build or plan
+    with the reader, its threshold and the cap; at the cap it builds."""
     g = grid_with_wall()
+
+    def capped(cap):
+        return OccupancyGrid(g.resolution, g.cells, cap)
     disks, reach = make_disk_set(VehicleSpec()), 3.0
     for reader, threshold in checker_thresholds(disks, g.resolution, reach):
         cap = threshold - 0.01
         with pytest.raises(ValueError, match=rf"^{reader} .* {threshold!r} m, .* {cap!r} m$"):
-            CollisionChecker(g, disks, reach, cap)
-    assert CollisionChecker(g, disks, reach, threshold).field is g.distance_field(threshold)
+            CollisionChecker(capped(cap), disks, reach)
+    at = capped(threshold)
+    assert CollisionChecker(at, disks, reach).field is at.distance_field()
     with pytest.raises(ValueError, match=r"^the route's inflation_radius .* 1\.0 m, .* 0\.5 m$"):
-        build_distance_map(g, Pose2D(10.0, 10.0, 0.0), PlannerConfig(inflation_radius=1.0), 0.5)
+        build_distance_map(capped(0.5), Pose2D(10.0, 10.0, 0.0), PlannerConfig(inflation_radius=1.0))
     cfg = PlannerConfig()
     reach = _PrimitiveTable(cfg, VehicleSpec()).reach      # 3.083 m
-    assert field_cap(VehicleSpec(), cfg, g.resolution) == max(
+    cap = field_cap(VehicleSpec(), cfg, g.resolution)
+    assert cap == max(
         [cfg.inflation_radius] + [t for _, t in checker_thresholds(disks, g.resolution, reach)])
+    start, goal = Pose2D(5.0, 10.0, 0.0), Pose2D(15.0, 10.0, 0.0)
+    with pytest.raises(ValueError, match=r"^clear_within .* above the field's cap"):
+        plan(capped(float(np.nextafter(cap, 0.0))), start, goal, VehicleSpec(), cfg)
+    runs = [plan(grid, start, goal, VehicleSpec(), cfg) for grid in (capped(cap), g)]
+    assert len({(p.end_pose(), p.total_drive_length, s.nodes_expanded) for p, s in runs}) == 1
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+def test_a_cap_that_is_not_positive_is_a_named_error(cap):
+    with pytest.raises(ValueError, match=rf"^cap must be positive, got {cap!r}$"):
+        OccupancyGrid(0.25, np.full((4, 4), FREE), cap)
 
 
 def test_rotation_never_less_restrictive_than_pose(rng):
@@ -223,11 +239,9 @@ def test_rotation_free_pose_is_free_next_to_a_single_cell():
     """One occupied cell and the checker `plan` builds: a rotation that
     `rotation_blocked` admits must leave the footprint free at every yaw."""
     vehicle, cfg = VehicleSpec(), PlannerConfig()
-    g = OccupancyGrid.filled(128, 128, 0.15625, FREE)
+    g = OccupancyGrid(0.15625, np.full((128, 128), FREE), field_cap(vehicle, cfg, 0.15625))
     g.set_box(10.0, 10.0, 10.15625, 10.15625, OCCUPIED)
-    table = _PrimitiveTable(cfg, vehicle)
-    checker = CollisionChecker(g, make_disk_set(vehicle), table.reach,
-                               field_cap(vehicle, cfg, g.resolution, table))
+    checker = CollisionChecker(g, make_disk_set(vehicle), _PrimitiveTable(cfg, vehicle).reach)
     x, y, yaw = 13.174409858110078, 10.666560375387807, -2.8888941189211033
     assert not checker.rotation_blocked(x, y)
     assert not checker.pose_blocked(x, y, yaw)
@@ -441,9 +455,8 @@ def test_expansion_blocked_matches_the_survivor_batch(seed, res, density, n_disk
     m = table.reach + 0.01
     obstacle = (float(r.uniform(m, w * res - m)), float(r.uniform(m, h * res - m)))
     cells[int(obstacle[1] / res), int(obstacle[0] / res)] = OCCUPIED
-    g = OccupancyGrid(res, cells)
-    checker = CollisionChecker(g, make_disk_set(vehicle), table.reach,
-                               field_cap(vehicle, config, res, table))
+    g = OccupancyGrid(res, cells, field_cap(vehicle, config, res))
+    checker = CollisionChecker(g, make_disk_set(vehicle), table.reach)
     fallbacks = [0]
     batch = checker.batch_blocked
 
