@@ -14,7 +14,7 @@ from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPat
 from .reeds_shepp import rs_all_paths, rs_path_length, sample_path
 from .simulate import (EventRecord, MetricsReport, Run, ScenarioSpec, kappa_dot_rms,
                        proximity_stats, run_scenario)
-from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
+from .vehicle import CollisionChecker, DiskSet, VehicleSpec
 
 __all__ = [
     "Pose2D", "normalize_angle",
@@ -30,5 +30,5 @@ __all__ = [
     "rs_all_paths", "rs_path_length", "sample_path",
     "EventRecord", "MetricsReport", "Run", "ScenarioSpec", "kappa_dot_rms",
     "proximity_stats", "run_scenario",
-    "CollisionChecker", "DiskSet", "VehicleSpec", "make_disk_set",
+    "CollisionChecker", "DiskSet", "VehicleSpec",
 ]

@@ -23,12 +23,12 @@ OCCUPIED = 2
 _CHAR_TO_CELL = {"?": UNKNOWN, ".": FREE, "#": OCCUPIED}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Raster:
     """Values on square cells; the one world point to cell convention.
 
     Point (x, y) lies in cell floor(x / resolution), floor(y / resolution);
-    points off the grid read `outside`.
+    points off the grid read `outside`.  Rasters compare by identity.
     """
 
     values: np.ndarray
@@ -61,7 +61,9 @@ class OccupancyGrid:
 
     The cells are a private read-only copy.  They change only through
     `set_cells`, `set_box` and `raytrace_reveal`, whose one write path
-    (`_write`) bumps `version` and starts a new generation of the memo.
+    (`_write`) starts a new generation of the memo, the grid's one
+    generation token: a value read twice is the same object only if no
+    write between the reads changed what it was derived from.
 
     One memo rule: a build only ever adds obstacles.  A derived value is
     built once per generation, and its build is handed `(previous, added)`:
@@ -87,7 +89,6 @@ class OccupancyGrid:
         cells.setflags(write=False)
         self.resolution = resolution
         self.cap = cap
-        self.version = 0
         self._cells = cells
         self._added: Optional[np.ndarray] = None
         self._memo: dict = {}
@@ -105,8 +106,8 @@ class OccupancyGrid:
 
     def _write(self, cells, values) -> None:
         """Write `values` to `cells`, a flat index array or a box of slices,
-        then bump the version.  When a value is memoized, keep the cells the
-        write made occupied, or drop that generation if it freed one."""
+        then start a new generation.  When a value is memoized, keep the cells
+        the write made occupied, or drop that generation if it freed one."""
         logged = bool(self._memo)
         self._cells.setflags(write=True)
         try:
@@ -115,7 +116,6 @@ class OccupancyGrid:
             target[cells] = values
         finally:
             self._cells.setflags(write=False)
-        self.version += 1
         self._previous, self._memo, self._added = self._memo, {}, None
         if logged:
             now = target[cells] == OCCUPIED

@@ -32,7 +32,7 @@ class NoRouteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMap(Raster):
     """2D cost-to-goal in meters on the coarse grid; +inf where unreachable
     and off the grid.

@@ -15,7 +15,7 @@ from .heuristic import (AStarPath, GoalBlockedError, NoRouteError, build_distanc
                         detect_divergence, extract_astar_path, waypose_at)
 from .planner import (PlannedPath, PlannerConfig, PlannerFailure,
                       RotationSegment, SearchStats, plan)
-from .vehicle import CollisionChecker, DiskSet, VehicleSpec, make_disk_set
+from .vehicle import CollisionChecker, DiskSet, VehicleSpec
 
 NAV_NONE = "none"
 NAV_WAYPOINT = "waypoint"
@@ -97,15 +97,16 @@ def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid
 def carried_path_collision(state: MissionState, belief: OccupancyGrid,
                            disks: DiskSet) -> Optional[float]:
     """`check_path_collision` from the vehicle's place, or None unchecked while the last
-    clear check's path, belief, version and disks hold and neither position is behind."""
-    key = (state.current_path, belief, belief.version, disks)
-    held = state.clear_check or (None, 0.0, 0)   # only a clear verdict is carried
-    if held[0] == key and held[1] <= state.progress_s and held[2] <= state.rotations_done:
+    clear check's path and obstacle field (the same objects; a check reads only the
+    field and its disk mask) and disks hold and neither position is behind."""
+    path, field = state.current_path, belief.distance_field().values
+    held = state.clear_check        # only a clear verdict is carried
+    if (held and held[0] is path and held[1] is field and held[2] == disks
+            and held[3] <= state.progress_s and held[4] <= state.rotations_done):
         return None
-    hit = check_path_collision(state.current_path, state.progress_s, belief, disks,
-                               state.rotations_done)
-    if hit is None:
-        state.clear_check = (key, state.progress_s, state.rotations_done)
+    hit = check_path_collision(path, state.progress_s, belief, disks, state.rotations_done)
+    state.clear_check = None if hit is not None else (
+        path, field, disks, state.progress_s, state.rotations_done)
     return hit
 
 
@@ -159,7 +160,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     divergence against the previous tick (never for the same route object),
     an upcoming path collision, missing path, or accumulated progress trigger
     a replan; a path found clear is not checked again until the path, the
-    belief version or the disks change.
+    belief's obstacle field object or the disks change (`carried_path_collision`).
     """
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
@@ -181,7 +182,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
 
     s_coll_found = None
     if state.current_path is not None:
-        s_coll_found = carried_path_collision(state, belief, make_disk_set(vehicle))
+        s_coll_found = carried_path_collision(state, belief, vehicle.disks)
 
     if state.current_path is None:
         cause = "initial"
@@ -217,7 +218,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
             horizon = mission_cfg.s_w
         elif nav_mode == NAV_WAYPOINT and astar.points.shape[0] >= 2:
             goal = free_waypose(astar, mission_cfg.s_w,
-                                CollisionChecker(belief, make_disk_set(vehicle)))
+                                CollisionChecker(belief, vehicle.disks))
             if goal is None:
                 return TickResult(status="failed", cause=cause, s_plan=s_plan,
                                   reason="no free waypose on the route")

@@ -22,7 +22,7 @@ from .geometry import Pose2D, move_along_arc, normalize_angle
 from .grid import OccupancyGrid
 from .heuristic import build_distance_map
 from .reeds_shepp import PathSamples, rs_all_paths, rs_path_length, sample_path, sample_paths
-from .vehicle import CollisionChecker, VehicleSpec, checker_thresholds, make_disk_set
+from .vehicle import CollisionChecker, VehicleSpec, checker_thresholds
 
 STANDARD = "standard"
 EXTENDED = "extended"
@@ -464,7 +464,7 @@ class _PrimitiveTable:
                      for p, step in enumerate(self.steps)]
         self.n_sub = n_sub
         # the farthest any footprint disk centre of any sample gets from the node
-        offsets = np.array(make_disk_set(vehicle).centers)
+        offsets = np.array(vehicle.disks.centers)
         cos_dyaw, sin_dyaw = self.samples[2:, ..., None]
         self.reach = float(np.hypot(dx[..., None] + offsets * cos_dyaw,
                                     dy[..., None] + offsets * sin_dyaw).max())
@@ -474,7 +474,7 @@ def field_cap(vehicle: VehicleSpec, config: PlannerConfig, resolution: float) ->
     """The obstacle field's cap on a grid of `resolution`: the largest threshold of
     its readers, the route's inflation radius and the checker at the primitives' reach."""
     reach = _PrimitiveTable(config, vehicle).reach
-    thresholds = checker_thresholds(make_disk_set(vehicle), resolution, reach)
+    thresholds = checker_thresholds(vehicle.disks, resolution, reach)
     return max(config.inflation_radius, *(threshold for _, threshold in thresholds))
 
 
@@ -518,7 +518,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         return exc
 
     table = _PrimitiveTable(config, vehicle)
-    checker = CollisionChecker(belief, make_disk_set(vehicle), table.reach)
+    checker = CollisionChecker(belief, vehicle.disks, table.reach)
 
     if checker.pose_blocked(start.x, start.y, start.yaw):
         raise failed(PlannerFailure("start in collision"))
@@ -584,9 +584,9 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         _, _, _, node = heapq.heappop(open_heap)
         if node.g > best_g.get(node.key, math.inf) + 1e-12:
             continue
-        stats.nodes_expanded += 1
-        if stats.nodes_expanded > config.node_budget:
+        if stats.nodes_expanded >= config.node_budget:
             raise failed(BudgetExceededError())
+        stats.nodes_expanded += 1
 
         if node.key == goal_key or (horizon is not None and math.isfinite(node.hd)
                                     and hd_start - node.hd > horizon):

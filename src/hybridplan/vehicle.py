@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -47,6 +48,14 @@ class VehicleSpec:
     def min_turn_radius(self) -> float:
         return self.wheelbase / math.tan(self.max_steer)
 
+    @cached_property
+    def disks(self) -> DiskSet:
+        """The footprint's cover by `n_disks` equal disks on the axis; built once,
+        as the spec is frozen."""
+        d = self.length / (2.0 * self.n_disks)
+        centers = tuple(-self.rear_overhang + d + 2.0 * d * i for i in range(self.n_disks))
+        return DiskSet(centers=centers, radius=math.hypot(d, self.width / 2.0))
+
     def footprint_corners(self, x: np.ndarray, y: np.ndarray, yaw: np.ndarray) -> np.ndarray:
         """The four rectangle corners of rear-axle anchored poses, shape
         (2, 4, n): x and y, then rear right, rear left, front right, front left."""
@@ -70,24 +79,17 @@ class DiskSet:
         return max(abs(c) for c in self.centers) + self.radius
 
 
-def make_disk_set(spec: VehicleSpec) -> DiskSet:
-    d = spec.length / (2.0 * spec.n_disks)
-    first = -spec.rear_overhang + d
-    centers = tuple(first + 2.0 * d * i for i in range(spec.n_disks))
-    radius = math.hypot(d, spec.width / 2.0)
-    return DiskSet(centers=centers, radius=radius)
-
-
 def checker_thresholds(disks: DiskSet, resolution: float,
                        reach: float) -> Tuple[Tuple[str, float], ...]:
     """(test, threshold) of a `CollisionChecker`'s disk mask (`<`), swept
-    circle (`<`) and `clear_within` at `reach` (`>=`), in field meters."""
+    circle (`<`) and `expansion_blocked`'s clear test at `reach` (`>=`), in
+    field meters."""
     pad = cell_pad(resolution)
     disk = disks.radius + pad
-    # clear_within: the field's 1-Lipschitz slack between two cells' centres,
-    # beyond the distance of the points in them; 1e-6 m covers float rounding
+    # clear: the field's 1-Lipschitz slack between two cells' centres, beyond
+    # the distance of the points in them; 1e-6 m covers float rounding
     return (("disk mask", disk), ("rotation_blocked", disks.swept_radius + pad),
-            ("clear_within", disk + 2.0 * pad + 1e-6 + reach))
+            ("expansion_blocked", disk + 2.0 * pad + 1e-6 + reach))
 
 
 class CollisionChecker:
@@ -104,7 +106,7 @@ class CollisionChecker:
     def __init__(self, grid: OccupancyGrid, disks: DiskSet, reach: float = 0.0) -> None:
         thresholds = checker_thresholds(disks, grid.resolution, reach)
         (_, self.threshold), (_, self.swept_threshold), (_, self._clear_at) = thresholds
-        self.reach = reach
+        self.reach, self.disks = reach, disks
         self.field = grid.distance_field(thresholds)
         self.offsets = np.array(disks.centers)
         self.blocked = grid.derived(("disk_blocked", self.threshold), self._mask)
@@ -134,31 +136,22 @@ class CollisionChecker:
         that contains the footprint at every yaw must be obstacle free."""
         return self.field.at(x, y) < self.swept_threshold
 
-    def _reach_on_grid(self, x: float, y: float) -> bool:
-        m = self.reach + 1e-6
-        (ix0, iy0), (ix1, iy1) = self.field.cell_of(x - m, y - m), self.field.cell_of(x + m, y + m)
-        h, w = self.field.values.shape
-        return 0 <= ix0 and 0 <= iy0 and ix1 < w and iy1 < h
-
-    def clear_within(self, x: float, y: float) -> bool:
-        """True only when no disk centred within `reach` of (x, y) is blocked.
-
-        The field is the distance between cell centres, so it drops by at most
-        the distance of two points plus two half cell diagonals between their
-        cells; the disc of radius `reach` must also lie wholly on the grid.
-        """
-        return self._reach_on_grid(x, y) and self.field.at(x, y) >= self._clear_at
-
     def expansion_blocked(self, x: float, y: float, c: float, s: float,
                           samples: np.ndarray) -> List[bool]:
         """Per drive primitive of the node (x, y) with yaw cosine c and sine s: is a
-        disk at one of its sub-samples blocked?  [] when `clear_within` holds.
+        disk at one of its sub-samples blocked?  The one clear test: [] when the reach
+        box lies on the grid (its 1e-6 m covers rounding) and the field at (x, y)
+        proves every disk centred within `reach` free, as the field (distances
+        between cell centres) drops by at most the distance of two points plus two
+        half cell diagonals between their cells.
 
         `samples` is (dx, dy, cos dyaw, sin dyaw) of every sub-sample, (4, P, K), a
-        pose being x + dx*c + dy*(-s) and so on, summed in that order.  `reach` bounds
-        every disk centre, so a reach box on the grid (its 1e-6 m covers rounding)
-        holds them all, and the disk mask is read with no off-grid test."""
-        on_grid = self._reach_on_grid(x, y)
+        pose being x + dx*c + dy*(-s) and so on, summed in that order.  With the
+        reach box on the grid the disk mask is read with no off-grid test."""
+        m = self.reach + 1e-6
+        (ix0, iy0), (ix1, iy1) = self.field.cell_of(x - m, y - m), self.field.cell_of(x + m, y + m)
+        h, w = self.blocked.shape
+        on_grid = 0 <= ix0 and 0 <= iy0 and ix1 < w and iy1 < h
         if on_grid and self.field.at(x, y) >= self._clear_at:
             return []
         turn, normal, at = np.array([c, s, -s, c, x, y]).reshape(3, 2, 1, 1, 1)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +82,31 @@ def floods(monkeypatch):
 
     monkeypatch.setattr(heuristic, "_repair_flood", counting)
     return kinds
+
+
+@contextmanager
+def counted_writes():
+    """Inside, every completed write to a grid (`OccupancyGrid._write`, the one
+    write path) adds one to that grid's count in the Counter yielded."""
+    counts = Counter()
+    write = OccupancyGrid._write
+
+    def counting(self, cells, values):
+        write(self, cells, values)
+        counts[self] += 1
+
+    OccupancyGrid._write = counting
+    try:
+        yield counts
+    finally:
+        OccupancyGrid._write = write
+
+
+NO_SUB_SAMPLES = np.zeros((4, 1, 0))
+
+
+def clear_test(checker, x: float, y: float) -> bool:
+    """The clear test of `CollisionChecker.expansion_blocked`: its [] for a node
+    at (x, y) with one primitive of no sub-samples, which reads no cell and
+    gives [False] when the test fails."""
+    return checker.expansion_blocked(x, y, 1.0, 0.0, NO_SUB_SAMPLES) == []

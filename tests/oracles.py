@@ -55,7 +55,7 @@ from hybridplan.planner import (EXTENDED, STANDARD, BudgetExceededError, DriveSe
                                 NoPathError, PathBuilder, PlannedPath, PlannerConfig,
                                 PlannerFailure, RotationSegment, SearchStats,
                                 analytic_expansions, cost_of, geometric_extension)
-from hybridplan.vehicle import CollisionChecker, make_disk_set
+from hybridplan.vehicle import CollisionChecker, checker_thresholds
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -947,15 +947,29 @@ def rotation_collides(pose: Pose2D, disks, field: np.ndarray, resolution: float)
     return _field_at(field, resolution, pose.x, pose.y) < threshold
 
 
+def clear_within_reference(checker: CollisionChecker, x: float, y: float) -> bool:
+    """The clear test that `CollisionChecker.expansion_blocked` inlined: the
+    box of half side `reach` + 1e-6 m around (x, y) lies on the grid, and the
+    checker's field there reaches the clear threshold of `checker_thresholds`."""
+    field, m = checker.field, checker.reach + 1e-6
+    res = field.resolution
+    h, w = field.values.shape
+    on_grid = (math.floor((x - m) / res) >= 0 and math.floor((y - m) / res) >= 0
+               and math.floor((x + m) / res) < w and math.floor((y + m) / res) < h)
+    (clear_at,) = [t for name, t in checker_thresholds(checker.disks, res, checker.reach)
+                   if name == "expansion_blocked"]
+    return on_grid and _field_at(field.values, res, x, y) >= clear_at
+
+
 def expansion_blocked_reference(checker: CollisionChecker, samples: np.ndarray, x: float,
                                 y: float, c: float, s: float, drives: List[int]):
     """The survivor batch that `CollisionChecker.expansion_blocked` replaced:
     the primitives among `drives` (indices into `samples`, (4, P, K)) with a
-    blocked sub-sample, empty when `clear_within` holds.  Only the survivors'
-    sub-samples are posed, and `batch_blocked` tests them, off-grid test
-    included."""
+    blocked sub-sample, empty when `clear_within_reference` holds.  Only the
+    survivors' sub-samples are posed, and `batch_blocked` tests them, off-grid
+    test included."""
     blocked = ()
-    if drives and not checker.clear_within(x, y):
+    if drives and not clear_within_reference(checker, x, y):
         # the survivors' sub-sample poses, bit for bit x + dx*c - dy*s,
         # y + dx*s + dy*c, c*cos - s*sin and s*cos + c*sin (float
         # addition commutes and a - b is a + (-b))
@@ -1355,7 +1369,7 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
     and disk-checked, then normalised, keyed and costed one at a time."""
     t_begin = time.perf_counter()
     stats = SearchStats()
-    disks = make_disk_set(vehicle)
+    disks = vehicle.disks
     checker = CollisionChecker(belief, disks)
 
     if checker.pose_blocked(start.x, start.y, start.yaw):

@@ -13,10 +13,9 @@ from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import PlannerConfig, field_cap
-from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_thresholds,
-                               make_disk_set)
+from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, checker_thresholds
 
-from conftest import bordered_grid, bundled, paint_disk
+from conftest import bordered_grid, bundled, clear_test, counted_writes, paint_disk
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
                      distance_transform_reference, flat_mask, raytrace_reveal_reference,
                      saturated, window_add_reference)
@@ -69,6 +68,7 @@ def test_map_rejects_malformed(tmp_path, content):
 
 def test_cells_are_read_only():
     g = OccupancyGrid.filled(4, 4, 0.5, FREE)
+    field = g.distance_field()
     with pytest.raises(ValueError):
         g.cells[0, 0] = OCCUPIED
     with pytest.raises(AttributeError):
@@ -77,7 +77,7 @@ def test_cells_are_read_only():
         g.set_cells((9, 9), OCCUPIED)              # a failed write stays read-only
     with pytest.raises(ValueError):
         g.cells[0, 0] = OCCUPIED
-    assert g.version == 0
+    assert g.distance_field() is field              # nor starts a generation
     assert np.all(g.cells == FREE)
 
 
@@ -126,12 +126,15 @@ def test_reveal_bumps_version_only_when_cells_change():
     truth.set_box(6.0, 4.0, 7.0, 6.0, OCCUPIED)
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
     before = belief.distance_field()
-    raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
-    assert belief.version == 1
-    assert np.array_equal(belief.distance_field().values, distance_transform_reference(belief))
-    assert not np.array_equal(belief.distance_field().values, before.values)
-    raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
-    assert belief.version == 1
+    with counted_writes() as writes:
+        raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
+        assert writes[belief] == 1
+        after = belief.distance_field()
+        assert np.array_equal(after.values, distance_transform_reference(belief))
+        assert not np.array_equal(after.values, before.values)
+        raytrace_reveal(truth, belief, Pose2D(5, 5, 0), 8.0, 720)
+        assert writes[belief] == 1
+    assert belief.distance_field() is after      # the memo kept its generation
 
 
 # ------------------------------------------------------- distance transform
@@ -241,9 +244,9 @@ def _assert_readers_agree(g, goals, config, r):
     reference, and every reader of `g` whose threshold is at most the cap
     decides on it as on the exact field of an uncapped copy: the
     comparisons with each threshold up to the cap, the disk mask,
-    `rotation_blocked` and `clear_within` of two disk sets (reach 0 and the
-    largest the cap allows) and the route's blocked grid; a reader whose
-    threshold is above the cap raises ValueError."""
+    `rotation_blocked` and the clear test of `expansion_blocked` (`clear_test`)
+    of two disk sets (reach 0 and the largest the cap allows) and the route's
+    blocked grid; a reader whose threshold is above the cap raises ValueError."""
     cap, res = g.cap, g.resolution
     full = OccupancyGrid(res, g.cells)
     exact = full.distance_field().values
@@ -256,7 +259,7 @@ def _assert_readers_agree(g, goals, config, r):
     h, w = g.cells.shape
     points = np.column_stack((r.uniform(-1.0, w + 1.0, 48) * res,
                               r.uniform(-1.0, h + 1.0, 48) * res)).tolist()
-    for disks in (make_disk_set(VehicleSpec()), DiskSet((0.0,), res / 2)):
+    for disks in (VehicleSpec().disks, DiskSet((0.0,), res / 2)):
         clear_base = checker_thresholds(disks, res, 0.0)[2][1]
         for reach in {0.0, max(cap - clear_base, 0.0)}:
             above = [name for name, t in checker_thresholds(disks, res, reach) if t > cap]
@@ -269,7 +272,7 @@ def _assert_readers_agree(g, goals, config, r):
             assert np.array_equal(capped.blocked, exact < uncapped.threshold)
             for x, y in points:
                 assert capped.rotation_blocked(x, y) == uncapped.rotation_blocked(x, y)
-                assert capped.clear_within(x, y) == uncapped.clear_within(x, y)
+                assert clear_test(capped, x, y) == clear_test(uncapped, x, y)
     for goal in goals:
         if config.inflation_radius > cap:
             with pytest.raises(ValueError, match="inflation_radius"):
@@ -309,7 +312,7 @@ def _field_cap(kind, nudge, res, config):
     alike: every nonzero distance is at least the resolution."""
     if kind == "inf":
         return math.inf
-    (_, disk), (_, swept), _ = checker_thresholds(make_disk_set(VehicleSpec()), res, 0.0)
+    (_, disk), (_, swept), _ = checker_thresholds(VehicleSpec().disks, res, 0.0)
     cap = {"inflation": config.inflation_radius, "disk": disk, "swept": swept,
            "planner": field_cap(VehicleSpec(), config, res), "cell": math.sqrt(5.0) * res}[kind]
     cap = float(np.nextafter(cap, nudge * math.inf)) if nudge else cap
@@ -325,7 +328,7 @@ def _assert_fields_are_full_rebuild(g, goals, config, r=None):
         _assert_readers_agree(g, goals, config, r)
     _assert_field_is_full_rebuild(g)
     _assert_route_maps_are_full_rebuild(g, goals, config)
-    disks = make_disk_set(VehicleSpec())
+    disks = VehicleSpec().disks
     got, expect = _checker_or_error(g, disks), _checker_or_error(g.copy(), disks)
     if isinstance(expect, str):
         assert got == expect
@@ -334,14 +337,15 @@ def _assert_fields_are_full_rebuild(g, goals, config, r=None):
 
 
 @contextmanager
-def recorded_builds(builds):
+def recorded_builds(builds, writes):
     """Inside, every build run through `OccupancyGrid.derived` first appends
-    (grid, version, key kind, previous is None, added) to `builds`."""
+    (grid, its count in `writes`, key kind, previous is None, added) to
+    `builds`."""
     derived = OccupancyGrid.derived
 
     def recording(self, key, build):
         def recorded(previous, added):
-            builds.append((self, self.version, key[0], previous is None, added))
+            builds.append((self, writes[self], key[0], previous is None, added))
             return build(previous, added)
         return derived(self, key, recorded)
 
@@ -355,20 +359,20 @@ def recorded_builds(builds):
 def _assert_builds_only_add_obstacles(g, builds, occupied):
     """Every build is handed `added` exactly when it is handed a previous
     value, and `added` is the cells that the one write between them made
-    occupied (`occupied` maps each version of `g` to its occupied mask).
+    occupied (`occupied` maps each write count of `g` to its occupied mask).
     After a write that freed an occupied cell, the field, the disk mask and
     the route map builds of `g` all start from empty; each is read there on
     an exact field, and at a finite cap the readers above it build none."""
-    for grid, version, _, fresh, added in builds:
+    for grid, written, _, fresh, added in builds:
         assert (added is None) == fresh
         if added is not None:
             assert grid is g
-            made = occupied[version] & ~occupied[version - 1]
+            made = occupied[written] & ~occupied[written - 1]
             assert np.array_equal(np.sort(added), np.flatnonzero(made))
-    for version in range(1, len(occupied)):
-        if (occupied[version - 1] & ~occupied[version]).any():
-            after = [(kind, fresh) for grid, v, kind, fresh, _ in builds
-                     if grid is g and v == version]
+    for written in range(1, len(occupied)):
+        if (occupied[written - 1] & ~occupied[written]).any():
+            after = [(kind, fresh) for grid, n, kind, fresh, _ in builds
+                     if grid is g and n == written]
             assert all(fresh for _, fresh in after)
             kinds = {kind for kind, _ in after}
             if after and g.cap == math.inf:     # read before the next write
@@ -404,12 +408,12 @@ def test_incremental_distance_field_matches_full(w, h, res, fill, steps, factor,
     g = OccupancyGrid(res, cells, _field_cap(cap_kind, nudge, res, config))
     goals = [Pose2D(r.uniform(0.0, w * res), r.uniform(0.0, h * res), 0.0) for _ in range(2)]
     builds, occupied = [], [g.cells == OCCUPIED]
-    with recorded_builds(builds):
+    with counted_writes() as writes, recorded_builds(builds, writes):
         _assert_fields_are_full_rebuild(g, goals, config, r)
         for edit, read in steps:
             _apply_edit(g, edit, r)
-            occupied[g.version:] = [g.cells == OCCUPIED]    # at most one write per edit
-            assert len(occupied) == g.version + 1
+            occupied[writes[g]:] = [g.cells == OCCUPIED]    # at most one write per edit
+            assert len(occupied) == writes[g] + 1
             if read:
                 _assert_fields_are_full_rebuild(g, goals, config, r)
         _assert_fields_are_full_rebuild(g, goals, config, r)
@@ -423,7 +427,7 @@ def _assert_logged_fields_match(g, goals, config):
     from scratch."""
     exact = distance_transform_reference(g)
     assert np.array_equal(g.distance_field().values, saturated(exact, g.cap))
-    checker = CollisionChecker(g, make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(g, VehicleSpec().disks)
     assert np.array_equal(checker.blocked, exact < checker.threshold)
     _assert_route_maps_are_full_rebuild(g, goals, config)
 
@@ -558,17 +562,18 @@ def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, 0.25, UNKNOWN)
     belief.distance_field()
     rebuilt = []                     # (writes, occupied before, after) per later rebuild
-    for x in (2.0, 2.0, 3.0, 6.0, None, 14.0, 17.0, 17.5):
-        version, mask = belief.version, belief.occupied_mask()
-        if x is not None:
-            raytrace_reveal(truth, belief, Pose2D(x, 6.0, 0.0), 4.0, 360)
-        if x in (3.0, None):         # writes that keep the occupied cells
-            belief.set_cells(belief.cells == UNKNOWN, FREE)
-        belief.distance_field()
-        belief.distance_field()
-        if belief.version != version:
-            rebuilt.append((belief.version - version, mask, belief.occupied_mask()))
-        assert len(calls) == 1 + len(rebuilt)
+    with counted_writes() as counted:
+        for x in (2.0, 2.0, 3.0, 6.0, None, 14.0, 17.0, 17.5):
+            written, mask = counted[belief], belief.occupied_mask()
+            if x is not None:
+                raytrace_reveal(truth, belief, Pose2D(x, 6.0, 0.0), 4.0, 360)
+            if x in (3.0, None):         # writes that keep the occupied cells
+                belief.set_cells(belief.cells == UNKNOWN, FREE)
+            belief.distance_field()
+            belief.distance_field()
+            if counted[belief] != written:
+                rebuilt.append((counted[belief] - written, mask, belief.occupied_mask()))
+            assert len(calls) == 1 + len(rebuilt)
     kinds = {(writes, np.array_equal(was, now)) for writes, was, now in rebuilt}
     assert {(1, True), (1, False), (2, True)} <= kinds
     assert calls[0][:2] == ((), {"previous": None, "added": None})
@@ -622,6 +627,17 @@ def test_raster_matches_scalar_reference(case):
     assert np.array_equal(read(np.array((xs, ys))), expect)
     if xs.size % 2 == 0:
         assert np.array_equal(read(np.array((xs.reshape(2, -1), ys.reshape(2, -1)))), expect)
+
+
+def test_rasters_compare_by_identity():
+    """Rasters and route maps of equal values are distinct objects: `==` and
+    `hash` read identity, as for routes and paths, and never the arrays."""
+    a, b = (Raster(np.zeros((2, 2)), 1.0, 0.0) for _ in range(2))
+    assert a == a and a != b and len({a, b}) == 2
+    g = bordered_grid(10, 10)
+    maps = [build_distance_map(grid, Pose2D(5, 5, 0), PlannerConfig()) for grid in (g, g.copy())]
+    assert np.array_equal(maps[0].values, maps[1].values)
+    assert maps[0] != maps[1] and len(set(maps)) == 2
 
 
 # ------------------------------------------------------------ voronoi field
@@ -757,18 +773,18 @@ def test_reveal_names_bad_input(shape, sensor_range, n_rays, match):
     truth = bordered_grid(10, 10, res=0.25)
     h, w = shape or truth.cells.shape
     belief = OccupancyGrid.filled(w, h, 0.25, UNKNOWN)
-    with pytest.raises(ValueError, match=match):
+    with counted_writes() as writes, pytest.raises(ValueError, match=match):
         raytrace_reveal(truth, belief, Pose2D(5, 5, 0), sensor_range, n_rays)
-    assert belief.version == 0 and np.all(belief.cells == UNKNOWN)
+    assert not writes and np.all(belief.cells == UNKNOWN)
 
 
 def _assert_reveal_matches_reference(truth, belief, pose, sensor_range, n_rays):
-    expect = belief.copy()                      # at version 0
-    version = belief.version
-    got = raytrace_reveal(truth, belief, pose, sensor_range, n_rays)
-    assert got == raytrace_reveal_reference(truth, expect, pose, sensor_range, n_rays)
+    expect = belief.copy()
+    with counted_writes() as writes:
+        got = raytrace_reveal(truth, belief, pose, sensor_range, n_rays)
+        assert got == raytrace_reveal_reference(truth, expect, pose, sensor_range, n_rays)
     assert np.array_equal(belief.cells, expect.cells)
-    assert belief.version - version == expect.version
+    assert writes[belief] == writes[expect]
 
 
 def test_reveal_tie_steps_in_x():

@@ -15,9 +15,9 @@ from hybridplan.mission import (MissionConfig, MissionState, carried_path_collis
                                 check_path_collision, compute_replan_start, free_waypose,
                                 mission_tick)
 from hybridplan.planner import PathBuilder, PlannerConfig, RotationSegment, field_cap, plan
-from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from hybridplan.vehicle import CollisionChecker, VehicleSpec
 
-from conftest import bordered_grid, bundled, pose_close
+from conftest import bordered_grid, bundled, counted_writes, pose_close
 from oracles import build_distance_map_reference, extract_astar_path_reference
 
 VEH = VehicleSpec()
@@ -35,31 +35,31 @@ def straight_path(length=60.0):
 
 def test_clear_path_reports_none():
     g, path = straight_path(30.0)
-    assert check_path_collision(path, 0.0, g, make_disk_set(VEH)) is None
+    assert check_path_collision(path, 0.0, g, VEH.disks) is None
 
 
 def test_wall_ahead_distance():
     g, path = straight_path(30.0)
     g.set_box(17.0, 0.5, 18.0, 11.5, OCCUPIED)   # wall across the corridor
-    s = check_path_collision(path, 0.0, g, make_disk_set(VEH))
+    s = check_path_collision(path, 0.0, g, VEH.disks)
     assert s is not None
     # the front disk reaches the wall cushion well before the wall itself
-    expected = 17.0 - (5.0 + VEH.length - VEH.rear_overhang + make_disk_set(VEH).radius)
+    expected = 17.0 - (5.0 + VEH.length - VEH.rear_overhang + VEH.disks.radius)
     assert s == pytest.approx(expected, abs=1.0)
 
 
 def test_wall_at_pose_is_immediate():
     g, path = straight_path(30.0)
     g.set_box(5.5, 0.5, 7.0, 11.5, OCCUPIED)
-    s = check_path_collision(path, 0.0, g, make_disk_set(VEH))
+    s = check_path_collision(path, 0.0, g, VEH.disks)
     assert s == pytest.approx(0.0, abs=0.2)
 
 
 def test_from_s_offsets_the_result():
     g, path = straight_path(30.0)
     g.set_box(20.0, 0.5, 21.0, 11.5, OCCUPIED)
-    s0 = check_path_collision(path, 0.0, g, make_disk_set(VEH))
-    s5 = check_path_collision(path, 5.0, g, make_disk_set(VEH))
+    s0 = check_path_collision(path, 0.0, g, VEH.disks)
+    s5 = check_path_collision(path, 5.0, g, VEH.disks)
     assert s0 is not None and s5 is not None
     assert s0 - s5 == pytest.approx(5.0, abs=0.2)
 
@@ -130,16 +130,18 @@ def tick(state, belief, mode="standard", **kw):
 
 
 def test_route_map_not_reused_across_grids_at_same_version():
-    """A copied grid restarts at version 0; the route map must follow the grid."""
+    """A copy and a grid that no write has touched since it was made are both
+    at their first memo generation; the route map must follow the grid."""
     open_map = OccupancyGrid.filled(320, 96, 0.15625)
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(45, 7, 0))
     tick(state, open_map)
     assert state.prev_astar.length == pytest.approx(40.0, abs=1.0)
     walled = OccupancyGrid.filled(320, 96, 0.15625)
     walled.set_box(24.0, 0.0, 26.0, 12.0, OCCUPIED)   # detour around the wall's top
-    walled = walled.copy()
-    assert walled.version == open_map.version == 0
-    tick(state, walled)
+    with counted_writes() as writes:
+        walled = walled.copy()
+        tick(state, walled)
+    assert not writes
     assert state.prev_astar.length > 45.0
 
 
@@ -283,7 +285,7 @@ def test_executed_rotation_is_not_checked_again():
     path = drive_rotate_drive()
     g = bordered_grid(40, 24)
     g.set_box(12.8, 8.6, 13.1, 8.9, OCCUPIED)
-    disks = make_disk_set(VEH)
+    disks = VEH.disks
     assert check_path_collision(path, 0.0, g, disks) == pytest.approx(5.0)
     assert check_path_collision(path, 5.0, g, disks) == 0.0
     assert check_path_collision(path, 5.0, g, disks, rotations_done=1) is None
@@ -397,7 +399,7 @@ def test_a_blocked_waypose_moves_back_along_the_route(monkeypatch):
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(193, 7, 0))
     tick(state, g, mode="waypoint")
     route, s_w = state.prev_astar, MissionConfig().s_w
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
 
     def blocked(pose):
         return checker.pose_blocked(pose.x, pose.y, pose.yaw)
@@ -417,9 +419,9 @@ def test_no_free_waypose_on_the_route_is_none():
     g.set_box(7.0, 0.0, 100.0, 14.0, OCCUPIED)
     points = np.column_stack([5.0 + np.arange(100) * 0.625, np.full(100, 7.0)])
     route = AStarPath(points=points, cumulative_s=np.arange(100) * 0.625)
-    assert free_waypose(route, 55.0, CollisionChecker(g, make_disk_set(VEH))) is None
+    assert free_waypose(route, 55.0, CollisionChecker(g, VEH.disks)) is None
     g.set_box(7.0, 0.5, 40.0, 13.5, FREE)
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     pose = free_waypose(route, 55.0, checker)
     assert not checker.pose_blocked(pose.x, pose.y, pose.yaw)
     assert checker.pose_blocked(pose.x + 0.625, pose.y, pose.yaw) and 30.0 < pose.x < 40.0
@@ -565,15 +567,18 @@ def test_carried_verdict_equals_a_fresh_check(first, delta, second, steps):
             state.progress_s, state.rotations_done = 0.0, 0
         elif kind == "vehicle":
             vehicle = step[1]
-        disks = make_disk_set(vehicle)
+        disks = vehicle.disks
         fresh = check_path_collision(state.current_path, state.progress_s, belief, disks,
                                      state.rotations_done)
         assert carried_path_collision(state, belief, disks) == fresh
 
 
 def test_clear_path_is_checked_once_until_something_changes(monkeypatch):
-    """The work count: one check while nothing changes, one more for each
-    write, step back or other vehicle, and a hit is checked on every tick."""
+    """The work count: one check while the obstacle field stays the same
+    object, one more for each write that adds an obstacle, step back or other
+    vehicle, and a hit is checked on every tick.  A write that adds no
+    obstacle keeps the field, so the verdict is carried, and it still equals
+    a fresh check."""
     checks = []
 
     def counting_check(*args):
@@ -582,16 +587,22 @@ def test_clear_path_is_checked_once_until_something_changes(monkeypatch):
 
     monkeypatch.setattr(mission, "check_path_collision", counting_check)
     g, path = straight_path(30.0)
-    state, disks = make_state(path), make_disk_set(VEH)
+    state, disks = make_state(path), VEH.disks
     for progress in (0.0, 0.0, 1.0, 5.0):
         state.progress_s = progress
         assert carried_path_collision(state, g, disks) is None
     assert len(checks) == 1
-    g.set_box(0.6, 0.6, 0.8, 0.8, OCCUPIED)             # any write, even a far one
+    for write in (lambda: g.set_cells((0, 0), g.cells[0, 0]),    # same values
+                  lambda: g.set_box(2.0, 2.0, 3.0, 3.0, FREE)):
+        write()
+        assert carried_path_collision(state, g, disks) is None
+        assert check_path_collision(path, state.progress_s, g, disks) is None
+    assert len(checks) == 1
+    g.set_box(0.6, 0.6, 0.8, 0.8, OCCUPIED)             # a new obstacle, even a far one
     assert carried_path_collision(state, g, disks) is None
     state.progress_s = 4.0                              # behind that check
     assert carried_path_collision(state, g, disks) is None
-    assert carried_path_collision(state, g, make_disk_set(WIDE)) is None
+    assert carried_path_collision(state, g, WIDE.disks) is None
     assert len(checks) == 4
     g.set_box(20.0, 0.5, 21.0, 11.5, OCCUPIED)          # a wall ahead is seen
     hit = carried_path_collision(state, g, disks)
@@ -608,13 +619,13 @@ def straight_line(y):
 
 
 def test_each_part_of_the_carried_key_can_turn_clear_into_a_hit():
-    """A clear verdict is carried only for the same path, belief version and
+    """A clear verdict is carried only for the same path, obstacle field and
     disks, and only ahead of its check: changing any one of them alone
     exposes a hit that carrying the verdict would hide."""
     g = bordered_grid(40, 12)
     g.set_box(15.0, 7.5, 15.3, 7.8, OCCUPIED)   # 1.5 m beside y = 6: only a wide vehicle hits it
     g.set_box(25.0, 9.5, 25.3, 9.8, OCCUPIED)   # on the line y = 9.6
-    narrow, wide = make_disk_set(VEH), make_disk_set(WIDE)
+    narrow, wide = VEH.disks, WIDE.disks
     state = make_state(straight_line(6.0), progress=14.0)
     assert carried_path_collision(state, g, wide) is None       # past the box
     state.progress_s = 10.0
@@ -628,7 +639,7 @@ def test_each_part_of_the_carried_key_can_turn_clear_into_a_hit():
     state.current_path = line
     assert carried_path_collision(state, g, narrow) is None
     g.set_box(30.0, 0.5, 30.5, 11.5, OCCUPIED)
-    assert carried_path_collision(state, g, narrow) is not None  # other belief version
+    assert carried_path_collision(state, g, narrow) is not None  # other obstacle field
 
     g = bordered_grid(40, 24)
     g.set_box(12.8, 8.6, 13.1, 8.9, OCCUPIED)   # only the rotation's sweep hits it
@@ -646,11 +657,11 @@ def test_each_part_of_the_carried_key_can_turn_clear_into_a_hit():
 def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, mode):
     """In a closed-loop run every tick's collision verdict, carried or not and
     read on the saturated field, equals a fresh check on the exact field; on
-    the known map each (path, belief version) is checked in full at most once."""
+    the known map each (path, obstacle field) is checked in full at most once."""
     checked, carried = [], []
 
     def counting_check(path, from_s, belief, disks, rotations_done):
-        checked.append((path, belief.version))
+        checked.append((path, belief.distance_field().values))
         return check_path_collision(path, from_s, belief, disks, rotations_done)
 
     def checking_carry(state, belief, disks):
@@ -667,26 +678,27 @@ def test_closed_loop_carried_verdicts_match_fresh_checks(monkeypatch, scenario, 
     spec = bundled(scenario)
     run = simulate.run_scenario(spec, MissionConfig(), CFG, MODES[mode], VEH)
     assert run.report.reached and any(carried)
-    keys = {(id(path), version) for path, version in checked}
+    keys = {(id(path), id(field)) for path, field in checked}
     if spec.known_env:
         assert len(keys) == len(checked) == len(run.events)   # one full check per path
 
 
 def test_closed_loop_reads_one_obstacle_field_per_belief_version(monkeypatch):
     """On reveal_divergence/guided the route, the collision trigger and the
-    planner share one obstacle field per belief version: each version read
-    is one `distance_transform` call on the run's belief, whose cap is the
-    run's `field_cap`."""
+    planner share one obstacle field per belief version (its count of
+    writes): each version read is one `distance_transform` call on the run's
+    belief, whose cap is the run's `field_cap`."""
     calls = []
     transform = grid_module.distance_transform
 
     def counting(grid, **kwargs):
-        calls.append((grid, grid.version))
+        calls.append((grid, writes[grid]))
         return transform(grid, **kwargs)
 
     monkeypatch.setattr(grid_module, "distance_transform", counting)
     spec = bundled("reveal_divergence")
-    report = simulate.run_scenario(spec, MissionConfig(), CFG, MODES["guided"], VEH).report
+    with counted_writes() as writes:
+        report = simulate.run_scenario(spec, MissionConfig(), CFG, MODES["guided"], VEH).report
     assert report.reached and len(calls) > 1
     assert len(set(calls)) == len(calls)
     (belief,) = {grid for grid, _ in calls}
@@ -699,7 +711,7 @@ def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
     first is handed the previous field and exactly the cells that the last
     write made occupied (a reveal frees none), and reads neither the cells
     nor the occupied mask: no whole-grid delta scan.  The field is still one
-    `distance_transform` call per belief version."""
+    `distance_transform` call per belief version (its count of writes)."""
     calls, scans, inside = [], [], []
     transform = grid_module.distance_transform
     cells, occupied_mask = OccupancyGrid.cells, OccupancyGrid.occupied_mask
@@ -708,7 +720,7 @@ def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
         previous = kwargs["previous"]     # 0.0 on the cells occupied one write back
         made = None if previous is None else np.flatnonzero(
             (grid.cells == OCCUPIED) & (previous != 0.0))
-        calls.append((grid, grid.version, previous, kwargs["added"], made))
+        calls.append((grid, writes[grid], previous, kwargs["added"], made))
         inside.append(len(calls))
         try:
             return transform(grid, **kwargs)
@@ -725,8 +737,9 @@ def test_closed_loop_field_updates_read_the_write_log(monkeypatch):
     monkeypatch.setattr(grid_module, "distance_transform", logged)
     monkeypatch.setattr(OccupancyGrid, "cells", property(scanned(cells.fget)))
     monkeypatch.setattr(OccupancyGrid, "occupied_mask", scanned(occupied_mask))
-    report = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
-                                   MODES["guided"], VEH).report
+    with counted_writes() as writes:
+        report = simulate.run_scenario(bundled("reveal_divergence"), MissionConfig(), CFG,
+                                       MODES["guided"], VEH).report
     assert report.reached and len(calls) > 1
     assert len({(grid, version) for grid, version, *_ in calls}) == len(calls)
     assert calls[0][2] is None and set(scans) == {1}       # the first build, from empty

@@ -22,7 +22,7 @@ from hybridplan.grid import OccupancyGrid
 from hybridplan.mission import MissionState, check_path_collision
 from hybridplan.planner import DriveSegment, PathBuilder, PlannedPath, RotationSegment
 from hybridplan.simulate import _follow, path_to_json
-from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from hybridplan.vehicle import CollisionChecker, VehicleSpec
 
 from conftest import pose_close
 import oracles
@@ -120,7 +120,7 @@ def test_executed_rotations_are_skipped_by_walk_slice_and_collision_check(case):
         return np.zeros(xy.shape[1:], dtype=bool)
 
     belief = OccupancyGrid.filled(4, 4, 0.5)
-    disks = make_disk_set(VehicleSpec())
+    disks = VehicleSpec().disks
     with mock.patch.object(CollisionChecker, "rotation_blocked", rotation_blocked), \
             mock.patch.object(CollisionChecker, "batch_blocked", batch_blocked):
         for k, (_, progress_s, rotations_done) in enumerate(places):

@@ -18,7 +18,7 @@ from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 cost_of, geometric_extension, plan, steps_cost)
 from hybridplan import planner as planner_module, reeds_shepp as reeds_shepp_module
 from hybridplan.reeds_shepp import rs_path_length
-from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from hybridplan.vehicle import CollisionChecker, VehicleSpec
 
 from conftest import angles_close, bordered_grid, clutter_scene, paint_disk, pose_close
 from oracles import analytic_expansions_reference, plan_reference
@@ -154,10 +154,12 @@ def test_no_path_when_goal_boxed():
 
 
 def test_budget_exhaustion_raises():
+    """The failed search's stats count the nodes it expanded: the budget."""
     g = open_grid()
     cfg = PlannerConfig(node_budget=5, analytic_radius=0.001)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as failure:
         plan(g, Pose2D(5, 5, 0), Pose2D(35, 35, 2.0), VEH, cfg)
+    assert failure.value.stats.nodes_expanded == 5
 
 
 def test_planned_path_is_collision_free(rng):
@@ -165,7 +167,7 @@ def test_planned_path_is_collision_free(rng):
     for _ in range(6):
         g.set_box(rng.uniform(8, 30), rng.uniform(8, 30),
                   rng.uniform(8, 30) + 2.0, rng.uniform(8, 30) + 2.0, OCCUPIED)
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     start, goal = Pose2D(4, 4, 0), Pose2D(36, 36, math.pi / 2)
     try:
         path, _ = plan(g, start, goal, VEH, CFG)
@@ -302,7 +304,7 @@ def test_search_matches_reference(seed, border, mode, horizon, config,
     fails the same way."""
     rng = np.random.default_rng(seed)
     g = clutter_scene(rng, border)
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     start = _free_pose(rng, checker, near_edge)
     goal = _free_pose(rng, checker, False)
     args = (g, start, goal, VEH, config)
@@ -318,7 +320,7 @@ def test_search_matches_reference(seed, border, mode, horizon, config,
 
 def test_analytic_free_space_equals_rs():
     g = open_grid()
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     pose, goal = Pose2D(10, 20, 0), Pose2D(25, 22, 0.5)
     suffix = analytic_expansions(pose, goal, checker, CFG, VEH, STANDARD)
     assert suffix is not None
@@ -330,7 +332,7 @@ def test_analytic_free_space_equals_rs():
 def test_analytic_blocked_returns_none():
     g = open_grid()
     g.set_box(18.0, 0.5, 20.0, 39.5, OCCUPIED)  # full-height wall
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(30, 20, 0), checker,
                                  CFG, VEH, STANDARD)
     assert suffix is None
@@ -341,7 +343,7 @@ def test_analytic_blocked_start_returns_none():
     when the wall only grazes the start and the path drives away from it."""
     g = open_grid()
     g.set_box(7.65, 0.5, 7.95, 39.5, OCCUPIED)   # just behind the rear disk
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     assert checker.pose_blocked(10.0, 20.0, 0.0)
     assert not checker.pose_blocked(10.0 + CFG.collision_step, 20.0, 0.0)
     suffix = analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 20, 0), checker,
@@ -359,7 +361,7 @@ def test_analytic_extension_used_where_arcs_collide():
     for t in np.arange(0.0, 12.0, 0.25):
         paint_disk(g, 26.0 + t * d[0], 20.0 + t * d[1], 2.2, FREE)
     paint_disk(g, 26.0, 20.0, 3.8, FREE)                 # fits the swept circle
-    checker = CollisionChecker(g, make_disk_set(VEH))
+    checker = CollisionChecker(g, VEH.disks)
     pose = Pose2D(6.0, 20.0, 0.0)
     goal = Pose2D(26.0 + 8.0 * d[0], 20.0 + 8.0 * d[1], -3 * math.pi / 4)
     rs_only = analytic_expansions(pose, goal, checker, CFG, VEH, STANDARD)
@@ -396,7 +398,7 @@ def test_analytic_matches_whole_candidate_reference(mode):
 
     Four in five start poses are drawn free, as the search's nodes are."""
     rng = np.random.default_rng(3107)
-    disks = make_disk_set(VEH)
+    disks = VEH.disks
     outcomes = {True: 0, False: 0}
     for _ in range(25):
         g = clutter_scene(rng)
@@ -444,7 +446,7 @@ def test_analytic_late_collision_matches_reference(monkeypatch):
         pose = Pose2D(4.0, 20.0 + rng.uniform(-1.0, 1.0), rng.uniform(-0.1, 0.1))
         x_wall, half = pose.x + rng.uniform(13.0, 17.0), rng.uniform(1.5, 6.0)
         g.set_box(x_wall, pose.y - half, x_wall + 1.0, pose.y + half, OCCUPIED)
-        checker = CollisionChecker(g, make_disk_set(VEH))
+        checker = CollisionChecker(g, VEH.disks)
         goal = Pose2D(rng.uniform(26.0, 34.0), pose.y + rng.uniform(-4.0, 4.0),
                       rng.uniform(-0.5, 0.5))
         args = (pose, goal, checker, CFG, VEH, STANDARD)
@@ -461,7 +463,7 @@ def test_analytic_work_counts(monkeypatch):
     attempt samples only its winner in full."""
     g = OccupancyGrid.filled(256, 256, 0.15625, OCCUPIED)
     g.set_box(17.5, 18.0, 23.5, 22.0, FREE)               # a pocket around the pose
-    pocket = CollisionChecker(g, make_disk_set(VEH))
+    pocket = CollisionChecker(g, VEH.disks)
     pose = Pose2D(20.0, 20.0, 0.0)
     assert not pocket.pose_blocked(pose.x, pose.y, pose.yaw)
     checks = _counting(monkeypatch, CollisionChecker, "batch_blocked")
@@ -473,7 +475,7 @@ def test_analytic_work_counts(monkeypatch):
     assert (checks[0], sampled[0], built[0], solved[0]) == (1, 0, 1, 1)
 
     checks[0] = built[0] = solved[0] = 0
-    free = CollisionChecker(open_grid(), make_disk_set(VEH))
+    free = CollisionChecker(open_grid(), VEH.disks)
     assert analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 22, 0.5), free, CFG,
                                VEH, STANDARD) is not None
     assert (checks[0], sampled[0], built[0], solved[0]) == (2, 1, 1, 1)

@@ -9,7 +9,7 @@ import pytest
 
 import hybridplan
 from hybridplan.grid import UNKNOWN
-from hybridplan.vehicle import CollisionChecker, VehicleSpec, make_disk_set
+from hybridplan.vehicle import CollisionChecker, VehicleSpec
 
 from conftest import bundled
 from test_golden_outputs import CASES, GOLDEN_FILE
@@ -26,7 +26,7 @@ def test_scenario_endpoints_are_valid(name):
     spec = bundled(name)
     truth = spec.truth_map
     assert not (truth.cells == UNKNOWN).any()
-    checker = CollisionChecker(truth, make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(truth, VehicleSpec().disks)
     assert not checker.pose_blocked(spec.start.x, spec.start.y, spec.start.yaw)
     assert not checker.pose_blocked(spec.goal.x, spec.goal.y, spec.goal.yaw)
 

@@ -12,10 +12,9 @@ from hybridplan.geometry import Pose2D, move_along_arc
 from hybridplan.grid import FREE, OCCUPIED, OccupancyGrid
 from hybridplan.heuristic import build_distance_map
 from hybridplan.planner import PathBuilder, PlannerConfig, _PrimitiveTable, field_cap, plan
-from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, checker_thresholds,
-                               make_disk_set)
+from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, checker_thresholds
 
-from conftest import pose_close
+from conftest import clear_test, pose_close
 from oracles import (expansion_blocked_reference, pose_collides, rectangle_hits_occupied,
                      rotation_collides)
 
@@ -105,26 +104,35 @@ def test_rotation_wraps():
 
 def test_single_disk_covers_whole_rectangle():
     spec = VehicleSpec(n_disks=1)
-    disks = make_disk_set(spec)
+    disks = spec.disks
     assert disks.radius == pytest.approx(math.sqrt(5.0))
     assert len(disks.centers) == 1
     assert disks.centers[0] == pytest.approx(-spec.rear_overhang + 2.0)
 
 
+def test_the_cover_is_built_once_per_spec():
+    """`VehicleSpec.disks` is cached on the frozen spec: one object per spec,
+    equal for equal specs, and the spec still compares and hashes by its fields."""
+    spec = VehicleSpec()
+    assert spec.disks is spec.disks and spec.disks == VehicleSpec().disks
+    assert spec == VehicleSpec() and hash(spec) == hash(VehicleSpec())
+    assert spec.disks != VehicleSpec(n_disks=2).disks
+
+
 def test_two_disk_radius():
-    disks = make_disk_set(VehicleSpec(n_disks=2))
+    disks = VehicleSpec(n_disks=2).disks
     assert disks.radius == pytest.approx(math.sqrt(2.0))
 
 
 def test_many_disks_radius_approaches_half_width():
-    disks = make_disk_set(VehicleSpec(n_disks=200))
+    disks = VehicleSpec(n_disks=200).disks
     assert disks.radius == pytest.approx(1.0, abs=2e-4)
 
 
 def test_disk_union_covers_footprint(rng):
     """Random interior points at random poses always fall inside some disk."""
     spec = VehicleSpec()
-    disks = make_disk_set(spec)
+    disks = spec.disks
     for _ in range(40):
         pose = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
         c, s = math.cos(pose.yaw), math.sin(pose.yaw)
@@ -150,18 +158,18 @@ def grid_with_wall():
 def test_open_space_clear():
     g = OccupancyGrid.filled(256, 256, 0.15625, FREE)
     g.set_cells((0, 0), OCCUPIED)  # keep the field finite
-    checker = CollisionChecker(g, make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(g, VehicleSpec().disks)
     assert not checker.pose_blocked(20, 20, 0.3)
 
 
 def test_occupied_under_vehicle_collides():
-    checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(grid_with_wall(), VehicleSpec().disks)
     assert checker.pose_blocked(20.5, 20.0, 0.0)
 
 
 def test_wall_gap_below_disk_radius_collides():
     """Driving parallel to a wall at 0.2 m lateral gap trips the disk cover."""
-    disks = make_disk_set(VehicleSpec(n_disks=2))
+    disks = VehicleSpec(n_disks=2).disks
     checker = CollisionChecker(grid_with_wall(), disks)
     # wall face at x = 20, body half-width 1.0: centerline at 18.8 leaves 0.2 m
     assert disks.radius == pytest.approx(math.sqrt(2.0))
@@ -169,19 +177,19 @@ def test_wall_gap_below_disk_radius_collides():
 
 
 def test_outside_grid_counts_as_collision():
-    checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(grid_with_wall(), VehicleSpec().disks)
     assert checker.pose_blocked(-10.0, 20.0, 0.0)
 
 
 def test_rotation_open_space_clear():
     g = OccupancyGrid.filled(256, 256, 0.15625, FREE)
     g.set_cells((0, 0), OCCUPIED)
-    checker = CollisionChecker(g, make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(g, VehicleSpec().disks)
     assert not checker.rotation_blocked(25, 25)
 
 
 def test_rotation_near_wall_collides():
-    disks = make_disk_set(VehicleSpec())
+    disks = VehicleSpec().disks
     checker = CollisionChecker(grid_with_wall(), disks)
     assert disks.swept_radius == pytest.approx(
         max(abs(c) for c in disks.centers) + disks.radius)
@@ -196,7 +204,7 @@ def test_a_threshold_above_the_field_cap_is_a_named_error():
 
     def capped(cap):
         return OccupancyGrid(g.resolution, g.cells, cap)
-    disks, reach = make_disk_set(VehicleSpec()), 3.0
+    disks, reach = VehicleSpec().disks, 3.0
     for reader, threshold in checker_thresholds(disks, g.resolution, reach):
         cap = threshold - 0.01
         with pytest.raises(ValueError, match=rf"^{reader} .* {threshold!r} m, .* {cap!r} m$"):
@@ -211,7 +219,7 @@ def test_a_threshold_above_the_field_cap_is_a_named_error():
     assert cap == max(
         [cfg.inflation_radius] + [t for _, t in checker_thresholds(disks, g.resolution, reach)])
     start, goal = Pose2D(5.0, 10.0, 0.0), Pose2D(15.0, 10.0, 0.0)
-    with pytest.raises(ValueError, match=r"^clear_within .* above the field's cap"):
+    with pytest.raises(ValueError, match=r"^expansion_blocked .* above the field's cap"):
         plan(capped(float(np.nextafter(cap, 0.0))), start, goal, VehicleSpec(), cfg)
     runs = [plan(grid, start, goal, VehicleSpec(), cfg) for grid in (capped(cap), g)]
     assert len({(p.end_pose(), p.total_drive_length, s.nodes_expanded) for p, s in runs}) == 1
@@ -224,7 +232,7 @@ def test_a_cap_that_is_not_positive_is_a_named_error(cap):
 
 
 def test_rotation_never_less_restrictive_than_pose(rng):
-    checker = CollisionChecker(grid_with_wall(), make_disk_set(VehicleSpec()))
+    checker = CollisionChecker(grid_with_wall(), VehicleSpec().disks)
     for _ in range(300):
         x, y, yaw = rng.uniform(2, 38), rng.uniform(2, 38), rng.uniform(-math.pi, math.pi)
         if not checker.rotation_blocked(x, y):
@@ -241,7 +249,7 @@ def test_rotation_free_pose_is_free_next_to_a_single_cell():
     vehicle, cfg = VehicleSpec(), PlannerConfig()
     g = OccupancyGrid(0.15625, np.full((128, 128), FREE), field_cap(vehicle, cfg, 0.15625))
     g.set_box(10.0, 10.0, 10.15625, 10.15625, OCCUPIED)
-    checker = CollisionChecker(g, make_disk_set(vehicle), _PrimitiveTable(cfg, vehicle).reach)
+    checker = CollisionChecker(g, vehicle.disks, _PrimitiveTable(cfg, vehicle).reach)
     x, y, yaw = 13.174409858110078, 10.666560375387807, -2.8888941189211033
     assert not checker.rotation_blocked(x, y)
     assert not checker.pose_blocked(x, y, yaw)
@@ -251,7 +259,7 @@ def test_disk_check_conservative_against_rectangle_oracle(rng):
     """Whenever the exact footprint covers an occupied cell center, the disk
     test must report a collision."""
     spec = VehicleSpec()
-    disks = make_disk_set(spec)
+    disks = spec.disks
     for _ in range(20):
         g = OccupancyGrid.filled(160, 160, 0.15625, FREE)
         for _ in range(25):
@@ -281,7 +289,7 @@ def test_checker_matches_scalar_reference(seed, n_disks):
     for _ in range(int(r.integers(0, 8))):
         x, y = r.uniform(0, w_m), r.uniform(0, h_m)
         g.set_box(x, y, x + r.uniform(0.2, 3.0), y + r.uniform(0.2, 3.0), OCCUPIED)
-    disks = make_disk_set(VehicleSpec(n_disks=n_disks))
+    disks = VehicleSpec(n_disks=n_disks).disks
     checker = CollisionChecker(g, disks)
     field = g.distance_field().values
     n = 150
@@ -314,7 +322,7 @@ def test_blocked_mask_follows_set_box():
     """The blocked-cell mask is memoized on the grid, and a cell write drops it."""
     g = OccupancyGrid.filled(120, 120, 0.15625, FREE)
     g.set_cells((0, 0), OCCUPIED)
-    disks = make_disk_set(VehicleSpec())
+    disks = VehicleSpec().disks
     before = CollisionChecker(g, disks)
     assert CollisionChecker(g, disks).blocked is before.blocked
     assert not before.pose_blocked(9.0, 9.0, 0.3)
@@ -330,7 +338,7 @@ def test_previous_mask_freed_once_rebuilt():
     """The memo hands a build its previous value and then lets it go: once a
     checker is built on the written grid, the old mask is not held."""
     g = OccupancyGrid.filled(120, 120, 0.15625, FREE)
-    disks = make_disk_set(VehicleSpec())
+    disks = VehicleSpec().disks
     old_mask = weakref.ref(CollisionChecker(g, disks).blocked)
     g.set_box(8.5, 8.5, 9.5, 9.5, OCCUPIED)
     gc.collect()
@@ -363,9 +371,10 @@ def _cells_within(x: float, y: float, reach: float, res: float):
 @given(seed=st.integers(0, 2**32 - 1), res=st.sampled_from([0.15625, 0.2, 0.25, 0.5]),
        density=st.sampled_from([0.0, 0.002, 0.02, 0.1]), n_disks=st.integers(1, 4))
 def test_clear_within_proves_every_disk_free(seed, res, density, n_disks):
-    """When `clear_within` says clear, every disk centred within reach is free
-    by the scalar reference, the cells next to the grid edge and off it
-    included; an obstacle-free grid (+inf field) is tested too.
+    """When `expansion_blocked` says clear ([], `clear_test`), every disk
+    centred within reach is free by the scalar reference, the cells next to
+    the grid edge and off it included; an obstacle-free grid (+inf field) is
+    tested too.
 
     Half of the reaches are drawn just below the field's own margin, where
     only the half-cell-diagonal terms keep the answer correct.  Every checker
@@ -388,7 +397,7 @@ def test_clear_within_proves_every_disk_free(seed, res, density, n_disks):
             reach = margin - float(r.uniform(0.0, 1.0)) * res * math.sqrt(2.0)
             if not 0.0 <= reach <= 2.5:
                 continue
-        if not CollisionChecker(g, disks, reach).clear_within(x, y):
+        if not clear_test(CollisionChecker(g, disks, reach), x, y):
             continue
         for px, py in _cells_within(x, y, reach, res):
             assert not pose_collides(Pose2D(px, py, 0.0), one_disk, field, res)
@@ -456,7 +465,7 @@ def test_expansion_blocked_matches_the_survivor_batch(seed, res, density, n_disk
     obstacle = (float(r.uniform(m, w * res - m)), float(r.uniform(m, h * res - m)))
     cells[int(obstacle[1] / res), int(obstacle[0] / res)] = OCCUPIED
     g = OccupancyGrid(res, cells, field_cap(vehicle, config, res))
-    checker = CollisionChecker(g, make_disk_set(vehicle), table.reach)
+    checker = CollisionChecker(g, vehicle.disks, table.reach)
     fallbacks = [0]
     batch = checker.batch_blocked
 
