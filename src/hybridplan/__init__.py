@@ -12,8 +12,8 @@ from .planner import (BudgetExceededError, DriveSegment, NoPathError, PlannedPat
                       PlannerConfig, PlannerFailure, RotationSegment, SearchStats,
                       analytic_expansions, cost_of, field_cap, geometric_extension, plan)
 from .reeds_shepp import rs_all_paths, rs_path_length, sample_path
-from .simulate import (EventRecord, MetricsReport, Run, ScenarioSpec, kappa_dot_rms,
-                       proximity_stats, run_scenario)
+from .simulate import (MetricsReport, Run, ScenarioSpec, kappa_dot_rms, proximity_stats,
+                       run_scenario)
 from .vehicle import CollisionChecker, DiskSet, VehicleSpec
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "PlannerConfig", "PlannerFailure", "RotationSegment", "SearchStats",
     "analytic_expansions", "cost_of", "field_cap", "geometric_extension", "plan",
     "rs_all_paths", "rs_path_length", "sample_path",
-    "EventRecord", "MetricsReport", "Run", "ScenarioSpec", "kappa_dot_rms",
-    "proximity_stats", "run_scenario",
+    "MetricsReport", "Run", "ScenarioSpec", "kappa_dot_rms", "proximity_stats",
+    "run_scenario",
     "CollisionChecker", "DiskSet", "VehicleSpec",
 ]

@@ -13,11 +13,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .heuristic import resolution_factor
-from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE, NAV_WAYPOINT
+from .mission import MissionConfig, NAV_EARLY_STOP, NAV_NONE, NAV_WAYPOINT, TickResult
 from .planner import EXTENDED, PlannedPath, PlannerConfig, STANDARD
 from .scenarios import (bundled_scenario_path, check_fields, field_types, load_scenario,
                         read_json_object)
-from .simulate import EventRecord, MetricsReport, ScenarioSpec, run_scenario
+from .simulate import MetricsReport, ScenarioSpec, run_scenario
 from .svg import render_run
 from .vehicle import VehicleSpec
 from .grid import OccupancyGrid, UNKNOWN, raytrace_reveal
@@ -122,7 +122,7 @@ def _write_outputs(out_dir: Path, texts: Dict[str, str]) -> None:
 
 
 def execute_run(cfg: RunConfig, spec: ScenarioSpec, out_dir: Path,
-                with_timing: bool) -> Tuple[MetricsReport, List[EventRecord]]:
+                with_timing: bool) -> Tuple[MetricsReport, List[TickResult]]:
     # an unusable directory or output file fails before the mission
     _write_outputs(out_dir, dict.fromkeys(RUN_OUTPUTS, ""))
     run = run_scenario(spec, cfg.mission, cfg.planner, MODES[cfg.mode], cfg.vehicle)

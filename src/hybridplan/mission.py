@@ -14,7 +14,7 @@ from .grid import OccupancyGrid
 from .heuristic import (AStarPath, GoalBlockedError, NoRouteError, build_distance_map,
                         detect_divergence, extract_astar_path, waypose_at)
 from .planner import (PlannedPath, PlannerConfig, PlannerFailure,
-                      RotationSegment, SearchStats, plan)
+                      RotationSegment, plan)
 from .vehicle import CollisionChecker, DiskSet, VehicleSpec
 
 NAV_NONE = "none"
@@ -59,13 +59,16 @@ class MissionState:
 
 @dataclass(frozen=True)
 class TickResult:
+    """One tick; a tick with a planner call is a replan event (`simulate.Run.events`)."""
     status: str                                   # keep_driving/replanned/goal_reached/failed
     cause: Optional[str] = None                   # initial/collision/divergence/refresh/goal_mode
     s_plan: float = 0.0
-    stats: Optional[SearchStats] = None
-    reason: Optional[str] = None                  # failure reason
-    s_div_found: Optional[float] = None
-    s_coll_found: Optional[float] = None
+    nodes: Optional[int] = None                   # the call's nodes expanded, None without one
+    seconds: float = 0.0                          # the call's wall time
+    reason: Optional[str] = None                  # a failed tick's stop cause for the run
+    s_div: Optional[float] = None                 # route divergence found, [m]
+    s_coll: Optional[float] = None                # path collision ahead found, [m]
+    step: int = 0                                 # simulation step, set by `run_scenario`
 
     @property
     def replanned(self) -> bool:
@@ -151,7 +154,10 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
                  ) -> TickResult:
     """One decision step: refresh the 2D route, test the triggers, replan.
 
-    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*).
+    mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*);
+    an unknown navigation is a ValueError.  A failed tick's reason is the
+    run's stop cause: "route lost: ..." when the 2D route fails,
+    "planner failure: ..." when the replan finds no waypose or no path.
 
     The distance map is memoized on the belief (see `OccupancyGrid.derived`).
     The coarse route is the previous tick's route, or its suffix, while the
@@ -162,18 +168,17 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     a replan; a path found clear is not checked again until the path, the
     belief's obstacle field object or the disks change (`carried_path_collision`).
     """
+    planner_mode, nav_mode = mode
+    if nav_mode not in (NAV_NONE, NAV_WAYPOINT, NAV_EARLY_STOP):
+        raise ValueError(f"unknown navigation mode {nav_mode!r}")
     if _goal_reached(state, planner_cfg):
         return TickResult(status="goal_reached")
-    planner_mode, nav_mode = mode
 
     try:
         dmap = build_distance_map(belief, state.goal, planner_cfg)
-    except GoalBlockedError as exc:
-        return TickResult(status="failed", reason=str(exc))
-    try:
         astar = extract_astar_path(dmap, state.vehicle_pose, state.prev_astar)
-    except NoRouteError as exc:
-        return TickResult(status="failed", reason=str(exc))
+    except (GoalBlockedError, NoRouteError) as exc:
+        return TickResult(status="failed", reason=f"route lost: {exc}")
 
     s_div_found = None
     if state.prev_astar is not None and nav_mode != NAV_NONE and astar is not state.prev_astar:
@@ -221,7 +226,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
                                 CollisionChecker(belief, vehicle.disks))
             if goal is None:
                 return TickResult(status="failed", cause=cause, s_plan=s_plan,
-                                  reason="no free waypose on the route")
+                                  reason="planner failure: no free waypose on the route")
 
     start_steer = math.atan(start_kappa * vehicle.wheelbase)
     try:
@@ -229,13 +234,16 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
                               mode=planner_mode, horizon=horizon,
                               start_direction=start_dir, start_steer=start_steer)
     except PlannerFailure as exc:      # a failed call is counted, with its effort
-        return TickResult(status="failed", cause=cause, s_plan=s_plan, stats=exc.stats,
-                          reason=str(exc), s_div_found=s_div_found, s_coll_found=s_coll_found)
+        return TickResult(status="failed", cause=cause, s_plan=s_plan,
+                          nodes=exc.stats.nodes_expanded, seconds=exc.stats.wall_time_s,
+                          reason=f"planner failure: {exc}", s_div=s_div_found,
+                          s_coll=s_coll_found)
 
     state.current_path = prefix.concat(planned)
     state.progress_s = 0.0
     state.rotations_done = 0
     state.last_replan_odometer = state.odometer
     state.path_to_goal = horizon is None and goal is state.goal
-    return TickResult(status="replanned", cause=cause, s_plan=s_plan, stats=stats,
-                      s_div_found=s_div_found, s_coll_found=s_coll_found)
+    return TickResult(status="replanned", cause=cause, s_plan=s_plan,
+                      nodes=stats.nodes_expanded, seconds=stats.wall_time_s,
+                      s_div=s_div_found, s_coll=s_coll_found)

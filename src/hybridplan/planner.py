@@ -507,8 +507,10 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     `horizon` below the start's.  Every reader shares the belief's obstacle
     field, whose cap must reach their thresholds (`field_cap`; ValueError
     otherwise).  Raises PlannerFailure (NoPathError, BudgetExceededError)
-    carrying the failed search's stats.
+    carrying the failed search's stats, and ValueError for an unknown mode.
     """
+    if mode not in (STANDARD, EXTENDED):
+        raise ValueError(f"unknown planner mode {mode!r}")
     t_begin = time.perf_counter()
     stats = SearchStats()
 

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .geometry import Pose2D, normalize_angles
 from .grid import OccupancyGrid, Raster, UNKNOWN, raytrace_reveal, voronoi_field
-from .mission import MissionConfig, MissionState, mission_tick
+from .mission import MissionConfig, MissionState, TickResult, mission_tick
 from .planner import (DriveSegment, PathBuilder, PlannedPath, PlannerConfig,
                       RotationSegment, field_cap)
 from .vehicle import VehicleSpec
@@ -49,21 +49,6 @@ class ScenarioSpec:
 
 
 @dataclass
-class EventRecord:
-    step: int
-    cause: str            # initial / collision / divergence / refresh / goal_mode
-    s_plan: float
-    nodes: int
-    seconds: float
-    s_div: Optional[float] = None
-    s_coll: Optional[float] = None
-
-    def format(self, with_timing: bool = True) -> str:
-        seconds = self.seconds if with_timing else 0.0
-        return f"{self.step},{self.cause},{self.s_plan:.6f},{self.nodes},{seconds:.6f}"
-
-
-@dataclass
 class MetricsReport:
     kappa_dot_rms: float = 0.0
     kappa_dot_max_abs: float = 0.0
@@ -78,7 +63,7 @@ class MetricsReport:
     n_direction_switches: int = 0
     n_rotations: int = 0
     reached: bool = False
-    stop_cause: str = ""   # reached / planner failure / route lost / step limit
+    stop_cause: str = ""   # reached, a failed tick's reason (`TickResult`) or step limit
 
     COLUMNS = ("kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length",
                "n_planner_calls", "t_max", "t_cum", "t_avg", "cumulative_nodes",
@@ -114,7 +99,7 @@ class Run:
     """One closed-loop run: the driven path, its score and the replan events."""
     driven: PlannedPath
     report: MetricsReport
-    events: List[EventRecord]
+    events: List[TickResult]    # the ticks that called the planner
 
     def texts(self, with_timing: bool) -> Dict[str, str]:
         """The text of path.json, metrics.csv and events.log, keyed by file name."""
@@ -123,7 +108,9 @@ class Run:
                                     separators=(",", ":")) + "\n",
             "metrics.csv": (",".join(MetricsReport.COLUMNS) + "\n"
                             + self.report.format(with_timing) + "\n"),
-            "events.log": "".join(e.format(with_timing) + "\n" for e in self.events),
+            "events.log": "".join(f"{e.step},{e.cause},{e.s_plan:.6f},{e.nodes},"
+                                  f"{e.seconds if with_timing else 0.0:.6f}\n"
+                                  for e in self.events),
         }
 
 
@@ -166,7 +153,7 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
     belief = OccupancyGrid(truth.resolution, cells, cap)
 
     state = MissionState(vehicle_pose=spec.start, goal=spec.goal)
-    events: List[EventRecord] = []
+    events: List[TickResult] = []
     builder = PathBuilder(spec.start)
     steps: Iterator[None] = iter(())
     stop_cause: Optional[str] = None
@@ -180,17 +167,10 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
         if result.status == "goal_reached":
             stop_cause = "reached"
             break
-        if result.stats is not None:        # a planner call, failed or not
-            events.append(EventRecord(step=step, cause=result.cause,
-                                      s_plan=result.s_plan,
-                                      nodes=result.stats.nodes_expanded,
-                                      seconds=result.stats.wall_time_s,
-                                      s_div=result.s_div_found,
-                                      s_coll=result.s_coll_found))
+        if result.nodes is not None:        # a planner call, failed or not
+            events.append(replace(result, step=step))
         if result.status == "failed":
-            # a planner failure happens inside a replan, which has a cause
-            kind = "planner failure" if result.cause is not None else "route lost"
-            stop_cause = f"{kind}: {result.reason}"
+            stop_cause = result.reason
             break
         if result.replanned:
             steps = _follow(state, builder, spec.drive_step)
@@ -213,7 +193,7 @@ def _rotation_delta(from_yaw: float, to_yaw: float) -> float:
 
 
 def score_run(driven: PlannedPath, truth: OccupancyGrid, vehicle: VehicleSpec,
-              events: List[EventRecord], stop_cause: str) -> MetricsReport:
+              events: List[TickResult], stop_cause: str) -> MetricsReport:
     """Score the driven path; the planner effort is read from the replan events."""
     report = MetricsReport(reached=stop_cause == "reached", stop_cause=stop_cause)
     report.length = driven.total_drive_length

@@ -46,6 +46,7 @@ from scipy import ndimage
 import hybridplan.cli as cli_module
 import hybridplan.grid as grid_module
 import hybridplan.mission as mission_module
+import hybridplan.planner as planner_module
 import hybridplan.simulate as simulate_module
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
 from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
@@ -656,12 +657,15 @@ def reference_stack():
     every nearest-cell lookup is the 5 x 5 scan, every tick checks the
     path for collisions in full, with no carried verdict, every node
     expansion checks its drive primitives through `batch_blocked`
-    (`expansion_blocked_reference`), and every reveal, the mission's and
+    (`expansion_blocked_reference`), every analytic attempt samples and
+    checks each Reeds-Shepp candidate whole, shortest first
+    (`analytic_expansions_reference`), and every reveal, the mission's and
     the `map.svg` replay's, is the masked all-rays loop
     (`raytrace_reveal_reference`)."""
     saved = (OccupancyGrid.derived, grid_module._add_obstacles,
              mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
              mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
+             planner_module.analytic_expansions,
              simulate_module.raytrace_reveal, cli_module.raytrace_reveal)
     derived = saved[0]
     OccupancyGrid.derived = lambda self, key, build: derived(
@@ -680,6 +684,7 @@ def reference_stack():
         blocked = expansion_blocked_reference(checker, samples, x, y, c, s, drives)
         return [p in blocked for p in drives]
     CollisionChecker.expansion_blocked = expansion_blocked
+    planner_module.analytic_expansions = analytic_expansions_reference
     simulate_module.raytrace_reveal = cli_module.raytrace_reveal = raytrace_reveal_reference
     try:
         yield
@@ -687,6 +692,7 @@ def reference_stack():
         (OccupancyGrid.derived, grid_module._add_obstacles,
          mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
          mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
+         planner_module.analytic_expansions,
          simulate_module.raytrace_reveal, cli_module.raytrace_reveal) = saved
 
 

@@ -7,11 +7,13 @@ The same file pins the driven path and the replan events of the two
 
 A run inside `oracles.reference_stack()`, where every derived field is built
 from empty, every route is walked from scratch, every tick checks its
-path in full and every reveal is the masked all-rays loop, writes the same bytes as the shipped run, where each field is
-updated from the one before, a route is cut from the previous tick's and a
-clear verdict is carried; that check needs no stored digest, so it also
-catches a regression that lands together with a refresh.  It runs on three
-bundled runs and on random small unknown worlds.
+path in full, every analytic attempt checks each candidate whole and every
+reveal is the masked all-rays loop, writes the same bytes as the shipped
+run, where each field is updated from the one before, a route is cut from
+the previous tick's, a clear verdict is carried and an analytic attempt
+checks its candidates' prefixes first; that check needs no stored digest,
+so it also catches a regression that lands together with a refresh.  It
+runs on three bundled runs and on random small unknown worlds.
 
 A change that is meant to alter these outputs refreshes the stored digests
 on purpose:
@@ -32,7 +34,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan import cli, simulate
+from hybridplan import cli, planner, simulate
 from hybridplan.cli import MODES, main
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED
@@ -41,7 +43,7 @@ from hybridplan.planner import PlannerConfig
 from hybridplan.simulate import ScenarioSpec
 
 from conftest import bordered_grid
-from oracles import raytrace_reveal_reference, reference_stack
+from oracles import analytic_expansions_reference, raytrace_reveal_reference, reference_stack
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
 OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
@@ -102,6 +104,7 @@ def test_reference_stack_writes_the_shipped_bytes(scenario, mode, tmp_path, caps
     with reference_stack():
         # the mission's reveals and the map.svg replay's
         assert simulate.raytrace_reveal is cli.raytrace_reveal is raytrace_reveal_reference
+        assert planner.analytic_expansions is analytic_expansions_reference
         reference = run_digests(scenario, mode, tmp_path / "reference")
     assert set(floods[n:]) == {"full"}
     if scenario == "reveal_divergence":   # smoke_small's map is known: one flood, no repair

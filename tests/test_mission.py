@@ -190,7 +190,7 @@ def test_collision_trigger_and_continuity():
     state.odometer = 2.0
     result = tick(state, truth)
     assert result.replanned and result.cause == "collision"
-    assert result.s_coll_found is not None and result.s_coll_found <= 20.0
+    assert result.s_coll is not None and result.s_coll <= 20.0
     # retained prefix keeps the vehicle's pose chain continuous
     assert pose_close(state.current_path.pose_at(0.0), old_path.pose_at(2.0),
                       pos_tol=1e-6)
@@ -219,7 +219,7 @@ def test_divergence_trigger_on_reveal():
             causes.append(result.cause)
             state.progress_s = 0.0
             if result.cause == "divergence":
-                assert result.s_div_found is not None
+                assert result.s_div is not None
                 break
     assert "divergence" in causes
 
@@ -347,7 +347,40 @@ def test_failure_propagates_reason():
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(35, 7, 0))
     result = tick(state, g)
     assert result.status == "failed"
-    assert result.reason in ("no 2D route", "no path", "goal blocked")
+    assert result.reason == "route lost: no 2D route"
+
+
+@pytest.mark.parametrize("boxes,start,goal,mode,vehicle,reason", [
+    ([(30, 5, 31, 9)], Pose2D(5, 7, 0), Pose2D(31.5, 7, 0), "standard", VEH,
+     "route lost: goal blocked"),
+    ([(6, 6.5, 6.4, 7.5)], Pose2D(4, 7, 0), Pose2D(35, 7, 0), "standard", VEH,
+     "planner failure: start in collision"),       # a post under the vehicle's body
+    # a 3.4 m corridor: the 2D route passes it, the wide vehicle's disks do not
+    ([(0, 0, 100, 5.3), (0, 8.7, 100, 14)], Pose2D(3, 7, 0), Pose2D(95, 7, 0), "waypoint",
+     WIDE, "planner failure: no free waypose on the route"),
+])
+def test_failed_tick_names_the_stop_cause(boxes, start, goal, mode, vehicle, reason):
+    """A failed tick's reason is the run's stop cause, its kind first: the
+    route lost before a replan, a planner failure inside one.  The route
+    lost with no 2D route is `test_failure_propagates_reason`."""
+    g = bordered_grid(100, 14)
+    for box in boxes:
+        g.set_box(*box, OCCUPIED)
+    state = MissionState(vehicle_pose=start, goal=goal)
+    result = mission_tick(state, g, MissionConfig(), CFG, MODES[mode], vehicle)
+    assert result.status == "failed" and result.reason == reason
+
+
+@pytest.mark.parametrize("mode,message", [
+    ((planner.STANDARD, "early-stop"), "unknown navigation mode 'early-stop'"),
+    (("Extended", mission.NAV_EARLY_STOP), "unknown planner mode 'Extended'"),
+])
+def test_mission_tick_rejects_an_unknown_mode(mode, message):
+    """A navigation or planner mode with no behaviour of its own is an error
+    that names it."""
+    state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(35, 7, 0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mission_tick(state, bordered_grid(40, 14), MissionConfig(), CFG, mode, VEH)
 
 
 def test_waypoint_mode_plans_to_the_waypose_until_within_s_lim(monkeypatch):

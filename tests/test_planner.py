@@ -162,6 +162,14 @@ def test_budget_exhaustion_raises():
     assert failure.value.stats.nodes_expanded == 5
 
 
+@pytest.mark.parametrize("mode", ["Extended", "bogus"])
+def test_plan_rejects_an_unknown_mode(mode):
+    """A mode other than STANDARD or EXTENDED is an error that names it, not
+    a search without rotations."""
+    with pytest.raises(ValueError, match=f"^unknown planner mode '{mode}'$"):
+        plan(open_grid(), Pose2D(5, 5, 0), Pose2D(30, 5, 0), VEH, CFG, mode=mode)
+
+
 def test_planned_path_is_collision_free(rng):
     g = open_grid()
     for _ in range(6):

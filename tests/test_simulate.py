@@ -285,7 +285,7 @@ def test_a_failed_planner_call_is_counted(monkeypatch):
     assert report.n_planner_calls == len(events) == calls == 1
     assert report.cumulative_nodes == events[0].nodes > 0
     assert report.t_cum == events[0].seconds > 0.0
-    assert run.texts(False)["events.log"] == events[0].format(False) + "\n"
+    assert run.texts(False)["events.log"] == f"0,initial,0.000000,{events[0].nodes},0.000000\n"
 
 
 def test_a_stop_without_a_planner_call_adds_no_event(monkeypatch):
