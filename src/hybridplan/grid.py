@@ -352,9 +352,9 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     the sensor along n_rays equally spaced bearings.  Free truth cells are
     copied to the belief until the first occupied cell, which is also
     copied, stopping the ray; a cell entered beyond `sensor_range` or
-    outside the grid stops it unrevealed.  Each step advances only the
-    rays still running.  Returns the number of cells that left the UNKNOWN
-    state.
+    outside the grid stops it unrevealed.  A stopped ray is parked until
+    the ray arrays drop the parked rays in bulk.  Returns the number of
+    cells that left the UNKNOWN state.
     """
     if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
         raise ValueError("truth and belief grids must share shape and resolution")
@@ -392,35 +392,48 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
         t_max_y = np.where(dir_y >= 0.0, (res - rel_y) / dir_y, rel_y / -dir_y)
         t_delta_x = res / np.abs(dir_x)
         t_delta_y = res / np.abs(dir_y)
-    # axis-parallel rays never cross the other axis' boundaries
-    t_max_x = np.where(np.abs(dir_x) < 1e-300, np.inf, t_max_x)
-    t_max_y = np.where(np.abs(dir_y) < 1e-300, np.inf, t_max_y)
+    # axis-parallel rays never cross the other axis' boundaries; their zero
+    # delta keeps the masked advance below free of inf * 0
+    parallel_x, parallel_y = np.abs(dir_x) < 1e-300, np.abs(dir_y) < 1e-300
+    t_max_x[parallel_x], t_delta_x[parallel_x] = np.inf, 0.0
+    t_max_y[parallel_y], t_delta_y[parallel_y] = np.inf, 0.0
 
-    # each running ray's flat cell in the bordered grid; the arrays above
-    # shrink with it.  The sensor's own cell is seen first.
+    # each ray's flat cell in the bordered grid, the arrays above going with
+    # it; a stopped ray is parked at reach -inf, where it reads the border
+    # cell 0 and marks nothing.  The sensor's own cell is seen first.
     flat = np.full(n_rays, start)
     if codes[start] != 0:                     # no ray leaves an occupied cell
         flat = flat[:0]
+    reach = np.full(flat.size, sensor_range)
     seen = np.zeros(codes.size, dtype=bool)
     seen[start] = True
+    stopped = 0
 
     for _ in range(int(2.0 * sensor_range / res) + 4):
-        if flat.size == 0:
+        if flat.size == stopped:
             break
         go_x = t_max_x <= t_max_y                 # ties step in x
         t_entry = np.minimum(t_max_x, t_max_y)
         flat += np.where(go_x, step_x, step_y)
-        t_max_x = np.where(go_x, t_max_x + t_delta_x, t_max_x)
-        t_max_y = np.where(go_x, t_max_y, t_max_y + t_delta_y)
-        # a cell entered beyond range reads as the border at flat index 0
-        cell = flat * (t_entry <= sensor_range)
+        t_max_x += t_delta_x * go_x
+        go_x ^= True
+        t_max_y += t_delta_y * go_x
+        # a cell entered beyond reach reads as the border at flat index 0
+        cell = flat * (t_entry <= reach)
         code = codes[cell]
         seen[cell] = True
-        if np.count_nonzero(code):
-            running = code == 0
-            flat, step_x, step_y = flat[running], step_x[running], step_y[running]
-            t_max_x, t_max_y = t_max_x[running], t_max_y[running]
-            t_delta_x, t_delta_y = t_delta_x[running], t_delta_y[running]
+        now_stopped = np.count_nonzero(code)
+        if now_stopped == stopped:
+            continue
+        if now_stopped < 16 or 8 * now_stopped < flat.size:    # too few to drop
+            np.putmask(reach, code, -np.inf)
+            stopped = now_stopped
+            continue
+        running = code == 0
+        flat, step_x, step_y = flat[running], step_x[running], step_y[running]
+        t_max_x, t_max_y = t_max_x[running], t_max_y[running]
+        t_delta_x, t_delta_y = t_delta_x[running], t_delta_y[running]
+        reach, stopped = reach[running], 0
 
     changed = belief.cells != truth.cells
     changed &= seen.reshape(h + 2, stride)[1:-1, 1:-1]    # border marks dropped

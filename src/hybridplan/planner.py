@@ -677,8 +677,10 @@ def analytic_expansions(pose: Pose2D, goal: Pose2D, checker: CollisionChecker,
     samples of every word are checked in one batch, and only the free words
     are sampled and checked in full.  With rotations enabled the
     drive-rotate-drive geometric extension competes against it under the
-    movement cost model.
+    movement cost model.  ValueError for an unknown mode.
     """
+    if mode not in (STANDARD, EXTENDED):
+        raise ValueError(f"unknown planner mode {mode!r}")
     best_path: Optional[PlannedPath] = None
     best_cost = math.inf
 

@@ -832,15 +832,19 @@ def reveal_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(reveal_cases())
 def test_reveal_matches_masked_reference(case):
-    """The live-ray march reveals the same cells as the all-rays masked loop."""
+    """The parking march reveals the same cells as the all-rays masked loop."""
     _assert_reveal_matches_reference(*case)
 
 
 def test_reveal_matches_reference_on_unknown_large():
+    """A sequence of reveals into one belief at the spec's range and ray
+    count, first from six of the mission's free poses: every call both parks
+    stopped rays and drops them in bulk."""
     spec = bundled("unknown_large")
     truth = spec.truth_map
     belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, truth.resolution,
                                   UNKNOWN)
-    for x, y in ((40.0, 10.0), (41.3, 11.7), (140.0, 50.0)):
+    poses = [(40.0 + 2.0 * k, 10.0) for k in range(6)] + [(41.3, 11.7), (140.0, 50.0)]
+    for x, y in poses:
         _assert_reveal_matches_reference(truth, belief, Pose2D(x, y, 0.0),
                                          spec.sensor_range, spec.n_rays)

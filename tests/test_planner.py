@@ -170,6 +170,18 @@ def test_plan_rejects_an_unknown_mode(mode):
         plan(open_grid(), Pose2D(5, 5, 0), Pose2D(30, 5, 0), VEH, CFG, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["Extended", "bogus"])
+def test_analytic_expansions_rejects_an_unknown_mode(mode, monkeypatch):
+    """A direct call with an unknown mode fails as `plan` does, before any
+    Reeds-Shepp solve, instead of connecting without rotations."""
+    def no_solve(*args):
+        raise AssertionError("solved before the mode check")
+    monkeypatch.setattr(planner_module, "rs_all_paths", no_solve)
+    checker = CollisionChecker(open_grid(), VEH.disks)
+    with pytest.raises(ValueError, match=f"^unknown planner mode '{mode}'$"):
+        analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 22, 0.5), checker, CFG, VEH, mode)
+
+
 def test_planned_path_is_collision_free(rng):
     g = open_grid()
     for _ in range(6):
