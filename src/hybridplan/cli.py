@@ -91,19 +91,20 @@ def load_run(config_path) -> Tuple[RunConfig, ScenarioSpec]:
 
 
 def _final_belief(spec: ScenarioSpec, driven: PlannedPath) -> Optional[OccupancyGrid]:
-    """Replay the reveals along the driven path for the belief overlay."""
+    """Replay the reveals along the driven path, in one batch, for the belief overlay."""
     if spec.known_env:
         return None
     belief = OccupancyGrid.filled(spec.truth_map.width_cells, spec.truth_map.height_cells,
                                   spec.truth_map.resolution, UNKNOWN)
+    poses = []
     s = 0.0
     total = driven.total_drive_length
     while True:
-        pose = driven.pose_at(s) or spec.start     # None: the vehicle never moved
-        raytrace_reveal(spec.truth_map, belief, pose, spec.sensor_range, spec.n_rays)
+        poses.append(driven.pose_at(s) or spec.start)     # None: the vehicle never moved
         if s >= total:
             break
         s = min(s + spec.drive_step, total)
+    raytrace_reveal(spec.truth_map, belief, poses, spec.sensor_range, spec.n_rays)
     return belief
 
 

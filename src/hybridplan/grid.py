@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -344,31 +344,37 @@ def voronoi_field(grid: OccupancyGrid) -> Raster:
     return Raster(np.clip(values, 0.0, 1.0), grid.resolution, 1.0)
 
 
-def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
+_CHUNK_RAYS = 32768    # rays marched at once; bounds a reveal's memory at any pose count
+
+
+def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid,
+                    sensor_pose: Union[Pose2D, Sequence[Pose2D]],
                     sensor_range: float, n_rays: int) -> int:
-    """Reveal belief cells by casting rays on the ground-truth map.
+    """Reveal belief cells by casting rays on the ground-truth map, from one
+    sensor pose or from each of a sequence of poses.
 
     Rays march cell-by-cell (integer grid traversal, Amanatides & Woo) from
-    the sensor along n_rays equally spaced bearings.  Free truth cells are
+    each sensor along n_rays equally spaced bearings.  Free truth cells are
     copied to the belief until the first occupied cell, which is also
     copied, stopping the ray; a cell entered beyond `sensor_range` or
-    outside the grid stops it unrevealed.  A stopped ray is parked until
-    the ray arrays drop the parked rays in bulk.  Returns the number of
-    cells that left the UNKNOWN state.
+    outside the grid stops it unrevealed.  A sensor off the grid sees
+    nothing, and one in an occupied cell sees only that cell.  What a ray
+    sees depends on the truth alone, so the rays of all poses march
+    together, `_CHUNK_RAYS` at a time, and the belief is written once: a
+    batch reveals the cells and returns the sum of one call per pose, in
+    order.  Returns the number of cells that left the UNKNOWN state.
     """
     if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
         raise ValueError("truth and belief grids must share shape and resolution")
     if not (math.isfinite(sensor_range) and sensor_range > 0.0):
         raise ValueError(f"sensor_range must be finite and positive, got {sensor_range!r}")
+    if not isinstance(n_rays, (int, np.integer)):
+        raise ValueError(f"n_rays must be an integer, got {n_rays!r}")
     if n_rays < 8:
         raise ValueError("n_rays must be at least 8")
 
     res = truth.resolution
     h, w = truth.cells.shape
-    ix0, iy0 = Raster(truth.cells, res, OCCUPIED).cell_of(sensor_pose.x, sensor_pose.y)
-    if not (0 <= ix0 < w and 0 <= iy0 < h):
-        return 0
-
     # ray codes of the truth inside a one-cell border: 0 a cell the ray
     # crosses, 1 an occupied cell it reveals and stops in, 2 the border it
     # stops before
@@ -376,17 +382,61 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     codes = np.full((h + 2, stride), 2, dtype=np.uint8)
     codes[1:-1, 1:-1] = truth.cells == OCCUPIED
     codes = codes.ravel()
-    start = (iy0 + 1) * stride + ix0 + 1
+
+    # a sensor on the grid sees its own cell; one in a crossable cell casts
+    # rays from that cell and its offset in it
+    raster = Raster(truth.cells, res, OCCUPIED)
+    seen = np.zeros(codes.size, dtype=bool)
+    starts, rel_x, rel_y = [], [], []
+    for pose in [sensor_pose] if isinstance(sensor_pose, Pose2D) else sensor_pose:
+        ix0, iy0 = raster.cell_of(pose.x, pose.y)
+        if not (0 <= ix0 < w and 0 <= iy0 < h):
+            continue
+        start = (iy0 + 1) * stride + ix0 + 1
+        seen[start] = True
+        if codes[start] == 0:
+            starts.append(start)
+            rel_x.append(pose.x - ix0 * res)
+            rel_y.append(pose.y - iy0 * res)
+    starts, rel_x, rel_y = np.array(starts, dtype=np.int64), np.array(rel_x), np.array(rel_y)
 
     bearings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
     dir_x = np.cos(bearings)
     dir_y = np.sin(bearings)
+    # ray k casts bearing k % n_rays from sensor k // n_rays
+    n_total = starts.size * n_rays
+    for first in range(0, n_total, _CHUNK_RAYS):
+        sensor, bearing = np.divmod(np.arange(first, min(first + _CHUNK_RAYS, n_total)), n_rays)
+        _march(codes, seen, stride, res, sensor_range, starts[sensor],
+               rel_x[sensor], rel_y[sensor], dir_x[bearing], dir_y[bearing])
+
+    changed = belief.cells != truth.cells
+    changed &= seen.reshape(h + 2, stride)[1:-1, 1:-1]    # border marks dropped
+    index = np.flatnonzero(changed)
+    if not index.size:
+        return 0
+    revealed = truth.cells.reshape(-1)[index]
+    left_unknown = (int(np.count_nonzero(belief.cells.reshape(-1)[index] == UNKNOWN))
+                    - int(np.count_nonzero(revealed == UNKNOWN)))
+    belief._write(index, revealed)
+    return left_unknown
+
+
+def _march(codes: np.ndarray, seen: np.ndarray, stride: int, res: float, sensor_range: float,
+           flat: np.ndarray, rel_x: np.ndarray, rel_y: np.ndarray, dir_x: np.ndarray,
+           dir_y: np.ndarray) -> None:
+    """March rays from their flat cells in the bordered `codes`, at their
+    offsets in those cells and along their directions, and mark each cell a
+    ray enters in `seen`; `flat` is overwritten.
+
+    A ray stops in a cell of nonzero code, and at a cell entered beyond
+    `sensor_range`.  A stopped ray is parked at reach -inf, where it reads
+    the border cell 0 and marks nothing, until the ray arrays drop the
+    parked rays in bulk.
+    """
     step_x = np.where(dir_x >= 0.0, 1, -1)
     step_y = np.where(dir_y >= 0.0, stride, -stride)
-
     # parametric distance to the first x/y cell boundary, then per-cell deltas
-    rel_x = sensor_pose.x - ix0 * res
-    rel_y = sensor_pose.y - iy0 * res
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max_x = np.where(dir_x >= 0.0, (res - rel_x) / dir_x, rel_x / -dir_x)
         t_max_y = np.where(dir_y >= 0.0, (res - rel_y) / dir_y, rel_y / -dir_y)
@@ -398,17 +448,8 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
     t_max_x[parallel_x], t_delta_x[parallel_x] = np.inf, 0.0
     t_max_y[parallel_y], t_delta_y[parallel_y] = np.inf, 0.0
 
-    # each ray's flat cell in the bordered grid, the arrays above going with
-    # it; a stopped ray is parked at reach -inf, where it reads the border
-    # cell 0 and marks nothing.  The sensor's own cell is seen first.
-    flat = np.full(n_rays, start)
-    if codes[start] != 0:                     # no ray leaves an occupied cell
-        flat = flat[:0]
     reach = np.full(flat.size, sensor_range)
-    seen = np.zeros(codes.size, dtype=bool)
-    seen[start] = True
     stopped = 0
-
     for _ in range(int(2.0 * sensor_range / res) + 4):
         if flat.size == stopped:
             break
@@ -434,14 +475,3 @@ def raytrace_reveal(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Po
         t_max_x, t_max_y = t_max_x[running], t_max_y[running]
         t_delta_x, t_delta_y = t_delta_x[running], t_delta_y[running]
         reach, stopped = reach[running], 0
-
-    changed = belief.cells != truth.cells
-    changed &= seen.reshape(h + 2, stride)[1:-1, 1:-1]    # border marks dropped
-    index = np.flatnonzero(changed)
-    if not index.size:
-        return 0
-    revealed = truth.cells.reshape(-1)[index]
-    left_unknown = (int(np.count_nonzero(belief.cells.reshape(-1)[index] == UNKNOWN))
-                    - int(np.count_nonzero(revealed == UNKNOWN)))
-    belief._write(index, revealed)
-    return left_unknown

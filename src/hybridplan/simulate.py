@@ -38,6 +38,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sensor_range) and self.sensor_range > 0.0):
             raise ValueError(f"sensor_range must be finite and positive, got {self.sensor_range!r}")
+        for name in ("n_rays", "max_sim_steps"):    # a float fails only at its first use
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_rays < 8:
             raise ValueError(f"n_rays must be at least 8, got {self.n_rays!r}")
         if not (math.isfinite(self.drive_step) and self.drive_step > 0.0):

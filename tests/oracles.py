@@ -696,14 +696,20 @@ def reference_stack():
          simulate_module.raytrace_reveal, cli_module.raytrace_reveal) = saved
 
 
-def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose: Pose2D,
+def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose,
                               sensor_range: float, n_rays: int = 720) -> int:
-    """The masked all-rays DDA loop that the live-ray march replaced.
+    """The masked all-rays DDA loop that the live-ray march replaced, one
+    pose at a time.
 
-    Every step advances all n_rays rays under an `active` mask, for up to
+    `sensor_pose` is one pose or a sequence of poses, revealed in order,
+    each into the belief as it stands after the one before.  Every step
+    advances all n_rays rays under an `active` mask, for up to
     2 * range / resolution + 4 steps, revealing into a full copy of the
     belief.  Returns the number of cells that left the UNKNOWN state.
     """
+    if not isinstance(sensor_pose, Pose2D):
+        return sum(raytrace_reveal_reference(truth, belief, pose, sensor_range, n_rays)
+                   for pose in sensor_pose)
     if truth.cells.shape != belief.cells.shape or truth.resolution != belief.resolution:
         raise ValueError("truth and belief grids must share shape and resolution")
     if sensor_range <= 0.0:
@@ -919,6 +925,26 @@ def rectangle_hits_occupied(pose: Tuple[float, float, float],
     lat = -cx * s + cy * c
     inside = (lon >= -rear_overhang) & (lon <= length - rear_overhang) & (np.abs(lat) <= width / 2.0)
     return bool(inside.any())
+
+
+def footprint_overlaps(driven: PlannedPath, truth: OccupancyGrid, vehicle) -> int:
+    """The driven poses whose exact footprint holds an occupied truth cell
+    center: every drive sample, and each rotation at 5 degree steps."""
+    occ = truth.cells == OCCUPIED
+    bad = 0
+    for seg in driven.segments:
+        if isinstance(seg, DriveSegment):
+            poses = zip(seg.xs, seg.ys, seg.yaws)
+        else:
+            n = max(2, int(abs(seg.delta) / math.radians(5.0)) + 1)
+            poses = ((seg.x, seg.y, seg.from_yaw + seg.delta * i / (n - 1))
+                     for i in range(n))
+        for x, y, yaw in poses:
+            if rectangle_hits_occupied((float(x), float(y), float(yaw)), occ,
+                                       truth.resolution, vehicle.length, vehicle.width,
+                                       vehicle.rear_overhang):
+                bad += 1
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,13 @@ from hybridplan.heuristic import (GoalBlockedError, NoRouteError, build_distance
                                   extract_astar_path)
 from hybridplan.mission import (MissionConfig, MissionState, NAV_EARLY_STOP, NAV_NONE,
                                 compute_replan_start)
-from hybridplan.planner import (DriveSegment, EXTENDED, PlannedPath,
-                                PlannerConfig, PlannerFailure,
-                                STANDARD, plan)
+from hybridplan.planner import EXTENDED, PlannerConfig, PlannerFailure, STANDARD, plan
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.simulate import kappa_dot_rms, run_scenario
 from hybridplan.vehicle import VehicleSpec
 
 from conftest import bordered_grid, bundled, clutter_scene
-from oracles import (kappa_dot_rms_direct, rectangle_hits_occupied,
-                     rs_oracle_lengths)
+from oracles import footprint_overlaps, kappa_dot_rms_direct, rs_oracle_lengths
 from test_golden_outputs import GOLDEN_FILE, large_run_id, path_and_events_digests
 
 VEH = VehicleSpec()
@@ -305,24 +302,6 @@ def test_c07_heuristic_admissibility():
 
 # -------------------------------------------------------------- criterion 8
 
-def _footprint_violations(driven: PlannedPath, truth: OccupancyGrid) -> int:
-    occ = truth.cells == OCCUPIED
-    bad = 0
-    for seg in driven.segments:
-        if isinstance(seg, DriveSegment):
-            poses = zip(seg.xs, seg.ys, seg.yaws)
-        else:
-            n = max(2, int(abs(seg.delta) / math.radians(5.0)) + 1)
-            poses = ((seg.x, seg.y, seg.from_yaw + seg.delta * i / (n - 1))
-                     for i in range(n))
-        for x, y, yaw in poses:
-            if rectangle_hits_occupied((float(x), float(y), float(yaw)), occ,
-                                       truth.resolution, VEH.length, VEH.width,
-                                       VEH.rear_overhang):
-                bad += 1
-    return bad
-
-
 @pytest.mark.slow
 def test_c08_collision_conservatism(plate_runs, large_runs):
     total = 0
@@ -334,7 +313,7 @@ def test_c08_collision_conservatism(plate_runs, large_runs):
         driven = run.driven
         if driven.total_drive_length == 0.0 and not driven.segments:
             continue  # the 6.7 m standard run never moves
-        bad += _footprint_violations(driven, bundled(scenario).truth_map)
+        bad += footprint_overlaps(driven, bundled(scenario).truth_map, VEH)
         total += 1
     ok = bad == 0 and total >= 7
     report("8", ok, f"{total} driven paths rasterized against ground truth, "

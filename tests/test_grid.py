@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -767,6 +769,8 @@ def test_belief_sound_and_monotone(rng):
     (None, math.inf, 720, "sensor_range must be finite and positive"),
     (None, math.nan, 720, "sensor_range must be finite and positive"),
     (None, 8.0, 7, "n_rays must be at least 8"),
+    (None, 8.0, 360.0, "n_rays must be an integer, got 360.0"),
+    (None, 8.0, "720", "n_rays must be an integer, got '720'"),
 ])
 def test_reveal_names_bad_input(shape, sensor_range, n_rays, match):
     """Each input error is a ValueError that names its input, and writes nothing."""
@@ -848,3 +852,71 @@ def test_reveal_matches_reference_on_unknown_large():
     for x, y in poses:
         _assert_reveal_matches_reference(truth, belief, Pose2D(x, y, 0.0),
                                          spec.sensor_range, spec.n_rays)
+
+
+@st.composite
+def batch_reveal_cases(draw):
+    """A `reveal_cases` world with 0-6 sensor poses, each drawn anywhere on
+    or off the grid, in an occupied cell, or repeating an earlier pose, and
+    a chunk size that splits the batch's rays over several marches, also
+    inside one pose's rays.  Few rays overlap little, so a ray a chunk
+    drops shows in the cells."""
+    truth, belief, pose, sensor_range, _ = draw(reveal_cases())
+    n_rays = draw(st.sampled_from([8, 9, 16, 720]))
+    h, w = truth.cells.shape
+    res = truth.resolution
+    occupied = np.argwhere(truth.cells == OCCUPIED)
+    poses = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["anywhere", "occupied", "repeat"]))
+        if kind == "occupied" and occupied.size:
+            iy, ix = occupied[draw(st.integers(0, len(occupied) - 1))]
+            poses.append(Pose2D((ix + draw(st.floats(0.0, 0.99))) * res,
+                                (iy + draw(st.floats(0.0, 0.99))) * res, 0.0))
+        elif kind == "repeat" and poses:
+            poses.append(draw(st.sampled_from(poses)))
+        else:
+            poses.append(Pose2D(draw(st.floats(-0.2, 1.2)) * w * res,
+                                draw(st.floats(-0.2, 1.2)) * h * res, 0.0))
+    poses.insert(draw(st.integers(0, len(poses))), pose)   # also an edge or corner pose
+    poses = poses[:draw(st.integers(0, len(poses)))]
+    chunk = draw(st.integers(max(1, n_rays // 8), 3 * n_rays + 1))
+    return truth, belief, poses, sensor_range, n_rays, chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_reveal_cases())
+def test_batched_reveal_matches_one_reference_reveal_per_pose(case):
+    """One batched reveal leaves the cells of one reference reveal per pose,
+    in order, returns the sum of their counts, and writes the belief once
+    exactly when one of them wrote it."""
+    truth, belief, poses, sensor_range, n_rays, chunk = case
+    expect = belief.copy()
+    with counted_writes() as writes, mock.patch.object(grid_module, "_CHUNK_RAYS", chunk):
+        got = raytrace_reveal(truth, belief, poses, sensor_range, n_rays)
+        assert got == raytrace_reveal_reference(truth, expect, poses, sensor_range, n_rays)
+    assert np.array_equal(belief.cells, expect.cells)
+    assert writes[belief] == min(writes[expect], 1)
+
+
+def test_batched_reveal_memory_is_bounded_by_the_chunk():
+    """128 poses of unknown_large at the spec's range and 1440 rays are
+    184320 rays: marched all at once, their per-ray arrays alone would take
+    about 12 MB.  In chunks the reveal's peak stays within 8 MB (the grid's
+    bordered codes, seen marks and changed mask take about 1 MB)."""
+    spec = bundled("unknown_large")
+    truth = spec.truth_map
+    belief = OccupancyGrid.filled(truth.width_cells, truth.height_cells, truth.resolution,
+                                  UNKNOWN)
+    free = np.argwhere(truth.cells == FREE)
+    picked = free[np.random.default_rng(0).choice(len(free), 128, replace=False)]
+    poses = [Pose2D((ix + 0.5) * truth.resolution, (iy + 0.5) * truth.resolution, 0.0)
+             for iy, ix in picked]
+    tracemalloc.start()
+    try:
+        revealed = raytrace_reveal(truth, belief, poses, spec.sensor_range, spec.n_rays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert revealed > 0
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

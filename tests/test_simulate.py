@@ -188,6 +188,19 @@ def test_negative_budget_rejected():
         smoke_spec(max_sim_steps=-3)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("n_rays", 360.0, "n_rays must be an integer, got 360.0"),
+    ("n_rays", "360", "n_rays must be an integer, got '360'"),
+    ("n_rays", 7, "n_rays must be at least 8"),
+    ("max_sim_steps", 5.5, "max_sim_steps must be an integer, got 5.5"),
+])
+def test_spec_names_a_count_that_is_not_an_integer(field, value, match):
+    """A ray or step count that the run cannot use is an input error of the
+    spec, not a TypeError at the first reveal or at the step loop."""
+    with pytest.raises(ValueError, match=match):
+        smoke_spec(known_env=False, **{field: value})
+
+
 def test_stop_cause_step_limit():
     report = run_scenario(smoke_spec(max_sim_steps=5), MissionConfig(),
                           PlannerConfig(), MODES["standard"], VEH).report
