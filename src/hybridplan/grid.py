@@ -229,11 +229,11 @@ def distance_transform(grid: OccupancyGrid, *, previous: Optional[np.ndarray] = 
     freed none): `previous` itself when there are none, and otherwise
     lowered to the distance to them (`_add_obstacles`).  With no `previous`
     the update starts from the empty field: all +inf, to which every
-    occupied cell is added.
+    occupied cell is added.  Memory: the empty field is a read-only
+    broadcast, so a build holds the new field and at most one `_edt`.
     """
     if previous is None:
-        previous = np.full(grid.cells.shape, np.inf)
-        previous.setflags(write=False)
+        previous = np.broadcast_to(np.inf, grid.cells.shape)
         added = np.flatnonzero(grid.cells == OCCUPIED)
     if not added.size:
         return previous
@@ -299,7 +299,7 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
     else:
         free = np.ones(field[window].shape, dtype=bool)
         free[rows - window[0].start, cols - window[1].start] = False
-        near = ndimage.distance_transform_edt(free)
+        near = _edt(free)
         near *= resolution
         near[near > cap] = np.inf
         np.minimum(out[window], near, out=out[window])
@@ -307,10 +307,31 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
     return out
 
 
+_EDT_ROWS = 64    # rows per block of the full-grid passes; bounds their temporaries
+
+
+def _edt(free: np.ndarray, indices: bool = False):
+    """`ndimage.distance_transform_edt(free)` bit for bit (`free` has a False
+    cell), and with `indices` its int32 feature transform, shape (2, h, w).
+    The distances, sqrt(dy*dy + dx*dx) of the same exact integer offsets in
+    float64, are taken in row blocks: the transform is the one temporary."""
+    ft = ndimage.distance_transform_edt(free, return_distances=False, return_indices=True)
+    out = np.empty(free.shape)
+    for y in range(0, len(out), _EDT_ROWS):
+        block = out[y:y + _EDT_ROWS]
+        rows, cols = np.ogrid[y:y + len(block), :block.shape[1]]
+        dy = (ft[0, y:y + _EDT_ROWS] - rows).astype(np.float64)
+        dx = (ft[1, y:y + _EDT_ROWS] - cols).astype(np.float64)
+        np.sqrt(dy * dy + dx * dx, out=block)
+    return (out, ft) if indices else out
+
+
 def voronoi_field(grid: OccupancyGrid) -> Raster:
     """Obstacle proximity in [0, 1], falling to 0 both far from obstacles and
     on the edges equidistant between distinct obstacle components; 1 inside
-    obstacles and off the grid.
+    obstacles and off the grid.  Memory: each full-size array is dropped
+    after its last read and the formula runs in row blocks into the output,
+    so at most four float64 grids' worth is alive at once.
     """
     alpha, d_max = 10.0, 10.0    # [m] falloff scale, and the range beyond which it is 0
     occupied = grid.occupied_mask()
@@ -318,11 +339,12 @@ def voronoi_field(grid: OccupancyGrid) -> Raster:
     if not occupied.any():
         return Raster(np.zeros(shape), grid.resolution, 1.0)
 
-    edt, (ind_y, ind_x) = ndimage.distance_transform_edt(~occupied, return_indices=True)
-    d_obs = edt * grid.resolution
+    d_obs, ft = _edt(~occupied, indices=True)
+    d_obs *= grid.resolution
 
     labels, _ = ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
-    nearest = labels[ind_y, ind_x]
+    nearest = labels[ft[0], ft[1]]
+    del labels, ft
 
     # cells next to a cell nearest another component; none with one component
     ridge = np.zeros(shape, dtype=bool)
@@ -330,18 +352,24 @@ def voronoi_field(grid: OccupancyGrid) -> Raster:
     ridge[1:, :] |= nearest[1:, :] != nearest[:-1, :]
     ridge[:, :-1] |= nearest[:, :-1] != nearest[:, 1:]
     ridge[:, 1:] |= nearest[:, 1:] != nearest[:, :-1]
+    del nearest
     ridge &= ~occupied
+    d_vor = np.broadcast_to(np.inf, shape)
     if ridge.any():
-        d_vor = ndimage.distance_transform_edt(~ridge) * grid.resolution
-    else:
-        d_vor = np.full(shape, np.inf)
+        d_vor = _edt(~ridge)
+        d_vor *= grid.resolution
+    del ridge
 
-    with np.errstate(invalid="ignore"):
-        vor_term = np.where(np.isinf(d_vor), 1.0, d_vor / np.where(d_obs + d_vor == 0.0, 1.0, d_obs + d_vor))
-    values = (alpha / (alpha + d_obs)) * vor_term * ((d_obs - d_max) ** 2 / d_max ** 2)
-    values[d_obs > d_max] = 0.0
-    values[occupied] = 1.0
-    return Raster(np.clip(values, 0.0, 1.0), grid.resolution, 1.0)
+    values = np.empty(shape)
+    for y in range(0, shape[0], _EDT_ROWS):
+        o, v = d_obs[y:y + _EDT_ROWS], d_vor[y:y + _EDT_ROWS]
+        with np.errstate(invalid="ignore"):
+            vor_term = np.where(np.isinf(v), 1.0, v / np.where(o + v == 0.0, 1.0, o + v))
+        block = (alpha / (alpha + o)) * vor_term * ((o - d_max) ** 2 / d_max ** 2)
+        block[o > d_max] = 0.0
+        block[occupied[y:y + _EDT_ROWS]] = 1.0
+        np.clip(block, 0.0, 1.0, out=values[y:y + _EDT_ROWS])
+    return Raster(values, grid.resolution, 1.0)
 
 
 _CHUNK_RAYS = 32768    # rays marched at once; bounds a reveal's memory at any pose count

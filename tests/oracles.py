@@ -28,7 +28,8 @@ references keep the segment-index cursor and gear lookup that
 `PlannedPath.walk()` replaced, the raytrace reference keeps the masked
 all-rays loop that the live-ray march replaced, the search reference
 keeps the child loop that costed, keyed and collision-checked every child,
-the expansion reference keeps the batch over the surviving drive
+the Voronoi-field reference keeps the whole-grid build that the row-block
+EDT and early frees replaced, the expansion reference keeps the batch over the surviving drive
 primitives that one check over all of them replaced, and the proximity
 reference keeps the per-corner lookups that one array lookup replaced.
 """
@@ -632,6 +633,42 @@ def window_add_reference(field: np.ndarray, added: np.ndarray, resolution: float
     return out
 
 
+def voronoi_field_reference(grid: OccupancyGrid) -> Raster:
+    """The Voronoi field with every array whole: scipy's EDT with its indices,
+    all intermediates alive to the end, and the value formula over the whole
+    grid at once (the form that the row-block `_edt` and freeing replaced)."""
+    alpha, d_max = 10.0, 10.0    # [m] falloff scale, and the range beyond which it is 0
+    occupied = grid.occupied_mask()
+    shape = grid.cells.shape
+    if not occupied.any():
+        return Raster(np.zeros(shape), grid.resolution, 1.0)
+
+    edt, (ind_y, ind_x) = ndimage.distance_transform_edt(~occupied, return_indices=True)
+    d_obs = edt * grid.resolution
+
+    labels, _ = ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
+    nearest = labels[ind_y, ind_x]
+
+    # cells next to a cell nearest another component; none with one component
+    ridge = np.zeros(shape, dtype=bool)
+    ridge[:-1, :] |= nearest[:-1, :] != nearest[1:, :]
+    ridge[1:, :] |= nearest[1:, :] != nearest[:-1, :]
+    ridge[:, :-1] |= nearest[:, :-1] != nearest[:, 1:]
+    ridge[:, 1:] |= nearest[:, 1:] != nearest[:, :-1]
+    ridge &= ~occupied
+    if ridge.any():
+        d_vor = ndimage.distance_transform_edt(~ridge) * grid.resolution
+    else:
+        d_vor = np.full(shape, np.inf)
+
+    with np.errstate(invalid="ignore"):
+        vor_term = np.where(np.isinf(d_vor), 1.0, d_vor / np.where(d_obs + d_vor == 0.0, 1.0, d_obs + d_vor))
+    values = (alpha / (alpha + d_obs)) * vor_term * ((d_obs - d_max) ** 2 / d_max ** 2)
+    values[d_obs > d_max] = 0.0
+    values[occupied] = 1.0
+    return Raster(np.clip(values, 0.0, 1.0), grid.resolution, 1.0)
+
+
 def flat_mask(shape, index: np.ndarray) -> np.ndarray:
     """The boolean mask of the flat row-major cells `index`."""
     mask = np.zeros(shape, dtype=bool)
@@ -659,14 +696,16 @@ def reference_stack():
     expansion checks its drive primitives through `batch_blocked`
     (`expansion_blocked_reference`), every analytic attempt samples and
     checks each Reeds-Shepp candidate whole, shortest first
-    (`analytic_expansions_reference`), and every reveal, the mission's and
+    (`analytic_expansions_reference`), every reveal, the mission's and
     the `map.svg` replay's, is the masked all-rays loop
-    (`raytrace_reveal_reference`)."""
+    (`raytrace_reveal_reference`), and the scoring's Voronoi field is built
+    whole (`voronoi_field_reference`)."""
     saved = (OccupancyGrid.derived, grid_module._add_obstacles,
              mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
              mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
              planner_module.analytic_expansions,
-             simulate_module.raytrace_reveal, cli_module.raytrace_reveal)
+             simulate_module.raytrace_reveal, cli_module.raytrace_reveal,
+             simulate_module.voronoi_field)
     derived = saved[0]
     OccupancyGrid.derived = lambda self, key, build: derived(
         self, key, lambda previous, added: build(None, None))
@@ -686,6 +725,7 @@ def reference_stack():
     CollisionChecker.expansion_blocked = expansion_blocked
     planner_module.analytic_expansions = analytic_expansions_reference
     simulate_module.raytrace_reveal = cli_module.raytrace_reveal = raytrace_reveal_reference
+    simulate_module.voronoi_field = voronoi_field_reference
     try:
         yield
     finally:
@@ -693,7 +733,8 @@ def reference_stack():
          mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
          mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
          planner_module.analytic_expansions,
-         simulate_module.raytrace_reveal, cli_module.raytrace_reveal) = saved
+         simulate_module.raytrace_reveal, cli_module.raytrace_reveal,
+         simulate_module.voronoi_field) = saved
 
 
 def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, sensor_pose,

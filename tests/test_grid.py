@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import hybridplan.grid as grid_module
 from hybridplan.geometry import Pose2D
@@ -20,7 +21,16 @@ from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, checker_t
 from conftest import bordered_grid, bundled, clear_test, counted_writes, paint_disk
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
                      distance_transform_reference, flat_mask, raytrace_reveal_reference,
-                     saturated, window_add_reference)
+                     saturated, voronoi_field_reference, window_add_reference)
+
+
+def traced_peak(run):
+    """`run()` and the tracemalloc peak, in bytes, of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- map format
@@ -533,7 +543,7 @@ def test_add_obstacles_stamps_few_cells_and_runs_the_edt_on_many(monkeypatch):
     edts = []
     edt = grid_module.ndimage.distance_transform_edt
     monkeypatch.setattr(grid_module.ndimage, "distance_transform_edt",
-                        lambda *args: edts.append(1) or edt(*args))
+                        lambda *args, **kwargs: edts.append(1) or edt(*args, **kwargs))
     res = 0.15625
     cap = field_cap(VehicleSpec(), PlannerConfig(), res)
     field = np.full((200, 300), np.inf)
@@ -544,6 +554,46 @@ def test_add_obstacles_stamps_few_cells_and_runs_the_edt_on_many(monkeypatch):
         assert len(edts) - n == expect
         mask = flat_mask(field.shape, added)
         assert np.array_equal(got, window_add_reference(field, mask, res, c))
+
+
+@st.composite
+def edt_inputs(draw):
+    """A boolean grid with at least one False cell, on 1, 63, 64, 65 or 129
+    rows (around the edges of `_EDT_ROWS` = 64-row blocks) and one or many
+    columns: random, a single False cell, or mostly False."""
+    h = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    w = draw(st.one_of(st.just(1), st.integers(2, 90)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([1.0, 0.95, 0.5, 0.05]))    # of True cells
+    free = r.random((h, w)) < share
+    free[r.integers(h), r.integers(w)] = False
+    return free
+
+
+@settings(max_examples=200, deadline=None)
+@given(edt_inputs())
+def test_edt_matches_scipy_bit_for_bit(free):
+    """The row-block distances of `_edt`, and its feature transform, are
+    scipy's own bytes."""
+    want, want_ft = ndimage.distance_transform_edt(free, return_indices=True)
+    got, ft = grid_module._edt(free, indices=True)
+    assert (got.dtype, got.shape, ft.dtype, ft.shape) == (want.dtype, want.shape,
+                                                          want_ft.dtype, want_ft.shape)
+    assert got.tobytes() == want.tobytes() and ft.tobytes() == want_ft.tobytes()
+    assert grid_module._edt(free).tobytes() == want.tobytes()
+
+
+def test_fresh_distance_field_peak_memory():
+    """A fresh obstacle field on unknown_large's 1024 x 384 truth (3 MB per
+    float64 grid) at the planner's cap peaks within 14 MB: it starts from a
+    broadcast +inf, and its EDT holds one feature transform, not scipy's
+    whole-grid distance pass."""
+    truth = bundled("unknown_large").truth_map
+    cap = field_cap(VehicleSpec(), PlannerConfig(), truth.resolution)
+    grid = OccupancyGrid(truth.resolution, truth.cells, cap)
+    field, peak = traced_peak(grid.distance_field)
+    assert np.array_equal(field.values, saturated(distance_transform_reference(truth), cap))
+    assert peak <= 14 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):
@@ -702,6 +752,49 @@ def test_voronoi_monotone_in_distance_at_fixed_ridge_distance():
     g.set_cells((slice(None), 0), OCCUPIED)
     vals = voronoi_field(g).values[5, 1:]
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+@st.composite
+def voronoi_grids(draw):
+    """A grid whose occupied cells form several components, exactly one, or
+    none, with free and unknown cells."""
+    w, h = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    res = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.where(r.random((h, w)) < 0.2, UNKNOWN, FREE).astype(np.uint8)
+    kind = draw(st.sampled_from(["several", "one", "none"]))
+    if kind == "several":
+        cells[r.random((h, w)) < draw(st.sampled_from([0.01, 0.05, 0.3]))] = OCCUPIED
+    elif kind == "one":
+        y, x = r.integers(h), r.integers(w)
+        cells[y:y + r.integers(1, 10), x:x + r.integers(1, 10)] = OCCUPIED
+    return OccupancyGrid(res, cells)
+
+
+def _assert_voronoi_matches_reference(g):
+    got, want = voronoi_field(g), voronoi_field_reference(g)
+    assert (got.values.dtype, got.values.shape) == (want.values.dtype, want.values.shape)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.resolution, got.outside) == (want.resolution, want.outside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(voronoi_grids())
+def test_voronoi_matches_reference(g):
+    """The row-block Voronoi field is the whole-grid build's bytes."""
+    _assert_voronoi_matches_reference(g)
+
+
+def test_voronoi_matches_reference_on_unknown_large():
+    _assert_voronoi_matches_reference(bundled("unknown_large").truth_map)
+
+
+def test_voronoi_peak_memory():
+    """On unknown_large's 1024 x 384 truth the Voronoi field peaks within
+    14 MB, about four float64 grids; the whole-grid build took 25 MB."""
+    truth = bundled("unknown_large").truth_map
+    _, peak = traced_peak(lambda: voronoi_field(truth))
+    assert peak <= 14 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --------------------------------------------------------------- raytracing
@@ -912,11 +1005,7 @@ def test_batched_reveal_memory_is_bounded_by_the_chunk():
     picked = free[np.random.default_rng(0).choice(len(free), 128, replace=False)]
     poses = [Pose2D((ix + 0.5) * truth.resolution, (iy + 0.5) * truth.resolution, 0.0)
              for iy, ix in picked]
-    tracemalloc.start()
-    try:
-        revealed = raytrace_reveal(truth, belief, poses, spec.sensor_range, spec.n_rays)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    revealed, peak = traced_peak(
+        lambda: raytrace_reveal(truth, belief, poses, spec.sensor_range, spec.n_rays))
     assert revealed > 0
     assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
