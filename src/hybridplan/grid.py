@@ -282,7 +282,6 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
     grow = _grow(cap, resolution, shape)
     rows, cols = np.divmod(added, shape[1])
     window = _window(rows, cols, shape, grow)
-    out = field.copy()
     side = 2 * grow + 1
     # the cost rule, in cells of the window's EDT: a stamp costs 150 of them
     # plus a 25th of its own cells (about 5 us + 1.1 ns per stamp cell
@@ -291,6 +290,7 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
         offset = np.arange(-grow, grow + 1, dtype=np.float64) ** 2
         stamp = np.sqrt(offset[:, None] + offset[None, :]) * resolution
         stamp[stamp > cap] = np.inf
+        out = field.copy()
         for y, x in zip(rows.tolist(), cols.tolist()):
             y0, x0 = max(y - grow, 0), max(x - grow, 0)
             view = out[y0:y + grow + 1, x0:x + grow + 1]
@@ -302,7 +302,12 @@ def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,
         near = _edt(free)
         near *= resolution
         near[near > cap] = np.inf
-        np.minimum(out[window], near, out=out[window])
+        np.minimum(field[window], near, out=near)
+        if near.shape == shape:     # a whole-grid window, such as a fresh build's: no copy
+            out = near
+        else:
+            out = field.copy()
+            out[window] = near
     out.setflags(write=False)
     return out
 

@@ -13,6 +13,7 @@ import heapq
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -102,6 +103,10 @@ class SearchStats:
     nodes_expanded: int = 0
     nodes_created: int = 0
     wall_time_s: float = 0.0
+    # how the search ended: "goal cell", "early stop", "Reeds-Shepp" or
+    # "drive-rotate-drive", else the failure's message ("budget exceeded",
+    # "no path", "start in collision" or "goal in collision")
+    end: str = ""
 
 
 # --------------------------------------------------------------------------
@@ -420,24 +425,6 @@ def geometric_extension(current: Pose2D, goal: Pose2D, seg_len: float
 # Search internals
 # --------------------------------------------------------------------------
 
-class _Node:
-    __slots__ = ("x", "y", "yaw", "g", "h", "hd", "direction", "steer",
-                 "parent", "amount", "key")
-
-    def __init__(self, x, y, yaw, g, h, hd, direction, steer, parent, amount, key):
-        self.x = x
-        self.y = y
-        self.yaw = yaw
-        self.g = g
-        self.h = h
-        self.hd = hd
-        self.direction = direction
-        self.steer = steer
-        self.parent = parent
-        self.amount = amount      # the step (steer, direction, amount) that made it
-        self.key = key
-
-
 class _PrimitiveTable:
     """Sub-sampled displacement tables for every steer/direction primitive."""
 
@@ -516,6 +503,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
 
     def failed(exc: PlannerFailure) -> PlannerFailure:
         stats.wall_time_s = time.perf_counter() - t_begin
+        stats.end = str(exc)
         exc.stats = stats
         return exc
 
@@ -551,12 +539,12 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
                 for _, _, _, (st, d, amount) in ends]
         return costs
 
-    values = dmap.values    # indexed by a lattice key: same resolution
-    h_cells, w_cells = values.shape
+    values = dmap.values.tolist()    # rows, indexed by a lattice key: same resolution
+    h_cells, w_cells = dmap.values.shape
 
     def heuristic(x: float, y: float, yaw: float, key: Tuple[int, int, int]) -> Tuple[float, float]:
         ix, iy, _ = key
-        hd = float(values[iy, ix]) if 0 <= ix < w_cells and 0 <= iy < h_cells else math.inf
+        hd = values[iy][ix] if 0 <= ix < w_cells and 0 <= iy < h_cells else math.inf
         euclid = math.hypot(goal.x - x, goal.y - y)
         h = hd if math.isfinite(hd) else euclid
         if euclid <= config.rs_heuristic_radius:
@@ -569,49 +557,55 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     goal_key = key_of(goal.x, goal.y, goal.yaw)
     start_key = key_of(start.x, start.y, start.yaw)
     h0, hd0 = heuristic(start.x, start.y, start.yaw, start_key)
-    root = _Node(start.x, start.y, start.yaw, 0.0, h0, hd0,
-                 start_direction, start_steer, None, 0.0, start_key)
+    # the search state, one row per node in creation order: pose, cost, route
+    # distance and parent (-1 for the root), the step that made it and its key
+    xs, ys, yaws = array("d", [start.x]), array("d", [start.y]), array("d", [start.yaw])
+    gs, hds, parents = array("d", [0.0]), array("d", [hd0]), array("q", [-1])
+    steps, keys = [(start_steer, start_direction, 0.0)], [start_key]
     stats.nodes_created = 1
 
-    best_g = {root.key: 0.0}
-    counter = 0
-    open_heap = [(root.g + root.h, root.h, counter, root)]
+    best_g = {start_key: 0.0}
+    open_heap = [(h0, h0, 0)]     # (f, h, node): the node number breaks ties
     analytic_tried = set()
 
-    def finish(path: PlannedPath) -> Tuple[PlannedPath, SearchStats]:
+    def finish(n: int, end: str, suffix: PlannedPath = PlannedPath()
+               ) -> Tuple[PlannedPath, SearchStats]:
+        path = _reconstruct(n, parents, steps, (xs, ys, yaws), table).concat(suffix)
         stats.wall_time_s = time.perf_counter() - t_begin
+        stats.end = end
         return path, stats
 
     while open_heap:
-        _, _, _, node = heapq.heappop(open_heap)
-        if node.g > best_g.get(node.key, math.inf) + 1e-12:
+        _, h, n = heapq.heappop(open_heap)
+        g, key = gs[n], keys[n]
+        if g > best_g.get(key, math.inf) + 1e-12:
             continue
         if stats.nodes_expanded >= config.node_budget:
             raise failed(BudgetExceededError())
         stats.nodes_expanded += 1
 
-        if node.key == goal_key or (horizon is not None and math.isfinite(node.hd)
-                                    and hd_start - node.hd > horizon):
-            return finish(_reconstruct(node, table))
-        if (horizon is None and node.h < config.analytic_radius
-                and node.key not in analytic_tried):
-            analytic_tried.add(node.key)
-            suffix = analytic_expansions(Pose2D(node.x, node.y, node.yaw), goal, checker,
-                                         config, vehicle, mode,
-                                         parent_direction=node.direction,
-                                         parent_steer=node.steer)
+        if key == goal_key:
+            return finish(n, "goal cell")
+        if horizon is not None and math.isfinite(hds[n]) and hd_start - hds[n] > horizon:
+            return finish(n, "early stop")
+        x, y, yaw = xs[n], ys[n], yaws[n]
+        steer, direction, _ = steps[n]
+        if horizon is None and h < config.analytic_radius and key not in analytic_tried:
+            analytic_tried.add(key)
+            suffix = analytic_expansions(Pose2D(x, y, yaw), goal, checker, config, vehicle,
+                                         mode, parent_direction=direction, parent_steer=steer)
             if suffix is not None:
-                return finish(_reconstruct(node, table).concat(suffix))
+                return finish(n, "drive-rotate-drive" if suffix.n_rotations else "Reeds-Shepp",
+                              suffix)
 
         # children: end pose, lattice key and cost of every step first; one
         # collision check over all drive primitives if a drive beats best_g
-        x, y, yaw, g = node.x, node.y, node.yaw, node.g
         c, s = math.cos(yaw), math.sin(yaw)
         n_steps = n_drive
         if (len(ends) > n_drive and stats.nodes_expanded % config.f_ext == 0
                 and not checker.rotation_blocked(x, y)):
             n_steps = len(ends)
-        costs = costs_after(node.direction, node.steer)
+        costs = costs_after(direction, steer)
         fresh = []
         for i in range(n_steps):
             dx, dy, dyaw, _ = ends[i]
@@ -631,38 +625,45 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         for i, nx, ny, nyaw, nkey, g2 in fresh:
             if (i < len(blocked) and blocked[i]) or g2 >= best_g.get(nkey, math.inf) - 1e-12:
                 continue
-            steer, direction, amount = ends[i][3]
             h2, hd2 = heuristic(nx, ny, nyaw, nkey)
-            child = _Node(nx, ny, nyaw, g2, h2, hd2, direction, steer, node, amount, nkey)
             best_g[nkey] = g2
+            heapq.heappush(open_heap, (g2 + h2, h2, stats.nodes_created))
             stats.nodes_created += 1
-            counter += 1
-            heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
+            xs.append(nx)
+            ys.append(ny)
+            yaws.append(nyaw)
+            gs.append(g2)
+            hds.append(hd2)
+            parents.append(n)
+            steps.append(ends[i][3])
+            keys.append(nkey)
 
     raise failed(NoPathError())
 
 
-def _reconstruct(node: _Node, table: _PrimitiveTable) -> PlannedPath:
-    """Replay the parent chain into a pose-continuous path."""
-    chain: List[_Node] = []
-    cur = node
-    while cur is not None:       # a parent is created before its child: no cycle
-        chain.append(cur)
-        cur = cur.parent
+def _reconstruct(n: int, parents: array, steps: List[Tuple[float, int, float]],
+                 poses: Tuple[array, array, array], table: _PrimitiveTable) -> PlannedPath:
+    """Replay node n's parent chain into a pose-continuous path."""
+    chain: List[int] = []
+    while n >= 0:       # a parent is created before its child: no cycle
+        chain.append(n)
+        n = parents[n]
     chain.reverse()
 
-    builder = PathBuilder(Pose2D(chain[0].x, chain[0].y, chain[0].yaw))
-    for nd in chain[1:]:
-        if nd.direction == 0:
-            builder.add_rotation(nd.amount)
+    xs, ys, yaws = poses
+    builder = PathBuilder(Pose2D(xs[0], ys[0], yaws[0]))
+    for parent, n in zip(chain, chain[1:]):
+        steer, direction, amount = steps[n]
+        if direction == 0:
+            builder.add_rotation(amount)
             continue
-        kappa = math.tan(nd.steer) / table.wheelbase
+        kappa = math.tan(steer) / table.wheelbase
         n_sub = table.n_sub
-        x, y, yaw = nd.parent.x, nd.parent.y, nd.parent.yaw
-        step = nd.amount / n_sub * nd.direction
+        x, y, yaw = xs[parent], ys[parent], yaws[parent]
+        step = amount / n_sub * direction
         for _ in range(n_sub):
             x, y, yaw = move_along_arc(x, y, yaw, kappa, step)
-            builder.add_drive_sample(x, y, normalize_angle(yaw), kappa, nd.direction)
+            builder.add_drive_sample(x, y, normalize_angle(yaw), kappa, direction)
     return builder.finish()
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,6 +42,15 @@ def paint_disk(g: OccupancyGrid, cx: float, cy: float, radius: float, value: int
 def bundled(name: str) -> ScenarioSpec:
     """The bundled scenario `name`, loaded from its shipped files as the CLI does."""
     return load_scenario(bundled_scenario_path(name))
+
+
+def traced_peak(run):
+    """`run()` and the tracemalloc peak, in bytes, of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def clutter_scene(rng, border: bool = True) -> OccupancyGrid:

@@ -27,7 +27,8 @@ array sampler replaced, the path-walking
 references keep the segment-index cursor and gear lookup that
 `PlannedPath.walk()` replaced, the raytrace reference keeps the masked
 all-rays loop that the live-ray march replaced, the search reference
-keeps the child loop that costed, keyed and collision-checked every child,
+keeps the child loop that costed, keyed and collision-checked every child
+and the one object per node that the columnar search state replaced,
 the Voronoi-field reference keeps the whole-grid build that the row-block
 EDT and early frees replaced, the expansion reference keeps the batch over the surviving drive
 primitives that one check over all of them replaced, and the proximity
@@ -56,7 +57,7 @@ from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRo
 from hybridplan.planner import (EXTENDED, STANDARD, BudgetExceededError, DriveSegment,
                                 NoPathError, PathBuilder, PlannedPath, PlannerConfig,
                                 PlannerFailure, RotationSegment, SearchStats,
-                                analytic_expansions, cost_of, geometric_extension)
+                                cost_of, geometric_extension)
 from hybridplan.vehicle import CollisionChecker, checker_thresholds
 
 TWO_PI = 2.0 * math.pi
@@ -692,9 +693,10 @@ def reference_stack():
     The mission's route is the scalar descent from scratch on every tick
     (`extract_astar_path_reference`, which ignores the previous route),
     every nearest-cell lookup is the 5 x 5 scan, every tick checks the
-    path for collisions in full, with no carried verdict, every node
-    expansion checks its drive primitives through `batch_blocked`
-    (`expansion_blocked_reference`), every analytic attempt samples and
+    path for collisions in full, with no carried verdict, every mission
+    search is `plan_reference` (one object per node, every child checked
+    through `batch_blocked`; a direct `planner.plan` call checks its drive
+    primitives through `expansion_blocked_reference`), every analytic attempt samples and
     checks each Reeds-Shepp candidate whole, shortest first
     (`analytic_expansions_reference`), every reveal, the mission's and
     the `map.svg` replay's, is the masked all-rays loop
@@ -703,7 +705,7 @@ def reference_stack():
     saved = (OccupancyGrid.derived, grid_module._add_obstacles,
              mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
              mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
-             planner_module.analytic_expansions,
+             planner_module.analytic_expansions, mission_module.plan,
              simulate_module.raytrace_reveal, cli_module.raytrace_reveal,
              simulate_module.voronoi_field)
     derived = saved[0]
@@ -724,6 +726,7 @@ def reference_stack():
         return [p in blocked for p in drives]
     CollisionChecker.expansion_blocked = expansion_blocked
     planner_module.analytic_expansions = analytic_expansions_reference
+    mission_module.plan = plan_reference
     simulate_module.raytrace_reveal = cli_module.raytrace_reveal = raytrace_reveal_reference
     simulate_module.voronoi_field = voronoi_field_reference
     try:
@@ -732,7 +735,7 @@ def reference_stack():
         (OccupancyGrid.derived, grid_module._add_obstacles,
          mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
          mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
-         planner_module.analytic_expansions,
+         planner_module.analytic_expansions, mission_module.plan,
          simulate_module.raytrace_reveal, cli_module.raytrace_reveal,
          simulate_module.voronoi_field) = saved
 
@@ -1439,22 +1442,31 @@ def _ref_reconstruct(node, table) -> PlannedPath:
 def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=STANDARD,
                    horizon=None, start_direction=0, start_steer=0.0):
     """`planner.plan` with its earlier child loop: every child is sub-sampled
-    and disk-checked, then normalised, keyed and costed one at a time."""
+    and disk-checked, then normalised, keyed and costed one at a time, and
+    one `_RefNode` object per node.  A failure carries its stats, and an
+    analytic attempt goes through `planner.analytic_expansions`, so inside
+    `reference_stack()` it is `analytic_expansions_reference`."""
     t_begin = time.perf_counter()
     stats = SearchStats()
     disks = vehicle.disks
     checker = CollisionChecker(belief, disks)
 
+    def failed(exc):
+        stats.wall_time_s = time.perf_counter() - t_begin
+        stats.end = str(exc)
+        exc.stats = stats
+        return exc
+
     if checker.pose_blocked(start.x, start.y, start.yaw):
-        raise PlannerFailure("start in collision")
+        raise failed(PlannerFailure("start in collision"))
     if horizon is None and checker.pose_blocked(goal.x, goal.y, goal.yaw):
-        raise PlannerFailure("goal in collision")
+        raise failed(PlannerFailure("goal in collision"))
 
     dmap = build_distance_map(belief, goal, config)
 
     hd_start = dmap.route_distance(start.x, start.y)
     if not math.isfinite(hd_start):
-        raise NoPathError("no path")
+        raise failed(NoPathError("no path"))
 
     turn_radius = vehicle.min_turn_radius
     table = _RefPrimitiveTable(config, vehicle)
@@ -1488,30 +1500,32 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
     open_heap = [(root.g + root.h, root.h, counter, root)]
     analytic_tried = set()
 
-    def finish(path):
+    def finish(path, end):
         stats.wall_time_s = time.perf_counter() - t_begin
+        stats.end = end
         return path, stats
 
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
         if node.g > best_g.get(node.key, math.inf) + 1e-12:
             continue
+        if stats.nodes_expanded >= config.node_budget:
+            raise failed(BudgetExceededError())
         stats.nodes_expanded += 1
-        if stats.nodes_expanded > config.node_budget:
-            raise BudgetExceededError()
 
-        if node.key == goal_key or (horizon is not None and math.isfinite(node.hd)
-                                    and hd_start - node.hd > horizon):
-            return finish(_ref_reconstruct(node, table))
+        if node.key == goal_key:
+            return finish(_ref_reconstruct(node, table), "goal cell")
+        if horizon is not None and math.isfinite(node.hd) and hd_start - node.hd > horizon:
+            return finish(_ref_reconstruct(node, table), "early stop")
         if (horizon is None and node.h < config.analytic_radius
                 and node.key not in analytic_tried):
             analytic_tried.add(node.key)
-            suffix = analytic_expansions(Pose2D(node.x, node.y, node.yaw), goal, checker,
-                                         config, vehicle, mode,
-                                         parent_direction=node.direction,
-                                         parent_steer=node.steer)
+            suffix = planner_module.analytic_expansions(
+                Pose2D(node.x, node.y, node.yaw), goal, checker, config, vehicle, mode,
+                parent_direction=node.direction, parent_steer=node.steer)
             if suffix is not None:
-                return finish(_ref_reconstruct(node, table).concat(suffix))
+                end = "drive-rotate-drive" if suffix.n_rotations else "Reeds-Shepp"
+                return finish(_ref_reconstruct(node, table).concat(suffix), end)
 
         c, s = math.cos(node.yaw), math.sin(node.yaw)
         world_x = node.x + table.dx * c - table.dy * s
@@ -1542,4 +1556,4 @@ def plan_reference(belief, start, goal, vehicle, config=PlannerConfig(), mode=ST
             counter += 1
             heapq.heappush(open_heap, (g2 + h2, h2, counter, child))
 
-    raise NoPathError()
+    raise failed(NoPathError())

@@ -7,7 +7,8 @@ The same file pins the driven path and the replan events of the two
 
 A run inside `oracles.reference_stack()`, where every derived field is built
 from empty, every route is walked from scratch, every tick checks its
-path in full, every analytic attempt checks each candidate whole and every
+path in full, every search keeps one object per node and checks every
+child, every analytic attempt checks each candidate whole and every
 reveal is the masked all-rays loop, writes the same bytes as the shipped
 run, where each field is updated from the one before, a route is cut from
 the previous tick's, a clear verdict is carried and an analytic attempt
@@ -34,7 +35,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridplan import cli, planner, simulate
+from hybridplan import cli, mission, planner, simulate
 from hybridplan.cli import MODES, main
 from hybridplan.geometry import Pose2D
 from hybridplan.grid import OCCUPIED
@@ -43,7 +44,8 @@ from hybridplan.planner import PlannerConfig
 from hybridplan.simulate import ScenarioSpec
 
 from conftest import bordered_grid
-from oracles import analytic_expansions_reference, raytrace_reveal_reference, reference_stack
+from oracles import (analytic_expansions_reference, plan_reference, raytrace_reveal_reference,
+                     reference_stack)
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_outputs.json"
 OUTPUT_FILES = ("path.json", "events.log", "metrics.csv", "map.svg")
@@ -105,6 +107,7 @@ def test_reference_stack_writes_the_shipped_bytes(scenario, mode, tmp_path, caps
         # the mission's reveals and the map.svg replay's
         assert simulate.raytrace_reveal is cli.raytrace_reveal is raytrace_reveal_reference
         assert planner.analytic_expansions is analytic_expansions_reference
+        assert mission.plan is plan_reference
         reference = run_digests(scenario, mode, tmp_path / "reference")
     assert set(floods[n:]) == {"full"}
     if scenario == "reveal_divergence":   # smoke_small's map is known: one flood, no repair

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -18,19 +17,11 @@ from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import PlannerConfig, field_cap
 from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, checker_thresholds
 
-from conftest import bordered_grid, bundled, clear_test, counted_writes, paint_disk
+from conftest import (bordered_grid, bundled, clear_test, counted_writes, paint_disk,
+                      traced_peak)
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
                      distance_transform_reference, flat_mask, raytrace_reveal_reference,
                      saturated, voronoi_field_reference, window_add_reference)
-
-
-def traced_peak(run):
-    """`run()` and the tracemalloc peak, in bytes, of the memory it allocated."""
-    tracemalloc.start()
-    try:
-        return run(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- map format
@@ -585,15 +576,16 @@ def test_edt_matches_scipy_bit_for_bit(free):
 
 def test_fresh_distance_field_peak_memory():
     """A fresh obstacle field on unknown_large's 1024 x 384 truth (3 MB per
-    float64 grid) at the planner's cap peaks within 14 MB: it starts from a
-    broadcast +inf, and its EDT holds one feature transform, not scipy's
-    whole-grid distance pass."""
+    float64 grid) at the planner's cap peaks within 10 MB: it starts from a
+    broadcast +inf that is never copied (the bordered map's EDT window is the
+    whole grid, so the EDT's array is the field), and its EDT holds one
+    feature transform, not scipy's whole-grid distance pass."""
     truth = bundled("unknown_large").truth_map
     cap = field_cap(VehicleSpec(), PlannerConfig(), truth.resolution)
     grid = OccupancyGrid(truth.resolution, truth.cells, cap)
     field, peak = traced_peak(grid.distance_field)
     assert np.array_equal(field.values, saturated(distance_transform_reference(truth), cap))
-    assert peak <= 14 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_distance_transform_called_once_per_rebuilt_field(monkeypatch):

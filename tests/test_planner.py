@@ -15,12 +15,13 @@ from hybridplan.planner import (BudgetExceededError, DriveSegment,
                                 EXTENDED, NoPathError, PathBuilder, PlannedPath,
                                 PlannerConfig, PlannerFailure, RotationSegment,
                                 STANDARD, analytic_expansions,
-                                cost_of, geometric_extension, plan, steps_cost)
+                                cost_of, field_cap, geometric_extension, plan, steps_cost)
 from hybridplan import planner as planner_module, reeds_shepp as reeds_shepp_module
 from hybridplan.reeds_shepp import rs_path_length
 from hybridplan.vehicle import CollisionChecker, VehicleSpec
 
-from conftest import angles_close, bordered_grid, clutter_scene, paint_disk, pose_close
+from conftest import (angles_close, bordered_grid, bundled, clutter_scene, paint_disk, pose_close,
+                      traced_peak)
 from oracles import analytic_expansions_reference, plan_reference
 
 VEH = VehicleSpec()
@@ -144,13 +145,8 @@ def test_free_space_optimality_margin(rng):
 
 
 def test_no_path_when_goal_boxed():
-    g = open_grid()
-    g.set_box(13.0, 13.0, 15.0, 27.0, OCCUPIED)
-    g.set_box(27.0, 13.0, 29.0, 27.0, OCCUPIED)
-    g.set_box(13.0, 25.0, 29.0, 27.0, OCCUPIED)
-    g.set_box(13.0, 13.0, 29.0, 15.0, OCCUPIED)
     with pytest.raises(NoPathError):
-        plan(g, Pose2D(5, 5, 0), Pose2D(21, 20, 0), VEH, CFG)
+        plan(boxed_goal_grid(), Pose2D(5, 5, 0), Pose2D(21, 20, 0), VEH, CFG)
 
 
 def test_budget_exhaustion_raises():
@@ -160,6 +156,78 @@ def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceededError) as failure:
         plan(g, Pose2D(5, 5, 0), Pose2D(35, 35, 2.0), VEH, cfg)
     assert failure.value.stats.nodes_expanded == 5
+
+
+def boxed_goal_grid():
+    g = open_grid()
+    g.set_box(13.0, 13.0, 15.0, 27.0, OCCUPIED)
+    g.set_box(27.0, 13.0, 29.0, 27.0, OCCUPIED)
+    g.set_box(13.0, 25.0, 29.0, 27.0, OCCUPIED)
+    g.set_box(13.0, 13.0, 29.0, 15.0, OCCUPIED)
+    return g
+
+
+# how each search below ends, in `SearchStats.end`; `search` is `plan` or `plan_reference`
+SEARCH_ENDS = {
+    "goal cell": lambda search: search(open_grid(), Pose2D(20.0, 20.0, 0.0),
+                                       Pose2D(20.1, 20.1, 0.02), VEH, CFG),
+    "early stop": lambda search: search(open_grid(), Pose2D(5, 20, 0), Pose2D(35, 20, 0), VEH,
+                                        CFG, horizon=2.0),
+    "Reeds-Shepp": lambda search: search(open_grid(), Pose2D(10, 20, 0), Pose2D(20, 20, 0),
+                                         VEH, CFG),
+    "drive-rotate-drive": lambda search: search(*hairpin(), VEH, CFG, mode=EXTENDED),
+    "budget exceeded": lambda search: search(open_grid(), Pose2D(5, 5, 0), Pose2D(35, 35, 2.0),
+                                             VEH, PlannerConfig(node_budget=5,
+                                                                analytic_radius=0.001)),
+    "no path": lambda search: search(boxed_goal_grid(), Pose2D(5, 5, 0), Pose2D(21, 20, 0),
+                                     VEH, CFG),
+    "start in collision": lambda search: search(open_grid(), Pose2D(0.2, 20, 0),
+                                                Pose2D(20, 20, 0), VEH, CFG),
+    "goal in collision": lambda search: search(open_grid(), Pose2D(20, 20, 0),
+                                               Pose2D(39.8, 20, 0), VEH, CFG),
+}
+
+
+@pytest.mark.parametrize("end", list(SEARCH_ENDS))
+def test_search_names_how_it_ended(end):
+    """A found path's stats and a failure's stats name how the search ended;
+    a failure's end is its message, and an analytic suffix with a rotation
+    is drive-rotate-drive.  The reference search ends the same way after
+    as many expansions, also when it fails."""
+    outcomes = []
+    for search in (plan, plan_reference):
+        try:
+            path, stats = SEARCH_ENDS[end](search)
+        except PlannerFailure as exc:
+            assert str(exc) == end
+            path, stats = None, exc.stats
+        assert stats.end == end
+        if end in ("Reeds-Shepp", "drive-rotate-drive"):
+            assert (path.n_rotations > 0) == (end == "drive-rotate-drive")
+        outcomes.append((stats.nodes_expanded, stats.nodes_created))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_search_state_peak_memory():
+    """The first 5000 expansions of the known_large/standard search (15683
+    nodes) keep their state in columns indexed by node number: with the
+    belief's fields and route map built by a one-node call, the search's
+    tracemalloc peak stays within 5.5 MB: 4.8 MB, against 6.2 MB with one
+    Python object per node (the whole search, 72407 nodes: 17.8 against
+    24.1 MB, but 16 s under tracemalloc)."""
+    spec = bundled("known_large")
+    truth = spec.truth_map
+    belief = OccupancyGrid(truth.resolution, truth.cells, field_cap(VEH, CFG, truth.resolution))
+
+    def search(budget: int):
+        with pytest.raises(BudgetExceededError) as failure:
+            plan(belief, spec.start, spec.goal, VEH, PlannerConfig(node_budget=budget))
+        return failure.value.stats
+
+    search(1)
+    stats, peak = traced_peak(lambda: search(5000))
+    assert (stats.nodes_expanded, stats.nodes_created) == (5000, 15683)
+    assert peak <= 5.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("mode", ["Extended", "bogus"])
@@ -371,9 +439,9 @@ def test_analytic_blocked_start_returns_none():
     assert suffix is None
 
 
-def test_analytic_extension_used_where_arcs_collide():
-    """A hairpin junction too tight for the turning circles still admits the
-    drive-rotate-drive connection through its rotation-sized bulge."""
+def hairpin():
+    """A hairpin junction too tight for the turning circles, with a
+    rotation-sized bulge: the grid, a pose in its approach and a goal in its stub."""
     res = 0.15625
     g = OccupancyGrid.filled(int(40 / res), int(40 / res), res, OCCUPIED)
     g.set_box(1.0, 17.8, 26.0, 22.2, FREE)               # approach corridor
@@ -381,9 +449,15 @@ def test_analytic_extension_used_where_arcs_collide():
     for t in np.arange(0.0, 12.0, 0.25):
         paint_disk(g, 26.0 + t * d[0], 20.0 + t * d[1], 2.2, FREE)
     paint_disk(g, 26.0, 20.0, 3.8, FREE)                 # fits the swept circle
+    return g, Pose2D(6.0, 20.0, 0.0), Pose2D(26.0 + 8.0 * d[0], 20.0 + 8.0 * d[1],
+                                             -3 * math.pi / 4)
+
+
+def test_analytic_extension_used_where_arcs_collide():
+    """A hairpin junction too tight for the turning circles still admits the
+    drive-rotate-drive connection through its rotation-sized bulge."""
+    g, pose, goal = hairpin()
     checker = CollisionChecker(g, VEH.disks)
-    pose = Pose2D(6.0, 20.0, 0.0)
-    goal = Pose2D(26.0 + 8.0 * d[0], 20.0 + 8.0 * d[1], -3 * math.pi / 4)
     rs_only = analytic_expansions(pose, goal, checker, CFG, VEH, STANDARD)
     extended = analytic_expansions(pose, goal, checker, CFG, VEH, EXTENDED)
     assert rs_only is None
