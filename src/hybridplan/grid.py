@@ -150,6 +150,34 @@ class OccupancyGrid:
             return Raster(field, self.resolution, -math.inf)
         return self.derived(("distance_field",), build)
 
+    def within(self, threshold: float, factor: int = 1) -> np.ndarray:
+        """Memoized read-only mask of the `factor` x `factor` blocks (zero-padded
+        at the far edges) that hold a cell whose obstacle field reads at most
+        `threshold` m; ValueError above the cap.  A rebuild from the previous
+        generation's mask pools again only the blocks over the added cells'
+        box grown by the threshold, outside which no such cell can appear, and
+        keeps the previous mask when they pool the same."""
+        def build(previous: Optional[np.ndarray], added: Optional[np.ndarray]) -> np.ndarray:
+            field = self.distance_field([("within", threshold)]).values
+            if previous is None:
+                mask = _downsample_blocked(field <= threshold, factor)
+            elif not added.size:
+                return previous
+            else:
+                rows, cols = _window(*np.divmod(added, field.shape[1]), field.shape,
+                                     _grow(threshold, self.resolution, field.shape))
+                (y0, y1), (x0, x1) = ((s.start // factor, -(-s.stop // factor))
+                                      for s in (rows, cols))
+                pooled = _downsample_blocked(
+                    field[y0 * factor:y1 * factor, x0 * factor:x1 * factor] <= threshold, factor)
+                if np.array_equal(previous[y0:y1, x0:x1], pooled):
+                    return previous
+                mask = previous.copy()
+                mask[y0:y1, x0:x1] = pooled
+            mask.setflags(write=False)
+            return mask
+        return self.derived(("within", threshold, factor), build)
+
     @classmethod
     def filled(cls, width_cells: int, height_cells: int, resolution: float,
                value: int = FREE) -> "OccupancyGrid":
@@ -251,15 +279,25 @@ def _window(rows: np.ndarray, cols: np.ndarray, shape, grow: int) -> Tuple[slice
             slice(max(cols.min() - grow, 0), min(cols.max() + grow + 1, shape[1])))
 
 
-def obstacle_window(added: np.ndarray, shape, resolution: float,
-                    reach: float) -> Tuple[slice, slice]:
-    """The window outside which making the cells `added` (flat indices)
-    occupied moved no cell's distance to the occupied cells, among distances
-    up to `reach` m: their box grown by ceil(reach / resolution) + 1 cells,
-    or an empty window when there are none."""
-    if not added.size:
-        return slice(0, 0), slice(0, 0)
-    return _window(*np.divmod(added, shape[1]), shape, _grow(reach, resolution, shape))
+def _downsample_blocked(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
+    """Max-pool: a coarse cell is blocked if any fine cell inside it is; at
+    `factor` 1 the input itself.
+
+    An OR of `factor` strided row slices, then of `factor` column slices:
+    several times faster than reducing a (ch, factor, cw, factor) view.
+    """
+    if factor == 1:
+        return fine_blocked
+    h, w = fine_blocked.shape
+    padded = np.zeros((-(-h // factor) * factor, -(-w // factor) * factor), dtype=bool)
+    padded[:h, :w] = fine_blocked
+    rows = padded[::factor].copy()
+    for k in range(1, factor):
+        rows |= padded[k::factor]
+    pooled = rows[:, ::factor].copy()
+    for k in range(1, factor):
+        pooled |= rows[:, k::factor]
+    return pooled
 
 
 def _add_obstacles(field: np.ndarray, added: np.ndarray, resolution: float,

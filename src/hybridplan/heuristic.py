@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .geometry import Pose2D
-from .grid import OccupancyGrid, Raster, obstacle_window
+from .grid import OccupancyGrid, Raster
 
 if TYPE_CHECKING:
     from .planner import PlannerConfig
@@ -107,24 +107,6 @@ class DistanceMap(Raster):
         return float(self.values[cell[1], cell[0]])
 
 
-def _downsample_blocked(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
-    """Max-pool: a coarse cell is blocked if any fine cell inside it is.
-
-    An OR of `factor` strided row slices, then of `factor` column slices:
-    several times faster than reducing a (ch, factor, cw, factor) view.
-    """
-    h, w = fine_blocked.shape
-    padded = np.zeros((-(-h // factor) * factor, -(-w // factor) * factor), dtype=bool)
-    padded[:h, :w] = fine_blocked
-    rows = padded[::factor].copy()
-    for k in range(1, factor):
-        rows |= padded[k::factor]
-    pooled = rows[:, ::factor].copy()
-    for k in range(1, factor):
-        pooled |= rows[:, k::factor]
-    return pooled
-
-
 def resolution_factor(xy_resolution: float, grid_resolution: float) -> int:
     """Grid cells per coarse cell side; the planner's `xy_resolution` must be
     a whole multiple of the grid resolution."""
@@ -140,18 +122,17 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
                        config: PlannerConfig) -> DistanceMap:
     """Flood the cost-to-goal over the 8-connected grid of the planner's lattice.
 
-    Unknown cells count as free (optimistic planner); cells within
-    `config.inflation_radius` of an occupied cell, on the belief's obstacle
-    field (ValueError when the radius exceeds its cap), are blocked before
-    max-pool downsampling.  Straight moves cost the planning resolution,
+    Unknown cells count as free (optimistic planner); a coarse cell is
+    blocked when it holds a cell within `config.inflation_radius` of an
+    occupied cell, on the belief's obstacle field (ValueError when the
+    radius exceeds its cap): the belief's pooled mask `within`, kept up to
+    date over its writes.  Straight moves cost the planning resolution,
     diagonal moves sqrt(2) times that.  The map is memoized on the belief
-    per goal cell, resolution and radius.  A rebuild from the previous
-    generation's map pools again only the coarse cells over the added
-    cells' window (`obstacle_window` at the radius).  An added obstacle only
-    lowers the field, so the blocked grid only grows: an unchanged one keeps
-    the whole map, values and successor table, and a grown one is repaired
-    (`_repair_flood`).  A build with no previous map pools in full and
-    repairs the empty map.
+    per goal cell, resolution and radius.  An added obstacle only lowers
+    the field, so the blocked grid only grows: a rebuild whose blocked grid
+    is the previous map's keeps the whole map, values and successor table,
+    and a grown one is repaired (`_repair_flood`).  A build with no
+    previous map repairs the empty map.
     """
     res, inflation = config.xy_resolution, config.inflation_radius
     factor = resolution_factor(res, belief.resolution)
@@ -159,24 +140,14 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
     goal_cell = Raster(belief.cells, res, True).cell_of(goal.x, goal.y)
 
     def build(previous: Optional[DistanceMap], added: Optional[np.ndarray]) -> DistanceMap:
-        field = belief.distance_field([("the route's inflation_radius", inflation)]).values
-        if previous is None:
-            blocked = _downsample_blocked(field <= inflation, factor)
-        else:       # the coarse cells over the window, pooled again
-            window = obstacle_window(added, field.shape, belief.resolution, inflation)
-            (y0, y1), (x0, x1) = ((s.start // factor, -(-s.stop // factor)) for s in window)
-            pooled = _downsample_blocked(
-                field[y0 * factor:y1 * factor, x0 * factor:x1 * factor] <= inflation, factor)
-            if np.array_equal(previous.blocked[y0:y1, x0:x1], pooled):
-                return previous
-            blocked = previous.blocked.copy()
-            blocked[y0:y1, x0:x1] = pooled
-        coarse = Raster(blocked, res, True)
-        if coarse.at(goal.x, goal.y):                 # blocked or off the grid
+        belief.distance_field([("the route's inflation_radius", inflation)])   # the cap check
+        blocked = belief.within(inflation, factor)
+        if previous is not None and blocked is previous.blocked:
+            return previous
+        if Raster(blocked, res, True).at(goal.x, goal.y):     # blocked or off the grid
             raise GoalBlockedError("goal blocked")
         values = _repair_flood(previous, blocked, goal_cell, res)
         values.setflags(write=False)
-        blocked.setflags(write=False)
         return DistanceMap(values, res, math.inf,
                            blocked=blocked, goal_cell=goal_cell, previous=previous)
 

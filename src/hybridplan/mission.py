@@ -32,9 +32,9 @@ class MissionConfig:
     s_coll: float = 20.0       # [m] replan when the path collides within this
 
     def __post_init__(self) -> None:
-        # written as not (v > 0) so that NaN fails too
-        if not self.s_w > 0.0:
-            raise ValueError("s_w must be positive")
+        # written as not (0 < v < inf) and not (v >= 0) so that NaN fails too
+        if not 0.0 < self.s_w < math.inf:
+            raise ValueError("s_w must be positive and finite")
         for name in ("s_lim", "s_t", "d_div", "s_coll"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")

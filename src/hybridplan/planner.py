@@ -494,10 +494,13 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
     `horizon` below the start's.  Every reader shares the belief's obstacle
     field, whose cap must reach their thresholds (`field_cap`; ValueError
     otherwise).  Raises PlannerFailure (NoPathError, BudgetExceededError)
-    carrying the failed search's stats, and ValueError for an unknown mode.
+    carrying the failed search's stats, and ValueError for an unknown mode or
+    a horizon that is not None or in (0, inf).
     """
     if mode not in (STANDARD, EXTENDED):
         raise ValueError(f"unknown planner mode {mode!r}")
+    if horizon is not None and not 0.0 < horizon < math.inf:    # NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     t_begin = time.perf_counter()
     stats = SearchStats()
 

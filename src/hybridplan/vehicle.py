@@ -9,11 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .grid import OccupancyGrid, obstacle_window
+from .grid import OccupancyGrid
 
 # Distance-field lookups are quantized to cell centers; pad every disk
 # radius by half a cell diagonal so the checks stay conservative.
@@ -95,12 +95,12 @@ def checker_thresholds(disks: DiskSet, resolution: float,
 class CollisionChecker:
     """Footprint disk tests against a grid's obstacle distance field.
 
-    Cells outside the grid count as colliding.  The disk test reads a
-    boolean blocked-cell mask memoized on the grid next to its field, which
-    is saturated at the grid's cap; a test whose threshold lies above it
-    raises ValueError (`OccupancyGrid.distance_field`).
-    A rebuilt mask is the previous generation's with the write's window
-    recomputed (`_mask`).
+    Cells outside the grid count as colliding.  The disk test reads the
+    grid's memoized mask of the cells whose field reads below the disk
+    threshold (`OccupancyGrid.within` just under it), which the grid keeps
+    up to date over its writes.  The field is saturated at the grid's cap;
+    a test whose threshold lies above it raises ValueError
+    (`OccupancyGrid.distance_field`).
     """
 
     def __init__(self, grid: OccupancyGrid, disks: DiskSet, reach: float = 0.0) -> None:
@@ -109,23 +109,8 @@ class CollisionChecker:
         self.reach, self.disks = reach, disks
         self.field = grid.distance_field(thresholds)
         self.offsets = np.array(disks.centers)
-        self.blocked = grid.derived(("disk_blocked", self.threshold), self._mask)
-
-    def _mask(self, previous: Optional[np.ndarray], added: Optional[np.ndarray]) -> np.ndarray:
-        """`field < threshold`, read-only: built in full, or the previous
-        generation's mask with the window of the added cells (`obstacle_window`
-        at the threshold) recomputed."""
-        values = self.field.values
-        if previous is None:
-            mask = values < self.threshold
-        else:
-            window = obstacle_window(added, values.shape, self.field.resolution, self.threshold)
-            if not values[window].size:
-                return previous
-            mask = previous.copy()
-            mask[window] = values[window] < self.threshold
-        mask.setflags(write=False)
-        return mask
+        # field < threshold, as field <= the float just below it
+        self.blocked = grid.within(float(np.nextafter(self.threshold, -np.inf)))
 
     def pose_blocked(self, x: float, y: float, yaw: float) -> bool:
         return bool(self.batch_blocked(np.array([[x], [y]]),

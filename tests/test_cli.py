@@ -117,13 +117,14 @@ def test_malformed_field_named_in_error(tmp_path, capsys, overrides, named):
      "planner: yaw_resolution must be positive and finite"),
     ({"planner": {"arc_length": float("inf")}}, "planner: arc_length must be positive and finite"),
     ({"vehicle": {"length": float("inf")}}, "vehicle: length must be positive and finite"),
+    ({"mission": {"s_w": float("inf")}}, "mission: s_w must be positive and finite"),
     ({"planner": {"arc_length": "x"}}, "planner: arc_length must be a number, got 'x'"),
     ({"mission": {"s_w": None}}, "mission: s_w must be a number, got None"),
     ({"vehicle": {"width": "2"}}, "vehicle: width must be a number, got '2'"),
 ], ids=["inflation_nan", "collision_step_nan", "n_steer_float", "node_budget_bool",
         "n_disks_fraction", "width_nan", "xy_resolution_off_grid", "s_w_negative",
         "s_w_zero", "s_lim_nan", "s_t_negative", "d_div_nan", "s_coll_negative",
-        "yaw_resolution_inf", "arc_length_inf", "length_inf", "arc_length_string",
+        "yaw_resolution_inf", "arc_length_inf", "length_inf", "s_w_inf", "arc_length_string",
         "s_w_null", "width_string"])
 def test_config_value_out_of_range_exits_1(tmp_path, capsys, overrides, named):
     """Values that used to end in a traceback, or (an infinite vehicle length)

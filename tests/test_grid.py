@@ -15,13 +15,15 @@ from hybridplan.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster,
                              distance_transform, load_map, raytrace_reveal, voronoi_field)
 from hybridplan.heuristic import GoalBlockedError, build_distance_map
 from hybridplan.planner import PlannerConfig, field_cap
-from hybridplan.vehicle import CollisionChecker, DiskSet, VehicleSpec, checker_thresholds
+from hybridplan.vehicle import (CollisionChecker, DiskSet, VehicleSpec, cell_pad,
+                                checker_thresholds)
 
 from conftest import (bordered_grid, bundled, clear_test, counted_writes, paint_disk,
                       traced_peak)
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
-                     distance_transform_reference, flat_mask, raytrace_reveal_reference,
-                     saturated, voronoi_field_reference, window_add_reference)
+                     distance_transform_reference, downsample_blocked_reference, flat_mask,
+                     raytrace_reveal_reference, saturated, voronoi_field_reference,
+                     window_add_reference)
 
 
 # ---------------------------------------------------------------- map format
@@ -379,9 +381,9 @@ def _assert_builds_only_add_obstacles(g, builds, occupied):
             assert all(fresh for _, fresh in after)
             kinds = {kind for kind, _ in after}
             if after and g.cap == math.inf:     # read before the next write
-                assert kinds == {"distance_field", "disk_blocked", "route_map"}
+                assert kinds == {"distance_field", "within", "route_map"}
             elif after:
-                assert "distance_field" in kinds and kinds <= {"distance_field", "disk_blocked",
+                assert "distance_field" in kinds and kinds <= {"distance_field", "within",
                                                                "route_map"}
 
 
@@ -475,6 +477,85 @@ def test_incremental_distance_field_matches_full_over_reveals(steps, res, cap_ki
     _assert_logged_fields_match(belief, goals, config)
     exact = brute_distance_transform(belief.cells == OCCUPIED, res)
     assert np.array_equal(belief.distance_field().values, saturated(exact, belief.cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.sampled_from([0.15625, 0.25, 1.0]),
+       st.lists(st.tuples(st.sampled_from(EDITS), st.booleans()), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 60), st.sampled_from([-1, 0, 0, 1]), st.integers(1, 4)),
+                min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_within_matches_the_pooled_reference(w, h, res, steps, views, capped, seed):
+    """`within(t, f)`, read after random `set_box` and `set_cells` writes
+    (that add, free or keep cells), each read or skipped, equals the
+    reference pool of the saturated field's cells at most t, bit for bit.
+    Each t is an exact field value sqrt(k) * res or one ulp off it, f runs
+    from 1 to 4, and the cap is +inf or the largest t."""
+    r = np.random.default_rng(seed)
+    views = [(float(np.nextafter(math.sqrt(k) * res, nudge * math.inf)) if nudge
+              else math.sqrt(k) * res, f) for k, nudge, f in views]
+    cap = max(max(t for t, _ in views), float(np.nextafter(0.0, 1.0))) if capped else math.inf
+    cells = np.where(r.random((h, w)) < 0.3, UNKNOWN, FREE)
+    cells[r.random((h, w)) < 0.05] = OCCUPIED
+    g = OccupancyGrid(res, cells, cap)
+
+    def check():
+        field = saturated(distance_transform_reference(g), g.cap)
+        for t, f in views:
+            got = g.within(t, f)
+            assert not got.flags.writeable and g.within(t, f) is got
+            assert np.array_equal(got, downsample_blocked_reference(field <= t, f))
+
+    check()
+    for edit, read in steps:
+        _apply_edit(g, edit, r)
+        if read:
+            check()
+    check()
+
+
+def test_within_refuses_a_threshold_above_the_cap():
+    g = OccupancyGrid(0.25, np.full((4, 4), FREE), cap=1.0)
+    with pytest.raises(ValueError, match=r"^within compares the obstacle field with 1\.5 m"):
+        g.within(1.5)
+
+
+@pytest.mark.parametrize("updated", [False, True])
+def test_disk_mask_is_strict_at_an_exact_field_value(updated):
+    """With the disk threshold at a cell's exact field value sqrt(13) * res,
+    that cell is not in the disk mask and the cell at sqrt(8) * res is,
+    whether the mask is built whole or updated over the write that added
+    the obstacle."""
+    res, pad = 0.25, cell_pad(0.25)
+    threshold = math.sqrt(13.0) * res
+    radius = threshold - pad
+    while radius + pad != threshold:
+        radius = float(np.nextafter(radius, math.inf if radius + pad < threshold else -math.inf))
+    disks = DiskSet(centers=(0.0,), radius=radius)
+    g = OccupancyGrid.filled(20, 20, res, FREE)
+    if updated:
+        assert not CollisionChecker(g, disks).blocked.any()
+    g.set_cells((10, 10), OCCUPIED)
+    checker = CollisionChecker(g, disks)
+    assert checker.threshold == threshold == g.distance_field().values[12, 13]
+    assert not checker.blocked[12, 13] and checker.blocked[12, 12]
+    assert np.array_equal(checker.blocked, g.distance_field().values < threshold)
+
+
+def test_route_maps_of_one_generation_share_the_blocked_grid():
+    """Route maps to two goals on one belief generation read one pooled
+    blocked grid, before and after a write that grows it."""
+    g = bordered_grid(20.0, 10.0)
+    config = PlannerConfig()
+    blocked = []
+    for wall in (False, True):
+        if wall:
+            g.set_box(9.5, 1.0, 10.5, 6.0, OCCUPIED)
+        first = build_distance_map(g, Pose2D(5.0, 5.0, 0.0), config)
+        second = build_distance_map(g, Pose2D(15.0, 5.0, 0.0), config)
+        assert first.goal_cell != second.goal_cell and first.blocked is second.blocked
+        blocked.append(first.blocked)
+    assert (blocked[1] > blocked[0]).any()
 
 
 @st.composite

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridplan.geometry import Pose2D
-from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid
+from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, _downsample_blocked
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
-                                  _downsample_blocked, _repair_flood,
-                                  build_distance_map, detect_divergence,
+                                  _repair_flood, build_distance_map, detect_divergence,
                                   extract_astar_path, waypose_at)
 from hybridplan.planner import PlannerConfig
 

@@ -238,6 +238,16 @@ def test_plan_rejects_an_unknown_mode(mode):
         plan(open_grid(), Pose2D(5, 5, 0), Pose2D(30, 5, 0), VEH, CFG, mode=mode)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+def test_plan_rejects_a_horizon_not_positive_and_finite(horizon):
+    """An infinite horizon never stops early and never tries an analytic
+    expansion, and one at or below 0 (or NaN) ends at once on an empty path:
+    each is refused with `horizon` named, before any search."""
+    with pytest.raises(ValueError, match=r"^horizon must be positive and finite"):
+        plan(bordered_grid(60.0, 30.0), Pose2D(5, 5, 0), Pose2D(50, 25, 0), VEH, CFG,
+             horizon=horizon)
+
+
 @pytest.mark.parametrize("mode", ["Extended", "bogus"])
 def test_analytic_expansions_rejects_an_unknown_mode(mode, monkeypatch):
     """A direct call with an unknown mode fails as `plan` does, before any
