@@ -6,7 +6,7 @@ the coarse routes whose divergence between timesteps triggers replanning.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -39,44 +39,12 @@ class DistanceMap(Raster):
 
     `successor` holds, per row-major cell, the neighbor minimizing value +
     edge cost (ties to the lowest row-major index), or -1 when no neighbor
-    is finite.  It is built from `values` alone, so it cannot go stale;
-    given the `previous` map of the same grid, its table is copied and
-    rebuilt only next to the values that differ.
+    is finite: read-only, built with the values by `_repair_flood`.
     """
 
     blocked: np.ndarray
     goal_cell: Tuple[int, int]
-    previous: InitVar[Optional["DistanceMap"]] = None
-    successor: memoryview = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, previous: Optional["DistanceMap"]) -> None:
-        h, w = self.values.shape
-        y0, y1, x0, x1 = 0, h, 0, w
-        succ = np.full((h, w), -1, dtype=np.int32)
-        if previous is not None:      # a successor reads only its neighbors' values
-            succ = np.array(previous.successor).reshape(h, w)
-            changed = previous.values != self.values
-            rows = np.flatnonzero(changed.any(axis=1))
-            cols = np.flatnonzero(changed.any(axis=0))
-            if rows.size:
-                y0, y1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
-                x0, x1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
-            else:
-                y1 = x1 = 0
-        padded = np.full((h + 2, w + 2), np.inf)
-        padded[1:-1, 1:-1] = np.where(np.isfinite(self.values), self.values, np.inf)
-        best = np.full((y1 - y0, x1 - x0), np.inf)
-        window = succ[y0:y1, x0:x1]
-        window[...] = -1
-        flat = np.arange(h * w, dtype=np.int32).reshape(h, w)[y0:y1, x0:x1]
-        for dy, dx in _NEIGHBORS:
-            edge = self.resolution * math.sqrt(2.0) if dx and dy else self.resolution
-            key = padded[1 + dy + y0:1 + dy + y1, 1 + dx + x0:1 + dx + x1] + edge
-            better = key < best               # strict: the first minimum stays
-            np.copyto(best, key, where=better)
-            np.copyto(window, flat + (dy * w + dx), where=better)
-        succ.setflags(write=False)
-        object.__setattr__(self, "successor", memoryview(succ.reshape(-1)))
+    successor: memoryview = field(repr=False)
 
     def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
         return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
@@ -146,10 +114,9 @@ def build_distance_map(belief: OccupancyGrid, goal: Pose2D,
             return previous
         if Raster(blocked, res, True).at(goal.x, goal.y):     # blocked or off the grid
             raise GoalBlockedError("goal blocked")
-        values = _repair_flood(previous, blocked, goal_cell, res)
-        values.setflags(write=False)
+        values, successor = _repair_flood(previous, blocked, goal_cell, res)
         return DistanceMap(values, res, math.inf,
-                           blocked=blocked, goal_cell=goal_cell, previous=previous)
+                           blocked=blocked, goal_cell=goal_cell, successor=successor)
 
     return belief.derived(("route_map", goal_cell, res, inflation), build)
 
@@ -189,19 +156,35 @@ def _free_graph(free: np.ndarray, resolution: float, source: np.ndarray) -> csr_
     return coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
 
 
+def _neighbor_keys(values: np.ndarray, resolution: float, y0: int, y1: int, x0: int, x1: int):
+    """Per neighbor, in `_NEIGHBORS` order, its row-major index offset and
+    fl(its value + edge) on rows y0:y1 and columns x0:x1 of `values`
+    (finite or +inf); +inf off the grid."""
+    h, w = values.shape
+    padded = np.full((h + 2, w + 2), np.inf)
+    padded[1:-1, 1:-1] = values
+    for dy, dx in _NEIGHBORS:
+        edge = resolution * math.sqrt(2.0) if dx and dy else resolution
+        yield dy * w + dx, padded[1 + dy + y0:1 + dy + y1, 1 + dx + x0:1 + dx + x1] + edge
+
+
 def _repair_flood(previous: Optional[DistanceMap], blocked: np.ndarray,
-                  goal_cell: Tuple[int, int], resolution: float) -> np.ndarray:
+                  goal_cell: Tuple[int, int], resolution: float
+                  ) -> Tuple[np.ndarray, memoryview]:
     """Shortest paths to the goal over the free cells of `blocked` (sparse
     Dijkstra), from the map of a blocked grid that `blocked` contains, or
     from the empty map (the goal at 0.0, every other cell +inf) if
-    `previous` is None.
+    `previous` is None; returns the values and their successor table
+    (`DistanceMap.successor`), both read-only.
 
     Each finite value is fl(value of its successor + edge), so a cell whose
     successor chain avoids the newly blocked cells keeps its value: costs
     only rise, and that chain still costs it.  The other free cells are
     flooded again from a source whose edge to each weighs the min of
     fl(value + edge) over its kept neighbours, the float a flood from the
-    goal computes along the same path.
+    goal computes along the same path.  A successor reads only its
+    neighbours' values, so a repair scans the copied table again only next
+    to the cut cells whose value changed.
     """
     h, w = blocked.shape
     gx, gy = goal_cell
@@ -210,6 +193,7 @@ def _repair_flood(previous: Optional[DistanceMap], blocked: np.ndarray,
         values[gy, gx] = 0.0
         redo = ~blocked
         redo[gy, gx] = False
+        succ = np.empty((h, w), dtype=np.int32)
     else:
         # pointer doubling over the successor chains: the goal is a root, and
         # the newly blocked cells and cells without a successor go to a sink
@@ -227,17 +211,31 @@ def _repair_flood(previous: Optional[DistanceMap], blocked: np.ndarray,
         values = previous.values.copy()
         values[cut] = np.inf
         redo = cut & ~blocked & np.isfinite(previous.values)
-        if not redo.any():
-            return values
-    padded = np.full((h + 2, w + 2), np.inf)
-    padded[1:-1, 1:-1] = values
-    seed = np.full((h, w), np.inf)
-    for dy, dx in _NEIGHBORS:
-        edge = resolution * math.sqrt(2.0) if dx and dy else resolution
-        np.minimum(seed, padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] + edge, out=seed)
-    graph = _free_graph(redo, resolution, seed)
-    values[redo] = csgraph_dijkstra(graph, directed=False, indices=graph.shape[0] - 1)[:-1]
-    return values
+        succ = np.array(previous.successor).reshape(h, w)
+    if redo.any():
+        seed = np.full((h, w), np.inf)
+        for _, key in _neighbor_keys(values, resolution, 0, h, 0, w):
+            np.minimum(seed, key, out=seed)
+        graph = _free_graph(redo, resolution, seed)
+        values[redo] = csgraph_dijkstra(graph, directed=False, indices=graph.shape[0] - 1)[:-1]
+    y0, y1, x0, x1 = 0, h, 0, w
+    if previous is not None:
+        ys, xs = np.nonzero(cut)
+        changed = values[ys, xs] != previous.values[ys, xs]
+        ys, xs = ys[changed], xs[changed]
+        y0, x0 = (max(ys.min() - 1, 0), max(xs.min() - 1, 0)) if ys.size else (0, 0)
+        y1, x1 = (min(ys.max() + 2, h), min(xs.max() + 2, w)) if ys.size else (0, 0)
+    best = np.full((y1 - y0, x1 - x0), np.inf)
+    window = succ[y0:y1, x0:x1]
+    window[...] = -1
+    flat = np.arange(h * w, dtype=np.int32).reshape(h, w)[y0:y1, x0:x1]
+    for step, key in _neighbor_keys(values, resolution, y0, y1, x0, x1):
+        better = key < best               # strict: the first minimum stays
+        np.copyto(best, key, where=better)
+        np.copyto(window, flat + step, where=better)
+    values.setflags(write=False)
+    succ.setflags(write=False)
+    return values, memoryview(succ.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,9 @@ replaced (`window_add_reference`).  The route-map reference
 keeps the build that map repair replaced: the reshaped max-pool over the
 whole fine field and the full flood, from scratch on every call, as
 `reference_stack()` builds every disk mask and blocked grid from scratch
-instead of recomputing the write's window.  The coarse-route reference
+instead of recomputing the write's window; its flood is the heap Dijkstra
+and its successor table an argmin over the stacked neighbour keys
+(`successor_table_reference`), in the stack too.  The coarse-route reference
 keeps the scalar 8-neighbour descent loop that the successor table replaced, walked
 from scratch on every call (no suffix of the previous route), and the
 nearest-cell reference the 5 x 5 scan that the 3 x 3 scan of a finite own
@@ -47,6 +49,7 @@ from scipy import ndimage
 
 import hybridplan.cli as cli_module
 import hybridplan.grid as grid_module
+import hybridplan.heuristic as heuristic_module
 import hybridplan.mission as mission_module
 import hybridplan.planner as planner_module
 import hybridplan.simulate as simulate_module
@@ -690,6 +693,8 @@ def reference_stack():
     mask or blocked grid is updated from an earlier one, and the obstacle
     field is exact (`add_obstacles_reference`, handed the added cells as a
     mask) at any cap.
+    Every route map is flooded from scratch by the heap Dijkstra, its
+    successor table by `successor_table_reference` (`route_flood_reference`).
     The mission's route is the scalar descent from scratch on every tick
     (`extract_astar_path_reference`, which ignores the previous route),
     every nearest-cell lookup is the 5 x 5 scan, every tick checks the
@@ -702,7 +707,7 @@ def reference_stack():
     the `map.svg` replay's, is the masked all-rays loop
     (`raytrace_reveal_reference`), and the scoring's Voronoi field is built
     whole (`voronoi_field_reference`)."""
-    saved = (OccupancyGrid.derived, grid_module._add_obstacles,
+    saved = (OccupancyGrid.derived, grid_module._add_obstacles, heuristic_module._repair_flood,
              mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
              mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
              planner_module.analytic_expansions, mission_module.plan,
@@ -713,6 +718,9 @@ def reference_stack():
         self, key, lambda previous, added: build(None, None))
     grid_module._add_obstacles = lambda field, added, resolution, cap: add_obstacles_reference(
         field, flat_mask(field.shape, added), resolution, cap)
+    heuristic_module._repair_flood = (
+        lambda previous, blocked, goal_cell, resolution: route_flood_reference(
+            blocked, goal_cell, resolution))
     mission_module.extract_astar_path = (
         lambda dmap, start, previous=None: extract_astar_path_reference(dmap, start))
     DistanceMap.nearest_reachable_cell = nearest_reachable_cell_reference
@@ -732,7 +740,7 @@ def reference_stack():
     try:
         yield
     finally:
-        (OccupancyGrid.derived, grid_module._add_obstacles,
+        (OccupancyGrid.derived, grid_module._add_obstacles, heuristic_module._repair_flood,
          mission_module.extract_astar_path, DistanceMap.nearest_reachable_cell,
          mission_module.carried_path_collision, CollisionChecker.expansion_blocked,
          planner_module.analytic_expansions, mission_module.plan,
@@ -825,31 +833,62 @@ def raytrace_reveal_reference(truth: OccupancyGrid, belief: OccupancyGrid, senso
 
 def dijkstra_cost_to_go(blocked: np.ndarray, goal_cell: Tuple[int, int],
                         resolution: float) -> np.ndarray:
-    """Plain heapq Dijkstra over the 8-connected grid (reference)."""
+    """Plain heapq Dijkstra over the 8-connected grid (reference), on flat
+    Python lists."""
     h, w = blocked.shape
-    dist = np.full((h, w), np.inf)
+    dist = [math.inf] * (h * w)
+    free = (~blocked).reshape(-1).tolist()
     gy, gx = goal_cell
-    if blocked[gy, gx]:
-        return dist
-    dist[gy, gx] = 0.0
+    if not free[gy * w + gx]:
+        return np.array(dist).reshape(h, w)
+    dist[gy * w + gx] = 0.0
     pq = [(0.0, gy, gx)]
     diag = resolution * math.sqrt(2.0)
+    steps = [(dy, dx, diag if dy and dx else resolution)
+             for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
     while pq:
         d, y, x = heapq.heappop(pq)
-        if d > dist[y, x]:
+        if d > dist[y * w + x]:
             continue
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                ny, nx = y + dy, x + dx
-                if not (0 <= ny < h and 0 <= nx < w) or blocked[ny, nx]:
-                    continue
-                nd = d + (diag if dy != 0 and dx != 0 else resolution)
-                if nd < dist[ny, nx]:
-                    dist[ny, nx] = nd
+        for dy, dx, edge in steps:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and free[ny * w + nx]:
+                nd = d + edge
+                if nd < dist[ny * w + nx]:
+                    dist[ny * w + nx] = nd
                     heapq.heappush(pq, (nd, ny, nx))
-    return dist
+    return np.array(dist).reshape(h, w)
+
+
+def successor_table_reference(values: np.ndarray, resolution: float) -> memoryview:
+    """The successor table of `values` from scratch, read-only: per row-major
+    cell, the neighbour of lowest (value + edge cost, row-major index), as
+    the scalar descent ranks them, by one argmin (the first of equal keys)
+    over the 8 shifted key planes stacked in row-major neighbour order;
+    a non-finite value counts as +inf, and a cell with no finite neighbour
+    gets -1."""
+    h, w = values.shape
+    padded = np.pad(np.where(np.isfinite(values), values, np.inf), 1, constant_values=np.inf)
+    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+    edges = [resolution * math.sqrt(2.0) if dy and dx else resolution for dy, dx in steps]
+    keys = np.stack([padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] + edge
+                     for (dy, dx), edge in zip(steps, edges)])
+    first = np.argmin(keys, axis=0)
+    offset = np.array([dy * w + dx for dy, dx in steps])[first]
+    table = np.where(np.isfinite(keys.min(axis=0)), np.arange(h * w).reshape(h, w) + offset, -1)
+    table = table.astype(np.int32).reshape(-1)
+    table.setflags(write=False)
+    return memoryview(table)
+
+
+def route_flood_reference(blocked: np.ndarray, goal_cell: Tuple[int, int],
+                          resolution: float) -> Tuple[np.ndarray, memoryview]:
+    """The route map of `blocked` toward the (x, y) `goal_cell` from scratch:
+    the heap Dijkstra's values and their `successor_table_reference`, both
+    read-only."""
+    values = dijkstra_cost_to_go(blocked, goal_cell[::-1], resolution)
+    values.setflags(write=False)
+    return values, successor_table_reference(values, resolution)
 
 
 def downsample_blocked_reference(fine_blocked: np.ndarray, factor: int) -> np.ndarray:
@@ -867,8 +906,9 @@ def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
                                  config: PlannerConfig) -> DistanceMap:
     """The route map built from scratch, as before map repair: the
     whole-grid obstacle field, the reshaped max-pool and a full flood by
-    the heap Dijkstra, whose values are the floats of the library's flood:
-    each is the min over the neighbours of fl(value + edge)."""
+    the heap Dijkstra, whose values are the floats of the library's flood
+    (each is the min over the neighbours of fl(value + edge)), with the
+    successor table of `successor_table_reference`."""
     planning_resolution, inflation_radius = config.xy_resolution, config.inflation_radius
     fine = distance_transform_reference(belief)
     factor = resolution_factor(planning_resolution, belief.resolution)
@@ -877,9 +917,9 @@ def build_distance_map_reference(belief: OccupancyGrid, goal: Pose2D,
     if coarse.at(goal.x, goal.y):
         raise GoalBlockedError("goal blocked")
     goal_cell = coarse.cell_of(goal.x, goal.y)
-    values = dijkstra_cost_to_go(blocked, goal_cell[::-1], planning_resolution)
+    values, successor = route_flood_reference(blocked, goal_cell, planning_resolution)
     return DistanceMap(values, planning_resolution, math.inf,
-                       blocked=blocked, goal_cell=goal_cell)
+                       blocked=blocked, goal_cell=goal_cell, successor=successor)
 
 
 def nearest_reachable_cell_reference(dmap, x: float, y: float) -> Optional[Tuple[int, int]]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -194,3 +195,24 @@ def test_batched_prefix_bit_identical_to_single_path_samples(paths, limit, radiu
 def test_normalize_angles_matches_scalar(rng):
     theta = rng.uniform(-50.0, 50.0, 2000)
     assert normalize_angles(theta).tolist() == [normalize_angle(t) for t in theta.tolist()]
+
+
+def test_numpy_sin_cos_equal_math_bit_for_bit():
+    """The platform assumption behind every "bit-identical" claim of the
+    array forms (`sample_paths` against `move_along_arc`, the vectorized
+    disk checks against the scalar ones): numpy's sin and cos return the
+    same float64 bits as the math module's, on seeded angles in [-50, 50]
+    rad and on the multiples of pi/2 there with their neighbouring ulps."""
+    theta = np.random.default_rng(1357).uniform(-50.0, 50.0, 200_000)
+    quarter = np.arange(-32, 33) * (0.5 * math.pi)
+    near = [quarter]
+    up = down = quarter
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    theta = np.concatenate([theta, [-0.0]] + near)
+    for name, vectorized, scalar in (("sin", np.sin, math.sin), ("cos", np.cos, math.cos)):
+        want = np.array([scalar(t) for t in theta.tolist()])
+        bad = np.flatnonzero(vectorized(theta).view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (f"np.{name} differs from math.{name} on {bad.size} of {theta.size} "
+                               f"angles, first at {theta[bad[0]]!r}")

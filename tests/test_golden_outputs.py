@@ -6,11 +6,12 @@ The same file pins the driven path and the replan events of the two
 (keys `large_runs:...`).
 
 A run inside `oracles.reference_stack()`, where every derived field is built
-from empty, every route is walked from scratch, every tick checks its
+from empty, every route map is flooded by the heap Dijkstra with the
+reference successor table, every route is walked from scratch, every tick checks its
 path in full, every search keeps one object per node and checks every
 child, every analytic attempt checks each candidate whole and every
 reveal is the masked all-rays loop, writes the same bytes as the shipped
-run, where each field is updated from the one before, a route is cut from
+run, where each field and route map is updated from the one before, a route is cut from
 the previous tick's, a clear verdict is carried and an analytic attempt
 checks its candidates' prefixes first; that check needs no stored digest,
 so it also catches a regression that lands together with a refresh.  It
@@ -109,7 +110,7 @@ def test_reference_stack_writes_the_shipped_bytes(scenario, mode, tmp_path, caps
         assert planner.analytic_expansions is analytic_expansions_reference
         assert mission.plan is plan_reference
         reference = run_digests(scenario, mode, tmp_path / "reference")
-    assert set(floods[n:]) == {"full"}
+    assert floods[n:] == []
     if scenario == "reveal_divergence":   # smoke_small's map is known: one flood, no repair
         assert "repair" in floods[:n]
     assert reference == shipped

@@ -15,7 +15,7 @@ from hybridplan.planner import PlannerConfig
 
 from oracles import (build_distance_map_reference, dijkstra_cost_to_go,
                      downsample_blocked_reference, extract_astar_path_reference,
-                     nearest_reachable_cell_reference)
+                     nearest_reachable_cell_reference, successor_table_reference)
 
 CFG = PlannerConfig()
 
@@ -140,10 +140,16 @@ def test_route_from_a_boundary_goal_starts_at_the_goal_cell():
 
 # ------------------------------------------------- flood repair and pooling
 
+def flooded_map(previous, blocked, goal_cell, res=0.625):
+    """The route map of `blocked`, flooded from `previous` (None: the empty map)."""
+    values, successor = _repair_flood(previous, blocked, goal_cell, res)
+    return DistanceMap(values, res, math.inf, blocked=blocked, goal_cell=goal_cell,
+                       successor=successor)
+
+
 def coarse_map(blocked, goal_cell, res=0.625):
     """The route map of `blocked`, flooded from the empty map."""
-    return DistanceMap(_repair_flood(None, blocked, goal_cell, res), res, math.inf,
-                       blocked=blocked, goal_cell=goal_cell)
+    return flooded_map(None, blocked, goal_cell, res)
 
 
 def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
@@ -153,8 +159,7 @@ def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
     returns the map of `before` and the fresh one."""
     previous = coarse_map(before, goal_cell, res)
     assert np.array_equal(previous.values, dijkstra_cost_to_go(before, goal_cell[::-1], res))
-    repaired = DistanceMap(_repair_flood(previous, after, goal_cell, res), res, math.inf,
-                           blocked=after, goal_cell=goal_cell, previous=previous)
+    repaired = flooded_map(previous, after, goal_cell, res)
     fresh = coarse_map(after, goal_cell, res)
     assert np.array_equal(repaired.values, fresh.values)
     assert np.array_equal(repaired.values, dijkstra_cost_to_go(after, goal_cell[::-1], res))
@@ -162,20 +167,48 @@ def assert_repair_is_full_flood(before, after, goal_cell, res=0.625):
     return previous, fresh
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 14), st.integers(1, 14), st.sampled_from([0.0, 0.1, 0.3, 0.5]),
-       st.sampled_from([0.0, 0.02, 0.1, 0.3]), st.sampled_from([0.625, 0.3, 1.0]),
-       st.integers(0, 2**32 - 1))
-def test_repair_matches_full_flood(h, w, fill, grow, res, seed):
-    """Random coarse grids, from open (ties everywhere) to mazes, flooded
-    fresh and then repaired after random newly blocked cells, cut-off
-    pockets included."""
+def assert_tables_match_reference(before, after, goal_cell, res=0.625):
+    """The successor tables of a fresh flood of `before` and of its repair
+    to the grown grid `after` equal the reference table of their values,
+    format and bytes."""
+    previous = coarse_map(before, goal_cell, res)
+    for dm in (previous, flooded_map(previous, after, goal_cell, res)):
+        expect = successor_table_reference(dm.values, res)
+        assert dm.successor.format == expect.format == "i"
+        assert dm.successor.tobytes() == expect.tobytes()
+
+
+# coarse grids from open (ties everywhere) to mazes, grown by random newly
+# blocked cells, cut-off pockets included
+GROWN_GRIDS = (st.integers(1, 14), st.integers(1, 14), st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+               st.sampled_from([0.0, 0.02, 0.1, 0.3]), st.sampled_from([0.625, 0.3, 1.0]),
+               st.integers(0, 2**32 - 1))
+
+
+def grown_grid(h, w, fill, grow, seed):
+    """A random blocked grid, the same grown, and a goal cell free in both."""
     r = np.random.default_rng(seed)
     goal = (int(r.integers(w)), int(r.integers(h)))
     before = r.random((h, w)) < fill
     after = before | (r.random((h, w)) < grow)
     before[goal[1], goal[0]] = after[goal[1], goal[0]] = False
+    return before, after, goal
+
+
+@settings(max_examples=400, deadline=None)
+@given(*GROWN_GRIDS)
+def test_repair_matches_full_flood(h, w, fill, grow, res, seed):
+    """Random grids flooded fresh and then repaired."""
+    before, after, goal = grown_grid(h, w, fill, grow, seed)
     assert_repair_is_full_flood(before, after, goal, res)
+
+
+@settings(max_examples=400, deadline=None)
+@given(*GROWN_GRIDS)
+def test_successor_tables_match_the_reference(h, w, fill, grow, res, seed):
+    """Random grids flooded fresh and then repaired: both tables."""
+    before, after, goal = grown_grid(h, w, fill, grow, seed)
+    assert_tables_match_reference(before, after, goal, res)
 
 
 # '.' free, '#' blocked before and after, '+' newly blocked, 'G' the goal
@@ -207,6 +240,13 @@ def test_repair_named_cases(case):
         assert np.isinf(fresh.values[1, 2]) and changed[1, 3]
     else:
         assert not changed.any()
+
+
+@pytest.mark.parametrize("case", list(REPAIR_CASES))
+def test_successor_table_named_cases(case):
+    art = np.array([list(row) for row in REPAIR_CASES[case]])
+    iy, ix = np.argwhere(art == "G")[0]
+    assert_tables_match_reference(art == "#", np.isin(art, ["#", "+"]), (int(ix), int(iy)))
 
 
 def test_route_maps_repaired_or_flooded_match_fresh_builds(floods):
@@ -358,8 +398,8 @@ def test_successor_walk_matches_scalar_descent(case):
 
 def hand_map(values, goal_cell, res=0.625):
     values = np.array(values, dtype=float)
-    return DistanceMap(values, res, math.inf,
-                       blocked=~np.isfinite(values), goal_cell=goal_cell)
+    return DistanceMap(values, res, math.inf, blocked=~np.isfinite(values), goal_cell=goal_cell,
+                       successor=successor_table_reference(values, res))
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,24 +414,6 @@ def test_successor_walk_matches_scalar_descent_on_any_values(h, w, data):
     start = Pose2D(data.draw(st.floats(-1.0, w * 0.625 + 1.0)),
                    data.draw(st.floats(-1.0, h * 0.625 + 1.0)), 0.0)
     assert_same_route(hand_map(values, goal), start)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-def test_successor_table_from_previous_map_matches_full_build(h, w, data):
-    """A table started from the previous map's, and rebuilt only next to
-    the values that changed, equals the one built from the values alone."""
-    levels = st.sampled_from([0.0, 0.625, 1.25, 0.625 * math.sqrt(2.0), 3.0,
-                              math.inf, math.nan, -math.inf])
-    grids = st.lists(st.lists(levels, min_size=w, max_size=w), min_size=h, max_size=h)
-    before = np.array(data.draw(grids))
-    after = np.where(np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
-                                                 min_size=h, max_size=h))),
-                     np.array(data.draw(grids)), before)
-    previous = hand_map(before, (0, 0))
-    got = DistanceMap(after, 0.625, math.inf, blocked=~np.isfinite(after),
-                      goal_cell=(0, 0), previous=previous)
-    assert list(got.successor) == list(hand_map(after, (0, 0)).successor)
 
 
 @pytest.mark.parametrize("case", ["open_ties", "start_at_goal", "unreachable", "off_grid"])
@@ -527,7 +549,7 @@ def test_route_from_another_map_object_is_walked():
     g.set_box(8.0, 2.0, 10.0, 18.0, OCCUPIED)
     dm = build_distance_map(g, Pose2D(15.0, 10.0, 0.0), CFG)
     twin = DistanceMap(dm.values, dm.resolution, math.inf,
-                       blocked=dm.blocked, goal_cell=dm.goal_cell)
+                       blocked=dm.blocked, goal_cell=dm.goal_cell, successor=dm.successor)
     previous = extract_astar_path(dm, Pose2D(3.0, 4.0, 0.0))
     for start in (Pose2D(3.0, 4.0, 0.0), Pose2D(*previous.points[5], 0.0)):
         assert np.shares_memory(extract_astar_path(dm, start, previous).points, previous.points)
