@@ -73,9 +73,8 @@ class OccupancyGrid:
     when the write freed an occupied cell; the build then starts from
     empty.  Exactly one write separates a build from its `previous`, so
     `added` is the whole delta.  `previous` is dropped once the build
-    returns.  Only two generations are held; `copy` starts with an empty
-    memo.  `cap` saturates the grid's one obstacle field (`distance_field`);
-    +inf, the default, keeps it exact.
+    returns.  Only two generations are held.  `cap` saturates the grid's
+    one obstacle field (`distance_field`); +inf, the default, keeps it exact.
     """
 
     def __init__(self, resolution: float, cells: np.ndarray, cap: float = math.inf) -> None:
@@ -190,9 +189,6 @@ class OccupancyGrid:
     @property
     def height_cells(self) -> int:
         return self.cells.shape[0]
-
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.resolution, self.cells, self.cap)
 
     def occupied_mask(self, unknown_as_occupied: bool = False) -> np.ndarray:
         if unknown_as_occupied:

@@ -49,30 +49,28 @@ class MissionState:
     goal: Pose2D
     current_path: Optional[PlannedPath] = None
     prev_astar: Optional[AStarPath] = None
-    progress_s: float = 0.0               # drive arc length along current_path
+    progress_s: float = 0.0               # drive arc length along current_path, since its replan
     rotations_done: int = 0               # executed rotations on current_path
-    odometer: float = 0.0                 # total distance driven so far
-    last_replan_odometer: float = -math.inf
     path_to_goal: bool = False            # current path ends at the final goal
     clear_check: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class TickResult:
-    """One tick; a tick with a planner call is a replan event (`simulate.Run.events`)."""
-    status: str                                   # keep_driving/replanned/goal_reached/failed
+    """One tick; a tick with a planner call is a replan event (`simulate.Run.events`),
+    and a tick that ends the run names the run's stop cause in reason (`mission_tick`)."""
     cause: Optional[str] = None                   # initial/collision/divergence/refresh/goal_mode
     s_plan: float = 0.0
     nodes: Optional[int] = None                   # the call's nodes expanded, None without one
     seconds: float = 0.0                          # the call's wall time
-    reason: Optional[str] = None                  # a failed tick's stop cause for the run
+    reason: Optional[str] = None                  # reached/route lost: .../planner failure: ...
     s_div: Optional[float] = None                 # route divergence found, [m]
     s_coll: Optional[float] = None                # path collision ahead found, [m]
     step: int = 0                                 # simulation step, set by `run_scenario`
 
     @property
     def replanned(self) -> bool:
-        return self.status == "replanned"
+        return self.nodes is not None and self.reason is None
 
 
 def check_path_collision(path: PlannedPath, from_s: float, belief: OccupancyGrid,
@@ -155,16 +153,16 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     """One decision step: refresh the 2D route, test the triggers, replan.
 
     mode is a `cli.MODES` row: the planner mode and the navigation (NAV_*);
-    an unknown navigation is a ValueError.  A failed tick's reason is the
-    run's stop cause: "route lost: ..." when the 2D route fails,
-    "planner failure: ..." when the replan finds no waypose or no path.
+    an unknown navigation is a ValueError.  A tick that ends the run names its
+    stop cause in reason: "reached" at the goal, "route lost: ..." when the 2D
+    route fails, "planner failure: ..." when the replan finds no waypose or no path.
 
     The distance map is memoized on the belief (see `OccupancyGrid.derived`).
     The coarse route is the previous tick's route, or its suffix, while the
     map object is the same and the vehicle's cell lies on that route, else a
     walk along the map's successor table (`extract_astar_path`).  Route
     divergence against the previous tick (never for the same route object),
-    an upcoming path collision, missing path, or accumulated progress trigger
+    an upcoming path collision, missing path, or s_t of path progress trigger
     a replan; a path found clear is not checked again until the path, the
     belief's obstacle field object or the disks change (`carried_path_collision`).
     """
@@ -172,13 +170,13 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     if nav_mode not in (NAV_NONE, NAV_WAYPOINT, NAV_EARLY_STOP):
         raise ValueError(f"unknown navigation mode {nav_mode!r}")
     if _goal_reached(state, planner_cfg):
-        return TickResult(status="goal_reached")
+        return TickResult(reason="reached")
 
     try:
         dmap = build_distance_map(belief, state.goal, planner_cfg)
         astar = extract_astar_path(dmap, state.vehicle_pose, state.prev_astar)
     except (GoalBlockedError, NoRouteError) as exc:
-        return TickResult(status="failed", reason=f"route lost: {exc}")
+        return TickResult(reason=f"route lost: {exc}")
 
     s_div_found = None
     if state.prev_astar is not None and nav_mode != NAV_NONE and astar is not state.prev_astar:
@@ -196,13 +194,13 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
     elif s_div_found is not None:
         cause = "divergence"
     elif (nav_mode != NAV_NONE and not state.path_to_goal
-          and state.odometer - state.last_replan_odometer >= mission_cfg.s_t):
+          and state.progress_s >= mission_cfg.s_t):
         cause = "refresh"  # navigation refresh: moot once planned to the goal
     elif (state.current_path.total_drive_length - state.progress_s <= 1e-9
           and state.rotations_done >= state.current_path.n_rotations):
         cause = "goal_mode"  # ran off the end of a truncated path
     else:
-        return TickResult(status="keep_driving")
+        return TickResult()   # keep driving
 
     start, s_plan = state.vehicle_pose, 0.0   # no path, or ran off its end
     if cause not in ("initial", "goal_mode"):
@@ -225,7 +223,7 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
             goal = free_waypose(astar, mission_cfg.s_w,
                                 CollisionChecker(belief, vehicle.disks))
             if goal is None:
-                return TickResult(status="failed", cause=cause, s_plan=s_plan,
+                return TickResult(cause=cause, s_plan=s_plan,
                                   reason="planner failure: no free waypose on the route")
 
     start_steer = math.atan(start_kappa * vehicle.wheelbase)
@@ -234,16 +232,13 @@ def mission_tick(state: MissionState, belief: OccupancyGrid, mission_cfg: Missio
                               mode=planner_mode, horizon=horizon,
                               start_direction=start_dir, start_steer=start_steer)
     except PlannerFailure as exc:      # a failed call is counted, with its effort
-        return TickResult(status="failed", cause=cause, s_plan=s_plan,
-                          nodes=exc.stats.nodes_expanded, seconds=exc.stats.wall_time_s,
-                          reason=f"planner failure: {exc}", s_div=s_div_found,
-                          s_coll=s_coll_found)
+        return TickResult(cause=cause, s_plan=s_plan, nodes=exc.stats.nodes_expanded,
+                          seconds=exc.stats.wall_time_s, reason=f"planner failure: {exc}",
+                          s_div=s_div_found, s_coll=s_coll_found)
 
     state.current_path = prefix.concat(planned)
     state.progress_s = 0.0
     state.rotations_done = 0
-    state.last_replan_odometer = state.odometer
     state.path_to_goal = horizon is None and goal is state.goal
-    return TickResult(status="replanned", cause=cause, s_plan=s_plan,
-                      nodes=stats.nodes_expanded, seconds=stats.wall_time_s,
-                      s_div=s_div_found, s_coll=s_coll_found)
+    return TickResult(cause=cause, s_plan=s_plan, nodes=stats.nodes_expanded,
+                      seconds=stats.wall_time_s, s_div=s_div_found, s_coll=s_coll_found)

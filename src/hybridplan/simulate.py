@@ -66,7 +66,7 @@ class MetricsReport:
     n_direction_switches: int = 0
     n_rotations: int = 0
     reached: bool = False
-    stop_cause: str = ""   # reached, a failed tick's reason (`TickResult`) or step limit
+    stop_cause: str = ""   # the last tick's reason (`TickResult`) or step limit
 
     COLUMNS = ("kappa_dot_rms", "kappa_dot_max_abs", "p_max", "p_avg", "length",
                "n_planner_calls", "t_max", "t_cum", "t_avg", "cumulative_nodes",
@@ -120,7 +120,7 @@ class Run:
 def _follow(state: MissionState, builder: PathBuilder, drive_step: float) -> Iterator[None]:
     """Drive state.current_path one simulation step per resumption: a whole
     rotation in place, or up to drive_step along a drive segment.  A step moves
-    the vehicle, its place on the path and its odometer, and adds it to builder."""
+    the vehicle and its place on the path, and adds it to builder."""
     for acc, seg in state.current_path.walk():
         if isinstance(seg, RotationSegment):
             builder.add_rotation(_rotation_delta(seg.from_yaw, seg.to_yaw))
@@ -138,7 +138,6 @@ def _follow(state: MissionState, builder: PathBuilder, drive_step: float) -> Ite
                                      seg.kappa_at(max(new - 1e-9, 0.0)), seg.direction)
             state.vehicle_pose = pose
             state.progress_s = acc + (arc if arc - new <= 1e-9 else new)
-            state.odometer += new - offset
             offset = new
             yield
 
@@ -167,12 +166,9 @@ def run_scenario(spec: ScenarioSpec, mission_cfg: MissionConfig,
                             spec.sensor_range, spec.n_rays)
 
         result = mission_tick(state, belief, mission_cfg, planner_cfg, mode, vehicle)
-        if result.status == "goal_reached":
-            stop_cause = "reached"
-            break
         if result.nodes is not None:        # a planner call, failed or not
             events.append(replace(result, step=step))
-        if result.status == "failed":
+        if result.reason is not None:
             stop_cause = result.reason
             break
         if result.replanned:

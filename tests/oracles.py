@@ -1331,35 +1331,34 @@ class PathCursor:
         return sum(1 for seg in self.path.segments[:self.seg_idx]
                    if isinstance(seg, RotationSegment))
 
-    def advance(self, drive_step: float) -> Tuple[str, Pose2D, float, int, float]:
+    def advance(self, drive_step: float) -> Tuple[str, Pose2D, float, int]:
         """Advance one simulation step.
 
-        Returns (kind, pose, kappa, direction, moved); kind is "rotate",
+        Returns (kind, pose, kappa, direction); kind is "rotate",
         "drive" or "end".  A rotation consumes the whole step without moving.
         """
         self._skip_empty()
         if self.seg_idx >= len(self.path.segments):
-            return "end", self.path.end_pose() or Pose2D(0, 0, 0), 0.0, 0, 0.0
+            return "end", self.path.end_pose() or Pose2D(0, 0, 0), 0.0, 0
         seg = self.path.segments[self.seg_idx]
         if isinstance(seg, RotationSegment):
             self.seg_idx += 1
             self.offset = 0.0
             delta = rotation_delta(seg.from_yaw, seg.to_yaw)
-            return "rotate", Pose2D(seg.x, seg.y, seg.to_yaw), delta, 0, 0.0
+            return "rotate", Pose2D(seg.x, seg.y, seg.to_yaw), delta, 0
         new_offset = min(self.offset + drive_step, seg.arc_length)
-        moved = new_offset - self.offset
         pose = seg.pose_at(new_offset)
         kappa = seg.kappa_at(max(new_offset - 1e-9, 0.0))
         self.offset = new_offset
         if seg.arc_length - new_offset <= 1e-9:
             self.seg_idx += 1
             self.offset = 0.0
-        return "drive", pose, kappa, seg.direction, moved
+        return "drive", pose, kappa, seg.direction
 
 
 def cursor_steps(path: PlannedPath, drive_step: float) -> list:
     """Every step the cursor takes until exhausted, as the simulator read it:
-    (kind, pose, value, direction, moved, progress_s, rotations_done)."""
+    (kind, pose, value, direction, progress_s, rotations_done)."""
     cursor = PathCursor(path)
     steps = []
     while not cursor.exhausted:
@@ -1369,19 +1368,17 @@ def cursor_steps(path: PlannedPath, drive_step: float) -> list:
 
 def cursor_follow(path: PlannedPath, drive_step: float, start: Pose2D):
     """The simulator's drive loop over the cursor's steps, dispatching on
-    their kind: the vehicle's (pose, progress_s, rotations_done, odometer)
+    their kind: the vehicle's (pose, progress_s, rotations_done)
     after every step, and the driven path recorded from `start`."""
     builder = PathBuilder(start)
-    odometer = 0.0
     places = []
-    for kind, pose, value, direction, moved, progress_s, rotations_done in cursor_steps(
+    for kind, pose, value, direction, progress_s, rotations_done in cursor_steps(
             path, drive_step):
         if kind == "rotate":
             builder.add_rotation(value)   # value = signed yaw delta
         else:
-            odometer += moved
             builder.add_drive_sample(pose.x, pose.y, pose.yaw, value, direction)
-        places.append((pose, progress_s, rotations_done, odometer))
+        places.append((pose, progress_s, rotations_done))
     return places, builder.finish()
 
 

@@ -108,7 +108,7 @@ def test_set_box_rebuilds_distance_field():
     for field in (before, after):
         with pytest.raises(ValueError):
             field.values[13, 13] = 1.0
-    fresh = g.copy()
+    fresh = OccupancyGrid(g.resolution, g.cells, g.cap)
     assert fresh.derived(("distance_field", math.inf), lambda previous, added: previous) is None
 
 
@@ -334,7 +334,8 @@ def _assert_fields_are_full_rebuild(g, goals, config, r=None):
     _assert_field_is_full_rebuild(g)
     _assert_route_maps_are_full_rebuild(g, goals, config)
     disks = VehicleSpec().disks
-    got, expect = _checker_or_error(g, disks), _checker_or_error(g.copy(), disks)
+    fresh = OccupancyGrid(g.resolution, g.cells, g.cap)
+    got, expect = _checker_or_error(g, disks), _checker_or_error(fresh, disks)
     if isinstance(expect, str):
         assert got == expect
     else:
@@ -760,7 +761,8 @@ def test_rasters_compare_by_identity():
     a, b = (Raster(np.zeros((2, 2)), 1.0, 0.0) for _ in range(2))
     assert a == a and a != b and len({a, b}) == 2
     g = bordered_grid(10, 10)
-    maps = [build_distance_map(grid, Pose2D(5, 5, 0), PlannerConfig()) for grid in (g, g.copy())]
+    maps = [build_distance_map(grid, Pose2D(5, 5, 0), PlannerConfig())
+            for grid in (g, OccupancyGrid(g.resolution, g.cells, g.cap))]
     assert np.array_equal(maps[0].values, maps[1].values)
     assert maps[0] != maps[1] and len(set(maps)) == 2
 
@@ -949,7 +951,7 @@ def test_reveal_names_bad_input(shape, sensor_range, n_rays, match):
 
 
 def _assert_reveal_matches_reference(truth, belief, pose, sensor_range, n_rays):
-    expect = belief.copy()
+    expect = OccupancyGrid(belief.resolution, belief.cells, belief.cap)
     with counted_writes() as writes:
         got = raytrace_reveal(truth, belief, pose, sensor_range, n_rays)
         assert got == raytrace_reveal_reference(truth, expect, pose, sensor_range, n_rays)
@@ -1057,7 +1059,7 @@ def test_batched_reveal_matches_one_reference_reveal_per_pose(case):
     in order, returns the sum of their counts, and writes the belief once
     exactly when one of them wrote it."""
     truth, belief, poses, sensor_range, n_rays, chunk = case
-    expect = belief.copy()
+    expect = OccupancyGrid(belief.resolution, belief.cells, belief.cap)
     with counted_writes() as writes, mock.patch.object(grid_module, "_CHUNK_RAYS", chunk):
         got = raytrace_reveal(truth, belief, poses, sensor_range, n_rays)
         assert got == raytrace_reveal_reference(truth, expect, poses, sensor_range, n_rays)

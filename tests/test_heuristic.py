@@ -70,7 +70,7 @@ def test_flood_reused_only_for_equal_inputs():
         change()
         for goal_ in (goal, Pose2D(12.0, 3.0, 0.0)):
             dm = build_distance_map(g, goal_, CFG)
-            fresh = build_distance_map(g.copy(), goal_, CFG)
+            fresh = build_distance_map(OccupancyGrid(g.resolution, g.cells, g.cap), goal_, CFG)
             assert np.array_equal(dm.values, fresh.values)
             assert np.array_equal(dm.blocked, fresh.blocked)
             assert dm.goal_cell == fresh.goal_cell

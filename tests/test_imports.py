@@ -355,8 +355,11 @@ TEST_ONLY = {"OccupancyGrid.set_cells"}
 
 def test_every_public_name_has_a_caller_or_is_exported():
     """Every public name of the package, its classes' methods and properties
-    included, is read in the package or the benchmark, or is exported."""
+    included, is read in the package or the benchmark, or is exported; the
+    TEST_ONLY names are exactly the ones left, so an exemption whose name
+    gains a reader there is stale."""
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     readers = [path.read_text(encoding="utf-8") for path in sorted(PROBE.parent.glob("*.py"))]
-    assert uncalled_public_names(sources, set(hybridplan.__all__) | TEST_ONLY, readers) == []
+    uncalled = uncalled_public_names(sources, set(hybridplan.__all__), readers)
+    assert {name.split(".", 1)[1] for name in uncalled} == TEST_ONLY

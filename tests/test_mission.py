@@ -139,7 +139,7 @@ def test_route_map_not_reused_across_grids_at_same_version():
     walled = OccupancyGrid.filled(320, 96, 0.15625)
     walled.set_box(24.0, 0.0, 26.0, 12.0, OCCUPIED)   # detour around the wall's top
     with counted_writes() as writes:
-        walled = walled.copy()
+        walled = OccupancyGrid(walled.resolution, walled.cells, walled.cap)
         tick(state, walled)
     assert not writes
     assert state.prev_astar.length > 45.0
@@ -164,18 +164,17 @@ def test_known_static_map_replans_once():
     for progress in np.arange(0.5, 30.0, 0.5):
         state.vehicle_pose = state.current_path.pose_at(progress)
         state.progress_s = progress
-        state.odometer = progress
         result = tick(state, g)
-        assert result.status == "keep_driving"
+        assert not result.replanned and result.reason is None
 
 
 def test_goal_reached_tolerance():
     g = bordered_grid(40, 14)
     goal = Pose2D(30, 7, 0)
     state = MissionState(vehicle_pose=Pose2D(30.4, 7.0, 0.05), goal=goal)
-    assert tick(state, g).status == "goal_reached"
+    assert tick(state, g).reason == "reached"
     state = MissionState(vehicle_pose=Pose2D(28.0, 7.0, 0.0), goal=goal)
-    assert tick(state, g).status != "goal_reached"
+    assert tick(state, g).reason != "reached"
 
 
 def test_collision_trigger_and_continuity():
@@ -187,7 +186,6 @@ def test_collision_trigger_and_continuity():
     truth.set_box(20.0, 0.5, 21.5, 15.0, OCCUPIED)
     state.vehicle_pose = old_path.pose_at(2.0)
     state.progress_s = 2.0
-    state.odometer = 2.0
     result = tick(state, truth)
     assert result.replanned and result.cause == "collision"
     assert result.s_coll is not None and result.s_coll <= 20.0
@@ -210,11 +208,10 @@ def test_divergence_trigger_on_reveal():
         progress = step * 0.5
         state.vehicle_pose = state.current_path.pose_at(state.progress_s + 0.5)
         state.progress_s += 0.5
-        state.odometer += 0.5
         raytrace_reveal(truth, belief, state.vehicle_pose, 28.0, 1440)
         result = tick(state, belief, mode="guided")
-        if result.status == "failed":
-            pytest.fail(f"mission failed: {result.reason}")
+        if result.reason is not None:
+            pytest.fail(f"mission stopped: {result.reason}")
         if result.replanned:
             causes.append(result.cause)
             state.progress_s = 0.0
@@ -233,7 +230,6 @@ def test_refresh_cadence_in_early_stop_mode():
     while driven < 30.0:
         state.vehicle_pose = state.current_path.pose_at(state.progress_s + 0.5)
         state.progress_s += 0.5
-        state.odometer += 0.5
         driven += 0.5
         result = tick(state, g, mode="guided")
         if result.replanned:
@@ -241,6 +237,22 @@ def test_refresh_cadence_in_early_stop_mode():
             state.progress_s = 0.0
             replans += 1
     assert replans == 3  # every s_t = 10 m
+
+
+def test_refresh_reads_the_progress_along_the_path():
+    """The refresh fires once the vehicle has driven s_t along its current
+    path, which starts at the last replan: a hand-built state with no
+    previous route keeps driving short of s_t, and refreshes at s_t."""
+    g, path = straight_path(60.0)
+    s_t = MissionConfig().s_t
+    state = make_state(path, progress=s_t - 0.5)
+    state.goal = path.end_pose()
+    result = tick(state, g, mode="guided")
+    assert not result.replanned and result.reason is None
+    assert state.current_path is path
+    state.progress_s, state.vehicle_pose = s_t, path.pose_at(s_t)
+    result = tick(state, g, mode="guided")
+    assert result.replanned and result.cause == "refresh"
 
 
 def drive_rotate_drive(first=5.0, delta=math.pi / 2, second=4.0, x=5.0, y=10.0):
@@ -268,7 +280,7 @@ def test_replan_at_a_rotation_keeps_it_only_while_pending(rotations_done):
     state.goal = Pose2D(30, 12, 0)
     state.rotations_done = rotations_done
     state.vehicle_pose = Pose2D(10, 10, rotations_done * math.pi / 2)
-    result = tick(state, bordered_grid(40, 24), mode="guided")
+    result = tick(state, bordered_grid(40, 24), mode="guided", s_t=5.0)
     assert result.cause == "refresh" and result.s_plan == 2.0
     stitched = state.current_path
     assert stitched.n_rotations == 1 - rotations_done   # standard mode plans no rotation
@@ -293,7 +305,8 @@ def test_executed_rotation_is_not_checked_again():
     state.goal = Pose2D(30, 12, 0)
     state.rotations_done = 1
     state.vehicle_pose = Pose2D(10, 10, math.pi / 2)
-    assert tick(state, g).status == "keep_driving"
+    result = tick(state, g)
+    assert not result.replanned and result.reason is None
     assert state.current_path is path
 
 
@@ -318,7 +331,7 @@ def test_refresh_after_an_executed_trailing_rotation_starts_at_the_vehicle(monke
     state.rotations_done = 1
     state.vehicle_pose = vehicle
     state.goal = Pose2D(10, 18, math.pi / 2)
-    result = tick(state, bordered_grid(40, 24), mode="guided")
+    result = tick(state, bordered_grid(40, 24), mode="guided", s_t=5.0)
     assert result.cause == "refresh" and result.s_plan == 0.0
     assert calls == [(vehicle, 0, 0.0)]
     assert state.current_path.start_pose() == vehicle
@@ -346,7 +359,6 @@ def test_failure_propagates_reason():
     g.set_box(18.0, 0.5, 20.0, 13.5, OCCUPIED)   # no way east
     state = MissionState(vehicle_pose=Pose2D(5, 7, 0), goal=Pose2D(35, 7, 0))
     result = tick(state, g)
-    assert result.status == "failed"
     assert result.reason == "route lost: no 2D route"
 
 
@@ -368,7 +380,7 @@ def test_failed_tick_names_the_stop_cause(boxes, start, goal, mode, vehicle, rea
         g.set_box(*box, OCCUPIED)
     state = MissionState(vehicle_pose=start, goal=goal)
     result = mission_tick(state, g, MissionConfig(), CFG, MODES[mode], vehicle)
-    assert result.status == "failed" and result.reason == reason
+    assert result.reason == reason
 
 
 @pytest.mark.parametrize("mode,message", [

@@ -81,12 +81,12 @@ def test_follow_matches_cursor_reference(case):
 
 def follow(path: PlannedPath, drive_step: float):
     """Drive `path` with the simulator's follower from its start: the
-    vehicle's (pose, progress_s, rotations_done, odometer) after every step,
+    vehicle's (pose, progress_s, rotations_done) after every step,
     and the driven path the follower records."""
     start = path.start_pose()
     state = MissionState(vehicle_pose=start, goal=start, current_path=path)
     builder = PathBuilder(start)
-    places = [(state.vehicle_pose, state.progress_s, state.rotations_done, state.odometer)
+    places = [(state.vehicle_pose, state.progress_s, state.rotations_done)
               for _ in _follow(state, builder, drive_step)]
     return places, builder.finish()
 
@@ -106,7 +106,7 @@ def test_executed_rotations_are_skipped_by_walk_slice_and_collision_check(case):
     tests exactly those for a sweep."""
     path, drive_step = case
     total = path.total_drive_length
-    places = [(path.start_pose(), 0.0, 0)] + [place[:3] for place in follow(path, drive_step)[0]]
+    places = [(path.start_pose(), 0.0, 0)] + follow(path, drive_step)[0]
     # the pose after each step that executed a rotation, by the index of that step's place
     rotations = {k: pose for k, (pose, _, done) in enumerate(places[1:], 1)
                  if done > places[k - 1][2]}
