@@ -20,7 +20,10 @@ UNKNOWN = 0
 FREE = 1
 OCCUPIED = 2
 
-_CHAR_TO_CELL = {"?": UNKNOWN, ".": FREE, "#": OCCUPIED}
+# map file byte -> cell state; every byte but "?", "." and "#" reads _BAD_CELL
+_BAD_CELL = 255
+_CHAR_LUT = np.full(256, _BAD_CELL, dtype=np.uint8)
+_CHAR_LUT[[ord("?"), ord("."), ord("#")]] = UNKNOWN, FREE, OCCUPIED
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +231,11 @@ def load_map(path) -> OccupancyGrid:
     for file_row, line in enumerate(rows):
         if len(line) != w:
             raise ValueError(f"{path}: row {file_row} has {len(line)} chars, expected {w}")
-        try:
-            cells[h - 1 - file_row] = [_CHAR_TO_CELL[c] for c in line]
-        except KeyError as exc:
-            raise ValueError(f"{path}: bad cell character {exc} in row {file_row}") from None
+        row = cells[h - 1 - file_row]
+        _CHAR_LUT.take(np.frombuffer(line.encode("ascii"), np.uint8), out=row)
+        if row.max() == _BAD_CELL:
+            bad = line[int(np.argmax(row == _BAD_CELL))]
+            raise ValueError(f"{path}: bad cell character {bad!r} in row {file_row}")
     try:
         return OccupancyGrid(float(header[2]), cells)
     except ValueError:   # not a number, or not finite and positive

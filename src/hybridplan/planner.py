@@ -102,6 +102,8 @@ class PlannerConfig:
 class SearchStats:
     nodes_expanded: int = 0
     nodes_created: int = 0
+    stale_pops: int = 0             # heap pops skipped: a cheaper path reached the key
+    analytic_attempts: int = 0      # calls of `analytic_expansions`
     wall_time_s: float = 0.0
     # how the search ended: "goal cell", "early stop", "Reeds-Shepp" or
     # "drive-rotate-drive", else the failure's message ("budget exceeded",
@@ -582,6 +584,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         _, h, n = heapq.heappop(open_heap)
         g, key = gs[n], keys[n]
         if g > best_g.get(key, math.inf) + 1e-12:
+            stats.stale_pops += 1
             continue
         if stats.nodes_expanded >= config.node_budget:
             raise failed(BudgetExceededError())
@@ -595,6 +598,7 @@ def plan(belief: OccupancyGrid, start: Pose2D, goal: Pose2D, vehicle: VehicleSpe
         steer, direction, _ = steps[n]
         if horizon is None and h < config.analytic_radius and key not in analytic_tried:
             analytic_tried.add(key)
+            stats.analytic_attempts += 1
             suffix = analytic_expansions(Pose2D(x, y, yaw), goal, checker, config, vehicle,
                                          mode, parent_direction=direction, parent_steer=steer)
             if suffix is not None:

@@ -73,8 +73,13 @@ def load_scenario(path) -> ScenarioSpec:
     map_path = path.parent / data.pop("map")
     if not map_path.is_file():
         raise ValueError(f"{path}: map file not found: {map_path}")
-    return ScenarioSpec(truth_map=load_map(map_path), start=_pose(data.pop("start"), "start"),
-                        goal=_pose(data.pop("goal"), "goal"), **data)
+    try:
+        return ScenarioSpec(truth_map=load_map(map_path), start=_pose(data.pop("start"), "start"),
+                            goal=_pose(data.pop("goal"), "goal"), **data)
+    except ValueError as exc:       # a map error names the map file
+        if str(exc).startswith("truth_map"):
+            raise ValueError(f"{map_path}: {exc}") from None
+        raise
 
 
 def _pose(value: list, key: str) -> Pose2D:

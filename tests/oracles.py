@@ -34,7 +34,9 @@ and the one object per node that the columnar search state replaced,
 the Voronoi-field reference keeps the whole-grid build that the row-block
 EDT and early frees replaced, the expansion reference keeps the batch over the surviving drive
 primitives that one check over all of them replaced, and the proximity
-reference keeps the per-corner lookups that one array lookup replaced.
+reference keeps the per-corner lookups that one array lookup replaced, and
+the map-file reference the per-character dict lookup that the per-row byte
+table replaced.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ import heapq
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -54,7 +57,7 @@ import hybridplan.mission as mission_module
 import hybridplan.planner as planner_module
 import hybridplan.simulate as simulate_module
 from hybridplan.geometry import Pose2D, move_along_arc, normalize_angle
-from hybridplan.grid import OCCUPIED, UNKNOWN, OccupancyGrid, Raster
+from hybridplan.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Raster
 from hybridplan.heuristic import (AStarPath, DistanceMap, GoalBlockedError, NoRouteError,
                                   build_distance_map, resolution_factor)
 from hybridplan.planner import (EXTENDED, STANDARD, BudgetExceededError, DriveSegment,
@@ -565,6 +568,44 @@ def rs_path_length_reference(start: Pose2D, goal: Pose2D, turn_radius: float) ->
 # ---------------------------------------------------------------------------
 # Grid oracles
 # ---------------------------------------------------------------------------
+
+_CHAR_TO_CELL = {"?": UNKNOWN, ".": FREE, "#": OCCUPIED}
+
+
+def load_map_reference(path) -> OccupancyGrid:
+    """`grid.load_map` with the per-character dict lookup that the per-row
+    byte table replaced."""
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII: byte {exc.object[exc.start]:#x} "
+                         f"at offset {exc.start}") from None
+    if not lines:
+        raise ValueError(f"{path}: empty map file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"{path}: header must be 'W H RESOLUTION'")
+    for name, value in zip("WH", header):
+        if not (value.isdigit() and int(value) > 0):
+            raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
+    w, h = int(header[0]), int(header[1])
+    rows = lines[1:]
+    if len(rows) != h:
+        raise ValueError(f"{path}: expected {h} rows, found {len(rows)}")
+    cells = np.empty((h, w), dtype=np.uint8)
+    for file_row, line in enumerate(rows):
+        if len(line) != w:
+            raise ValueError(f"{path}: row {file_row} has {len(line)} chars, expected {w}")
+        try:
+            cells[h - 1 - file_row] = [_CHAR_TO_CELL[c] for c in line]
+        except KeyError as exc:
+            raise ValueError(f"{path}: bad cell character {exc} in row {file_row}") from None
+    try:
+        return OccupancyGrid(float(header[2]), cells)
+    except ValueError:   # not a number, or not finite and positive
+        raise ValueError(f"{path}: RESOLUTION must be a finite positive number, "
+                         f"got {header[2]!r}") from None
+
 
 def brute_distance_transform(occupied: np.ndarray, resolution: float) -> np.ndarray:
     """Exhaustive nearest-occupied-cell-center scan, O(n^2)."""

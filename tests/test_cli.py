@@ -187,6 +187,8 @@ def test_scenario_value_out_of_range_exits_1(tmp_path, capsys, payload, named):
     assert main(["run", str(cfg), "--no-timing"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: scenario: ") and named in err
+    if payload.get("map") == "unknown.map":
+        assert f"scenario: {tmp_path / 'unknown.map'}: {named}" in err
 
 
 SMOKE = bundled_scenario_path("smoke_small")

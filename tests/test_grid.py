@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,11 +23,14 @@ from conftest import (bordered_grid, bundled, clear_test, counted_writes, paint_
                       traced_peak)
 from oracles import (_field_at, brute_distance_transform, build_distance_map_reference,
                      distance_transform_reference, downsample_blocked_reference, flat_mask,
-                     raytrace_reveal_reference, saturated, voronoi_field_reference,
-                     window_add_reference)
+                     load_map_reference, raytrace_reveal_reference, saturated,
+                     voronoi_field_reference, window_add_reference)
 
 
 # ---------------------------------------------------------------- map format
+
+DATA_DIR = Path(grid_module.__file__).parent / "data"
+
 
 def test_map_round_trip(tmp_path):
     """Every cell character, read into its cell state."""
@@ -67,6 +71,61 @@ def test_map_rejects_malformed(tmp_path, content):
     p.write_text(content)
     with pytest.raises(ValueError):
         load_map(p)
+
+
+def _load_outcome(load, path):
+    """The loaded cells, their dtype and resolution, or the ValueError's text."""
+    try:
+        g = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return g.cells.dtype, g.cells.shape, g.cells.tobytes(), g.resolution
+
+
+@st.composite
+def map_files(draw) -> bytes:
+    """A map file: all three cell characters, with each defect below or none."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rows = [draw(st.text("?.#", min_size=w, max_size=w)) for _ in range(h)]
+    for _ in range(draw(st.integers(0, 3))):    # bad characters at random rows and columns
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        bad = draw(st.characters(codec="ascii", exclude_characters="?.#"))
+        rows[r] = rows[r][:c] + bad + rows[r][c + 1:]
+    if draw(st.booleans()):        # a short or long row, before or after it
+        r = draw(st.integers(0, h - 1))
+        n = draw(st.integers(0, 2 * w + 1).filter(lambda n: n != w))
+        rows[r] = (rows[r] + "#" * (w + 1))[:n]
+    # either defect below hides every row's, so each is in one file of four
+    if draw(st.integers(0, 3)) == 3:    # too few or too many rows
+        n = draw(st.integers(0, h + 2).filter(lambda n: n != h))
+        rows = (rows + ["." * w] * 2)[:n]
+    resolution = draw(st.sampled_from(["0.5", "0.15625", "2", "nan"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (eol.join([f"{w} {h} {resolution}"] + rows)
+            + draw(st.sampled_from(["", eol]))).encode("ascii")
+    if draw(st.integers(0, 3)) == 3:    # a non-ASCII byte
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + bytes([draw(st.integers(0x80, 0xff))]) + data[i:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def map_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("maps") / "m.map"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=map_files())
+def test_load_map_matches_reference(map_path, data):
+    """The per-row byte table loads the same cells as the per-character dict
+    lookup it replaced, or raises the same first error in file order."""
+    map_path.write_bytes(data)
+    assert _load_outcome(load_map, map_path) == _load_outcome(load_map_reference, map_path)
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.map")), ids=lambda p: p.name)
+def test_bundled_maps_load_as_reference(path):
+    assert _load_outcome(load_map, path) == _load_outcome(load_map_reference, path)
 
 
 # -------------------------------------------------------------- belief state

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -583,6 +585,35 @@ def test_analytic_work_counts(monkeypatch):
     assert analytic_expansions(Pose2D(10, 20, 0), Pose2D(25, 22, 0.5), free, CFG,
                                VEH, STANDARD) is not None
     assert (checks[0], sampled[0], built[0], solved[0]) == (2, 1, 1, 1)
+
+
+def test_search_counts_stale_pops_and_analytic_attempts(monkeypatch):
+    """Every heap pop is a stale skip or an expansion, and every call of the
+    analytic expansion an attempt, in a search that ends and in one that runs
+    out of budget (whose last pop raises before it expands)."""
+    attempts = _counting(monkeypatch, planner_module, "analytic_expansions")
+    pops = [0]
+
+    def counted_pop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+    monkeypatch.setattr(planner_module, "heapq",
+                        SimpleNamespace(heappush=heapq.heappush, heappop=counted_pop))
+    rng = np.random.default_rng(1)
+    g = clutter_scene(rng)
+    checker = CollisionChecker(g, VEH.disks)
+    start, goal = _free_pose(rng, checker, False), _free_pose(rng, checker, False)
+    _, stats = plan(g, start, goal, VEH, CFG)
+    assert stats.stale_pops > 0 and 0 < stats.analytic_attempts < stats.nodes_expanded
+    assert stats.analytic_attempts == attempts[0]
+    assert stats.stale_pops + stats.nodes_expanded == pops[0]
+
+    attempts[0] = pops[0] = 0
+    with pytest.raises(BudgetExceededError) as failure:
+        plan(g, start, goal, VEH, dataclasses.replace(CFG, node_budget=stats.nodes_expanded - 1))
+    failed = failure.value.stats
+    assert failed.stale_pops > 0 and failed.analytic_attempts == attempts[0] > 0
+    assert failed.stale_pops + failed.nodes_expanded + 1 == pops[0]
 
 
 # ------------------------------------------------ reconstruction and merging
